@@ -560,7 +560,7 @@ impl Lpbcast {
 }
 
 /// The workspace-wide sans-IO lifecycle ([`lpbcast_types::Protocol`]):
-/// generic drivers — `Engine<P>`, the scenario suite, `NetNode<P>` — run
+/// generic drivers — `Engine<P>`, the scenario suite, `Cluster<P>` — run
 /// lpbcast through this impl. The trait methods delegate to the inherent
 /// ones; lpbcast buffers published notifications until the next gossip,
 /// so `broadcast` never produces immediate sends.

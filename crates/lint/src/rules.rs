@@ -347,7 +347,7 @@ pub fn d4_forbid_unsafe(path: &str, all_toks: &[Tok]) -> Vec<Finding> {
 
 // ── D5: panic surface on the net runtime path ───────────────────────────
 
-/// The UDP runtime must degrade (drop a datagram, retry a bind), never
+/// The UDP runtime must degrade (drop a datagram, return an error), never
 /// abort: a panic in the receive loop silently kills a node mid-
 /// experiment. Flags `.unwrap()` / `.expect(…)`, panicking macros, and
 /// slice indexing (`x[i]` / `&x[a..b]`), all of which have non-panicking

@@ -2,11 +2,11 @@
 //! [`Protocol`] instances multiplexed over a handful of nonblocking UDP
 //! sockets in one process.
 //!
-//! [`NetNode`](crate::NetNode) spends one socket and one event-loop
-//! thread per node — faithful to the paper's one-process-per-machine
-//! deployment, but a loopback testbed that wants 10³–10⁴ processes dies
-//! on thread and fd counts long before the protocol is stressed.
-//! [`Cluster`] inverts the layout: a single caller-driven loop owns
+//! One socket and one thread per process is faithful to the paper's
+//! one-process-per-machine deployment, but a loopback testbed that wants
+//! 10³–10⁴ processes dies on thread and fd counts long before the
+//! protocol is stressed. [`Cluster`] is a single caller-driven loop that
+//! owns
 //!
 //! * a few sockets registered with a readiness [`UdpPoller`] (instances
 //!   are striped across them round-robin),
@@ -20,9 +20,10 @@
 //!   queue without touching a socket.
 //!
 //! Datagrams between clusters carry the [`wire`] *cluster envelope*
-//! (`from`/`dest` instance ids) because a socket address no longer
-//! identifies an instance; a socket hosting exactly one instance also
-//! accepts plain [`NetNode`](crate::NetNode)-style datagrams.
+//! (`from`/`dest` instance ids) because a socket address does not
+//! identify an instance; a datagram without it is dropped as loss. The
+//! paper's §5.2 layout — one process, one socket — is a cluster with one
+//! instance.
 //!
 //! The deployment harness drives faults at the socket boundary through
 //! two hooks: an ingress **drop filter** (drop everything arriving from a
@@ -39,14 +40,14 @@ use bytes::{Bytes, BytesMut};
 
 use lpbcast_types::{Event, EventId, FastMap, FastSet, Payload, ProcessId, Protocol};
 
+use crate::book::AddressBook;
 use crate::error::NetError;
-use crate::node::AddressBook;
 use crate::poll::{drain_socket, UdpPoller};
 use crate::timer::TimerWheel;
 use crate::wire::{self, WireMessage};
 
 /// Keep batched datagrams under the 64 KiB UDP limit with headroom for
-/// IP/UDP headers (mirrors the `NetNode` constant).
+/// IP/UDP headers.
 const MAX_DATAGRAM: usize = 60 * 1024;
 
 /// Poller key of the optional control socket — far above any data-socket
@@ -101,7 +102,6 @@ pub struct ClusterBuilder {
     interval: Duration,
     sockets: usize,
     bind_addrs: Vec<SocketAddr>,
-    granularity: Option<Duration>,
 }
 
 impl ClusterBuilder {
@@ -111,7 +111,6 @@ impl ClusterBuilder {
             interval,
             sockets: 1,
             bind_addrs: Vec::new(),
-            granularity: None,
         }
     }
 
@@ -128,14 +127,6 @@ impl ClusterBuilder {
     #[must_use]
     pub fn bind_addrs(mut self, addrs: Vec<SocketAddr>) -> Self {
         self.bind_addrs = addrs;
-        self
-    }
-
-    /// Overrides the timer-wheel quantum (default: `interval / 8`,
-    /// clamped to [500µs, 5ms]).
-    #[must_use]
-    pub fn timer_granularity(mut self, granularity: Duration) -> Self {
-        self.granularity = Some(granularity);
         self
     }
 
@@ -163,9 +154,10 @@ impl ClusterBuilder {
             poller.register(&socket, key)?;
             sockets.push(socket);
         }
-        let granularity = self.granularity.unwrap_or_else(|| {
-            (self.interval / 8).clamp(Duration::from_micros(500), Duration::from_millis(5))
-        });
+        // Timer-wheel quantum: a tick fires within an eighth of its
+        // period, bounded so the wheel neither spins nor goes coarse.
+        let granularity =
+            (self.interval / 8).clamp(Duration::from_micros(500), Duration::from_millis(5));
         Ok(Cluster {
             interval: self.interval,
             poller,
@@ -173,7 +165,6 @@ impl ClusterBuilder {
             control: None,
             instances: Vec::new(),
             index: FastMap::default(),
-            sole_per_socket: Vec::new(),
             book: AddressBook::new(),
             timers: TimerWheel::new(granularity, 256),
             recv_buf: vec![0u8; 64 * 1024],
@@ -205,9 +196,6 @@ where
     control: Option<UdpSocket>,
     instances: Vec<Instance<P>>,
     index: FastMap<ProcessId, usize>,
-    /// `Some(instance idx)` while a socket hosts exactly one instance —
-    /// the `NetNode`-interop routing target for plain datagrams.
-    sole_per_socket: Vec<Option<usize>>,
     book: AddressBook,
     timers: TimerWheel,
     recv_buf: Vec<u8>,
@@ -264,15 +252,6 @@ where
             machine,
             socket_idx,
         });
-        while self.sole_per_socket.len() < self.sockets.len() {
-            self.sole_per_socket.push(None);
-        }
-        if let Some(slot) = self.sole_per_socket.get_mut(socket_idx) {
-            *slot = match slot {
-                None if idx < self.sockets.len() => Some(idx),
-                _ => None,
-            };
-        }
         // Stagger the first deadline across the period so a cold start
         // doesn't tick every instance at once.
         let phase = (idx as u32 % STAGGER_PHASES) + 1;
@@ -380,6 +359,17 @@ where
     pub fn with_instance<R>(&self, id: ProcessId, f: impl FnOnce(&P) -> R) -> Option<R> {
         let idx = self.index.get(&id).copied()?;
         self.instances.get(idx).map(|i| f(&i.machine))
+    }
+
+    /// Runs `f` against a hosted instance's state, mutably — for calls
+    /// the [`Protocol`] trait does not carry (e.g. `Lpbcast::unsubscribe`).
+    pub fn with_instance_mut<R>(
+        &mut self,
+        id: ProcessId,
+        f: impl FnOnce(&mut P) -> R,
+    ) -> Option<R> {
+        let idx = self.index.get(&id).copied()?;
+        self.instances.get_mut(idx).map(|i| f(&mut i.machine))
     }
 
     /// Deliveries (LPB-DELIVER) accumulated since the last call, as
@@ -495,7 +485,7 @@ where
             return;
         };
         // Per-destination batches under one cluster envelope each, with
-        // `Arc`-shared gossip bodies encoded once (cf. NetNode).
+        // `Arc`-shared gossip bodies encoded once.
         let mut batches: Vec<(ProcessId, SocketAddr, BytesMut)> = Vec::new();
         let mut cached: Option<(usize, Bytes)> = None;
         let mut scratch = BytesMut::new();
@@ -592,14 +582,13 @@ where
             result?;
         }
         for (data, from_addr) in pending {
-            self.dispatch_datagram(key, &data, from_addr);
+            self.dispatch_datagram(&data, from_addr);
         }
         Ok(())
     }
 
-    /// Routes one ingress datagram: drop filter, then envelope demux (or
-    /// the `NetNode`-interop sole-instance path for plain frames).
-    fn dispatch_datagram(&mut self, socket_key: usize, data: &[u8], from_addr: SocketAddr) {
+    /// Routes one ingress datagram: drop filter, then envelope demux.
+    fn dispatch_datagram(&mut self, data: &[u8], from_addr: SocketAddr) {
         if self.drop_filter.contains(&from_addr) {
             self.stats.dropped_filtered = self.stats.dropped_filtered.saturating_add(1);
             return;
@@ -607,25 +596,11 @@ where
         self.stats.datagrams_rx = self.stats.datagrams_rx.saturating_add(1);
         self.stats.wire_rx_bytes = self.stats.wire_rx_bytes.saturating_add(data.len() as u64);
 
-        let (from, dest_idx, frames) = if data.first() == Some(&wire::CLUSTER_MAGIC) {
-            let Ok((from, dest, frames)) = wire::decode_cluster_header(data) else {
-                return; // hostile or truncated envelope: drop whole
-            };
-            let Some(idx) = self.index.get(&dest).copied() else {
-                return; // not hosted (e.g. killed and restarted elsewhere)
-            };
-            (from, idx, frames)
-        } else {
-            // NetNode interop: only routable when this socket hosts
-            // exactly one instance.
-            let Some(Some(idx)) = self.sole_per_socket.get(socket_key).copied() else {
-                return;
-            };
-            let from = self
-                .book
-                .reverse_lookup(from_addr)
-                .unwrap_or(ProcessId::new(u64::MAX));
-            (from, idx, data)
+        let Ok((from, dest, frames)) = wire::decode_cluster_header(data) else {
+            return; // missing, hostile or truncated envelope: drop whole
+        };
+        let Some(dest_idx) = self.index.get(&dest).copied() else {
+            return; // not hosted (e.g. killed and restarted elsewhere)
         };
         let Ok(messages) = wire::decode_frames::<P::Msg>(frames) else {
             return; // torn datagram: drop it whole, like loss

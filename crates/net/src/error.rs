@@ -2,23 +2,18 @@
 
 use core::fmt;
 
-/// Errors from the networked runtime.
+/// Errors from the networked runtime. Undecodable datagrams are not
+/// errors: the runtime drops them as loss, per the gossip model.
 #[derive(Debug)]
 pub enum NetError {
-    /// Socket creation/configuration failed.
+    /// Socket creation/configuration or polling failed.
     Io(std::io::Error),
-    /// A peer id has no address in the address book.
-    UnknownPeer(lpbcast_types::ProcessId),
-    /// A datagram could not be decoded.
-    Wire(crate::wire::WireError),
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::Io(e) => write!(f, "socket error: {e}"),
-            NetError::UnknownPeer(p) => write!(f, "no address registered for {p}"),
-            NetError::Wire(e) => write!(f, "wire error: {e}"),
         }
     }
 }
@@ -27,8 +22,6 @@ impl std::error::Error for NetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NetError::Io(e) => Some(e),
-            NetError::Wire(e) => Some(e),
-            NetError::UnknownPeer(_) => None,
         }
     }
 }
@@ -36,11 +29,5 @@ impl std::error::Error for NetError {
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
-    }
-}
-
-impl From<crate::wire::WireError> for NetError {
-    fn from(e: crate::wire::WireError) -> Self {
-        NetError::Wire(e)
     }
 }

@@ -3,31 +3,29 @@
 //! any set of hosts.
 //!
 //! The crate adds exactly two things on top of the sans-IO
-//! [`Lpbcast`](lpbcast_core::Lpbcast) state machine:
+//! [`Protocol`](lpbcast_types::Protocol) state machines:
 //!
-//! * a compact hand-rolled binary **wire codec** ([`wire`]) for
-//!   [`Message`](lpbcast_core::Message) — length-checked, fuzz/property
-//!   tested, no serialization framework;
-//! * a threaded **node runtime** ([`NetNode<P>`](NetNode)): generic over
-//!   any sans-IO [`Protocol`](lpbcast_types::Protocol) whose messages
-//!   implement [`WireMessage`] (lpbcast and pbcast in-tree). One
-//!   event-loop thread parks on a readiness poller, drains the
-//!   nonblocking socket into the state machine and fires the periodic
-//!   gossip every `T` milliseconds (non-synchronized, exactly as §3.2
-//!   prescribes); deliveries stream to the application through a
-//!   channel. Output batches are sent as per-destination multi-frame
-//!   datagrams — one `send_to` syscall per peer per batch, with
-//!   `Arc`-shared gossip bodies encoded once;
-//! * a **cluster runtime** ([`Cluster<P>`](Cluster)):
-//!   hundreds-to-thousands of protocol instances multiplexed over a
-//!   handful of nonblocking sockets in one caller-driven loop — a
-//!   [`TimerWheel`](timer::TimerWheel) for per-instance tick cadence,
+//! * a compact hand-rolled binary **wire codec** ([`wire`]) behind the
+//!   [`WireMessage`] trait (lpbcast, pbcast, pub/sub and SWIM messages
+//!   in-tree) — length-checked, fuzz/property tested, no serialization
+//!   framework;
+//! * one **UDP runtime** ([`Cluster<P>`](Cluster)), generic over any
+//!   `Protocol` whose messages implement [`WireMessage`]: one to
+//!   thousands of protocol instances multiplexed over a handful of
+//!   nonblocking sockets in one caller-driven loop — a
+//!   [`TimerWheel`](timer::TimerWheel) fires each instance's gossip
+//!   every `T` (non-synchronized, exactly as §3.2 prescribes),
 //!   readiness polling ([`poll::UdpPoller`], epoll with a portable
-//!   `poll(2)` fallback via the vendored `polling` crate), harness hooks
-//!   for ingress drop filters (partitions) and egress link faults. This
-//!   is what the multi-process deployment harness
-//!   (`scripts/cluster_harness.py` + the `net_harness` bin) drives for
-//!   real-network scenario runs.
+//!   `poll(2)` fallback via the vendored `polling` crate) drains the
+//!   sockets into the state machines, and output batches leave as
+//!   per-destination multi-frame datagrams — one `send_to` per peer per
+//!   batch, with `Arc`-shared gossip bodies encoded once. The paper's
+//!   one-process-per-machine layout is a cluster with one instance on
+//!   one socket (`examples/udp_cluster.rs`); the multi-process
+//!   deployment harness (`scripts/cluster_harness.py` + the
+//!   `net_harness` bin) hosts hundreds per process and drives partitions
+//!   and link faults through the ingress drop filter and the egress
+//!   [`LinkFate`] hook.
 //!
 //! UDP is a faithful transport here: gossip protocols *assume* lossy
 //! fire-and-forget messaging (the ε of the analysis), so no reliability
@@ -36,41 +34,40 @@
 //! # Example
 //!
 //! ```no_run
-//! use lpbcast_core::Config;
-//! use lpbcast_net::{AddressBook, NetConfig, NetNode};
+//! use lpbcast_core::{Config, Lpbcast};
+//! use lpbcast_net::{Cluster, ClusterBuilder};
 //! use lpbcast_types::ProcessId;
 //! use std::time::Duration;
 //!
 //! # fn main() -> Result<(), lpbcast_net::NetError> {
-//! let config = NetConfig::new(
-//!     Config::builder().view_size(4).fanout(2).build(),
-//!     Duration::from_millis(50),
-//!     7,
-//! );
-//! let mut book = AddressBook::new();
-//! // ... bind sockets, fill the book with (ProcessId -> SocketAddr) ...
-//! let node = NetNode::spawn(ProcessId::new(0), config, book, vec![ProcessId::new(1)])?;
-//! node.broadcast(b"hello".as_ref());
-//! if let Ok(event) = node.deliveries().recv_timeout(Duration::from_secs(1)) {
-//!     println!("delivered {event}");
+//! let config = Config::builder().view_size(4).fanout(2).build();
+//! let (me, peer) = (ProcessId::new(0), ProcessId::new(1));
+//! let mut node: Cluster<Lpbcast> = ClusterBuilder::new(Duration::from_millis(50)).build()?;
+//! node.add_instance(Lpbcast::with_initial_view(me, config, 7, vec![peer]))?;
+//! // The testbed configuration says where every other process listens.
+//! node.register_peer(peer, "10.0.0.2:7000".parse().expect("address"));
+//! node.broadcast(me, b"hello".as_ref());
+//! loop {
+//!     node.step(Duration::from_millis(10))?;
+//!     for (at, event) in node.take_deliveries() {
+//!         println!("{at} delivered {event}");
+//!     }
 //! }
-//! node.shutdown();
-//! # Ok(())
 //! # }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+mod book;
 mod cluster;
 mod error;
-mod node;
 pub mod poll;
 pub mod timer;
 pub mod wire;
 
+pub use book::AddressBook;
 pub use cluster::{Cluster, ClusterBuilder, ClusterStats, LinkFate};
 pub use error::NetError;
-pub use node::{AddressBook, NetConfig, NetNode, NetOpts, NodeSnapshot};
 pub use timer::TimerWheel;
 pub use wire::{wire_meter, WireMessage, WireStats};

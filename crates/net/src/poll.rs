@@ -48,15 +48,6 @@ impl UdpPoller {
         self.poller.add(socket, Event::readable(key))
     }
 
-    /// Removes `socket` from the poll set.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the socket was never registered.
-    pub fn deregister(&self, socket: &UdpSocket) -> io::Result<()> {
-        self.poller.delete(socket)
-    }
-
     /// Blocks until at least one registered socket is readable or
     /// `timeout` elapses (`None` waits indefinitely), returning the ready
     /// keys. An empty slice means the timeout fired (or the wait was

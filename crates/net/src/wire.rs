@@ -5,9 +5,9 @@
 //! `[u8 MAGIC = 0x6C] [u8 version = 1] [u8 kind] body…` (all integers
 //! little-endian). [`encode`]/[`decode`] handle exactly one frame (the
 //! historical single-message datagram — byte-identical to the pre-trait
-//! format); [`decode_frames`] walks a whole batched datagram, and
-//! `NetNode` concatenates the frames of one output batch per
-//! destination so a batch costs one `send_to` syscall per peer.
+//! format); [`decode_frames`] walks a whole batched datagram, and the
+//! runtime concatenates the frames of one output batch per destination
+//! so a batch costs one `send_to` syscall per peer.
 //!
 //! Compatibility note: a single-frame datagram is still exactly the v1
 //! format, but multi-frame datagrams are a batching extension a
@@ -92,10 +92,8 @@
 //! instances over one socket, so its datagrams carry a small *envelope*
 //! in front of the frame sequence — `[u8 CLUSTER_MAGIC = 0x6D]
 //! [u8 version = 1] [u64 from] [u64 dest]` — naming the sending and the
-//! receiving instance (the socket address alone no longer identifies
-//! either). A plain `0x6C` datagram is still accepted by a cluster
-//! socket hosting exactly one instance, keeping `NetNode` peers
-//! interoperable.
+//! receiving instance (the socket address alone does not identify
+//! either). A datagram without the envelope is dropped whole.
 //!
 //! Every length is validated against the remaining buffer before any
 //! allocation, so a hostile datagram cannot trigger huge allocations.
@@ -200,7 +198,7 @@ impl std::error::Error for WireError {}
 /// A protocol message the UDP runtime can frame onto the wire: the codec
 /// half of the sans-IO [`Protocol`](lpbcast_types::Protocol) redesign.
 /// Implemented for the lpbcast [`Message`] and the pbcast
-/// [`PbcastMessage`]; `NetNode<P>` requires `P::Msg: WireMessage`.
+/// [`PbcastMessage`]; `Cluster<P>` requires `P::Msg: WireMessage`.
 pub trait WireMessage: Sized + Clone + core::fmt::Debug {
     /// Appends the kind byte and body of this message (header excluded).
     fn encode_body(&self, buf: &mut BytesMut);

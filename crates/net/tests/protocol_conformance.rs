@@ -1,7 +1,7 @@
 //! Shared conformance suite for every [`Protocol`] implementation the
 //! workspace ships: the same generic checks run against [`Lpbcast`] and
 //! [`Pbcast`], so a protocol cannot drift from the contract the generic
-//! drivers (`Engine<P>`, the scenario suite, `NetNode<P>`) rely on.
+//! drivers (`Engine<P>`, the scenario suite, `Cluster<P>`) rely on.
 //!
 //! What is enforced:
 //!

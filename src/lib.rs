@@ -19,7 +19,7 @@
 //! |--------|--------------|------|
 //! | simulation engine | [`sim::Engine<P>`](sim::Engine) | synchronous §5.1 rounds for any protocol |
 //! | scenario suite | [`sim::scenario`] (`ScenarioProtocol`) | churn / catastrophe / partition, side by side |
-//! | UDP runtime | [`net::NetNode<P>`](net::NetNode) | one socket per process, batched datagrams |
+//! | UDP runtime | [`net::Cluster<P>`](net::Cluster) | one to thousands of instances per process over nonblocking sockets, batched datagrams |
 //!
 //! This facade crate re-exports the workspace:
 //!
@@ -91,8 +91,10 @@
 //! ## Quick start (real UDP sockets)
 //!
 //! See `examples/udp_cluster.rs` — the same state machines behind
-//! [`net::NetNode<P>`](net::NetNode), one socket per process,
-//! non-synchronized gossip timers, per-destination batched datagrams.
+//! [`net::Cluster<P>`](net::Cluster), here one single-instance cluster
+//! (one socket) per process, non-synchronized gossip timers,
+//! per-destination batched datagrams. `scripts/cluster_harness.py` runs
+//! the same runtime with hundreds of instances per OS process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
