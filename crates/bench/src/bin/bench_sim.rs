@@ -47,20 +47,15 @@ use std::time::Instant;
 
 use lpbcast_bench::baseline::build_baseline_lpbcast_engine;
 use lpbcast_core::Lpbcast;
-use lpbcast_membership::Swim;
-use lpbcast_pbcast::Pbcast;
 use lpbcast_sim::detector::{detector_study, detector_tsv, DetectorParams};
 use lpbcast_sim::experiment::{
     build_lpbcast_engine, lpbcast_engine_builder, lpbcast_infection_curve,
     lpbcast_infection_curve_serial, sweep_dispatches_serial, LpbcastSimParams,
 };
 use lpbcast_sim::scale::{scaling_study, scaling_tsv, ScaleStudyOpts};
-use lpbcast_sim::scenario::{
-    catastrophe_scenario, run_scenario_suite, scenarios_tsv, CatastropheParams, ScenarioSuite,
-};
 use lpbcast_sim::{
-    shards_from_env, sweep_specs, sweep_specs_serial, Engine, ProtocolKind, ScenarioGenerator,
-    ScenarioSpec, StepMode,
+    run_scenario_spec, scenarios_tsv, shards_from_env, sweep_specs, sweep_specs_serial, Engine,
+    Metric, ProtocolKind, ScenarioGenerator, ScenarioReport, ScenarioSpec, StepMode,
 };
 use lpbcast_types::{Payload, ProcessId};
 
@@ -222,6 +217,37 @@ struct StepResult {
     baseline_ns: f64,
 }
 
+/// Runs one scenario cell at seed 1, timing it.
+fn timed_scenario(
+    protocol: ProtocolKind,
+    generator: ScenarioGenerator,
+    n: usize,
+) -> (ScenarioReport, f64) {
+    let t = Instant::now();
+    let report = run_scenario_spec(&ScenarioSpec::new(protocol, generator, n), 1);
+    (report, t.elapsed().as_secs_f64() * 1e3)
+}
+
+/// The `"metric": value, …` body shared by every `scenarios` /
+/// `scenarios_xl` JSON object: the report's metrics in report order
+/// (an unreached target as `null`), then wire cost and wall clock.
+fn scenario_json_fields(report: &ScenarioReport, wall_ms: f64) -> String {
+    let mut out = String::new();
+    for (metric, value) in &report.metrics {
+        let _ = match value {
+            Metric::Rounds(None) => write!(out, "\"{metric}\": null, "),
+            _ => write!(out, "\"{metric}\": {value}, "),
+        };
+    }
+    let _ = write!(
+        out,
+        "\"wire_bytes_per_round\": {:.1}, \"wire_messages\": {}, \"wall_ms\": {wall_ms:.1}",
+        report.wire_bytes_per_round(),
+        report.wire_messages
+    );
+    out
+}
+
 fn scale_sizes() -> Vec<usize> {
     std::env::var("BENCH_SIM_SCALE_NS")
         .ok()
@@ -380,14 +406,16 @@ fn main() {
     // post-catastrophe robustness headline at the new scale ceiling.
     let xl_scenario_n = env_usize("BENCH_SIM_SCENARIO_XL_N", 0);
     let xl_catastrophe = (xl_scenario_n > 0).then(|| {
-        let t = Instant::now();
-        let report = catastrophe_scenario::<Lpbcast>(&CatastropheParams::<Lpbcast>::scaled(xl_scenario_n), 1);
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
+        let (report, wall_ms) = timed_scenario(
+            ProtocolKind::Lpbcast,
+            ScenarioGenerator::Catastrophe,
+            xl_scenario_n,
+        );
         println!(
             "scenario-xl catastrophe/lpbcast n={xl_scenario_n}: {} crashed, reliability {:.4} -> {:.4}, recovery {:?}, wire {:.1} KB/round [{:.0} ms]",
-            report.crashed,
-            report.reliability_before,
-            report.reliability_after,
+            report["crashed"],
+            report["reliability_before"],
+            report["reliability_after"],
             report.recovery_rounds,
             report.wire_bytes_per_round() / 1e3,
             wall_ms
@@ -401,65 +429,64 @@ fn main() {
     let scenario_n = env_usize("BENCH_SIM_SCENARIO_N", 10_000);
     let protocols =
         std::env::var("BENCH_SIM_SCENARIO_PROTOCOLS").unwrap_or_else(|_| "lpbcast,pbcast".into());
-    let mut suites: Vec<ScenarioSuite> = Vec::new();
-    let mut seen_protocols: Vec<&str> = Vec::new();
-    for proto in protocols.split(',').map(str::trim) {
+    // Per stack: the churn, catastrophe and partition reports with
+    // their wall clocks, in that order.
+    let mut suites: Vec<[(ScenarioReport, f64); 3]> = Vec::new();
+    let mut seen_protocols: Vec<ProtocolKind> = Vec::new();
+    for label in protocols.split(',').map(str::trim) {
+        if label.is_empty() {
+            continue;
+        }
+        let Ok(proto) = label.parse::<ProtocolKind>() else {
+            eprintln!(
+                "! unknown scenario protocol {label:?} (expected lpbcast/pbcast/swim+lpbcast/swim+pbcast)"
+            );
+            continue;
+        };
         // Dedup: a repeated protocol would emit duplicate JSON keys.
         if seen_protocols.contains(&proto) {
             continue;
         }
         seen_protocols.push(proto);
-        let suite = match proto {
-            "lpbcast" => run_scenario_suite::<Lpbcast>(scenario_n, 1),
-            "pbcast" => run_scenario_suite::<Pbcast>(scenario_n, 1),
-            "swim" | "swim+lpbcast" => run_scenario_suite::<Swim<Lpbcast>>(scenario_n, 1),
-            "swim+pbcast" => run_scenario_suite::<Swim<Pbcast>>(scenario_n, 1),
-            "" => continue,
-            other => {
-                eprintln!(
-                    "! unknown scenario protocol {other:?} (expected lpbcast/pbcast/swim+lpbcast/swim+pbcast)"
-                );
-                continue;
-            }
-        };
-        let churn = &suite.churn;
+        let suite = [
+            ScenarioGenerator::Churn,
+            ScenarioGenerator::Catastrophe,
+            ScenarioGenerator::Partition,
+        ]
+        .map(|generator| timed_scenario(proto, generator, scenario_n));
+        let [(churn, churn_ms), (catastrophe, catastrophe_ms), (partition, partition_ms)] = &suite;
         println!(
-            "scenario churn/{} n={scenario_n}: {}/{} joins, {} leaves ({} refused), members {} at end, reliability {:.4} (min {:.4}), partitioned {}, wire {:.1} KB/round [{:.0} ms]",
-            suite.protocol,
-            churn.joins_completed,
-            churn.joins_attempted,
-            churn.leaves_completed,
-            churn.leaves_refused,
-            churn.final_members,
-            churn.mean_reliability,
-            churn.min_reliability,
-            churn.partitioned_at_end,
+            "scenario churn/{proto} n={scenario_n}: {}/{} joins, {} leaves ({} refused), members {} at end, reliability {:.4} (min {:.4}), partitioned {}, wire {:.1} KB/round [{:.0} ms]",
+            churn["joins_completed"],
+            churn["joins_attempted"],
+            churn["leaves_completed"],
+            churn["leaves_refused"],
+            churn["final_members"],
+            churn["mean_reliability"],
+            churn["min_reliability"],
+            churn["partitioned_at_end"],
             churn.wire_bytes_per_round() / 1e3,
-            suite.churn_wall_ms
+            churn_ms
         );
-        let catastrophe = &suite.catastrophe;
         println!(
-            "scenario catastrophe/{} n={scenario_n}: {} crashed, reliability {:.4} -> {:.4}, latency {:.2} -> {:.2} rounds, recovery {:?}, wire {:.1} KB/round [{:.0} ms]",
-            suite.protocol,
-            catastrophe.crashed,
-            catastrophe.reliability_before,
-            catastrophe.reliability_after,
-            catastrophe.latency_before,
-            catastrophe.latency_after,
+            "scenario catastrophe/{proto} n={scenario_n}: {} crashed, reliability {:.4} -> {:.4}, latency {:.2} -> {:.2} rounds, recovery {:?}, wire {:.1} KB/round [{:.0} ms]",
+            catastrophe["crashed"],
+            catastrophe["reliability_before"],
+            catastrophe["reliability_after"],
+            catastrophe["latency_before_rounds"],
+            catastrophe["latency_after_rounds"],
             catastrophe.recovery_rounds,
             catastrophe.wire_bytes_per_round() / 1e3,
-            suite.catastrophe_wall_ms
+            catastrophe_ms
         );
-        let partition = &suite.partition;
         println!(
-            "scenario partition/{} n={}: connect {:?}, heal {:?}, post-heal reliability {:.4}, wire {:.1} KB/round [{:.0} ms]",
-            suite.protocol,
+            "scenario partition/{proto} n={}: connect {:?}, heal {:?}, post-heal reliability {:.4}, wire {:.1} KB/round [{:.0} ms]",
             partition.n,
-            partition.rounds_to_connect,
-            partition.rounds_to_heal,
-            partition.post_heal_reliability,
+            partition["rounds_to_connect"].rounds(),
+            partition.recovery_rounds,
+            partition["post_heal_reliability"],
             partition.wire_bytes_per_round() / 1e3,
-            suite.partition_wall_ms
+            partition_ms
         );
         suites.push(suite);
     }
@@ -496,15 +523,15 @@ fn main() {
     {
         let (cells, reports) = block;
         let spec = cells[0].0.to_string();
-        let mean = reports.iter().map(|r| r.reliability_mean()).sum::<f64>() / reports.len() as f64;
+        let mean = reports.iter().map(|r| r.reliability_mean).sum::<f64>() / reports.len() as f64;
         let min = reports
             .iter()
-            .map(|r| r.reliability_min())
+            .map(|r| r.reliability_min)
             .fold(f64::INFINITY, f64::min);
         // Worst recovery across seeds; None if any seed never recovered.
         let recovery = reports
             .iter()
-            .map(|r| r.recovery_rounds())
+            .map(|r| r.recovery_rounds)
             .collect::<Option<Vec<u64>>>()
             .and_then(|v| v.into_iter().max());
         let wire = reports
@@ -662,83 +689,32 @@ fn main() {
     );
     json.push_str("  \"scenarios_xl\": [\n");
     if let Some((report, wall_ms)) = &xl_catastrophe {
-        let recovery = report
-            .recovery_rounds
-            .map_or_else(|| "null".into(), |r| r.to_string());
         let _ = writeln!(
             json,
-            "    {{\"scenario\": \"catastrophe_xl\", \"protocol\": \"lpbcast\", \"n\": {}, \"crashed\": {}, \"survivors\": {}, \"reliability_before\": {:.5}, \"reliability_after\": {:.5}, \"latency_before_rounds\": {:.3}, \"latency_after_rounds\": {:.3}, \"recovery_rounds\": {recovery}, \"partitioned_after\": {}, \"wire_bytes_per_round\": {:.1}, \"wire_messages\": {}, \"wall_ms\": {wall_ms:.1}}}",
+            "    {{\"scenario\": \"catastrophe_xl\", \"protocol\": \"lpbcast\", \"n\": {}, {}}}",
             report.n,
-            report.crashed,
-            report.survivors,
-            report.reliability_before,
-            report.reliability_after,
-            report.latency_before,
-            report.latency_after,
-            report.partitioned_after,
-            report.wire_bytes_per_round(),
-            report.wire_messages
+            scenario_json_fields(report, *wall_ms)
         );
     }
     json.push_str("  ],\n");
     json.push_str("  \"scenarios\": {\n");
     for (si, suite) in suites.iter().enumerate() {
-        let _ = writeln!(json, "    \"{}\": {{", suite.protocol);
-        let churn = &suite.churn;
-        let _ = writeln!(
-            json,
-            "      \"churn\": {{\"n0\": {}, \"final_members\": {}, \"joins_attempted\": {}, \"joins_completed\": {}, \"leaves_completed\": {}, \"leaves_refused\": {}, \"mean_reliability\": {:.5}, \"min_reliability\": {:.5}, \"events_measured\": {}, \"partitioned_at_end\": {}, \"wire_bytes_per_round\": {:.1}, \"wire_messages\": {}, \"wall_ms\": {:.1}}},",
-            churn.n0,
-            churn.final_members,
-            churn.joins_attempted,
-            churn.joins_completed,
-            churn.leaves_completed,
-            churn.leaves_refused,
-            churn.mean_reliability,
-            churn.min_reliability,
-            churn.events_measured,
-            churn.partitioned_at_end,
-            churn.wire_bytes_per_round(),
-            churn.wire_messages,
-            suite.churn_wall_ms
-        );
-        let catastrophe = &suite.catastrophe;
-        let recovery = catastrophe
-            .recovery_rounds
-            .map_or_else(|| "null".into(), |r| r.to_string());
-        let _ = writeln!(
-            json,
-            "      \"catastrophe\": {{\"n\": {}, \"crashed\": {}, \"survivors\": {}, \"reliability_before\": {:.5}, \"reliability_after\": {:.5}, \"latency_before_rounds\": {:.3}, \"latency_after_rounds\": {:.3}, \"recovery_rounds\": {recovery}, \"partitioned_after\": {}, \"wire_bytes_per_round\": {:.1}, \"wire_messages\": {}, \"wall_ms\": {:.1}}},",
-            catastrophe.n,
-            catastrophe.crashed,
-            catastrophe.survivors,
-            catastrophe.reliability_before,
-            catastrophe.reliability_after,
-            catastrophe.latency_before,
-            catastrophe.latency_after,
-            catastrophe.partitioned_after,
-            catastrophe.wire_bytes_per_round(),
-            catastrophe.wire_messages,
-            suite.catastrophe_wall_ms
-        );
-        let partition = &suite.partition;
-        let connect = partition
-            .rounds_to_connect
-            .map_or_else(|| "null".into(), |r| r.to_string());
-        let heal = partition
-            .rounds_to_heal
-            .map_or_else(|| "null".into(), |r| r.to_string());
-        let _ = writeln!(
-            json,
-            "      \"partition\": {{\"n\": {}, \"components_before\": {}, \"largest_component_before\": {}, \"rounds_to_connect\": {connect}, \"rounds_to_heal\": {heal}, \"post_heal_reliability\": {:.5}, \"wire_bytes_per_round\": {:.1}, \"wire_messages\": {}, \"wall_ms\": {:.1}}}",
-            partition.n,
-            partition.components_before,
-            partition.largest_component_before,
-            partition.post_heal_reliability,
-            partition.wire_bytes_per_round(),
-            partition.wire_messages,
-            suite.partition_wall_ms
-        );
+        let _ = writeln!(json, "    \"{}\": {{", suite[0].0.protocol);
+        for (i, (report, wall_ms)) in suite.iter().enumerate() {
+            // The churn object has always called its size `n0`.
+            let n_key = match report.generator {
+                ScenarioGenerator::Churn => "n0",
+                _ => "n",
+            };
+            let _ = writeln!(
+                json,
+                "      \"{}\": {{\"{n_key}\": {}, {}}}{}",
+                report.generator,
+                report.n,
+                scenario_json_fields(report, *wall_ms),
+                if i + 1 < suite.len() { "," } else { "" }
+            );
+        }
         json.push_str(if si + 1 < suites.len() {
             "    },\n"
         } else {
@@ -837,45 +813,23 @@ fn main() {
     }
 
     let scenarios_path = results_dir.join("scenarios.tsv");
-    let mut scenarios_text = scenarios_tsv(&suites);
+    let mut scenarios_text = scenarios_tsv(suites.iter().flatten().map(|(report, _)| report));
     if let Some((report, wall_ms)) = &xl_catastrophe {
-        let mut row = |metric: &str, value: String| {
+        let mut row = |metric: &str, value: &dyn std::fmt::Display| {
             let _ = writeln!(
                 scenarios_text,
                 "catastrophe_xl\tlpbcast\t{}\t{metric}\t{value}",
                 report.n
             );
         };
-        row("crashed", report.crashed.to_string());
-        row("survivors", report.survivors.to_string());
-        row(
-            "reliability_before",
-            format!("{:.5}", report.reliability_before),
-        );
-        row(
-            "reliability_after",
-            format!("{:.5}", report.reliability_after),
-        );
-        row(
-            "latency_before_rounds",
-            format!("{:.3}", report.latency_before),
-        );
-        row(
-            "latency_after_rounds",
-            format!("{:.3}", report.latency_after),
-        );
-        row(
-            "recovery_rounds",
-            report
-                .recovery_rounds
-                .map_or_else(|| "never".into(), |r| r.to_string()),
-        );
-        row("partitioned_after", report.partitioned_after.to_string());
+        for (metric, value) in &report.metrics {
+            row(metric, value);
+        }
         row(
             "wire_bytes_per_round",
-            format!("{:.1}", report.wire_bytes_per_round()),
+            &format_args!("{:.1}", report.wire_bytes_per_round()),
         );
-        row("wall_ms", format!("{wall_ms:.1}"));
+        row("wall_ms", &format_args!("{wall_ms:.1}"));
     }
     let write_scenarios = std::fs::create_dir_all(&results_dir)
         .and_then(|()| std::fs::write(&scenarios_path, scenarios_text));

@@ -4,7 +4,7 @@
 //! `(spec, seed)` to `results/mass_scenarios.tsv`.
 //!
 //! This is the evidence-matrix counterpart of `bench_sim`'s three
-//! hand-picked scenarios: every cell is a pure function of
+//! reference scenarios: every cell is a pure function of
 //! `(spec, seed)`, so a TSV row names the exact experiment
 //! that produced it — paste the spec string back into
 //! `run_scenario_spec` and the numbers reproduce bit for bit.
@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use lpbcast_sim::fault::FaultSpec;
 use lpbcast_sim::{
-    sweep_specs, sweep_specs_serial, ProtocolKind, ScenarioGenerator, ScenarioSpec, SpecReport,
+    sweep_specs, sweep_specs_serial, ProtocolKind, ScenarioGenerator, ScenarioReport, ScenarioSpec,
 };
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -79,12 +79,12 @@ fn workspace_root() -> PathBuf {
 /// One TSV row per `(spec, seed)` cell. `recovery_rounds` renders as
 /// `-` for generators without a recovery metric (churn) and as `never`
 /// when a measurement blew its cap — both are schema-checked.
-fn tsv(cells: &[(ScenarioSpec, u64)], fault_labels: &[&str], reports: &[SpecReport]) -> String {
+fn tsv(cells: &[(ScenarioSpec, u64)], fault_labels: &[&str], reports: &[ScenarioReport]) -> String {
     let mut out = String::from(
         "spec\tprotocol\tgenerator\tn\tfault\tseed\treliability_mean\treliability_min\trecovery_rounds\twire_bytes_per_round\trounds\n",
     );
     for (((spec, seed), fault), report) in cells.iter().zip(fault_labels).zip(reports) {
-        let recovery = match (report.generator(), report.recovery_rounds()) {
+        let recovery = match (report.generator, report.recovery_rounds) {
             (ScenarioGenerator::Churn, _) => "-".to_string(),
             (_, Some(r)) => r.to_string(),
             (_, None) => "never".to_string(),
@@ -92,13 +92,13 @@ fn tsv(cells: &[(ScenarioSpec, u64)], fault_labels: &[&str], reports: &[SpecRepo
         let _ = writeln!(
             out,
             "{spec}\t{}\t{}\t{}\t{fault}\t{seed}\t{:.5}\t{:.5}\t{recovery}\t{:.1}\t{}",
-            report.protocol(),
-            report.generator(),
-            report.n(),
-            report.reliability_mean(),
-            report.reliability_min(),
+            report.protocol,
+            report.generator,
+            report.n,
+            report.reliability_mean,
+            report.reliability_min,
             report.wire_bytes_per_round(),
-            report.rounds(),
+            report.rounds,
         );
     }
     out
@@ -171,9 +171,9 @@ fn main() {
     for ((spec, seed), report) in cells.iter().zip(&reports) {
         println!(
             "  [{spec};seed={seed}] reliability {:.4} (min {:.4}), recovery {:?}, wire {:.1} KB/round",
-            report.reliability_mean(),
-            report.reliability_min(),
-            report.recovery_rounds(),
+            report.reliability_mean,
+            report.reliability_min,
+            report.recovery_rounds,
             report.wire_bytes_per_round() / 1e3
         );
     }

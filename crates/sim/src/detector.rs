@@ -37,11 +37,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::engine::Engine;
-use crate::fault::{FaultPlane, FaultSpec};
-use crate::scenario::{
-    build_scenario_engine, churn_scenario, ChurnParams, LeaveRefused, PbcastScenarioCfg,
-    ScenarioProtocol,
-};
+use crate::fault::FaultSpec;
+use crate::scenario::spec::{run_scenario_spec, ProtocolKind, ScenarioGenerator, ScenarioSpec};
+use crate::scenario::{build_engine, Bootstrap, LeaveRefused, PbcastScenarioCfg, ScenarioProtocol};
 use crate::topology::sample_distinct;
 
 /// The SWIM-wrapped lpbcast stack the detector arm exercises. Also a
@@ -378,16 +376,12 @@ where
     P: ScenarioProtocol + SwimCensus,
     P::Msg: WireMessage + Send + 'static,
 {
-    let mut builder = build_scenario_engine::<P>(n, cfg, loss_rate, seed);
-    if let Some(spec) = fault {
-        builder = builder.fault_plane(FaultPlane::new(spec, seed));
-    }
-    let mut engine = builder.build();
+    let mut engine = build_engine::<P>(Bootstrap::Uniform, n, cfg, loss_rate, fault, seed);
     engine.run(warmup);
 
     // The catastrophe (if any): crash ⌊fraction·n⌋ processes at once,
     // sparing p0 so the probe has a publisher — the same victim stream
-    // as `catastrophe_scenario`.
+    // as the catastrophe scenario's `Crash` action.
     let mut crashed_ids: Vec<ProcessId> = Vec::new();
     if crash_fraction > 0.0 {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x6361_7461_7374_726F); // "catastro"
@@ -564,14 +558,18 @@ pub fn detector_study(params: &DetectorParams, seed: u64) -> DetectorStudy {
 
     // Churn neutrality: the full churn scenario, wrapped vs unwrapped.
     let churn_n = params.n.clamp(40, 2000);
-    let with = churn_scenario(&ChurnParams::<Swim<Lpbcast>>::scaled(churn_n), seed);
-    let without = churn_scenario(&ChurnParams::<Lpbcast>::scaled(churn_n), seed);
+    let churn = |protocol| {
+        let spec = ScenarioSpec::new(protocol, ScenarioGenerator::Churn, churn_n);
+        run_scenario_spec(&spec, seed)
+    };
+    let with = churn(ProtocolKind::SwimLpbcast);
+    let without = churn(ProtocolKind::Lpbcast);
     DetectorStudy {
         reports,
-        churn_reliability_with: with.mean_reliability,
-        churn_reliability_without: without.mean_reliability,
-        churn_joins_with: with.joins_completed,
-        churn_joins_without: without.joins_completed,
+        churn_reliability_with: with.reliability_mean,
+        churn_reliability_without: without.reliability_mean,
+        churn_joins_with: with["joins_completed"].value() as usize,
+        churn_joins_without: without["joins_completed"].value() as usize,
     }
 }
 
@@ -622,6 +620,7 @@ pub fn detector_tsv(study: &DetectorStudy) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Metric;
 
     fn small_params(n: usize) -> DetectorParams {
         DetectorParams {
@@ -656,7 +655,8 @@ mod tests {
             P: ScenarioProtocol,
             P::Msg: WireMessage + Send + 'static,
         {
-            let mut engine = build_scenario_engine::<P>(n, cfg, params.loss_rate, 1).build();
+            let mut engine =
+                build_engine::<P>(Bootstrap::Uniform, n, cfg, params.loss_rate, None, 1);
             engine.run(params.warmup);
             let mut rng = SmallRng::seed_from_u64(1 ^ 0x6361_7461_7374_726F);
             let crashed = ((params.crash_fraction * n as f64).floor() as usize).min(n - 1);
@@ -706,17 +706,22 @@ mod tests {
 
     #[test]
     fn swim_wrapper_runs_the_churn_scenario() {
-        let report = churn_scenario(&ChurnParams::<Swim<Lpbcast>>::scaled(60), 7);
+        let spec = ScenarioSpec::new(ProtocolKind::SwimLpbcast, ScenarioGenerator::Churn, 60);
+        let report = run_scenario_spec(&spec, 7);
         assert_eq!(report.protocol, "swim+lpbcast");
         assert!(
-            report.joins_completed > report.joins_attempted / 2,
+            report["joins_completed"].value() > report["joins_attempted"].value() / 2.0,
             "joins complete through the wrapper: {report:?}"
         );
         assert!(
-            report.mean_reliability > 0.7,
+            report.reliability_mean > 0.7,
             "dissemination survives the wrapper: {report:?}"
         );
-        assert!(!report.partitioned_at_end, "{report:?}");
+        assert_eq!(
+            report["partitioned_at_end"],
+            Metric::Flag(false),
+            "{report:?}"
+        );
     }
 
     #[test]

@@ -189,8 +189,30 @@ pub fn sweep_dispatches_serial(seed_count: usize) -> bool {
     rayon::current_num_threads() == 1 || seed_count < PARALLEL_MIN_SEEDS
 }
 
-fn use_serial_sweep(seeds: &[u64]) -> bool {
-    sweep_dispatches_serial(seeds.len())
+/// Execution policy of a multi-cell sweep. Every sweep in this crate
+/// goes through [`Sweep::map`], which returns results **in cell order**
+/// under either policy — each cell owns an independent engine and
+/// seed-derived RNG streams — so `Pool` output is bit-identical to
+/// `Serial` (proven in `tests/sweep_determinism.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// Fan out across the rayon pool, unless
+    /// [`sweep_dispatches_serial`] says the pool cannot pay for itself.
+    Pool,
+    /// One cell after the other on the calling thread — the determinism
+    /// reference.
+    Serial,
+}
+
+impl Sweep {
+    /// Runs `run` on every cell and collects the results in cell order.
+    pub fn map<C: Sync, T: Send>(self, cells: &[C], run: impl Fn(&C) -> T + Sync) -> Vec<T> {
+        if self == Sweep::Serial || sweep_dispatches_serial(cells.len()) {
+            cells.iter().map(run).collect()
+        } else {
+            cells.par_iter().map(run).collect()
+        }
+    }
 }
 
 /// Builds an lpbcast engine with `n` nodes and random initial views.
@@ -313,51 +335,38 @@ fn mean_curves(curves: &[Vec<usize>]) -> Vec<f64> {
 
 /// Mean lpbcast infected-per-round curve over `seeds` (Fig. 5).
 ///
-/// Seed runs fan out across the thread pool: each seed owns an
-/// independent [`Engine`] with seed-derived RNG streams, and results are
-/// aggregated in seed order, so the output is bit-identical to
-/// [`lpbcast_infection_curve_serial`] regardless of the worker count.
+/// Seed runs fan out across the thread pool ([`Sweep::Pool`]); the
+/// output is bit-identical to [`lpbcast_infection_curve_serial`]
+/// regardless of the worker count.
 pub fn lpbcast_infection_curve(params: &LpbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    if use_serial_sweep(seeds) {
-        return lpbcast_infection_curve_serial(params, seeds);
-    }
-    let curves: Vec<Vec<usize>> = seeds
-        .par_iter()
-        .map(|&s| infection_run(&mut build_lpbcast_engine(params, s), params.rounds))
-        .collect();
-    mean_curves(&curves)
+    lpbcast_curve(Sweep::Pool, params, seeds)
 }
 
 /// Single-threaded [`lpbcast_infection_curve`] (determinism reference).
 pub fn lpbcast_infection_curve_serial(params: &LpbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    let curves: Vec<Vec<usize>> = seeds
-        .iter()
-        .map(|&s| infection_run(&mut build_lpbcast_engine(params, s), params.rounds))
-        .collect();
-    mean_curves(&curves)
+    lpbcast_curve(Sweep::Serial, params, seeds)
+}
+
+fn lpbcast_curve(sweep: Sweep, params: &LpbcastSimParams, seeds: &[u64]) -> Vec<f64> {
+    let run = |&s: &u64| infection_run(&mut build_lpbcast_engine(params, s), params.rounds);
+    mean_curves(&sweep.map(seeds, run))
 }
 
 /// Mean pbcast infected-per-round curve over `seeds` (Fig. 7(a)).
 /// Parallel over seeds; bit-identical to
 /// [`pbcast_infection_curve_serial`].
 pub fn pbcast_infection_curve(params: &PbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    if use_serial_sweep(seeds) {
-        return pbcast_infection_curve_serial(params, seeds);
-    }
-    let curves: Vec<Vec<usize>> = seeds
-        .par_iter()
-        .map(|&s| infection_run(&mut build_pbcast_engine(params, s), params.rounds))
-        .collect();
-    mean_curves(&curves)
+    pbcast_curve(Sweep::Pool, params, seeds)
 }
 
 /// Single-threaded [`pbcast_infection_curve`] (determinism reference).
 pub fn pbcast_infection_curve_serial(params: &PbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    let curves: Vec<Vec<usize>> = seeds
-        .iter()
-        .map(|&s| infection_run(&mut build_pbcast_engine(params, s), params.rounds))
-        .collect();
-    mean_curves(&curves)
+    pbcast_curve(Sweep::Serial, params, seeds)
+}
+
+fn pbcast_curve(sweep: Sweep, params: &PbcastSimParams, seeds: &[u64]) -> Vec<f64> {
+    let run = |&s: &u64| infection_run(&mut build_pbcast_engine(params, s), params.rounds);
+    mean_curves(&sweep.map(seeds, run))
 }
 
 /// Shape of a steady-state reliability run (Fig. 6): warm the views up,
@@ -373,6 +382,13 @@ pub struct ReliabilityRun {
     pub rate: usize,
     /// Quiet rounds after the window so late gossip settles.
     pub drain: u64,
+}
+
+impl ReliabilityRun {
+    /// Rounds the whole run takes (the crash plan is spread over them).
+    fn total_rounds(&self) -> u64 {
+        self.warmup + self.publish_rounds + self.drain
+    }
 }
 
 impl Default for ReliabilityRun {
@@ -419,16 +435,7 @@ where
 /// Parallel over seeds; per-seed results are summed in seed order, so the
 /// mean is bit-identical to [`lpbcast_reliability_serial`].
 pub fn lpbcast_reliability(params: &LpbcastSimParams, run: &ReliabilityRun, seeds: &[u64]) -> f64 {
-    if use_serial_sweep(seeds) {
-        return lpbcast_reliability_serial(params, run, seeds);
-    }
-    let total_rounds = run.warmup + run.publish_rounds + run.drain;
-    let params = params.clone().rounds(total_rounds);
-    let sum: f64 = seeds
-        .par_iter()
-        .map(|&s| reliability_run(&mut build_lpbcast_engine(&params, s), run, s))
-        .sum();
-    sum / seeds.len() as f64
+    lpbcast_mean_reliability(Sweep::Pool, params, run, seeds)
 }
 
 /// Single-threaded [`lpbcast_reliability`] (determinism reference).
@@ -437,28 +444,24 @@ pub fn lpbcast_reliability_serial(
     run: &ReliabilityRun,
     seeds: &[u64],
 ) -> f64 {
-    let total_rounds = run.warmup + run.publish_rounds + run.drain;
-    let params = params.clone().rounds(total_rounds);
-    let sum: f64 = seeds
-        .iter()
-        .map(|&s| reliability_run(&mut build_lpbcast_engine(&params, s), run, s))
-        .sum();
-    sum / seeds.len() as f64
+    lpbcast_mean_reliability(Sweep::Serial, params, run, seeds)
+}
+
+fn lpbcast_mean_reliability(
+    sweep: Sweep,
+    params: &LpbcastSimParams,
+    run: &ReliabilityRun,
+    seeds: &[u64],
+) -> f64 {
+    let params = params.clone().rounds(run.total_rounds());
+    let one = |&s: &u64| reliability_run(&mut build_lpbcast_engine(&params, s), run, s);
+    sweep.map(seeds, one).iter().sum::<f64>() / seeds.len() as f64
 }
 
 /// Mean pbcast reliability over `seeds` (Fig. 7(b)). Parallel over seeds;
 /// bit-identical to [`pbcast_reliability_serial`].
 pub fn pbcast_reliability(params: &PbcastSimParams, run: &ReliabilityRun, seeds: &[u64]) -> f64 {
-    if use_serial_sweep(seeds) {
-        return pbcast_reliability_serial(params, run, seeds);
-    }
-    let total_rounds = run.warmup + run.publish_rounds + run.drain;
-    let params = params.clone().rounds(total_rounds);
-    let sum: f64 = seeds
-        .par_iter()
-        .map(|&s| reliability_run(&mut build_pbcast_engine(&params, s), run, s))
-        .sum();
-    sum / seeds.len() as f64
+    pbcast_mean_reliability(Sweep::Pool, params, run, seeds)
 }
 
 /// Single-threaded [`pbcast_reliability`] (determinism reference).
@@ -467,13 +470,18 @@ pub fn pbcast_reliability_serial(
     run: &ReliabilityRun,
     seeds: &[u64],
 ) -> f64 {
-    let total_rounds = run.warmup + run.publish_rounds + run.drain;
-    let params = params.clone().rounds(total_rounds);
-    let sum: f64 = seeds
-        .iter()
-        .map(|&s| reliability_run(&mut build_pbcast_engine(&params, s), run, s))
-        .sum();
-    sum / seeds.len() as f64
+    pbcast_mean_reliability(Sweep::Serial, params, run, seeds)
+}
+
+fn pbcast_mean_reliability(
+    sweep: Sweep,
+    params: &PbcastSimParams,
+    run: &ReliabilityRun,
+    seeds: &[u64],
+) -> f64 {
+    let params = params.clone().rounds(run.total_rounds());
+    let one = |&s: &u64| reliability_run(&mut build_pbcast_engine(&params, s), run, s);
+    sweep.map(seeds, one).iter().sum::<f64>() / seeds.len() as f64
 }
 
 /// In-degree statistics of the lpbcast view graph after `params.rounds`

@@ -44,21 +44,28 @@
 //!   materialized, so engine construction is linear in the total view
 //!   volume (the candidate-list build cost ~190 ms at n = 10⁴).
 //! * **Parallel seed sweeps** — every `*_infection_curve` / `*_reliability`
-//!   sweep in [`experiment`] fans seeds out with rayon. Each seed owns an
-//!   independent engine and results aggregate in seed order, so parallel
-//!   and serial sweeps are bit-identical (`*_serial` variants exist as
-//!   determinism references, proven by `tests/sweep_determinism.rs`).
+//!   sweep in [`experiment`] and every scenario grid maps its cells
+//!   through one in-order helper, [`experiment::Sweep::map`]. Each cell
+//!   owns an independent engine and results come back in cell order, so
+//!   the rayon fan-out and the serial reference are bit-identical
+//!   (`*_serial` forms exist as determinism references, proven by
+//!   `tests/sweep_determinism.rs`).
 //!
 //! Beyond the paper's static figures, [`scenario`] exercises dynamic
-//! membership at scale: continuous churn through the §3.4 join/leave
-//! machinery, catastrophic correlated failure (25–50% of processes in one
-//! round), and partition-and-heal measured with the §4.4 view-graph
-//! analytics. [`scenario::spec`] turns all of it into data: a
+//! membership at scale. A scenario is a **timeline of actions plus one
+//! report**: quiet and loaded rounds, §3.4 churn with lame-duck
+//! departures, a one-round crash of 30% of the processes, a join surge,
+//! bridge-healed §4.4 partitions, probes and reliability windows, run by
+//! one generic driver over any [`ScenarioProtocol`]. A
 //! string-serialisable [`ScenarioSpec`] names one cell of the
-//! protocol × generator × fault matrix (including repeated partitions,
-//! flash crowds and Byzantine advertise-but-withhold droppers), and
-//! [`sweep_specs`] runs grids of cells rayon-parallel, bit-identical to
-//! the serial reference.
+//! protocol × generator × fault matrix (churn, catastrophe, partition,
+//! repeated partitions, flash crowds, Byzantine advertise-but-withhold
+//! droppers); [`run_scenario_spec`] compiles it to its generator's
+//! timeline and returns a [`ScenarioReport`] whose named metrics every
+//! renderer loops over, and [`sweep_specs`] runs grids of cells
+//! rayon-parallel, bit-identical to the serial reference. Adding a
+//! generator is one compile function and one [`ScenarioGenerator`]
+//! variant (worked example in the [`scenario`] module docs).
 //!
 //! `crates/bench/src/bin/bench_sim.rs` times a steady-state round and the
 //! sweep wall-clock against the original `BTreeMap` engine and writes
@@ -97,12 +104,9 @@ pub use network::{CrashPlan, NetworkModel};
 pub use scale::{run_scale_point, scaling_study, scaling_tsv, ScalePoint, ScaleStudyOpts};
 pub use scenario::spec::{
     run_scenario_spec, sweep_specs, sweep_specs_serial, ProtocolKind, ScenarioGenerator,
-    ScenarioSpec, ScenarioSpecParseError, SpecReport,
+    ScenarioSpec, ScenarioSpecParseError,
 };
 pub use scenario::{
-    catastrophe_scenario, churn_scenario, churn_sweep, churn_sweep_serial, partition_scenario,
-    run_scenario_suite, scenarios_tsv, CatastropheParams, CatastropheReport, ChurnParams,
-    ChurnReport, LeaveRefused, PartitionParams, PartitionReport, PbcastScenarioCfg,
-    ScenarioProtocol, ScenarioSuite,
+    scenarios_tsv, LeaveRefused, Metric, PbcastScenarioCfg, ScenarioProtocol, ScenarioReport,
 };
 pub use topology::{ring_view, sample_distinct, sample_view};

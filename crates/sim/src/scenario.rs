@@ -1,65 +1,99 @@
-//! Dynamic-membership scenario suite: continuous churn, catastrophic
-//! correlated failure, and partition-and-heal — generic over any
-//! [`ScenarioProtocol`], so every scenario runs against **both** lpbcast
-//! and the pbcast baseline and reports side-by-side rows.
+//! Dynamic-membership scenarios: a scenario is a **timeline of actions
+//! plus one report**, generic over any [`ScenarioProtocol`], so every
+//! generator runs against lpbcast, the pbcast baseline and their
+//! SWIM-wrapped stacks and reports comparable rows.
 //!
 //! The paper's core claim (§4–§5) is robustness under process failures
 //! and dynamic membership, but the figure harnesses in [`experiment`]
 //! only exercise static topologies with the §4.1 per-round crash plan.
 //! The modern reference points (Dynamic Probabilistic Reliable Broadcast,
 //! Scalable BRB — see PAPERS.md) make churn the headline scenario; this
-//! module does the same at n = 10⁴:
+//! module does the same at n = 10⁴.
 //!
-//! * [`churn_scenario`] — nodes leave through the protocol's departure
-//!   path (lpbcast: §3.4 timestamped `unSubs` records, lame-duck gossip,
-//!   then actual departure; pbcast has no unsubscription machinery, so
-//!   leavers depart silently and their stale view entries only decay by
-//!   eviction — the §3.4 contribution made measurable) while fresh nodes
-//!   join mid-run (lpbcast: the §3.4 subscription handshake; pbcast: a
-//!   newcomer whose partial membership starts from its contacts and
-//!   spreads through piggybacked subs), all under sustained publication
-//!   load;
-//! * [`catastrophe_scenario`] — a correlated failure crashes 25–50% of
-//!   all processes in a single round; reliability and latency are
-//!   measured before and after, plus the recovery time of a probe
-//!   broadcast through the surviving membership;
-//! * [`partition_scenario`] — two halves boot with views confined to
-//!   their own side (a §4.4 partition by construction), a handful of
-//!   bridge introductions are injected ([`ScenarioProtocol::bridge`]),
-//!   and the time until the view graph is whole again is measured with
-//!   [`lpbcast_membership::ViewGraph`] (undirected §4.4 connectivity and
-//!   full strong connectivity).
+//! Every scenario exercises the same handful of paper primitives, so a
+//! generator is *data*: one small function in [`spec`] compiles a
+//! [`ScenarioSpec`] into a plan — how the membership boots (uniformly
+//! random views, or two halves that form a §4.4 partition by
+//! construction), the seed-derived RNG stream of the harness, the
+//! configuration adjustments the protocol needs, and a timeline of
+//! actions:
 //!
-//! Every scenario is a deterministic function of `(protocol, params,
-//! seed)`: all randomness flows from seed-derived [`SmallRng`] streams,
-//! node selection draws from the engine's incrementally maintained
-//! sorted alive-id list, and the multi-seed [`churn_sweep`] fans out
-//! with rayon while staying bit-identical to [`churn_sweep_serial`]
-//! (proven in `tests/sweep_determinism.rs`). `bench_sim` renders the
-//! per-protocol reports into `BENCH_sim.json`'s `scenarios` section and
-//! `results/scenarios.tsv`.
+//! * `Quiet` / `Run` — gossip rounds, idle or under the §5 measurement
+//!   load (`rate` events per round from a fixed publisher pool);
+//! * `Churn` — rounds in which newcomers join through the §3.4 handshake
+//!   and members leave through the protocol's departure path, departing
+//!   for real after a lame-duck period;
+//! * `JoinSurge`, `Crash` — a joiner cohort arrives, or a fraction of
+//!   all processes crashes, in a single round;
+//! * `Heal` — bridge introductions ([`ScenarioProtocol::bridge`])
+//!   re-injected until the [`lpbcast_membership::ViewGraph`] is whole;
+//! * `Probe` / `Await` — p0 publishes a probe; rounds run until it
+//!   reached 99% of the membership (or a joiner cohort was 99%
+//!   admitted), up to a cap;
+//! * `OpenWindow` / `CloseWindow` / `ReadWindow` — delimit the rounds
+//!   whose events are measured, then read their delivery reliability;
+//! * `Measure` — read one named metric *now*.
+//!
+//! One driver interprets the timeline: it owns the only engine
+//! construction site and the only calls that advance or mutate the
+//! engine in scenario code, and every round it runs follows one fixed
+//! draw order (joins → leaves → load → step → retire due leavers), so a
+//! run is a pure function of `(spec, seed)` — [`spec::sweep_specs`] fans
+//! cells out with rayon, bit-identical to the serial reference. It
+//! returns one [`ScenarioReport`] — protocol, generator, size, rounds,
+//! wire cost, headline reliability and recovery, plus the generator's
+//! named metrics in report order — which every renderer
+//! ([`scenarios_tsv`], `bench_sim`, `mass_scenarios`) loops over.
+//! `tests/scenario_golden.rs` pins every metric of every generator ×
+//! protocol stack, with and without a fault overlay, to a committed
+//! fixture.
+//!
+//! # Adding a seventh generator
+//!
+//! One [`ScenarioGenerator`] variant (with its label and `ALL` slot) and
+//! one compile function wired into `ScenarioSpec::compile` — no
+//! parameter struct, no report type, no driver, no renderer change —
+//! and the cell is spec-string addressable, sweepable by
+//! `mass_scenarios` and one more row block in the golden fixture. Churn
+//! *during* a broadcast, say:
+//!
+//! ```text
+//! fn churn_during_broadcast(spec: &ScenarioSpec) -> ScenarioPlan {
+//!     let per_round = spec.cohort(0.01);
+//!     ScenarioPlan {
+//!         leaves_per_round: per_round,
+//!         ..spec.plan(b"churnbrd", vec![
+//!             Action::Quiet(5),
+//!             Action::Probe(b"mid-churn"),
+//!             Action::OpenWindow,
+//!             Action::Churn { rounds: 20, joins: per_round, leaves: per_round, lame_duck: 3, load: Some(b"load") },
+//!             Action::CloseWindow,
+//!             Action::Quiet(10),
+//!             Action::RetireLeavers,
+//!             Action::Measure("probe_coverage", Reading::ProbeCoverage),
+//!             Action::ReadWindow,
+//!         ])
+//!     }
+//! }
+//! ```
 //!
 //! [`experiment`]: crate::experiment
+//! [`ScenarioSpec`]: spec::ScenarioSpec
+//! [`ScenarioGenerator`]: spec::ScenarioGenerator
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use lpbcast_core::{Config, Lpbcast, Message};
-use lpbcast_net::{wire_meter, WireMessage};
 use lpbcast_pbcast::{GossipDigest, Membership, Pbcast, PbcastConfig, PbcastMessage};
-use lpbcast_types::{Payload, ProcessId, Protocol};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+use lpbcast_types::{ProcessId, Protocol};
 
-use crate::engine::{shards_from_env, Engine, EngineBuilder};
-use crate::experiment::sweep_dispatches_serial;
-use crate::fault::{FaultPlane, FaultSpec};
-use crate::network::NetworkModel;
 use crate::scale::{scaled_buffer_bound, scaled_params, scaled_view_size};
-use crate::topology::{sample_distinct, sample_view_into};
 
+mod plan;
 pub mod spec;
+
+pub(crate) use plan::{build_engine, Bootstrap};
+pub use plan::{scenarios_tsv, Metric, ScenarioReport};
 
 // ─────────────────────── the scenario protocol ────────────────────────
 
@@ -68,7 +102,7 @@ pub mod spec;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaveRefused;
 
-/// The protocol-specific hooks the generic scenario drivers need on top
+/// The protocol-specific hooks the generic scenario driver needs on top
 /// of the sans-IO [`Protocol`] lifecycle: how to build members, how
 /// newcomers enter, how members leave, and what message bridges two
 /// membership islands.
@@ -165,8 +199,8 @@ impl ScenarioProtocol for Lpbcast {
     /// Scaled here: a short obsolescence window (records only matter
     /// while the leaver's stale view entries linger), a buffer of
     /// 12× the leave cohort and a threshold at 9× — the refusal
-    /// mechanism still triggers under bursts and is reported in
-    /// [`ChurnReport::leaves_refused`]. The growing unsubscription
+    /// mechanism still triggers under bursts and is reported as the
+    /// churn metric `leaves_refused`. The growing unsubscription
     /// sections this implies in every gossip are the §3.4 design's
     /// documented scalability cost.
     fn size_for_leave_rate(cfg: &mut Config, leaves_per_round: usize) {
@@ -330,1497 +364,5 @@ impl ScenarioProtocol for Pbcast {
     fn strict_delivery(cfg: &mut PbcastScenarioCfg) {
         cfg.config.deliver_on_digest = false;
         cfg.config.pull = true;
-    }
-}
-
-/// Stages an engine of `n` bootstrap members with uniformly random
-/// initial views of size [`ScenarioProtocol::view_size`] — the same
-/// topology stream as
-/// [`build_lpbcast_engine`](crate::experiment::build_lpbcast_engine).
-///
-/// Returns the [`EngineBuilder`] so callers can stack further
-/// engine-level knobs (fault planes, step mode) before `build()`. The
-/// shard count comes from `BENCH_SIM_SHARDS` ([`shards_from_env`]) —
-/// purely a wall-clock knob, since every shard count is bit-identical.
-pub(crate) fn build_scenario_engine<P: ScenarioProtocol>(
-    n: usize,
-    cfg: &P::Cfg,
-    loss_rate: f64,
-    seed: u64,
-) -> EngineBuilder<P>
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x746F_706F_6C6F_6779);
-    let mut scratch = Vec::new();
-    let nodes: Vec<P> = (0..n as u64)
-        .map(|i| {
-            sample_view_into(&mut topo_rng, i, n, P::view_size(cfg), &mut scratch);
-            let members: Vec<ProcessId> = scratch.iter().copied().map(ProcessId::new).collect();
-            P::bootstrap(
-                ProcessId::new(i),
-                cfg,
-                seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(i),
-                members,
-            )
-        })
-        .collect();
-    // Every scenario engine meters its transport cost: exact codec frame
-    // lengths, measured once per Arc'd body (accounting only — the meter
-    // draws no randomness, so runs are unchanged).
-    Engine::builder(NetworkModel::new(loss_rate, seed))
-        .wire_meter(wire_meter())
-        .shards(shards_from_env())
-        .nodes(nodes)
-}
-
-/// Publication-load origin chooser. With `publishers == 0` every event
-/// comes from a uniformly random alive process; with `publishers = k`
-/// the load follows the paper's §5 measurement model — a small pool of
-/// long-lived senders (the paper's runs publish from *one* process at a
-/// fixed rate) served round-robin, skipping members that crashed or
-/// departed. Stream-shaped load is also what makes the §3.2 per-origin
-/// digest compactions measurable: each publisher emits consecutive
-/// sequence numbers, so digests collapse to a handful of ranges.
-#[derive(Debug, Clone)]
-struct LoadGen {
-    publishers: u64,
-    next: u64,
-}
-
-impl LoadGen {
-    fn new(publishers: usize) -> Self {
-        LoadGen {
-            publishers: publishers as u64,
-            next: 0,
-        }
-    }
-
-    /// Picks the next origin, or `None` when the whole pool is gone.
-    fn pick<P: Protocol>(
-        &mut self,
-        engine: &Engine<P>,
-        rng: &mut SmallRng,
-        alive: &[ProcessId],
-    ) -> Option<ProcessId> {
-        if self.publishers == 0 {
-            return Some(alive[rng.gen_range(0..alive.len())]);
-        }
-        for _ in 0..self.publishers {
-            let candidate = ProcessId::new(self.next % self.publishers);
-            self.next += 1;
-            if engine.is_alive(candidate) {
-                return Some(candidate);
-            }
-        }
-        None
-    }
-}
-
-// ───────────────────────── continuous churn ──────────────────────────
-
-/// Parameters of a continuous-churn run.
-#[derive(Debug, Clone)]
-pub struct ChurnParams<P: ScenarioProtocol> {
-    /// Bootstrap membership size.
-    pub n0: usize,
-    /// Protocol configuration (shared by bootstrap members and joiners).
-    pub config: P::Cfg,
-    /// Message-loss probability ε.
-    pub loss_rate: f64,
-    /// Quiet rounds before churn starts (view mixing).
-    pub warmup: u64,
-    /// Rounds of active churn + publication load.
-    pub churn_rounds: u64,
-    /// Fresh processes joining per churn round.
-    pub joins_per_round: usize,
-    /// Members leaving per churn round.
-    pub leaves_per_round: usize,
-    /// Rounds a leaver keeps gossiping (spreading its own departure
-    /// record, where the protocol has one) before it actually departs.
-    pub lame_duck: u64,
-    /// Events published per churn round from random alive origins.
-    pub rate: usize,
-    /// Size of the fixed publisher pool serving the publication load
-    /// (0 = every event from a uniformly random alive origin). See
-    /// [`LoadGen`] for the §5 measurement-model rationale.
-    pub publishers: usize,
-    /// Quiet rounds after churn so late gossip settles.
-    pub drain: u64,
-}
-
-impl<P: ScenarioProtocol> ChurnParams<P> {
-    /// Churn at system size `n0` with the §5-scaled protocol
-    /// configuration ([`ScenarioProtocol::scaled_cfg`], leave-rate
-    /// adapted): ~1% of the membership joins *and* leaves per round for
-    /// 30 rounds under a 20 msg/round publication load.
-    pub fn scaled(n0: usize) -> Self {
-        let leaves_per_round = (n0 / 100).max(1);
-        let mut config = P::scaled_cfg(n0);
-        P::size_for_leave_rate(&mut config, leaves_per_round);
-        ChurnParams {
-            n0,
-            config,
-            loss_rate: 0.05,
-            warmup: 5,
-            churn_rounds: 30,
-            joins_per_round: (n0 / 100).max(1),
-            leaves_per_round,
-            lame_duck: 3,
-            rate: 20,
-            publishers: 16,
-            drain: 10,
-        }
-    }
-}
-
-/// Outcome of one churn run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChurnReport {
-    /// Protocol the run exercised ([`ScenarioProtocol::NAME`]).
-    pub protocol: &'static str,
-    /// Bootstrap size.
-    pub n0: usize,
-    /// Membership size when the run ended.
-    pub final_members: usize,
-    /// Join handshakes started.
-    pub joins_attempted: usize,
-    /// Joiners whose handshake completed (first gossip received).
-    pub joins_completed: usize,
-    /// Departure requests accepted by the protocol's leave path.
-    pub leaves_completed: usize,
-    /// Departure requests refused (lpbcast's §3.4 full-`unSubs`
-    /// protection; always 0 for protocols without one).
-    pub leaves_refused: usize,
-    /// Mean delivery reliability of the windowed events, against the
-    /// end-of-run membership.
-    pub mean_reliability: f64,
-    /// Worst windowed event.
-    pub min_reliability: f64,
-    /// Events in the measurement window.
-    pub events_measured: usize,
-    /// Whether the view graph was §4.4-partitioned at the end.
-    pub partitioned_at_end: bool,
-    /// Total wire bytes offered to the transport across the whole run
-    /// (exact codec frame lengths; every fanout copy counts).
-    pub wire_bytes: u64,
-    /// Message copies offered across the whole run.
-    pub wire_messages: u64,
-    /// Rounds the engine ran (warmup + churn + drain) — the denominator
-    /// of [`wire_bytes_per_round`](ChurnReport::wire_bytes_per_round).
-    pub rounds: u64,
-}
-
-impl ChurnReport {
-    /// Mean wire bytes per simulated round.
-    pub fn wire_bytes_per_round(&self) -> f64 {
-        self.wire_bytes as f64 / self.rounds.max(1) as f64
-    }
-}
-
-/// Runs one continuous-churn scenario. Deterministic per
-/// `(P, params, seed)`.
-pub fn churn_scenario<P: ScenarioProtocol>(params: &ChurnParams<P>, seed: u64) -> ChurnReport
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    churn_scenario_faulted(params, None, seed)
-}
-
-/// [`churn_scenario`] with an optional correlated-fault overlay: when
-/// `fault` is `Some`, a [`FaultPlane`] salted with the run seed is
-/// installed on the engine. The `None` path is byte-for-byte the
-/// legacy run — the spec layer compiles every churn spec through here.
-pub fn churn_scenario_faulted<P: ScenarioProtocol>(
-    params: &ChurnParams<P>,
-    fault: Option<FaultSpec>,
-    seed: u64,
-) -> ChurnReport
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    let mut builder = build_scenario_engine::<P>(params.n0, &params.config, params.loss_rate, seed);
-    if let Some(spec) = fault {
-        builder = builder.fault_plane(FaultPlane::new(spec, seed));
-    }
-    let mut engine = builder.build();
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6368_7572_6E5F_7267); // "churn_rg"
-    engine.run(params.warmup);
-
-    let window_start = engine.round();
-    let mut next_id = params.n0 as u64;
-    let mut load = LoadGen::new(params.publishers);
-    let mut contact_scratch: Vec<u64> = Vec::new();
-    let mut alive: Vec<ProcessId> = Vec::new();
-    let mut departures: VecDeque<(u64, ProcessId)> = VecDeque::new();
-    // Harness-side view of who is already scheduled to depart: protocols
-    // without a lame-duck state (pbcast's `leave_pending` is always
-    // false) would otherwise be picked as leavers twice during their
-    // departure window, double-counting leaves and departed joiners.
-    let mut departing: lpbcast_types::FastSet<ProcessId> = lpbcast_types::FastSet::default();
-    let mut joins_attempted = 0usize;
-    let mut departed_joiners = 0usize;
-    let mut leaves_completed = 0usize;
-    let mut leaves_refused = 0usize;
-
-    for _ in 0..params.churn_rounds {
-        // Round-start snapshot of the (incrementally maintained, already
-        // sorted) alive list — one memcpy, no sort.
-        alive.clear();
-        alive.extend_from_slice(engine.alive_ids());
-
-        // Joins: newcomers enter through the protocol's join path. Each
-        // gets three distinct alive contacts (drawn with the Floyd
-        // sampler) — under churn a single contact may itself leave
-        // before admitting the newcomer, which would strand an lpbcast
-        // joiner forever; the §3.4 round-robin retry routes around
-        // departed contacts.
-        for _ in 0..params.joins_per_round {
-            sample_distinct(
-                &mut rng,
-                alive.len() as u64,
-                3.min(alive.len()),
-                &mut contact_scratch,
-            );
-            let contacts: Vec<ProcessId> =
-                contact_scratch.iter().map(|&i| alive[i as usize]).collect();
-            let id = ProcessId::new(next_id);
-            next_id += 1;
-            joins_attempted += 1;
-            engine.add_node(P::joiner(
-                id,
-                &params.config,
-                seed.wrapping_mul(0x5851_F42D_4C95_7F2D)
-                    .wrapping_add(id.as_u64()),
-                contacts,
-            ));
-        }
-
-        // Leaves: random members take the protocol's departure path;
-        // where a departure record exists it rides the lame-duck gossip,
-        // then the node departs for real.
-        for _ in 0..params.leaves_per_round {
-            for _attempt in 0..8 {
-                let candidate = alive[rng.gen_range(0..alive.len())];
-                if departing.contains(&candidate) {
-                    continue;
-                }
-                let Some(node) = engine.node_mut(candidate) else {
-                    continue;
-                };
-                if node.leave_pending() || node.join_pending() {
-                    continue;
-                }
-                match node.request_leave() {
-                    Ok(()) => {
-                        leaves_completed += 1;
-                        // A joiner is only eligible to leave once its
-                        // handshake completed (join_pending was checked),
-                        // so a departing joiner still counts as a
-                        // completed join below even though its node is
-                        // removed.
-                        if candidate.as_u64() >= params.n0 as u64 {
-                            departed_joiners += 1;
-                        }
-                        departing.insert(candidate);
-                        departures.push_back((engine.round() + params.lame_duck, candidate));
-                    }
-                    Err(LeaveRefused) => leaves_refused += 1,
-                }
-                break;
-            }
-        }
-
-        // Publication load (fixed publisher pool or random origins, per
-        // `params.publishers`).
-        for _ in 0..params.rate {
-            let Some(origin) = load.pick(&engine, &mut rng, &alive) else {
-                continue;
-            };
-            if engine.is_alive(origin) {
-                engine.publish_from(origin, Payload::from_static(b"churn"));
-            }
-        }
-
-        engine.step();
-
-        while departures
-            .front()
-            .is_some_and(|&(due, _)| due <= engine.round())
-        {
-            let (_, id) = departures.pop_front().expect("front checked");
-            engine.remove_node(id);
-        }
-    }
-    let window_end = engine.round();
-    // Drain rounds still retire pending departures — leavers from the
-    // last lame-duck window would otherwise linger as zombie members,
-    // inflating final_members and diluting the reliability denominator.
-    for _ in 0..params.drain {
-        engine.step();
-        while departures
-            .front()
-            .is_some_and(|&(due, _)| due <= engine.round())
-        {
-            let (_, id) = departures.pop_front().expect("front checked");
-            engine.remove_node(id);
-        }
-    }
-    // Anyone whose lame duck outlasts the drain departs now: their
-    // departure request succeeded, so they are leavers, not members.
-    for (_, id) in departures {
-        engine.remove_node(id);
-    }
-
-    let joins_completed = departed_joiners
-        + (params.n0 as u64..next_id)
-            .filter(|&id| {
-                engine
-                    .node(ProcessId::new(id))
-                    .is_some_and(|node| !node.join_pending())
-            })
-            .count();
-    // Per-event delivery fraction against the end-of-run membership,
-    // capped at 1: processes that saw an event and then departed would
-    // otherwise push the fraction past 1 (the tracker remembers them,
-    // the population no longer contains them).
-    let population = engine.alive_count();
-    let report = engine
-        .tracker()
-        .reliability_report(window_start..=window_end, population);
-    let per_event: Vec<f64> = report.per_event.iter().map(|&r| r.min(1.0)).collect();
-    let events_measured = per_event.len();
-    let (mean_reliability, min_reliability) = if per_event.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (
-            per_event.iter().sum::<f64>() / per_event.len() as f64,
-            per_event.iter().copied().fold(f64::INFINITY, f64::min),
-        )
-    };
-    let wire = engine.wire_accounting().unwrap_or_default();
-    ChurnReport {
-        protocol: P::NAME,
-        n0: params.n0,
-        final_members: population,
-        joins_attempted,
-        joins_completed,
-        leaves_completed,
-        leaves_refused,
-        mean_reliability,
-        min_reliability,
-        events_measured,
-        partitioned_at_end: engine.view_graph().is_partitioned(),
-        wire_bytes: wire.bytes,
-        wire_messages: wire.messages,
-        rounds: engine.round(),
-    }
-}
-
-/// Runs [`churn_scenario`] over many seeds in parallel; the reports come
-/// back in seed order and are bit-identical to [`churn_sweep_serial`]
-/// regardless of the worker count (each seed owns an independent engine
-/// and RNG streams).
-pub fn churn_sweep<P: ScenarioProtocol>(params: &ChurnParams<P>, seeds: &[u64]) -> Vec<ChurnReport>
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    if sweep_dispatches_serial(seeds.len()) {
-        return churn_sweep_serial(params, seeds);
-    }
-    seeds
-        .par_iter()
-        .map(|&s| churn_scenario(params, s))
-        .collect()
-}
-
-/// Single-threaded [`churn_sweep`] (determinism reference).
-pub fn churn_sweep_serial<P: ScenarioProtocol>(
-    params: &ChurnParams<P>,
-    seeds: &[u64],
-) -> Vec<ChurnReport>
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    seeds.iter().map(|&s| churn_scenario(params, s)).collect()
-}
-
-// ─────────────────── catastrophic correlated failure ─────────────────
-
-/// Parameters of a catastrophic-failure run.
-#[derive(Debug, Clone)]
-pub struct CatastropheParams<P: ScenarioProtocol> {
-    /// System size.
-    pub n: usize,
-    /// Protocol configuration.
-    pub config: P::Cfg,
-    /// Message-loss probability ε.
-    pub loss_rate: f64,
-    /// Fraction of all processes crashed in the failure round
-    /// (the scenario targets 0.25–0.5).
-    pub crash_fraction: f64,
-    /// Quiet rounds before the pre-failure window.
-    pub warmup: u64,
-    /// Loaded rounds measured before the failure.
-    pub pre_rounds: u64,
-    /// Loaded rounds measured after the failure.
-    pub post_rounds: u64,
-    /// Events published per loaded round.
-    pub rate: usize,
-    /// Size of the fixed publisher pool (0 = random alive origins); see
-    /// [`LoadGen`].
-    pub publishers: usize,
-    /// Quiet rounds after each window so late gossip settles.
-    pub drain: u64,
-    /// Cap on the recovery-probe measurement.
-    pub max_recovery_rounds: u64,
-}
-
-impl<P: ScenarioProtocol> CatastropheParams<P> {
-    /// Catastrophe at size `n` with the §5-scaled configuration: 30% of
-    /// the membership crashes in one round under a 20 msg/round load.
-    pub fn scaled(n: usize) -> Self {
-        CatastropheParams {
-            n,
-            config: P::scaled_cfg(n),
-            loss_rate: 0.05,
-            crash_fraction: 0.30,
-            warmup: 5,
-            pre_rounds: 8,
-            post_rounds: 8,
-            rate: 20,
-            publishers: 16,
-            drain: 10,
-            max_recovery_rounds: 40,
-        }
-    }
-}
-
-/// Outcome of one catastrophic-failure run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CatastropheReport {
-    /// Protocol the run exercised ([`ScenarioProtocol::NAME`]).
-    pub protocol: &'static str,
-    /// System size.
-    pub n: usize,
-    /// Processes crashed in the failure round.
-    pub crashed: usize,
-    /// Alive processes after the failure.
-    pub survivors: usize,
-    /// Mean reliability of events published before the failure,
-    /// against the full pre-failure membership.
-    pub reliability_before: f64,
-    /// Mean reliability of events published after the failure, against
-    /// the surviving membership.
-    pub reliability_after: f64,
-    /// Mean delivery latency (rounds) of a probe disseminated before
-    /// the failure.
-    pub latency_before: f64,
-    /// Mean delivery latency (rounds) of the recovery probe published
-    /// right after the failure round.
-    pub latency_after: f64,
-    /// Rounds until the recovery probe reached ≥ 99% of survivors
-    /// (`None` if it never did within the cap).
-    pub recovery_rounds: Option<u64>,
-    /// Whether the survivors' view graph was §4.4-partitioned at the end.
-    pub partitioned_after: bool,
-    /// Total wire bytes offered across the run.
-    pub wire_bytes: u64,
-    /// Message copies offered across the run.
-    pub wire_messages: u64,
-    /// Total rounds the engine ran.
-    pub rounds: u64,
-}
-
-impl CatastropheReport {
-    /// Mean wire bytes per simulated round.
-    pub fn wire_bytes_per_round(&self) -> f64 {
-        self.wire_bytes as f64 / self.rounds.max(1) as f64
-    }
-}
-
-/// Runs one catastrophic correlated failure. Deterministic per
-/// `(P, params, seed)`.
-pub fn catastrophe_scenario<P: ScenarioProtocol>(
-    params: &CatastropheParams<P>,
-    seed: u64,
-) -> CatastropheReport
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    catastrophe_scenario_faulted(params, None, seed)
-}
-
-/// [`catastrophe_scenario`] with an optional correlated-fault overlay
-/// (see [`churn_scenario_faulted`]; `None` is bit-identical to the
-/// legacy run).
-pub fn catastrophe_scenario_faulted<P: ScenarioProtocol>(
-    params: &CatastropheParams<P>,
-    fault: Option<FaultSpec>,
-    seed: u64,
-) -> CatastropheReport
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    assert!(
-        (0.0..1.0).contains(&params.crash_fraction),
-        "crash fraction must be in [0, 1)"
-    );
-    let mut builder = build_scenario_engine::<P>(params.n, &params.config, params.loss_rate, seed);
-    if let Some(spec) = fault {
-        builder = builder.fault_plane(FaultPlane::new(spec, seed));
-    }
-    let mut engine = builder.build();
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6361_7461_7374_726F); // "catastro"
-    engine.run(params.warmup);
-
-    // ── Pre-failure window: load + a latency probe ────────────────────
-    let mut load = LoadGen::new(params.publishers);
-    let origin = ProcessId::new(0);
-    let pre_probe = engine.publish_from(origin, Payload::from_static(b"pre-probe"));
-    let pre_start = engine.round();
-    loaded_rounds(
-        &mut engine,
-        &mut rng,
-        &mut load,
-        params.pre_rounds,
-        params.rate,
-    );
-    let pre_end = engine.round();
-    engine.run(params.drain);
-    let reliability_before = engine
-        .tracker()
-        .reliability_report(pre_start..=pre_end, params.n)
-        .mean;
-    let latency_before = engine.tracker().mean_latency(pre_probe).unwrap_or(f64::NAN);
-
-    // ── The catastrophe: crash ⌊fraction·n⌋ processes at once ─────────
-    // Victims are drawn without materializing a candidate list; p0 is
-    // spared so the recovery probe has a publisher (the paper's runs are
-    // likewise conditional on a surviving publisher).
-    let crashed = ((params.crash_fraction * params.n as f64).floor() as usize)
-        .min(params.n.saturating_sub(1));
-    let mut victims = Vec::new();
-    sample_distinct(&mut rng, params.n as u64 - 1, crashed, &mut victims);
-    for v in &victims {
-        engine.crash(ProcessId::new(v + 1));
-    }
-    let survivors = engine.alive_count();
-
-    // ── Recovery: probe dissemination through the survivors ──────────
-    let probe = engine.publish_from(origin, Payload::from_static(b"recovery"));
-    let failure_round = engine.round();
-    let target = ((survivors as f64) * 0.99).ceil() as usize;
-    let mut recovery_rounds = None;
-    for _ in 0..params.max_recovery_rounds {
-        engine.step();
-        if engine.tracker().infected_count(probe) >= target {
-            recovery_rounds = Some(engine.round() - failure_round);
-            break;
-        }
-    }
-    let latency_after = engine.tracker().mean_latency(probe).unwrap_or(f64::NAN);
-
-    // ── Post-failure window: load on the surviving membership ────────
-    let post_start = engine.round();
-    loaded_rounds(
-        &mut engine,
-        &mut rng,
-        &mut load,
-        params.post_rounds,
-        params.rate,
-    );
-    let post_end = engine.round();
-    engine.run(params.drain);
-    let reliability_after = engine
-        .tracker()
-        .reliability_report(post_start..=post_end, survivors)
-        .mean;
-
-    let wire = engine.wire_accounting().unwrap_or_default();
-    CatastropheReport {
-        protocol: P::NAME,
-        n: params.n,
-        crashed,
-        survivors,
-        reliability_before,
-        reliability_after,
-        latency_before,
-        latency_after,
-        recovery_rounds,
-        partitioned_after: engine.view_graph().is_partitioned(),
-        wire_bytes: wire.bytes,
-        wire_messages: wire.messages,
-        rounds: engine.round(),
-    }
-}
-
-/// Publishes `rate` events per round for `rounds` rounds (the Fig. 6
-/// load shape), origins chosen by `load` (publisher pool or random).
-fn loaded_rounds<P>(
-    engine: &mut Engine<P>,
-    rng: &mut SmallRng,
-    load: &mut LoadGen,
-    rounds: u64,
-    rate: usize,
-) where
-    P: Protocol + Send,
-    P::Msg: Send,
-{
-    let mut alive = Vec::new();
-    for _ in 0..rounds {
-        alive.clear();
-        alive.extend_from_slice(engine.alive_ids());
-        for _ in 0..rate {
-            let Some(origin) = load.pick(engine, rng, &alive) else {
-                continue;
-            };
-            if engine.is_alive(origin) {
-                engine.publish_from(origin, Payload::from_static(b"load"));
-            }
-        }
-        engine.step();
-    }
-}
-
-// ───────────────────────── partition and heal ────────────────────────
-
-/// Parameters of a partition-and-heal run.
-#[derive(Debug, Clone)]
-pub struct PartitionParams<P: ScenarioProtocol> {
-    /// Total system size; the bootstrap splits it into two halves whose
-    /// views never cross the divide.
-    pub n: usize,
-    /// Protocol configuration.
-    pub config: P::Cfg,
-    /// Message-loss probability ε.
-    pub loss_rate: f64,
-    /// Rounds the two sides run in isolation before healing starts.
-    pub isolated_rounds: u64,
-    /// Bridge introductions injected from the second half into the first
-    /// to start the heal.
-    pub bridges: usize,
-    /// Cap on the heal measurement.
-    pub max_heal_rounds: u64,
-    /// Rounds given to the post-heal probe broadcast.
-    pub probe_rounds: u64,
-}
-
-impl<P: ScenarioProtocol> PartitionParams<P> {
-    /// Partition at size `n` with the §5-scaled configuration: two
-    /// halves, four bridge introductions.
-    pub fn scaled(n: usize) -> Self {
-        PartitionParams {
-            n,
-            config: P::scaled_cfg(n),
-            loss_rate: 0.05,
-            isolated_rounds: 5,
-            bridges: 4,
-            max_heal_rounds: 60,
-            probe_rounds: 30,
-        }
-    }
-}
-
-/// Outcome of one partition-and-heal run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionReport {
-    /// Protocol the run exercised ([`ScenarioProtocol::NAME`]).
-    pub protocol: &'static str,
-    /// System size.
-    pub n: usize,
-    /// Undirected view-graph components before healing (2 by
-    /// construction).
-    pub components_before: usize,
-    /// Size of the larger side before healing (⌈n/2⌉ by construction).
-    pub largest_component_before: usize,
-    /// Rounds after bridge injection until the view graph stopped being
-    /// §4.4-partitioned (undirected connectivity restored).
-    pub rounds_to_connect: Option<u64>,
-    /// Rounds after bridge injection until the view graph collapsed to a
-    /// single strongly connected component — from then on a broadcast
-    /// from *any* process can reach every process.
-    pub rounds_to_heal: Option<u64>,
-    /// Fraction of the whole system reached by a probe published on side
-    /// A after the heal window.
-    pub post_heal_reliability: f64,
-    /// Total wire bytes offered across the run.
-    pub wire_bytes: u64,
-    /// Message copies offered across the run.
-    pub wire_messages: u64,
-    /// Total rounds the engine ran.
-    pub rounds: u64,
-}
-
-impl PartitionReport {
-    /// Mean wire bytes per simulated round.
-    pub fn wire_bytes_per_round(&self) -> f64 {
-        self.wire_bytes as f64 / self.rounds.max(1) as f64
-    }
-}
-
-/// Runs one partition-and-heal scenario. Deterministic per
-/// `(P, params, seed)`.
-///
-/// # Panics
-///
-/// Panics if `params.n < 4` (each side needs at least two processes).
-pub fn partition_scenario<P: ScenarioProtocol>(
-    params: &PartitionParams<P>,
-    seed: u64,
-) -> PartitionReport
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    partition_scenario_faulted(params, None, seed)
-}
-
-/// [`partition_scenario`] with an optional correlated-fault overlay
-/// (see [`churn_scenario_faulted`]; `None` is bit-identical to the
-/// legacy run).
-pub fn partition_scenario_faulted<P: ScenarioProtocol>(
-    params: &PartitionParams<P>,
-    fault: Option<FaultSpec>,
-    seed: u64,
-) -> PartitionReport
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    assert!(params.n >= 4, "need at least two processes per side");
-    let split = params.n / 2;
-    let view_size = P::view_size(&params.config);
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x746F_706F_6C6F_6779);
-    let mut scratch = Vec::new();
-    let nodes = (0..params.n as u64).map(|i| {
-        // Sample the view inside the node's own half: the usual
-        // self-excluding sampler over local half indices, offset to
-        // global ids afterwards.
-        let (base, size) = if (i as usize) < split {
-            (0u64, split)
-        } else {
-            (split as u64, params.n - split)
-        };
-        sample_view_into(&mut topo_rng, i - base, size, view_size, &mut scratch);
-        let members: Vec<ProcessId> = scratch.iter().map(|&v| ProcessId::new(base + v)).collect();
-        debug_assert!(members.iter().all(|&p| p != ProcessId::new(i)));
-        P::bootstrap(
-            ProcessId::new(i),
-            &params.config,
-            seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(i),
-            members,
-        )
-    });
-    let mut builder = Engine::builder(NetworkModel::new(params.loss_rate, seed))
-        .wire_meter(wire_meter())
-        .shards(shards_from_env())
-        .nodes(nodes);
-    if let Some(spec) = fault {
-        builder = builder.fault_plane(FaultPlane::new(spec, seed));
-    }
-    let mut engine: Engine<P> = builder.build();
-    let components = engine.view_graph().undirected_components();
-    let components_before = components.count();
-    let largest_component_before = components.largest_size();
-    debug_assert!(engine.view_graph().is_partitioned(), "built partitioned");
-    engine.run(params.isolated_rounds);
-
-    // ── Heal: side-B processes introduce themselves to side-A ─────────
-    // A single introduction is not enough to heal reliably: the lone
-    // cross entry it creates competes with the full-view eviction churn
-    // and can die out of circulation entirely (observed at l = 6). Real
-    // §3.4 processes re-emit their subscription on a timeout until they
-    // "experience more and more gossip" — the bridges do the same here,
-    // re-introducing every round until the membership is whole.
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0x6865_616C_6272_6467); // "healbrdg"
-    let bridges: Vec<(ProcessId, ProcessId)> = (0..params.bridges.max(1))
-        .map(|_| {
-            let from = ProcessId::new(split as u64 + rng.gen_range(0..(params.n - split) as u64));
-            let to = ProcessId::new(rng.gen_range(0..split as u64));
-            (from, to)
-        })
-        .collect();
-    let heal_start = engine.round();
-    let mut rounds_to_connect = None;
-    let mut rounds_to_heal = None;
-    for _ in 0..params.max_heal_rounds {
-        for &(from, to) in &bridges {
-            engine.enqueue(from, to, P::bridge(from));
-        }
-        engine.step();
-        let graph = engine.view_graph();
-        if rounds_to_connect.is_none() && !graph.is_partitioned() {
-            rounds_to_connect = Some(engine.round() - heal_start);
-        }
-        if graph.strongly_connected_components().count() == 1 {
-            rounds_to_heal = Some(engine.round() - heal_start);
-            break;
-        }
-    }
-
-    // ── Post-heal dissemination across the former divide ─────────────
-    let probe = engine.publish_from(ProcessId::new(0), Payload::from_static(b"healed"));
-    engine.run(params.probe_rounds);
-    let wire = engine.wire_accounting().unwrap_or_default();
-    PartitionReport {
-        protocol: P::NAME,
-        n: params.n,
-        components_before,
-        largest_component_before,
-        rounds_to_connect,
-        rounds_to_heal,
-        post_heal_reliability: engine.tracker().reliability_of(probe, params.n),
-        wire_bytes: wire.bytes,
-        wire_messages: wire.messages,
-        rounds: engine.round(),
-    }
-}
-
-// ────────────────────────────── reporting ────────────────────────────
-
-/// One protocol's full scenario-suite run: the three reports plus their
-/// wall-clock costs (`bench_sim` gates the timings cross-run).
-#[derive(Debug, Clone)]
-pub struct ScenarioSuite {
-    /// Protocol label ([`ScenarioProtocol::NAME`]).
-    pub protocol: &'static str,
-    /// Continuous-churn report.
-    pub churn: ChurnReport,
-    /// Catastrophic-failure report.
-    pub catastrophe: CatastropheReport,
-    /// Partition-and-heal report.
-    pub partition: PartitionReport,
-    /// Wall-clock of the churn run (ms).
-    pub churn_wall_ms: f64,
-    /// Wall-clock of the catastrophe run (ms).
-    pub catastrophe_wall_ms: f64,
-    /// Wall-clock of the partition run (ms).
-    pub partition_wall_ms: f64,
-}
-
-/// Runs all three scenarios for one protocol at size `n` with the scaled
-/// parameter sets, timing each.
-pub fn run_scenario_suite<P: ScenarioProtocol>(n: usize, seed: u64) -> ScenarioSuite
-where
-    P::Msg: WireMessage + Send + 'static,
-{
-    use std::time::Instant;
-    let t = Instant::now();
-    let churn = churn_scenario(&ChurnParams::<P>::scaled(n), seed);
-    let churn_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let catastrophe = catastrophe_scenario(&CatastropheParams::<P>::scaled(n), seed);
-    let catastrophe_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let partition = partition_scenario(&PartitionParams::<P>::scaled(n.max(4)), seed);
-    let partition_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    ScenarioSuite {
-        protocol: P::NAME,
-        churn,
-        catastrophe,
-        partition,
-        churn_wall_ms,
-        catastrophe_wall_ms,
-        partition_wall_ms,
-    }
-}
-
-/// Renders per-protocol scenario reports as a long-format TSV figure
-/// (`scenario  protocol  n  metric  value`), written to
-/// `results/scenarios.tsv` by `bench_sim`. Side-by-side comparison is a
-/// `sort -k1,1 -k3,3` away.
-pub fn scenarios_tsv(suites: &[ScenarioSuite]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "# scenario suite: continuous churn, catastrophic failure, partition-and-heal\n\
-         # one row set per protocol (see lpbcast_sim::scenario; deterministic per seed)\n\
-         scenario\tprotocol\tn\tmetric\tvalue\n",
-    );
-    let opt = |v: Option<u64>| v.map_or_else(|| "never".into(), |r| r.to_string());
-    for suite in suites {
-        let mut row = |scenario: &str, n: usize, metric: &str, value: String| {
-            let _ = writeln!(
-                out,
-                "{scenario}\t{}\t{n}\t{metric}\t{value}",
-                suite.protocol
-            );
-        };
-        let c = &suite.churn;
-        row("churn", c.n0, "final_members", c.final_members.to_string());
-        row(
-            "churn",
-            c.n0,
-            "joins_attempted",
-            c.joins_attempted.to_string(),
-        );
-        row(
-            "churn",
-            c.n0,
-            "joins_completed",
-            c.joins_completed.to_string(),
-        );
-        row(
-            "churn",
-            c.n0,
-            "leaves_completed",
-            c.leaves_completed.to_string(),
-        );
-        row(
-            "churn",
-            c.n0,
-            "leaves_refused",
-            c.leaves_refused.to_string(),
-        );
-        row(
-            "churn",
-            c.n0,
-            "mean_reliability",
-            format!("{:.5}", c.mean_reliability),
-        );
-        row(
-            "churn",
-            c.n0,
-            "min_reliability",
-            format!("{:.5}", c.min_reliability),
-        );
-        row(
-            "churn",
-            c.n0,
-            "events_measured",
-            c.events_measured.to_string(),
-        );
-        row(
-            "churn",
-            c.n0,
-            "partitioned_at_end",
-            c.partitioned_at_end.to_string(),
-        );
-        row("churn", c.n0, "wire_bytes", c.wire_bytes.to_string());
-        row(
-            "churn",
-            c.n0,
-            "wire_bytes_per_round",
-            format!("{:.1}", c.wire_bytes_per_round()),
-        );
-        row("churn", c.n0, "wire_messages", c.wire_messages.to_string());
-        let c = &suite.catastrophe;
-        row("catastrophe", c.n, "crashed", c.crashed.to_string());
-        row("catastrophe", c.n, "survivors", c.survivors.to_string());
-        row(
-            "catastrophe",
-            c.n,
-            "reliability_before",
-            format!("{:.5}", c.reliability_before),
-        );
-        row(
-            "catastrophe",
-            c.n,
-            "reliability_after",
-            format!("{:.5}", c.reliability_after),
-        );
-        row(
-            "catastrophe",
-            c.n,
-            "latency_before_rounds",
-            format!("{:.3}", c.latency_before),
-        );
-        row(
-            "catastrophe",
-            c.n,
-            "latency_after_rounds",
-            format!("{:.3}", c.latency_after),
-        );
-        row(
-            "catastrophe",
-            c.n,
-            "recovery_rounds",
-            opt(c.recovery_rounds),
-        );
-        row(
-            "catastrophe",
-            c.n,
-            "partitioned_after",
-            c.partitioned_after.to_string(),
-        );
-        row("catastrophe", c.n, "wire_bytes", c.wire_bytes.to_string());
-        row(
-            "catastrophe",
-            c.n,
-            "wire_bytes_per_round",
-            format!("{:.1}", c.wire_bytes_per_round()),
-        );
-        row(
-            "catastrophe",
-            c.n,
-            "wire_messages",
-            c.wire_messages.to_string(),
-        );
-        let p = &suite.partition;
-        row(
-            "partition",
-            p.n,
-            "components_before",
-            p.components_before.to_string(),
-        );
-        row(
-            "partition",
-            p.n,
-            "largest_component_before",
-            p.largest_component_before.to_string(),
-        );
-        row(
-            "partition",
-            p.n,
-            "rounds_to_connect",
-            opt(p.rounds_to_connect),
-        );
-        row("partition", p.n, "rounds_to_heal", opt(p.rounds_to_heal));
-        row(
-            "partition",
-            p.n,
-            "post_heal_reliability",
-            format!("{:.5}", p.post_heal_reliability),
-        );
-        row("partition", p.n, "wire_bytes", p.wire_bytes.to_string());
-        row(
-            "partition",
-            p.n,
-            "wire_bytes_per_round",
-            format!("{:.1}", p.wire_bytes_per_round()),
-        );
-        row(
-            "partition",
-            p.n,
-            "wire_messages",
-            p.wire_messages.to_string(),
-        );
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn small_config() -> Config {
-        Config::builder()
-            .view_size(6)
-            .fanout(3)
-            .event_ids_max(256)
-            .events_max(256)
-            .deliver_on_digest(true)
-            .build()
-    }
-
-    fn small_pbcast_config() -> PbcastScenarioCfg {
-        PbcastScenarioCfg {
-            config: PbcastConfig::builder()
-                .first_phase(false)
-                .pull(false)
-                .deliver_on_digest(true)
-                .max_hops(12)
-                .max_repetitions(6)
-                .history_max(256)
-                .store_max(512)
-                .build(),
-            view_size: 6,
-        }
-    }
-
-    fn small_churn() -> ChurnParams<Lpbcast> {
-        ChurnParams {
-            n0: 40,
-            config: small_config(),
-            loss_rate: 0.05,
-            warmup: 4,
-            churn_rounds: 10,
-            joins_per_round: 2,
-            leaves_per_round: 2,
-            lame_duck: 2,
-            rate: 4,
-            publishers: 0,
-            drain: 8,
-        }
-    }
-
-    #[test]
-    fn churn_keeps_disseminating() {
-        let report = churn_scenario(&small_churn(), 7);
-        assert_eq!(report.protocol, "lpbcast");
-        assert_eq!(report.joins_attempted, 20);
-        assert!(
-            report.joins_completed > 10,
-            "most joins complete: {report:?}"
-        );
-        assert!(report.leaves_completed > 0, "{report:?}");
-        assert!(
-            report.mean_reliability > 0.8,
-            "dissemination survives churn: {report:?}"
-        );
-        assert!(
-            report.mean_reliability <= 1.0 && report.min_reliability <= 1.0,
-            "reliability is a fraction: {report:?}"
-        );
-        assert!(!report.partitioned_at_end, "{report:?}");
-        assert!(report.events_measured > 0);
-    }
-
-    #[test]
-    fn pbcast_churn_runs_and_joins() {
-        let params: ChurnParams<Pbcast> = ChurnParams {
-            n0: 40,
-            config: small_pbcast_config(),
-            loss_rate: 0.05,
-            warmup: 4,
-            churn_rounds: 10,
-            joins_per_round: 2,
-            leaves_per_round: 2,
-            lame_duck: 2,
-            rate: 4,
-            publishers: 0,
-            drain: 8,
-        };
-        let report = churn_scenario(&params, 7);
-        assert_eq!(report.protocol, "pbcast");
-        assert_eq!(report.joins_attempted, 20);
-        assert!(
-            report.joins_completed <= report.joins_attempted,
-            "a joiner can complete at most once: {report:?}"
-        );
-        assert!(
-            report.leaves_completed <= 20,
-            "a member can leave at most once: {report:?}"
-        );
-        assert!(
-            report.joins_completed > 10,
-            "pbcast joiners admitted through digests: {report:?}"
-        );
-        assert!(report.leaves_completed > 0, "{report:?}");
-        assert_eq!(
-            report.leaves_refused, 0,
-            "pbcast has no refusal machinery: {report:?}"
-        );
-        assert!(
-            report.mean_reliability > 0.5,
-            "anti-entropy keeps disseminating under churn: {report:?}"
-        );
-        assert!(report.mean_reliability <= 1.0, "{report:?}");
-    }
-
-    #[test]
-    fn churn_is_deterministic_per_seed() {
-        let params = small_churn();
-        assert_eq!(churn_scenario(&params, 5), churn_scenario(&params, 5));
-    }
-
-    /// Strips the wire-accounting fields so two runs can be compared on
-    /// protocol outcomes alone.
-    fn semantics_only(mut report: ChurnReport) -> ChurnReport {
-        report.wire_bytes = 0;
-        report.wire_messages = 0;
-        report
-    }
-
-    /// The §3.4 A/B: digesting the `unSubs` section must not change any
-    /// protocol outcome — same joins, leaves, refusals, reliability and
-    /// membership — while strictly shrinking the wire volume. The
-    /// `unsubs_max` bound is kept above the total leave count so neither
-    /// arm ever truncates the buffer (truncation draws randomness whose
-    /// victims depend on buffer order, which differs legitimately
-    /// between the representations).
-    #[test]
-    fn unsub_digesting_is_an_exact_semantic_noop() {
-        let mk = |digest_unsubs: bool| {
-            let config = Config::builder()
-                .view_size(6)
-                .fanout(3)
-                .event_ids_max(256)
-                .events_max(256)
-                .deliver_on_digest(true)
-                .unsubs_max(256)
-                .unsub_refusal_threshold(200)
-                .unsub_obsolescence(9)
-                .digest_unsubs(digest_unsubs)
-                .build();
-            let params: ChurnParams<Lpbcast> = ChurnParams {
-                n0: 60,
-                config,
-                loss_rate: 0.05,
-                warmup: 4,
-                churn_rounds: 12,
-                joins_per_round: 2,
-                leaves_per_round: 3,
-                lame_duck: 2,
-                rate: 6,
-                publishers: 4,
-                drain: 8,
-            };
-            churn_scenario(&params, 9)
-        };
-        let digested = mk(true);
-        let flat = mk(false);
-        assert!(
-            digested.leaves_completed > 10,
-            "the A/B actually exercises the unsubscription path: {digested:?}"
-        );
-        assert_eq!(
-            semantics_only(digested.clone()),
-            semantics_only(flat.clone()),
-            "purge semantics must be identical across representations"
-        );
-        assert_eq!(
-            digested.wire_messages, flat.wire_messages,
-            "digesting changes bytes, never the message count"
-        );
-        assert!(
-            digested.wire_bytes < flat.wire_bytes,
-            "per-timestamp grouping must shrink the unSubs wire cost: \
-             {} vs {} bytes",
-            digested.wire_bytes,
-            flat.wire_bytes
-        );
-    }
-
-    /// The pbcast §3.2 A/B: per-origin compact digests shrink the wire
-    /// volume under stream-shaped load while leaving dissemination
-    /// effectively unchanged (hop counts may round up to a range's
-    /// maximum, so bit-identity is not guaranteed — reliability is).
-    #[test]
-    fn pbcast_compact_digest_shrinks_churn_wire() {
-        let mk = |compact: bool| {
-            let mut cfg = small_pbcast_config();
-            cfg.config.compact_digest = compact;
-            let params: ChurnParams<Pbcast> = ChurnParams {
-                n0: 60,
-                config: cfg,
-                loss_rate: 0.05,
-                warmup: 4,
-                churn_rounds: 12,
-                joins_per_round: 2,
-                leaves_per_round: 2,
-                lame_duck: 2,
-                rate: 6,
-                publishers: 4,
-                drain: 8,
-            };
-            churn_scenario(&params, 9)
-        };
-        let compact = mk(true);
-        let flat = mk(false);
-        assert!(
-            compact.wire_bytes < flat.wire_bytes,
-            "per-origin ranges must shrink stream-shaped digests: \
-             {} vs {} bytes",
-            compact.wire_bytes,
-            flat.wire_bytes
-        );
-        assert!(
-            (compact.mean_reliability - flat.mean_reliability).abs() < 0.05,
-            "compaction must not cost reliability: {} vs {}",
-            compact.mean_reliability,
-            flat.mean_reliability
-        );
-    }
-
-    #[test]
-    fn catastrophe_recovers() {
-        let params: CatastropheParams<Lpbcast> = CatastropheParams {
-            n: 60,
-            config: small_config(),
-            loss_rate: 0.05,
-            crash_fraction: 0.4,
-            warmup: 4,
-            pre_rounds: 6,
-            post_rounds: 6,
-            rate: 5,
-            publishers: 0,
-            drain: 8,
-            max_recovery_rounds: 25,
-        };
-        let report = catastrophe_scenario(&params, 11);
-        assert_eq!(report.crashed, 24);
-        assert_eq!(report.survivors, 36);
-        assert!(
-            report.reliability_before > 0.9,
-            "healthy before: {report:?}"
-        );
-        assert!(
-            report.reliability_after > 0.9,
-            "recovers after losing 40%: {report:?}"
-        );
-        assert!(
-            report.recovery_rounds.is_some(),
-            "probe reaches survivors: {report:?}"
-        );
-        assert!(report.latency_after.is_finite());
-    }
-
-    #[test]
-    fn pbcast_catastrophe_recovers() {
-        let params: CatastropheParams<Pbcast> = CatastropheParams {
-            n: 60,
-            config: small_pbcast_config(),
-            loss_rate: 0.05,
-            crash_fraction: 0.4,
-            warmup: 4,
-            pre_rounds: 6,
-            post_rounds: 6,
-            rate: 5,
-            publishers: 0,
-            drain: 8,
-            max_recovery_rounds: 25,
-        };
-        let report = catastrophe_scenario(&params, 11);
-        assert_eq!(report.protocol, "pbcast");
-        assert_eq!(report.crashed, 24);
-        assert!(
-            report.reliability_before > 0.8,
-            "healthy before: {report:?}"
-        );
-        assert!(
-            report.recovery_rounds.is_some(),
-            "anti-entropy re-reaches survivors: {report:?}"
-        );
-    }
-
-    #[test]
-    fn catastrophe_is_deterministic_per_seed() {
-        let params: CatastropheParams<Lpbcast> = CatastropheParams {
-            n: 40,
-            config: small_config(),
-            loss_rate: 0.05,
-            crash_fraction: 0.3,
-            warmup: 3,
-            pre_rounds: 4,
-            post_rounds: 4,
-            rate: 3,
-            publishers: 0,
-            drain: 5,
-            max_recovery_rounds: 15,
-        };
-        assert_eq!(
-            catastrophe_scenario(&params, 3),
-            catastrophe_scenario(&params, 3)
-        );
-    }
-
-    #[test]
-    fn partition_heals_through_bridges() {
-        let params: PartitionParams<Lpbcast> = PartitionParams {
-            n: 60,
-            config: small_config(),
-            loss_rate: 0.05,
-            isolated_rounds: 4,
-            bridges: 3,
-            max_heal_rounds: 40,
-            probe_rounds: 20,
-        };
-        let report = partition_scenario(&params, 9);
-        assert_eq!(report.components_before, 2, "{report:?}");
-        assert_eq!(report.largest_component_before, 30, "{report:?}");
-        assert!(report.rounds_to_connect.is_some(), "{report:?}");
-        assert!(report.rounds_to_heal.is_some(), "{report:?}");
-        assert!(
-            report.rounds_to_connect <= report.rounds_to_heal,
-            "connectivity precedes strong connectivity: {report:?}"
-        );
-        assert!(
-            report.post_heal_reliability > 0.95,
-            "broadcast crosses the healed divide: {report:?}"
-        );
-    }
-
-    #[test]
-    fn pbcast_partition_heals_through_digest_bridges() {
-        let params: PartitionParams<Pbcast> = PartitionParams {
-            n: 60,
-            config: small_pbcast_config(),
-            loss_rate: 0.05,
-            isolated_rounds: 4,
-            bridges: 3,
-            max_heal_rounds: 60,
-            probe_rounds: 25,
-        };
-        let report = partition_scenario(&params, 9);
-        assert_eq!(report.protocol, "pbcast");
-        assert_eq!(report.components_before, 2, "{report:?}");
-        assert!(
-            report.rounds_to_connect.is_some(),
-            "subs-carrying digests reconnect the membership: {report:?}"
-        );
-        assert!(
-            report.post_heal_reliability > 0.8,
-            "broadcast crosses the healed divide: {report:?}"
-        );
-    }
-
-    #[test]
-    fn partition_is_deterministic_per_seed() {
-        let params: PartitionParams<Lpbcast> = PartitionParams {
-            n: 30,
-            config: small_config(),
-            loss_rate: 0.05,
-            isolated_rounds: 3,
-            bridges: 2,
-            max_heal_rounds: 30,
-            probe_rounds: 15,
-        };
-        assert_eq!(
-            partition_scenario(&params, 2),
-            partition_scenario(&params, 2)
-        );
-    }
-
-    #[test]
-    fn tsv_contains_both_protocols() {
-        let lp = ScenarioSuite {
-            protocol: "lpbcast",
-            churn: churn_scenario(&small_churn(), 1),
-            catastrophe: catastrophe_scenario(
-                &CatastropheParams::<Lpbcast> {
-                    n: 30,
-                    config: small_config(),
-                    loss_rate: 0.0,
-                    crash_fraction: 0.3,
-                    warmup: 2,
-                    pre_rounds: 3,
-                    post_rounds: 3,
-                    rate: 2,
-                    publishers: 0,
-                    drain: 4,
-                    max_recovery_rounds: 12,
-                },
-                1,
-            ),
-            partition: partition_scenario(
-                &PartitionParams::<Lpbcast> {
-                    n: 20,
-                    config: small_config(),
-                    loss_rate: 0.0,
-                    isolated_rounds: 2,
-                    bridges: 2,
-                    max_heal_rounds: 20,
-                    probe_rounds: 10,
-                },
-                1,
-            ),
-            churn_wall_ms: 1.0,
-            catastrophe_wall_ms: 1.0,
-            partition_wall_ms: 1.0,
-        };
-        let mut pb = lp.clone();
-        pb.protocol = "pbcast";
-        let tsv = scenarios_tsv(&[lp, pb]);
-        for needle in [
-            "churn\tlpbcast\t",
-            "churn\tpbcast\t",
-            "catastrophe\tlpbcast\t",
-            "partition\tpbcast\t",
-            "mean_reliability",
-            "recovery_rounds",
-            "rounds_to_heal",
-        ] {
-            assert!(tsv.contains(needle), "missing {needle:?} in:\n{tsv}");
-        }
-        assert!(tsv.lines().count() > 40);
     }
 }

@@ -37,7 +37,9 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
     (
         (arb_protocol(), arb_generator(), 1usize..5000),
         (0u64..200, 1usize..64, 1usize..64),
-        (0.0f64..=1.0, 0.0f64..=1.0, 0u64..8),
+        // Half-open: `loss=1` (and `fraction=1` on a catastrophe) parse
+        // as fractions but are rejected — the run would abort on them.
+        (0.0f64..1.0, 0.0f64..1.0, 0u64..8),
         arb_fault(),
     )
         .prop_map(

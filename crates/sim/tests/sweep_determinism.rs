@@ -8,7 +8,7 @@ use lpbcast_sim::experiment::{
     pbcast_reliability, pbcast_reliability_serial, LpbcastSimParams, PbcastMembershipKind,
     PbcastSimParams, ReliabilityRun,
 };
-use lpbcast_sim::scenario::{churn_sweep, churn_sweep_serial, ChurnParams};
+use lpbcast_sim::{sweep_specs, sweep_specs_serial, ProtocolKind, ScenarioGenerator, ScenarioSpec};
 
 const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
@@ -73,26 +73,37 @@ fn parallel_pbcast_reliability_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn parallel_churn_sweep_is_bit_identical_to_serial() {
+fn parallel_churn_cells_are_bit_identical_to_serial() {
     force_parallel_pool();
     // Small but genuinely churning: joins through §3.4 handshakes, leaves
-    // through the unsubscribe path, publication load, per-seed engines.
-    let params: ChurnParams<lpbcast_core::Lpbcast> = ChurnParams {
-        warmup: 3,
-        churn_rounds: 8,
-        joins_per_round: 2,
-        leaves_per_round: 1,
-        rate: 4,
-        publishers: 0,
-        drain: 5,
-        ..ChurnParams::scaled(40)
-    };
-    let parallel = churn_sweep(&params, &SEEDS);
-    let serial = churn_sweep_serial(&params, &SEEDS);
+    // through the unsubscribe path, publication load from random
+    // origins, per-seed engines — on both the bare and the SWIM-wrapped
+    // stack, one cell per seed.
+    let cells: Vec<(ScenarioSpec, u64)> = [ProtocolKind::Lpbcast, ProtocolKind::SwimLpbcast]
+        .into_iter()
+        .flat_map(|proto| {
+            let spec = ScenarioSpec {
+                rounds: 8,
+                rate: 4,
+                publishers: 0,
+                fraction: 0.05,
+                ..ScenarioSpec::new(proto, ScenarioGenerator::Churn, 40)
+            };
+            SEEDS.map(|seed| (spec, seed))
+        })
+        .collect();
+    let parallel = sweep_specs(&cells);
+    let serial = sweep_specs_serial(&cells);
     // Full structural equality, report by report — churn mutates the
     // engine mid-run (add_node/remove_node), so this also proves the
     // slab bookkeeping is schedule-independent.
     assert_eq!(parallel, serial);
+    assert!(
+        parallel
+            .iter()
+            .all(|r| r["leaves_completed"].value() > 0.0 && r["joins_attempted"].value() == 16.0),
+        "every cell actually churned"
+    );
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! The churn / catastrophe / partition scenario suite in miniature, run
-//! side by side for lpbcast and the pbcast baseline: deterministic,
+//! The six scenario generators in miniature, run side by side for
+//! lpbcast and the pbcast baseline: deterministic,
 //! env-tunable, printable — the CI smoke run for
 //! `lpbcast_sim::scenario` (the full-scale n = 10⁴ suite runs in
 //! `bench_sim` and lands in `BENCH_sim.json` + `results/scenarios.tsv`).
@@ -10,16 +10,16 @@
 //! LPBCAST_SCENARIO_PROTOCOL=pbcast cargo run --release --example scenario_suite
 //! ```
 //!
-//! `LPBCAST_SCENARIO_PROTOCOL` picks `lpbcast`, `pbcast` or `both`
-//! (default): the suite is generic over `ScenarioProtocol`, so both
-//! protocol stacks run through the identical driver.
+//! `LPBCAST_SCENARIO_PROTOCOL` picks one stack by its `ProtocolKind`
+//! label (`lpbcast`, `pbcast`, `swim+lpbcast`, `swim+pbcast`) or `both`
+//! (default: lpbcast and pbcast): a scenario is a timeline run by one
+//! generic driver, so every stack goes through the identical code.
 
 #![forbid(unsafe_code)]
 
-use lpbcast::core::Lpbcast;
-use lpbcast::pbcast::Pbcast;
-use lpbcast::sim::scenario::{run_scenario_suite, scenarios_tsv, ScenarioProtocol, ScenarioSuite};
-use lpbcast::sim::{run_scenario_spec, ProtocolKind, ScenarioGenerator, ScenarioSpec};
+use lpbcast::sim::{
+    run_scenario_spec, scenarios_tsv, ProtocolKind, ScenarioGenerator, ScenarioReport, ScenarioSpec,
+};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -29,42 +29,38 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-fn run_one<P: ScenarioProtocol>(n: usize, seed: u64) -> ScenarioSuite
-where
-    P::Msg: lpbcast::net::WireMessage + Send + 'static,
-{
-    let suite = run_scenario_suite::<P>(n, seed);
-    let churn = &suite.churn;
+fn run_one(proto: ProtocolKind, n: usize, seed: u64) -> [ScenarioReport; 3] {
+    let run = |generator| run_scenario_spec(&ScenarioSpec::new(proto, generator, n), seed);
+
+    let churn = run(ScenarioGenerator::Churn);
     println!(
-        "[{}] churn: {}/{} joins completed, {} leaves ({} refused), {} members at end,\n\
+        "[{proto}] churn: {}/{} joins completed, {} leaves ({} refused), {} members at end,\n\
          \u{20}         reliability mean {:.4} / min {:.4} over {} events, partitioned: {}",
-        suite.protocol,
-        churn.joins_completed,
-        churn.joins_attempted,
-        churn.leaves_completed,
-        churn.leaves_refused,
-        churn.final_members,
-        churn.mean_reliability,
-        churn.min_reliability,
-        churn.events_measured,
-        churn.partitioned_at_end
+        churn["joins_completed"],
+        churn["joins_attempted"],
+        churn["leaves_completed"],
+        churn["leaves_refused"],
+        churn["final_members"],
+        churn["mean_reliability"],
+        churn["min_reliability"],
+        churn["events_measured"],
+        churn["partitioned_at_end"]
     );
     assert!(
-        churn.joins_completed > 0 && churn.leaves_completed > 0,
+        churn["joins_completed"].value() > 0.0 && churn["leaves_completed"].value() > 0.0,
         "churn actually happened: {churn:?}"
     );
 
-    let catastrophe = &suite.catastrophe;
+    let catastrophe = run(ScenarioGenerator::Catastrophe);
     println!(
-        "[{}] catastrophe: {} of {} crashed in one round; reliability {:.4} -> {:.4},\n\
+        "[{proto}] catastrophe: {} of {} crashed in one round; reliability {:.4} -> {:.4},\n\
          \u{20}         latency {:.2} -> {:.2} rounds, 99% of survivors re-reached in {:?} rounds",
-        suite.protocol,
-        catastrophe.crashed,
+        catastrophe["crashed"],
         catastrophe.n,
-        catastrophe.reliability_before,
-        catastrophe.reliability_after,
-        catastrophe.latency_before,
-        catastrophe.latency_after,
+        catastrophe["reliability_before"],
+        catastrophe["reliability_after"],
+        catastrophe["latency_before_rounds"],
+        catastrophe["latency_after_rounds"],
         catastrophe.recovery_rounds
     );
     assert!(
@@ -72,22 +68,21 @@ where
         "dissemination must recover: {catastrophe:?}"
     );
 
-    let partition = &suite.partition;
+    let partition = run(ScenarioGenerator::Partition);
     println!(
-        "[{}] partition: {} components (largest {}) -> connected in {:?} rounds,\n\
+        "[{proto}] partition: {} components (largest {}) -> connected in {:?} rounds,\n\
          \u{20}         fully healed (one SCC) in {:?} rounds, post-heal reliability {:.4}\n",
-        suite.protocol,
-        partition.components_before,
-        partition.largest_component_before,
-        partition.rounds_to_connect,
-        partition.rounds_to_heal,
-        partition.post_heal_reliability
+        partition["components_before"],
+        partition["largest_component_before"],
+        partition["rounds_to_connect"].rounds(),
+        partition.recovery_rounds,
+        partition["post_heal_reliability"]
     );
     assert!(
-        partition.rounds_to_connect.is_some(),
+        partition["rounds_to_connect"].rounds().is_some(),
         "bridges must reconnect the membership: {partition:?}"
     );
-    suite
+    [churn, catastrophe, partition]
 }
 
 fn main() {
@@ -99,30 +94,25 @@ fn main() {
         std::env::var("LPBCAST_SCENARIO_PROTOCOL").unwrap_or_else(|_| "both".to_string());
     println!("scenario suite at n={n}, seed {seed}, protocol {protocol}\n");
 
-    let mut suites = Vec::new();
-    if matches!(protocol.as_str(), "lpbcast" | "both") {
-        suites.push(run_one::<Lpbcast>(n, seed));
-    }
-    if matches!(protocol.as_str(), "pbcast" | "both") {
-        suites.push(run_one::<Pbcast>(n, seed));
-    }
-    assert!(
-        !suites.is_empty(),
-        "LPBCAST_SCENARIO_PROTOCOL must be lpbcast, pbcast or both"
-    );
+    let stacks: Vec<ProtocolKind> = match protocol.as_str() {
+        "both" => vec![ProtocolKind::Lpbcast, ProtocolKind::Pbcast],
+        label => vec![label.parse().unwrap_or_else(|e| {
+            panic!("LPBCAST_SCENARIO_PROTOCOL must be a protocol label or `both`: {e}")
+        })],
+    };
+    let reports: Vec<ScenarioReport> = stacks
+        .iter()
+        .flat_map(|&proto| run_one(proto, n, seed))
+        .collect();
 
-    println!("{}", scenarios_tsv(&suites));
+    println!("{}", scenarios_tsv(&reports));
 
-    // The same suite, declaratively: each cell below is a ScenarioSpec
-    // whose string form names the exact experiment — paste it back into
+    // The other three generators. Each cell is a ScenarioSpec whose
+    // string form names the exact experiment — paste it back into
     // `run_scenario_spec` (or a `results/mass_scenarios.tsv` row) and
-    // the numbers reproduce bit for bit. The three generators here are
-    // the ones the legacy suite does not cover.
+    // the numbers reproduce bit for bit.
     println!("── declarative spec cells (new generators) ──");
-    for proto in [ProtocolKind::Lpbcast, ProtocolKind::Pbcast] {
-        if !matches!(protocol.as_str(), "both") && proto.name() != protocol.as_str() {
-            continue;
-        }
+    for proto in stacks {
         for generator in [
             ScenarioGenerator::RepeatedPartitions,
             ScenarioGenerator::FlashCrowd,
@@ -132,13 +122,13 @@ fn main() {
             let report = run_scenario_spec(&spec, seed);
             println!(
                 "[{spec};seed={seed}]\n\u{20}         reliability {:.4} (min {:.4}), recovery {:?}, wire {:.1} KB/round",
-                report.reliability_mean(),
-                report.reliability_min(),
-                report.recovery_rounds(),
+                report.reliability_mean,
+                report.reliability_min,
+                report.recovery_rounds,
                 report.wire_bytes_per_round() / 1e3
             );
             assert!(
-                report.reliability_mean() > 0.5,
+                report.reliability_mean > 0.5,
                 "spec cell collapsed: {spec} -> {report:?}"
             );
         }

@@ -18,7 +18,7 @@
 //! | driver | generic form | runs |
 //! |--------|--------------|------|
 //! | simulation engine | [`sim::Engine<P>`](sim::Engine) | synchronous §5.1 rounds for any protocol |
-//! | scenario suite | [`sim::scenario`] (`ScenarioProtocol`) | churn / catastrophe / partition, side by side |
+//! | scenario driver | [`sim::scenario`] (`ScenarioProtocol`) | six generators (churn, catastrophe, partition, …) as timelines, every stack side by side |
 //! | UDP runtime | [`net::Cluster<P>`](net::Cluster) | one to thousands of instances per process over nonblocking sockets, batched datagrams |
 //!
 //! This facade crate re-exports the workspace:
@@ -84,7 +84,7 @@
 //! ```
 //!
 //! `build_pbcast_engine` yields the same `Engine` driving `Pbcast`; the
-//! scenario suite (`sim::scenario::run_scenario_suite::<P>`) and the UDP
+//! scenario matrix (`sim::run_scenario_spec`, `proto=pbcast;…`) and the UDP
 //! example (`LPBCAST_UDP_PROTOCOL=pbcast cargo run --example
 //! udp_cluster`) select protocols the same way.
 //!
