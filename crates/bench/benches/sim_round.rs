@@ -2,8 +2,7 @@
 //! paper's parameters and beyond.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use lpbcast_bench::baseline::build_baseline_lpbcast_engine;
-use lpbcast_sim::experiment::{build_lpbcast_engine, LpbcastSimParams};
+use lpbcast_sim::experiment::{LpbcastSimParams, SimParams};
 use lpbcast_types::ProcessId;
 
 fn bench_round(c: &mut Criterion) {
@@ -12,27 +11,7 @@ fn bench_round(c: &mut Criterion) {
     for &n in &[125usize, 500, 1000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let params = LpbcastSimParams::paper_defaults(n).rounds(1_000_000);
-            let mut engine = build_lpbcast_engine(&params, 1);
-            engine.publish_from(ProcessId::new(0), "warm".into());
-            engine.run(5); // steady state
-            b.iter(|| {
-                engine.step();
-                black_box(engine.round())
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The seed `BTreeMap` engine on the same workload — the denominator of
-/// the slab refactor's speedup claim.
-fn bench_round_baseline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_round_baseline");
-    group.sample_size(20);
-    for &n in &[125usize, 500, 1000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let params = LpbcastSimParams::paper_defaults(n).rounds(1_000_000);
-            let mut engine = build_baseline_lpbcast_engine(&params, 1);
+            let mut engine = params.build_engine(1);
             engine.publish_from(ProcessId::new(0), "warm".into());
             engine.run(5); // steady state
             b.iter(|| {
@@ -48,7 +27,7 @@ fn bench_full_dissemination(c: &mut Criterion) {
     c.bench_function("sim_dissemination_n125_10rounds", |b| {
         b.iter(|| {
             let params = LpbcastSimParams::paper_defaults(125).rounds(10);
-            let mut engine = build_lpbcast_engine(&params, 1);
+            let mut engine = params.build_engine(1);
             let id = engine.publish_from(ProcessId::new(0), "probe".into());
             engine.run(10);
             black_box(engine.tracker().infected_count(id))
@@ -59,6 +38,6 @@ fn bench_full_dissemination(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_round, bench_round_baseline, bench_full_dissemination
+    targets = bench_round, bench_full_dissemination
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
-//! Simulator performance harness: times the slab engine against the seed
-//! `BTreeMap` baseline and the parallel sweep against its serial
-//! reference, then writes `BENCH_sim.json` at the workspace root so every
-//! PR leaves a comparable perf trajectory.
+//! Simulator performance harness: times the engine's steady-state round
+//! and the parallel sweep against its serial reference, then writes
+//! `BENCH_sim.json` at the workspace root so every PR leaves a
+//! comparable perf trajectory (README "Reading `BENCH_sim.json`"
+//! documents the sections).
 //!
 //! Run with `cargo run --release -p lpbcast-bench --bin bench_sim`.
 //!
@@ -45,12 +46,10 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use lpbcast_bench::baseline::build_baseline_lpbcast_engine;
 use lpbcast_core::Lpbcast;
 use lpbcast_sim::detector::{detector_study, detector_tsv, DetectorParams};
 use lpbcast_sim::experiment::{
-    build_lpbcast_engine, lpbcast_engine_builder, lpbcast_infection_curve,
-    lpbcast_infection_curve_serial, sweep_dispatches_serial, LpbcastSimParams,
+    infection_curve, sweep_dispatches_serial, LpbcastSimParams, SimParams, Sweep,
 };
 use lpbcast_sim::scale::{scaling_study, scaling_tsv, ScaleStudyOpts};
 use lpbcast_sim::{
@@ -74,29 +73,12 @@ fn env_usize(name: &str, default: usize) -> usize {
 /// gate compares the cost of a step, and the min converges on it.
 const STEP_WINDOWS: usize = 4;
 
-/// Steady-state ns/step of the current slab engine at system size `n`.
+/// Steady-state ns/step of the slab engine at system size `n`.
 fn time_slab_step(n: usize, steps: usize) -> f64 {
     let params = LpbcastSimParams::paper_defaults(n).rounds(u64::MAX / 2);
-    let mut engine = build_lpbcast_engine(&params, 1);
+    let mut engine = params.build_engine(1);
     engine.publish_from(ProcessId::new(0), "warm".into());
     engine.run(5); // settle into the steady state
-    let window = (steps / STEP_WINDOWS).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..STEP_WINDOWS {
-        let t = Instant::now();
-        engine.run(window as u64);
-        best = best.min(t.elapsed().as_nanos() as f64 / window as f64);
-    }
-    assert!(engine.round() > 5, "engine actually ran");
-    best
-}
-
-/// Steady-state ns/step of the seed baseline engine at system size `n`.
-fn time_baseline_step(n: usize, steps: usize) -> f64 {
-    let params = LpbcastSimParams::paper_defaults(n).rounds(u64::MAX / 2);
-    let mut engine = build_baseline_lpbcast_engine(&params, 1);
-    engine.publish_from(ProcessId::new(0), "warm".into());
-    engine.run(5);
     let window = (steps / STEP_WINDOWS).max(1);
     let mut best = f64::INFINITY;
     for _ in 0..STEP_WINDOWS {
@@ -131,7 +113,7 @@ fn loaded_round(engine: &mut Engine<Lpbcast>, next_origin: &mut u64, n: u64, rat
 /// bodies and measure routing, not cloning).
 fn time_slab_step_loaded(n: usize, steps: usize, rate: usize) -> f64 {
     let params = LpbcastSimParams::paper_defaults(n).rounds(u64::MAX / 2);
-    let mut engine = build_lpbcast_engine(&params, 1);
+    let mut engine = params.build_engine(1);
     let mut next_origin = 0u64;
     for _ in 0..5 {
         loaded_round(&mut engine, &mut next_origin, n as u64, rate);
@@ -150,14 +132,10 @@ fn time_slab_step_loaded(n: usize, steps: usize, rate: usize) -> f64 {
 }
 
 /// Wall-clock seconds of a Fig. 5(a)-style multi-seed infection sweep.
-fn time_sweep(n: usize, seeds: &[u64], parallel: bool) -> f64 {
+fn time_sweep(n: usize, seeds: &[u64], sweep: Sweep) -> f64 {
     let params = LpbcastSimParams::paper_defaults(n).rounds(10);
     let t = Instant::now();
-    let curve = if parallel {
-        lpbcast_infection_curve(&params, seeds)
-    } else {
-        lpbcast_infection_curve_serial(&params, seeds)
-    };
+    let curve = infection_curve(sweep, &params, seeds);
     let secs = t.elapsed().as_secs_f64();
     assert_eq!(curve.len(), 11, "sweep produced the full curve");
     secs
@@ -169,7 +147,8 @@ fn time_sweep(n: usize, seeds: &[u64], parallel: bool) -> f64 {
 /// shard counts is the engine's determinism contract.
 fn shard_digest(n: usize, shards: usize, rounds: u64) -> Vec<(usize, u64, u64, u64)> {
     let params = LpbcastSimParams::paper_defaults(n).rounds(u64::MAX / 2);
-    let mut engine = lpbcast_engine_builder(&params, 1)
+    let mut engine = params
+        .engine_builder(1)
         .wire_meter(lpbcast_net::wire_meter())
         .shards(shards)
         .build();
@@ -194,7 +173,7 @@ fn shard_digest(n: usize, shards: usize, rounds: u64) -> Vec<(usize, u64, u64, u
 /// here; sparse mode quiesces.
 fn time_idle_window(n: usize, steps: usize, mode: StepMode) -> f64 {
     let params = LpbcastSimParams::paper_defaults(n).rounds(u64::MAX / 2);
-    let mut engine = lpbcast_engine_builder(&params, 1).step_mode(mode).build();
+    let mut engine = params.engine_builder(1).step_mode(mode).build();
     engine.publish_from(ProcessId::new(0), Payload::from_static(b"probe"));
     engine.run(10);
     for i in 0..(3 * n as u64 / 10) {
@@ -214,7 +193,6 @@ struct StepResult {
     n: usize,
     steps: usize,
     slab_ns: f64,
-    baseline_ns: f64,
 }
 
 /// Runs one scenario cell at seed 1, timing it.
@@ -273,27 +251,16 @@ fn main() {
 
     let mut step_results = Vec::new();
     for n in [125usize, 1000, 10_000] {
-        // The 10⁴ point costs tens of ms per step on both engines: scale
-        // the timed window down so the whole harness stays interactive.
+        // The 10⁴ point costs tens of ms per step: scale the timed window
+        // down so the whole harness stays interactive.
         let steps = if n >= 10_000 {
             (steps / 10).max(10)
         } else {
             steps
         };
         let slab_ns = time_slab_step(n, steps);
-        let baseline_ns = time_baseline_step(n, steps);
-        println!(
-            "sim_round n={n}: slab {:.1} µs/step, baseline {:.1} µs/step, speedup {:.2}×",
-            slab_ns / 1e3,
-            baseline_ns / 1e3,
-            baseline_ns / slab_ns
-        );
-        step_results.push(StepResult {
-            n,
-            steps,
-            slab_ns,
-            baseline_ns,
-        });
+        println!("sim_round n={n}: slab {:.1} µs/step", slab_ns / 1e3);
+        step_results.push(StepResult { n, steps, slab_ns });
     }
 
     let loaded_rate = 40usize;
@@ -306,8 +273,8 @@ fn main() {
 
     let sweep_seeds: Vec<u64> = (0..sweep_seed_count as u64).map(|i| 0x5A + i).collect();
     let sweep_n = 250;
-    let serial_s = time_sweep(sweep_n, &sweep_seeds, false);
-    let parallel_s = time_sweep(sweep_n, &sweep_seeds, true);
+    let serial_s = time_sweep(sweep_n, &sweep_seeds, Sweep::Serial);
+    let parallel_s = time_sweep(sweep_n, &sweep_seeds, Sweep::Pool);
     println!(
         "fig5a-style sweep n={sweep_n}, {} seeds: serial {serial_s:.3} s, parallel {parallel_s:.3} s, speedup {:.2}×{}",
         sweep_seeds.len(),
@@ -597,19 +564,14 @@ fn main() {
     let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"shards\": {shards},");
     let _ = writeln!(json, "  \"steps_per_measurement\": {steps},");
-    json.push_str(
-        "  \"note\": \"baseline_* is the seed BTreeMap engine compiled against the current protocol crates, so the ratio isolates the engine-structure change; protocol-layer wins (fast hashing, linear small buffers, chunked scans, alloc-free truncation, and since PR 2 the Arc-shared gossip fan-out) accrue to both columns. Seed-to-now trajectory: the unmodified seed stack measured ~17.7 ms/step at n=1000 on the 1-CPU reference container. step_throughput uses the paper's n=125 operating-point config at every n; the scaling section uses lpbcast_sim::scale's section-5-scaled view/buffer bounds (Compact digests since PR 3) and also reports the O(n*l) engine bootstrap cost (engine_build_ms; the PR 2 candidate-list build measured ~190 ms at n=10^4), probe delivery latency (rounds) and reliability — the same rows are rendered into results/scaling.tsv. The scenarios section is the churn / catastrophe / partition suite from lpbcast_sim::scenario, keyed by protocol since the Protocol-trait redesign (one generic driver runs lpbcast and pbcast side by side; each scenario also records its wall_ms). scripts/bench_gate.py compares ns_per_step, engine_build_ms and the deterministic wire_bytes_per_round by n against the committed snapshot in CI and fails on rows that disappear; scenario wall_ms and scenario wire rows are gated softly (warn-only on row-set changes, since the scenario size and protocol set are env-tunable in CI). Since v5 every scenario/scaling row carries wire_bytes_per_round: exact codec frame lengths summed over every offered message copy (the wire-cost compaction PR -- pbcast per-origin compact digests + lpbcast per-timestamp unsub digests -- is measured by exactly these columns), and the loaded scenarios publish from a fixed 16-publisher pool (the paper's section-5 measurement model) instead of uniformly random origins. Since v6 the detector section records the SWIM failure-detector A/B (lpbcast_sim::detector): identical catastrophe and no-crash noise loads run with and without the Swim<Lpbcast> wrapper under named deterministic fault specs (lpbcast_sim::fault), reporting recovery_rounds, probe reliability, and eviction / false-eviction / suspicion / refutation counts per arm -- the same rows are rendered into results/detector.tsv, the study size is env-tunable via BENCH_SIM_DETECTOR_N (so CI runs a small n and its detector rows are soft), and bench_gate.py additionally surfaces recovery_rounds and min-reliability drift as warn-only quality rows. Since v7 the engine is built through EngineBuilder with an optional shard-partitioned round: shards records BENCH_SIM_SHARDS (default 1; every measurement runs through the same builder paths), shard_check is the in-harness determinism self-test (serial vs sharded digests over infected counts, network RNG counters and exact wire bytes -- identical=false hard-fails bench_gate.py and the harness itself exits non-zero), sparse_mode is the StepMode::Sparse idle-window A/B (post-catastrophe rounds where dense mode still pays full digest gossip), and the env-gated scaling_xl / scenarios_xl sections carry the n=10^5-class rows (BENCH_SIM_SCALE_XL_NS / BENCH_SIM_SCENARIO_XL_N; absent from CI-size runs, so their committed rows gate softly). Since v8 the mass_scenarios section is the pinned ScenarioSpec mini-sweep (lpbcast_sim::scenario::spec): a fixed 12-cell grid (lpbcast+pbcast x catastrophe+repeated_partitions+byzantine_droppers x 2 seeds) at BENCH_SIM_MASS_N (default 400 everywhere, CI included, so summary rows compare run to run), each summary entry keyed by its exact spec string -- parse it back with ScenarioSpec::from_str and run_scenario_spec reproduces the row bit for bit. identical is the rayon-vs-serial sweep determinism self-check (hard-gated like shard_check; the full cross-product grid lives in the mass_scenarios bin, which writes results/mass_scenarios.tsv and applies the same strict exit). bench_gate.py soft-gates the summary rows (reliability as % missed, worst recovery_rounds, wire bytes/round)\",\n",
-    );
     json.push_str("  \"step_throughput\": [\n");
     for (i, r) in step_results.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"n\": {}, \"steps\": {}, \"slab_ns_per_step\": {:.1}, \"baseline_ns_per_step\": {:.1}, \"speedup\": {:.3}, \"slab_steps_per_sec\": {:.1}}}",
+            "    {{\"n\": {}, \"steps\": {}, \"slab_ns_per_step\": {:.1}, \"slab_steps_per_sec\": {:.1}}}",
             r.n,
             r.steps,
             r.slab_ns,
-            r.baseline_ns,
-            r.baseline_ns / r.slab_ns,
             1e9 / r.slab_ns
         );
         json.push_str(if i + 1 < step_results.len() {

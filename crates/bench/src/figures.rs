@@ -1,6 +1,7 @@
 //! One function per paper figure. Each returns a [`Figure`] with the same
 //! series the paper plots, plus notes comparing against the paper's
-//! reading.
+//! reading. [`FIGURES`] is the name → function table the `figures`
+//! binary is driven by.
 
 use lpbcast_analysis::infection::{InfectionModel, InfectionParams};
 use lpbcast_analysis::math::{fit_logarithmic, r_squared_logarithmic};
@@ -10,9 +11,8 @@ use lpbcast_core::Config;
 use lpbcast_membership::TruncationStrategy;
 use lpbcast_pbcast::PbcastConfig;
 use lpbcast_sim::experiment::{
-    build_lpbcast_engine, lpbcast_infection_curve, lpbcast_reliability, lpbcast_view_stats,
-    pbcast_infection_curve, pbcast_reliability, InitialTopology, LpbcastSimParams,
-    PbcastMembershipKind, PbcastSimParams, ReliabilityRun,
+    infection_curve, lpbcast_view_stats, reliability, InitialTopology, LpbcastSimParams,
+    PbcastMembershipKind, PbcastSimParams, ReliabilityRun, Sweep,
 };
 
 use crate::output::Figure;
@@ -197,7 +197,7 @@ pub fn fig5a() -> Figure {
         );
         theory.push(model.expected_curve(rounds));
         let params = LpbcastSimParams::paper_defaults(n).rounds(rounds);
-        sim.push(lpbcast_infection_curve(&params, &seed_list));
+        sim.push(infection_curve(Sweep::Pool, &params, &seed_list));
     }
     let mut fig = Figure::new(
         "fig5a",
@@ -246,7 +246,7 @@ pub fn fig5b() -> Figure {
         let params = LpbcastSimParams::paper_defaults(N_MEASURED)
             .config(lpbcast_config(l, 3, 60))
             .rounds(rounds);
-        curves.push(lpbcast_infection_curve(&params, &seed_list));
+        curves.push(infection_curve(Sweep::Pool, &params, &seed_list));
     }
     for r in 0..=rounds as usize {
         let mut row = vec![r as f64];
@@ -277,7 +277,7 @@ pub fn fig6a() -> Figure {
     );
     for l in [15usize, 20, 25, 30, 35] {
         let params = LpbcastSimParams::paper_defaults(N_MEASURED).config(lpbcast_config(l, 3, 60));
-        let reliability = lpbcast_reliability(&params, &measurement_run(), &seed_list);
+        let reliability = reliability(Sweep::Pool, &params, &measurement_run(), &seed_list);
         fig.push_row(vec![l as f64, reliability]);
     }
     fig.note("Paper band: reliability ≈0.88–0.99, improving slightly with l (Fig. 6(a) y-axis runs 0.8–1.0).");
@@ -295,7 +295,7 @@ pub fn fig6b() -> Figure {
     for ids_max in [10usize, 20, 30, 40, 60, 80, 100, 120] {
         let params =
             LpbcastSimParams::paper_defaults(N_MEASURED).config(lpbcast_config(15, 3, ids_max));
-        let reliability = lpbcast_reliability(&params, &measurement_run(), &seed_list);
+        let reliability = reliability(Sweep::Pool, &params, &measurement_run(), &seed_list);
         fig.push_row(vec![ids_max as f64, reliability]);
     }
     fig.note("Paper: strong dependency — reliability climbs from ≈0.2–0.3 at tiny buffers towards ≈1 near 120 (Fig. 6(b)).");
@@ -311,13 +311,15 @@ pub fn fig7a() -> Figure {
     let lp_params = LpbcastSimParams::paper_defaults(N_MEASURED)
         .config(lpbcast_config(15, 5, 60))
         .rounds(rounds);
-    let lp = lpbcast_infection_curve(&lp_params, &seed_list);
-    let pb_partial = pbcast_infection_curve(
+    let lp = infection_curve(Sweep::Pool, &lp_params, &seed_list);
+    let pb_partial = infection_curve(
+        Sweep::Pool,
         &PbcastSimParams::figure7_defaults(N_MEASURED, PbcastMembershipKind::Partial { l: 15 })
             .rounds(rounds),
         &seed_list,
     );
-    let pb_total = pbcast_infection_curve(
+    let pb_total = infection_curve(
+        Sweep::Pool,
         &PbcastSimParams::figure7_defaults(N_MEASURED, PbcastMembershipKind::Total).rounds(rounds),
         &seed_list,
     );
@@ -359,7 +361,7 @@ pub fn fig7b() -> Figure {
                         .history_max(60)
                         .build(),
                 );
-        let reliability = pbcast_reliability(&params, &measurement_run(), &seed_list);
+        let reliability = reliability(Sweep::Pool, &params, &measurement_run(), &seed_list);
         fig.push_row(vec![l as f64, reliability]);
     }
     fig.note("Paper: results similar to lpbcast's Fig. 6(a) (≈0.88–0.99 band), slightly improving with l.");
@@ -403,10 +405,10 @@ pub fn ablation_membership_freq() -> Figure {
             rate: 40,
             drain: 10,
         };
-        let reliability = lpbcast_reliability(&params, &run, &seed_list);
+        let reliability = reliability(Sweep::Pool, &params, &run, &seed_list);
         // Dissemination speed from the clustered start: coverage of one
         // event at round 4.
-        let curve = lpbcast_infection_curve(&params.clone().rounds(6), &seed_list);
+        let curve = infection_curve(Sweep::Pool, &params.clone().rounds(6), &seed_list);
         fig.push_row(vec![k as f64, reliability, curve[4]]);
     }
     fig.note("Paper (§6.1): \"this sanction leads to the opposite effect, i.e., latency increases (and thus reliability decreases)\".");
@@ -431,7 +433,7 @@ pub fn model_vs_sim() -> Figure {
     for ids_max in [10usize, 20, 30, 40, 60, 80, 100, 120] {
         let params =
             LpbcastSimParams::paper_defaults(N_MEASURED).config(lpbcast_config(15, 3, ids_max));
-        let sim = lpbcast_reliability(&params, &measurement_run(), &seed_list);
+        let sim = reliability(Sweep::Pool, &params, &measurement_run(), &seed_list);
         let model = SirModel::from_buffers(3, EPSILON, TAU, ids_max, 40);
         fig.push_row(vec![
             ids_max as f64,
@@ -471,7 +473,7 @@ pub fn ablation_weighted_views() -> Figure {
             .strategy(strategy)
             .build();
         let params = LpbcastSimParams::paper_defaults(N_MEASURED).config(config);
-        let reliability = lpbcast_reliability(&params, &measurement_run(), &seed_list);
+        let reliability = reliability(Sweep::Pool, &params, &measurement_run(), &seed_list);
         // Average the degree statistics over several seeds.
         let mut cv = 0.0;
         let mut max = 0.0;
@@ -489,7 +491,7 @@ pub fn ablation_weighted_views() -> Figure {
 }
 
 /// Extra diagnostic: view in-degree distribution vs the ideal `l` (§6.1),
-/// printed by `all_figures` for context.
+/// part of `figures all` for context.
 pub fn view_uniformity_diag() -> Figure {
     let mut fig = Figure::new(
         "view_uniformity",
@@ -517,12 +519,67 @@ pub fn view_uniformity_diag() -> Figure {
     fig
 }
 
-/// Sanity harness used by `all_figures`: checks the directional claims of
-/// each figure and returns human-readable pass/fail lines.
-pub fn headline_checks() -> Vec<(String, bool)> {
+/// One row of the [`FIGURES`] table: a name and the function that
+/// regenerates the figure. The name is also the stem of the TSV the
+/// figure writes.
+pub type FigureEntry = (&'static str, fn() -> Figure);
+
+/// Every figure the harness can regenerate, in the order `figures all`
+/// emits them and `figures --list` prints them.
+pub const FIGURES: &[FigureEntry] = &[
+    ("fig2", fig2),
+    ("fig3a", fig3a),
+    ("fig3b", fig3b),
+    ("fig4", fig4),
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig6a", fig6a),
+    ("fig6b", fig6b),
+    ("fig7a", fig7a),
+    ("fig7b", fig7b),
+    ("ablation_membership_freq", ablation_membership_freq),
+    ("model_vs_sim", model_vs_sim),
+    ("ablation_weighted_views", ablation_weighted_views),
+    ("view_uniformity", view_uniformity_diag),
+];
+
+/// Resolves the `figures` binary's positional arguments against
+/// [`FIGURES`]: `all` anywhere selects every figure once, in table
+/// order; otherwise the named figures, in the order given.
+///
+/// # Errors
+///
+/// Returns the names the table does not know.
+pub fn select(names: &[String]) -> Result<Vec<FigureEntry>, Vec<String>> {
+    let entry = |name: &String| FIGURES.iter().find(|(figure, _)| figure == name).copied();
+    let unknown: Vec<String> = names
+        .iter()
+        .filter(|name| *name != "all" && entry(name).is_none())
+        .cloned()
+        .collect();
+    if !unknown.is_empty() {
+        return Err(unknown);
+    }
+    if names.iter().any(|name| name == "all") {
+        return Ok(FIGURES.to_vec());
+    }
+    Ok(names.iter().filter_map(entry).collect())
+}
+
+/// Checks the directional claims of the paper on already-computed
+/// figures and returns human-readable pass/fail lines.
+///
+/// # Panics
+///
+/// Panics unless `figures` holds `fig2`, `fig3b`, `fig4` and `fig7a`.
+pub fn headline_checks(figures: &[Figure]) -> Vec<(String, bool)> {
+    let figure = |id: &str| {
+        let found = figures.iter().find(|f| f.id == id);
+        found.unwrap_or_else(|| panic!("the headline checks need {id}"))
+    };
     let mut checks = Vec::new();
 
-    let f2 = fig2();
+    let f2 = figure("fig2");
     let last = f2.rows.last().expect("rows");
     checks.push((
         "fig2: F=6 infects at least as fast as F=3 at every round".to_string(),
@@ -533,13 +590,13 @@ pub fn headline_checks() -> Vec<(String, bool)> {
         last[1..].iter().all(|&v| v > 120.0),
     ));
 
-    let f3b = fig3b();
+    let f3b = figure("fig3b");
     checks.push((
         "fig3b: rounds-to-99% increase with n".to_string(),
         f3b.rows.windows(2).all(|w| w[1][1] >= w[0][1] - 0.05),
     ));
 
-    let f4 = fig4();
+    let f4 = figure("fig4");
     checks.push((
         "fig4: Ψ(n=50) ≥ Ψ(n=125) wherever both partition sizes are legal".to_string(),
         f4.rows
@@ -548,7 +605,7 @@ pub fn headline_checks() -> Vec<(String, bool)> {
             .all(|r| r[1] >= r[3]),
     ));
 
-    let f7a = fig7a();
+    let f7a = figure("fig7a");
     let lp_area: f64 = f7a.rows.iter().map(|r| r[1]).sum();
     let pb_area: f64 = f7a.rows.iter().map(|r| r[2]).sum();
     checks.push((
@@ -557,14 +614,4 @@ pub fn headline_checks() -> Vec<(String, bool)> {
     ));
 
     checks
-}
-
-/// Builds an engine and runs a smoke dissemination; used by integration
-/// tests to keep the harness honest.
-pub fn smoke() -> bool {
-    let params = LpbcastSimParams::paper_defaults(32).rounds(10);
-    let mut engine = build_lpbcast_engine(&params, 1);
-    let id = engine.publish_from(lpbcast_types::ProcessId::new(0), "smoke".into());
-    engine.run(10);
-    engine.tracker().infected_count(id) > 28
 }

@@ -1,9 +1,11 @@
 //! Figure harness for the lpbcast reproduction.
 //!
-//! Each of the paper's ten evaluation figures is regenerated by one
-//! function in [`figures`] (and one thin binary under `src/bin/`). The
-//! harness prints the series as a table and writes a TSV to `results/` at
-//! the workspace root, so `EXPERIMENTS.md` can quote the numbers.
+//! Each of the paper's ten evaluation figures (plus three ablations and
+//! a diagnostic) is regenerated by one function in [`figures`]; the
+//! `figures` binary selects them by name (`figures fig5b fig7a`,
+//! `figures all`, `figures --list`). The harness prints the series as a
+//! table and writes a TSV to `results/` at the workspace root, so
+//! `EXPERIMENTS.md` can quote the numbers.
 //!
 //! Environment knobs:
 //!
@@ -14,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod baseline;
 pub mod figures;
 pub mod output;
 

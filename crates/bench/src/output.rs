@@ -82,14 +82,14 @@ impl Figure {
         }
     }
 
-    /// Writes `results/<id>.tsv` at the workspace root; returns the path.
+    /// Writes `<dir>/<id>.tsv`, creating `dir` if needed; returns the
+    /// path.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write_tsv(&self) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir)?;
+    pub fn write_tsv(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.tsv", self.id));
         let mut f = std::fs::File::create(&path)?;
         writeln!(f, "# {} — {}", self.id, self.title)?;
@@ -104,14 +104,19 @@ impl Figure {
         Ok(path)
     }
 
-    /// Prints the table and writes the TSV (convenience for the figure
-    /// binaries).
-    pub fn emit(&self) {
+    /// Prints the table and writes `results/<id>.tsv` at the workspace
+    /// root; returns the path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the TSV write failure (the table has been printed by
+    /// then), so a harness can finish its other figures and still exit
+    /// non-zero instead of leaving a stale file behind unnoticed.
+    pub fn emit(&self) -> std::io::Result<PathBuf> {
         self.print();
-        match self.write_tsv() {
-            Ok(path) => println!("  → {}", path.display()),
-            Err(e) => eprintln!("  ! could not write TSV: {e}"),
-        }
+        let path = self.write_tsv(&results_dir())?;
+        println!("  → {}", path.display());
+        Ok(path)
     }
 }
 
@@ -152,5 +157,32 @@ mod tests {
     fn row_width_checked() {
         let mut fig = Figure::new("t", "t", vec!["a".into(), "b".into()]);
         fig.push_row(vec![1.0]);
+    }
+
+    #[test]
+    fn tsv_lands_in_the_given_directory() {
+        let dir = std::env::temp_dir().join(format!("lpbcast-bench-tsv-{}", std::process::id()));
+        let mut fig = Figure::new("t", "title", vec!["x".into(), "y".into()]);
+        fig.push_row(vec![1.0, 0.5]);
+        fig.note("a note");
+        let path = fig
+            .write_tsv(&dir.join("nested"))
+            .expect("writable temp dir");
+        assert_eq!(path, dir.join("nested").join("t.tsv"));
+        let text = std::fs::read_to_string(&path).expect("just written");
+        assert_eq!(text, "# t — title\n# a note\nx\ty\n1\t0.500\n");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn tsv_write_failure_is_returned_not_swallowed() {
+        // A directory cannot be created under a regular file, on any
+        // platform.
+        let file = std::env::temp_dir().join(format!("lpbcast-bench-file-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").expect("writable temp dir");
+        let fig = Figure::new("t", "t", vec!["x".into()]);
+        assert!(fig.write_tsv(&file.join("results")).is_err());
+        assert!(fig.write_tsv(&file).is_err());
+        std::fs::remove_file(&file).expect("cleanup");
     }
 }

@@ -39,8 +39,9 @@ use rand::SeedableRng;
 use crate::engine::Engine;
 use crate::fault::FaultSpec;
 use crate::scenario::spec::{run_scenario_spec, ProtocolKind, ScenarioGenerator, ScenarioSpec};
-use crate::scenario::{build_engine, Bootstrap, LeaveRefused, PbcastScenarioCfg, ScenarioProtocol};
+use crate::scenario::{build_engine, LeaveRefused, PbcastScenarioCfg, ScenarioProtocol};
 use crate::topology::sample_distinct;
+use crate::topology::InitialTopology::UniformRandom;
 
 /// The SWIM-wrapped lpbcast stack the detector arm exercises. Also a
 /// first-class [`ScenarioProtocol`]: the whole scenario suite (churn,
@@ -376,7 +377,7 @@ where
     P: ScenarioProtocol + SwimCensus,
     P::Msg: WireMessage + Send + 'static,
 {
-    let mut engine = build_engine::<P>(Bootstrap::Uniform, n, cfg, loss_rate, fault, seed);
+    let mut engine = build_engine::<P>(UniformRandom, n, cfg, loss_rate, fault, seed);
     engine.run(warmup);
 
     // The catastrophe (if any): crash ⌊fraction·n⌋ processes at once,
@@ -655,8 +656,7 @@ mod tests {
             P: ScenarioProtocol,
             P::Msg: WireMessage + Send + 'static,
         {
-            let mut engine =
-                build_engine::<P>(Bootstrap::Uniform, n, cfg, params.loss_rate, None, 1);
+            let mut engine = build_engine::<P>(UniformRandom, n, cfg, params.loss_rate, None, 1);
             engine.run(params.warmup);
             let mut rng = SmallRng::seed_from_u64(1 ^ 0x6361_7461_7374_726F);
             let crashed = ((params.crash_fraction * n as f64).floor() as usize).min(n - 1);

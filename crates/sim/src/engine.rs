@@ -74,9 +74,12 @@ const MAX_SHARDS: usize = 64;
 const WAKE_LINGER: u8 = 5;
 
 /// Shard count for benchmark and scenario drivers: the `BENCH_SIM_SHARDS`
-/// environment knob, default 1. The default keeps the 1-CPU CI container
-/// on the classic serial path; multi-core hosts opt in to parallelism
-/// without changing any result — every shard count is bit-identical.
+/// environment knob, default 1. Every shard count is bit-identical, so
+/// the knob never changes a result — but it is not free speed: measured
+/// on 2 CPUs, 2 shards cost 25% of the delivery throughput at n = 10³
+/// and 6% at n = 2·10³, and win (+27%) only at n = 10⁴. The default
+/// keeps every run on the serial path; raise it only for systems of
+/// n ≈ 10⁴ and up on a multi-core host (ROADMAP open item (b)).
 pub fn shards_from_env() -> usize {
     std::env::var("BENCH_SIM_SHARDS")
         .ok()
@@ -308,8 +311,13 @@ impl<P: Protocol> EngineBuilder<P> {
 
     /// Partitions the node slab into `shards` contiguous ranges executed
     /// in parallel per round (clamped to 1..=64; default 1 = serial).
-    /// Purely a performance knob: every shard count yields bit-identical
-    /// runs, and 1-thread pools dispatch the shard tasks inline.
+    /// Never a correctness knob: every shard count yields bit-identical
+    /// runs, and 1-thread pools dispatch the shard tasks inline. As a
+    /// performance knob it is a pessimisation below n ≈ 10⁴: the
+    /// partition/merge work costs 6–25% of the delivery throughput at
+    /// n ≤ 2·10³ on 2 CPUs (and 3–9% even at one shard through the
+    /// sharded path, which is why `shards == 1` keeps its own serial
+    /// branch), and pays back (+27%) only from n ≈ 10⁴ up.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, MAX_SHARDS);
         self

@@ -1,15 +1,23 @@
 //! Canned experiment harnesses for the paper's simulation figures.
 //!
-//! These functions build engines with the paper's topology (every process
-//! starts with a uniformly random view of size `l`), run them over many
-//! seeds and aggregate:
+//! The paper asks the same two questions of lpbcast and of the pbcast
+//! baseline under identical conditions (same ε, same τ, same random
+//! views), so there is one body per measurement, generic over the
+//! protocol stack ([`SimParams`]) and over the execution policy
+//! ([`Sweep`]):
 //!
-//! * [`lpbcast_infection_curve`] — mean infected-per-round (Fig. 5(a)/(b)),
-//! * [`pbcast_infection_curve`] — same for the baseline (Fig. 7(a)),
-//! * [`lpbcast_reliability`] / [`pbcast_reliability`] — steady-state
-//!   delivery reliability under a publication rate (Fig. 6, Fig. 7(b)),
+//! * [`infection_curve`] — mean infected-per-round over many seeds
+//!   (Fig. 5(a)/(b) with [`LpbcastSimParams`], Fig. 7(a) with
+//!   [`PbcastSimParams`]),
+//! * [`reliability`] — steady-state delivery reliability under a
+//!   publication rate (Fig. 6, Fig. 7(b)),
 //! * [`lpbcast_view_stats`] — in-degree statistics of the view graph
 //!   (§6.1 uniformity).
+//!
+//! Both stacks boot through [`Bootstrap::engine_builder`], which owns
+//! the topology stream, the per-node seeds, the loss model and the crash
+//! plan — for a given seed the two arms of a comparison draw the same
+//! views, the same loss stream and the same crash schedule.
 
 use lpbcast_core::{Config, Lpbcast};
 use lpbcast_membership::DegreeStats;
@@ -19,22 +27,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::engine::{shards_from_env, Engine, EngineBuilder};
-use crate::network::{CrashPlan, NetworkModel};
-use crate::topology::{ring_view, sample_view_into};
-
-/// How the initial views are laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitialTopology {
-    /// The §4.1 assumption: every view is an independent uniform sample
-    /// of size `l`.
-    #[default]
-    UniformRandom,
-    /// A worst-case clustered start: process `i` knows only its `l`
-    /// successors `i+1..=i+l (mod n)`. Far from uniform — used by the
-    /// §6.1 membership-mixing ablation.
-    Ring,
-}
+use crate::engine::{Engine, EngineBuilder};
+use crate::topology::Bootstrap;
+pub use crate::topology::InitialTopology;
 
 /// Parameters of an lpbcast simulation run.
 #[derive(Debug, Clone)]
@@ -174,9 +169,8 @@ impl PbcastSimParams {
 /// hosts: rayon's scope/join overhead exceeds the win for tiny sweeps.
 const PARALLEL_MIN_SEEDS: usize = 4;
 
-/// Whether the `*_infection_curve` / `*_reliability` sweeps will
-/// dispatch to their serial references for `seed_count` seeds on the
-/// current thread pool.
+/// Whether a [`Sweep::Pool`] sweep will dispatch to the serial
+/// reference for `seed_count` cells on the current thread pool.
 ///
 /// On a single-threaded pool the parallel path is pure overhead
 /// (`BENCH_sim.json` measured a 0.983× "speedup" on the 1-CPU reference
@@ -215,89 +209,96 @@ impl Sweep {
     }
 }
 
-/// Builds an lpbcast engine with `n` nodes and random initial views.
-///
-/// Initial views come from the O(l)-per-node Floyd sampler
-/// ([`crate::topology::sample_view`]) — the whole bootstrap is O(n·l),
-/// not O(n²) (no per-node candidate list is materialized).
-pub fn build_lpbcast_engine(params: &LpbcastSimParams, seed: u64) -> Engine<Lpbcast> {
-    lpbcast_engine_builder(params, seed).build()
+/// A protocol stack the sweeps can measure: parameters that know how
+/// long their run is and how to boot an engine for a seed.
+pub trait SimParams: Clone + Sync {
+    /// The protocol the engine drives.
+    type Protocol: Protocol<Msg: Send> + Send;
+
+    /// Rounds to simulate — also the horizon the crash plan is spread
+    /// over.
+    fn run_rounds(&self) -> u64;
+
+    /// The same parameters over a different number of rounds.
+    #[must_use]
+    fn with_rounds(self, rounds: u64) -> Self;
+
+    /// An [`EngineBuilder`] populated with `n` nodes for `seed` through
+    /// [`Bootstrap::engine_builder`], for callers that stack further
+    /// knobs (wire metering, fault planes, step mode) before sealing the
+    /// engine.
+    fn engine_builder(&self, seed: u64) -> EngineBuilder<Self::Protocol>;
+
+    /// Boots an engine for `seed`.
+    fn build_engine(&self, seed: u64) -> Engine<Self::Protocol> {
+        self.engine_builder(seed).build()
+    }
 }
 
-/// The [`EngineBuilder`] behind [`build_lpbcast_engine`], for callers
-/// that stack further knobs (wire metering, fault planes, step mode)
-/// before sealing the engine.
-pub fn lpbcast_engine_builder(params: &LpbcastSimParams, seed: u64) -> EngineBuilder<Lpbcast> {
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x746F_706F_6C6F_6779);
-    let candidates: Vec<ProcessId> = (1..params.n as u64).map(ProcessId::new).collect();
-    // The origin (p0) is excluded from the crash plan so infection curves
-    // are conditional on a surviving publisher, like the paper's runs.
-    let plan = CrashPlan::draw(&candidates, params.tau, params.rounds.max(1), seed);
-    let mut scratch = Vec::new();
-    let nodes = (0..params.n as u64).map(|i| {
-        let members = match params.topology {
-            InitialTopology::UniformRandom => {
-                sample_view_into(
-                    &mut topo_rng,
-                    i,
-                    params.n,
-                    params.config.view_size,
-                    &mut scratch,
-                );
-                scratch.iter().copied().map(ProcessId::new).collect()
-            }
-            InitialTopology::Ring => ring_view(i, params.n, params.config.view_size),
+impl SimParams for LpbcastSimParams {
+    type Protocol = Lpbcast;
+
+    fn run_rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    fn with_rounds(self, rounds: u64) -> Self {
+        self.rounds(rounds)
+    }
+
+    fn engine_builder(&self, seed: u64) -> EngineBuilder<Lpbcast> {
+        let bootstrap = Bootstrap {
+            n: self.n,
+            view_size: self.config.view_size,
+            topology: self.topology,
+            loss_rate: self.loss_rate,
+            tau: self.tau,
+            rounds: self.rounds,
         };
-        Lpbcast::with_initial_view(
-            ProcessId::new(i),
-            params.config.clone(),
-            seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(i),
-            members,
-        )
-    });
-    Engine::builder(NetworkModel::new(params.loss_rate, seed))
-        .crash_plan(plan)
-        .shards(shards_from_env())
-        .nodes(nodes)
+        bootstrap.engine_builder(seed, |me, node_seed, view| {
+            Lpbcast::with_initial_view(me, self.config.clone(), node_seed, view)
+        })
+    }
 }
 
-/// Builds a pbcast engine with `n` nodes. Partial views use the same
-/// O(l)-per-node sampler as [`build_lpbcast_engine`].
-pub fn build_pbcast_engine(params: &PbcastSimParams, seed: u64) -> Engine<Pbcast> {
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x746F_706F_6C6F_6779);
-    let candidates: Vec<ProcessId> = (1..params.n as u64).map(ProcessId::new).collect();
-    let plan = CrashPlan::draw(&candidates, params.tau, params.rounds.max(1), seed);
-    let mut scratch = Vec::new();
-    let nodes = (0..params.n as u64).map(|i| {
-        let me = ProcessId::new(i);
-        let membership = match params.membership {
-            PbcastMembershipKind::Total => Membership::total(
-                me,
-                (0..params.n as u64).filter(|&j| j != i).map(ProcessId::new),
-            ),
-            PbcastMembershipKind::Partial { l } => {
-                Membership::partial(me, l, params.config.subs_max, {
-                    sample_view_into(&mut topo_rng, i, params.n, l, &mut scratch);
-                    scratch
-                        .iter()
-                        .copied()
-                        .map(ProcessId::new)
-                        .collect::<Vec<_>>()
-                })
-            }
+impl SimParams for PbcastSimParams {
+    type Protocol = Pbcast;
+
+    fn run_rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    fn with_rounds(self, rounds: u64) -> Self {
+        self.rounds(rounds)
+    }
+
+    /// Partial views are drawn from the same topology stream as
+    /// lpbcast's; total views draw nothing.
+    fn engine_builder(&self, seed: u64) -> EngineBuilder<Pbcast> {
+        let bootstrap = Bootstrap {
+            n: self.n,
+            view_size: match self.membership {
+                PbcastMembershipKind::Total => 0,
+                PbcastMembershipKind::Partial { l } => l,
+            },
+            topology: InitialTopology::UniformRandom,
+            loss_rate: self.loss_rate,
+            tau: self.tau,
+            rounds: self.rounds,
         };
-        Pbcast::new(
-            me,
-            params.config.clone(),
-            seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(i),
-            membership,
-        )
-    });
-    Engine::builder(NetworkModel::new(params.loss_rate, seed))
-        .crash_plan(plan)
-        .shards(shards_from_env())
-        .nodes(nodes)
-        .build()
+        let everyone = (0..self.n as u64).map(ProcessId::new);
+        bootstrap.engine_builder(seed, |me, node_seed, view| {
+            let membership = match self.membership {
+                PbcastMembershipKind::Total => {
+                    Membership::total(me, everyone.clone().filter(|&p| p != me))
+                }
+                PbcastMembershipKind::Partial { l } => {
+                    Membership::partial(me, l, self.config.subs_max, view)
+                }
+            };
+            Pbcast::new(me, self.config.clone(), node_seed, membership)
+        })
+    }
 }
 
 /// Runs one dissemination and returns the infected count after each round
@@ -318,7 +319,6 @@ where
 }
 
 fn mean_curves(curves: &[Vec<usize>]) -> Vec<f64> {
-    assert!(!curves.is_empty(), "need at least one run");
     let len = curves[0].len();
     let mut mean = vec![0.0; len];
     for curve in curves {
@@ -333,40 +333,32 @@ fn mean_curves(curves: &[Vec<usize>]) -> Vec<f64> {
     mean
 }
 
-/// Mean lpbcast infected-per-round curve over `seeds` (Fig. 5).
+/// Runs `one` on every seed under `sweep` and returns the results in
+/// seed order — the shared front door of both measurements.
 ///
-/// Seed runs fan out across the thread pool ([`Sweep::Pool`]); the
-/// output is bit-identical to [`lpbcast_infection_curve_serial`]
-/// regardless of the worker count.
-pub fn lpbcast_infection_curve(params: &LpbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    lpbcast_curve(Sweep::Pool, params, seeds)
+/// # Panics
+///
+/// Panics on an empty seed list: a mean over no runs is not a number.
+fn per_seed<T: Send>(sweep: Sweep, seeds: &[u64], one: impl Fn(u64) -> T + Sync) -> Vec<T> {
+    assert!(!seeds.is_empty(), "a sweep needs at least one seed");
+    sweep.map(seeds, |&seed| one(seed))
 }
 
-/// Single-threaded [`lpbcast_infection_curve`] (determinism reference).
-pub fn lpbcast_infection_curve_serial(params: &LpbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    lpbcast_curve(Sweep::Serial, params, seeds)
-}
-
-fn lpbcast_curve(sweep: Sweep, params: &LpbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    let run = |&s: &u64| infection_run(&mut build_lpbcast_engine(params, s), params.rounds);
-    mean_curves(&sweep.map(seeds, run))
-}
-
-/// Mean pbcast infected-per-round curve over `seeds` (Fig. 7(a)).
-/// Parallel over seeds; bit-identical to
-/// [`pbcast_infection_curve_serial`].
-pub fn pbcast_infection_curve(params: &PbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    pbcast_curve(Sweep::Pool, params, seeds)
-}
-
-/// Single-threaded [`pbcast_infection_curve`] (determinism reference).
-pub fn pbcast_infection_curve_serial(params: &PbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    pbcast_curve(Sweep::Serial, params, seeds)
-}
-
-fn pbcast_curve(sweep: Sweep, params: &PbcastSimParams, seeds: &[u64]) -> Vec<f64> {
-    let run = |&s: &u64| infection_run(&mut build_pbcast_engine(params, s), params.rounds);
-    mean_curves(&sweep.map(seeds, run))
+/// Mean infected-per-round curve over `seeds` (Fig. 5 for lpbcast,
+/// Fig. 7(a) for pbcast): p0 publishes one event into a fresh engine per
+/// seed, and `curve[r]` is the mean number of processes that have seen
+/// it at the end of round `r` (`curve[0] = 1`, the origin).
+///
+/// Per-seed curves are folded in seed order, so [`Sweep::Pool`] output
+/// is bit-identical to [`Sweep::Serial`] regardless of the worker count.
+///
+/// # Panics
+///
+/// Panics if `seeds` is empty.
+pub fn infection_curve<S: SimParams>(sweep: Sweep, params: &S, seeds: &[u64]) -> Vec<f64> {
+    let rounds = params.run_rounds();
+    let one = |seed| infection_run(&mut params.build_engine(seed), rounds);
+    mean_curves(&per_seed(sweep, seeds, one))
 }
 
 /// Shape of a steady-state reliability run (Fig. 6): warm the views up,
@@ -429,66 +421,33 @@ where
         .mean
 }
 
-/// Mean lpbcast reliability (1 − β) over `seeds` (Fig. 6(a)/(b)).
+/// Mean reliability (1 − β) over `seeds` (Fig. 6(a)/(b) for lpbcast,
+/// Fig. 7(b) for pbcast).
 ///
-/// Note: the run length is taken from `run`, not `params.rounds`.
-/// Parallel over seeds; per-seed results are summed in seed order, so the
-/// mean is bit-identical to [`lpbcast_reliability_serial`].
-pub fn lpbcast_reliability(params: &LpbcastSimParams, run: &ReliabilityRun, seeds: &[u64]) -> f64 {
-    lpbcast_mean_reliability(Sweep::Pool, params, run, seeds)
-}
-
-/// Single-threaded [`lpbcast_reliability`] (determinism reference).
-pub fn lpbcast_reliability_serial(
-    params: &LpbcastSimParams,
-    run: &ReliabilityRun,
-    seeds: &[u64],
-) -> f64 {
-    lpbcast_mean_reliability(Sweep::Serial, params, run, seeds)
-}
-
-fn lpbcast_mean_reliability(
+/// The run length is taken from `run`, not from the parameters' own
+/// round count: the crash plan is spread over `run`'s total rounds.
+/// Per-seed results are summed in seed order, so [`Sweep::Pool`] output
+/// is bit-identical to [`Sweep::Serial`].
+///
+/// # Panics
+///
+/// Panics if `seeds` is empty.
+pub fn reliability<S: SimParams>(
     sweep: Sweep,
-    params: &LpbcastSimParams,
+    params: &S,
     run: &ReliabilityRun,
     seeds: &[u64],
 ) -> f64 {
-    let params = params.clone().rounds(run.total_rounds());
-    let one = |&s: &u64| reliability_run(&mut build_lpbcast_engine(&params, s), run, s);
-    sweep.map(seeds, one).iter().sum::<f64>() / seeds.len() as f64
-}
-
-/// Mean pbcast reliability over `seeds` (Fig. 7(b)). Parallel over seeds;
-/// bit-identical to [`pbcast_reliability_serial`].
-pub fn pbcast_reliability(params: &PbcastSimParams, run: &ReliabilityRun, seeds: &[u64]) -> f64 {
-    pbcast_mean_reliability(Sweep::Pool, params, run, seeds)
-}
-
-/// Single-threaded [`pbcast_reliability`] (determinism reference).
-pub fn pbcast_reliability_serial(
-    params: &PbcastSimParams,
-    run: &ReliabilityRun,
-    seeds: &[u64],
-) -> f64 {
-    pbcast_mean_reliability(Sweep::Serial, params, run, seeds)
-}
-
-fn pbcast_mean_reliability(
-    sweep: Sweep,
-    params: &PbcastSimParams,
-    run: &ReliabilityRun,
-    seeds: &[u64],
-) -> f64 {
-    let params = params.clone().rounds(run.total_rounds());
-    let one = |&s: &u64| reliability_run(&mut build_pbcast_engine(&params, s), run, s);
-    sweep.map(seeds, one).iter().sum::<f64>() / seeds.len() as f64
+    let params = params.clone().with_rounds(run.total_rounds());
+    let one = |seed| reliability_run(&mut params.build_engine(seed), run, seed);
+    per_seed(sweep, seeds, one).iter().sum::<f64>() / seeds.len() as f64
 }
 
 /// In-degree statistics of the lpbcast view graph after `params.rounds`
 /// rounds of pure membership gossip (no events) — quantifies §6.1's "every
 /// process should ideally be known by exactly l other processes".
 pub fn lpbcast_view_stats(params: &LpbcastSimParams, seed: u64) -> DegreeStats {
-    let mut engine = build_lpbcast_engine(params, seed);
+    let mut engine = params.build_engine(seed);
     engine.run(params.rounds);
     engine.view_graph().in_degree_stats()
 }
@@ -500,7 +459,7 @@ mod tests {
     #[test]
     fn infection_curve_reaches_full_coverage() {
         let params = LpbcastSimParams::paper_defaults(40).rounds(12).tau(0.0);
-        let curve = lpbcast_infection_curve(&params, &[1, 2, 3, 4]);
+        let curve = infection_curve(Sweep::Pool, &params, &[1, 2, 3, 4]);
         assert_eq!(curve.len(), 13);
         assert!((curve[0] - 1.0).abs() < 1e-9, "starts at s0 = 1");
         for w in curve.windows(2) {
@@ -512,11 +471,13 @@ mod tests {
     #[test]
     fn larger_systems_take_longer() {
         let seeds = [1, 2, 3];
-        let small = lpbcast_infection_curve(
+        let small = infection_curve(
+            Sweep::Pool,
             &LpbcastSimParams::paper_defaults(30).rounds(8).tau(0.0),
             &seeds,
         );
-        let large = lpbcast_infection_curve(
+        let large = infection_curve(
+            Sweep::Pool,
             &LpbcastSimParams::paper_defaults(120).rounds(8).tau(0.0),
             &seeds,
         );
@@ -532,7 +493,7 @@ mod tests {
     #[test]
     fn pbcast_total_view_disseminates() {
         let params = PbcastSimParams::figure7_defaults(40, PbcastMembershipKind::Total).rounds(12);
-        let curve = pbcast_infection_curve(&params, &[5, 6]);
+        let curve = infection_curve(Sweep::Pool, &params, &[5, 6]);
         assert!(
             *curve.last().unwrap() > 35.0,
             "pbcast reaches ~n: {curve:?}"
@@ -542,11 +503,13 @@ mod tests {
     #[test]
     fn pbcast_partial_view_tracks_total_view() {
         let seeds = [7, 8, 9];
-        let total = pbcast_infection_curve(
+        let total = infection_curve(
+            Sweep::Pool,
             &PbcastSimParams::figure7_defaults(40, PbcastMembershipKind::Total).rounds(12),
             &seeds,
         );
-        let partial = pbcast_infection_curve(
+        let partial = infection_curve(
+            Sweep::Pool,
             &PbcastSimParams::figure7_defaults(40, PbcastMembershipKind::Partial { l: 10 })
                 .rounds(12),
             &seeds,
@@ -562,7 +525,8 @@ mod tests {
         // Figure 7(a): lpbcast is ahead because hops/repetitions are
         // unlimited.
         let seeds = [11, 12, 13, 14];
-        let lp = lpbcast_infection_curve(
+        let lp = infection_curve(
+            Sweep::Pool,
             &{
                 let mut p = LpbcastSimParams::paper_defaults(60).rounds(8).tau(0.0);
                 p.config = Config::builder()
@@ -575,7 +539,8 @@ mod tests {
             },
             &seeds,
         );
-        let pb = pbcast_infection_curve(
+        let pb = infection_curve(
+            Sweep::Pool,
             &PbcastSimParams::figure7_defaults(60, PbcastMembershipKind::Partial { l: 15 })
                 .rounds(8),
             &seeds,
@@ -609,8 +574,8 @@ mod tests {
                 .build();
             p
         };
-        let small = lpbcast_reliability(&mk(8), &run, &seeds);
-        let large = lpbcast_reliability(&mk(120), &run, &seeds);
+        let small = reliability(Sweep::Pool, &mk(8), &run, &seeds);
+        let large = reliability(Sweep::Pool, &mk(120), &run, &seeds);
         assert!(
             large > small,
             "larger |eventIds|m must improve reliability: {small} vs {large}"
@@ -629,5 +594,18 @@ mod tests {
             "mean in-degree ≈ l: {stats:?}"
         );
         assert!(stats.coefficient_of_variation() < 0.6, "{stats:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep needs at least one seed")]
+    fn infection_curve_rejects_an_empty_seed_list() {
+        let _ = infection_curve(Sweep::Pool, &LpbcastSimParams::paper_defaults(20), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep needs at least one seed")]
+    fn reliability_rejects_an_empty_seed_list() {
+        let params = PbcastSimParams::figure7_defaults(20, PbcastMembershipKind::Total);
+        let _ = reliability(Sweep::Serial, &params, &ReliabilityRun::default(), &[]);
     }
 }

@@ -43,13 +43,14 @@
 //!   distinct-index sampler ([`topology`]); no per-node candidate list is
 //!   materialized, so engine construction is linear in the total view
 //!   volume (the candidate-list build cost ~190 ms at n = 10⁴).
-//! * **Parallel seed sweeps** — every `*_infection_curve` / `*_reliability`
-//!   sweep in [`experiment`] and every scenario grid maps its cells
-//!   through one in-order helper, [`experiment::Sweep::map`]. Each cell
-//!   owns an independent engine and results come back in cell order, so
-//!   the rayon fan-out and the serial reference are bit-identical
-//!   (`*_serial` forms exist as determinism references, proven by
-//!   `tests/sweep_determinism.rs`).
+//! * **Parallel seed sweeps** — the two protocol-generic measurements
+//!   in [`experiment`] ([`experiment::infection_curve`],
+//!   [`experiment::reliability`]) and every scenario grid map their
+//!   cells through one in-order helper, [`experiment::Sweep::map`]. Each
+//!   cell owns an independent engine and results come back in cell
+//!   order, so the rayon fan-out ([`experiment::Sweep::Pool`]) and the
+//!   serial reference ([`experiment::Sweep::Serial`]) are bit-identical
+//!   (proven by `tests/sweep_determinism.rs`).
 //!
 //! Beyond the paper's static figures, [`scenario`] exercises dynamic
 //! membership at scale. A scenario is a **timeline of actions plus one
@@ -68,16 +69,15 @@
 //! variant (worked example in the [`scenario`] module docs).
 //!
 //! `crates/bench/src/bin/bench_sim.rs` times a steady-state round and the
-//! sweep wall-clock against the original `BTreeMap` engine and writes
-//! `BENCH_sim.json` at the workspace root.
+//! sweep wall-clock and writes `BENCH_sim.json` at the workspace root.
 //!
 //! # Example: one dissemination
 //!
 //! ```
-//! use lpbcast_sim::experiment::{LpbcastSimParams, lpbcast_infection_curve};
+//! use lpbcast_sim::experiment::{infection_curve, LpbcastSimParams, Sweep};
 //!
 //! let params = LpbcastSimParams::paper_defaults(64).rounds(12);
-//! let curve = lpbcast_infection_curve(&params, &[1, 2, 3]);
+//! let curve = infection_curve(Sweep::Pool, &params, &[1, 2, 3]);
 //! assert!(curve[0] >= 1.0, "origin infected at round 0");
 //! assert!(*curve.last().unwrap() > 60.0, "near-total infection");
 //! ```
@@ -109,4 +109,6 @@ pub use scenario::spec::{
 pub use scenario::{
     scenarios_tsv, LeaveRefused, Metric, PbcastScenarioCfg, ScenarioProtocol, ScenarioReport,
 };
-pub use topology::{ring_view, sample_distinct, sample_view};
+pub use topology::{
+    node_seed, ring_view, sample_distinct, sample_view, Bootstrap, InitialTopology,
+};

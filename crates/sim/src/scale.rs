@@ -32,7 +32,7 @@ use lpbcast_analysis::infection::{ExpectationModel, InfectionParams};
 use lpbcast_core::{Config, HistoryMode};
 use lpbcast_types::{Payload, ProcessId};
 
-use crate::experiment::{build_lpbcast_engine, lpbcast_engine_builder, LpbcastSimParams};
+use crate::experiment::{LpbcastSimParams, SimParams};
 
 /// §5-extrapolated view size: max(15, ⌈3.1·ln n⌉), reproducing the
 /// paper's l = 15 at n = 125 and growing logarithmically past it
@@ -180,7 +180,7 @@ pub fn run_scale_point(n: usize, opts: &ScaleStudyOpts) -> ScalePoint {
     let mut engine_build_ms = f64::INFINITY;
     for b in 0..build_count {
         let t = Instant::now();
-        let engine = build_lpbcast_engine(&params, opts.seed.wrapping_add(b as u64));
+        let engine = params.build_engine(opts.seed.wrapping_add(b as u64));
         let ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(engine.alive_count(), n, "bootstrap populated the slab");
         engine_build_ms = engine_build_ms.min(ms);
@@ -193,7 +193,7 @@ pub fn run_scale_point(n: usize, opts: &ScaleStudyOpts) -> ScalePoint {
     // window stays ≳10 ms of work at every n; extra steps are cheap
     // exactly where they are needed.
     let steps = opts.measured_steps.max(25_000 / n.max(1)).max(1);
-    let mut engine = build_lpbcast_engine(&params.clone().rounds(u64::MAX / 2), opts.seed);
+    let mut engine = params.clone().rounds(u64::MAX / 2).build_engine(opts.seed);
     engine.publish_from(ProcessId::new(0), Payload::from_static(b"warm"));
     engine.run(5);
     let t = Instant::now();
@@ -204,10 +204,12 @@ pub fn run_scale_point(n: usize, opts: &ScaleStudyOpts) -> ScalePoint {
     // The meter rides the probe engine only — the step-cost engine above
     // stays unmetered so `ns_per_step` keeps measuring the simulator,
     // not the accounting.
-    let mut engine =
-        lpbcast_engine_builder(&params.clone().rounds(rounds), opts.seed ^ 0x5CA1_AB1E)
-            .wire_meter(lpbcast_net::wire_meter())
-            .build();
+    let mut engine = params
+        .clone()
+        .rounds(rounds)
+        .engine_builder(opts.seed ^ 0x5CA1_AB1E)
+        .wire_meter(lpbcast_net::wire_meter())
+        .build();
     let probe = engine.publish_from(ProcessId::new(0), Payload::from_static(b"probe"));
     engine.run(rounds);
     // Measured against the full membership n (never the end-of-run

@@ -92,7 +92,7 @@ use crate::scale::{scaled_buffer_bound, scaled_params, scaled_view_size};
 mod plan;
 pub mod spec;
 
-pub(crate) use plan::{build_engine, Bootstrap};
+pub(crate) use plan::build_engine;
 pub use plan::{scenarios_tsv, Metric, ScenarioReport};
 
 // ─────────────────────── the scenario protocol ────────────────────────

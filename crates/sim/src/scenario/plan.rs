@@ -1,10 +1,10 @@
 //! The scenario timeline and its one driver.
 //!
 //! A [`ScenarioPlan`] is a run written down as data; [`run_plan`] is its
-//! only interpreter. It owns the single [`Engine`] construction site
-//! ([`build_engine`]) and every call that advances or mutates the engine
-//! in scenario code, and returns the one [`ScenarioReport`] every
-//! renderer loops over. Every round goes through the same draw order —
+//! only interpreter. It owns the scenario layer's single [`Engine`]
+//! construction site ([`build_engine`]) and every call that advances or
+//! mutates the engine in scenario code, and returns the one
+//! [`ScenarioReport`] every renderer loops over. Every round goes through the same draw order —
 //! **joins → leaves → load → step → retire due leavers**, the parts an
 //! action does not use contributing zero draws — so a run is a pure
 //! function of `(plan, cfg, seed)` down to the last bit.
@@ -21,22 +21,11 @@ use rand::{Rng, SeedableRng};
 
 use super::spec::{ScenarioGenerator, ScenarioSpec};
 use super::{LeaveRefused, ScenarioProtocol};
-use crate::engine::{shards_from_env, Engine};
+use crate::engine::Engine;
 use crate::fault::{FaultPlane, FaultSpec};
-use crate::network::NetworkModel;
-use crate::topology::{sample_distinct, sample_view_into};
+use crate::topology::{node_seed, sample_distinct, Bootstrap, InitialTopology};
 
 // ─────────────────────────────── the plan ─────────────────────────────
-
-/// How the bootstrap views are laid out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Bootstrap {
-    /// Uniformly random views over the whole membership.
-    Uniform,
-    /// Two halves whose views never cross the divide — a §4.4 partition
-    /// by construction.
-    Halves,
-}
 
 /// The payload every publication of a loaded round carries (its length
 /// feeds the wire meter); `None` is a plain gossip round. A loaded round
@@ -150,7 +139,8 @@ pub(crate) struct ScenarioPlan {
     /// The cell being run: size, loss, load, publisher pool, fault
     /// overlay (a generator may raise `n` to its minimum).
     pub(crate) spec: ScenarioSpec,
-    pub(crate) bootstrap: Bootstrap,
+    /// How the bootstrap views are laid out.
+    pub(crate) bootstrap: InitialTopology,
     /// Salt of the harness RNG stream (`seed ^ salt`): who joins through
     /// whom, who leaves, who crashes, who publishes.
     pub(crate) salt: u64,
@@ -311,19 +301,18 @@ pub fn scenarios_tsv<'a>(reports: impl IntoIterator<Item = &'a ScenarioReport>) 
 // ────────────────────────────── the driver ────────────────────────────
 
 /// Builds the engine every scenario (and the detector A/B) runs on: `n`
-/// bootstrap members with random initial views of size
-/// [`ScenarioProtocol::view_size`] — drawn from the same topology stream
-/// as [`build_lpbcast_engine`](crate::experiment::build_lpbcast_engine)
-/// — an exact wire meter (codec frame lengths; accounting only, it draws
-/// no randomness) and the optional fault overlay salted with the run
-/// seed. The shard count comes from `BENCH_SIM_SHARDS` — purely a
-/// wall-clock knob, since every shard count is bit-identical.
+/// bootstrap members with initial views of size
+/// [`ScenarioProtocol::view_size`] through the shared
+/// [`Bootstrap::engine_builder`] (no crash plan — scenarios crash
+/// processes from their timeline), plus an exact wire meter (codec frame
+/// lengths; accounting only, it draws no randomness) and the optional
+/// fault overlay salted with the run seed.
 ///
 /// # Panics
 ///
-/// Panics on [`Bootstrap::Halves`] with `n < 4`.
+/// Panics on [`InitialTopology::Halves`] with `n < 4`.
 pub(crate) fn build_engine<P: ScenarioProtocol>(
-    bootstrap: Bootstrap,
+    topology: InitialTopology,
     n: usize,
     cfg: &P::Cfg,
     loss_rate: f64,
@@ -333,41 +322,23 @@ pub(crate) fn build_engine<P: ScenarioProtocol>(
 where
     P::Msg: WireMessage + Send + 'static,
 {
-    let split = match bootstrap {
-        Bootstrap::Uniform => n,
-        Bootstrap::Halves => {
-            assert!(n >= 4, "need at least two processes per side");
-            n / 2
-        }
+    let bootstrap = Bootstrap {
+        n,
+        view_size: P::view_size(cfg),
+        topology,
+        loss_rate,
+        tau: 0.0,
+        rounds: 0,
     };
-    let view_size = P::view_size(cfg);
-    let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x746F_706F_6C6F_6779);
-    let mut scratch = Vec::new();
-    let nodes = (0..n as u64).map(|i| {
-        // The usual self-excluding sampler over the node's own island,
-        // in island-local indices, offset to global ids afterwards.
-        let (base, size) = if (i as usize) < split {
-            (0, split)
-        } else {
-            (split as u64, n - split)
-        };
-        sample_view_into(&mut topo_rng, i - base, size, view_size, &mut scratch);
-        let members = scratch.iter().map(|&v| ProcessId::new(base + v)).collect();
-        P::bootstrap(ProcessId::new(i), cfg, node_seed(seed, i), members)
-    });
-    let mut builder = Engine::builder(NetworkModel::new(loss_rate, seed))
-        .wire_meter(wire_meter())
-        .shards(shards_from_env())
-        .nodes(nodes);
+    let mut builder = bootstrap
+        .engine_builder(seed, |id, node_seed, view| {
+            P::bootstrap(id, cfg, node_seed, view)
+        })
+        .wire_meter(wire_meter());
     if let Some(spec) = fault {
         builder = builder.fault_plane(FaultPlane::new(spec, seed));
     }
     builder.build()
-}
-
-/// Per-node protocol seed, shared by bootstrap members and joiners.
-fn node_seed(seed: u64, id: u64) -> u64 {
-    seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(id)
 }
 
 /// Publication-load origin chooser. With `publishers == 0` every event

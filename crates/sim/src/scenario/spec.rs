@@ -26,10 +26,11 @@ use lpbcast_net::WireMessage;
 use lpbcast_pbcast::Pbcast;
 use lpbcast_types::{EventId, Output, Payload, ProcessId, Protocol};
 
-use super::plan::{run_plan, Action, Bootstrap, Goal, Reading, ScenarioPlan, ScenarioReport};
+use super::plan::{run_plan, Action, Goal, Reading, ScenarioPlan, ScenarioReport};
 use super::{LeaveRefused, Metric, ScenarioProtocol};
 use crate::experiment::Sweep;
 use crate::fault::{mix, FaultSpec};
+use crate::topology::InitialTopology;
 
 // ─────────────────────────── the spec itself ──────────────────────────
 
@@ -259,7 +260,7 @@ impl ScenarioSpec {
     fn plan(&self, salt: &[u8; 8], timeline: Vec<Action>) -> ScenarioPlan {
         ScenarioPlan {
             spec: *self,
-            bootstrap: Bootstrap::Uniform,
+            bootstrap: InitialTopology::UniformRandom,
             salt: u64::from_be_bytes(*salt),
             leaves_per_round: 0,
             liar_frac: None,
@@ -498,7 +499,7 @@ fn partition(spec: &ScenarioSpec) -> ScenarioPlan {
         ..*spec
     };
     ScenarioPlan {
-        bootstrap: Bootstrap::Halves,
+        bootstrap: InitialTopology::Halves,
         ..spec.plan(
             b"healbrdg",
             vec![

@@ -1,4 +1,4 @@
-//! Initial-view layouts: O(l)-per-node sampling, no candidate lists.
+//! Initial-view layouts and the one engine bootstrap.
 //!
 //! The §4.1 bootstrap assumption is that every process starts with a
 //! uniformly random view of size `l`. The obvious implementation — build
@@ -13,10 +13,120 @@
 //! `view_size ≥ n−1` wrap clamped so the view is always duplicate- and
 //! self-free (the unclamped `(i + d) mod n` walk used to revisit
 //! residues — including `i` itself — once `d` exceeded `n − 1`).
+//!
+//! [`Bootstrap::engine_builder`] is the only place an experiment,
+//! scenario or detector engine is populated: it owns the topology RNG
+//! stream, the per-node seed formula ([`node_seed`]) and the
+//! loss-model / crash-plan wiring, so every protocol stack compared
+//! side by side starts from the same views, the same loss stream and
+//! the same crash schedule for a given seed.
 
-use lpbcast_types::{FastSet, ProcessId};
+use lpbcast_types::{FastSet, ProcessId, Protocol};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
+
+use crate::engine::{shards_from_env, Engine, EngineBuilder};
+use crate::network::{CrashPlan, NetworkModel};
+
+/// How the initial views are laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum InitialTopology {
+    /// The §4.1 assumption: every view is an independent uniform sample
+    /// of size `l`.
+    #[default]
+    UniformRandom,
+    /// A worst-case clustered start: process `i` knows only its `l`
+    /// successors `i+1..=i+l (mod n)`. Far from uniform — used by the
+    /// §6.1 membership-mixing ablation.
+    Ring,
+    /// Two halves (`0..n/2` and `n/2..n`), each with uniform views over
+    /// its own side only: the views never cross the divide — a §4.4
+    /// partition by construction.
+    Halves,
+}
+
+/// Per-node protocol seed of process `id` in a run seeded with `seed`,
+/// shared by bootstrap members and later joiners.
+pub fn node_seed(seed: u64, id: u64) -> u64 {
+    seed.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(id)
+}
+
+/// The protocol-independent half of an engine build: who is there, what
+/// they initially know, and the §4.1 fault model they run under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bootstrap {
+    /// System size `n` (processes `0..n`).
+    pub n: usize,
+    /// Initial view size `l` (0 draws nothing — for stacks that do not
+    /// start from a sampled view).
+    pub view_size: usize,
+    /// Initial view layout.
+    pub topology: InitialTopology,
+    /// Message-loss probability ε.
+    pub loss_rate: f64,
+    /// Crash fraction τ: `⌊τ·(n−1)⌋` processes crash at uniformly random
+    /// rounds of `1..=rounds` (0 = no crash plan). The origin p0 never
+    /// crashes, so infection curves are conditional on a surviving
+    /// publisher, like the paper's runs.
+    pub tau: f64,
+    /// Rounds the crash plan is spread over.
+    pub rounds: u64,
+}
+
+impl Bootstrap {
+    /// Starts an [`EngineBuilder`] over `n` nodes made by
+    /// `node(id, node_seed, initial_view)`, called in id order, with the
+    /// loss model, the crash plan and the `BENCH_SIM_SHARDS` shard count
+    /// installed. Callers stack further knobs (wire metering, fault
+    /// planes, step mode) before sealing the engine.
+    ///
+    /// The whole bootstrap is O(n·l): views come from the O(l)-per-node
+    /// Floyd sampler, no per-node candidate list is materialized.
+    /// Deterministic per `(self, seed)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`InitialTopology::Halves`] with `n < 4`.
+    pub fn engine_builder<P: Protocol>(
+        &self,
+        seed: u64,
+        mut node: impl FnMut(ProcessId, u64, Vec<ProcessId>) -> P,
+    ) -> EngineBuilder<P> {
+        let Bootstrap { n, view_size, .. } = *self;
+        let split = match self.topology {
+            InitialTopology::Halves => {
+                assert!(n >= 4, "need at least two processes per side");
+                n / 2
+            }
+            _ => n,
+        };
+        let mut topo_rng = SmallRng::seed_from_u64(seed ^ 0x746F_706F_6C6F_6779);
+        let mut scratch = Vec::new();
+        let nodes = (0..n as u64).map(|i| {
+            let members = if self.topology == InitialTopology::Ring {
+                ring_view(i, n, view_size)
+            } else {
+                // The usual self-excluding sampler over the node's own
+                // island (the whole system unless `Halves`), in
+                // island-local indices, offset to global ids afterwards.
+                let (base, size) = if (i as usize) < split {
+                    (0, split)
+                } else {
+                    (split as u64, n - split)
+                };
+                sample_view_into(&mut topo_rng, i - base, size, view_size, &mut scratch);
+                scratch.iter().map(|&v| ProcessId::new(base + v)).collect()
+            };
+            node(ProcessId::new(i), node_seed(seed, i), members)
+        });
+        let candidates: Vec<ProcessId> = (1..n as u64).map(ProcessId::new).collect();
+        let plan = CrashPlan::draw(&candidates, self.tau, self.rounds.max(1), seed);
+        Engine::builder(NetworkModel::new(self.loss_rate, seed))
+            .crash_plan(plan)
+            .shards(shards_from_env())
+            .nodes(nodes)
+    }
+}
 
 /// Draws `k` distinct values from `0..m` into `out` using Floyd's
 /// algorithm: O(k) RNG draws and O(k) memory, no O(m) candidate list.
@@ -65,7 +175,7 @@ pub fn sample_view(rng: &mut SmallRng, me: u64, n: usize, l: usize) -> Vec<Proce
 }
 
 /// [`sample_view`] writing raw ids into a reusable buffer (the engine
-/// builders call this once per node; one allocation serves all n).
+/// bootstrap calls this once per node; one allocation serves all n).
 pub fn sample_view_into(rng: &mut SmallRng, me: u64, n: usize, l: usize, out: &mut Vec<u64>) {
     let m = (n as u64).saturating_sub(1);
     sample_distinct(rng, m, l, out);
@@ -103,7 +213,7 @@ pub fn ring_view(me: u64, n: usize, l: usize) -> Vec<ProcessId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use lpbcast_core::{Config, Lpbcast};
 
     #[test]
     fn sample_distinct_is_exact_and_unique() {
@@ -192,5 +302,44 @@ mod tests {
             ring_view(4, 6, 3),
             vec![ProcessId::new(5), ProcessId::new(0), ProcessId::new(1)]
         );
+    }
+
+    fn bootstrap(n: usize, topology: InitialTopology) -> Bootstrap {
+        Bootstrap {
+            n,
+            view_size: 4,
+            topology,
+            loss_rate: 0.0,
+            tau: 0.0,
+            rounds: 1,
+        }
+    }
+
+    #[test]
+    fn halves_views_never_cross_the_divide() {
+        let n = 11;
+        let _ = bootstrap(n, InitialTopology::Halves).engine_builder(3, |id, seed, view| {
+            let side = |p: ProcessId| p.as_u64() < (n / 2) as u64;
+            assert_eq!(view.len(), 4);
+            assert!(view.iter().all(|&p| p != id && side(p) == side(id)));
+            Lpbcast::with_initial_view(id, Config::default(), seed, view)
+        });
+    }
+
+    #[test]
+    fn crash_plan_spares_the_origin() {
+        let plan = Bootstrap {
+            tau: 0.5,
+            rounds: 3,
+            ..bootstrap(40, InitialTopology::UniformRandom)
+        };
+        let mut engine = plan
+            .engine_builder(5, |id, seed, view| {
+                Lpbcast::with_initial_view(id, Config::default(), seed, view)
+            })
+            .build();
+        engine.run(3);
+        assert_eq!(engine.alive_count(), 40 - 19, "⌊0.5·39⌋ crashes");
+        assert!(engine.is_alive(ProcessId::new(0)));
     }
 }

@@ -2,7 +2,7 @@
 //! determinism invariants under arbitrary parameters.
 
 use lpbcast_core::Config;
-use lpbcast_sim::experiment::{build_lpbcast_engine, InitialTopology, LpbcastSimParams};
+use lpbcast_sim::experiment::{InitialTopology, LpbcastSimParams, SimParams};
 use lpbcast_types::ProcessId;
 use proptest::prelude::*;
 
@@ -54,7 +54,7 @@ proptest! {
         let l = l_seed.min(n - 1).max(1);
         let fanout = fanout_seed.min(l);
         let p = params(n, l, fanout, loss, topology_from_bool(ring));
-        let mut engine = build_lpbcast_engine(&p, seed);
+        let mut engine = p.build_engine(seed);
         let id = engine.publish_from(ProcessId::new(0), "probe".into());
         let mut prev = engine.tracker().infected_count(id);
         prop_assert_eq!(prev, 1, "origin infected at publish");
@@ -84,7 +84,7 @@ proptest! {
     ) {
         let run = || {
             let p = params(n, (n - 1).min(8), 2, loss, InitialTopology::UniformRandom);
-            let mut engine = build_lpbcast_engine(&p, seed);
+            let mut engine = p.build_engine(seed);
             let id = engine.publish_from(ProcessId::new(0), "d".into());
             engine.run(6);
             (
@@ -112,7 +112,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = params(n, (n - 1).min(6), 2, 0.05, topology_from_bool(ring));
-        let mut engine = build_lpbcast_engine(&p, seed);
+        let mut engine = p.build_engine(seed);
         engine.run(rounds);
         let graph = engine.view_graph();
         let in_sum: usize = graph.in_degrees().iter().sum();
@@ -129,7 +129,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let p = params(n, 4.min(n - 1), 2, 0.05, InitialTopology::Ring);
-        let mut engine = build_lpbcast_engine(&p, seed);
+        let mut engine = p.build_engine(seed);
         prop_assert!(!engine.view_graph().is_partitioned(), "ring is connected");
         engine.run(rounds);
         prop_assert!(
@@ -147,7 +147,7 @@ fn fanout_copies_alias_one_gossip_allocation() {
     use std::sync::Arc;
 
     let p = params(30, 10, 3, 0.0, InitialTopology::UniformRandom);
-    let mut engine = build_lpbcast_engine(&p, 5);
+    let mut engine = p.build_engine(5);
     let node = engine.node_mut(ProcessId::new(0)).expect("node 0 exists");
     let outgoing = node.tick().outgoing;
     let arcs: Vec<&Arc<Gossip>> = outgoing

@@ -3,10 +3,8 @@
 //! bit-identical to the serial reference regardless of worker count.
 
 use lpbcast_sim::experiment::{
-    lpbcast_infection_curve, lpbcast_infection_curve_serial, lpbcast_reliability,
-    lpbcast_reliability_serial, pbcast_infection_curve, pbcast_infection_curve_serial,
-    pbcast_reliability, pbcast_reliability_serial, LpbcastSimParams, PbcastMembershipKind,
-    PbcastSimParams, ReliabilityRun,
+    infection_curve, reliability, LpbcastSimParams, PbcastMembershipKind, PbcastSimParams,
+    ReliabilityRun, Sweep,
 };
 use lpbcast_sim::{sweep_specs, sweep_specs_serial, ProtocolKind, ScenarioGenerator, ScenarioSpec};
 
@@ -14,8 +12,8 @@ const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 /// The vendored rayon sizes its worker pool from `RAYON_NUM_THREADS` at
 /// every call; pin it above 1 so the parallel path is genuinely
-/// exercised even on a 1-CPU host — the sweep entry points otherwise
-/// auto-dispatch to the serial reference there, and these bit-identity
+/// exercised even on a 1-CPU host — `Sweep::Pool` otherwise
+/// auto-dispatches to the serial reference there, and these bit-identity
 /// tests would compare the serial path against itself.
 fn force_parallel_pool() {
     std::env::set_var("RAYON_NUM_THREADS", "3");
@@ -41,8 +39,8 @@ fn small_run() -> ReliabilityRun {
 #[test]
 fn parallel_lpbcast_curve_is_bit_identical_to_serial() {
     force_parallel_pool();
-    let parallel = lpbcast_infection_curve(&lp_params(), &SEEDS);
-    let serial = lpbcast_infection_curve_serial(&lp_params(), &SEEDS);
+    let parallel = infection_curve(Sweep::Pool, &lp_params(), &SEEDS);
+    let serial = infection_curve(Sweep::Serial, &lp_params(), &SEEDS);
     // Bit-identity, not approximate equality: each seed owns an
     // independent engine and the mean is folded in seed order either way.
     assert_eq!(parallel, serial);
@@ -51,24 +49,24 @@ fn parallel_lpbcast_curve_is_bit_identical_to_serial() {
 #[test]
 fn parallel_pbcast_curve_is_bit_identical_to_serial() {
     force_parallel_pool();
-    let parallel = pbcast_infection_curve(&pb_params(), &SEEDS);
-    let serial = pbcast_infection_curve_serial(&pb_params(), &SEEDS);
+    let parallel = infection_curve(Sweep::Pool, &pb_params(), &SEEDS);
+    let serial = infection_curve(Sweep::Serial, &pb_params(), &SEEDS);
     assert_eq!(parallel, serial);
 }
 
 #[test]
 fn parallel_lpbcast_reliability_is_bit_identical_to_serial() {
     force_parallel_pool();
-    let parallel = lpbcast_reliability(&lp_params(), &small_run(), &SEEDS);
-    let serial = lpbcast_reliability_serial(&lp_params(), &small_run(), &SEEDS);
+    let parallel = reliability(Sweep::Pool, &lp_params(), &small_run(), &SEEDS);
+    let serial = reliability(Sweep::Serial, &lp_params(), &small_run(), &SEEDS);
     assert_eq!(parallel.to_bits(), serial.to_bits());
 }
 
 #[test]
 fn parallel_pbcast_reliability_is_bit_identical_to_serial() {
     force_parallel_pool();
-    let parallel = pbcast_reliability(&pb_params(), &small_run(), &SEEDS);
-    let serial = pbcast_reliability_serial(&pb_params(), &small_run(), &SEEDS);
+    let parallel = reliability(Sweep::Pool, &pb_params(), &small_run(), &SEEDS);
+    let serial = reliability(Sweep::Serial, &pb_params(), &small_run(), &SEEDS);
     assert_eq!(parallel.to_bits(), serial.to_bits());
 }
 
@@ -110,8 +108,8 @@ fn parallel_churn_cells_are_bit_identical_to_serial() {
 fn repeated_parallel_sweeps_are_stable() {
     // Two parallel runs of the same sweep (potentially different thread
     // schedules) must agree exactly.
-    let a = lpbcast_infection_curve(&lp_params(), &SEEDS);
-    let b = lpbcast_infection_curve(&lp_params(), &SEEDS);
+    let a = infection_curve(Sweep::Pool, &lp_params(), &SEEDS);
+    let b = infection_curve(Sweep::Pool, &lp_params(), &SEEDS);
     assert_eq!(a, b);
 }
 
@@ -120,10 +118,10 @@ fn seed_order_matters_but_seed_set_results_are_stable() {
     // Sanity: permuting seeds changes nothing about per-seed results, so
     // the mean curve is permutation-invariant (mean is order-insensitive
     // over identical per-seed curves).
-    let fwd = lpbcast_infection_curve(&lp_params(), &SEEDS);
+    let fwd = infection_curve(Sweep::Pool, &lp_params(), &SEEDS);
     let mut rev = SEEDS;
     rev.reverse();
-    let bwd = lpbcast_infection_curve(&lp_params(), &rev);
+    let bwd = infection_curve(Sweep::Pool, &lp_params(), &rev);
     for (a, b) in fwd.iter().zip(&bwd) {
         assert!((a - b).abs() < 1e-9, "mean curve differs: {a} vs {b}");
     }

@@ -10,7 +10,7 @@
 
 use lpbcast::core::{Config, Lpbcast};
 use lpbcast::membership::View as _;
-use lpbcast::sim::experiment::{build_lpbcast_engine, InitialTopology, LpbcastSimParams};
+use lpbcast::sim::experiment::{InitialTopology, LpbcastSimParams, SimParams};
 use lpbcast::types::ProcessId;
 
 /// `LPBCAST_EXAMPLE_N` overrides the bootstrap size (CI smoke-runs
@@ -42,7 +42,7 @@ fn main() {
         rounds: 100,
         topology: InitialTopology::UniformRandom,
     };
-    let mut engine = build_lpbcast_engine(&params, 99);
+    let mut engine = params.build_engine(99);
     engine.run(5);
     report(&engine, "after bootstrap");
 

@@ -7,7 +7,7 @@
 
 #![forbid(unsafe_code)]
 
-use lpbcast::sim::experiment::{build_lpbcast_engine, LpbcastSimParams};
+use lpbcast::sim::experiment::{LpbcastSimParams, SimParams};
 use lpbcast::types::ProcessId;
 
 /// `LPBCAST_EXAMPLE_N` overrides the system size (CI smoke-runs shrink it).
@@ -24,7 +24,7 @@ fn main() {
     // ε = 0.05, crash fraction τ = 0.01 (§4.1, §5.2).
     let n = env_usize("LPBCAST_EXAMPLE_N", 64);
     let params = LpbcastSimParams::paper_defaults(n).rounds(12);
-    let mut engine = build_lpbcast_engine(&params, 2026);
+    let mut engine = params.build_engine(2026);
 
     // LPB-CAST from process 0.
     let id = engine.publish_from(ProcessId::new(0), "hello".into());

@@ -11,7 +11,7 @@
 
 use lpbcast::core::Config;
 use lpbcast::sim::experiment::{
-    lpbcast_reliability, InitialTopology, LpbcastSimParams, ReliabilityRun,
+    reliability, InitialTopology, LpbcastSimParams, ReliabilityRun, Sweep,
 };
 
 /// CI smoke-run knobs: `LPBCAST_EXAMPLE_SEEDS` caps the seed count,
@@ -58,7 +58,7 @@ fn main() {
             rounds: 0, // overridden by the run shape
             topology: InitialTopology::UniformRandom,
         };
-        let reliability = lpbcast_reliability(&params, &run, &seeds);
+        let reliability = reliability(Sweep::Pool, &params, &run, &seeds);
         println!(
             "{ids_max:>11}  {reliability:>11.3}  {}",
             "#".repeat((reliability * 50.0) as usize)

@@ -73,18 +73,29 @@
 //! ## Quick start (simulated cluster)
 //!
 //! ```
-//! use lpbcast::sim::experiment::{build_lpbcast_engine, LpbcastSimParams};
+//! use lpbcast::sim::experiment::{
+//!     infection_curve, LpbcastSimParams, PbcastMembershipKind, PbcastSimParams, SimParams,
+//!     Sweep,
+//! };
 //! use lpbcast::types::ProcessId;
 //!
 //! let params = LpbcastSimParams::paper_defaults(64).rounds(10);
-//! let mut engine = build_lpbcast_engine(&params, 42);
+//! let mut engine = params.build_engine(42);
 //! let id = engine.publish_from(ProcessId::new(0), "hello".into());
 //! engine.run(10);
 //! assert!(engine.tracker().infected_count(id) > 60);
+//!
+//! // The paper's side-by-side measurements: one generic sweep, handed
+//! // either stack's parameters, over the same seeds.
+//! let pbcast = PbcastSimParams::figure7_defaults(64, PbcastMembershipKind::Total).rounds(10);
+//! let lp_curve = infection_curve(Sweep::Pool, &params, &[1, 2, 3]);
+//! let pb_curve = infection_curve(Sweep::Pool, &pbcast, &[1, 2, 3]);
+//! assert!(lp_curve[10] > 60.0 && pb_curve[10] > 55.0);
 //! ```
 //!
-//! `build_pbcast_engine` yields the same `Engine` driving `Pbcast`; the
-//! scenario matrix (`sim::run_scenario_spec`, `proto=pbcast;…`) and the UDP
+//! `pbcast.build_engine(42)` yields the same `Engine` driving `Pbcast`,
+//! booted through the same `sim::Bootstrap` (same views, loss stream and
+//! crash plan for a seed); the scenario matrix (`sim::run_scenario_spec`, `proto=pbcast;…`) and the UDP
 //! example (`LPBCAST_UDP_PROTOCOL=pbcast cargo run --example
 //! udp_cluster`) select protocols the same way.
 //!

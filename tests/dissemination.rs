@@ -4,7 +4,7 @@
 
 use lpbcast::analysis::infection::{InfectionModel, InfectionParams};
 use lpbcast::core::Config;
-use lpbcast::sim::experiment::{lpbcast_infection_curve, InitialTopology, LpbcastSimParams};
+use lpbcast::sim::experiment::{infection_curve, InitialTopology, LpbcastSimParams, Sweep};
 
 const EPSILON: f64 = 0.05;
 const SEEDS: [u64; 6] = [1, 2, 3, 4, 5, 6];
@@ -32,7 +32,7 @@ fn simulation_tracks_markov_chain() {
     let rounds = 10;
     let mut model = InfectionModel::new(InfectionParams::new(n, 3).loss_rate(EPSILON));
     let theory = model.expected_curve(rounds);
-    let sim = lpbcast_infection_curve(&sim_params(n, 12, 3, rounds), &SEEDS);
+    let sim = infection_curve(Sweep::Pool, &sim_params(n, 12, 3, rounds), &SEEDS);
     for (r, (t, s)) in theory.iter().zip(&sim).enumerate() {
         let gap = (t - s).abs() / n as f64;
         assert!(
@@ -47,7 +47,7 @@ fn simulation_tracks_markov_chain() {
 fn fanout_ordering_matches_figure_2() {
     let n = 60;
     let area = |fanout: usize| -> f64 {
-        lpbcast_infection_curve(&sim_params(n, 12, fanout, 8), &SEEDS)
+        infection_curve(Sweep::Pool, &sim_params(n, 12, fanout, 8), &SEEDS)
             .iter()
             .sum()
     };
@@ -64,8 +64,8 @@ fn view_size_barely_affects_latency() {
     // The paper's central claim (§4.3 + Fig. 5(b)): l has little impact on
     // dissemination latency.
     let n = 60;
-    let curve_small = lpbcast_infection_curve(&sim_params(n, 6, 3, 10), &SEEDS);
-    let curve_large = lpbcast_infection_curve(&sim_params(n, 30, 3, 10), &SEEDS);
+    let curve_small = infection_curve(Sweep::Pool, &sim_params(n, 6, 3, 10), &SEEDS);
+    let curve_large = infection_curve(Sweep::Pool, &sim_params(n, 30, 3, 10), &SEEDS);
     // Compare round-4 coverage: within 20 % of n of each other.
     let gap = (curve_small[4] - curve_large[4]).abs() / n as f64;
     assert!(
@@ -86,7 +86,7 @@ fn loss_slows_but_does_not_stop_dissemination() {
     let mk = |loss: f64| {
         let mut p = sim_params(n, 12, 3, 14);
         p.loss_rate = loss;
-        lpbcast_infection_curve(&p, &SEEDS)
+        infection_curve(Sweep::Pool, &p, &SEEDS)
     };
     let clean = mk(0.0);
     let lossy = mk(0.30);
@@ -108,7 +108,7 @@ fn appendix_a_recursion_brackets_simulation() {
     let n = 60;
     let approx = ExpectationModel::new(InfectionParams::new(n, 3).loss_rate(EPSILON));
     let theory = approx.expected_curve(10);
-    let sim = lpbcast_infection_curve(&sim_params(n, 12, 3, 10), &SEEDS);
+    let sim = infection_curve(Sweep::Pool, &sim_params(n, 12, 3, 10), &SEEDS);
     // Both end saturated.
     assert!((theory.last().unwrap() - sim.last().unwrap()).abs() < 0.1 * n as f64);
 }

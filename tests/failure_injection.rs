@@ -3,7 +3,7 @@
 
 use lpbcast::core::Config;
 use lpbcast::core::Lpbcast;
-use lpbcast::sim::experiment::{build_lpbcast_engine, InitialTopology, LpbcastSimParams};
+use lpbcast::sim::experiment::{InitialTopology, LpbcastSimParams, SimParams};
 use lpbcast::sim::{CrashPlan, Engine, NetworkModel};
 use lpbcast::types::ProcessId;
 
@@ -69,7 +69,7 @@ fn extreme_loss_degrades_gracefully() {
             rounds: 20,
             topology: InitialTopology::UniformRandom,
         };
-        let mut engine = build_lpbcast_engine(&params, 5);
+        let mut engine = params.build_engine(5);
         let id = engine.publish_from(p(0), "x".into());
         engine.run(20);
         engine.tracker().infected_count(id)
@@ -116,7 +116,7 @@ fn retransmission_repairs_what_push_missed() {
             rounds: 20,
             topology: InitialTopology::UniformRandom,
         };
-        let mut engine = build_lpbcast_engine(&params, seed);
+        let mut engine = params.build_engine(seed);
         let id = engine.publish_from(p(0), "fragile".into());
         engine.run(20);
         engine.tracker().infected_count(id)
@@ -169,7 +169,7 @@ fn paper_fault_envelope_certifies_99_percent() {
     let mut total = 0usize;
     let runs = 5;
     for seed in 0..runs {
-        let mut engine = build_lpbcast_engine(&params, seed);
+        let mut engine = params.build_engine(seed);
         let id = engine.publish_from(p(0), "envelope".into());
         engine.run(10);
         total += engine.tracker().infected_count(id);

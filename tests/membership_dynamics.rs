@@ -3,7 +3,7 @@
 
 use lpbcast::core::{Config, Lpbcast};
 use lpbcast::membership::View as _;
-use lpbcast::sim::experiment::{build_lpbcast_engine, InitialTopology, LpbcastSimParams};
+use lpbcast::sim::experiment::{InitialTopology, LpbcastSimParams, SimParams};
 use lpbcast::sim::{Engine, NetworkModel};
 use lpbcast::types::ProcessId;
 
@@ -34,7 +34,7 @@ fn params(n: usize, l: usize) -> LpbcastSimParams {
 #[test]
 fn views_never_partition_under_normal_operation() {
     for seed in 0..5 {
-        let mut engine = build_lpbcast_engine(&params(50, 8), seed);
+        let mut engine = params(50, 8).build_engine(seed);
         for _ in 0..15 {
             engine.step();
             let graph = engine.view_graph();
@@ -51,7 +51,7 @@ fn views_never_partition_under_normal_operation() {
 fn in_degrees_concentrate_near_l() {
     // §6.1: ideally every process is known by exactly l others. Gossip
     // keeps the distribution centred on l with moderate spread.
-    let mut engine = build_lpbcast_engine(&params(60, 10), 7);
+    let mut engine = params(60, 10).build_engine(7);
     engine.run(40);
     let stats = engine.view_graph().in_degree_stats();
     assert!(
@@ -64,7 +64,7 @@ fn in_degrees_concentrate_near_l() {
 
 #[test]
 fn newcomers_join_through_one_contact() {
-    let mut engine = build_lpbcast_engine(&params(30, 8), 21);
+    let mut engine = params(30, 8).build_engine(21);
     engine.run(5);
     for i in 0..5u64 {
         engine.add_node(Lpbcast::joining(p(30 + i), config(8), 9000 + i, vec![p(i)]));
@@ -93,7 +93,7 @@ fn newcomers_join_through_one_contact() {
 
 #[test]
 fn join_survives_contact_crash_with_multiple_contacts() {
-    let mut engine = build_lpbcast_engine(&params(20, 6), 33);
+    let mut engine = params(20, 6).build_engine(33);
     engine.run(3);
     // The first contact is dead; the round-robin retry reaches the second.
     engine.crash(p(0));
@@ -125,7 +125,7 @@ fn unsubscribed_processes_fade_from_views() {
     // (eviction churn removes stale entries on its own schedule), so the
     // directional claim is asserted over an aggregate of seeds.
     let stale_count = |graceful: bool, seed: u64| -> usize {
-        let mut engine = build_lpbcast_engine(&params(30, 8), seed);
+        let mut engine = params(30, 8).build_engine(seed);
         engine.run(10);
         if graceful {
             engine

@@ -4,8 +4,8 @@
 use lpbcast::core::Config;
 use lpbcast::pbcast::PbcastConfig;
 use lpbcast::sim::experiment::{
-    lpbcast_infection_curve, lpbcast_reliability, pbcast_infection_curve, pbcast_reliability,
-    InitialTopology, LpbcastSimParams, PbcastMembershipKind, PbcastSimParams, ReliabilityRun,
+    infection_curve, reliability, InitialTopology, LpbcastSimParams, PbcastMembershipKind,
+    PbcastSimParams, ReliabilityRun, Sweep,
 };
 
 const SEEDS: [u64; 3] = [11, 22, 33];
@@ -40,9 +40,9 @@ fn run_shape() -> ReliabilityRun {
 fn reliability_monotone_in_event_ids_bound() {
     // Figure 6(b): the strong dependency.
     let n = 50;
-    let r_small = lpbcast_reliability(&lp_params(n, 10, 3, 8), &run_shape(), &SEEDS);
-    let r_mid = lpbcast_reliability(&lp_params(n, 10, 3, 40), &run_shape(), &SEEDS);
-    let r_large = lpbcast_reliability(&lp_params(n, 10, 3, 160), &run_shape(), &SEEDS);
+    let r_small = reliability(Sweep::Pool, &lp_params(n, 10, 3, 8), &run_shape(), &SEEDS);
+    let r_mid = reliability(Sweep::Pool, &lp_params(n, 10, 3, 40), &run_shape(), &SEEDS);
+    let r_large = reliability(Sweep::Pool, &lp_params(n, 10, 3, 160), &run_shape(), &SEEDS);
     assert!(
         r_small < r_mid && r_mid < r_large,
         "expected monotone growth: {r_small:.3} {r_mid:.3} {r_large:.3}"
@@ -58,8 +58,8 @@ fn reliability_only_weakly_depends_on_view_size() {
     // Figure 6(a): "the variation in terms of reliability is only very
     // weak".
     let n = 50;
-    let r_small_view = lpbcast_reliability(&lp_params(n, 8, 3, 60), &run_shape(), &SEEDS);
-    let r_large_view = lpbcast_reliability(&lp_params(n, 24, 3, 60), &run_shape(), &SEEDS);
+    let r_small_view = reliability(Sweep::Pool, &lp_params(n, 8, 3, 60), &run_shape(), &SEEDS);
+    let r_large_view = reliability(Sweep::Pool, &lp_params(n, 24, 3, 60), &run_shape(), &SEEDS);
     assert!(
         (r_large_view - r_small_view).abs() < 0.12,
         "l = 8 vs l = 24 should differ weakly: {r_small_view:.3} vs {r_large_view:.3}"
@@ -73,8 +73,9 @@ fn lpbcast_outpaces_pbcast_with_same_fanout() {
     let mut lp = lp_params(n, 12, 5, 60);
     lp.rounds = 8;
     lp.tau = 0.01;
-    let lp_curve = lpbcast_infection_curve(&lp, &SEEDS);
-    let pb_curve = pbcast_infection_curve(
+    let lp_curve = infection_curve(Sweep::Pool, &lp, &SEEDS);
+    let pb_curve = infection_curve(
+        Sweep::Pool,
         &PbcastSimParams::figure7_defaults(n, PbcastMembershipKind::Partial { l: 12 }).rounds(8),
         &SEEDS,
     );
@@ -94,11 +95,13 @@ fn pbcast_partial_view_behaves_like_total_view() {
     // §6.2: "theoretically the size of the view does not impact the
     // probability of infection".
     let n = 50;
-    let total = pbcast_infection_curve(
+    let total = infection_curve(
+        Sweep::Pool,
         &PbcastSimParams::figure7_defaults(n, PbcastMembershipKind::Total).rounds(10),
         &SEEDS,
     );
-    let partial = pbcast_infection_curve(
+    let partial = infection_curve(
+        Sweep::Pool,
         &PbcastSimParams::figure7_defaults(n, PbcastMembershipKind::Partial { l: 10 }).rounds(10),
         &SEEDS,
     );
@@ -126,7 +129,7 @@ fn pbcast_reliability_sweep_mirrors_lpbcast() {
                     .history_max(60)
                     .build(),
             );
-        pbcast_reliability(&params, &run, &SEEDS)
+        reliability(Sweep::Pool, &params, &run, &SEEDS)
     };
     let r10 = pb(10);
     let r24 = pb(24);
@@ -146,7 +149,7 @@ fn crashes_cost_at_most_the_crashed_fraction() {
     let mut params = lp_params(n, 10, 3, 160);
     params.tau = 0.1; // 5 crashes
     params.rounds = 12;
-    let curve = lpbcast_infection_curve(&params, &SEEDS);
+    let curve = infection_curve(Sweep::Pool, &params, &SEEDS);
     // Everyone alive still gets the event: final coverage ≥ n − crashes − slack.
     assert!(
         *curve.last().unwrap() >= (n - 5 - 2) as f64,
