@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use lpbcast_core::Lpbcast;
-use lpbcast_sim::detector::{detector_study, detector_tsv, DetectorParams};
+use lpbcast_sim::detector::{detector_study, detector_tsv};
 use lpbcast_sim::experiment::{
     infection_curve, sweep_dispatches_serial, LpbcastSimParams, SimParams, Sweep,
 };
@@ -531,30 +531,33 @@ fn main() {
     // (deterministic; seed 1).
     let detector_n = env_usize("BENCH_SIM_DETECTOR_N", 10_000);
     let detector_t = Instant::now();
-    let study = detector_study(&DetectorParams::scaled(detector_n), 1);
+    let study = detector_study(detector_n, 1);
     let detector_wall_ms = detector_t.elapsed().as_secs_f64() * 1e3;
-    for r in &study.reports {
+    let (churn, ab_pairs) = study
+        .split_last()
+        .expect("the study ends with the churn pair");
+    for r in ab_pairs {
         println!(
             "detector {}/{} n={}: recovery off {:?} -> on {:?} rounds, probe reliability {:.4}/{:.4}, {} evictions ({} false), {} suspicions, {} refuted",
             r.scenario,
             r.fault,
-            r.n,
-            r.baseline.recovery_rounds,
-            r.detector.recovery_rounds,
-            r.baseline.probe_reliability,
-            r.detector.probe_reliability,
-            r.detector.evictions,
-            r.detector.false_evictions,
-            r.detector.suspicions,
-            r.detector.refutations
+            r.on.n,
+            r.off.recovery_rounds,
+            r.on.recovery_rounds,
+            r.off["probe_reliability"],
+            r.on["probe_reliability"],
+            r.on["evictions"],
+            r.on["false_evictions"],
+            r.on["suspicions"],
+            r.on["refutations"]
         );
     }
     println!(
         "detector churn A/B: reliability {:.4} with / {:.4} without, joins {}/{} [{:.0} ms total]",
-        study.churn_reliability_with,
-        study.churn_reliability_without,
-        study.churn_joins_with,
-        study.churn_joins_without,
+        churn.on.reliability_mean,
+        churn.off.reliability_mean,
+        churn.on["joins_completed"],
+        churn.off["joins_completed"],
         detector_wall_ms
     );
 
@@ -687,47 +690,43 @@ fn main() {
 
     // Detector A/B section: one object per (scenario, fault) pair with
     // both arms, plus the churn-neutrality comparison.
-    let arm_json = |arm: &lpbcast_sim::detector::DetectorArm| {
+    let arm_json = |arm: &ScenarioReport| {
         let recovery = arm
             .recovery_rounds
             .map_or_else(|| "null".into(), |r| r.to_string());
         format!(
-            "{{\"recovery_rounds\": {recovery}, \"probe_reliability\": {:.5}, \"evictions\": {}, \"false_evictions\": {}, \"suspicions\": {}, \"refutations\": {}}}",
-            arm.probe_reliability,
-            arm.evictions,
-            arm.false_evictions,
-            arm.suspicions,
-            arm.refutations
+            "{{\"recovery_rounds\": {recovery}, \"probe_reliability\": {}, \"evictions\": {}, \"false_evictions\": {}, \"suspicions\": {}, \"refutations\": {}}}",
+            arm["probe_reliability"],
+            arm["evictions"],
+            arm["false_evictions"],
+            arm["suspicions"],
+            arm["refutations"]
         )
     };
     let _ = writeln!(json, "  \"detector\": {{");
     let _ = writeln!(json, "    \"n\": {detector_n},");
     let _ = writeln!(json, "    \"wall_ms\": {detector_wall_ms:.1},");
     json.push_str("    \"reports\": [\n");
-    for (i, r) in study.reports.iter().enumerate() {
+    for (i, r) in ab_pairs.iter().enumerate() {
         let _ = write!(
             json,
             "      {{\"scenario\": \"{}\", \"fault\": \"{}\", \"n\": {}, \"on\": {}, \"off\": {}}}",
             r.scenario,
             r.fault,
-            r.n,
-            arm_json(&r.detector),
-            arm_json(&r.baseline)
+            r.on.n,
+            arm_json(&r.on),
+            arm_json(&r.off)
         );
-        json.push_str(if i + 1 < study.reports.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+        json.push_str(if i + 1 < ab_pairs.len() { ",\n" } else { "\n" });
     }
     json.push_str("    ],\n");
     let _ = writeln!(
         json,
         "    \"churn\": {{\"mean_reliability_with\": {:.5}, \"mean_reliability_without\": {:.5}, \"joins_with\": {}, \"joins_without\": {}}}",
-        study.churn_reliability_with,
-        study.churn_reliability_without,
-        study.churn_joins_with,
-        study.churn_joins_without
+        churn.on.reliability_mean,
+        churn.off.reliability_mean,
+        churn.on["joins_completed"],
+        churn.off["joins_completed"]
     );
     json.push_str("  },\n");
 

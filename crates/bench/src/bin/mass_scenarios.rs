@@ -21,8 +21,9 @@
 //!   (default `lpbcast,pbcast`; also accepts `swim+lpbcast`,
 //!   `swim+pbcast`).
 //! * `MASS_SCENARIOS_GENERATORS` — comma-separated generator labels
-//!   (default all six: `churn,catastrophe,partition,
-//!   repeated_partitions,flash_crowd,byzantine_droppers`).
+//!   (default the six load generators: `churn,catastrophe,partition,
+//!   repeated_partitions,flash_crowd,byzantine_droppers`; the SWIM
+//!   detector A/B cells `detection,noise_window` are accepted too).
 //! * `MASS_SCENARIOS_FAULTS` — comma-separated fault presets applied
 //!   to every cell: `none`, `noisy_links`, `slow_cohort`,
 //!   `silent_droppers` (default `none,noisy_links`).

@@ -70,4 +70,4 @@ pub use book::AddressBook;
 pub use cluster::{Cluster, ClusterBuilder, ClusterStats, LinkFate};
 pub use error::NetError;
 pub use timer::TimerWheel;
-pub use wire::{wire_meter, WireMessage, WireStats};
+pub use wire::{wire_meter, WireMessage};

@@ -227,15 +227,6 @@ pub trait WireMessage: Sized + Clone + core::fmt::Debug {
     fn encoded_len(&self) -> usize;
 }
 
-/// Cumulative byte/message counts of a [`wire_meter`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Messages measured.
-    pub messages: u64,
-    /// Total encoded bytes (frame headers included).
-    pub bytes: u64,
-}
-
 /// Cached-body capacity of a [`wire_meter`]. The cache resets wholesale
 /// when it fills: an eviction *policy* (LRU, random) would make hit
 /// rates — and therefore the keep-alive lifetimes of `Arc`'d bodies —

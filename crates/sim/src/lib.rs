@@ -61,7 +61,8 @@
 //! string-serialisable [`ScenarioSpec`] names one cell of the
 //! protocol × generator × fault matrix (churn, catastrophe, partition,
 //! repeated partitions, flash crowds, Byzantine advertise-but-withhold
-//! droppers); [`run_scenario_spec`] compiles it to its generator's
+//! droppers, and the two cells of the SWIM [`detector`] A/B);
+//! [`run_scenario_spec`] compiles it to its generator's
 //! timeline and returns a [`ScenarioReport`] whose named metrics every
 //! renderer loops over, and [`sweep_specs`] runs grids of cells
 //! rayon-parallel, bit-identical to the serial reference. Adding a
@@ -95,7 +96,7 @@ pub mod scale;
 pub mod scenario;
 pub mod topology;
 
-pub use detector::{detector_study, detector_tsv, DetectorParams, DetectorReport, DetectorStudy};
+pub use detector::{detector_study, detector_tsv, DetectorPair};
 pub use engine::{shards_from_env, Engine, EngineBuilder, StepMode, WireAccounting};
 pub use fault::{Fate, FaultPlane, FaultSpec};
 pub use lpbcast_types::{MembershipEvent, Output, Protocol};
@@ -108,6 +109,7 @@ pub use scenario::spec::{
 };
 pub use scenario::{
     scenarios_tsv, LeaveRefused, Metric, PbcastScenarioCfg, ScenarioProtocol, ScenarioReport,
+    SwimScenarioCfg,
 };
 pub use topology::{
     node_seed, ring_view, sample_distinct, sample_view, Bootstrap, InitialTopology,

@@ -32,7 +32,9 @@
 //!   admitted), up to a cap;
 //! * `OpenWindow` / `CloseWindow` / `ReadWindow` — delimit the rounds
 //!   whose events are measured, then read their delivery reliability;
-//! * `Measure` — read one named metric *now*.
+//! * `Measure` — read one named metric *now* (membership and join
+//!   counts, window and probe readings, view-graph shape, the
+//!   failure-detector census).
 //!
 //! One driver interprets the timeline: it owns the only engine
 //! construction site and the only calls that advance or mutate the
@@ -48,14 +50,21 @@
 //! protocol stack, with and without a fault overlay, to a committed
 //! fixture.
 //!
-//! # Adding a seventh generator
+//! # Adding a ninth generator
 //!
 //! One [`ScenarioGenerator`] variant (with its label and `ALL` slot) and
 //! one compile function wired into `ScenarioSpec::compile` — no
 //! parameter struct, no report type, no driver, no renderer change —
 //! and the cell is spec-string addressable, sweepable by
-//! `mass_scenarios` and one more row block in the golden fixture. Churn
-//! *during* a broadcast, say:
+//! `mass_scenarios` and one more row block in the golden fixture. The
+//! SWIM detector A/B ([`crate::detector`]) is the worked example of a
+//! generator that *did* need something new: its `detection` and
+//! `noise_window` cells are two timelines out of the actions above, and
+//! the one thing the vocabulary lacked was a `Reading` family — the
+//! detector census (`evictions` / `false_evictions` / `suspicions` /
+//! `refutations`), read through
+//! [`ScenarioProtocol::detector_census`]. Churn *during* a broadcast,
+//! say, needs nothing new at all:
 //!
 //! ```text
 //! fn churn_during_broadcast(spec: &ScenarioSpec) -> ScenarioPlan {
@@ -84,6 +93,8 @@
 use std::fmt;
 
 use lpbcast_core::{Config, Lpbcast, Message};
+use lpbcast_membership::{Swim, SwimConfig, SwimMsg};
+use lpbcast_net::WireMessage;
 use lpbcast_pbcast::{GossipDigest, Membership, Pbcast, PbcastConfig, PbcastMessage};
 use lpbcast_types::{ProcessId, Protocol};
 
@@ -92,7 +103,6 @@ use crate::scale::{scaled_buffer_bound, scaled_params, scaled_view_size};
 mod plan;
 pub mod spec;
 
-pub(crate) use plan::build_engine;
 pub use plan::{scenarios_tsv, Metric, ScenarioReport};
 
 // ─────────────────────── the scenario protocol ────────────────────────
@@ -107,16 +117,14 @@ pub struct LeaveRefused;
 /// newcomers enter, how members leave, and what message bridges two
 /// membership islands.
 ///
-/// Implemented for [`Lpbcast`] and [`Pbcast`]; every scenario, bench row
-/// and smoke test instantly covers any further implementation. The
-/// scenario runners additionally require `P::Msg: WireMessage` so every
-/// run meters its transport bytes (`wire_bytes` in the reports).
-pub trait ScenarioProtocol: Protocol + Sized + Send {
+/// Implemented for [`Lpbcast`], [`Pbcast`] and — generically — for
+/// [`Swim`] and [`Byz`](spec::Byz) around either; every scenario, bench
+/// row and smoke test instantly covers any further implementation.
+/// Messages must be [`WireMessage`]s so every run meters its transport
+/// bytes (`wire_bytes` in the reports).
+pub trait ScenarioProtocol: Protocol<Msg: WireMessage + Send + 'static> + Sized + Send {
     /// Scenario-level protocol configuration bundle.
     type Cfg: Clone + fmt::Debug + Send + Sync;
-
-    /// Protocol label used in reports, TSV rows and `BENCH_sim.json`.
-    const NAME: &'static str;
 
     /// The §5-scaled configuration at system size `n` (view/buffer
     /// bounds growing with n as in [`crate::scale`]).
@@ -179,12 +187,19 @@ pub trait ScenarioProtocol: Protocol + Sized + Send {
     fn strict_delivery(cfg: &mut Self::Cfg) {
         let _ = cfg;
     }
+
+    /// What this node's failure detector has done so far: the processes
+    /// it evicted (in order, with multiplicity) and how many suspicions
+    /// it raised and saw refuted. A stack without a detector reports
+    /// nothing — the baseline arm of the [`crate::detector`] A/B reads
+    /// four zeros.
+    fn detector_census(&self) -> (&[ProcessId], u64, u64) {
+        (&[], 0, 0)
+    }
 }
 
 impl ScenarioProtocol for Lpbcast {
     type Cfg = Config;
-
-    const NAME: &'static str = "lpbcast";
 
     fn scaled_cfg(n: usize) -> Config {
         scaled_params(n).config
@@ -275,8 +290,6 @@ pub struct PbcastScenarioCfg {
 impl ScenarioProtocol for Pbcast {
     type Cfg = PbcastScenarioCfg;
 
-    const NAME: &'static str = "pbcast";
-
     /// Figure-7-style pbcast (F = 5, anti-entropy only, §5.2
     /// deliver-on-digest convention) on the §6.2 partial-view membership
     /// layer, with buffers scaled like lpbcast's and the hop/repetition
@@ -364,5 +377,89 @@ impl ScenarioProtocol for Pbcast {
     fn strict_delivery(cfg: &mut PbcastScenarioCfg) {
         cfg.config.deliver_on_digest = false;
         cfg.config.pull = true;
+    }
+}
+
+/// Scenario configuration of a SWIM-wrapped stack: the inner protocol's
+/// scenario configuration plus the detector's timing knobs.
+#[derive(Debug, Clone)]
+pub struct SwimScenarioCfg<C> {
+    /// Inner protocol configuration.
+    pub inner: C,
+    /// Detector configuration.
+    pub swim: SwimConfig,
+}
+
+/// Any stack behind the SWIM failure detector is a stack again, so the
+/// whole scenario matrix runs against `Swim<Lpbcast>` and `Swim<Pbcast>`
+/// unchanged — the latter asks whether explicit failure detection pays
+/// off for the *flat-membership* protocol too.
+impl<P: ScenarioProtocol> ScenarioProtocol for Swim<P> {
+    type Cfg = SwimScenarioCfg<P::Cfg>;
+
+    fn scaled_cfg(n: usize) -> Self::Cfg {
+        SwimScenarioCfg {
+            inner: P::scaled_cfg(n),
+            swim: SwimConfig::scaled(n),
+        }
+    }
+
+    fn size_for_leave_rate(cfg: &mut Self::Cfg, leaves_per_round: usize) {
+        P::size_for_leave_rate(&mut cfg.inner, leaves_per_round);
+    }
+
+    fn view_size(cfg: &Self::Cfg) -> usize {
+        P::view_size(&cfg.inner)
+    }
+
+    fn bootstrap(id: ProcessId, cfg: &Self::Cfg, seed: u64, members: Vec<ProcessId>) -> Self {
+        let inner = P::bootstrap(id, &cfg.inner, seed, members);
+        Swim::new(inner, cfg.swim.clone(), seed)
+    }
+
+    fn joiner(id: ProcessId, cfg: &Self::Cfg, seed: u64, contacts: Vec<ProcessId>) -> Self {
+        let inner = P::joiner(id, &cfg.inner, seed, contacts);
+        Swim::new(inner, cfg.swim.clone(), seed)
+    }
+
+    fn request_leave(&mut self) -> Result<(), LeaveRefused> {
+        self.inner_mut().request_leave()
+    }
+
+    fn join_pending(&self) -> bool {
+        self.inner().join_pending()
+    }
+
+    fn leave_pending(&self) -> bool {
+        self.inner().leave_pending()
+    }
+
+    /// The inner bridge wrapped with an empty piggyback — the §3.4
+    /// `Subscribe` travels through the detector layer like any other
+    /// inner message.
+    fn bridge(from: ProcessId) -> SwimMsg<P::Msg> {
+        SwimMsg::Wrapped {
+            inner: P::bridge(from),
+            updates: Vec::new(),
+        }
+    }
+
+    /// A Byzantine wrapper node lies through the detector layer too:
+    /// the inner payload is withheld, but pings, acks and membership
+    /// piggybacks flow — the liar stays impeccably *alive*.
+    fn withhold(msg: &mut SwimMsg<P::Msg>) -> bool {
+        match msg {
+            SwimMsg::Wrapped { inner, .. } => P::withhold(inner),
+            _ => true,
+        }
+    }
+
+    fn strict_delivery(cfg: &mut Self::Cfg) {
+        P::strict_delivery(&mut cfg.inner);
+    }
+
+    fn detector_census(&self) -> (&[ProcessId], u64, u64) {
+        let stats = self.swim_stats();
+        (self.evictions(), stats.suspicions, stats.refutations)
     }
 }

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Index;
 
-use lpbcast_net::{wire_meter, WireMessage};
+use lpbcast_net::wire_meter;
 use lpbcast_types::{EventId, FastSet, Payload, ProcessId, Protocol};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -67,6 +67,17 @@ pub(crate) enum Reading {
     /// Undirected view-graph components.
     Components,
     LargestComponent,
+    /// The failure-detector census
+    /// ([`ScenarioProtocol::detector_census`] summed over every node
+    /// the engine holds, crashed ones included): evictions issued …
+    Evictions,
+    /// … those among them whose target is still alive in the engine —
+    /// detector mistakes, whether or not anybody else crashed or left …
+    FalseEvictions,
+    /// … suspicions raised, and suspicions refuted by an incarnation
+    /// bump. All zero on a stack without a detector.
+    Suspicions,
+    Refutations,
 }
 
 /// One step of a scenario timeline.
@@ -222,7 +233,8 @@ impl fmt::Display for Metric {
 /// generator does not report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
-    /// Protocol the run exercised ([`ScenarioProtocol::NAME`]).
+    /// Protocol stack the run exercised
+    /// ([`ProtocolKind::name`](super::spec::ProtocolKind::name)).
     pub protocol: &'static str,
     /// Generator that produced the run.
     pub generator: ScenarioGenerator,
@@ -300,9 +312,8 @@ pub fn scenarios_tsv<'a>(reports: impl IntoIterator<Item = &'a ScenarioReport>) 
 
 // ────────────────────────────── the driver ────────────────────────────
 
-/// Builds the engine every scenario (and the detector A/B) runs on: `n`
-/// bootstrap members with initial views of size
-/// [`ScenarioProtocol::view_size`] through the shared
+/// Builds the engine every scenario runs on: `n` bootstrap members with
+/// initial views of size [`ScenarioProtocol::view_size`] through the shared
 /// [`Bootstrap::engine_builder`] (no crash plan — scenarios crash
 /// processes from their timeline), plus an exact wire meter (codec frame
 /// lengths; accounting only, it draws no randomness) and the optional
@@ -311,17 +322,14 @@ pub fn scenarios_tsv<'a>(reports: impl IntoIterator<Item = &'a ScenarioReport>) 
 /// # Panics
 ///
 /// Panics on [`InitialTopology::Halves`] with `n < 4`.
-pub(crate) fn build_engine<P: ScenarioProtocol>(
+fn build_engine<P: ScenarioProtocol>(
     topology: InitialTopology,
     n: usize,
     cfg: &P::Cfg,
     loss_rate: f64,
     fault: Option<FaultSpec>,
     seed: u64,
-) -> Engine<P>
-where
-    P::Msg: WireMessage + Send + 'static,
-{
+) -> Engine<P> {
     let bootstrap = Bootstrap {
         n,
         view_size: P::view_size(cfg),
@@ -378,11 +386,11 @@ impl LoadGen {
 }
 
 /// Runs one scenario timeline. Deterministic per `(P, plan, cfg, seed)`.
-pub(crate) fn run_plan<P>(plan: &ScenarioPlan, cfg: &P::Cfg, seed: u64) -> ScenarioReport
-where
-    P: ScenarioProtocol,
-    P::Msg: WireMessage + Send + 'static,
-{
+pub(crate) fn run_plan<P: ScenarioProtocol>(
+    plan: &ScenarioPlan,
+    cfg: &P::Cfg,
+    seed: u64,
+) -> ScenarioReport {
     let spec = &plan.spec;
     let fault = match plan.tear {
         Some(tear) => Some(FaultSpec {
@@ -432,7 +440,7 @@ where
     run.metrics
         .sort_by_key(|(name, _)| column(name).unwrap_or(usize::MAX));
     ScenarioReport {
-        protocol: P::NAME,
+        protocol: spec.protocol.name(),
         generator: spec.generator,
         n: spec.n,
         rounds: run.engine.round(),
@@ -478,10 +486,7 @@ struct Run<'a, P: ScenarioProtocol> {
     reliability: Option<(f64, f64, usize)>,
 }
 
-impl<P: ScenarioProtocol> Run<'_, P>
-where
-    P::Msg: WireMessage + Send + 'static,
-{
+impl<P: ScenarioProtocol> Run<'_, P> {
     fn exec(&mut self, action: &Action) {
         let n = self.spec.n;
         match *action {
@@ -618,6 +623,12 @@ where
                     Reading::LargestComponent => {
                         Metric::Count(engine.view_graph().undirected_components().largest_size())
                     }
+                    Reading::Evictions => self.census(|(evicted, _, _)| evicted.len()),
+                    Reading::FalseEvictions => self.census(|(evicted, _, _)| {
+                        evicted.iter().filter(|&&p| engine.is_alive(p)).count()
+                    }),
+                    Reading::Suspicions => self.census(|(_, raised, _)| raised as usize),
+                    Reading::Refutations => self.census(|(_, _, refuted)| refuted as usize),
                 };
                 self.record(metric, value);
             }
@@ -732,6 +743,13 @@ where
 
     fn probe(&self) -> EventId {
         self.probe.expect("the timeline published a probe first")
+    }
+
+    /// One column of [`ScenarioProtocol::detector_census`], summed over
+    /// every node the engine holds.
+    fn census(&self, column: impl Fn((&[ProcessId], u64, u64)) -> usize) -> Metric {
+        let nodes = self.engine.nodes();
+        Metric::Count(nodes.map(|(_, node)| column(node.detector_census())).sum())
     }
 
     /// `(mean, min, events)` of the per-event delivery fractions of the

@@ -21,8 +21,7 @@ use core::fmt;
 use core::str::FromStr;
 
 use lpbcast_core::Lpbcast;
-use lpbcast_membership::Swim;
-use lpbcast_net::WireMessage;
+use lpbcast_membership::{Swim, SwimConfig};
 use lpbcast_pbcast::Pbcast;
 use lpbcast_types::{EventId, Output, Payload, ProcessId, Protocol};
 
@@ -129,17 +128,34 @@ pub enum ScenarioGenerator {
     /// id-counts-as-received convention a withheld payload would cost
     /// nothing.
     ByzantineDroppers,
+    /// The crash half of the SWIM detector A/B ([`crate::detector`]): a
+    /// correlated crash of 45% of all processes, a detection gap that
+    /// both arms idle through (one probe cycle, the suspect timeout, the
+    /// confirm flood), then the recovery time of a probe through the
+    /// survivors and the detector census. Run it on a bare and on a
+    /// `swim+` stack to compare eviction with passive view decay — the
+    /// paper treats crashed processes as mere message loss (§4.1).
+    Detection,
+    /// The precision half: the same probe and census over a full
+    /// no-crash window. Nobody is dead, so under a noisy fault overlay
+    /// ([`FaultSpec::noisy_links`], [`FaultSpec::slow_cohort`]) every
+    /// eviction is a detector mistake, and the refutations are the
+    /// suspected-but-alive nodes that saved themselves by bumping their
+    /// incarnation.
+    NoiseWindow,
 }
 
 impl ScenarioGenerator {
     /// Every generator, in canonical sweep order.
-    pub const ALL: [ScenarioGenerator; 6] = [
+    pub const ALL: [ScenarioGenerator; 8] = [
         ScenarioGenerator::Churn,
         ScenarioGenerator::Catastrophe,
         ScenarioGenerator::Partition,
         ScenarioGenerator::RepeatedPartitions,
         ScenarioGenerator::FlashCrowd,
         ScenarioGenerator::ByzantineDroppers,
+        ScenarioGenerator::Detection,
+        ScenarioGenerator::NoiseWindow,
     ];
 
     /// The label used in spec strings, reports and TSV rows.
@@ -151,6 +167,8 @@ impl ScenarioGenerator {
             ScenarioGenerator::RepeatedPartitions => "repeated_partitions",
             ScenarioGenerator::FlashCrowd => "flash_crowd",
             ScenarioGenerator::ByzantineDroppers => "byzantine_droppers",
+            ScenarioGenerator::Detection => "detection",
+            ScenarioGenerator::NoiseWindow => "noise_window",
         }
     }
 }
@@ -192,7 +210,8 @@ pub struct ScenarioSpec {
     /// Generator-specific round knob (0 = generator default): churn
     /// rounds, catastrophe pre/post window, partition isolation rounds,
     /// repeated-partition window length, flash-crowd measurement
-    /// window, byzantine load rounds.
+    /// window, byzantine load rounds, detection recovery cap,
+    /// noise-window length.
     pub rounds: u64,
     /// Events published per loaded round (the §5 measurement load).
     pub rate: usize,
@@ -202,9 +221,9 @@ pub struct ScenarioSpec {
     pub loss_rate: f64,
     /// Generator-specific fraction knob in `[0, 1]` (0 = default):
     /// churn intensity (joins = leaves = `fraction·n` per round),
-    /// catastrophe crash fraction, repeated-partition side-B fraction,
-    /// flash-crowd joiner fraction, byzantine liar fraction. The
-    /// partition generator ignores it.
+    /// catastrophe and detection crash fraction, repeated-partition
+    /// side-B fraction, flash-crowd joiner fraction, byzantine liar
+    /// fraction. The partition and noise-window generators ignore it.
     pub fraction: f64,
     /// Repeated-partition cycle count (0 = default; other generators
     /// ignore it).
@@ -279,6 +298,8 @@ impl ScenarioSpec {
             ScenarioGenerator::RepeatedPartitions => repeated_partitions(self),
             ScenarioGenerator::FlashCrowd => flash_crowd(self),
             ScenarioGenerator::ByzantineDroppers => byzantine_droppers(self),
+            ScenarioGenerator::Detection => detection(self),
+            ScenarioGenerator::NoiseWindow => noise_window(self),
         }
     }
 }
@@ -372,9 +393,13 @@ impl FromStr for ScenarioSpec {
                 _ => return Err(err()),
             }
         }
-        // Neither can a catastrophe crash everyone — checked once every
-        // key is in, since they arrive in any order.
-        if spec.generator == ScenarioGenerator::Catastrophe && spec.fraction >= 1.0 {
+        // Neither can a crash take everyone — checked once every key is
+        // in, since they arrive in any order.
+        let crashes = matches!(
+            spec.generator,
+            ScenarioGenerator::Catastrophe | ScenarioGenerator::Detection
+        );
+        if crashes && spec.fraction >= 1.0 {
             return Err(ScenarioSpecParseError {
                 fragment: format!("fraction={}", spec.fraction),
             });
@@ -390,7 +415,7 @@ impl FromStr for ScenarioSpec {
     }
 }
 
-// ─────────────────────────── the six generators ───────────────────────
+// ────────────────────────── the eight generators ──────────────────────
 
 /// A spec knob, with `default` standing in for an unset (zero) one.
 fn or<T: PartialOrd + Default>(knob: T, default: T) -> T {
@@ -604,6 +629,66 @@ fn byzantine_droppers(spec: &ScenarioSpec) -> ScenarioPlan {
     }
 }
 
+/// The probe-and-census tail the two detector cells share: p0's probe
+/// gets `cap` rounds to reach 99% of the members alive now, then its
+/// coverage and the four census counts are read.
+fn probe_and_census(cap: u64, stop_on_hit: bool) -> [Action; 7] {
+    [
+        Action::Probe(b"detector-probe"),
+        Action::Await {
+            metric: "recovery_rounds".into(),
+            goal: Goal::Probe,
+            cap,
+            load: None,
+            stop_on_hit,
+        },
+        Action::Measure("probe_reliability", Reading::ProbeCoverage),
+        Action::Measure("evictions", Reading::Evictions),
+        Action::Measure("false_evictions", Reading::FalseEvictions),
+        Action::Measure("suspicions", Reading::Suspicions),
+        Action::Measure("refutations", Reading::Refutations),
+    ]
+}
+
+/// 8 quiet rounds (view mixing and the detector's first probe sweeps),
+/// a 45% (`fraction`) crash from the catastrophe's victim stream, the
+/// detection gap, then a recovery probe capped at 40 (`rounds`). The
+/// cohort is harsher than the catastrophe's 30% on purpose: stale-view
+/// fanout waste grows with the dead fraction, so this is the regime
+/// where eviction-vs-passive-decay differences clear the one-round
+/// quantization of the recovery measurement.
+fn detection(spec: &ScenarioSpec) -> ScenarioPlan {
+    // One probe cycle to notice the silence, the suspect timeout to
+    // confirm, and then the Confirm flood itself: with fraction·n
+    // deaths the piggyback queue carries thousands of distinct updates,
+    // and epidemic coverage of the survivors takes O(log n) extra
+    // rounds (at n=10⁴ survivors' views are ~35% dead entries ten
+    // rounds post-crash but ~14% vs the bare stack's ~29% at twenty).
+    // Deliberately no longer than that: lpbcast's passive view rotation
+    // (§3.4 subs swaps) also scrubs dead entries eventually, so an
+    // over-generous window hands the bare stack the same cleanup for
+    // free and measures nothing. Every stack idles through the same
+    // gap; only a detector spends it confirming and evicting.
+    let gap = 6
+        + SwimConfig::scaled(spec.n).suspect_timeout
+        + 2 * u64::from(spec.n.max(2).ilog2().saturating_sub(8));
+    let mut timeline = vec![
+        Action::Quiet(8),
+        Action::Crash(or(spec.fraction, 0.45)),
+        Action::Quiet(gap),
+    ];
+    timeline.extend(probe_and_census(or(spec.rounds, 40), true));
+    spec.plan(b"catastro", timeline)
+}
+
+/// 8 quiet rounds, then the probe and a full 30-round (`rounds`) window
+/// with nobody crashed — the false-positive census. Ignores `fraction`.
+fn noise_window(spec: &ScenarioSpec) -> ScenarioPlan {
+    let mut timeline = vec![Action::Quiet(8)];
+    timeline.extend(probe_and_census(or(spec.rounds, 30), false));
+    spec.plan(b"catastro", timeline)
+}
+
 // ──────────────────────── the Byzantine wrapper ───────────────────────
 
 /// The advertise-but-withhold adversary wrapper: delegates the entire
@@ -697,8 +782,6 @@ fn unit(h: u64) -> f64 {
 impl<P: ScenarioProtocol> ScenarioProtocol for Byz<P> {
     type Cfg = ByzCfg<P::Cfg>;
 
-    const NAME: &'static str = P::NAME;
-
     /// An honest wrapper by default (`liar_frac = 0`) over the inner
     /// strict-delivery configuration; the Byzantine generator fills in
     /// the cohort.
@@ -758,14 +841,15 @@ impl<P: ScenarioProtocol> ScenarioProtocol for Byz<P> {
     fn strict_delivery(cfg: &mut Self::Cfg) {
         P::strict_delivery(&mut cfg.inner);
     }
+
+    fn detector_census(&self) -> (&[ProcessId], u64, u64) {
+        self.inner.detector_census()
+    }
 }
 
 // ──────────────────────── running a spec cell ─────────────────────────
 
-fn run_spec_on<P: ScenarioProtocol>(spec: &ScenarioSpec, seed: u64) -> ScenarioReport
-where
-    P::Msg: WireMessage + Send + 'static,
-{
+fn run_spec_on<P: ScenarioProtocol>(spec: &ScenarioSpec, seed: u64) -> ScenarioReport {
     let plan = spec.compile();
     let n = plan.spec.n;
     let mut cfg = P::scaled_cfg(n);
@@ -884,7 +968,6 @@ mod tests {
     #[test]
     fn churn_keeps_disseminating() {
         let report = run_plan::<Lpbcast>(&small_churn(), &small_config(), 7);
-        assert_eq!(report.protocol, "lpbcast");
         assert_eq!(report["joins_attempted"], Metric::Count(20));
         assert!(
             report["joins_completed"].value() > 10.0,
@@ -910,7 +993,6 @@ mod tests {
     #[test]
     fn pbcast_churn_runs_and_joins() {
         let report = run_plan::<Pbcast>(&small_churn(), &small_pbcast_config(), 7);
-        assert_eq!(report.protocol, "pbcast");
         assert_eq!(report["joins_attempted"], Metric::Count(20));
         assert!(
             report["joins_completed"].value() <= report["joins_attempted"].value(),
@@ -1074,7 +1156,6 @@ mod tests {
     fn pbcast_catastrophe_recovers() {
         let plan = small_catastrophe(60, 0.4, 6, 5);
         let report = run_plan::<Pbcast>(&plan, &small_pbcast_config(), 11);
-        assert_eq!(report.protocol, "pbcast");
         assert_eq!(report["crashed"], Metric::Count(24));
         assert!(
             report["reliability_before"].value() > 0.8,
@@ -1124,7 +1205,6 @@ mod tests {
     fn pbcast_partition_heals_through_digest_bridges() {
         let plan = small(ScenarioGenerator::Partition, 60, 4, 0).compile();
         let report = run_plan::<Pbcast>(&plan, &small_pbcast_config(), 9);
-        assert_eq!(report.protocol, "pbcast");
         assert_eq!(report["components_before"], Metric::Count(2), "{report:?}");
         assert!(
             report["rounds_to_connect"].rounds().is_some(),
@@ -1204,6 +1284,7 @@ mod tests {
         assert!("fraction=1;gen=catastrophe"
             .parse::<ScenarioSpec>()
             .is_err());
+        assert!("gen=detection;fraction=1".parse::<ScenarioSpec>().is_err());
         // fraction=1 is a legal intensity for the other generators.
         assert!("gen=flash_crowd;fraction=1".parse::<ScenarioSpec>().is_ok());
         // Omitted keys default; empty fragments are tolerated; "swim"

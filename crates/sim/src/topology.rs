@@ -14,8 +14,8 @@
 //! self-free (the unclamped `(i + d) mod n` walk used to revisit
 //! residues — including `i` itself — once `d` exceeded `n − 1`).
 //!
-//! [`Bootstrap::engine_builder`] is the only place an experiment,
-//! scenario or detector engine is populated: it owns the topology RNG
+//! [`Bootstrap::engine_builder`] is the only place an experiment or
+//! scenario engine is populated: it owns the topology RNG
 //! stream, the per-node seed formula ([`node_seed`]) and the
 //! loss-model / crash-plan wiring, so every protocol stack compared
 //! side by side starts from the same views, the same loss stream and

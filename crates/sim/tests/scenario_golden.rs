@@ -6,8 +6,11 @@
 //! the timeline driver replaced (the commit before `run_plan` existed),
 //! so it is the proof that re-expressing scenarios as data changed no
 //! bit of any run — and from now on, that nobody else does by accident.
-//! The last twelve cells move every spec knob off its default
-//! (random-origin load, custom rounds / fraction / cycles).
+//! The last cells move every spec knob off its default (random-origin
+//! load, custom rounds / fraction / cycles). The `detection` and
+//! `noise_window` row blocks joined when the SWIM detector A/B became
+//! spec cells — additions only; `tests/detector_golden.rs` ties them to
+//! the driver they replaced.
 //!
 //! When a change *means* to move these numbers, the failing run writes
 //! the new rendering next to the test binary's temp dir; review the

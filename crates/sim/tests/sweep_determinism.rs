@@ -77,7 +77,7 @@ fn parallel_churn_cells_are_bit_identical_to_serial() {
     // through the unsubscribe path, publication load from random
     // origins, per-seed engines — on both the bare and the SWIM-wrapped
     // stack, one cell per seed.
-    let cells: Vec<(ScenarioSpec, u64)> = [ProtocolKind::Lpbcast, ProtocolKind::SwimLpbcast]
+    let mut cells: Vec<(ScenarioSpec, u64)> = [ProtocolKind::Lpbcast, ProtocolKind::SwimLpbcast]
         .into_iter()
         .flat_map(|proto| {
             let spec = ScenarioSpec {
@@ -90,18 +90,24 @@ fn parallel_churn_cells_are_bit_identical_to_serial() {
             SEEDS.map(|seed| (spec, seed))
         })
         .collect();
+    // Plus one cell of the SWIM detector A/B: a crash, evictions, and
+    // the census read off every node.
+    let detection = ScenarioSpec::new(ProtocolKind::SwimLpbcast, ScenarioGenerator::Detection, 40);
+    cells.push((detection, SEEDS[0]));
     let parallel = sweep_specs(&cells);
     let serial = sweep_specs_serial(&cells);
     // Full structural equality, report by report — churn mutates the
     // engine mid-run (add_node/remove_node), so this also proves the
     // slab bookkeeping is schedule-independent.
     assert_eq!(parallel, serial);
+    let (detection, churn) = parallel.split_last().expect("cells were run");
     assert!(
-        parallel
+        churn
             .iter()
             .all(|r| r["leaves_completed"].value() > 0.0 && r["joins_attempted"].value() == 16.0),
         "every cell actually churned"
     );
+    assert!(detection["evictions"].value() > 0.0, "{detection:?}");
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //! | driver | generic form | runs |
 //! |--------|--------------|------|
 //! | simulation engine | [`sim::Engine<P>`](sim::Engine) | synchronous §5.1 rounds for any protocol |
-//! | scenario driver | [`sim::scenario`] (`ScenarioProtocol`) | six generators (churn, catastrophe, partition, …) as timelines, every stack side by side |
+//! | scenario driver | [`sim::scenario`] (`ScenarioProtocol`) | eight generators (churn, catastrophe, partition, …, the SWIM detector A/B) as timelines, every stack side by side |
 //! | UDP runtime | [`net::Cluster<P>`](net::Cluster) | one to thousands of instances per process over nonblocking sockets, batched datagrams |
 //!
 //! This facade crate re-exports the workspace:
