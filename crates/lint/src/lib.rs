@@ -10,7 +10,8 @@
 //!   written justification.
 //! - **D2** `ambient-entropy`/`wall-clock` — no `thread_rng`,
 //!   `RandomState`, `SystemTime`, `Instant` in the sans-IO protocol
-//!   crates (types, membership, core, pbcast, pubsub).
+//!   crates (types, membership, core, pbcast, pubsub) or where results
+//!   are made from them (analysis, sim).
 //! - **D3** `tag-*` — the wire-kind registry in `crates/net/src/wire.rs`
 //!   (`mod tag` constants vs the `//! kind N — …` doc header vs codec
 //!   code) must be collision-free, complete, and literal-free.
@@ -36,8 +37,17 @@ use std::path::{Path, PathBuf};
 use config::Config;
 use rules::Finding;
 
-/// Sans-IO protocol crates: rule D2's scope.
-const SANS_IO_CRATES: &[&str] = &["types", "membership", "core", "pbcast", "pubsub"];
+/// Rule D2's scope: the sans-IO protocol crates, plus the simulator and
+/// the analytical models that produce every committed result from them.
+const SANS_IO_CRATES: &[&str] = &[
+    "types",
+    "membership",
+    "core",
+    "pbcast",
+    "pubsub",
+    "analysis",
+    "sim",
+];
 
 /// Outcome of a full analysis pass.
 pub struct Outcome {
@@ -223,8 +233,8 @@ mod tests {
         // D2 fires in a sans-IO crate…
         let hit = analyze_file("crates/core/src/x.rs", "fn f() { let t = Instant::now(); }");
         assert!(hit.iter().any(|f| f.rule == "D2"), "{hit:?}");
-        // …but not in sim (free to use real clocks) or bench.
-        let miss = analyze_file("crates/sim/src/x.rs", "fn f() { let t = Instant::now(); }");
+        // …but not on the socket runtime, where real time is the point.
+        let miss = analyze_file("crates/net/src/x.rs", "fn f() { let t = Instant::now(); }");
         assert!(miss.iter().all(|f| f.rule != "D2"), "{miss:?}");
         // D5 fires only under crates/net/src.
         let net = analyze_file(

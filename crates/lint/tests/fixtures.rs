@@ -55,9 +55,17 @@ fn d2_fixture_flags_entropy_and_clock_outside_tests() {
 }
 
 #[test]
-fn d2_does_not_fire_outside_sans_io_crates() {
-    let findings = analyze_file("crates/sim/src/d2.rs", &fixture("d2.rs"));
-    assert!(by_rule(&findings, "D2").is_empty());
+fn d2_covers_the_simulator_and_models_but_not_the_runtimes() {
+    // Where results are made, a clock is a finding …
+    for scoped in ["crates/sim/src/d2.rs", "crates/analysis/src/d2.rs"] {
+        let findings = analyze_file(scoped, &fixture("d2.rs"));
+        assert_eq!(by_rule(&findings, "D2").len(), 5, "{scoped}");
+    }
+    // … where real time is the point (sockets, harness bins), it is not.
+    for unscoped in ["crates/net/src/d2.rs", "crates/bench/src/d2.rs"] {
+        let findings = analyze_file(unscoped, &fixture("d2.rs"));
+        assert!(by_rule(&findings, "D2").is_empty(), "{unscoped}");
+    }
 }
 
 #[test]

@@ -102,7 +102,7 @@ pub use fault::{Fate, FaultPlane, FaultSpec};
 pub use lpbcast_types::{MembershipEvent, Output, Protocol};
 pub use metrics::{InfectionTracker, ReliabilityReport};
 pub use network::{CrashPlan, NetworkModel};
-pub use scale::{run_scale_point, scaling_study, scaling_tsv, ScalePoint, ScaleStudyOpts};
+pub use scale::{run_scale_point, scaling_study, scaling_tsv, ScalePoint};
 pub use scenario::spec::{
     run_scenario_spec, sweep_specs, sweep_specs_serial, ProtocolKind, ScenarioGenerator,
     ScenarioSpec, ScenarioSpecParseError,

@@ -1,5 +1,5 @@
-//! The n=10⁴ scaling study: per-size step cost, delivery latency and
-//! reliability under §5-style buffer scaling.
+//! The n=10⁴ scaling study: per-size delivery latency, reliability and
+//! wire cost under §5-style buffer scaling.
 //!
 //! The paper evaluates lpbcast at n=125 (l = 15, F = 3, |eventIds|m = 60)
 //! and argues the per-node cost stays constant as the system grows; the
@@ -17,16 +17,16 @@
 //!   slower than n) — scaled with √(n/125) from the paper's measured
 //!   operating point.
 //!
-//! [`run_scale_point`] measures, at one system size: the steady-state
-//! wall-clock cost of a simulation step, the mean delivery latency of a
-//! probe broadcast in rounds (next to the Appendix-A expectation-model
-//! prediction for the same n/F/ε/τ, which also sizes the measurement
-//! window), and the fraction of processes the probe reached.
+//! [`run_scale_point`] measures, at one system size: the mean delivery
+//! latency of a probe broadcast in rounds (next to the Appendix-A
+//! expectation-model prediction for the same n/F/ε/τ, which also sizes
+//! the measurement window), the fraction of processes the probe reached
+//! and the wire bytes the dissemination offered per round — every column
+//! a pure function of `(n, seed)`. What a step or an engine build costs
+//! in wall clock is `lpbench`'s question, not this module's.
 //! [`scaling_study`] sweeps a size ladder and [`scaling_tsv`] renders the
 //! rows as a TSV figure (written to `results/scaling.tsv` by
 //! `bench_sim`).
-
-use std::time::Instant;
 
 use lpbcast_analysis::infection::{ExpectationModel, InfectionParams};
 use lpbcast_core::{Config, HistoryMode};
@@ -80,17 +80,6 @@ pub struct ScalePoint {
     pub view_size: usize,
     /// Buffer bound used for `|eventIds|m` and `|events|m` (scaled).
     pub buffer_bound: usize,
-    /// Steady-state simulation cost, nanoseconds per round.
-    pub ns_per_step: f64,
-    /// Engine-construction cost, milliseconds per build (minimum over
-    /// [`ScalePoint::build_count`] builds — robust to background-load
-    /// bursts on shared hosts). The bootstrap is O(n·l); this column is
-    /// what `scripts/bench_gate.py` guards against an accidental return
-    /// to the O(n²) candidate-list build.
-    pub engine_build_ms: f64,
-    /// Engine builds sampled for `engine_build_ms` (raised at small `n`
-    /// to keep the timing window out of jitter range).
-    pub build_count: usize,
     /// Mean delivery latency of the probe broadcast, in rounds.
     pub mean_latency_rounds: f64,
     /// Mean latency predicted by the Appendix-A expectation model for
@@ -101,31 +90,10 @@ pub struct ScalePoint {
     pub reliability: f64,
     /// Mean wire bytes per round offered during the probe dissemination
     /// (exact codec frame lengths over every fanout copy) — deterministic
-    /// per seed, so the CI gate can hold it exactly.
+    /// per seed; `tests/scale_golden.rs` holds it exactly.
     pub wire_bytes_per_round: f64,
     /// Rounds the dissemination run was given.
     pub rounds: u64,
-    /// Steps actually timed for `ns_per_step` (the configured count,
-    /// raised to keep the timing window out of jitter range at small n).
-    pub measured_steps: usize,
-}
-
-/// Knobs of a scaling run.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleStudyOpts {
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Timed steps in the step-cost measurement.
-    pub measured_steps: usize,
-}
-
-impl Default for ScaleStudyOpts {
-    fn default() -> Self {
-        ScaleStudyOpts {
-            seed: 1,
-            measured_steps: 40,
-        }
-    }
 }
 
 /// The Appendix-A expectation model for size `n` with the paper's fault
@@ -159,55 +127,16 @@ fn model_mean_latency(n: usize, rounds: u64) -> f64 {
     weighted / total
 }
 
-/// Measures one scaling row at system size `n`.
-///
-/// Two engines are built: one timed in the publish-heavy steady state
-/// (step cost), one observed disseminating a single probe (latency in
-/// rounds and reliability). Both use [`scaled_params`].
-pub fn run_scale_point(n: usize, opts: &ScaleStudyOpts) -> ScalePoint {
+/// Measures one scaling row at system size `n`: one engine built from
+/// [`scaled_params`] disseminates a single probe under the wire meter.
+pub fn run_scale_point(n: usize, seed: u64) -> ScalePoint {
     let params = scaled_params(n);
+    let (view_size, buffer_bound) = (params.config.view_size, params.config.event_ids_max);
     let rounds = dissemination_rounds(n);
 
-    // ── Build cost: repeated engine bootstraps ───────────────────────
-    // Small systems build in microseconds, so a single build would time
-    // scheduler jitter; build repeatedly and take the *minimum* — the
-    // mean absorbs background-load bursts on shared hosts (the 1-CPU CI
-    // container swings ±30%), while the min converges on the true cost
-    // of the bootstrap, which is what the regression gate wants to
-    // compare. The engines are discarded — the timed builds exist only
-    // for this column.
-    let build_count = (30_000 / n.max(1)).clamp(1, 64);
-    let mut engine_build_ms = f64::INFINITY;
-    for b in 0..build_count {
-        let t = Instant::now();
-        let engine = params.build_engine(opts.seed.wrapping_add(b as u64));
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(engine.alive_count(), n, "bootstrap populated the slab");
-        engine_build_ms = engine_build_ms.min(ms);
-    }
-
-    // ── Step cost: steady state with one live dissemination ──────────
-    // Small systems step in microseconds, so `measured_steps` alone can
-    // give a millisecond-scale timing window that scheduler jitter
-    // dominates (and the CI gate hard-fails on). Raise the floor so the
-    // window stays ≳10 ms of work at every n; extra steps are cheap
-    // exactly where they are needed.
-    let steps = opts.measured_steps.max(25_000 / n.max(1)).max(1);
-    let mut engine = params.clone().rounds(u64::MAX / 2).build_engine(opts.seed);
-    engine.publish_from(ProcessId::new(0), Payload::from_static(b"warm"));
-    engine.run(5);
-    let t = Instant::now();
-    engine.run(steps as u64);
-    let ns_per_step = t.elapsed().as_nanos() as f64 / steps as f64;
-
-    // ── Probe dissemination: latency + reliability + wire cost ───────
-    // The meter rides the probe engine only — the step-cost engine above
-    // stays unmetered so `ns_per_step` keeps measuring the simulator,
-    // not the accounting.
     let mut engine = params
-        .clone()
         .rounds(rounds)
-        .engine_builder(opts.seed ^ 0x5CA1_AB1E)
+        .engine_builder(seed ^ 0x5CA1_AB1E)
         .wire_meter(lpbcast_net::wire_meter())
         .build();
     let probe = engine.publish_from(ProcessId::new(0), Payload::from_static(b"probe"));
@@ -223,43 +152,37 @@ pub fn run_scale_point(n: usize, opts: &ScaleStudyOpts) -> ScalePoint {
 
     ScalePoint {
         n,
-        view_size: params.config.view_size,
-        buffer_bound: params.config.event_ids_max,
-        ns_per_step,
-        engine_build_ms,
-        build_count,
+        view_size,
+        buffer_bound,
         mean_latency_rounds,
         model_latency_rounds: model_mean_latency(n, rounds),
         reliability,
         wire_bytes_per_round: wire.bytes as f64 / rounds.max(1) as f64,
         rounds,
-        measured_steps: steps,
     }
 }
 
 /// Runs [`run_scale_point`] over a ladder of system sizes.
-pub fn scaling_study(ns: &[usize], opts: &ScaleStudyOpts) -> Vec<ScalePoint> {
-    ns.iter().map(|&n| run_scale_point(n, opts)).collect()
+pub fn scaling_study(ns: &[usize], seed: u64) -> Vec<ScalePoint> {
+    ns.iter().map(|&n| run_scale_point(n, seed)).collect()
 }
 
 /// Renders scaling rows as a TSV figure (header + one row per size).
 pub fn scaling_tsv(points: &[ScalePoint]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
-        "# lpbcast scaling study: step cost, build cost, delivery latency, reliability and wire cost vs n\n\
+        "# lpbcast scaling study: delivery latency, reliability and wire cost vs n\n\
          # l and buffer bounds scaled per §5 (see lpbcast_sim::scale);\n\
          # model_latency_rounds is the Appendix-A expectation-model prediction\n\
-         n\tview_size\tbuffer_bound\tns_per_step\tengine_build_ms\tmean_latency_rounds\tmodel_latency_rounds\treliability\twire_bytes_per_round\n",
+         n\tview_size\tbuffer_bound\tmean_latency_rounds\tmodel_latency_rounds\treliability\twire_bytes_per_round\n",
     );
     for p in points {
         let _ = writeln!(
             out,
-            "{}\t{}\t{}\t{:.1}\t{:.3}\t{:.3}\t{:.3}\t{:.5}\t{:.1}",
+            "{}\t{}\t{}\t{:.3}\t{:.3}\t{:.5}\t{:.1}",
             p.n,
             p.view_size,
             p.buffer_bound,
-            p.ns_per_step,
-            p.engine_build_ms,
             p.mean_latency_rounds,
             p.model_latency_rounds,
             p.reliability,
@@ -296,15 +219,8 @@ mod tests {
 
     #[test]
     fn scale_point_small_system_fully_infected() {
-        let opts = ScaleStudyOpts {
-            seed: 7,
-            measured_steps: 3,
-        };
-        let point = run_scale_point(64, &opts);
+        let point = run_scale_point(64, 7);
         assert_eq!(point.n, 64);
-        assert!(point.ns_per_step > 0.0);
-        assert!(point.engine_build_ms > 0.0);
-        assert!(point.build_count >= 1);
         assert!(
             point.reliability > 0.95,
             "64 nodes, ample rounds: {point:?}"
@@ -325,18 +241,14 @@ mod tests {
 
     #[test]
     fn tsv_has_header_and_rows() {
-        let opts = ScaleStudyOpts {
-            seed: 3,
-            measured_steps: 2,
-        };
-        let points = scaling_study(&[16, 32], &opts);
+        let points = scaling_study(&[16, 32], 3);
         let tsv = scaling_tsv(&points);
         let data_lines: Vec<&str> = tsv
             .lines()
             .filter(|l| !l.starts_with('#') && !l.starts_with('n'))
             .collect();
         assert_eq!(data_lines.len(), 2);
-        assert!(tsv.contains("ns_per_step"));
+        assert!(tsv.contains("wire_bytes_per_round"));
         assert!(data_lines[0].starts_with("16\t"));
     }
 }

@@ -32,9 +32,8 @@ import sys
 
 EXPECTED_HEADERS = {
     "scaling.tsv": [
-        "n", "view_size", "buffer_bound", "ns_per_step", "engine_build_ms",
-        "mean_latency_rounds", "model_latency_rounds", "reliability",
-        "wire_bytes_per_round",
+        "n", "view_size", "buffer_bound", "mean_latency_rounds",
+        "model_latency_rounds", "reliability", "wire_bytes_per_round",
     ],
     "scenarios.tsv": ["scenario", "protocol", "n", "metric", "value"],
     "detector.tsv": ["scenario", "fault", "detector", "n", "metric", "value"],
@@ -55,8 +54,8 @@ EXPECTED_HEADERS = {
 # values live only in the free-form `value` column of scenarios.tsv and
 # detector.tsv).
 NUMERIC = {
-    "n", "view_size", "buffer_bound", "ns_per_step", "engine_build_ms",
-    "mean_latency_rounds", "model_latency_rounds", "reliability",
+    "n", "view_size", "buffer_bound", "mean_latency_rounds",
+    "model_latency_rounds", "reliability",
     "wire_bytes_per_round", "seed", "reliability_mean", "reliability_min",
     "recovery_rounds", "rounds", "processes", "nodes", "sockets", "loss",
     "kills", "latency_ms", "recovery_ms", "wire_tx_bytes", "wire_rx_bytes",
