@@ -45,13 +45,15 @@ impl EventArchive {
     }
 
     /// Stores a notification, evicting the oldest if full. Duplicate ids
-    /// are ignored. Returns the evicted notification, if any.
-    pub fn store(&mut self, event: Event) -> Option<Event> {
+    /// are ignored. Returns the evicted notification, if any. The event is
+    /// cloned only when it is kept — with capacity 0 (the measured
+    /// configuration) every delivery passes through here for nothing.
+    pub fn store(&mut self, event: &Event) -> Option<Event> {
         if self.capacity == 0 || self.events.contains_key(&event.id()) {
             return None;
         }
         self.order.push_back(event.id());
-        self.events.insert(event.id(), event);
+        self.events.insert(event.id(), event.clone());
         if self.order.len() > self.capacity {
             let oldest = self.order.pop_front().expect("non-empty");
             return self.events.remove(&oldest);
@@ -87,8 +89,8 @@ mod tests {
     #[test]
     fn stores_and_serves() {
         let mut a = EventArchive::new(10);
-        a.store(ev(1, 0));
-        a.store(ev(1, 1));
+        a.store(&ev(1, 0));
+        a.store(&ev(1, 1));
         assert_eq!(a.len(), 2);
         let found = a.lookup_all(&[ev(1, 0).id(), ev(9, 9).id()]);
         assert_eq!(found.len(), 1);
@@ -98,9 +100,9 @@ mod tests {
     #[test]
     fn evicts_oldest_beyond_capacity() {
         let mut a = EventArchive::new(2);
-        assert!(a.store(ev(1, 0)).is_none());
-        assert!(a.store(ev(1, 1)).is_none());
-        let evicted = a.store(ev(1, 2)).expect("eviction");
+        assert!(a.store(&ev(1, 0)).is_none());
+        assert!(a.store(&ev(1, 1)).is_none());
+        let evicted = a.store(&ev(1, 2)).expect("eviction");
         assert_eq!(evicted.id(), ev(1, 0).id());
         assert!(a.get(ev(1, 0).id()).is_none());
         assert!(a.get(ev(1, 2).id()).is_some());
@@ -110,15 +112,15 @@ mod tests {
     #[test]
     fn duplicates_are_ignored() {
         let mut a = EventArchive::new(2);
-        a.store(ev(1, 0));
-        a.store(ev(1, 0));
+        a.store(&ev(1, 0));
+        a.store(&ev(1, 0));
         assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn zero_capacity_disables() {
         let mut a = EventArchive::new(0);
-        a.store(ev(1, 0));
+        a.store(&ev(1, 0));
         assert!(a.is_empty());
         assert!(a.lookup_all(&[ev(1, 0).id()]).is_empty());
     }

@@ -83,6 +83,22 @@ impl EventHistory {
         }
     }
 
+    /// §5.2 id absorption: records every id `digest` advertises that this
+    /// history has not delivered, calling `learnt` with each in the order
+    /// [`missing_from`](Self::missing_from) lists them.
+    pub fn absorb(&mut self, digest: &Digest, mut learnt: impl FnMut(EventId)) {
+        match (self, digest) {
+            (EventHistory::Compact(ours), Digest::Compact(theirs)) => ours.absorb(theirs, learnt),
+            (this, digest) => {
+                for id in this.missing_from(digest) {
+                    if this.insert(id) {
+                        learnt(id);
+                    }
+                }
+            }
+        }
+    }
+
     /// Ids advertised by `digest` that this history has not delivered —
     /// the candidates for a retransmission pull (§2.3 footnote 5).
     pub fn missing_from(&self, digest: &Digest) -> Vec<EventId> {

@@ -207,7 +207,7 @@ impl Lpbcast {
     pub fn publish(&mut self, event: Event) {
         self.history.insert(event.id());
         self.history.truncate();
-        self.archive.store(event.clone());
+        self.archive.store(&event);
         self.events.insert(event);
         let truncated = self.events.truncate_random(&mut self.rng);
         self.stats.events_truncated += truncated.len() as u64;
@@ -427,7 +427,7 @@ impl Lpbcast {
             if self.history.insert(event.id()) {
                 self.pending_pulls.remove(&event.id());
                 self.events.insert(event.clone());
-                self.archive.store(event.clone());
+                self.archive.store(event);
                 self.stats.events_delivered += 1;
                 output.delivered.push(event.clone());
             } else {
@@ -439,45 +439,42 @@ impl Lpbcast {
         self.stats.events_truncated += self.events.truncate_random_count(&mut self.rng) as u64;
 
         // ── Digest: gossip pull or §5.2 id absorption ─────────────────
-        let missing = self.history.missing_from(&gossip.event_ids);
-        if !missing.is_empty() {
-            if self.config.retransmit_request_max > 0 {
-                // An id is eligible if never pulled, or if its one
-                // request/response datagram pair has been outstanding
-                // past the retry window — on a lossy transport either
-                // leg can vanish, and a pull that is never re-issued
-                // leaves the notification unrecoverable forever.
-                let now = self.now;
-                let retry = self.config.retransmit_retry_ticks;
-                let ids: Vec<EventId> = missing
-                    .into_iter()
-                    .filter(|id| match self.pending_pulls.get(id) {
-                        None => true,
-                        Some(&asked) => retry > 0 && now.since(asked) >= retry,
-                    })
-                    .take(self.config.retransmit_request_max)
-                    .collect();
-                if !ids.is_empty() {
-                    for &id in &ids {
-                        self.pending_pulls.insert(id, now);
-                    }
-                    // Bound the pending set against leaks from lost replies.
-                    if self.pending_pulls.len() > 4096 {
-                        self.pending_pulls.clear();
-                    }
-                    self.stats.retransmit_requests_sent += 1;
-                    output.send(gossip.sender, Message::RetransmitRequest { ids });
+        if self.config.retransmit_request_max > 0 {
+            // An id is eligible if never pulled, or if its one
+            // request/response datagram pair has been outstanding
+            // past the retry window — on a lossy transport either
+            // leg can vanish, and a pull that is never re-issued
+            // leaves the notification unrecoverable forever.
+            let now = self.now;
+            let retry = self.config.retransmit_retry_ticks;
+            let ids: Vec<EventId> = self
+                .history
+                .missing_from(&gossip.event_ids)
+                .into_iter()
+                .filter(|id| match self.pending_pulls.get(id) {
+                    None => true,
+                    Some(&asked) => retry > 0 && now.since(asked) >= retry,
+                })
+                .take(self.config.retransmit_request_max)
+                .collect();
+            if !ids.is_empty() {
+                for &id in &ids {
+                    self.pending_pulls.insert(id, now);
                 }
-            } else if self.config.deliver_on_digest {
-                for id in missing {
-                    if self.history.insert(id) {
-                        self.stats.ids_learned += 1;
-                        output.learned_ids.push(id);
-                    }
+                // Bound the pending set against leaks from lost replies.
+                if self.pending_pulls.len() > 4096 {
+                    self.pending_pulls.clear();
                 }
-                let purged = self.history.truncate();
-                self.stats.ids_purged += purged.len() as u64;
+                self.stats.retransmit_requests_sent += 1;
+                output.send(gossip.sender, Message::RetransmitRequest { ids });
             }
+        } else if self.config.deliver_on_digest {
+            let learned = &mut output.learned_ids;
+            self.history
+                .absorb(&gossip.event_ids, |id| learned.push(id));
+            self.stats.ids_learned += learned.len() as u64;
+            let purged = self.history.truncate();
+            self.stats.ids_purged += purged.len() as u64;
         }
 
         output
@@ -534,7 +531,7 @@ impl Lpbcast {
             self.pending_pulls.remove(&event.id());
             if self.history.insert(event.id()) {
                 self.events.insert(event.clone());
-                self.archive.store(event.clone());
+                self.archive.store(&event);
                 self.stats.events_delivered += 1;
                 output.delivered.push(event);
             } else {

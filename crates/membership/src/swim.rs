@@ -451,9 +451,15 @@ impl<P: Protocol> Swim<P> {
         let len = self.gossip.len();
         let take = self.cfg.piggyback_max.min(len);
         let mut out = Vec::with_capacity(take);
-        let front = &mut self.gossip[0];
-        out.push(front.update);
-        front.remaining = front.remaining.saturating_sub(1);
+        // Only an entry sent here can have spent its budget, so the queue
+        // (up to `gossip_max` long) is compacted only when one did.
+        let mut exhausted = false;
+        let mut send = |entry: &mut QueuedUpdate| {
+            out.push(entry.update);
+            entry.remaining = entry.remaining.saturating_sub(1);
+            exhausted |= entry.remaining == 0;
+        };
+        send(&mut self.gossip[0]);
         if take > 1 {
             let span = len - 1;
             if self.gossip_cursor >= span {
@@ -461,13 +467,13 @@ impl<P: Protocol> Swim<P> {
             }
             let start = self.gossip_cursor;
             for i in 0..take - 1 {
-                let entry = &mut self.gossip[1 + (start + i) % span];
-                out.push(entry.update);
-                entry.remaining = entry.remaining.saturating_sub(1);
+                send(&mut self.gossip[1 + (start + i) % span]);
             }
             self.gossip_cursor = (start + take - 1) % span;
         }
-        self.gossip.retain(|e| e.remaining > 0);
+        if exhausted {
+            self.gossip.retain(|e| e.remaining > 0);
+        }
         out
     }
 
@@ -861,7 +867,7 @@ impl<P: Protocol> Protocol for Swim<P> {
         let mut out = Output::new();
         // Hearing from a process at all is direct liveness evidence.
         self.note_alive(from);
-        for update in msg.updates().to_vec() {
+        for &update in msg.updates() {
             self.apply_update(from, update);
         }
         match msg {

@@ -107,7 +107,7 @@ use lpbcast_core::{
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_pubsub::{PubSubMessage, TopicId};
-use lpbcast_types::{CompactDigest, Event, EventId, FastMap, ProcessId};
+use lpbcast_types::{CompactDigest, Event, EventId, FastMap, OriginDigest, ProcessId};
 
 /// First byte of every datagram.
 pub const MAGIC: u8 = 0x6C; // 'l' for lpbcast
@@ -406,7 +406,7 @@ fn gossip_len(g: &Gossip) -> usize {
         Digest::Compact(d) => {
             2 + d
                 .iter()
-                .map(|(_, od)| 18 + 8 * od.out_of_order().count())
+                .map(|(_, od)| 18 + 8 * od.out_of_order().len())
                 .sum::<usize>()
         }
     };
@@ -819,9 +819,8 @@ fn encode_gossip(buf: &mut BytesMut, g: &Gossip) {
             for (origin, od) in d.iter() {
                 buf.put_u64_le(origin.as_u64());
                 buf.put_u64_le(od.next_seq());
-                let ooo: Vec<u64> = od.out_of_order().collect();
-                buf.put_u16_le(ooo.len() as u16);
-                for s in ooo {
+                buf.put_u16_le(od.out_of_order().len() as u16);
+                for s in od.out_of_order() {
                     buf.put_u64_le(s);
                 }
             }
@@ -949,7 +948,11 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
         1 => {
             let n_origins = take_u16(buf)? as usize;
             check_capacity(buf, n_origins, 18)?;
-            let mut compact = CompactDigest::new();
+            // Bulk build: a hostile frame may list origins and sequence
+            // numbers in any order and repeat both; one sort per array
+            // keeps the decode O(n log n) where per-entry insertion into
+            // the sorted storage would be quadratic.
+            let mut origins = Vec::with_capacity(n_origins);
             for _ in 0..n_origins {
                 let origin = ProcessId::new(take_u64(buf)?);
                 let next_seq = take_u64(buf)?;
@@ -959,12 +962,9 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
                 for _ in 0..n_ooo {
                     ooo.push(take_u64(buf)?);
                 }
-                compact.set_origin(
-                    origin,
-                    lpbcast_types::OriginDigest::from_parts(next_seq, ooo),
-                );
+                origins.push((origin, OriginDigest::from_parts(next_seq, ooo)));
             }
-            Digest::Compact(compact)
+            Digest::Compact(CompactDigest::from_origins(origins))
         }
         t => return Err(WireError::BadTag(t)),
     };

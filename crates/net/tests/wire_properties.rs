@@ -244,6 +244,75 @@ fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
     out
 }
 
+/// An otherwise empty gossip frame whose compact digest lists `origins`
+/// verbatim — in the order, and with the repetitions, given.
+fn compact_digest_frame(origins: &[(u64, u64, Vec<u64>)]) -> Vec<u8> {
+    let mut out = vec![wire::MAGIC, wire::VERSION, 0u8];
+    out.extend_from_slice(&7u64.to_le_bytes()); // sender
+    out.extend_from_slice(&0u16.to_le_bytes()); // subs
+    out.push(0); // flat unSubs …
+    out.extend_from_slice(&0u16.to_le_bytes()); // … none
+    out.extend_from_slice(&0u16.to_le_bytes()); // events
+    out.push(1); // compact digest
+    out.extend_from_slice(&u16::try_from(origins.len()).unwrap().to_le_bytes());
+    for (origin, next_seq, ooo) in origins {
+        out.extend_from_slice(&origin.to_le_bytes());
+        out.extend_from_slice(&next_seq.to_le_bytes());
+        out.extend_from_slice(&u16::try_from(ooo.len()).unwrap().to_le_bytes());
+        for s in ooo {
+            out.extend_from_slice(&s.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// The compact digest is stored sorted, and a sorted `Vec` filled by
+/// repeated insertion is quadratic on descending input where the B-tree
+/// it replaced was not. The largest frame the codec admits — `u16::MAX`
+/// origins, one of them with `u16::MAX` out-of-order entries, everything
+/// descending and repeated — must decode (in bulk: the test takes a
+/// fraction of a second unoptimised) to what its ascending, de-duplicated
+/// twin decodes to, and re-encode to the twin's bytes.
+#[test]
+fn hostile_compact_digest_decodes_like_its_sorted_twin() {
+    const MAX: u64 = u16::MAX as u64;
+    let n_origins = MAX.div_ceil(2);
+    // Every origin twice, descending; the two copies overlap, and their
+    // union closes the gap above the watermark: {<5, 5, 6, 7, 9} → 8 + {9}.
+    let mut hostile: Vec<(u64, u64, Vec<u64>)> = (0..MAX)
+        .rev()
+        .map(|k| match k % 2 {
+            0 => (100 + k / 2, 3, vec![9, 7]),
+            _ => (100 + k / 2, 5, vec![7, 6, 5]),
+        })
+        .collect();
+    let mut twin: Vec<(u64, u64, Vec<u64>)> =
+        (0..n_origins).map(|k| (100 + k, 8, vec![9])).collect();
+    // The first-listed (highest) origin has no second copy; it carries
+    // the longest out-of-order run there can be instead: the even
+    // sequence numbers descending, each twice; 0 and 2 fall below the
+    // watermark and 4 on it.
+    assert_eq!(hostile[0].0, twin.last().unwrap().0);
+    hostile[0] = (
+        hostile[0].0,
+        4,
+        (0..MAX).rev().map(|k| 2 * (k / 2)).collect(),
+    );
+    *twin.last_mut().unwrap() = (hostile[0].0, 5, (3..n_origins).map(|k| 2 * k).collect());
+
+    let hostile = compact_digest_frame(&hostile);
+    let twin = compact_digest_frame(&twin);
+    let decoded = wire::decode::<Message>(&hostile).expect("hostile frame is well-formed");
+    let expected = wire::decode::<Message>(&twin).expect("twin frame is well-formed");
+    let (Message::Gossip(decoded_gossip), Message::Gossip(expected_gossip)) = (&decoded, &expected)
+    else {
+        panic!("kind changed");
+    };
+    assert_eq!(decoded_gossip.event_ids, expected_gossip.event_ids);
+    assert_eq!(wire::encode(&decoded).as_ref(), twin.as_slice());
+    assert_eq!(decoded.encoded_len(), twin.len());
+}
+
 proptest! {
     /// Reference-encoder witness: encoding an `Arc`-shared gossip is
     /// byte-identical to the independent from-the-spec encoder, for

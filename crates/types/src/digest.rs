@@ -7,11 +7,31 @@
 //!
 //! [`CompactDigest`] implements exactly that optimisation: for every origin
 //! it stores the next expected sequence number (everything below it has
-//! been seen) plus the set of out-of-order sequence numbers at or above it.
+//! been seen) plus the set of out-of-order sequence numbers above it.
 //! It is used by the retransmission machinery (gossip pull) and offered by
 //! `lpbcast-core` as an alternative to the bounded `eventIds` history.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! # Representation
+//!
+//! Every Compact-history process clones its digest into each gossip it
+//! emits and diffs it against each gossip it receives, so the storage is
+//! flat: a [`CompactDigest`] is one `Vec<(ProcessId, OriginDigest)>` sorted
+//! by origin, an [`OriginDigest`] is a watermark plus one sorted `Vec<u64>`.
+//! Cloning is one allocation per non-empty vector, lookups are binary
+//! searches and a diff is a merge-join over two sorted arrays.
+//!
+//! The form is **canonical** — one set of seen ids has exactly one
+//! representation — which is what lets `PartialEq`, `Clone` and the serde
+//! derives stay structural:
+//!
+//! * `origins` is strictly ascending by origin (no duplicate origins);
+//! * each `out_of_order` is strictly ascending and every member is
+//!   `> next_seq` (a member equal to the watermark is absorbed into it,
+//!   together with the run that follows).
+//!
+//! An origin entry may be empty (`next_seq == 0`, nothing out of order):
+//! [`CompactDigest::set_origin`] installs what it is given, and an empty
+//! entry is distinct from an absent one.
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
@@ -20,14 +40,20 @@ use crate::{EventId, ProcessId};
 
 /// Digest of the notifications seen from a single origin.
 ///
-/// Invariant: every sequence number `< next_seq` is contained; every member
-/// of `out_of_order` is `>= next_seq`.
+/// Invariant: every sequence number `< next_seq` is contained;
+/// `out_of_order` is strictly ascending and every member is `> next_seq`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct OriginDigest {
     next_seq: u64,
-    out_of_order: BTreeSet<u64>,
+    out_of_order: Vec<u64>,
 }
+
+/// What an origin we have never heard of looks like.
+static NOTHING_SEEN: OriginDigest = OriginDigest {
+    next_seq: 0,
+    out_of_order: Vec::new(),
+};
 
 impl OriginDigest {
     /// Creates an empty digest (nothing seen).
@@ -36,18 +62,51 @@ impl OriginDigest {
     }
 
     /// Reassembles a digest from its wire parts: the in-sequence watermark
-    /// and the out-of-order set. Out-of-order entries at or below the
-    /// watermark are absorbed, contiguous runs are compacted — the result
-    /// always satisfies the struct invariant regardless of input.
+    /// and the out-of-order set, in any order and with duplicates.
+    /// Out-of-order entries at or below the watermark are absorbed,
+    /// contiguous runs are compacted — the result always satisfies the
+    /// struct invariant regardless of input, in `O(n log n)`.
     pub fn from_parts(next_seq: u64, out_of_order: impl IntoIterator<Item = u64>) -> Self {
         let mut d = OriginDigest {
             next_seq,
-            out_of_order: BTreeSet::new(),
+            out_of_order: out_of_order.into_iter().collect(),
         };
-        for seq in out_of_order {
-            d.insert(seq);
-        }
+        d.normalize();
         d
+    }
+
+    /// Restores the invariant over an arbitrary `out_of_order`.
+    fn normalize(&mut self) {
+        let next_seq = self.next_seq;
+        self.out_of_order.retain(|&s| s >= next_seq);
+        self.out_of_order.sort_unstable();
+        self.out_of_order.dedup();
+        self.absorb_leading_run();
+    }
+
+    /// Advances the watermark over the out-of-order entries that have
+    /// become contiguous with it.
+    fn absorb_leading_run(&mut self) {
+        let run = self
+            .out_of_order
+            .iter()
+            .zip(self.next_seq..)
+            .take_while(|&(&s, next)| s == next)
+            .count();
+        self.out_of_order.drain(..run);
+        self.next_seq += run as u64;
+    }
+
+    /// Set union with `other`.
+    fn union(&mut self, other: &OriginDigest) {
+        self.next_seq = self.next_seq.max(other.next_seq);
+        self.out_of_order.extend_from_slice(&other.out_of_order);
+        self.normalize();
+    }
+
+    /// Whether nothing has been seen.
+    fn is_empty(&self) -> bool {
+        self.next_seq == 0 && self.out_of_order.is_empty()
     }
 
     /// The smallest sequence number not yet seen in sequence. All sequence
@@ -56,31 +115,34 @@ impl OriginDigest {
         self.next_seq
     }
 
-    /// Sequence numbers seen out of order (each `>= next_seq`).
-    pub fn out_of_order(&self) -> impl Iterator<Item = u64> + '_ {
+    /// Sequence numbers seen out of order (each `> next_seq`), ascending.
+    pub fn out_of_order(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
         self.out_of_order.iter().copied()
     }
 
     /// Whether `seq` has been seen.
     pub fn contains(&self, seq: u64) -> bool {
-        seq < self.next_seq || self.out_of_order.contains(&seq)
+        seq < self.next_seq || self.out_of_order.binary_search(&seq).is_ok()
     }
 
     /// Records `seq`; returns `true` if it was unseen. Absorbs any
     /// out-of-order run that becomes contiguous.
     pub fn insert(&mut self, seq: u64) -> bool {
-        if self.contains(seq) {
+        if seq < self.next_seq {
             return false;
         }
         if seq == self.next_seq {
             self.next_seq += 1;
-            while self.out_of_order.remove(&self.next_seq) {
-                self.next_seq += 1;
-            }
-        } else {
-            self.out_of_order.insert(seq);
+            self.absorb_leading_run();
+            return true;
         }
-        true
+        match self.out_of_order.binary_search(&seq) {
+            Ok(_) => false,
+            Err(at) => {
+                self.out_of_order.insert(at, seq);
+                true
+            }
+        }
     }
 
     /// Number of distinct sequence numbers seen.
@@ -98,18 +160,82 @@ impl OriginDigest {
     /// Sequence numbers `< bound` that have **not** been seen — the gaps a
     /// retransmission pull would request.
     pub fn missing_below(&self, bound: u64) -> Vec<u64> {
+        let mut seen = self.out_of_order.iter().copied().peekable();
         (self.next_seq..bound)
-            .filter(|s| !self.out_of_order.contains(s))
+            .filter(|&s| seen.next_if_eq(&s).is_none())
             .collect()
     }
 
     /// Highest sequence number seen, or `None` if nothing was seen.
     pub fn max_seen(&self) -> Option<u64> {
         self.out_of_order
-            .iter()
-            .next_back()
+            .last()
             .copied()
             .or_else(|| self.next_seq.checked_sub(1))
+    }
+
+    /// Calls `f` with every sequence number `theirs` has seen and `self`
+    /// has not: first the part of their in-sequence prefix beyond ours,
+    /// then their out-of-order extras, each ascending.
+    fn for_each_missing(&self, theirs: &OriginDigest, mut f: impl FnMut(u64)) {
+        if theirs.out_of_order.is_empty() && self.next_seq >= theirs.next_seq {
+            return;
+        }
+        let mut ours = self.out_of_order.iter().copied().peekable();
+        for seq in self.next_seq..theirs.next_seq {
+            if ours.next_if_eq(&seq).is_none() {
+                f(seq);
+            }
+        }
+        for &seq in &theirs.out_of_order {
+            if seq < self.next_seq {
+                continue;
+            }
+            while ours.next_if(|&o| o < seq).is_some() {}
+            if ours.peek() != Some(&seq) {
+                f(seq);
+            }
+        }
+    }
+
+    /// [`for_each_missing`](Self::for_each_missing), recording what it
+    /// reports — in one pass over the two sorted runs, with no per-id
+    /// lookup. New out-of-order entries are appended and sorted in once,
+    /// so a long hostile run costs `O(n log n)`, not a shift per entry.
+    fn absorb(&mut self, theirs: &OriginDigest, mut f: impl FnMut(u64)) {
+        if theirs.out_of_order.is_empty() && self.next_seq >= theirs.next_seq {
+            return;
+        }
+        // Their in-sequence prefix swallows ours and the entries below it.
+        let mut covered = 0;
+        for seq in self.next_seq..theirs.next_seq {
+            if self.out_of_order.get(covered) == Some(&seq) {
+                covered += 1;
+            } else {
+                f(seq);
+            }
+        }
+        self.out_of_order.drain(..covered);
+        self.next_seq = self.next_seq.max(theirs.next_seq);
+        // Their out-of-order extras, merge-joined against what is left.
+        let known = self.out_of_order.len();
+        let mut at = 0;
+        for &seq in &theirs.out_of_order {
+            if seq < self.next_seq {
+                continue;
+            }
+            while at < known && self.out_of_order[at] < seq {
+                at += 1;
+            }
+            if at == known || self.out_of_order[at] != seq {
+                f(seq);
+                self.out_of_order.push(seq);
+            }
+        }
+        if known > 0 && self.out_of_order.len() > known {
+            self.out_of_order.sort_unstable();
+        }
+        self.absorb_leading_run();
     }
 }
 
@@ -135,7 +261,7 @@ impl OriginDigest {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct CompactDigest {
-    origins: BTreeMap<ProcessId, OriginDigest>,
+    origins: Vec<(ProcessId, OriginDigest)>,
 }
 
 impl CompactDigest {
@@ -144,51 +270,62 @@ impl CompactDigest {
         Self::default()
     }
 
+    /// Builds a digest from per-origin digests in any order (wire
+    /// decoding): one sort, then duplicate origins are merged as
+    /// [`set_origin`](Self::set_origin) would.
+    pub fn from_origins(origins: impl IntoIterator<Item = (ProcessId, OriginDigest)>) -> Self {
+        let mut origins: Vec<_> = origins.into_iter().collect();
+        origins.sort_unstable_by_key(|&(origin, _)| origin);
+        origins.dedup_by(|(origin, digest), (kept_origin, kept)| {
+            let duplicate = origin == kept_origin;
+            if duplicate {
+                kept.union(digest);
+            }
+            duplicate
+        });
+        CompactDigest { origins }
+    }
+
+    /// Index of `origin`'s entry, or where it would be inserted.
+    fn position(&self, origin: ProcessId) -> Result<usize, usize> {
+        self.origins.binary_search_by_key(&origin, |&(o, _)| o)
+    }
+
     /// Whether the notification id has been seen.
     pub fn contains(&self, id: EventId) -> bool {
-        self.origins
-            .get(&id.origin())
+        self.origin(id.origin())
             .is_some_and(|d| d.contains(id.seq()))
     }
 
     /// Records a notification id; returns `true` if it was unseen.
     pub fn insert(&mut self, id: EventId) -> bool {
-        self.origins
-            .entry(id.origin())
-            .or_default()
-            .insert(id.seq())
+        let at = match self.position(id.origin()) {
+            Ok(at) => at,
+            Err(at) => {
+                self.origins.insert(at, (id.origin(), OriginDigest::new()));
+                at
+            }
+        };
+        self.origins[at].1.insert(id.seq())
     }
 
     /// Installs a whole per-origin digest (wire decoding). Merges with any
     /// digest already present for `origin`.
     pub fn set_origin(&mut self, origin: ProcessId, digest: OriginDigest) {
-        let slot = self.origins.entry(origin).or_default();
-        if slot.next_seq == 0 && slot.out_of_order.is_empty() {
-            *slot = digest;
-        } else {
-            // Merge: the larger watermark subsumes the smaller one, so
-            // only the smaller side's out-of-order entries need
-            // re-insertion.
-            let (mut base, other) = if slot.next_seq >= digest.next_seq {
-                (slot.clone(), digest)
-            } else {
-                (digest, slot.clone())
-            };
-            for seq in other.out_of_order {
-                base.insert(seq);
-            }
-            *slot = base;
+        match self.position(origin) {
+            Ok(at) => self.origins[at].1.union(&digest),
+            Err(at) => self.origins.insert(at, (origin, digest)),
         }
     }
 
     /// The per-origin digest for `origin`, if any notification from it has
     /// been seen.
     pub fn origin(&self, origin: ProcessId) -> Option<&OriginDigest> {
-        self.origins.get(&origin)
+        self.position(origin).ok().map(|at| &self.origins[at].1)
     }
 
-    /// Iterates over `(origin, digest)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &OriginDigest)> {
+    /// Iterates over `(origin, digest)` pairs, ascending by origin.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (ProcessId, &OriginDigest)> {
         self.origins.iter().map(|(p, d)| (*p, d))
     }
 
@@ -199,16 +336,13 @@ impl CompactDigest {
 
     /// Total distinct notification ids seen.
     pub fn seen_count(&self) -> u64 {
-        self.origins.values().map(OriginDigest::seen_count).sum()
+        self.iter().map(|(_, d)| d.seen_count()).sum()
     }
 
     /// Total storage entries (the quantity bounded by the §3.2
     /// optimisation).
     pub fn storage_entries(&self) -> usize {
-        self.origins
-            .values()
-            .map(OriginDigest::storage_entries)
-            .sum()
+        self.iter().map(|(_, d)| d.storage_entries()).sum()
     }
 
     /// Internal gaps: ids below each origin's highest seen sequence number
@@ -216,12 +350,12 @@ impl CompactDigest {
     /// via gossip pull after observing the digest of its own history.
     pub fn missing(&self) -> Vec<EventId> {
         let mut out = Vec::new();
-        for (origin, d) in &self.origins {
+        for (origin, d) in self.iter() {
             if let Some(max) = d.max_seen() {
                 out.extend(
                     d.missing_below(max + 1)
                         .into_iter()
-                        .map(|s| EventId::new(*origin, s)),
+                        .map(|s| EventId::new(origin, s)),
                 );
             }
         }
@@ -230,25 +364,46 @@ impl CompactDigest {
 
     /// Ids present in `other` but absent here — what this process should
     /// request from the sender of `other` (gossip pull, §2.3 footnote 5).
+    /// Ordered by origin; within an origin, the in-sequence prefix they
+    /// have beyond ours, then their out-of-order extras.
     pub fn missing_relative_to(&self, other: &CompactDigest) -> Vec<EventId> {
         let mut out = Vec::new();
-        for (origin, theirs) in &other.origins {
-            let empty = OriginDigest::new();
-            let ours = self.origins.get(origin).unwrap_or(&empty);
-            // In-sequence prefix they have beyond ours.
-            for seq in ours.next_seq..theirs.next_seq {
-                if !ours.out_of_order.contains(&seq) {
-                    out.push(EventId::new(*origin, seq));
-                }
+        let mut at = 0;
+        for (origin, theirs) in other.iter() {
+            while self.origins.get(at).is_some_and(|&(o, _)| o < origin) {
+                at += 1;
             }
-            // Their out-of-order extras.
-            for &seq in &theirs.out_of_order {
-                if !ours.contains(seq) {
-                    out.push(EventId::new(*origin, seq));
-                }
-            }
+            let ours = match self.origins.get(at) {
+                Some((o, ours)) if *o == origin => ours,
+                _ => &NOTHING_SEEN,
+            };
+            ours.for_each_missing(theirs, |seq| out.push(EventId::new(origin, seq)));
         }
         out
+    }
+
+    /// Records every id `theirs` advertises and this digest lacks, calling
+    /// `learnt` with each in exactly the order
+    /// [`missing_relative_to`](Self::missing_relative_to) lists them —
+    /// `for id in self.missing_relative_to(theirs) { self.insert(id); learnt(id) }`
+    /// without the intermediate list or the per-id lookups.
+    pub fn absorb(&mut self, theirs: &CompactDigest, mut learnt: impl FnMut(EventId)) {
+        let mut at = 0;
+        for (origin, theirs) in theirs.iter() {
+            while self.origins.get(at).is_some_and(|&(o, _)| o < origin) {
+                at += 1;
+            }
+            if self.origins.get(at).is_none_or(|&(o, _)| o != origin) {
+                // An empty entry teaches nothing: do not mirror it.
+                if theirs.is_empty() {
+                    continue;
+                }
+                self.origins.insert(at, (origin, OriginDigest::new()));
+            }
+            self.origins[at]
+                .1
+                .absorb(theirs, |seq| learnt(EventId::new(origin, seq)));
+        }
     }
 }
 

@@ -1,11 +1,13 @@
 //! Property-based tests for the foundational buffers and digests.
 
-use lpbcast_types::{BoundedSet, CompactDigest, EventId, OldestFirstBuffer, ProcessId};
+use lpbcast_types::{
+    BoundedSet, CompactDigest, EventId, OldestFirstBuffer, OriginDigest, ProcessId,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn eid(p: u64, s: u64) -> EventId {
     EventId::new(ProcessId::new(p), s)
@@ -156,6 +158,302 @@ proptest! {
         let expected: BTreeSet<EventId> =
             theirs_set.difference(&mine_set).copied().collect();
         prop_assert_eq!(pull_set, expected);
+    }
+}
+
+/// Reference model for [`CompactDigest`]: the tree-backed representation
+/// the flat one replaced, with its semantics spelled out operation by
+/// operation. The flat digest must give the same answers in the same order.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct TreeDigest(BTreeMap<ProcessId, (u64, BTreeSet<u64>)>);
+
+fn tree_origin_contains((next_seq, ooo): &(u64, BTreeSet<u64>), seq: u64) -> bool {
+    seq < *next_seq || ooo.contains(&seq)
+}
+
+fn tree_origin_insert(d: &mut (u64, BTreeSet<u64>), seq: u64) -> bool {
+    if tree_origin_contains(d, seq) {
+        return false;
+    }
+    if seq == d.0 {
+        d.0 += 1;
+        while d.1.remove(&d.0) {
+            d.0 += 1;
+        }
+    } else {
+        d.1.insert(seq);
+    }
+    true
+}
+
+fn tree_origin_max_seen((next_seq, ooo): &(u64, BTreeSet<u64>)) -> Option<u64> {
+    ooo.last().copied().or_else(|| next_seq.checked_sub(1))
+}
+
+fn tree_origin_missing_below((next_seq, ooo): &(u64, BTreeSet<u64>), bound: u64) -> Vec<u64> {
+    (*next_seq..bound).filter(|s| !ooo.contains(s)).collect()
+}
+
+impl TreeDigest {
+    fn contains(&self, id: EventId) -> bool {
+        self.0
+            .get(&id.origin())
+            .is_some_and(|d| tree_origin_contains(d, id.seq()))
+    }
+
+    fn insert(&mut self, id: EventId) -> bool {
+        tree_origin_insert(self.0.entry(id.origin()).or_default(), id.seq())
+    }
+
+    /// `set_origin(origin, OriginDigest::from_parts(next_seq, ooo))`.
+    fn set_origin(&mut self, origin: ProcessId, next_seq: u64, ooo: &[u64]) {
+        let mut digest = (next_seq, BTreeSet::new());
+        for &seq in ooo {
+            tree_origin_insert(&mut digest, seq);
+        }
+        let slot = self.0.entry(origin).or_default();
+        let (mut base, other) = if slot.0 >= digest.0 {
+            (slot.clone(), digest)
+        } else {
+            (digest, slot.clone())
+        };
+        for seq in other.1 {
+            tree_origin_insert(&mut base, seq);
+        }
+        *slot = base;
+    }
+
+    fn seen_count(&self) -> u64 {
+        self.0.values().map(|d| d.0 + d.1.len() as u64).sum()
+    }
+
+    fn storage_entries(&self) -> usize {
+        self.0.values().map(|d| 1 + d.1.len()).sum()
+    }
+
+    fn missing(&self) -> Vec<EventId> {
+        let mut out = Vec::new();
+        for (&origin, d) in &self.0 {
+            if let Some(max) = tree_origin_max_seen(d) {
+                out.extend(
+                    tree_origin_missing_below(d, max + 1)
+                        .into_iter()
+                        .map(|s| EventId::new(origin, s)),
+                );
+            }
+        }
+        out
+    }
+
+    fn missing_relative_to(&self, other: &TreeDigest) -> Vec<EventId> {
+        let mut out = Vec::new();
+        let nothing = (0, BTreeSet::new());
+        for (&origin, theirs) in &other.0 {
+            let ours = self.0.get(&origin).unwrap_or(&nothing);
+            out.extend(
+                (ours.0..theirs.0)
+                    .filter(|s| !ours.1.contains(s))
+                    .map(|s| EventId::new(origin, s)),
+            );
+            out.extend(
+                theirs
+                    .1
+                    .iter()
+                    .filter(|&&s| !tree_origin_contains(ours, s))
+                    .map(|&s| EventId::new(origin, s)),
+            );
+        }
+        out
+    }
+}
+
+/// One step of a random digest history: `(kind, origin, seq, extra)`.
+/// Kinds 0–5 insert `(origin, seq)`; 6 installs
+/// `from_parts(seq % 8, extra)` — unsorted, with duplicates and entries
+/// below the watermark; 7 installs an empty per-origin entry.
+type DigestOp = (u8, u64, u64, Vec<u64>);
+
+fn digest_ops(max_len: usize) -> impl Strategy<Value = Vec<DigestOp>> {
+    vec((0u8..8, 0u64..5, 0u64..24, vec(0u64..24, 0..6)), 0..max_len)
+}
+
+fn apply_digest_op(
+    digest: &mut CompactDigest,
+    model: &mut TreeDigest,
+    (kind, origin, seq, extra): &DigestOp,
+) -> Result<(), TestCaseError> {
+    let origin = ProcessId::new(*origin);
+    match kind {
+        0..=5 => {
+            let id = EventId::new(origin, *seq);
+            prop_assert_eq!(digest.insert(id), model.insert(id));
+        }
+        6 => {
+            let next_seq = seq % 8;
+            digest.set_origin(
+                origin,
+                OriginDigest::from_parts(next_seq, extra.iter().copied()),
+            );
+            model.set_origin(origin, next_seq, extra);
+        }
+        _ => {
+            digest.set_origin(origin, OriginDigest::new());
+            model.set_origin(origin, 0, &[]);
+        }
+    }
+    Ok(())
+}
+
+fn build_digest(ops: &[DigestOp]) -> Result<(CompactDigest, TreeDigest), TestCaseError> {
+    let (mut digest, mut model) = (CompactDigest::new(), TreeDigest::default());
+    for op in ops {
+        apply_digest_op(&mut digest, &mut model, op)?;
+    }
+    Ok((digest, model))
+}
+
+/// Every read of `digest` answers as `model` does, in the same order.
+fn assert_digest_matches(digest: &CompactDigest, model: &TreeDigest) -> Result<(), TestCaseError> {
+    let flat: Vec<(ProcessId, u64, Vec<u64>)> = digest
+        .iter()
+        .map(|(origin, d)| (origin, d.next_seq(), d.out_of_order().collect()))
+        .collect();
+    let tree: Vec<(ProcessId, u64, Vec<u64>)> = model
+        .0
+        .iter()
+        .map(|(&origin, (next_seq, ooo))| (origin, *next_seq, ooo.iter().copied().collect()))
+        .collect();
+    prop_assert_eq!(flat, tree, "iter(): ascending origins, canonical entries");
+    prop_assert_eq!(digest.origin_count(), model.0.len());
+    prop_assert_eq!(digest.seen_count(), model.seen_count());
+    prop_assert_eq!(digest.storage_entries(), model.storage_entries());
+    prop_assert_eq!(digest.missing(), model.missing());
+    for p in 0..6u64 {
+        let origin = ProcessId::new(p);
+        let tree = model.0.get(&origin);
+        prop_assert_eq!(digest.origin(origin).is_some(), tree.is_some());
+        for seq in 0..26u64 {
+            let id = EventId::new(origin, seq);
+            prop_assert_eq!(digest.contains(id), model.contains(id));
+        }
+        if let (Some(flat), Some(tree)) = (digest.origin(origin), tree) {
+            prop_assert_eq!(flat.max_seen(), tree_origin_max_seen(tree));
+            for seq in 0..26u64 {
+                prop_assert_eq!(flat.contains(seq), tree_origin_contains(tree, seq));
+            }
+            for bound in [0, 1, 7, 12, 25, 40] {
+                prop_assert_eq!(
+                    flat.missing_below(bound),
+                    tree_origin_missing_below(tree, bound)
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `absorb` against its definition: insert what `missing_relative_to`
+/// lists, in that order.
+fn assert_absorb_matches(ours: &CompactDigest, theirs: &CompactDigest) {
+    let mut expected = ours.clone();
+    let expected_calls = ours.missing_relative_to(theirs);
+    for &id in &expected_calls {
+        assert!(expected.insert(id), "{id:?} listed missing but present");
+    }
+    let mut absorbed = ours.clone();
+    let mut calls = Vec::new();
+    absorbed.absorb(theirs, |id| calls.push(id));
+    assert_eq!(calls, expected_calls, "same ids in the same order");
+    assert_eq!(absorbed, expected, "same resulting digest");
+    assert!(absorbed.missing_relative_to(theirs).is_empty());
+}
+
+#[test]
+fn absorb_handles_the_named_shapes() {
+    let ids =
+        |ids: &[(u64, u64)]| -> CompactDigest { ids.iter().map(|&(p, s)| eid(p, s)).collect() };
+
+    // An origin absent on our side, between two we know.
+    let ours = ids(&[(1, 0), (5, 0)]);
+    let theirs = ids(&[(1, 0), (3, 0), (3, 1), (3, 4), (5, 0), (9, 2)]);
+    assert_absorb_matches(&ours, &theirs);
+    assert_absorb_matches(&CompactDigest::new(), &theirs);
+
+    // An empty per-origin entry on theirs creates none on ours.
+    let mut theirs = ids(&[(1, 0), (1, 1)]);
+    theirs.set_origin(ProcessId::new(4), OriginDigest::new());
+    let mut absorbed = ours.clone();
+    absorbed.absorb(&theirs, |_| {});
+    assert!(absorbed.origin(ProcessId::new(4)).is_none());
+    assert_absorb_matches(&ours, &theirs);
+
+    // Their prefix closes our gap: the out-of-order run 5,6,7 collapses
+    // into the watermark, 9 stays out of order.
+    let ours = ids(&[(2, 0), (2, 1), (2, 5), (2, 6), (2, 7), (2, 9)]);
+    let theirs = ids(&[(2, 0), (2, 1), (2, 2), (2, 3), (2, 4)]);
+    let mut absorbed = ours.clone();
+    let mut calls = Vec::new();
+    absorbed.absorb(&theirs, |id| calls.push(id));
+    assert_eq!(calls, vec![eid(2, 2), eid(2, 3), eid(2, 4)]);
+    let origin = absorbed.origin(ProcessId::new(2)).unwrap();
+    assert_eq!(origin.next_seq(), 8);
+    assert_eq!(origin.out_of_order().collect::<Vec<_>>(), vec![9]);
+    assert_absorb_matches(&ours, &theirs);
+
+    // Their out-of-order extra lands on our watermark and takes our run
+    // with it.
+    let ours = ids(&[(2, 0), (2, 2), (2, 3)]);
+    let theirs = ids(&[(2, 1), (2, 3), (2, 6)]);
+    assert_absorb_matches(&ours, &theirs);
+}
+
+proptest! {
+    /// The flat digest against the tree model over random histories of
+    /// `insert` / `set_origin`: every read agrees, `missing_relative_to`
+    /// lists the same ids in the same order, and `==` is model equality.
+    #[test]
+    fn flat_digest_matches_tree_model(
+        ops_a in digest_ops(60),
+        ops_b in digest_ops(60),
+        shared in digest_ops(8),
+    ) {
+        let (a, model_a) = build_digest(&ops_a)?;
+        let (b, model_b) = build_digest(&ops_b)?;
+        assert_digest_matches(&a, &model_a)?;
+        assert_digest_matches(&b, &model_b)?;
+        prop_assert_eq!(a.missing_relative_to(&b), model_a.missing_relative_to(&model_b));
+        prop_assert_eq!(b.missing_relative_to(&a), model_b.missing_relative_to(&model_a));
+        prop_assert_eq!(a == b, model_a == model_b);
+
+        // Canonical form: the same history in another order, and a digest
+        // reassembled from its own entries, compare equal — and short
+        // histories collide often enough to exercise `==` both ways.
+        let (c, model_c) = build_digest(&shared)?;
+        let mut reversed = shared.clone();
+        reversed.reverse();
+        let (d, model_d) = build_digest(&reversed)?;
+        prop_assert_eq!(c == d, model_c == model_d);
+        let rebuilt = CompactDigest::from_origins(b.iter().map(|(p, d)| (p, d.clone())));
+        prop_assert_eq!(&rebuilt, &b);
+        let mut reinstalled = CompactDigest::new();
+        for (origin, d) in b.iter() {
+            reinstalled.set_origin(origin, OriginDigest::from_parts(d.next_seq(), d.out_of_order()));
+        }
+        prop_assert_eq!(&reinstalled, &b);
+    }
+
+    /// `absorb(theirs, f)` ≡ `for id in missing_relative_to(theirs)
+    /// { assert!(insert(id)); f(id) }`, on the digest and on the calls.
+    #[test]
+    fn absorb_is_missing_then_insert(
+        ops_a in digest_ops(60),
+        ops_b in digest_ops(60),
+    ) {
+        let (a, _) = build_digest(&ops_a)?;
+        let (b, _) = build_digest(&ops_b)?;
+        assert_absorb_matches(&a, &b);
+        assert_absorb_matches(&b, &a);
+        assert_absorb_matches(&a, &a);
     }
 }
 
