@@ -193,7 +193,10 @@ impl InfectionModel {
         }
 
         let ln_q = (1.0 - p).ln();
-        #[allow(clippy::needless_range_loop)] // the (i, j) double loop *is* the Markov kernel
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "the (i, j) double loop *is* the Markov kernel"
+        )]
         for i in 1..=n {
             let pi = self.probs[i];
             if pi < 1e-320 {

@@ -28,7 +28,6 @@
 //! assert!(curve[10] > 124.0, "F=3 infects n=125 well within 10 rounds");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod infection;

@@ -38,8 +38,6 @@
 //! * `BENCH_SIM_SCENARIO_XL_N` — system size of the env-gated xl
 //!   catastrophe scenario row (default 0 = off).
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 

@@ -12,8 +12,6 @@
 //! check failed (the remaining figures still run), 2 on an unknown name.
 //! Set `LPBCAST_BENCH_SEEDS` to trade accuracy for speed.
 
-#![forbid(unsafe_code)]
-
 use lpbcast_bench::figures::{headline_checks, select, FIGURES};
 
 fn main() {

@@ -33,8 +33,6 @@
 //! instance's per-wave distinct-event count is compared against the
 //! published total, giving the min/mean reliability the TSV rows report.
 
-#![forbid(unsafe_code)]
-
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
@@ -283,6 +281,10 @@ fn main() {
 
 /// Builds the cluster, reports READY, then runs the control loop.
 /// `make(id, initial_view, contacts)` constructs one instance.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D2 waiver: the real-network harness stamps deliveries with the wall clock"
+)]
 fn run<P, F>(args: &Args, make: F) -> Result<(), Box<dyn std::error::Error>>
 where
     P: Protocol,
@@ -350,6 +352,10 @@ where
     Ok(())
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D2 waiver: the real-network harness stamps each wave's start with the wall clock"
+)]
 fn handle<P, F>(
     ctl: &mut Control,
     cluster: &mut Cluster<P>,

@@ -13,7 +13,6 @@
 //!   per stochastic experiment (default varies per figure; lower = faster,
 //!   noisier).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod figures;

@@ -50,7 +50,6 @@
 //! assert_eq!(received.delivered[0].payload().as_ref(), b"hello");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod archive;

@@ -163,20 +163,6 @@ impl Lpbcast {
         self.leaving
     }
 
-    /// Whether the next [`tick`](Lpbcast::tick) carries work beyond the
-    /// steady-state digest refresh: a pending §3.4 join handshake, an
-    /// unsubscription in progress, undisseminated notifications, buffered
-    /// unsubscription records still spreading, or the §4.4 prioritary
-    /// normalization duty. Sparse (event-driven) drivers skip ticks only
-    /// when this is `false`; see `Protocol::wants_tick` for the contract.
-    pub fn wants_tick(&self) -> bool {
-        self.join.is_some()
-            || self.leaving
-            || !self.events.is_empty()
-            || !self.unsubs.is_empty()
-            || !self.config.prioritary.is_empty()
-    }
-
     /// Whether `id` has been delivered (or learnt via digest) according
     /// to the current history. Note: with
     /// [`HistoryMode::Bounded`](crate::HistoryMode::Bounded) the history
@@ -570,10 +556,6 @@ impl lpbcast_types::Protocol for Lpbcast {
 
     fn tick(&mut self) -> Output {
         Lpbcast::tick(self)
-    }
-
-    fn wants_tick(&self) -> bool {
-        Lpbcast::wants_tick(self)
     }
 
     fn handle_message(&mut self, from: ProcessId, msg: Message) -> Output {

@@ -230,7 +230,7 @@ impl std::error::Error for UnsubscribeRefused {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use lpbcast_types::FastSet;
 
     fn pid(p: u64) -> ProcessId {
         ProcessId::new(p)
@@ -253,7 +253,7 @@ mod tests {
         let c = Unsubscription::new(pid(2), LogicalTime::new(1));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        let mut set = HashSet::new();
+        let mut set = FastSet::default();
         set.insert(a);
         assert!(!set.insert(b), "same process deduplicates");
         assert!(set.insert(c));

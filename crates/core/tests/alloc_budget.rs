@@ -4,9 +4,14 @@
 //! count repeats exactly on any box, so it gates the digest
 //! representation without reading a clock.
 //!
-//! An integration test is its own crate, so the counting allocator's
-//! `unsafe impl` leaves the libraries' `#![forbid(unsafe_code)]` alone.
+//! An integration test is its own crate, so the `#![expect]` below
+//! waives D4 for the counting allocator only, not for the libraries.
 //! The counter is per thread: other harness threads cannot disturb it.
+
+#![expect(
+    unsafe_code,
+    reason = "D4 waiver: a counting #[global_allocator] needs an `unsafe impl GlobalAlloc`"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -51,7 +51,6 @@
 //! assert_eq!(targets.len(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod global;

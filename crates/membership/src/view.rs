@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn weighted_truncation_breaks_ties_randomly() {
-        let mut evicted_counts = std::collections::HashMap::new();
+        let mut evicted_counts = std::collections::BTreeMap::new();
         for seed in 0..300 {
             let mut r = SmallRng::seed_from_u64(seed);
             let mut v = PartialView::new(pid(0), 2, TruncationStrategy::Weighted);

@@ -6,7 +6,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn pid(p: u64) -> ProcessId {
     ProcessId::new(p)
@@ -117,8 +117,7 @@ proptest! {
     fn graph_component_sizes_sum(
         edges in vec((0u64..20, 0u64..20), 0..80),
     ) {
-        let mut per_owner: std::collections::HashMap<ProcessId, Vec<ProcessId>> =
-            std::collections::HashMap::new();
+        let mut per_owner: BTreeMap<ProcessId, Vec<ProcessId>> = BTreeMap::new();
         for &(a, b) in &edges {
             if a != b {
                 per_owner.entry(pid(a)).or_default().push(pid(b));

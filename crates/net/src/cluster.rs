@@ -231,6 +231,10 @@ where
     /// # Errors
     ///
     /// [`NetError::Io`] when the instance id is already hosted here.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2 waiver: the real-clock runtime arms its gossip timer from the wall clock"
+    )]
     pub fn add_instance(&mut self, machine: P) -> Result<ProcessId, NetError> {
         let id = machine.id();
         if self.index.contains_key(&id) {
@@ -387,6 +391,10 @@ where
     ///
     /// Propagates poller failures; per-datagram decode errors are
     /// dropped silently (loss), per the gossip model.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2 waiver: the real-clock runtime's event loop reads the wall clock"
+    )]
     pub fn step(&mut self, max_wait: Duration) -> Result<Vec<(SocketAddr, Vec<u8>)>, NetError> {
         let now = Instant::now();
         self.fire_due(now);
@@ -616,6 +624,10 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D2 waiver: loopback tests bound their waits by the wall clock"
+)]
 mod tests {
     use super::*;
     use lpbcast_core::{Config, Lpbcast};

@@ -37,6 +37,10 @@ pub struct TimerWheel {
 impl TimerWheel {
     /// Creates a wheel with `slots` buckets of `granularity` width.
     /// Granularities below 1µs and zero slot counts are clamped.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D2 waiver: the real-clock runtime's timer wheel is anchored to the wall clock"
+    )]
     pub fn new(granularity: Duration, slots: usize) -> Self {
         TimerWheel {
             start: Instant::now(),

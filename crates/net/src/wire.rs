@@ -119,45 +119,69 @@ pub const MAX_PAYLOAD: usize = 64 * 1024;
 /// Hard cap on a pub/sub topic label accepted from the wire.
 pub const MAX_TOPIC: usize = 1024;
 
-/// Frame-kind tag registry: one named constant per frame type a
-/// first-party codec can emit, grouped by protocol. This module is the
-/// machine-readable twin of the doc-header table above — `lpbcast-lint`
-/// rule D3 cross-checks the two and hard-fails on value collisions,
-/// constants missing from the doc header, doc-header kinds with no
-/// constant, and constants the codecs no longer reference.
-pub mod tag {
+/// Declares [`Kind`] and its `TryFrom<u8>` from one list, so a kind's
+/// byte is written exactly once and a duplicate is a compile error.
+macro_rules! kinds {
+    ($($(#[$doc:meta])* $name:ident = $byte:literal,)+) => {
+        /// Frame-kind registry: one variant per frame type a first-party
+        /// codec can emit, grouped by protocol — the machine-readable twin
+        /// of the doc-header table above (D3, LINTS.md). Codecs write
+        /// `Kind::X as u8` and match on `Kind`, never on an integer; the
+        /// tests pin the table to this enum
+        /// (`kind_registry_matches_the_doc_header`) and every variant to
+        /// a message family that decodes it (`rejects_unknown_kind`).
+        #[repr(u8)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Kind {
+            $($(#[$doc])* $name = $byte,)+
+        }
+
+        impl TryFrom<u8> for Kind {
+            type Error = WireError;
+
+            fn try_from(byte: u8) -> Result<Self, WireError> {
+                match byte {
+                    $($byte => Ok(Kind::$name),)+
+                    unknown => Err(WireError::BadTag(unknown)),
+                }
+            }
+        }
+    };
+}
+
+kinds! {
     /// lpbcast gossip (subs/unsubs/events/digest sections).
-    pub const GOSSIP: u8 = 0;
+    Gossip = 0,
     /// lpbcast §3.4 join request.
-    pub const SUBSCRIBE: u8 = 1;
+    Subscribe = 1,
     /// lpbcast retransmission pull.
-    pub const RETRANSMIT_REQUEST: u8 = 2;
+    RetransmitRequest = 2,
     /// lpbcast retransmission payload reply.
-    pub const RETRANSMIT_RESPONSE: u8 = 3;
+    RetransmitResponse = 3,
     /// pbcast unreliable multicast payload.
-    pub const PBCAST_MULTICAST: u8 = 16;
+    PbcastMulticast = 16,
     /// pbcast anti-entropy digest, historical flat form.
-    pub const PBCAST_DIGEST_FLAT: u8 = 17;
+    PbcastDigestFlat = 17,
     /// pbcast solicitation (pull of missing events).
-    pub const PBCAST_SOLICIT: u8 = 18;
+    PbcastSolicit = 18,
     /// pbcast anti-entropy digest, §3.2 compact per-origin ranges.
-    pub const PBCAST_DIGEST_COMPACT: u8 = 19;
+    PbcastDigestCompact = 19,
     /// pub/sub topic-labelled wrapper around an inner lpbcast frame.
-    pub const PUBSUB: u8 = 32;
+    PubSub = 32,
     /// SWIM piggyback wrapper around an inner protocol frame.
-    pub const SWIM_WRAPPED: u8 = 40;
+    SwimWrapped = 40,
     /// SWIM direct ping.
-    pub const SWIM_PING: u8 = 41;
+    SwimPing = 41,
     /// SWIM direct ack.
-    pub const SWIM_ACK: u8 = 42;
+    SwimAck = 42,
     /// SWIM k-proxy indirect ping request.
-    pub const SWIM_PING_REQ: u8 = 43;
+    SwimPingReq = 43,
     /// SWIM proxied ping (proxy → target).
-    pub const SWIM_PROXY_PING: u8 = 44;
+    SwimProxyPing = 44,
     /// SWIM proxied ack (target → proxy).
-    pub const SWIM_PROXY_ACK: u8 = 45;
+    SwimProxyAck = 45,
     /// SWIM indirect ack (proxy → requester).
-    pub const SWIM_INDIRECT_ACK: u8 = 46;
+    SwimIndirectAck = 46,
 }
 
 /// Decoding failure.
@@ -329,41 +353,40 @@ impl WireMessage for Message {
     fn encode_body(&self, buf: &mut BytesMut) {
         match self {
             Message::Gossip(g) => {
-                buf.put_u8(tag::GOSSIP);
+                buf.put_u8(Kind::Gossip as u8);
                 // `g` is the shared `Arc<Gossip>`; serializing through
                 // the dereferenced body keeps the encoding byte-identical
                 // to the pre-`Arc` (inline payload) wire format.
                 encode_gossip(buf, g);
             }
             Message::Subscribe { subscriber } => {
-                buf.put_u8(tag::SUBSCRIBE);
+                buf.put_u8(Kind::Subscribe as u8);
                 buf.put_u64_le(subscriber.as_u64());
             }
             Message::RetransmitRequest { ids } => {
-                buf.put_u8(tag::RETRANSMIT_REQUEST);
+                buf.put_u8(Kind::RetransmitRequest as u8);
                 encode_ids(buf, ids);
             }
             Message::RetransmitResponse { events } => {
-                buf.put_u8(tag::RETRANSMIT_RESPONSE);
+                buf.put_u8(Kind::RetransmitResponse as u8);
                 encode_events(buf, events);
             }
         }
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let kind = take_u8(buf)?;
-        Ok(match kind {
-            tag::GOSSIP => Message::gossip(decode_gossip(buf)?),
-            tag::SUBSCRIBE => Message::Subscribe {
+        Ok(match take_kind(buf)? {
+            Kind::Gossip => Message::gossip(decode_gossip(buf)?),
+            Kind::Subscribe => Message::Subscribe {
                 subscriber: ProcessId::new(take_u64(buf)?),
             },
-            tag::RETRANSMIT_REQUEST => Message::RetransmitRequest {
+            Kind::RetransmitRequest => Message::RetransmitRequest {
                 ids: decode_ids(buf)?,
             },
-            tag::RETRANSMIT_RESPONSE => Message::RetransmitResponse {
+            Kind::RetransmitResponse => Message::RetransmitResponse {
                 events: decode_events(buf)?,
             },
-            t => return Err(WireError::BadTag(t)),
+            foreign => return Err(WireError::BadTag(foreign as u8)),
         })
     }
 
@@ -417,14 +440,14 @@ impl WireMessage for PbcastMessage {
     fn encode_body(&self, buf: &mut BytesMut) {
         match self {
             PbcastMessage::Multicast { event, hops } => {
-                buf.put_u8(tag::PBCAST_MULTICAST);
+                buf.put_u8(Kind::PbcastMulticast as u8);
                 encode_event(buf, event);
                 buf.put_u32_le(*hops);
             }
             PbcastMessage::GossipDigest(d) => {
                 match &d.entries {
                     DigestEntries::Flat(entries) => {
-                        buf.put_u8(tag::PBCAST_DIGEST_FLAT);
+                        buf.put_u8(Kind::PbcastDigestFlat as u8);
                         buf.put_u64_le(d.sender.as_u64());
                         buf.put_u16_le(entries.len() as u16);
                         for e in entries {
@@ -434,7 +457,7 @@ impl WireMessage for PbcastMessage {
                         }
                     }
                     DigestEntries::Compact(ranges) => {
-                        buf.put_u8(tag::PBCAST_DIGEST_COMPACT);
+                        buf.put_u8(Kind::PbcastDigestCompact as u8);
                         buf.put_u64_le(d.sender.as_u64());
                         buf.put_u16_le(ranges.len() as u16);
                         for r in ranges {
@@ -456,21 +479,20 @@ impl WireMessage for PbcastMessage {
                 }
             }
             PbcastMessage::Solicit { ids } => {
-                buf.put_u8(tag::PBCAST_SOLICIT);
+                buf.put_u8(Kind::PbcastSolicit as u8);
                 encode_ids(buf, ids);
             }
         }
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let kind = take_u8(buf)?;
-        Ok(match kind {
-            tag::PBCAST_MULTICAST => {
+        Ok(match take_kind(buf)? {
+            Kind::PbcastMulticast => {
                 let event = decode_event(buf)?;
                 let hops = take_u32(buf)?;
                 PbcastMessage::Multicast { event, hops }
             }
-            tag::PBCAST_DIGEST_FLAT => {
+            Kind::PbcastDigestFlat => {
                 let sender = ProcessId::new(take_u64(buf)?);
                 let n_entries = take_u16(buf)? as usize;
                 check_capacity(buf, n_entries, 20)?;
@@ -490,10 +512,10 @@ impl WireMessage for PbcastMessage {
                     subs: decode_pids(buf)?,
                 })
             }
-            tag::PBCAST_SOLICIT => PbcastMessage::Solicit {
+            Kind::PbcastSolicit => PbcastMessage::Solicit {
                 ids: decode_ids(buf)?,
             },
-            tag::PBCAST_DIGEST_COMPACT => {
+            Kind::PbcastDigestCompact => {
                 let sender = ProcessId::new(take_u64(buf)?);
                 let n_ranges = take_u16(buf)? as usize;
                 check_capacity(buf, n_ranges, DigestEntries::RANGE_BYTES)?;
@@ -550,7 +572,7 @@ impl WireMessage for PbcastMessage {
                     subs: decode_pids(buf)?,
                 })
             }
-            t => return Err(WireError::BadTag(t)),
+            foreign => return Err(WireError::BadTag(foreign as u8)),
         })
     }
 
@@ -572,7 +594,7 @@ impl WireMessage for PbcastMessage {
 
 impl WireMessage for PubSubMessage {
     fn encode_body(&self, buf: &mut BytesMut) {
-        buf.put_u8(tag::PUBSUB);
+        buf.put_u8(Kind::PubSub as u8);
         let name = self.topic.name().as_bytes();
         buf.put_u16_le(name.len() as u16);
         buf.put_slice(name);
@@ -580,9 +602,9 @@ impl WireMessage for PubSubMessage {
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let kind = take_u8(buf)?;
-        if kind != tag::PUBSUB {
-            return Err(WireError::BadTag(kind));
+        let kind = take_kind(buf)?;
+        if kind != Kind::PubSub {
+            return Err(WireError::BadTag(kind as u8));
         }
         let len = take_u16(buf)? as usize;
         if len > MAX_TOPIC || len > buf.remaining() {
@@ -663,35 +685,35 @@ impl<M: WireMessage> WireMessage for SwimMsg<M> {
     fn encode_body(&self, buf: &mut BytesMut) {
         match self {
             SwimMsg::Wrapped { inner, updates } => {
-                buf.put_u8(tag::SWIM_WRAPPED);
+                buf.put_u8(Kind::SwimWrapped as u8);
                 encode_updates(buf, updates);
                 inner.encode_body(buf);
             }
             SwimMsg::Ping { updates } => {
-                buf.put_u8(tag::SWIM_PING);
+                buf.put_u8(Kind::SwimPing as u8);
                 encode_updates(buf, updates);
             }
             SwimMsg::Ack { updates } => {
-                buf.put_u8(tag::SWIM_ACK);
+                buf.put_u8(Kind::SwimAck as u8);
                 encode_updates(buf, updates);
             }
             SwimMsg::PingReq { target, updates } => {
-                buf.put_u8(tag::SWIM_PING_REQ);
+                buf.put_u8(Kind::SwimPingReq as u8);
                 buf.put_u64_le(target.as_u64());
                 encode_updates(buf, updates);
             }
             SwimMsg::ProxyPing { origin, updates } => {
-                buf.put_u8(tag::SWIM_PROXY_PING);
+                buf.put_u8(Kind::SwimProxyPing as u8);
                 buf.put_u64_le(origin.as_u64());
                 encode_updates(buf, updates);
             }
             SwimMsg::ProxyAck { origin, updates } => {
-                buf.put_u8(tag::SWIM_PROXY_ACK);
+                buf.put_u8(Kind::SwimProxyAck as u8);
                 buf.put_u64_le(origin.as_u64());
                 encode_updates(buf, updates);
             }
             SwimMsg::IndirectAck { target, updates } => {
-                buf.put_u8(tag::SWIM_INDIRECT_ACK);
+                buf.put_u8(Kind::SwimIndirectAck as u8);
                 buf.put_u64_le(target.as_u64());
                 encode_updates(buf, updates);
             }
@@ -699,48 +721,47 @@ impl<M: WireMessage> WireMessage for SwimMsg<M> {
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let kind = take_u8(buf)?;
-        Ok(match kind {
-            tag::SWIM_WRAPPED => {
+        Ok(match take_kind(buf)? {
+            Kind::SwimWrapped => {
                 let updates = decode_updates(buf)?;
                 let inner = M::decode_body(buf)?;
                 SwimMsg::Wrapped { inner, updates }
             }
-            tag::SWIM_PING => SwimMsg::Ping {
+            Kind::SwimPing => SwimMsg::Ping {
                 updates: decode_updates(buf)?,
             },
-            tag::SWIM_ACK => SwimMsg::Ack {
+            Kind::SwimAck => SwimMsg::Ack {
                 updates: decode_updates(buf)?,
             },
-            tag::SWIM_PING_REQ => {
+            Kind::SwimPingReq => {
                 let target = ProcessId::new(take_u64(buf)?);
                 SwimMsg::PingReq {
                     target,
                     updates: decode_updates(buf)?,
                 }
             }
-            tag::SWIM_PROXY_PING => {
+            Kind::SwimProxyPing => {
                 let origin = ProcessId::new(take_u64(buf)?);
                 SwimMsg::ProxyPing {
                     origin,
                     updates: decode_updates(buf)?,
                 }
             }
-            tag::SWIM_PROXY_ACK => {
+            Kind::SwimProxyAck => {
                 let origin = ProcessId::new(take_u64(buf)?);
                 SwimMsg::ProxyAck {
                     origin,
                     updates: decode_updates(buf)?,
                 }
             }
-            tag::SWIM_INDIRECT_ACK => {
+            Kind::SwimIndirectAck => {
                 let target = ProcessId::new(take_u64(buf)?);
                 SwimMsg::IndirectAck {
                     target,
                     updates: decode_updates(buf)?,
                 }
             }
-            t => return Err(WireError::BadTag(t)),
+            foreign => return Err(WireError::BadTag(foreign as u8)),
         })
     }
 
@@ -1028,6 +1049,11 @@ fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
     Ok(buf.get_u8())
 }
 
+/// A frame's kind byte: a byte no [`Kind`] names is [`WireError::BadTag`].
+fn take_kind(buf: &mut &[u8]) -> Result<Kind, WireError> {
+    Kind::try_from(take_u8(buf)?)
+}
+
 fn take_u16(buf: &mut &[u8]) -> Result<u16, WireError> {
     if buf.remaining() < 2 {
         return Err(WireError::UnexpectedEof);
@@ -1151,19 +1177,73 @@ mod tests {
         ));
     }
 
+    /// All 256 kind bytes on an empty body: a byte outside `family` is
+    /// `BadTag(byte)`; a byte inside gets past the dispatch (and then runs
+    /// out of body).
+    fn sweep_kind_bytes<M: WireMessage>(family: &[Kind]) {
+        for byte in 0..=u8::MAX {
+            let inside = Kind::try_from(byte).is_ok_and(|kind| family.contains(&kind));
+            match decode::<M>(&[MAGIC, VERSION, byte]) {
+                Err(WireError::BadTag(tag)) => {
+                    assert!(!inside && tag == byte, "kind byte {byte}: BadTag({tag})")
+                }
+                other => assert!(inside, "foreign kind byte {byte} got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn rejects_unknown_kind() {
-        let bytes = vec![MAGIC, VERSION, 42];
-        assert!(matches!(
-            decode::<Message>(&bytes),
-            Err(WireError::BadTag(42))
-        ));
+        let lpbcast = [
+            Kind::Gossip,
+            Kind::Subscribe,
+            Kind::RetransmitRequest,
+            Kind::RetransmitResponse,
+        ];
         // pbcast kinds live at 16+; an lpbcast gossip tag is foreign to it.
-        let bytes = vec![MAGIC, VERSION, 0, 0];
-        assert!(matches!(
-            decode::<PbcastMessage>(&bytes),
-            Err(WireError::BadTag(0))
-        ));
+        let pbcast = [
+            Kind::PbcastMulticast,
+            Kind::PbcastDigestFlat,
+            Kind::PbcastSolicit,
+            Kind::PbcastDigestCompact,
+        ];
+        let pubsub = [Kind::PubSub];
+        let swim = [
+            Kind::SwimWrapped,
+            Kind::SwimPing,
+            Kind::SwimAck,
+            Kind::SwimPingReq,
+            Kind::SwimProxyPing,
+            Kind::SwimProxyAck,
+            Kind::SwimIndirectAck,
+        ];
+        sweep_kind_bytes::<Message>(&lpbcast);
+        sweep_kind_bytes::<PbcastMessage>(&pbcast);
+        sweep_kind_bytes::<PubSubMessage>(&pubsub);
+        sweep_kind_bytes::<SwimMsg<Message>>(&swim);
+        // No orphans: every registered kind is one some codec decodes.
+        let dispatched = [&lpbcast[..], &pbcast, &pubsub, &swim].concat();
+        for kind in (0..=u8::MAX).filter_map(|byte| Kind::try_from(byte).ok()) {
+            assert!(
+                dispatched.contains(&kind),
+                "{kind:?} is registered but no codec dispatches on it"
+            );
+        }
+    }
+
+    /// D3: the `//! kind N — …` table at the top of this file and the
+    /// [`Kind`] enum name the same bytes.
+    #[test]
+    fn kind_registry_matches_the_doc_header() {
+        let documented: Vec<u8> = include_str!("wire.rs")
+            .lines()
+            .filter_map(|line| line.strip_prefix("//! kind ")?.split_once(' '))
+            .map(|(byte, _)| byte.parse().expect("`//! kind N — …`"))
+            .collect();
+        let declared: Vec<u8> = (0..=u8::MAX)
+            .filter(|&byte| Kind::try_from(byte).is_ok())
+            .collect();
+        assert_eq!(documented, declared);
     }
 
     #[test]
@@ -1589,6 +1669,10 @@ mod tests {
         measured: std::sync::Arc<std::sync::atomic::AtomicUsize>,
     }
 
+    #[expect(
+        clippy::unreachable,
+        reason = "the meter probe stubs the codec half no meter test runs"
+    )]
     impl WireMessage for CountedMsg {
         fn encode_body(&self, _buf: &mut BytesMut) {
             unreachable!("meter tests never serialize")

@@ -69,6 +69,10 @@ fn mesh(n: u64) -> Vec<Node> {
 }
 
 /// Steps every node round-robin until `done` holds or `timeout` passes.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D2 waiver: loopback tests bound their waits by the wall clock"
+)]
 fn run_until(
     nodes: &mut [Node],
     timeout: Duration,

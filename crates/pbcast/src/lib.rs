@@ -45,7 +45,6 @@
 //! assert_eq!(got.delivered.len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod config;

@@ -40,7 +40,6 @@
 //! assert_eq!(received.deliveries[0].0, prices);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod cluster;

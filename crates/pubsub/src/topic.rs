@@ -50,7 +50,7 @@ impl AsRef<str> for TopicId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use lpbcast_types::FastSet;
 
     #[test]
     fn equality_is_by_content() {
@@ -59,7 +59,7 @@ mod tests {
         let c = TopicId::from("stocks/energy");
         assert_eq!(a, b);
         assert_ne!(a, c);
-        let mut set = HashSet::new();
+        let mut set = FastSet::default();
         set.insert(a.clone());
         assert!(!set.insert(b));
         assert!(set.insert(c));

@@ -34,18 +34,6 @@
 //! Result: for a fixed seed, every shard count — and every thread count,
 //! including the automatic inline dispatch on 1-thread pools — produces
 //! bit-identical runs (pinned by the shard-invariance proptests).
-//!
-//! # Step modes
-//!
-//! [`StepMode::Dense`] ticks every alive node each round, the paper's
-//! unconditional-gossip model (§3.3). [`StepMode::Sparse`] skips nodes
-//! that received no message last round *and* report no pending tick work
-//! ([`Protocol::wants_tick`]) — an event-driven approximation for
-//! mostly-idle windows (post-catastrophe drains, healed partitions)
-//! where dense rounds burn time gossiping digests nobody needs. Sparse
-//! runs are deterministic per seed but are a *different schedule* than
-//! dense runs: a skipped tick also pauses that node's periodic
-//! digest/view refresh.
 
 use lpbcast_membership::ViewGraph;
 use lpbcast_types::{EventId, Output, Payload, ProcessId, Protocol};
@@ -64,15 +52,6 @@ const CHASE_DEPTH: usize = 4;
 /// invariant, so beyond-core counts only add partition/merge overhead.
 const MAX_SHARDS: usize = 64;
 
-/// Sparse-mode wake linger: a productive delivery keeps its receiver
-/// ticking for this many subsequent rounds (the heat decays by one per
-/// round and the delivery round itself consumes one step, so the
-/// effective window is `WAKE_LINGER - 1` ticks). The linger restores the
-/// digest redundancy that covers fanout stragglers in dense mode; a
-/// one-round wake makes every dissemination a single-push branching
-/// process that can strand nodes forever.
-const WAKE_LINGER: u8 = 5;
-
 /// Shard count for benchmark and scenario drivers: the `BENCH_SIM_SHARDS`
 /// environment knob, default 1. Every shard count is bit-identical, so
 /// the knob never changes a result — but it is not free speed: measured
@@ -87,19 +66,6 @@ pub fn shards_from_env() -> usize {
         .filter(|&s| s >= 1)
         .unwrap_or(1)
         .min(MAX_SHARDS)
-}
-
-/// Tick-scheduling policy of a [`step`](Engine::step) (see the module
-/// docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StepMode {
-    /// Every alive node ticks every round (§3.3, the reference model).
-    #[default]
-    Dense,
-    /// Event-driven: skip nodes with an empty inbox and no pending tick
-    /// work ([`Protocol::wants_tick`]). Deterministic per seed; not
-    /// equivalent to [`Dense`](StepMode::Dense).
-    Sparse,
 }
 
 /// A queued message copy. The destination is pre-resolved to a slab
@@ -229,25 +195,13 @@ pub struct Engine<P: Protocol> {
     delayed: Vec<(u64, Envelope<P::Msg>)>,
     /// Configured shard count (1 = the classic serial round).
     shards: usize,
-    /// Tick-scheduling policy (see [`StepMode`]).
-    step_mode: StepMode,
-    /// Sparse mode: per-slab-slot wake heat. A productive delivery sets
-    /// a node's heat to [`WAKE_LINGER`]; each sparse round decays every
-    /// entry by one, and a node with zero heat (and no
-    /// [`wants_tick`](Protocol::wants_tick) work) skips its tick. The
-    /// linger window keeps a freshly-infected node gossiping digests for
-    /// a few rounds, restoring the redundancy dense mode gets from
-    /// unconditional ticks — without it each node pushes an event
-    /// exactly once and a dissemination into a quiescent system can
-    /// strand stragglers.
-    heat: Vec<u8>,
     /// Sharded delivery: reusable per-shard survivor buckets.
     fate_buckets: Vec<Vec<(u32, Envelope<P::Msg>)>>,
 }
 
 /// Staged construction of an [`Engine`]: the network model plus every
 /// optional engine-level knob (crash schedule, wire meter, fault plane,
-/// shard count, step mode, pre-seeded nodes) in one fluent value.
+/// shard count, pre-seeded nodes) in one fluent value.
 ///
 /// Replaced the former `Engine::new` + `set_*` sprawl. Protocol-level
 /// configuration (history mode, view sizes, initial topology) stays
@@ -257,7 +211,6 @@ pub struct EngineBuilder<P: Protocol> {
     network: NetworkModel,
     crash_plan: CrashPlan,
     shards: usize,
-    step_mode: StepMode,
     meter: Option<WireMeter<P::Msg>>,
     fault_plane: Option<FaultPlane>,
     nodes: Vec<P>,
@@ -270,7 +223,6 @@ impl<P: Protocol> EngineBuilder<P> {
             network,
             crash_plan: CrashPlan::none(),
             shards: 1,
-            step_mode: StepMode::Dense,
             meter: None,
             fault_plane: None,
             nodes: Vec::new(),
@@ -323,12 +275,6 @@ impl<P: Protocol> EngineBuilder<P> {
         self
     }
 
-    /// Selects the tick-scheduling policy (default [`StepMode::Dense`]).
-    pub fn step_mode(mut self, mode: StepMode) -> Self {
-        self.step_mode = mode;
-        self
-    }
-
     /// Seeds the engine with `nodes` (equivalent to calling
     /// [`Engine::add_node`] for each, in order, after `build`).
     pub fn nodes(mut self, nodes: impl IntoIterator<Item = P>) -> Self {
@@ -357,8 +303,6 @@ impl<P: Protocol> EngineBuilder<P> {
             fault_seq: 0,
             delayed: Vec::new(),
             shards: self.shards,
-            step_mode: self.step_mode,
-            heat: Vec::new(),
             fate_buckets: Vec::new(),
         };
         for node in self.nodes {
@@ -372,7 +316,6 @@ impl<P: Protocol> std::fmt::Debug for EngineBuilder<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineBuilder")
             .field("shards", &self.shards)
-            .field("step_mode", &self.step_mode)
             .field("nodes", &self.nodes.len())
             .finish_non_exhaustive()
     }
@@ -380,8 +323,7 @@ impl<P: Protocol> std::fmt::Debug for EngineBuilder<P> {
 
 impl<P: Protocol> Engine<P> {
     /// Starts an [`EngineBuilder`] — the construction path for every
-    /// engine-level knob (crash plan, wire meter, fault plane, shards,
-    /// step mode).
+    /// engine-level knob (crash plan, wire meter, fault plane, shards).
     pub fn builder(network: NetworkModel) -> EngineBuilder<P> {
         EngineBuilder::new(network)
     }
@@ -394,26 +336,6 @@ impl<P: Protocol> Engine<P> {
     /// The configured shard count.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The current tick-scheduling policy.
-    pub fn step_mode(&self) -> StepMode {
-        self.step_mode
-    }
-
-    /// Switches the tick-scheduling policy mid-run. Supported (not a
-    /// deprecated setter): scenario drivers flip to
-    /// [`StepMode::Sparse`] for idle windows and back. Switching to
-    /// sparse treats every node as freshly woken, so in-flight work
-    /// keeps ticking through a full linger window before anything is
-    /// skipped.
-    pub fn set_step_mode(&mut self, mode: StepMode) {
-        if mode == StepMode::Sparse && self.step_mode != StepMode::Sparse {
-            // Every node ticks in dense mode, so recent inbox activity
-            // is unknowable — assume maximum heat everywhere.
-            self.heat.fill(WAKE_LINGER);
-        }
-        self.step_mode = mode;
     }
 
     /// Totals of the installed wire meter (`None` when no meter is set).
@@ -446,7 +368,6 @@ impl<P: Protocol> Engine<P> {
                 self.alive_count += 1;
                 self.alive_sorted_insert(id);
             }
-            self.heat[i] = WAKE_LINGER;
             self.nodes[i] = node;
             return;
         }
@@ -456,9 +377,6 @@ impl<P: Protocol> Engine<P> {
         self.index.insert(id, i as u32);
         self.alive.grow_to(i + 1);
         self.alive.set(i);
-        // A newcomer's inbox state is unknown; give it full heat so its
-        // first sparse rounds never skip it.
-        self.heat.push(WAKE_LINGER);
         self.alive_count += 1;
         self.alive_sorted_insert(id);
     }
@@ -499,9 +417,6 @@ impl<P: Protocol> Engine<P> {
             self.index.insert(self.ids[i], i as u32);
         }
         self.alive.clear(last);
-        // The heat vec tracks slab slots, so it follows the same
-        // swap-remove as the node itself.
-        self.heat.swap_remove(i);
         let (i, last) = (i as u32, last as u32);
         let fixup = |e: &mut Envelope<P::Msg>| {
             if e.to == i {
@@ -786,9 +701,7 @@ where
     /// Runs one synchronous round:
     ///
     /// 1. apply scheduled crashes;
-    /// 2. every alive node ticks once, emitting its gossip (in
-    ///    [`StepMode::Sparse`], only woken nodes and nodes reporting
-    ///    pending tick work);
+    /// 2. every alive node ticks once, emitting its gossip (§3.3);
     /// 3. queued + emitted messages are delivered (loss applies), and
     ///    reply chains are chased for a bounded number of generations
     ///    within the round (the paper's latency-below-`T` assumption,
@@ -837,24 +750,11 @@ where
             self.delayed = kept;
         }
 
-        let sparse = self.step_mode == StepMode::Sparse;
-        if sparse {
-            // Decay first, then test: a delivery at round r grants heat
-            // for rounds r+1 .. r+WAKE_LINGER-1. The decay happens
-            // serially even on the sharded path so the parallel tick
-            // phase only ever *reads* the heat slab.
-            for h in &mut self.heat {
-                *h = h.saturating_sub(1);
-            }
-        }
         if self.shards > 1 && !self.nodes.is_empty() {
-            self.tick_sharded(&mut queue, sparse);
+            self.tick_sharded(&mut queue);
         } else {
             for i in 0..self.nodes.len() {
                 if !self.alive.get(i) {
-                    continue;
-                }
-                if sparse && self.heat[i] == 0 && !self.nodes[i].wants_tick() {
                     continue;
                 }
                 let from = self.ids[i];
@@ -871,7 +771,7 @@ where
             self.scratch.clear();
             let mut scratch = std::mem::take(&mut self.scratch);
             if self.shards > 1 && !self.nodes.is_empty() {
-                self.deliver_generation_sharded(&mut queue, &mut scratch, sparse);
+                self.deliver_generation_sharded(&mut queue, &mut scratch);
             } else {
                 for envelope in queue.drain(..) {
                     let mut slot = Some(envelope);
@@ -881,13 +781,6 @@ where
                     let envelope = slot.expect("surviving envelope");
                     let ti = envelope.to as usize;
                     let out = self.nodes[ti].handle_message(envelope.from, envelope.msg);
-                    // A message that produced nothing (steady-state digest
-                    // refresh) does not wake its receiver — otherwise idle
-                    // gossip would re-wake the whole system every round
-                    // and sparse mode could never quiesce.
-                    if sparse && !out.is_empty() {
-                        self.heat[ti] = WAKE_LINGER;
-                    }
                     let to_id = self.ids[ti];
                     self.absorb_output(to_id, out, &mut scratch);
                 }
@@ -914,10 +807,9 @@ where
     /// Phase A over shards: ticks run in parallel per contiguous slab
     /// range, then merge in shard order — which *is* slab order, so the
     /// emission sequence matches the serial loop exactly.
-    fn tick_sharded(&mut self, queue: &mut Vec<Envelope<P::Msg>>, sparse: bool) {
+    fn tick_sharded(&mut self, queue: &mut Vec<Envelope<P::Msg>>) {
         let (_, spans) = shard_layout(self.nodes.len(), self.shards);
         let alive = &self.alive;
-        let heat = &self.heat;
         let tasks: Vec<(usize, usize, ())> = spans.iter().map(|&(a, b)| (a, b, ())).collect();
         let per_shard: Vec<Vec<(u32, Output<P::Msg>)>> =
             run_shards(&mut self.nodes, tasks, |start, slice, ()| {
@@ -925,9 +817,6 @@ where
                 for (off, node) in slice.iter_mut().enumerate() {
                     let i = start + off;
                     if !alive.get(i) {
-                        continue;
-                    }
-                    if sparse && heat[i] == 0 && !node.wants_tick() {
                         continue;
                     }
                     ticked.push((i as u32, node.tick()));
@@ -949,7 +838,6 @@ where
         &mut self,
         queue: &mut Vec<Envelope<P::Msg>>,
         scratch: &mut Vec<Envelope<P::Msg>>,
-        sparse: bool,
     ) {
         let (chunk, spans) = shard_layout(self.nodes.len(), self.shards);
 
@@ -974,7 +862,10 @@ where
         // Pass 2 — handling, parallel: a node's envelopes arrive in
         // queue-position order, so every node sees its serial input
         // sequence; node-local RNGs advance identically.
-        #[allow(clippy::type_complexity)]
+        #[expect(
+            clippy::type_complexity,
+            reason = "a one-use (span start, span end, bucket) work list"
+        )]
         let tasks: Vec<(usize, usize, Vec<(u32, Envelope<P::Msg>)>)> = spans
             .iter()
             .zip(buckets)
@@ -1013,11 +904,6 @@ where
             let Some(s) = best else { break };
             let (_, to, out) = streams[s].next().expect("peeked element");
             let ti = to as usize;
-            // Same wake rule as the serial loop: only productive
-            // deliveries wake their receiver.
-            if sparse && !out.is_empty() {
-                self.heat[ti] = WAKE_LINGER;
-            }
             let to_id = self.ids[ti];
             self.absorb_output(to_id, out, scratch);
         }
@@ -1350,50 +1236,5 @@ mod tests {
         for shards in [2, 3, 5, 16] {
             assert_eq!(serial, curve(shards), "shards={shards}");
         }
-    }
-
-    #[test]
-    fn sparse_mode_quiesces_idle_windows_and_wakes_on_publish() {
-        let mut engine = cluster_with(12, 7, |b| b.step_mode(StepMode::Sparse));
-        assert_eq!(engine.step_mode(), StepMode::Sparse);
-        let id = engine.publish_from(pid(0), Payload::from_static(b"x"));
-        engine.run(12);
-        assert_eq!(
-            engine.tracker().infected_count(id),
-            12,
-            "sparse mode still disseminates"
-        );
-        // Idle window: once the event has drained, nodes report no tick
-        // work and deliveries stop entirely.
-        engine.run(5);
-        let settled = engine.network().delivered_count();
-        engine.run(10);
-        assert_eq!(
-            engine.network().delivered_count(),
-            settled,
-            "a quiescent sparse system sends nothing"
-        );
-        // A fresh publish wakes the system back up.
-        let id2 = engine.publish_from(pid(3), Payload::from_static(b"y"));
-        engine.run(12);
-        assert!(
-            engine.network().delivered_count() > settled,
-            "publishing resumes traffic"
-        );
-        assert_eq!(engine.tracker().infected_count(id2), 12);
-    }
-
-    #[test]
-    fn dense_engines_can_switch_to_sparse_mid_run() {
-        let mut engine = cluster(10, 19);
-        let id = engine.publish_from(pid(0), Payload::from_static(b"x"));
-        engine.run(4);
-        engine.set_step_mode(StepMode::Sparse);
-        engine.run(10);
-        assert_eq!(
-            engine.tracker().infected_count(id),
-            10,
-            "the in-flight dissemination completes across the switch"
-        );
     }
 }

@@ -225,8 +225,7 @@ pub trait SimParams: Clone + Sync {
 
     /// An [`EngineBuilder`] populated with `n` nodes for `seed` through
     /// [`Bootstrap::engine_builder`], for callers that stack further
-    /// knobs (wire metering, fault planes, step mode) before sealing the
-    /// engine.
+    /// knobs (wire metering, fault planes) before sealing the engine.
     fn engine_builder(&self, seed: u64) -> EngineBuilder<Self::Protocol>;
 
     /// Boots an engine for `seed`.

@@ -83,7 +83,6 @@
 //! assert!(*curve.last().unwrap() > 60.0, "near-total infection");
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod detector;
@@ -97,7 +96,7 @@ pub mod scenario;
 pub mod topology;
 
 pub use detector::{detector_study, detector_tsv, DetectorPair};
-pub use engine::{shards_from_env, Engine, EngineBuilder, StepMode, WireAccounting};
+pub use engine::{shards_from_env, Engine, EngineBuilder, WireAccounting};
 pub use fault::{Fate, FaultPlane, FaultSpec};
 pub use lpbcast_types::{MembershipEvent, Output, Protocol};
 pub use metrics::{InfectionTracker, ReliabilityReport};

@@ -723,10 +723,6 @@ impl<P: ScenarioProtocol> Protocol for Byz<P> {
         self.filter(out)
     }
 
-    fn wants_tick(&self) -> bool {
-        self.inner.wants_tick()
-    }
-
     fn handle_message(&mut self, from: ProcessId, msg: Self::Msg) -> Output<Self::Msg> {
         let out = self.inner.handle_message(from, msg);
         self.filter(out)

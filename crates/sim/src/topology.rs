@@ -78,7 +78,7 @@ impl Bootstrap {
     /// `node(id, node_seed, initial_view)`, called in id order, with the
     /// loss model, the crash plan and the `BENCH_SIM_SHARDS` shard count
     /// installed. Callers stack further knobs (wire metering, fault
-    /// planes, step mode) before sealing the engine.
+    /// planes) before sealing the engine.
     ///
     /// The whole bootstrap is O(n·l): views come from the O(l)-per-node
     /// Floyd sampler, no per-node candidate list is materialized.

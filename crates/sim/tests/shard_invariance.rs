@@ -26,7 +26,10 @@ fn config() -> Config {
 /// Builds an n-node lpbcast cluster with `shards` shards and an optional
 /// fault plane, runs a small eventful schedule (publishes from rotating
 /// origins, one mid-run crash), and digests everything observable.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the digest is a one-use tuple of everything observable"
+)]
 fn run_digest(
     n: usize,
     seed: u64,

@@ -103,8 +103,7 @@ impl fmt::Display for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProcessId;
-    use std::collections::HashSet;
+    use crate::{FastSet, ProcessId};
 
     fn eid(origin: u64, seq: u64) -> EventId {
         EventId::new(ProcessId::new(origin), seq)
@@ -115,7 +114,7 @@ mod tests {
         let a = Event::new(eid(1, 1), b"x".as_ref());
         let b = Event::new(eid(1, 1), b"completely different".as_ref());
         assert_eq!(a, b);
-        let mut set = HashSet::new();
+        let mut set = FastSet::default();
         set.insert(a);
         assert!(!set.insert(b));
         assert_eq!(set.len(), 1);

@@ -54,9 +54,17 @@ impl Hasher for FastHasher {
 pub type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` keyed with the fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1 definition site: the std name appears only here, pinned to the seed-free FastHasher"
+)]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, FastBuild>;
 
 /// A `HashSet` keyed with the fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "D1 definition site: the std name appears only here, pinned to the seed-free FastHasher"
+)]
 pub type FastSet<T> = std::collections::HashSet<T, FastBuild>;
 
 #[cfg(test)]

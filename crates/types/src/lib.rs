@@ -40,7 +40,6 @@
 //! assert!(buf.len() <= 2);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod buffer;

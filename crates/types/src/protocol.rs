@@ -178,18 +178,12 @@ pub trait Protocol {
     /// unconditionally (§3.3).
     fn tick(&mut self) -> Output<Self::Msg>;
 
-    /// Whether this process has tick work it must not skip: pending
-    /// join/leave handshakes, undisseminated notifications, buffered
-    /// membership records, or any periodic duty beyond the steady-state
-    /// digest refresh.
-    ///
-    /// Drivers running a *sparse* (event-driven) schedule consult this to
-    /// skip fully-idle processes; drivers honouring the paper's
-    /// unconditional-tick model (§3.3) never call it. Returning `false`
-    /// promises that skipping the next [`tick`](Protocol::tick) loses no
-    /// protocol progress beyond pausing the periodic digest/view refresh
-    /// — it must stay a pure, RNG-free read of local state. The default
-    /// (`true`) opts a protocol out of sparse scheduling entirely.
+    /// Whether this process has tick work it must not skip. A hook for a
+    /// sparse (event-driven) tick schedule that no in-tree driver runs any
+    /// more: every driver ticks unconditionally (§3.3) and none consults
+    /// this. It survives only because `lpbench/`'s tracing wrappers
+    /// forward it, and leaves with the PR allowed to edit `lpbench/`
+    /// (ROADMAP 3(d)).
     fn wants_tick(&self) -> bool {
         true
     }

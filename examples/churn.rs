@@ -6,8 +6,6 @@
 //! cargo run --example churn
 //! ```
 
-#![forbid(unsafe_code)]
-
 use lpbcast::core::{Config, Lpbcast};
 use lpbcast::membership::View as _;
 use lpbcast::sim::experiment::{InitialTopology, LpbcastSimParams, SimParams};

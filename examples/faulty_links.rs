@@ -11,8 +11,6 @@
 //! LPBCAST_DETECTOR_N=500 LPBCAST_DETECTOR_SEED=3 cargo run --release --example faulty_links
 //! ```
 
-#![forbid(unsafe_code)]
-
 use lpbcast::sim::detector::{detector_study, detector_tsv};
 use lpbcast::sim::fault::FaultSpec;
 use lpbcast::sim::{ProtocolKind, ScenarioGenerator};

@@ -10,8 +10,6 @@
 //! cargo run --example pubsub_ticker
 //! ```
 
-#![forbid(unsafe_code)]
-
 use lpbcast::core::Config;
 use lpbcast::pubsub::{PubSubCluster, PubSubNode, TopicId};
 use lpbcast::types::ProcessId;

@@ -5,8 +5,6 @@
 //! cargo run --example quickstart
 //! ```
 
-#![forbid(unsafe_code)]
-
 use lpbcast::sim::experiment::{LpbcastSimParams, SimParams};
 use lpbcast::types::ProcessId;
 

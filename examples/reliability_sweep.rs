@@ -7,8 +7,6 @@
 //! ```
 //! (release strongly recommended; debug builds are ~20× slower)
 
-#![forbid(unsafe_code)]
-
 use lpbcast::core::Config;
 use lpbcast::sim::experiment::{
     reliability, InitialTopology, LpbcastSimParams, ReliabilityRun, Sweep,

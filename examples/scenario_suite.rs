@@ -15,8 +15,6 @@
 //! (default: lpbcast and pbcast): a scenario is a timeline run by one
 //! generic driver, so every stack goes through the identical code.
 
-#![forbid(unsafe_code)]
-
 use lpbcast::sim::{
     run_scenario_spec, scenarios_tsv, ProtocolKind, ScenarioGenerator, ScenarioReport, ScenarioSpec,
 };

@@ -2,7 +2,6 @@
 """Schema check over the artifacts the workspace writes into results/.
 
     python3 scripts/check_results_schema.py [results_dir]
-    python3 scripts/check_results_schema.py --lint results/lint.json
     python3 scripts/check_results_schema.py --tsv results/net_scenarios.tsv
 
 CI uploads ``results/*.tsv`` as artifacts; downstream tooling (plot
@@ -17,16 +16,12 @@ known figure:
 Unknown ``*.tsv`` files only get the column-count consistency check (new
 figures are how the directory grows).
 
-``lint.json`` (the ``lpbcast-lint`` static-analysis report) is validated
-whenever present in the results dir, or alone via ``--lint`` — the mode
-the CI lint job uses, where no TSV figures exist yet. ``--tsv`` checks
-one known figure alone — the mode the CI ``net_cluster`` job uses,
-where the other figures (regenerated by ``bench_sim`` in the test job)
-are absent from the checkout. Stdlib only by design — CI must not need
-pip.
+``--tsv`` checks one known figure alone — the mode the CI ``net_cluster``
+job uses, where the other figures (regenerated by ``bench_sim`` in the
+test job) are absent from the checkout. Stdlib only by design — CI must
+not need pip.
 """
 
-import json
 import os
 import sys
 
@@ -107,73 +102,7 @@ def check_file(path, expected):
     return problems
 
 
-LINT_SCHEMA = "lpbcast-lint/v1"
-LINT_RULES = ["D1", "D2", "D3", "D4", "D5"]
-LINT_FINDING_KEYS = {"rule", "code", "path", "line", "col", "message"}
-LINT_WAIVED_KEYS = {"rule", "code", "path", "line", "justification"}
-
-
-def check_lint_json(path):
-    """Returns a list of problem strings for one lint.json report."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
-        return [f"{path}: unreadable or invalid JSON: {e}"]
-    problems = []
-    if doc.get("schema") != LINT_SCHEMA:
-        problems.append(f"{path}: schema is {doc.get('schema')!r}, expected {LINT_SCHEMA!r}")
-    if not isinstance(doc.get("strict"), bool):
-        problems.append(f"{path}: `strict` must be a boolean")
-    if not isinstance(doc.get("files_scanned"), int) or doc.get("files_scanned") < 1:
-        problems.append(f"{path}: `files_scanned` must be a positive integer")
-    if doc.get("rules") != LINT_RULES:
-        problems.append(f"{path}: `rules` must be {LINT_RULES}")
-
-    def check_rows(key, required_keys):
-        rows = doc.get(key)
-        if not isinstance(rows, list):
-            problems.append(f"{path}: `{key}` must be a list")
-            return []
-        for i, row in enumerate(rows):
-            if not isinstance(row, dict) or set(row) != required_keys:
-                problems.append(f"{path}: {key}[{i}] must have keys {sorted(required_keys)}")
-                continue
-            if row["rule"] not in LINT_RULES:
-                problems.append(f"{path}: {key}[{i}] has unknown rule {row['rule']!r}")
-            if not isinstance(row["line"], int) or row["line"] < 1:
-                problems.append(f"{path}: {key}[{i}] line must be a positive integer")
-        return rows
-
-    findings = check_rows("findings", LINT_FINDING_KEYS)
-    waived = check_rows("waived", LINT_WAIVED_KEYS)
-    for i, row in enumerate(waived):
-        if isinstance(row, dict) and not str(row.get("justification", "")).strip():
-            problems.append(f"{path}: waived[{i}] lacks a justification")
-
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append(f"{path}: `summary` must be an object")
-    elif isinstance(findings, list) and isinstance(waived, list):
-        if summary.get("total") != len(findings) + len(waived):
-            problems.append(f"{path}: summary.total disagrees with findings + waived")
-        if summary.get("waived") != len(waived):
-            problems.append(f"{path}: summary.waived disagrees with waived list")
-        if summary.get("clean") != (len(findings) == 0):
-            problems.append(f"{path}: summary.clean disagrees with findings list")
-    return problems
-
-
 def main(argv):
-    if len(argv) > 1 and argv[1] == "--lint":
-        path = argv[2] if len(argv) > 2 else os.path.join("results", "lint.json")
-        problems = check_lint_json(path)
-        for problem in problems:
-            print(f"SCHEMA VIOLATION: {problem}")
-        if problems:
-            return 1
-        print(f"checked {path} (lint report)")
-        return 0
     if len(argv) > 2 and argv[1] == "--tsv":
         path = argv[2]
         expected = EXPECTED_HEADERS.get(os.path.basename(path))
@@ -206,10 +135,6 @@ def main(argv):
         problems.extend(check_file(os.path.join(results_dir, name), expected))
         verdict = "schema-checked" if name in EXPECTED_HEADERS else "column-count only"
         print(f"checked {results_dir}/{name} ({verdict})")
-    lint_json = os.path.join(results_dir, "lint.json")
-    if os.path.exists(lint_json):
-        problems.extend(check_lint_json(lint_json))
-        print(f"checked {lint_json} (lint report)")
     for problem in problems:
         print(f"SCHEMA VIOLATION: {problem}")
     if problems:

@@ -4,7 +4,6 @@
     python3 scripts/test_check_results_schema.py
 """
 
-import json
 import os
 import sys
 import tempfile
@@ -12,95 +11,6 @@ import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import check_results_schema as mod  # noqa: E402
-
-
-def good_lint_report():
-    return {
-        "schema": "lpbcast-lint/v1",
-        "strict": True,
-        "files_scanned": 87,
-        "rules": ["D1", "D2", "D3", "D4", "D5"],
-        "findings": [],
-        "waived": [
-            {
-                "rule": "D1",
-                "code": "std-hash-type",
-                "path": "crates/types/src/hashing.rs",
-                "line": 57,
-                "justification": "definition site of the sanctioned aliases",
-            }
-        ],
-        "summary": {"total": 1, "waived": 1, "clean": True},
-    }
-
-
-class LintJsonTests(unittest.TestCase):
-    def check(self, doc):
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, encoding="utf-8"
-        ) as f:
-            json.dump(doc, f)
-            path = f.name
-        try:
-            return mod.check_lint_json(path)
-        finally:
-            os.unlink(path)
-
-    def test_good_report_passes(self):
-        self.assertEqual(self.check(good_lint_report()), [])
-
-    def test_wrong_schema_and_rules_fail(self):
-        doc = good_lint_report()
-        doc["schema"] = "lpbcast-lint/v0"
-        doc["rules"] = ["D1"]
-        problems = self.check(doc)
-        self.assertTrue(any("schema" in p for p in problems), problems)
-        self.assertTrue(any("rules" in p for p in problems), problems)
-
-    def test_finding_shape_is_enforced(self):
-        doc = good_lint_report()
-        doc["findings"] = [{"rule": "D9", "path": "x.rs"}]
-        doc["summary"] = {"total": 2, "waived": 1, "clean": False}
-        problems = self.check(doc)
-        self.assertTrue(any("must have keys" in p for p in problems), problems)
-
-    def test_empty_justification_fails(self):
-        doc = good_lint_report()
-        doc["waived"][0]["justification"] = "   "
-        problems = self.check(doc)
-        self.assertTrue(any("justification" in p for p in problems), problems)
-
-    def test_inconsistent_summary_fails(self):
-        doc = good_lint_report()
-        doc["summary"]["total"] = 99
-        doc["summary"]["clean"] = False
-        problems = self.check(doc)
-        self.assertTrue(any("summary.total" in p for p in problems), problems)
-        self.assertTrue(any("summary.clean" in p for p in problems), problems)
-
-    def test_invalid_json_fails(self):
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, encoding="utf-8"
-        ) as f:
-            f.write("{not json")
-            path = f.name
-        try:
-            problems = mod.check_lint_json(path)
-        finally:
-            os.unlink(path)
-        self.assertTrue(any("invalid JSON" in p for p in problems), problems)
-
-    def test_lint_cli_mode_exit_codes(self):
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False, encoding="utf-8"
-        ) as f:
-            json.dump(good_lint_report(), f)
-            path = f.name
-        try:
-            self.assertEqual(mod.main(["prog", "--lint", path]), 0)
-        finally:
-            os.unlink(path)
-        self.assertEqual(mod.main(["prog", "--lint", "/nonexistent/lint.json"]), 1)
 
 
 class TsvTests(unittest.TestCase):
@@ -113,7 +23,7 @@ class TsvTests(unittest.TestCase):
             problems = mod.check_file(path, mod.EXPECTED_HEADERS["scenarios.tsv"])
         self.assertTrue(any("header mismatch" in p for p in problems), problems)
 
-    def test_good_tsv_and_lint_json_pass_dir_mode(self):
+    def test_good_tsvs_pass_dir_mode(self):
         with tempfile.TemporaryDirectory() as d:
             with open(os.path.join(d, "scenarios.tsv"), "w", encoding="utf-8") as f:
                 f.write("scenario\tprotocol\tn\tmetric\tvalue\n")
@@ -126,13 +36,7 @@ class TsvTests(unittest.TestCase):
                     row = ["1" if c in mod.NUMERIC else "x"
                            for c in mod.EXPECTED_HEADERS[name]]
                     f.write("\t".join(row) + "\n")
-            with open(os.path.join(d, "lint.json"), "w", encoding="utf-8") as f:
-                json.dump(good_lint_report(), f)
             self.assertEqual(mod.main(["prog", d]), 0)
-            # A corrupted lint.json now fails directory mode too.
-            with open(os.path.join(d, "lint.json"), "w", encoding="utf-8") as f:
-                f.write("{}")
-            self.assertEqual(mod.main(["prog", d]), 1)
 
 
 class NetScenariosTests(unittest.TestCase):

@@ -107,7 +107,6 @@
 //! per-destination batched datagrams. `scripts/cluster_harness.py` runs
 //! the same runtime with hundreds of instances per OS process.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use lpbcast_analysis as analysis;
