@@ -13,17 +13,23 @@
 //! * a [`TimerWheel`] firing each instance's gossip `tick` every period
 //!   `T` (initial deadlines are staggered, §3.3's non-synchronized
 //!   rounds),
-//! * one shared recv buffer feeding [`wire::decode_frames`], and
-//! * per-destination output batching — an instance's whole output batch
-//!   costs one `send_to` per remote peer, and messages between two
-//!   instances of the *same* cluster short-circuit through an in-memory
-//!   queue without touching a socket.
+//! * one shared recv buffer, each datagram dispatched from it in place,
+//!   and
+//! * an egress table keyed by (local socket, remote socket): every frame
+//!   any hosted instance sends to one remote socket during one loop
+//!   phase is appended to that entry's datagram, which leaves in one
+//!   `send_to` when the phase ends (or early, when the next frame would
+//!   pass `MAX_DATAGRAM`). Messages between two instances of the
+//!   *same* cluster short-circuit through an in-memory queue without
+//!   touching a socket.
 //!
-//! Datagrams between clusters carry the [`wire`] *cluster envelope*
-//! (`from`/`dest` instance ids) because a socket address does not
-//! identify an instance; a datagram without it is dropped as loss. The
-//! paper's §5.2 layout — one process, one socket — is a cluster with one
-//! instance.
+//! Datagrams between clusters carry the [`wire`] *cluster envelope*: one
+//! section per frame, naming its `from`/`dest` instances, because a
+//! socket address does not identify an instance; a datagram without it
+//! is dropped as loss. Coalescing pays off when many instances in one
+//! process send to the same remote socket; the paper's §5.2 layout — one
+//! process, one socket — is a cluster with one instance, where a
+//! datagram carries what that instance sends to one peer in one phase.
 //!
 //! The deployment harness drives faults at the socket boundary through
 //! two hooks: an ingress **drop filter** (drop everything arriving from a
@@ -42,11 +48,11 @@ use lpbcast_types::{Event, EventId, FastMap, FastSet, Payload, ProcessId, Protoc
 
 use crate::book::AddressBook;
 use crate::error::NetError;
-use crate::poll::{drain_socket, UdpPoller};
+use crate::poll::{drain_socket, recv_datagram, UdpPoller};
 use crate::timer::TimerWheel;
 use crate::wire::{self, WireMessage};
 
-/// Keep batched datagrams under the 64 KiB UDP limit with headroom for
+/// Keep coalesced datagrams under the 64 KiB UDP limit with headroom for
 /// IP/UDP headers.
 const MAX_DATAGRAM: usize = 60 * 1024;
 
@@ -94,6 +100,10 @@ pub struct ClusterStats {
     pub local_messages: u64,
     /// Protocol ticks fired.
     pub ticks: u64,
+    /// Egress datagrams whose `send_to` failed (e.g. past the UDP size
+    /// limit), plus frames too long for any datagram, which are never
+    /// handed to the socket.
+    pub send_errors: u64,
 }
 
 /// Builder for a [`Cluster`] (socket layout + cadence).
@@ -172,6 +182,7 @@ impl ClusterBuilder {
             fault: None,
             deliveries: Vec::new(),
             local_queue: VecDeque::new(),
+            egress: FastMap::default(),
             stats: ClusterStats::default(),
             fired: Vec::new(),
         })
@@ -203,6 +214,10 @@ where
     fault: Option<FaultHook>,
     deliveries: Vec<(ProcessId, Event)>,
     local_queue: VecDeque<(ProcessId, ProcessId, P::Msg)>,
+    /// (local socket index, remote socket) → the datagram being filled
+    /// for it this loop phase, header included; flushed with
+    /// [`flush_egress`](Self::flush_egress).
+    egress: FastMap<(usize, SocketAddr), BytesMut>,
     stats: ClusterStats,
     fired: Vec<usize>,
 }
@@ -356,6 +371,7 @@ where
             inst.machine.broadcast(payload.into())
         };
         self.absorb_output(idx, output);
+        self.flush_egress();
         Some(event_id)
     }
 
@@ -384,8 +400,10 @@ where
 
     /// Runs one event-loop iteration: fires due ticks, waits up to
     /// `max_wait` (capped by the next timer deadline) for socket
-    /// readiness, drains and dispatches every pending datagram, and
-    /// returns the control-socket datagrams received, if any.
+    /// readiness, drains and dispatches every pending datagram, fires
+    /// what fell due meanwhile, and returns the control-socket datagrams
+    /// received, if any. The egress table is flushed before the wait and
+    /// before returning, so no frame waits across a poll.
     ///
     /// # Errors
     ///
@@ -399,6 +417,7 @@ where
         let now = Instant::now();
         self.fire_due(now);
         self.drain_local_queue();
+        self.flush_egress();
 
         let wait = match self.timers.next_deadline() {
             Some(deadline) => deadline
@@ -424,6 +443,7 @@ where
 
         self.fire_due(Instant::now());
         self.drain_local_queue();
+        self.flush_egress();
         Ok(control_msgs)
     }
 
@@ -446,8 +466,8 @@ where
     }
 
     /// Routes one instance's protocol output: deliveries are queued for
-    /// the caller, outgoing messages are short-circuited locally or
-    /// batched per remote destination.
+    /// the caller, outgoing messages are short-circuited locally or, past
+    /// the fault hook, framed into the egress table.
     fn absorb_output(&mut self, from_idx: usize, output: lpbcast_types::Output<P::Msg>) {
         let (from_id, socket_idx) = match self.instances.get(from_idx) {
             Some(inst) => (inst.machine.id(), inst.socket_idx),
@@ -456,12 +476,10 @@ where
         for event in output.delivered {
             self.deliveries.push((from_id, event));
         }
-        if output.outgoing.is_empty() {
-            return;
-        }
-        // Split egress into the local fast path and remote sends, the
-        // latter with the fault hook applied per message.
-        let mut remote: Vec<(ProcessId, SocketAddr, P::Msg, bool)> = Vec::new();
+        // `Arc`-shared gossip bodies are encoded once for all their
+        // fanout copies.
+        let mut cached: Option<(usize, Bytes)> = None;
+        let mut scratch = BytesMut::new();
         for (to, msg) in output.outgoing {
             if self.index.contains_key(&to) {
                 self.stats.local_messages = self.stats.local_messages.saturating_add(1);
@@ -475,79 +493,80 @@ where
                 Some(hook) => hook(from_id, to),
                 None => LinkFate::Deliver,
             };
-            match fate {
+            let copies = match fate {
                 LinkFate::Drop => {
                     self.stats.dropped_fault = self.stats.dropped_fault.saturating_add(1);
+                    continue;
                 }
-                LinkFate::Deliver => remote.push((to, addr, msg, false)),
+                LinkFate::Deliver => 1,
                 LinkFate::Duplicate => {
                     self.stats.duplicated_fault = self.stats.duplicated_fault.saturating_add(1);
-                    remote.push((to, addr, msg, true));
+                    2
                 }
-            }
-        }
-        if remote.is_empty() {
-            return;
-        }
-        let Some(socket) = self.sockets.get(socket_idx) else {
-            return;
-        };
-        // Per-destination batches under one cluster envelope each, with
-        // `Arc`-shared gossip bodies encoded once.
-        let mut batches: Vec<(ProcessId, SocketAddr, BytesMut)> = Vec::new();
-        let mut cached: Option<(usize, Bytes)> = None;
-        let mut scratch = BytesMut::new();
-        for (to, addr, msg, duplicate) in &remote {
+            };
             let frame: &[u8] = match msg.body_key() {
                 Some(key) => match &mut cached {
                     Some((k, f)) if *k == key => f,
                     slot => {
                         let mut f = BytesMut::with_capacity(256);
-                        wire::encode_frame(msg, &mut f);
+                        wire::encode_frame(&msg, &mut f);
                         &slot.insert((key, f.freeze())).1
                     }
                 },
                 None => {
                     scratch.clear();
-                    wire::encode_frame(msg, &mut scratch);
+                    wire::encode_frame(&msg, &mut scratch);
                     &scratch
                 }
             };
-            let idx = match batches.iter().position(|(p, _, _)| p == to) {
-                Some(i) => i,
-                None => {
-                    let mut header = BytesMut::with_capacity(wire::CLUSTER_HEADER_LEN + 256);
-                    wire::encode_cluster_header(from_id, *to, &mut header);
-                    batches.push((*to, *addr, header));
-                    batches.len() - 1
-                }
-            };
-            let Some(batch) = batches.get_mut(idx) else {
-                continue; // idx was computed in-bounds just above
-            };
-            let copies = if *duplicate { 2 } else { 1 };
             for _ in 0..copies {
-                if batch.2.len() > wire::CLUSTER_HEADER_LEN
-                    && batch.2.len() + frame.len() > MAX_DATAGRAM
-                {
-                    self.stats.datagrams_tx = self.stats.datagrams_tx.saturating_add(1);
-                    self.stats.wire_tx_bytes = self
-                        .stats
-                        .wire_tx_bytes
-                        .saturating_add(batch.2.len() as u64);
-                    let _ = socket.send_to(&batch.2, batch.1);
-                    batch.2.truncate(wire::CLUSTER_HEADER_LEN);
-                }
-                batch.2.extend_from_slice(frame);
+                self.push_section(socket_idx, addr, from_id, to, frame);
             }
         }
-        for (_, addr, bytes) in &batches {
-            if bytes.len() > wire::CLUSTER_HEADER_LEN {
-                self.stats.datagrams_tx = self.stats.datagrams_tx.saturating_add(1);
-                self.stats.wire_tx_bytes =
-                    self.stats.wire_tx_bytes.saturating_add(bytes.len() as u64);
-                let _ = socket.send_to(bytes, *addr);
+    }
+
+    /// Appends one frame as a section to the datagram the instance's
+    /// socket is filling for `addr`, sending that datagram first when the
+    /// section would take it past [`MAX_DATAGRAM`].
+    fn push_section(
+        &mut self,
+        socket_idx: usize,
+        addr: SocketAddr,
+        from: ProcessId,
+        to: ProcessId,
+        frame: &[u8],
+    ) {
+        let Some(socket) = self.sockets.get(socket_idx) else {
+            return;
+        };
+        let datagram = self.egress.entry((socket_idx, addr)).or_insert_with(|| {
+            let mut header = BytesMut::new();
+            wire::encode_datagram_header(&mut header);
+            header
+        });
+        if datagram.len() > wire::CLUSTER_HEADER_LEN
+            && datagram.len() + wire::SECTION_HEADER_LEN + frame.len() > MAX_DATAGRAM
+        {
+            send_datagram(socket, datagram, addr, &mut self.stats);
+            datagram.truncate(wire::CLUSTER_HEADER_LEN);
+        }
+        if wire::encode_section(datagram, from, to, frame).is_err() {
+            // Longer than any datagram can carry: refused like an
+            // oversized `send_to`.
+            self.stats.send_errors = self.stats.send_errors.saturating_add(1);
+        }
+    }
+
+    /// Sends every datagram the egress table holds sections for.
+    fn flush_egress(&mut self) {
+        for ((socket_idx, addr), datagram) in &mut self.egress {
+            if datagram.len() <= wire::CLUSTER_HEADER_LEN {
+                continue;
             }
+            if let Some(socket) = self.sockets.get(*socket_idx) {
+                send_datagram(socket, datagram, *addr, &mut self.stats);
+            }
+            datagram.truncate(wire::CLUSTER_HEADER_LEN);
         }
     }
 
@@ -573,29 +592,30 @@ where
     }
 
     /// Drains one ready data socket to `WouldBlock`, dispatching each
-    /// datagram.
+    /// datagram straight from the shared recv buffer.
     fn drain_data_socket(&mut self, key: usize) -> Result<(), NetError> {
-        // The recv buffer and the socket are disjoint fields, but the
-        // dispatch needs `&mut self`; collect first, dispatch after.
-        let mut pending: Vec<(Vec<u8>, SocketAddr)> = Vec::new();
-        {
+        // The dispatch needs `&mut self`, so the buffer is taken out of
+        // `self` for the drain and put back whatever the outcome.
+        let mut buf = std::mem::take(&mut self.recv_buf);
+        let result = loop {
             let Some(socket) = self.sockets.get(key) else {
-                return Ok(());
+                break Ok(());
             };
-            let mut buf = std::mem::take(&mut self.recv_buf);
-            let result = drain_socket(socket, &mut buf, |data, from| {
-                pending.push((data.to_vec(), from));
-            });
-            self.recv_buf = buf;
-            result?;
-        }
-        for (data, from_addr) in pending {
-            self.dispatch_datagram(&data, from_addr);
-        }
-        Ok(())
+            match recv_datagram(socket, &mut buf) {
+                Ok(Some((len, from))) => {
+                    if let Some(data) = buf.get(..len) {
+                        self.dispatch_datagram(data, from);
+                    }
+                }
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e.into()),
+            }
+        };
+        self.recv_buf = buf;
+        result
     }
 
-    /// Routes one ingress datagram: drop filter, then envelope demux.
+    /// Routes one ingress datagram: drop filter, then section demux.
     fn dispatch_datagram(&mut self, data: &[u8], from_addr: SocketAddr) {
         if self.drop_filter.contains(&from_addr) {
             self.stats.dropped_filtered = self.stats.dropped_filtered.saturating_add(1);
@@ -604,22 +624,35 @@ where
         self.stats.datagrams_rx = self.stats.datagrams_rx.saturating_add(1);
         self.stats.wire_rx_bytes = self.stats.wire_rx_bytes.saturating_add(data.len() as u64);
 
-        let Ok((from, dest, frames)) = wire::decode_cluster_header(data) else {
-            return; // missing, hostile or truncated envelope: drop whole
+        let Ok(sections) = wire::decode_sections(data) else {
+            return; // missing, hostile or foreign-version envelope: drop whole
         };
-        let Some(dest_idx) = self.index.get(&dest).copied() else {
-            return; // not hosted (e.g. killed and restarted elsewhere)
-        };
-        let Ok(messages) = wire::decode_frames::<P::Msg>(frames) else {
-            return; // torn datagram: drop it whole, like loss
-        };
-        for message in messages {
-            let output = match self.instances.get_mut(dest_idx) {
-                Some(inst) => inst.machine.handle_message(from, message),
-                None => return,
+        for section in sections {
+            let Some(dest_idx) = self.index.get(&section.dest).copied() else {
+                continue; // not hosted (e.g. killed and restarted elsewhere)
             };
-            self.absorb_output(dest_idx, output);
+            let Ok(messages) = wire::decode_frames::<P::Msg>(section.frames) else {
+                continue; // torn section: skip it alone, like loss
+            };
+            for message in messages {
+                let output = match self.instances.get_mut(dest_idx) {
+                    Some(inst) => inst.machine.handle_message(section.from, message),
+                    None => break,
+                };
+                self.absorb_output(dest_idx, output);
+            }
         }
+    }
+}
+
+/// Hands one datagram to `socket`, counting it, and counting a failed
+/// `send_to` as a send error (the datagram is then lost, like any UDP
+/// loss).
+fn send_datagram(socket: &UdpSocket, datagram: &[u8], to: SocketAddr, stats: &mut ClusterStats) {
+    stats.datagrams_tx = stats.datagrams_tx.saturating_add(1);
+    stats.wire_tx_bytes = stats.wire_tx_bytes.saturating_add(datagram.len() as u64);
+    if socket.send_to(datagram, to).is_err() {
+        stats.send_errors = stats.send_errors.saturating_add(1);
     }
 }
 
@@ -707,6 +740,52 @@ mod tests {
         );
         assert!(a.stats().datagrams_tx > 0, "cross-cluster traffic flowed");
         assert!(a.stats().local_messages > 0, "local fast path used");
+    }
+
+    #[test]
+    fn egress_coalesces_frames_per_remote_socket() {
+        // One socket per cluster; every instance starts out knowing only
+        // the other cluster's ids, so its gossip crosses the socket.
+        let interval = Duration::from_millis(5);
+        let n_per = 16u64;
+        let side = |base: u64, other: u64| {
+            let mut cluster = ClusterBuilder::new(interval)
+                .build::<Lpbcast>()
+                .expect("build");
+            let view: Vec<ProcessId> = (other..other + n_per).map(ProcessId::new).collect();
+            for id in (base..base + n_per).map(ProcessId::new) {
+                let machine =
+                    Lpbcast::with_initial_view(id, config(8), id.as_u64() ^ 0xC0FFEE, view.clone());
+                cluster.add_instance(machine).expect("add");
+            }
+            cluster
+        };
+        let (mut a, mut b) = (side(0, n_per), side(n_per, 0));
+        for id in b.instance_ids() {
+            a.register_peer(id, b.address_book().lookup(id).expect("b addr"));
+        }
+        for id in a.instance_ids() {
+            b.register_peer(id, a.address_book().lookup(id).expect("a addr"));
+        }
+        let until = Instant::now() + Duration::from_millis(300);
+        while Instant::now() < until {
+            a.step(Duration::from_millis(2)).expect("step a");
+            b.step(Duration::from_millis(2)).expect("step b");
+        }
+        // Gossip views mix, so some of b's gossip is local; what b took
+        // off its socket is the rest.
+        let gossips: u64 = b
+            .instance_ids()
+            .into_iter()
+            .filter_map(|id| b.with_instance(id, |m| m.stats().gossips_received))
+            .sum();
+        let remote_gossips = gossips.saturating_sub(b.stats().local_messages);
+        let datagrams = b.stats().datagrams_rx;
+        assert!(datagrams > 0, "cross-cluster traffic flowed");
+        assert!(
+            2 * datagrams <= remote_gossips,
+            "{remote_gossips} remote gossips arrived in {datagrams} datagrams"
+        );
     }
 
     #[test]

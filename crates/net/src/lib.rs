@@ -17,9 +17,10 @@
 //!   every `T` (non-synchronized, exactly as §3.2 prescribes),
 //!   readiness polling ([`poll::UdpPoller`], epoll with a portable
 //!   `poll(2)` fallback via the vendored `polling` crate) drains the
-//!   sockets into the state machines, and output batches leave as
-//!   per-destination multi-frame datagrams — one `send_to` per peer per
-//!   batch, with `Arc`-shared gossip bodies encoded once. The paper's
+//!   sockets into the state machines, and egress leaves as one datagram
+//!   per remote socket per loop phase — one `send_to` for every frame
+//!   any hosted instance sends there, with `Arc`-shared gossip bodies
+//!   encoded once. The paper's
 //!   one-process-per-machine layout is a cluster with one instance on
 //!   one socket (`examples/udp_cluster.rs`); the multi-process
 //!   deployment harness (`scripts/cluster_harness.py` + the

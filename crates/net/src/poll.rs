@@ -10,7 +10,7 @@
 //! (level-triggered readiness re-reports anything left unread).
 
 use std::io;
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
 
 use polling::{Event, Poller};
@@ -65,36 +65,23 @@ impl UdpPoller {
     }
 }
 
-/// Drains a nonblocking socket, invoking `on_datagram` for every pending
-/// datagram until the socket reports `WouldBlock`. Returns the number of
-/// datagrams handled.
-///
-/// # Errors
-///
-/// Propagates unexpected socket errors (anything other than
-/// `WouldBlock`/`TimedOut`/`Interrupted`; spurious `ConnectionReset`
-/// reports from connectionless UDP are swallowed too).
-pub fn drain_socket(
+/// Receives the next pending datagram of a nonblocking socket into `buf`
+/// as `(length, source)`, or `None` once the socket reports
+/// `WouldBlock`. Errors as [`drain_socket`].
+pub(crate) fn recv_datagram(
     socket: &UdpSocket,
     buf: &mut [u8],
-    mut on_datagram: impl FnMut(&[u8], std::net::SocketAddr),
-) -> io::Result<usize> {
-    let mut handled = 0usize;
+) -> io::Result<Option<(usize, SocketAddr)>> {
     loop {
         match socket.recv_from(buf) {
-            Ok((len, from)) => {
-                if let Some(datagram) = buf.get(..len) {
-                    handled = handled.saturating_add(1);
-                    on_datagram(datagram, from);
-                }
-            }
+            Ok(received) => return Ok(Some(received)),
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                return Ok(handled)
+                return Ok(None)
             }
             // On some platforms an ICMP port-unreachable surfaces as a
             // reset on the *next* recv; for fire-and-forget gossip that
@@ -110,6 +97,30 @@ pub fn drain_socket(
             Err(e) => return Err(e),
         }
     }
+}
+
+/// Drains a nonblocking socket, invoking `on_datagram` for every pending
+/// datagram until the socket reports `WouldBlock`. Returns the number of
+/// datagrams handled.
+///
+/// # Errors
+///
+/// Propagates unexpected socket errors (anything other than
+/// `WouldBlock`/`TimedOut`/`Interrupted`; spurious `ConnectionReset`
+/// reports from connectionless UDP are swallowed too).
+pub fn drain_socket(
+    socket: &UdpSocket,
+    buf: &mut [u8],
+    mut on_datagram: impl FnMut(&[u8], SocketAddr),
+) -> io::Result<usize> {
+    let mut handled = 0usize;
+    while let Some((len, from)) = recv_datagram(socket, buf)? {
+        if let Some(datagram) = buf.get(..len) {
+            handled = handled.saturating_add(1);
+            on_datagram(datagram, from);
+        }
+    }
+    Ok(handled)
 }
 
 #[cfg(test)]

@@ -5,15 +5,14 @@
 //! `[u8 MAGIC = 0x6C] [u8 version = 1] [u8 kind] body…` (all integers
 //! little-endian). [`encode`]/[`decode`] handle exactly one frame (the
 //! historical single-message datagram — byte-identical to the pre-trait
-//! format); [`decode_frames`] walks a whole batched datagram, and the
-//! runtime concatenates the frames of one output batch per destination
-//! so a batch costs one `send_to` syscall per peer.
+//! format); [`decode_frames`] walks a run of concatenated frames, which
+//! is what one section of a cluster datagram carries (below).
 //!
-//! Compatibility note: a single-frame datagram is still exactly the v1
-//! format, but multi-frame datagrams are a batching extension a
-//! pre-batching decoder rejects whole ([`WireError::TrailingBytes`]) —
-//! to such a node the batch looks like message loss. Mixed-version
-//! clusters are therefore unsupported; upgrade all peers together.
+//! Compatibility note: the frame bytes are still exactly the v1 format,
+//! but the runtime's datagrams wrap them in the version-2 cluster
+//! envelope, which a decoder of an older envelope rejects whole — to such
+//! a node every datagram looks like message loss. Mixed-version clusters
+//! are therefore unsupported; upgrade all peers together.
 //!
 //! lpbcast [`Message`] kinds (the `unSubs` section grew a representation
 //! byte with the wire-cost compaction work — a pre-compaction decoder
@@ -89,11 +88,24 @@
 //! ```
 //!
 //! The [`Cluster`](crate::Cluster) runtime multiplexes many protocol
-//! instances over one socket, so its datagrams carry a small *envelope*
-//! in front of the frame sequence — `[u8 CLUSTER_MAGIC = 0x6D]
-//! [u8 version = 1] [u64 from] [u64 dest]` — naming the sending and the
-//! receiving instance (the socket address alone does not identify
-//! either). A datagram without the envelope is dropped whole.
+//! instances over one socket and coalesces everything its instances send
+//! to one remote socket in one loop phase into one datagram, so its
+//! datagrams carry an *envelope* (version 2):
+//!
+//! ```text
+//! datagram: [u8 CLUSTER_MAGIC = 0x6D] [u8 envelope version = 2]
+//!           then one or more sections
+//! section:  [u64 from] [u64 dest] [u16 len] then len bytes of frames
+//! ```
+//!
+//! Each section names the sending and the receiving instance of its
+//! frames (the socket address alone identifies neither). The receiver
+//! walks the sections in order ([`decode_sections`]): a section for an
+//! instance it does not host, or whose frames fail to decode, is skipped
+//! alone; a section header or length that runs past the end of the
+//! datagram drops the rest of the datagram. A datagram without the
+//! envelope, or with any other envelope version (the version-1 envelope
+//! carried one `from`/`dest` pair per datagram), is dropped whole.
 //!
 //! Every length is validated against the remaining buffer before any
 //! allocation, so a hostile datagram cannot trigger huge allocations.
@@ -312,41 +324,109 @@ pub fn encode<M: WireMessage>(message: &M) -> Bytes {
     buf.freeze()
 }
 
-/// First byte of a cluster-multiplexed datagram envelope (see the module
-/// docs; distinct from the per-frame [`MAGIC`], so the two datagram
-/// shapes are told apart by their first byte).
+/// First byte of a cluster datagram (see the module docs; distinct from
+/// the per-frame [`MAGIC`], so the two datagram shapes are told apart by
+/// their first byte).
 pub const CLUSTER_MAGIC: u8 = 0x6D; // 'm' for multiplexed
-/// Byte length of the cluster envelope: magic, version, from, dest.
-pub const CLUSTER_HEADER_LEN: usize = 1 + 1 + 8 + 8;
+/// Version of the cluster envelope: a sequence of addressed sections.
+pub const ENVELOPE_VERSION: u8 = 2;
+/// Byte length of a cluster datagram's header: magic, envelope version.
+pub const CLUSTER_HEADER_LEN: usize = 1 + 1;
+/// Byte length of a section header: from, dest, frames length.
+pub const SECTION_HEADER_LEN: usize = 8 + 8 + 2;
 
-/// Appends a cluster envelope header naming the sending and receiving
-/// protocol instances; the frame sequence follows.
-pub fn encode_cluster_header(from: ProcessId, dest: ProcessId, buf: &mut BytesMut) {
+/// Appends a cluster datagram's header; sections follow
+/// ([`encode_section`]).
+pub fn encode_datagram_header(buf: &mut BytesMut) {
     buf.put_u8(CLUSTER_MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(from.as_u64());
-    buf.put_u64_le(dest.as_u64());
+    buf.put_u8(ENVELOPE_VERSION);
 }
 
-/// Splits a cluster datagram into `(from, dest, frames)`.
+/// Appends one section carrying `frames` (whole encoded frames) from
+/// instance `from` to instance `dest`.
 ///
 /// # Errors
 ///
-/// [`WireError::BadMagic`] when the datagram is not a cluster envelope,
-/// [`WireError::BadVersion`]/[`WireError::UnexpectedEof`] on a hostile or
-/// truncated header.
-pub fn decode_cluster_header(data: &[u8]) -> Result<(ProcessId, ProcessId, &[u8]), WireError> {
-    let (&magic, rest) = data.split_first().ok_or(WireError::UnexpectedEof)?;
+/// [`WireError::LengthOverflow`] when `frames` is longer than a
+/// section's `u16` length can state; nothing is appended then.
+pub fn encode_section(
+    buf: &mut BytesMut,
+    from: ProcessId,
+    dest: ProcessId,
+    frames: &[u8],
+) -> Result<(), WireError> {
+    let len = u16::try_from(frames.len()).map_err(|_| WireError::LengthOverflow(frames.len()))?;
+    buf.put_u64_le(from.as_u64());
+    buf.put_u64_le(dest.as_u64());
+    buf.put_u16_le(len);
+    buf.put_slice(frames);
+    Ok(())
+}
+
+/// One section of a cluster datagram: frames from instance `from` for
+/// instance `dest`, still encoded ([`decode_frames`] reads them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Section<'a> {
+    /// Sending instance.
+    pub from: ProcessId,
+    /// Receiving instance.
+    pub dest: ProcessId,
+    /// The section's frame bytes — a subslice of the datagram.
+    pub frames: &'a [u8],
+}
+
+/// The sections of a cluster datagram in order, from
+/// [`decode_sections`]. Iteration stops at the end of the datagram or at
+/// the first section header or length that runs past it.
+#[derive(Debug)]
+pub struct Sections<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Sections<'a> {
+    type Item = Section<'a>;
+
+    fn next(&mut self) -> Option<Section<'a>> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let section = take_section(&mut self.rest);
+        if section.is_err() {
+            self.rest = &[]; // a torn section drops the rest of the datagram
+        }
+        section.ok()
+    }
+}
+
+fn take_section<'a>(buf: &mut &'a [u8]) -> Result<Section<'a>, WireError> {
+    let from = ProcessId::new(take_u64(buf)?);
+    let dest = ProcessId::new(take_u64(buf)?);
+    let len = take_u16(buf)? as usize;
+    let (frames, rest) = buf
+        .split_at_checked(len)
+        .ok_or(WireError::LengthOverflow(len))?;
+    *buf = rest;
+    Ok(Section { from, dest, frames })
+}
+
+/// Checks a cluster datagram's header and returns its sections.
+///
+/// # Errors
+///
+/// [`WireError::BadMagic`] when the datagram is not a cluster datagram,
+/// [`WireError::BadVersion`] for any envelope version but
+/// [`ENVELOPE_VERSION`], [`WireError::UnexpectedEof`] when it is shorter
+/// than the header.
+pub fn decode_sections(mut data: &[u8]) -> Result<Sections<'_>, WireError> {
+    let magic = take_u8(&mut data)?;
     if magic != CLUSTER_MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let (&version, mut rest) = rest.split_first().ok_or(WireError::UnexpectedEof)?;
-    if version != VERSION {
+    let version = take_u8(&mut data)?;
+    if version != ENVELOPE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let from = ProcessId::new(take_u64(&mut rest)?);
-    let dest = ProcessId::new(take_u64(&mut rest)?);
-    Ok((from, dest, rest))
+    Ok(Sections { rest: data })
 }
 
 impl WireMessage for Message {
@@ -905,9 +985,9 @@ pub fn decode<M: WireMessage>(mut data: &[u8]) -> Result<M, WireError> {
     Ok(message)
 }
 
-/// Decodes a batched datagram: one or more concatenated frames. An empty
-/// datagram is an error (`UnexpectedEof`), as is any malformed frame —
-/// the caller drops the whole datagram, indistinguishable from loss.
+/// Decodes one or more concatenated frames (a cluster section's bytes).
+/// An empty run is an error (`UnexpectedEof`), as is any malformed frame
+/// — the caller drops the whole run, indistinguishable from loss.
 ///
 /// # Errors
 ///

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use lpbcast_core::{Config, Lpbcast, Message};
-use lpbcast_net::{wire, Cluster, ClusterBuilder};
+use lpbcast_net::{wire, Cluster, ClusterBuilder, WireMessage};
 use lpbcast_types::{EventId, ProcessId, Protocol};
 
 type Node = Cluster<Lpbcast>;
@@ -233,10 +233,44 @@ fn nodes_keep_gossiping_when_idle() {
     }
 }
 
-/// Hostile, truncated, misaddressed and envelope-less datagrams at the
-/// socket of a single-instance cluster are counted and dropped: no
-/// delivery, no protocol-state change, no reply, and the instance still
-/// handles a valid datagram afterwards.
+/// A gossip frame past UDP's 65 507-byte payload limit makes `send_to`
+/// fail: the failure is counted, and smaller events still flow after it.
+#[test]
+fn oversized_gossip_counts_a_send_error_and_traffic_goes_on() {
+    // Node 0's first gossip, replayed on an identical machine, sizes the
+    // payload: the frame fits a section's u16 length, the datagram
+    // around it does not fit UDP.
+    let mut probe = Lpbcast::with_initial_view(pid(0), config(), 1000, vec![pid(1)]);
+    probe.broadcast(vec![0u8; 1]);
+    let (_, gossip) = probe
+        .tick()
+        .outgoing
+        .pop()
+        .expect("a gossip to the only view member");
+    let frame_len = 65_510;
+    let payload = vec![0u8; frame_len + 1 - gossip.encoded_len()];
+    assert!(wire::CLUSTER_HEADER_LEN + wire::SECTION_HEADER_LEN + frame_len > 65_507);
+
+    let mut nodes = mesh(2);
+    nodes[0].broadcast(pid(0), payload).expect("hosted");
+    let refused = run_until(&mut nodes, Duration::from_secs(10), |nodes| {
+        nodes[0].stats().send_errors > 0
+    });
+    assert!(refused, "the oversized gossip was not counted");
+
+    let id = nodes[0]
+        .broadcast(pid(0), b"small".as_ref())
+        .expect("hosted");
+    let ok = run_until(&mut nodes, Duration::from_secs(10), |nodes| {
+        nodes[1].take_deliveries().iter().any(|(_, e)| e.id() == id)
+    });
+    assert!(ok, "small events stopped flowing after the send error");
+}
+
+/// Hostile, truncated, misaddressed, envelope-less and foreign-version
+/// datagrams at the socket of a single-instance cluster are counted and
+/// dropped: no delivery, no protocol-state change, no reply, and the
+/// instance still handles a valid datagram afterwards.
 #[test]
 fn hostile_ingress_is_counted_and_dropped() {
     const TARGET: usize = 0;
@@ -259,14 +293,22 @@ fn hostile_ingress_is_counted_and_dropped() {
         .expect("a gossip to the only view member");
     let mut frame = BytesMut::new();
     wire::encode_frame(&gossip, &mut frame);
-    let enveloped = |dest: u64, frames: &[&[u8]]| {
+    // A cluster datagram of (dest, frames) sections from the stranger.
+    let coalesced = |sections: &[(u64, &[u8])]| {
         let mut datagram = BytesMut::new();
-        wire::encode_cluster_header(pid(7), pid(dest), &mut datagram);
-        for f in frames {
-            datagram.extend_from_slice(f);
+        wire::encode_datagram_header(&mut datagram);
+        for (dest, frames) in sections {
+            wire::encode_section(&mut datagram, pid(7), pid(*dest), frames).expect("fits");
         }
         datagram.to_vec()
     };
+    let whole = coalesced(&[(0, &frame)]);
+    let torn = [&frame[..], &frame[..frame.len() / 2]].concat();
+    // The section's u16 length (its header's last two bytes) claims five
+    // bytes more than follow it.
+    let mut overlong = whole.clone();
+    let len_at = wire::CLUSTER_HEADER_LEN + wire::SECTION_HEADER_LEN - 2;
+    overlong[len_at..len_at + 2].copy_from_slice(&(frame.len() as u16 + 5).to_le_bytes());
 
     let mut hostile: Vec<(&str, Vec<u8>)> = vec![
         (
@@ -274,11 +316,21 @@ fn hostile_ingress_is_counted_and_dropped() {
             (0..97u32).map(|i| (i * 151 + 13) as u8).collect(),
         ),
         ("empty datagram", Vec::new()),
-        ("un-hosted dest", enveloped(42, &[&frame])),
+        // The single-envelope datagram the runtime sent before
+        // coalescing: magic, version 1, from, dest, frames.
         (
-            "torn frame after a whole one",
-            enveloped(0, &[&frame, &frame[..frame.len() / 2]]),
+            "version-1 envelope",
+            [
+                &[wire::CLUSTER_MAGIC, 1][..],
+                &7u64.to_le_bytes(),
+                &0u64.to_le_bytes(),
+                &frame,
+            ]
+            .concat(),
         ),
+        ("section length past the datagram end", overlong),
+        ("un-hosted-destination section", coalesced(&[(42, &frame)])),
+        ("torn frame inside a section", coalesced(&[(0, &torn)])),
         // What a sole-instance socket accepted before the envelope
         // became mandatory.
         (
@@ -286,9 +338,8 @@ fn hostile_ingress_is_counted_and_dropped() {
             [&frame[..], &frame[..]].concat(),
         ),
     ];
-    let whole = enveloped(0, &[&frame]);
-    for len in 1..wire::CLUSTER_HEADER_LEN {
-        hostile.push(("truncated envelope", whole[..len].to_vec()));
+    for len in 1..wire::CLUSTER_HEADER_LEN + wire::SECTION_HEADER_LEN {
+        hostile.push(("header cut short", whole[..len].to_vec()));
     }
 
     let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
@@ -304,6 +355,17 @@ fn hostile_ingress_is_counted_and_dropped() {
     }
     assert_eq!(nodes[TARGET].stats().datagrams_tx, 0, "nothing answered");
     assert_eq!(nodes[TARGET].stats().ticks, 0, "the target never ticked");
+
+    // Bad sections are skipped alone: the whole one behind them delivers.
+    let mixed = coalesced(&[(42, &frame), (0, &torn), (0, &frame)]);
+    sender.send_to(&mixed, target_addr).expect("send");
+    let ok = run_until(&mut nodes[..1], Duration::from_secs(5), |nodes| {
+        nodes[TARGET]
+            .take_deliveries()
+            .iter()
+            .any(|(_, e)| e.payload().as_ref() == b"forged")
+    });
+    assert!(ok, "the whole section after two bad ones was not delivered");
 
     // Not wedged: a real broadcast from the peer still gets through.
     let id = nodes[1]

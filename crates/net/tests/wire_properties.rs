@@ -566,4 +566,51 @@ proptest! {
             (None, Err(_)) => {} // rejected whole, as required
         }
     }
+
+    /// Cluster datagrams: whole sections come back in order; arbitrary,
+    /// bit-flipped and truncated bytes through the section decoder never
+    /// panic, and every section it yields lies inside the datagram.
+    #[test]
+    fn section_decoder_stays_inside_the_datagram(
+        sections in vec((any::<u64>(), any::<u64>(), vec(arb_message(), 1..3)), 0..5),
+        flips in vec((any::<usize>(), any::<u8>()), 1..4),
+        cut_seed in any::<usize>(),
+        soup in vec(any::<u8>(), 0..256),
+    ) {
+        let mut datagram = bytes::BytesMut::new();
+        wire::encode_datagram_header(&mut datagram);
+        let mut expected = Vec::new();
+        for (from, dest, messages) in &sections {
+            let frames: Vec<u8> = stream_of(messages);
+            wire::encode_section(&mut datagram, pid(*from), pid(*dest), &frames)
+                .expect("small sections fit");
+            expected.push((pid(*from), pid(*dest), frames));
+        }
+        let whole = datagram.to_vec();
+        let decoded: Vec<_> = wire::decode_sections(&whole)
+            .expect("header is valid")
+            .map(|s| (s.from, s.dest, s.frames.to_vec()))
+            .collect();
+        prop_assert_eq!(decoded, expected);
+
+        let mut flipped = whole.clone();
+        for (at, bits) in &flips {
+            let len = flipped.len();
+            flipped[at % len] ^= bits;
+        }
+        let cut = cut_seed % (whole.len() + 1);
+        // Hostile bytes behind a valid header reach the section walk.
+        let behind_header = [&whole[..wire::CLUSTER_HEADER_LEN], &soup[..]].concat();
+        for data in [&soup[..], &flipped[..], &whole[..cut], &behind_header[..]] {
+            let Ok(walk) = wire::decode_sections(data) else {
+                continue;
+            };
+            let inside = data.as_ptr_range();
+            for section in walk {
+                let range = section.frames.as_ptr_range();
+                prop_assert!(inside.start <= range.start && range.end <= inside.end);
+                let _ = wire::decode_frames::<Message>(section.frames);
+            }
+        }
+    }
 }

@@ -19,7 +19,7 @@
 //! |--------|--------------|------|
 //! | simulation engine | [`sim::Engine<P>`](sim::Engine) | synchronous §5.1 rounds for any protocol |
 //! | scenario driver | [`sim::scenario`] (`ScenarioProtocol`) | eight generators (churn, catastrophe, partition, …, the SWIM detector A/B) as timelines, every stack side by side |
-//! | UDP runtime | [`net::Cluster<P>`](net::Cluster) | one to thousands of instances per process over nonblocking sockets, batched datagrams |
+//! | UDP runtime | [`net::Cluster<P>`](net::Cluster) | one to thousands of instances per process over nonblocking sockets, one datagram per remote socket per loop phase |
 //!
 //! This facade crate re-exports the workspace:
 //!
@@ -104,7 +104,7 @@
 //! See `examples/udp_cluster.rs` — the same state machines behind
 //! [`net::Cluster<P>`](net::Cluster), here one single-instance cluster
 //! (one socket) per process, non-synchronized gossip timers,
-//! per-destination batched datagrams. `scripts/cluster_harness.py` runs
+//! one datagram per peer per loop phase. `scripts/cluster_harness.py` runs
 //! the same runtime with hundreds of instances per OS process.
 
 #![warn(missing_docs)]
