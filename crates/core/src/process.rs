@@ -1,6 +1,7 @@
 //! The lpbcast process state machine (Figure 1 of the paper).
 
 use lpbcast_membership::{PartialView, View};
+use lpbcast_types::scan::IdFilter;
 use lpbcast_types::{BoundedSet, Event, EventId, MembershipEvent, Payload, ProcessId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -50,9 +51,6 @@ pub struct Lpbcast {
     /// Ids already requested by a pending retransmission pull, keyed by
     /// the logical time the request went out (for the retry window).
     pending_pulls: lpbcast_types::FastMap<EventId, LogicalTime>,
-    /// Reusable buffer for view-eviction batches (hot path: one per
-    /// received gossip).
-    evict_scratch: Vec<ProcessId>,
     stats: ProcessStats,
 }
 
@@ -83,7 +81,6 @@ impl Lpbcast {
             join: None,
             leaving: false,
             pending_pulls: lpbcast_types::FastMap::default(),
-            evict_scratch: Vec::new(),
             stats: ProcessStats::default(),
             config,
         }
@@ -370,6 +367,14 @@ impl Lpbcast {
         // more gossip messages").
         self.join = None;
 
+        // Phases 1–2 probe `view` and `subs` once per received id, and
+        // most probes miss. A filter's "absent" answer is exact, so such
+        // an id skips the scan (`push_absent`, or no `remove` at all);
+        // "maybe" takes the scanning `insert`/`remove`. Either way the
+        // buffers end up exactly as the scans alone would leave them.
+        let mut in_view = IdFilter::from_ids(self.view.ids());
+        let mut in_subs = IdFilter::from_ids(&self.subs);
+
         // ── Phase 1: unsubscriptions ──────────────────────────────────
         // Representation-agnostic: flat and digested sections yield the
         // same records, so the §3.4 purge path below cannot diverge.
@@ -377,7 +382,7 @@ impl Lpbcast {
             if unsub.is_obsolete(self.now, self.config.unsub_obsolescence) {
                 continue;
             }
-            if self.view.remove(unsub.process()) {
+            if in_view.may_contain(unsub.process()) && self.view.remove(unsub.process()) {
                 self.stats.unsubs_applied += 1;
                 output
                     .membership
@@ -388,25 +393,27 @@ impl Lpbcast {
         self.unsubs.truncate_random_count(&mut self.rng);
 
         // ── Phase 2: subscriptions ────────────────────────────────────
+        let in_old_view = in_view;
         for &new_sub in &gossip.subs {
             if new_sub == self.id {
                 continue;
             }
-            // `insert` bumps the weight when already known and reports
-            // whether the process was newly added — one scan, not three.
-            // A phase-2 admission is *view rotation* (the bounded random
-            // view constantly turns over entries for long-standing
-            // members), not a membership change, so it is deliberately
-            // not reported as a MembershipEvent: only the explicit §3.4
-            // signals (unsubscription records, Subscribe requests) are.
+            // `view_insert` bumps a §6.1 weight when the process is
+            // already known and reports whether it was newly added — at
+            // most one scan, not three. A phase-2 admission is *view
+            // rotation* (the bounded random view constantly turns over
+            // entries for long-standing members), not a membership
+            // change, so it is deliberately not reported as a
+            // MembershipEvent: only the explicit §3.4 signals
+            // (unsubscription records, Subscribe requests) are.
             // Reporting rotations would also allocate on nearly every
             // received gossip — measured at ~8%/round at n=1000.
-            if self.view.insert(new_sub) {
-                self.subs.insert(new_sub);
+            if view_insert(&mut self.view, &mut in_view, new_sub) {
+                subs_insert(&mut self.subs, &mut in_subs, new_sub);
                 self.stats.subs_added += 1;
             }
         }
-        self.recycle_view_overflow();
+        self.recycle_view_overflow(&in_old_view, &mut in_subs);
 
         // ── Phase 3: notifications ────────────────────────────────────
         for event in &gossip.events {
@@ -466,32 +473,36 @@ impl Lpbcast {
         output
     }
 
-    /// §3.4: a joining process asked us to gossip its subscription on its
-    /// behalf. We adopt it into our view and `subs` buffer; it will then
-    /// circulate with our next gossip.
     /// Figure 1(a) phase 2 tail: evict view overflow (recycling the
     /// evicted entries into `subs` so knowledge keeps circulating), then
-    /// bound `subs`. Uses the process's reusable eviction buffer.
-    fn recycle_view_overflow(&mut self) {
-        let mut evicted = std::mem::take(&mut self.evict_scratch);
-        self.view.truncate_into(&mut self.rng, &mut evicted);
-        for &target in &evicted {
-            self.subs.insert(target);
-        }
-        evicted.clear();
-        self.evict_scratch = evicted;
+    /// bound `subs`. `in_subs` must hold every id in `subs`, and every
+    /// member that `in_old_view` reads absent must be in `subs` already.
+    fn recycle_view_overflow(&mut self, in_old_view: &IdFilter, in_subs: &mut IdFilter) {
+        let subs = &mut self.subs;
+        self.view.truncate_each(&mut self.rng, |evicted| {
+            // A member the view did not hold before this message was
+            // admitted by it, and admission put it in `subs` too.
+            if in_old_view.may_contain(evicted) {
+                subs_insert(subs, in_subs, evicted);
+            }
+        });
         self.subs.truncate_random_count(&mut self.rng);
     }
 
+    /// §3.4: a joining process asked us to gossip its subscription on its
+    /// behalf. We adopt it into our view and `subs` buffer; it will then
+    /// circulate with our next gossip.
     fn handle_subscribe(&mut self, subscriber: ProcessId) -> Output {
         let mut output = Output::default();
         if subscriber != self.id {
+            let in_old_view = IdFilter::from_ids(self.view.ids());
             if self.view.insert(subscriber) {
                 self.stats.subs_added += 1;
                 output.membership.push(MembershipEvent::Joined(subscriber));
             }
             self.subs.insert(subscriber);
-            self.recycle_view_overflow();
+            let mut in_subs = IdFilter::from_ids(&self.subs);
+            self.recycle_view_overflow(&in_old_view, &mut in_subs);
         }
         output
     }
@@ -540,6 +551,28 @@ impl Lpbcast {
         self.view.remove(process);
         self.subs.remove(&process);
     }
+}
+
+/// `view.insert(p)` behind `in_view`, a filter holding every member: an
+/// "absent" answer appends without the scan. On a "maybe" the bit of `p`
+/// is already set, so `in_view` keeps holding every member either way.
+fn view_insert(view: &mut PartialView, in_view: &mut IdFilter, p: ProcessId) -> bool {
+    if in_view.may_contain(p) {
+        return view.insert(p);
+    }
+    view.push_absent(p);
+    in_view.insert(p);
+    true
+}
+
+/// [`view_insert`] for the `subs` buffer.
+fn subs_insert(subs: &mut BoundedSet<ProcessId>, in_subs: &mut IdFilter, p: ProcessId) {
+    if in_subs.may_contain(p) {
+        subs.insert(p);
+        return;
+    }
+    subs.push_absent(p);
+    in_subs.insert(p);
 }
 
 /// The workspace-wide sans-IO lifecycle ([`lpbcast_types::Protocol`]):

@@ -1,8 +1,9 @@
 //! A deterministic work counter for the gossip handler: the exact number
-//! of heap allocations one `tick()` and one `handle_message` make on a
-//! fixed exchange. Wall clock swings ±40 % in a shared container; this
-//! count repeats exactly on any box, so it gates the digest
-//! representation without reading a clock.
+//! of heap allocations `tick()` and `handle_message` make on fixed
+//! exchanges, one event-and-digest heavy and one membership-only. Wall
+//! clock swings ±40 % in a shared container; this count repeats exactly
+//! on any box, so it gates the digest representation and the membership
+//! buffers without reading a clock.
 //!
 //! An integration test is its own crate, so the `#![expect]` below
 //! waives D4 for the counting allocator only, not for the libraries.
@@ -144,4 +145,37 @@ fn gossip_exchange_allocation_budget() {
     for base in [0, 10] {
         assert_eq!(exchange(&mut node, base), (22, 15), "base {base}");
     }
+}
+
+/// Membership only: a paper-sized view (l = 29) receives a gossip whose
+/// 16 subscriptions neither `view` nor `subs` holds, and no events. Phases
+/// 1–2 run their admission filters on the stack, so every allocation here
+/// is a buffer growing.
+#[test]
+fn membership_exchange_allocation_budget() {
+    let config = Config::builder().view_size(29).subs_max(16).build();
+    let mut node = Lpbcast::with_initial_view(pid(0), config, 7, (1..=29).map(pid));
+    let mut counts = Vec::new();
+    for base in [1_000, 2_000, 3_000] {
+        node.tick();
+        let subs: Vec<ProcessId> = (base..base + 16).map(pid).collect();
+        let message = Message::gossip(Gossip {
+            sender: pid(1),
+            subs,
+            unsubs: UnsubSection::empty(),
+            events: Vec::new(),
+            event_ids: Digest::empty(),
+        });
+        let (n, out) = allocations(|| node.handle_message(pid(1), message));
+        assert!(out.is_empty());
+        assert_eq!(node.stats().subs_added, base / 1_000 * 16);
+        counts.push(n);
+    }
+    // First reception: the view's id array grows 32 → 64 (1) and `subs`
+    // 0 → 4 → 8 → 16 → 32 (4). Second: `subs` holds 16 + 16 admitted +
+    // the evicted, 32 → 64. Then nothing. Evicted ids go straight into
+    // `subs`, and a `Uniform` view keeps no weight array: a buffer for
+    // the former (0 → 4 → 8 → 16) and the latter's own 32 → 64 would
+    // make the first count 9.
+    assert_eq!(counts, [5, 1, 0]);
 }

@@ -27,8 +27,9 @@ pub enum TruncationStrategy {
 
 /// One entry of a partial view: a known process and its awareness weight.
 ///
-/// The weight is meaningful only under [`TruncationStrategy::Weighted`];
-/// under `Uniform` it is still maintained (cheap) but ignored.
+/// The weight is meaningful only under [`TruncationStrategy::Weighted`].
+/// A `Uniform` view keeps no weights (nothing on its paths reads them), so
+/// its entries all report the constant 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ViewEntry {
     /// The known process.
@@ -58,6 +59,8 @@ pub struct PartialView {
     // hottest lookup in gossip reception's phase 2). Weights live in
     // their own array so id scans don't stride over them.
     ids: Vec<ProcessId>,
+    /// Parallel to `ids` under `Weighted`; always empty under `Uniform`,
+    /// whose truncation and advertisement never read a weight.
     weights: Vec<u32>,
     max_len: usize,
     strategy: TruncationStrategy,
@@ -106,20 +109,42 @@ impl PartialView {
         self.ids.len() > self.max_len
     }
 
+    fn is_weighted(&self) -> bool {
+        self.strategy == TruncationStrategy::Weighted
+    }
+
     /// Inserts `p`; returns `true` if it was absent (and is not the
     /// owner). Inserting an already-known process bumps its awareness
-    /// weight instead (§6.1) and returns `false`.
+    /// weight instead (§6.1; a no-op on a `Uniform` view) and returns
+    /// `false`.
     pub fn insert(&mut self, p: ProcessId) -> bool {
         if p == self.owner {
             return false;
         }
         if let Some(pos) = lpbcast_types::scan::position_of(&self.ids, &p) {
-            self.weights[pos] = self.weights[pos].saturating_add(1);
+            if self.is_weighted() {
+                self.weights[pos] = self.weights[pos].saturating_add(1);
+            }
             return false;
         }
-        self.ids.push(p);
-        self.weights.push(1);
+        self.push_absent(p);
         true
+    }
+
+    /// Appends `p` without the scan [`insert`](PartialView::insert)
+    /// makes. The caller must already know that `p` is neither a member
+    /// nor the owner, for instance from a
+    /// [`scan::IdFilter`](lpbcast_types::scan::IdFilter) "absent" answer;
+    /// debug builds assert it.
+    pub fn push_absent(&mut self, p: ProcessId) {
+        debug_assert!(
+            p != self.owner && !self.contains(p),
+            "push_absent of the owner or a member"
+        );
+        self.ids.push(p);
+        if self.is_weighted() {
+            self.weights.push(1);
+        }
     }
 
     /// Removes `p`; returns `true` if it was present. Used by phase 1 of
@@ -128,22 +153,37 @@ impl PartialView {
         let Some(pos) = lpbcast_types::scan::position_of(&self.ids, &p) else {
             return false;
         };
-        self.ids.swap_remove(pos);
-        self.weights.swap_remove(pos);
+        self.remove_at(pos);
         true
     }
 
-    /// The awareness weight of `p`, if known.
-    pub fn weight_of(&self, p: ProcessId) -> Option<u32> {
-        lpbcast_types::scan::position_of(&self.ids, &p).map(|pos| self.weights[pos])
+    fn remove_at(&mut self, pos: usize) -> ProcessId {
+        if self.is_weighted() {
+            self.weights.swap_remove(pos);
+        }
+        self.ids.swap_remove(pos)
     }
 
-    /// Iterates over entries (id + weight) in unspecified order.
+    /// The awareness weight of `p`, if known. A `Uniform` view keeps no
+    /// weights: every member reports `Some(1)`.
+    pub fn weight_of(&self, p: ProcessId) -> Option<u32> {
+        let pos = lpbcast_types::scan::position_of(&self.ids, &p)?;
+        Some(self.weights.get(pos).copied().unwrap_or(1))
+    }
+
+    /// Iterates over entries (id + weight) in unspecified order. On a
+    /// `Uniform` view every weight is 1.
     pub fn entries(&self) -> impl Iterator<Item = ViewEntry> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.weights)
-            .map(|(&id, &weight)| ViewEntry { id, weight })
+        self.ids.iter().enumerate().map(|(pos, &id)| ViewEntry {
+            id,
+            weight: self.weights.get(pos).copied().unwrap_or(1),
+        })
+    }
+
+    /// The member ids in storage order: the order truncation and target
+    /// selection index into.
+    pub fn ids(&self) -> &[ProcessId] {
+        &self.ids
     }
 
     /// Evicts entries until `|view| <= l`, following the configured
@@ -154,21 +194,24 @@ impl PartialView {
     /// circulating.
     pub fn truncate<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<ProcessId> {
         let mut evicted = Vec::new();
-        self.truncate_into(rng, &mut evicted);
+        self.truncate_each(rng, |p| evicted.push(p));
         evicted
     }
 
-    /// [`truncate`](PartialView::truncate) into a caller-provided buffer
-    /// (appended, not cleared) — lets the gossip hot path reuse one
-    /// allocation across receptions.
-    pub fn truncate_into<R: Rng + ?Sized>(&mut self, rng: &mut R, evicted: &mut Vec<ProcessId>) {
+    /// [`truncate`](PartialView::truncate), handing each evicted id to
+    /// `evicted` as it goes: the gossip hot path recycles them straight
+    /// into `subs`, with no buffer in between.
+    pub fn truncate_each<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        mut evicted: impl FnMut(ProcessId),
+    ) {
         while self.ids.len() > self.max_len {
             let pos = match self.strategy {
                 TruncationStrategy::Uniform => rng.gen_range(0..self.ids.len()),
                 TruncationStrategy::Weighted => self.max_weight_position(rng),
             };
-            evicted.push(self.ids.swap_remove(pos));
-            self.weights.swap_remove(pos);
+            evicted(self.remove_at(pos));
         }
     }
 
@@ -276,6 +319,57 @@ mod tests {
         v.insert(pid(1));
         v.insert(pid(1));
         assert_eq!(v.weight_of(pid(1)), Some(3));
+    }
+
+    #[test]
+    fn uniform_view_reports_constant_weight_one() {
+        let mut r = rng();
+        let mut v = PartialView::new(pid(0), 3, TruncationStrategy::Uniform);
+        for p in [1, 2, 2, 2, 3, 4, 5] {
+            v.insert(pid(p));
+        }
+        v.push_absent(pid(6));
+        assert!(v.remove(pid(3)));
+        assert_eq!(v.weight_of(pid(2)), Some(1), "re-insertion is not counted");
+        assert_eq!(v.weight_of(pid(6)), Some(1));
+        assert_eq!(v.weight_of(pid(3)), None);
+        v.truncate(&mut r);
+        let entries: Vec<ViewEntry> = v.entries().collect();
+        assert_eq!(entries.len(), 3);
+        assert!(entries.iter().all(|e| e.weight == 1));
+        assert_eq!(
+            entries.iter().map(|e| e.id).collect::<Vec<_>>(),
+            v.ids(),
+            "entries follow storage order"
+        );
+    }
+
+    #[test]
+    fn push_absent_appends_like_insert() {
+        for strategy in [TruncationStrategy::Uniform, TruncationStrategy::Weighted] {
+            let mut a = PartialView::new(pid(0), 5, strategy);
+            let mut b = PartialView::new(pid(0), 5, strategy);
+            for p in 1..=4 {
+                a.insert(pid(p));
+                b.push_absent(pid(p));
+            }
+            a.insert(pid(2));
+            b.insert(pid(2));
+            assert_eq!(a.ids(), b.ids());
+            assert_eq!(
+                a.entries().collect::<Vec<_>>(),
+                b.entries().collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "push_absent of the owner or a member")]
+    fn push_absent_rejects_a_member_in_debug() {
+        let mut v = PartialView::new(pid(0), 5, TruncationStrategy::Uniform);
+        v.insert(pid(1));
+        v.push_absent(pid(1));
     }
 
     #[test]

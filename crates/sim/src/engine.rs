@@ -54,11 +54,10 @@ const MAX_SHARDS: usize = 64;
 
 /// Shard count for benchmark and scenario drivers: the `BENCH_SIM_SHARDS`
 /// environment knob, default 1. Every shard count is bit-identical, so
-/// the knob never changes a result — but it is not free speed: measured
-/// on 2 CPUs, 2 shards cost 25% of the delivery throughput at n = 10³
-/// and 6% at n = 2·10³, and win (+27%) only at n = 10⁴. The default
-/// keeps every run on the serial path; raise it only for systems of
-/// n ≈ 10⁴ and up on a multi-core host (ROADMAP open item (b)).
+/// the knob never changes a result — but it is not free speed. See
+/// [`EngineBuilder::shards`] for what 2 shards measured on 2 CPUs: a
+/// loss at n = 10³, gains from n = 2·10³ up, and more CPU spent at every
+/// size. The default keeps every run on the serial path.
 pub fn shards_from_env() -> usize {
     std::env::var("BENCH_SIM_SHARDS")
         .ok()
@@ -264,12 +263,24 @@ impl<P: Protocol> EngineBuilder<P> {
     /// Partitions the node slab into `shards` contiguous ranges executed
     /// in parallel per round (clamped to 1..=64; default 1 = serial).
     /// Never a correctness knob: every shard count yields bit-identical
-    /// runs, and 1-thread pools dispatch the shard tasks inline. As a
-    /// performance knob it is a pessimisation below n ≈ 10⁴: the
-    /// partition/merge work costs 6–25% of the delivery throughput at
-    /// n ≤ 2·10³ on 2 CPUs (and 3–9% even at one shard through the
-    /// sharded path, which is why `shards == 1` keeps its own serial
-    /// branch), and pays back (+27%) only from n ≈ 10⁴ up.
+    /// runs, and 1-thread pools dispatch the shard tasks inline.
+    ///
+    /// As a performance knob it trades CPU for wall clock, and only above
+    /// n ≈ 10³. Measured on 2 CPUs with `lpbench --seconds 20`, 2–3
+    /// interleaved pairs per workload, 2 shards against serial:
+    ///
+    /// | workload | `deliveries_per_s` | whole-process CPU (`getrusage`) |
+    /// |---|---|---|
+    /// | n = 10³, 40 events/round | 5.61 M → 4.87 M (−13 %) | 9.5 → 14.8 s (+56 %) |
+    /// | n = 2·10³, churn + SWIM | 611 k → 791 k (+29 %) | 10.9 → 12.7 s (+17 %) |
+    /// | n = 10⁴, membership-heavy | 56.3 k → 66.0 k (+17 %) | 8.7 → 10.8 s (+24 %) |
+    ///
+    /// The partition/merge work is serial, and the workers are spawned
+    /// per pass. The sharded path also costs 3–9 % at one shard, which is
+    /// why `shards == 1` keeps its own serial branch. lpbench's
+    /// `cpu_us_per_delivery` falls 2–6× on a sharded run, but that is
+    /// not a saving: it sums the CPU of the threads alive when it reads
+    /// `/proc/self/task`, and the shard workers have exited by then.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.clamp(1, MAX_SHARDS);
         self

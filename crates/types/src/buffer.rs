@@ -131,11 +131,23 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
         if self.contains(&item) {
             return false;
         }
+        self.push_absent(item);
+        true
+    }
+
+    /// Appends `item` without the membership test [`insert`] makes. The
+    /// caller must already know that `item` is absent, for instance from
+    /// a [`scan::IdFilter`](crate::scan::IdFilter) "absent" answer.
+    /// Appending a present element would break the no-duplicate rule;
+    /// debug builds assert against it.
+    ///
+    /// [`insert`]: BoundedSet::insert
+    pub fn push_absent(&mut self, item: T) {
+        debug_assert!(!self.contains(&item), "push_absent of a present element");
         if let Some(index) = &mut self.index {
             index.insert(item.clone(), self.items.len());
         }
         self.items.push(item);
-        true
     }
 
     /// Removes the element at `pos` by swap-remove, keeping the index (if
@@ -408,6 +420,30 @@ mod tests {
         assert!(s.insert(5));
         assert!(!s.insert(5));
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn bounded_set_push_absent_appends_and_indexes() {
+        // Below and above LINEAR_SCAN_MAX: the hash index must learn the
+        // appended element too.
+        for max_len in [4, LINEAR_SCAN_MAX + 1] {
+            let mut s = BoundedSet::new(max_len);
+            s.insert(1);
+            s.push_absent(2);
+            s.push_absent(3);
+            assert_eq!(s.to_vec(), vec![1, 2, 3], "max_len {max_len}");
+            assert!(!s.insert(2));
+            assert!(s.remove(&3) && s.contains(&2) && !s.contains(&3));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "push_absent of a present element")]
+    fn bounded_set_push_absent_rejects_present_in_debug() {
+        let mut s = BoundedSet::new(4);
+        s.insert(1);
+        s.push_absent(1);
     }
 
     #[test]
