@@ -90,15 +90,6 @@ pub struct Config {
     /// gossiping of membership information (every k-th round only)"* —
     /// kept as an ablation knob; 1 is the standard algorithm.
     pub membership_gossip_interval: u64,
-    /// Emit the gossip `unSubs` section as the per-timestamp
-    /// [`UnsubDigest`](crate::UnsubDigest) instead of the flat record
-    /// list. Lossless and purge-semantics-identical — bit-identical
-    /// in-memory (proven by the churn A/B test; wire decoding
-    /// canonicalises record order, see the scope note on `UnsubDigest`);
-    /// the digest halves the section's wire cost under sustained churn,
-    /// which §3.4 names as the design's scalability cost. `false`
-    /// reproduces the paper-literal flat section.
-    pub digest_unsubs: bool,
 }
 
 impl Config {
@@ -170,7 +161,6 @@ impl Default for ConfigBuilder {
                 normalization_period: 10,
                 join_timeout: 5,
                 membership_gossip_interval: 1,
-                digest_unsubs: true,
             },
         }
     }
@@ -222,10 +212,6 @@ impl ConfigBuilder {
     setter!(
         /// Sets the unsubscription obsolescence window (ticks).
         unsub_obsolescence: u64
-    );
-    setter!(
-        /// Chooses the `unSubs` wire representation (digested vs flat).
-        digest_unsubs: bool
     );
     setter!(
         /// Sets the own-unsubscription refusal threshold.

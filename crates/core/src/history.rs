@@ -11,6 +11,8 @@
 //! * **Compact** — the §3.2 per-origin optimisation: exact membership with
 //!   storage proportional to out-of-order ids only.
 
+use std::ops::ControlFlow;
+
 use lpbcast_types::{CompactDigest, EventId, OldestFirstBuffer};
 
 use crate::config::HistoryMode;
@@ -85,12 +87,17 @@ impl EventHistory {
 
     /// §5.2 id absorption: records every id `digest` advertises that this
     /// history has not delivered, calling `learnt` with each in the order
-    /// [`missing_from`](Self::missing_from) lists them.
+    /// [`for_each_missing`](Self::for_each_missing) visits them.
     pub fn absorb(&mut self, digest: &Digest, mut learnt: impl FnMut(EventId)) {
         match (self, digest) {
             (EventHistory::Compact(ours), Digest::Compact(theirs)) => ours.absorb(theirs, learnt),
             (this, digest) => {
-                for id in this.missing_from(digest) {
+                let mut missing = Vec::new();
+                let _ = this.for_each_missing(digest, |id| {
+                    missing.push(id);
+                    ControlFlow::Continue(())
+                });
+                for id in missing {
                     if this.insert(id) {
                         learnt(id);
                     }
@@ -99,38 +106,43 @@ impl EventHistory {
         }
     }
 
-    /// Ids advertised by `digest` that this history has not delivered —
-    /// the candidates for a retransmission pull (§2.3 footnote 5).
-    pub fn missing_from(&self, digest: &Digest) -> Vec<EventId> {
+    /// Calls `f` with each id advertised by `digest` that this history
+    /// has not delivered — the candidates for a retransmission pull (§2.3
+    /// footnote 5) — until `f` breaks, and returns whether it did.
+    ///
+    /// A `Compact` digest's watermarks come off the wire unchecked, so a
+    /// caller that wants at most `k` ids breaks after the `k`-th: the walk
+    /// never enumerates more than `f` accepts plus the ids this history
+    /// already holds.
+    pub fn for_each_missing(
+        &self,
+        digest: &Digest,
+        mut f: impl FnMut(EventId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         match digest {
-            Digest::Ids(ids) => ids
-                .iter()
-                .copied()
-                .filter(|&id| !self.contains(id))
-                .collect(),
+            Digest::Ids(ids) => {
+                for &id in ids {
+                    if !self.contains(id) {
+                        f(id)?;
+                    }
+                }
+            }
             Digest::Compact(theirs) => match self {
-                EventHistory::Compact(ours) => ours.missing_relative_to(theirs),
+                EventHistory::Compact(ours) => return ours.for_each_missing(theirs, f),
                 EventHistory::Bounded(_) => {
                     // Enumerate their ids exactly and filter locally.
-                    let mut missing = Vec::new();
                     for (origin, od) in theirs.iter() {
-                        for seq in 0..od.next_seq() {
+                        for seq in (0..od.next_seq()).chain(od.out_of_order()) {
                             let id = EventId::new(origin, seq);
                             if !self.contains(id) {
-                                missing.push(id);
-                            }
-                        }
-                        for seq in od.out_of_order() {
-                            let id = EventId::new(origin, seq);
-                            if !self.contains(id) {
-                                missing.push(id);
+                                f(id)?;
                             }
                         }
                     }
-                    missing
                 }
             },
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -141,6 +153,16 @@ mod tests {
 
     fn eid(p: u64, s: u64) -> EventId {
         EventId::new(ProcessId::new(p), s)
+    }
+
+    /// Every id `for_each_missing` visits, in order.
+    fn missing(h: &EventHistory, digest: &Digest) -> Vec<EventId> {
+        let mut out = Vec::new();
+        let _ = h.for_each_missing(digest, |id| {
+            out.push(id);
+            ControlFlow::Continue(())
+        });
+        out
     }
 
     #[test]
@@ -173,37 +195,37 @@ mod tests {
         h.insert(eid(2, 3));
         let d = h.to_digest();
         assert!(d.contains(eid(1, 0)) && d.contains(eid(2, 3)));
-        assert_eq!(d.advertised_count(), 2);
+        assert_eq!(d, Digest::Ids(vec![eid(1, 0), eid(2, 3)]));
     }
 
     #[test]
-    fn missing_from_ids_digest() {
+    fn for_each_missing_ids_digest() {
         let mut h = EventHistory::new(HistoryMode::Bounded, 10);
         h.insert(eid(1, 0));
         let digest = Digest::Ids(vec![eid(1, 0), eid(1, 1), eid(2, 0)]);
-        let mut missing = h.missing_from(&digest);
-        missing.sort();
-        assert_eq!(missing, vec![eid(1, 1), eid(2, 0)]);
+        let mut pull = missing(&h, &digest);
+        pull.sort();
+        assert_eq!(pull, vec![eid(1, 1), eid(2, 0)]);
     }
 
     #[test]
-    fn missing_from_compact_digest_with_bounded_history() {
+    fn for_each_missing_compact_digest_with_bounded_history() {
         let mut h = EventHistory::new(HistoryMode::Bounded, 10);
         h.insert(eid(1, 1));
         let mut theirs = CompactDigest::new();
         theirs.extend([eid(1, 0), eid(1, 1), eid(1, 2), eid(1, 4)]);
-        let mut missing = h.missing_from(&Digest::Compact(theirs));
-        missing.sort();
-        assert_eq!(missing, vec![eid(1, 0), eid(1, 2), eid(1, 4)]);
+        let mut pull = missing(&h, &Digest::Compact(theirs));
+        pull.sort();
+        assert_eq!(pull, vec![eid(1, 0), eid(1, 2), eid(1, 4)]);
     }
 
     #[test]
-    fn missing_from_compact_digest_with_compact_history() {
+    fn for_each_missing_compact_digest_with_compact_history() {
         let mut h = EventHistory::new(HistoryMode::Compact, 0);
         h.insert(eid(1, 0));
         let mut theirs = CompactDigest::new();
         theirs.extend([eid(1, 0), eid(1, 1)]);
-        assert_eq!(h.missing_from(&Digest::Compact(theirs)), vec![eid(1, 1)]);
+        assert_eq!(missing(&h, &Digest::Compact(theirs)), vec![eid(1, 1)]);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub use config::{Config, ConfigBuilder, HistoryMode};
 pub use history::EventHistory;
 pub use join::JoinState;
 pub use lpbcast_types::{MembershipEvent, Protocol};
-pub use message::{Digest, Gossip, Message, Output, UnsubSection};
+pub use message::{Digest, Gossip, Message, Output};
 pub use process::Lpbcast;
 pub use stats::ProcessStats;
 pub use time::LogicalTime;

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use lpbcast_types::{CompactDigest, Event, EventId, ProcessId};
 
-use crate::unsub::{UnsubDigest, Unsubscription};
+use crate::unsub::UnsubDigest;
 
 /// The digest of delivered notifications carried by every gossip message
 /// (§3.2 "notification identifiers").
@@ -31,97 +31,6 @@ impl Digest {
             Digest::Compact(d) => d.contains(id),
         }
     }
-
-    /// Number of ids the digest advertises (for `Compact`, the number of
-    /// distinct ids it covers).
-    pub fn advertised_count(&self) -> u64 {
-        match self {
-            Digest::Ids(ids) => ids.len() as u64,
-            Digest::Compact(d) => d.seen_count(),
-        }
-    }
-
-    /// Iterates over explicitly enumerable ids. For `Compact`, enumerates
-    /// out-of-order ids and the in-sequence watermark boundaries are *not*
-    /// expanded (callers needing set semantics use
-    /// [`Digest::contains`] / [`crate::EventHistory::missing_from`]).
-    pub fn explicit_ids(&self) -> Vec<EventId> {
-        match self {
-            Digest::Ids(ids) => ids.clone(),
-            Digest::Compact(d) => {
-                let mut out = Vec::new();
-                for (origin, od) in d.iter() {
-                    out.extend(od.out_of_order().map(|s| EventId::new(origin, s)));
-                    if od.next_seq() > 0 {
-                        // Represent the watermark by its newest id.
-                        out.push(EventId::new(origin, od.next_seq() - 1));
-                    }
-                }
-                out
-            }
-        }
-    }
-}
-
-/// The unsubscription section of a gossip (§3.4 `gossip.unSubs`), in
-/// either of two lossless representations.
-///
-/// Mirrors [`Digest`]'s flat/compact split: `Flat` is the paper's literal
-/// record list (one `(process, issued_at)` pair per leaver, 16 wire bytes
-/// each); `Digest` aggregates records by issue timestamp
-/// ([`UnsubDigest`]), cutting the per-record wire cost roughly in half
-/// under sustained churn where many leavers share a timestamp. Both
-/// carry exactly the same records, so obsolescence and purge semantics
-/// (§3.4) are representation-independent — proven by the churn A/B test
-/// in `lpbcast-sim`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum UnsubSection {
-    /// The literal record list (order as drawn from the `unSubs` buffer).
-    Flat(Vec<Unsubscription>),
-    /// Per-timestamp aggregated records (canonical order).
-    Digest(UnsubDigest),
-}
-
-impl UnsubSection {
-    /// An empty section in the `Flat` representation.
-    pub fn empty() -> Self {
-        UnsubSection::Flat(Vec::new())
-    }
-
-    /// Number of unsubscription records carried.
-    pub fn record_count(&self) -> usize {
-        match self {
-            UnsubSection::Flat(records) => records.len(),
-            UnsubSection::Digest(d) => d.record_count(),
-        }
-    }
-
-    /// Whether no records are carried.
-    pub fn is_empty(&self) -> bool {
-        self.record_count() == 0
-    }
-
-    /// Yields every record. Allocation-free — both representations back
-    /// their records with a contiguous slice, and this runs once per
-    /// received gossip on the hot path.
-    pub fn iter(&self) -> impl Iterator<Item = Unsubscription> + '_ {
-        let records = match self {
-            UnsubSection::Flat(records) => records.as_slice(),
-            UnsubSection::Digest(d) => d.records(),
-        };
-        records.iter().copied()
-    }
-
-    /// Whether a record for `process` is present (test helper).
-    pub fn contains_process(&self, process: ProcessId) -> bool {
-        self.iter().any(|u| u.process() == process)
-    }
-}
-
-impl From<Vec<Unsubscription>> for UnsubSection {
-    fn from(records: Vec<Unsubscription>) -> Self {
-        UnsubSection::Flat(records)
-    }
 }
 
 /// A gossip message (§3.2): the single message type that simultaneously
@@ -133,23 +42,12 @@ pub struct Gossip {
     /// Subscriptions to propagate; always contains the sender itself
     /// (Figure 1(b): `gossip.subs ← subs ∪ {pi}`).
     pub subs: Vec<ProcessId>,
-    /// Unsubscriptions to propagate (flat records or the per-timestamp
-    /// digest, per [`Config::digest_unsubs`](crate::Config)).
-    pub unsubs: UnsubSection,
+    /// Unsubscriptions to propagate, grouped by issue timestamp.
+    pub unsubs: UnsubDigest,
     /// Notifications received since the sender's last gossip.
     pub events: Vec<Event>,
     /// Digest of all notifications the sender has delivered.
     pub event_ids: Digest,
-}
-
-impl Gossip {
-    /// Total wire-visible entry count (used by tests and load accounting).
-    pub fn entry_count(&self) -> usize {
-        self.subs.len()
-            + self.unsubs.record_count()
-            + self.events.len()
-            + self.event_ids.advertised_count() as usize
-    }
 }
 
 /// Messages exchanged by lpbcast processes.
@@ -190,16 +88,6 @@ impl Message {
     pub fn gossip(gossip: Gossip) -> Self {
         Message::Gossip(Arc::new(gossip))
     }
-
-    /// Short human-readable kind tag (for logs and stats).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Message::Gossip(_) => "gossip",
-            Message::Subscribe { .. } => "subscribe",
-            Message::RetransmitRequest { .. } => "retransmit-request",
-            Message::RetransmitResponse { .. } => "retransmit-response",
-        }
-    }
 }
 
 /// Everything an lpbcast step produced: the workspace-wide unified
@@ -218,8 +106,6 @@ pub type Output = lpbcast_types::Output<Message>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::LogicalTime;
-    use lpbcast_types::CompactDigest;
 
     fn pid(p: u64) -> ProcessId {
         ProcessId::new(p)
@@ -234,56 +120,12 @@ mod tests {
         let ids = Digest::Ids(vec![eid(1, 0), eid(1, 2)]);
         assert!(ids.contains(eid(1, 0)));
         assert!(!ids.contains(eid(1, 1)));
-        assert_eq!(ids.advertised_count(), 2);
 
         let mut c = CompactDigest::new();
         c.extend([eid(1, 0), eid(1, 1), eid(2, 5)]);
         let compact = Digest::Compact(c);
         assert!(compact.contains(eid(1, 1)));
         assert!(!compact.contains(eid(2, 4)));
-        assert_eq!(compact.advertised_count(), 3);
-    }
-
-    #[test]
-    fn explicit_ids_cover_watermark_and_stragglers() {
-        let mut c = CompactDigest::new();
-        c.extend([eid(1, 0), eid(1, 1), eid(1, 5)]);
-        let ids = Digest::Compact(c).explicit_ids();
-        assert!(ids.contains(&eid(1, 1)), "watermark newest id");
-        assert!(ids.contains(&eid(1, 5)), "out-of-order id");
-        assert!(!ids.contains(&eid(1, 0)), "interior ids not enumerated");
-    }
-
-    #[test]
-    fn gossip_entry_count_sums_sections() {
-        let g = Gossip {
-            sender: pid(0),
-            subs: vec![pid(0), pid(1)],
-            unsubs: vec![Unsubscription::new(pid(2), LogicalTime::ZERO)].into(),
-            events: vec![Event::new(eid(3, 0), b"x".as_ref())],
-            event_ids: Digest::Ids(vec![eid(3, 0)]),
-        };
-        assert_eq!(g.entry_count(), 2 + 1 + 1 + 1);
-    }
-
-    #[test]
-    fn unsub_section_forms_agree() {
-        let records = vec![
-            Unsubscription::new(pid(1), LogicalTime::new(4)),
-            Unsubscription::new(pid(2), LogicalTime::new(4)),
-        ];
-        let flat = UnsubSection::Flat(records.clone());
-        let digest = UnsubSection::Digest(UnsubDigest::from_records(records));
-        assert_eq!(flat.record_count(), 2);
-        assert_eq!(digest.record_count(), 2);
-        assert!(flat.contains_process(pid(2)) && digest.contains_process(pid(2)));
-        assert!(!digest.contains_process(pid(9)));
-        let mut a: Vec<_> = flat.iter().collect();
-        let mut b: Vec<_> = digest.iter().collect();
-        a.sort_by_key(|u| u.process());
-        b.sort_by_key(|u| u.process());
-        assert_eq!(a, b, "same records regardless of representation");
-        assert!(UnsubSection::empty().is_empty());
     }
 
     #[test]
@@ -298,18 +140,9 @@ mod tests {
         assert_eq!(a.delivered.len(), 1);
         assert_eq!(a.learned_ids.len(), 1);
         assert_eq!(a.outgoing.len(), 1);
-        assert_eq!(a.outgoing[0].1.kind(), "subscribe");
-    }
-
-    #[test]
-    fn message_kinds() {
-        assert_eq!(
-            Message::RetransmitRequest { ids: vec![] }.kind(),
-            "retransmit-request"
-        );
-        assert_eq!(
-            Message::RetransmitResponse { events: vec![] }.kind(),
-            "retransmit-response"
-        );
+        assert!(matches!(
+            a.outgoing[0].1,
+            Message::Subscribe { subscriber } if subscriber == pid(9)
+        ));
     }
 }

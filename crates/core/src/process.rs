@@ -1,5 +1,7 @@
 //! The lpbcast process state machine (Figure 1 of the paper).
 
+use std::ops::ControlFlow;
+
 use lpbcast_membership::{PartialView, View};
 use lpbcast_types::scan::IdFilter;
 use lpbcast_types::{BoundedSet, Event, EventId, MembershipEvent, Payload, ProcessId};
@@ -10,7 +12,7 @@ use crate::archive::EventArchive;
 use crate::config::Config;
 use crate::history::EventHistory;
 use crate::join::JoinState;
-use crate::message::{Gossip, Message, Output, UnsubSection};
+use crate::message::{Gossip, Message, Output};
 use crate::stats::ProcessStats;
 use crate::time::LogicalTime;
 use crate::unsub::{UnsubDigest, UnsubscribeRefused, Unsubscription};
@@ -311,20 +313,17 @@ impl Lpbcast {
             }
         }
 
-        // gossip.unSubs ← unSubs, dropping obsolete records (§3.4). With
-        // `digest_unsubs` the records are aggregated per issue timestamp
-        // (leave cohorts share a logical clock value), halving the wire
-        // cost of the section churn §3.4 says grows with the leave rate;
-        // the record set carried is identical either way.
+        // gossip.unSubs ← unSubs, dropping obsolete records (§3.4). The
+        // records travel grouped per issue timestamp (leave cohorts share
+        // a logical clock value), halving the wire cost of the section
+        // §3.4 says grows with the leave rate.
         let now = self.now;
         let window = self.config.unsub_obsolescence;
         self.unsubs.retain(|u| !u.is_obsolete(now, window));
-        let gossip_unsubs = if !include_membership {
-            UnsubSection::empty()
-        } else if self.config.digest_unsubs {
-            UnsubSection::Digest(UnsubDigest::from_records(self.unsubs.to_vec()))
+        let gossip_unsubs = if include_membership {
+            UnsubDigest::from_records(self.unsubs.to_vec())
         } else {
-            UnsubSection::Flat(self.unsubs.to_vec())
+            UnsubDigest::new()
         };
 
         // gossip.events ← events; events ← ∅.
@@ -376,8 +375,6 @@ impl Lpbcast {
         let mut in_subs = IdFilter::from_ids(&self.subs);
 
         // ── Phase 1: unsubscriptions ──────────────────────────────────
-        // Representation-agnostic: flat and digested sections yield the
-        // same records, so the §3.4 purge path below cannot diverge.
         for unsub in gossip.unsubs.iter() {
             if unsub.is_obsolete(self.now, self.config.unsub_obsolescence) {
                 continue;
@@ -437,19 +434,28 @@ impl Lpbcast {
             // request/response datagram pair has been outstanding
             // past the retry window — on a lossy transport either
             // leg can vanish, and a pull that is never re-issued
-            // leaves the notification unrecoverable forever.
+            // leaves the notification unrecoverable forever. The
+            // walk stops at the budget: the digest's watermarks are
+            // the sender's word, and one near `u64::MAX` must not
+            // enumerate its whole range.
             let now = self.now;
             let retry = self.config.retransmit_retry_ticks;
-            let ids: Vec<EventId> = self
-                .history
-                .missing_from(&gossip.event_ids)
-                .into_iter()
-                .filter(|id| match self.pending_pulls.get(id) {
+            let max = self.config.retransmit_request_max;
+            let mut ids = Vec::new();
+            let _ = self.history.for_each_missing(&gossip.event_ids, |id| {
+                let eligible = match self.pending_pulls.get(&id) {
                     None => true,
                     Some(&asked) => retry > 0 && now.since(asked) >= retry,
-                })
-                .take(self.config.retransmit_request_max)
-                .collect();
+                };
+                if eligible {
+                    ids.push(id);
+                }
+                if ids.len() == max {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
             if !ids.is_empty() {
                 for &id in &ids {
                     self.pending_pulls.insert(id, now);
@@ -670,7 +676,7 @@ mod tests {
         let echo = Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![Event::new(id, b"x".as_ref())],
             event_ids: Digest::empty(),
         };
@@ -769,7 +775,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(1), pid(2), pid(3)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::empty(),
         };
@@ -789,7 +795,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(0)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::empty(),
         };
@@ -808,7 +814,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(3), pid(4)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::empty(),
         };
@@ -832,7 +838,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: vec![unsub].into(),
+            unsubs: UnsubDigest::from_records([unsub]),
             events: vec![],
             event_ids: Digest::empty(),
         };
@@ -861,7 +867,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: vec![stale].into(),
+            unsubs: UnsubDigest::from_records([stale]),
             events: vec![],
             event_ids: Digest::empty(),
         };
@@ -899,7 +905,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![],
-            unsubs: unsubs.into(),
+            unsubs: UnsubDigest::from_records(unsubs),
             events: vec![],
             event_ids: Digest::empty(),
         };
@@ -949,7 +955,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::empty(),
         };
@@ -982,7 +988,7 @@ mod tests {
         let mk = |events: Vec<Event>| Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events,
             event_ids: Digest::empty(),
         };
@@ -1010,7 +1016,7 @@ mod tests {
         let mk = |events: Vec<Event>| Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events,
             event_ids: Digest::empty(),
         };
@@ -1036,7 +1042,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::Ids(vec![id]),
         };
@@ -1059,7 +1065,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::Ids(vec![id]),
         };
@@ -1084,7 +1090,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(0),
             subs: vec![pid(0)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: holder.history().to_digest(),
         };
@@ -1138,7 +1144,7 @@ mod tests {
         let gossip = Gossip {
             sender: pid(0),
             subs: vec![pid(0)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: holder.history().to_digest(),
         };

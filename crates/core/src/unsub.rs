@@ -67,35 +67,27 @@ impl fmt::Display for Unsubscription {
     }
 }
 
-/// Unsubscription records aggregated by issue timestamp — the wire-cost
-/// compaction of the `unSubs` gossip section.
+/// The `unSubs` gossip section: unsubscription records aggregated by
+/// issue timestamp.
 ///
 /// §3.4 documents that unsubscription sections grow with the leave rate:
-/// every membership gossip carries the whole live `unSubs` buffer, at 16
-/// bytes per record on the wire. Under sustained churn the records
-/// cluster on a handful of recent logical timestamps (every process that
-/// left in round *t* stamped its record *t*), so grouping by timestamp
-/// stores each `issued_at` once and the member list as bare process ids —
-/// ~8 bytes per record plus a few bytes per distinct timestamp.
+/// every membership gossip carries the whole live `unSubs` buffer. Under
+/// sustained churn the records cluster on a handful of recent logical
+/// timestamps (every process that left in round *t* stamped its record
+/// *t*), so grouping by timestamp stores each `issued_at` once and the
+/// member list as bare process ids — 8 wire bytes per record plus 10 per
+/// distinct timestamp, against 16 per record for a flat list.
 ///
-/// The digest is a pure *wire* compaction: [`iter`](UnsubDigest::iter)
-/// yields the records in their **original order**, so a process handling
-/// a digested section behaves bit-identically to one handling the flat
-/// list (the churn-scenario A/B test pins that equivalence end-to-end —
-/// even the incidental order of view removals is preserved, which
-/// index-based random target selection is sensitive to). Only the wire
-/// form ([`groups`](UnsubDigest::groups), built once at construction) is
-/// canonical: groups sorted by timestamp, ids sorted within each group.
-///
-/// Scope of the bit-identity claim: it covers in-memory delivery (the
-/// simulator and every deterministic harness). Wire *decoding*
-/// reconstructs records in canonical group order — the original
-/// sender-side order is not carried — so on the UDP runtime a digested
-/// section is processed in a different order than a flat one. The
-/// record set, obsolescence checks and purge outcomes are identical
-/// either way; only incidental processing order differs, and the UDP
-/// path has no run-level determinism for it to perturb (real timers and
-/// sockets already reorder everything).
+/// [`iter`](UnsubDigest::iter) yields the records in their **original
+/// order** (the sender's `unSubs` buffer order), so in-memory delivery —
+/// the simulator and every deterministic harness — applies them in the
+/// order the paper's flat list would, down to the incidental order of
+/// view removals that index-based random target selection is sensitive
+/// to. Only the wire form ([`groups`](UnsubDigest::groups), built once at
+/// construction) is canonical: groups sorted by timestamp, ids sorted
+/// within each group. Wire *decoding* therefore yields records in group
+/// order; the record set, obsolescence checks and purge outcomes do not
+/// depend on it.
 #[derive(Debug, Clone, Default)]
 pub struct UnsubDigest {
     /// The aggregated records, original order (the iteration source).
@@ -276,8 +268,7 @@ mod tests {
             "wire groups ascend by time, ids sorted within"
         );
         // Lossless AND order-preserving: iteration yields the records
-        // exactly as given (a digested section must be behaviourally
-        // indistinguishable from the flat list on the receive path).
+        // exactly as given (the receive path applies them in buffer order).
         let out: Vec<Unsubscription> = digest.iter().collect();
         assert_eq!(out, records.to_vec());
         assert_eq!(

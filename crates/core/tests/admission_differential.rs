@@ -12,7 +12,8 @@
 use std::collections::BTreeSet;
 
 use lpbcast_core::{
-    Config, Digest, Gossip, LogicalTime, Lpbcast, Message, ProcessStats, Unsubscription,
+    Config, Digest, Gossip, LogicalTime, Lpbcast, Message, ProcessStats, UnsubDigest,
+    Unsubscription,
 };
 use lpbcast_membership::{PartialView, TruncationStrategy, View as _};
 use lpbcast_types::{BoundedSet, ProcessId};
@@ -146,11 +147,11 @@ fn gossip(subs: &[ProcessId], unsubs: &[(ProcessId, u64)]) -> Gossip {
     Gossip {
         sender: ProcessId::new(7),
         subs: subs.to_vec(),
-        unsubs: unsubs
-            .iter()
-            .map(|&(p, t)| Unsubscription::new(p, LogicalTime::new(t)))
-            .collect::<Vec<_>>()
-            .into(),
+        unsubs: UnsubDigest::from_records(
+            unsubs
+                .iter()
+                .map(|&(p, t)| Unsubscription::new(p, LogicalTime::new(t))),
+        ),
         events: Vec::new(),
         event_ids: Digest::empty(),
     }

@@ -3,7 +3,9 @@
 //! exchanges, one event-and-digest heavy and one membership-only. Wall
 //! clock swings ±40 % in a shared container; this count repeats exactly
 //! on any box, so it gates the digest representation and the membership
-//! buffers without reading a clock.
+//! buffers without reading a clock. The same counter bounds the bytes a
+//! retransmission pull may allocate for a digest whose watermark came off
+//! the wire.
 //!
 //! An integration test is its own crate, so the `#![expect]` below
 //! waives D4 for the counting allocator only, not for the libraries.
@@ -17,11 +19,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lpbcast_core::{Config, Digest, Gossip, HistoryMode, Lpbcast, Message, UnsubSection};
-use lpbcast_types::{CompactDigest, Event, EventId, ProcessId};
+use lpbcast_core::{Config, Digest, Gossip, HistoryMode, Lpbcast, Message, UnsubDigest};
+use lpbcast_types::{CompactDigest, Event, EventId, OriginDigest, ProcessId};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
@@ -33,6 +36,7 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -44,6 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + new_size as u64));
         // SAFETY: `ptr` came from `System`; the rest is the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +63,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// Runs `f` and returns how many bytes it asked the allocator for (every
+/// `alloc` size and `realloc` new size, summed), with its result.
+fn allocated_bytes<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
 }
 
 fn pid(p: u64) -> ProcessId {
@@ -87,7 +100,7 @@ fn gossip(events: Vec<Event>, event_ids: Digest) -> Message {
     Message::gossip(Gossip {
         sender: pid(1),
         subs: vec![pid(1)],
-        unsubs: UnsubSection::empty(),
+        unsubs: UnsubDigest::new(),
         events,
         event_ids,
     })
@@ -162,7 +175,7 @@ fn membership_exchange_allocation_budget() {
         let message = Message::gossip(Gossip {
             sender: pid(1),
             subs,
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: Vec::new(),
             event_ids: Digest::empty(),
         });
@@ -178,4 +191,52 @@ fn membership_exchange_allocation_budget() {
     // the former (0 → 4 → 8 → 16) and the latter's own 32 → 64 would
     // make the first count 9.
     assert_eq!(counts, [5, 1, 0]);
+}
+
+/// A pull-enabled node handles a gossip (a 47-byte frame on the wire)
+/// whose digest advertises an unseen origin at watermark `next_seq`, and
+/// returns the bytes the handler allocated with the one request it sends.
+fn pull_against_watermark(history: HistoryMode, next_seq: u64) -> (u64, Vec<EventId>) {
+    let config = Config::builder()
+        .history_mode(history)
+        .retransmit_request_max(16)
+        .build();
+    let mut node = Lpbcast::with_initial_view(pid(0), config, 7, (1..=15).map(pid));
+    let mut advertised = CompactDigest::new();
+    advertised.set_origin(pid(500), OriginDigest::from_parts(next_seq, []));
+    let message = gossip(Vec::new(), Digest::Compact(advertised));
+    let (bytes, out) = allocated_bytes(|| node.handle_message(pid(1), message));
+    let [(to, Message::RetransmitRequest { ids })] = &out.outgoing[..] else {
+        panic!(
+            "expected one retransmission request, got {:?}",
+            out.outgoing
+        );
+    };
+    assert_eq!(*to, pid(1), "the pull goes to the advertiser");
+    (bytes, ids.clone())
+}
+
+/// The pull walks the digest only as far as its budget: 16 ids out of an
+/// advertised 2^20, in a few KiB. Enumerating every advertised id first
+/// would build ~16 MiB.
+#[test]
+fn pull_walk_stops_at_the_request_budget() {
+    for history in [HistoryMode::Compact, HistoryMode::Bounded] {
+        let (bytes, ids) = pull_against_watermark(history, 1 << 20);
+        let expected: Vec<EventId> = (0..16).map(|seq| EventId::new(pid(500), seq)).collect();
+        assert_eq!(
+            ids, expected,
+            "{history:?}: the first 16 missing ids, in order"
+        );
+        assert!(bytes < 16 << 10, "{history:?}: {bytes} bytes allocated");
+    }
+}
+
+/// The walk ends even when the watermark is the largest the wire can carry.
+#[test]
+fn pull_walk_returns_at_the_largest_watermark() {
+    for history in [HistoryMode::Compact, HistoryMode::Bounded] {
+        let (_, ids) = pull_against_watermark(history, u64::MAX);
+        assert_eq!(ids.len(), 16, "{history:?}");
+    }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests: protocol invariants under arbitrary message
 //! sequences.
 
-use lpbcast_core::{Config, Digest, Gossip, Lpbcast, Message, Unsubscription};
+use lpbcast_core::{Config, Digest, Gossip, Lpbcast, Message, UnsubDigest, Unsubscription};
 use lpbcast_core::{HistoryMode, LogicalTime};
 use lpbcast_membership::View as _;
 use lpbcast_types::{Event, EventId, ProcessId};
@@ -47,12 +47,11 @@ fn build_gossip(r: &GossipRecipe) -> Gossip {
     Gossip {
         sender: pid(r.sender),
         subs: r.subs.iter().map(|&p| pid(p)).collect(),
-        unsubs: r
-            .unsub
-            .iter()
-            .map(|&p| Unsubscription::new(pid(p), LogicalTime::ZERO))
-            .collect::<Vec<_>>()
-            .into(),
+        unsubs: UnsubDigest::from_records(
+            r.unsub
+                .iter()
+                .map(|&p| Unsubscription::new(pid(p), LogicalTime::ZERO)),
+        ),
         events: r
             .events
             .iter()

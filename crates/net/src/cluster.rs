@@ -23,10 +23,13 @@
 //!   *same* cluster short-circuit through an in-memory queue without
 //!   touching a socket.
 //!
-//! Datagrams between clusters carry the [`wire`] *cluster envelope*: one
-//! section per frame, naming its `from`/`dest` instances, because a
-//! socket address does not identify an instance; a datagram without it
-//! is dropped as loss. Coalescing pays off when many instances in one
+//! Datagrams between clusters carry the [`wire`] *cluster envelope*: a
+//! datagram holds every frame one socket sends to one remote socket in
+//! one loop phase, whichever hosted instances sent them and whichever
+//! remote instances they are for, each frame in its own section naming
+//! its `from`/`dest` instances, because a socket address does not
+//! identify an instance; a datagram without the envelope is dropped as
+//! loss. Coalescing pays off when many instances in one
 //! process send to the same remote socket; the paper's §5.2 layout — one
 //! process, one socket — is a cluster with one instance, where a
 //! datagram carries what that instance sends to one peer in one phase.

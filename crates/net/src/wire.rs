@@ -14,19 +14,17 @@
 //! a node every datagram looks like message loss. Mixed-version clusters
 //! are therefore unsupported; upgrade all peers together.
 //!
-//! lpbcast [`Message`] kinds (the `unSubs` section grew a representation
-//! byte with the wire-cost compaction work — a pre-compaction decoder
-//! rejects the new gossip layout, so as with batching, mixed-version
-//! clusters are unsupported):
+//! lpbcast [`Message`] kinds. The gossip's `unSubs` section groups its
+//! records per issue timestamp; its representation byte is always 1, and
+//! any other value is rejected with [`WireError::BadTag`]:
 //!
 //! ```text
 //! kind 0 — Gossip:
 //!   u64 sender
 //!   u16 |subs|    then |subs| × u64
-//!   u8  unsubs kind (0 = flat records, 1 = per-timestamp digest)
-//!     0: u16 |unsubs|  then |unsubs| × (u64 process, u64 issued_at)
-//!     1: u16 |groups|  then per group:
-//!        u64 issued_at, u16 |leavers| then |leavers| × u64
+//!   u8  unsubs kind = 1
+//!   u16 |groups|  then per group:
+//!     u64 issued_at, u16 |leavers| then |leavers| × u64
 //!   u16 |events|  then |events| × (u64 origin, u64 seq, u32 len, bytes)
 //!   u8  digest kind (0 = id list, 1 = compact)
 //!     0: u16 |ids| then |ids| × (u64 origin, u64 seq)
@@ -113,13 +111,13 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use core::fmt;
 
-use lpbcast_core::{
-    Digest, Gossip, LogicalTime, Message, UnsubDigest, UnsubSection, Unsubscription,
-};
+use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest};
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_pubsub::{PubSubMessage, TopicId};
-use lpbcast_types::{CompactDigest, Event, EventId, FastMap, OriginDigest, ProcessId};
+use lpbcast_types::{
+    hashing::FastHasher, CompactDigest, Event, EventId, FastMap, OriginDigest, ProcessId,
+};
 
 /// First byte of every datagram.
 pub const MAGIC: u8 = 0x6C; // 'l' for lpbcast
@@ -130,6 +128,9 @@ pub const VERSION: u8 = 1;
 pub const MAX_PAYLOAD: usize = 64 * 1024;
 /// Hard cap on a pub/sub topic label accepted from the wire.
 pub const MAX_TOPIC: usize = 1024;
+/// The gossip `unSubs` section's representation byte: records grouped per
+/// issue timestamp, the only form there is.
+const UNSUBS_GROUPED: u8 = 1;
 
 /// Declares [`Kind`] and its `TryFrom<u8>` from one list, so a kind's
 /// byte is written exactly once and a duplicate is a compile error.
@@ -494,16 +495,13 @@ fn events_len(events: &[Event]) -> usize {
 
 /// Exact encoded size of a gossip body (kind byte excluded).
 fn gossip_len(g: &Gossip) -> usize {
-    let unsubs = 1 + match &g.unsubs {
-        UnsubSection::Flat(records) => 2 + 16 * records.len(),
-        UnsubSection::Digest(d) => {
-            2 + d
-                .groups()
-                .iter()
-                .map(|(_, ids)| 10 + 8 * ids.len())
-                .sum::<usize>()
-        }
-    };
+    let unsubs = 1
+        + 2
+        + g.unsubs
+            .groups()
+            .iter()
+            .map(|(_, ids)| 10 + 8 * ids.len())
+            .sum::<usize>();
     let digest = 1 + match &g.event_ids {
         Digest::Ids(ids) => 2 + 16 * ids.len(),
         Digest::Compact(d) => {
@@ -708,7 +706,7 @@ impl WireMessage for PubSubMessage {
         // but the cache key must not rely on that).
         use core::hash::{Hash, Hasher};
         self.inner.body_key().map(|k| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            let mut hasher = FastHasher::default();
             self.topic.name().hash(&mut hasher);
             k ^ hasher.finish() as usize
         })
@@ -852,7 +850,7 @@ impl<M: WireMessage> WireMessage for SwimMsg<M> {
         use core::hash::{Hash, Hasher};
         match self {
             SwimMsg::Wrapped { inner, updates } => inner.body_key().map(|k| {
-                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                let mut hasher = FastHasher::default();
                 for u in updates {
                     u.subject.as_u64().hash(&mut hasher);
                     u.incarnation.hash(&mut hasher);
@@ -884,28 +882,13 @@ fn encode_gossip(buf: &mut BytesMut, g: &Gossip) {
     for p in &g.subs {
         buf.put_u64_le(p.as_u64());
     }
-    // The unSubs section is representation-preserving: the sender's
-    // `digest_unsubs` configuration decides the form, the codec carries
-    // it verbatim (so decode → re-encode is byte-identical).
-    match &g.unsubs {
-        UnsubSection::Flat(records) => {
-            buf.put_u8(0);
-            buf.put_u16_le(records.len() as u16);
-            for u in records {
-                buf.put_u64_le(u.process().as_u64());
-                buf.put_u64_le(u.issued_at().as_u64());
-            }
-        }
-        UnsubSection::Digest(d) => {
-            buf.put_u8(1);
-            buf.put_u16_le(d.group_count() as u16);
-            for (issued_at, leavers) in d.groups() {
-                buf.put_u64_le(issued_at.as_u64());
-                buf.put_u16_le(leavers.len() as u16);
-                for p in leavers {
-                    buf.put_u64_le(p.as_u64());
-                }
-            }
+    buf.put_u8(UNSUBS_GROUPED);
+    buf.put_u16_le(g.unsubs.group_count() as u16);
+    for (issued_at, leavers) in g.unsubs.groups() {
+        buf.put_u64_le(issued_at.as_u64());
+        buf.put_u16_le(leavers.len() as u16);
+        for p in leavers {
+            buf.put_u64_le(p.as_u64());
         }
     }
     encode_events(buf, &g.events);
@@ -1018,30 +1001,17 @@ fn decode_pids(buf: &mut &[u8]) -> Result<Vec<ProcessId>, WireError> {
 fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
     let sender = ProcessId::new(take_u64(buf)?);
     let subs = decode_pids(buf)?;
-    let unsubs = match take_u8(buf)? {
-        0 => {
-            let n_unsubs = take_u16(buf)? as usize;
-            check_capacity(buf, n_unsubs, 16)?;
-            let mut records = Vec::with_capacity(n_unsubs);
-            for _ in 0..n_unsubs {
-                let p = ProcessId::new(take_u64(buf)?);
-                let t = LogicalTime::new(take_u64(buf)?);
-                records.push(Unsubscription::new(p, t));
-            }
-            UnsubSection::Flat(records)
-        }
-        1 => {
-            let n_groups = take_u16(buf)? as usize;
-            check_capacity(buf, n_groups, 10)?;
-            let mut digest = UnsubDigest::new();
-            for _ in 0..n_groups {
-                let issued_at = LogicalTime::new(take_u64(buf)?);
-                digest.push_group(issued_at, decode_pids(buf)?);
-            }
-            UnsubSection::Digest(digest)
-        }
-        t => return Err(WireError::BadTag(t)),
-    };
+    let unsubs_kind = take_u8(buf)?;
+    if unsubs_kind != UNSUBS_GROUPED {
+        return Err(WireError::BadTag(unsubs_kind));
+    }
+    let n_groups = take_u16(buf)? as usize;
+    check_capacity(buf, n_groups, 10)?;
+    let mut unsubs = UnsubDigest::new();
+    for _ in 0..n_groups {
+        let issued_at = LogicalTime::new(take_u64(buf)?);
+        unsubs.push_group(issued_at, decode_pids(buf)?);
+    }
     let events = decode_events(buf)?;
     let digest_kind = take_u8(buf)?;
     let event_ids = match digest_kind {
@@ -1158,6 +1128,7 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lpbcast_core::Unsubscription;
 
     fn pid(p: u64) -> ProcessId {
         ProcessId::new(p)
@@ -1171,7 +1142,7 @@ mod tests {
         Message::gossip(Gossip {
             sender: pid(3),
             subs: vec![pid(3), pid(7)],
-            unsubs: vec![Unsubscription::new(pid(9), LogicalTime::new(42))].into(),
+            unsubs: UnsubDigest::from_records([Unsubscription::new(pid(9), LogicalTime::new(42))]),
             events: vec![
                 Event::new(eid(1, 0), b"alpha".as_ref()),
                 Event::new(eid(2, 5), Bytes::new()),
@@ -1201,7 +1172,7 @@ mod tests {
         assert_roundtrip(Message::gossip(Gossip {
             sender: pid(0),
             subs: vec![],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::Compact(d),
         }));
@@ -1214,7 +1185,7 @@ mod tests {
         let msg = Message::gossip(Gossip {
             sender: pid(0),
             subs: vec![],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::Compact(d.clone()),
         });
@@ -1381,7 +1352,7 @@ mod tests {
         let msg = Message::gossip(Gossip {
             sender: pid(1),
             subs: vec![pid(1)],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::Ids(vec![]),
         });
@@ -1498,32 +1469,53 @@ mod tests {
         );
     }
 
+    /// An lpbcast gossip with no subs, no events, an empty id digest and
+    /// the given unSubs section.
+    fn unsubs_gossip(unsubs: UnsubDigest) -> Message {
+        Message::gossip(Gossip {
+            sender: pid(0),
+            subs: vec![],
+            unsubs,
+            events: vec![],
+            event_ids: Digest::Ids(vec![]),
+        })
+    }
+
+    /// Offset of the unSubs representation byte in an `unsubs_gossip`
+    /// frame: header + kind (3), sender (8), empty subs (2).
+    const UNSUBS_AT: usize = 3 + 8 + 2;
+
     #[test]
-    fn digested_unsubs_roughly_halve_the_section_cost() {
-        // 900 leavers across 9 timestamps — the shape of the n=10⁴ churn
-        // steady state (100 leavers/round, 9-tick obsolescence window).
-        let records: Vec<Unsubscription> = (0..900u64)
-            .map(|i| Unsubscription::new(pid(i), LogicalTime::new(i % 9)))
-            .collect();
-        let mk = |unsubs: UnsubSection| {
-            Message::gossip(Gossip {
-                sender: pid(0),
-                subs: vec![],
-                unsubs,
-                events: vec![],
-                event_ids: Digest::Ids(vec![]),
-            })
-        };
-        let flat = encode(&mk(UnsubSection::Flat(records.clone()))).len();
-        let digested = encode(&mk(UnsubSection::Digest(UnsubDigest::from_records(
-            records,
-        ))))
-        .len();
-        assert!(
-            digested * 100 < flat * 55,
-            "per-timestamp grouping should roughly halve the section: \
-             {digested} vs {flat} bytes"
+    fn empty_unsubs_section_is_three_bytes() {
+        let bytes = encode(&unsubs_gossip(UnsubDigest::new()));
+        assert_eq!(
+            bytes.get(UNSUBS_AT..UNSUBS_AT + 3),
+            Some(&[UNSUBS_GROUPED, 0, 0][..])
         );
+        // The rest: events (2), digest kind + empty id list (3).
+        assert_eq!(bytes.len(), UNSUBS_AT + 3 + 2 + 3);
+    }
+
+    #[test]
+    fn unsubs_section_costs_eight_bytes_a_leaver_and_ten_a_timestamp() {
+        // 40 leavers on 2 timestamps — one churn round's departures and
+        // the one before.
+        let records = (0..40u64).map(|i| Unsubscription::new(pid(i), LogicalTime::new(i % 2)));
+        let empty = encode(&unsubs_gossip(UnsubDigest::new())).len();
+        let full = encode(&unsubs_gossip(UnsubDigest::from_records(records))).len();
+        assert_eq!(full - empty + 3, 1 + 2 + 2 * 10 + 40 * 8);
+    }
+
+    #[test]
+    fn unsubs_representation_byte_other_than_grouped_is_rejected() {
+        let mut bytes = encode(&unsubs_gossip(UnsubDigest::new())).to_vec();
+        for kind in [0, 2, u8::MAX] {
+            bytes[UNSUBS_AT] = kind;
+            assert_eq!(
+                decode::<Message>(&bytes).err(),
+                Some(WireError::BadTag(kind))
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property tests for the wire codec: arbitrary messages survive a
 //! round-trip, and arbitrary byte soup never panics the decoder.
 
-use lpbcast_core::{
-    Digest, Gossip, LogicalTime, Message, UnsubDigest, UnsubSection, Unsubscription,
-};
+use std::collections::{BTreeMap, BTreeSet};
+
+use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscription};
 use lpbcast_net::wire;
 use lpbcast_net::WireMessage;
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
@@ -53,23 +53,26 @@ prop_compose! {
     fn arb_gossip()(
         sender in any::<u64>(),
         subs in vec(any::<u64>(), 0..20),
-        unsubs in vec((any::<u64>(), 0u64..6), 0..10),
-        digested in any::<bool>(),
+        // Few distinct ids and timestamps, so records repeat and share
+        // timestamps, drawn in no order; plus the u64 extremes.
+        unsubs in vec(
+            (
+                prop_oneof![0u64..4, Just(u64::MAX), any::<u64>()],
+                prop_oneof![0u64..6, Just(u64::MAX)],
+            ),
+            0..10,
+        ),
         events in vec(arb_event(), 0..10),
         event_ids in arb_digest(),
     ) -> Gossip {
-        let records: Vec<Unsubscription> = unsubs
-            .into_iter()
-            .map(|(p, t)| Unsubscription::new(pid(p), LogicalTime::new(t)))
-            .collect();
         Gossip {
             sender: pid(sender),
             subs: subs.into_iter().map(pid).collect(),
-            unsubs: if digested {
-                UnsubSection::Digest(UnsubDigest::from_records(records))
-            } else {
-                UnsubSection::Flat(records)
-            },
+            unsubs: UnsubDigest::from_records(
+                unsubs
+                    .into_iter()
+                    .map(|(p, t)| Unsubscription::new(pid(p), LogicalTime::new(t))),
+            ),
             events,
             event_ids,
         }
@@ -126,7 +129,7 @@ proptest! {
         let message = Message::gossip(Gossip {
             sender: pid(0),
             subs: vec![],
-            unsubs: UnsubSection::empty(),
+            unsubs: UnsubDigest::new(),
             events: vec![],
             event_ids: Digest::Compact(digest.clone()),
         });
@@ -180,9 +183,10 @@ proptest! {
 /// independently of `wire::encode` against the layout documented at the
 /// top of `crates/net/src/wire.rs`. The event payloads are written
 /// inline, so byte equality below proves the shared-`Arc` payload
-/// representation leaves the wire bytes untouched; the `unSubs` section
-/// follows the post-compaction layout (representation byte, then the
-/// flat records or the per-timestamp groups).
+/// representation leaves the wire bytes untouched. The `unSubs` section
+/// is grouped here from the records alone: representation byte 1, then
+/// one group per distinct timestamp, ascending, each with its distinct
+/// leavers ascending.
 fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
     let mut out = vec![wire::MAGIC, wire::VERSION, 0u8];
     out.extend_from_slice(&g.sender.as_u64().to_le_bytes());
@@ -190,25 +194,20 @@ fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
     for p in &g.subs {
         out.extend_from_slice(&p.as_u64().to_le_bytes());
     }
-    match &g.unsubs {
-        UnsubSection::Flat(records) => {
-            out.push(0);
-            out.extend_from_slice(&(records.len() as u16).to_le_bytes());
-            for u in records {
-                out.extend_from_slice(&u.process().as_u64().to_le_bytes());
-                out.extend_from_slice(&u.issued_at().as_u64().to_le_bytes());
-            }
-        }
-        UnsubSection::Digest(d) => {
-            out.push(1);
-            out.extend_from_slice(&(d.group_count() as u16).to_le_bytes());
-            for (issued_at, leavers) in d.groups() {
-                out.extend_from_slice(&issued_at.as_u64().to_le_bytes());
-                out.extend_from_slice(&(leavers.len() as u16).to_le_bytes());
-                for p in leavers {
-                    out.extend_from_slice(&p.as_u64().to_le_bytes());
-                }
-            }
+    let mut groups: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for u in g.unsubs.iter() {
+        groups
+            .entry(u.issued_at().as_u64())
+            .or_default()
+            .insert(u.process().as_u64());
+    }
+    out.push(1);
+    out.extend_from_slice(&(groups.len() as u16).to_le_bytes());
+    for (issued_at, leavers) in &groups {
+        out.extend_from_slice(&issued_at.to_le_bytes());
+        out.extend_from_slice(&(leavers.len() as u16).to_le_bytes());
+        for p in leavers {
+            out.extend_from_slice(&p.to_le_bytes());
         }
     }
     out.extend_from_slice(&(g.events.len() as u16).to_le_bytes());
@@ -250,7 +249,7 @@ fn compact_digest_frame(origins: &[(u64, u64, Vec<u64>)]) -> Vec<u8> {
     let mut out = vec![wire::MAGIC, wire::VERSION, 0u8];
     out.extend_from_slice(&7u64.to_le_bytes()); // sender
     out.extend_from_slice(&0u16.to_le_bytes()); // subs
-    out.push(0); // flat unSubs …
+    out.push(1); // grouped unSubs …
     out.extend_from_slice(&0u16.to_le_bytes()); // … none
     out.extend_from_slice(&0u16.to_le_bytes()); // events
     out.push(1); // compact digest

@@ -178,15 +178,6 @@ impl PbcastMessage {
     pub fn digest(digest: GossipDigest) -> Self {
         PbcastMessage::GossipDigest(Arc::new(digest))
     }
-
-    /// Short human-readable kind tag.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            PbcastMessage::Multicast { .. } => "multicast",
-            PbcastMessage::GossipDigest { .. } => "digest",
-            PbcastMessage::Solicit { .. } => "solicit",
-        }
-    }
 }
 
 /// Result of one pbcast step: the workspace-wide unified envelope
@@ -200,14 +191,6 @@ pub type PbcastOutput = lpbcast_types::Output<PbcastMessage>;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kinds() {
-        let m = PbcastMessage::Solicit { ids: vec![] };
-        assert_eq!(m.kind(), "solicit");
-        let d = PbcastMessage::digest(GossipDigest::flat(ProcessId::new(0), vec![], vec![]));
-        assert_eq!(d.kind(), "digest");
-    }
 
     #[test]
     fn origin_range_ids_skip_gaps() {

@@ -114,7 +114,7 @@ impl PubSubNode {
     /// randomness.
     fn topic_seed(&self, topic: &TopicId) -> u64 {
         use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        let mut hasher = lpbcast_types::hashing::FastHasher::default();
         topic.name().hash(&mut hasher);
         self.seed ^ hasher.finish()
     }

@@ -28,8 +28,9 @@
 //!   like the unwrapped protocol.
 //!
 //! `bench_sim` renders a [`detector_study`] into `BENCH_sim.json`'s
-//! `detector` section and `results/detector.tsv`; `bench_gate.py` reads
-//! the committed rows as soft quality gates.
+//! `detector` section and `results/detector.tsv`; CI `cmp`s the CI-size
+//! rendering across rayon pool sizes, and `detector_golden` pins three
+//! studies.
 
 use std::fmt;
 

@@ -4,9 +4,9 @@
 //!
 //! The tracker interns every `ProcessId` it sees into a dense index and
 //! stores, per event, a flat `Vec<u32>` of first-seen rounds indexed by
-//! that intern index (sentinel-encoded for "unseen" and "seen, round
-//! unknown"). Recording a sighting is therefore one cheap-hash map probe
-//! plus one array write, and an infected count is a maintained counter —
+//! that intern index (sentinel-encoded for "unseen"). Recording a
+//! sighting is therefore one cheap-hash map probe plus one array write,
+//! and an infected count is a maintained counter —
 //! no nested `HashMap<EventId, HashSet<ProcessId>>` walks on the
 //! simulator's hot path. The query API is unchanged from the original
 //! hash-based tracker.
@@ -17,8 +17,11 @@ use lpbcast_types::FastMap;
 
 /// Sentinel: the process has not seen the event.
 const UNSEEN: u32 = u32::MAX;
-/// Sentinel: seen, but no round was recorded ([`InfectionTracker::record_seen`]).
-const SEEN_NO_ROUND: u32 = u32::MAX - 1;
+
+/// A round as stored in a first-seen cell, saturating below the sentinel.
+fn round_cell(round: u64) -> u32 {
+    round.min(u64::from(UNSEEN) - 1) as u32
+}
 
 /// Per-event dense state.
 #[derive(Debug, Clone)]
@@ -40,21 +43,16 @@ impl EventRecord {
         }
     }
 
-    /// Marks `slot` seen at `round` (sentinels allowed); keeps the first
-    /// real round on re-sightings.
+    /// Marks `slot` seen at `round`; keeps the first round on
+    /// re-sightings.
     fn mark(&mut self, slot: usize, round: u32) {
         if self.first_seen.len() <= slot {
             self.first_seen.resize(slot + 1, UNSEEN);
         }
         let cell = &mut self.first_seen[slot];
-        match *cell {
-            UNSEEN => {
-                *cell = round;
-                self.seen_count += 1;
-            }
-            // A round-less sighting is upgraded by a round-carrying one.
-            SEEN_NO_ROUND if round < SEEN_NO_ROUND => *cell = round,
-            _ => {}
+        if *cell == UNSEEN {
+            *cell = round;
+            self.seen_count += 1;
         }
     }
 }
@@ -96,7 +94,7 @@ impl InfectionTracker {
         let slot = self.slot(origin);
         let record = self.events.entry(id).or_insert_with(EventRecord::new);
         record.publish_round = Some(round);
-        record.mark(slot, round.min(SEEN_NO_ROUND as u64 - 1) as u32);
+        record.mark(slot, round_cell(round));
     }
 
     /// Records that `process` has seen `id` (payload delivery or learnt
@@ -106,7 +104,7 @@ impl InfectionTracker {
         self.events
             .entry(id)
             .or_insert_with(EventRecord::new)
-            .mark(slot, round.min(SEEN_NO_ROUND as u64 - 1) as u32);
+            .mark(slot, round_cell(round));
     }
 
     /// Records a whole step's sightings in one call, all at `round`.
@@ -122,7 +120,7 @@ impl InfectionTracker {
     /// the caller can reuse its allocation across steps.
     pub fn record_seen_batch(&mut self, round: u64, sightings: &mut Vec<(EventId, ProcessId)>) {
         sightings.sort_unstable_by_key(|&(id, _)| id.sort_key());
-        let round = round.min(SEEN_NO_ROUND as u64 - 1) as u32;
+        let round = round_cell(round);
         let mut batch = sightings.drain(..).peekable();
         while let Some((id, process)) = batch.next() {
             let record = self.events.entry(id).or_insert_with(EventRecord::new);
@@ -137,15 +135,6 @@ impl InfectionTracker {
         }
     }
 
-    /// Records a sighting without latency information (round unknown).
-    pub fn record_seen(&mut self, id: EventId, process: ProcessId) {
-        let slot = self.slot(process);
-        self.events
-            .entry(id)
-            .or_insert_with(EventRecord::new)
-            .mark(slot, SEEN_NO_ROUND);
-    }
-
     fn first_seen_cell(&self, id: EventId, process: ProcessId) -> Option<u32> {
         let slot = *self.intern.get(&process)? as usize;
         let cell = *self.events.get(&id)?.first_seen.get(slot)?;
@@ -153,13 +142,10 @@ impl InfectionTracker {
     }
 
     /// Rounds between the publication of `id` and `process` first seeing
-    /// it; `None` if untracked, unseen, or seen without round data.
+    /// it; `None` if untracked or unseen.
     pub fn delivery_latency(&self, id: EventId, process: ProcessId) -> Option<u64> {
         let published = self.events.get(&id)?.publish_round?;
         let first = self.first_seen_cell(id, process)?;
-        if first == SEEN_NO_ROUND {
-            return None;
-        }
         Some((first as u64).saturating_sub(published))
     }
 
@@ -175,7 +161,7 @@ impl InfectionTracker {
         let latencies: Vec<u64> = record
             .first_seen
             .iter()
-            .filter(|&&cell| cell < SEEN_NO_ROUND)
+            .filter(|&&cell| cell != UNSEEN)
             .map(|&cell| (cell as u64).saturating_sub(published))
             .collect();
         if latencies.is_empty() {
@@ -314,8 +300,8 @@ mod tests {
     fn seen_is_idempotent() {
         let mut t = InfectionTracker::new();
         t.record_publish(eid(0, 0), pid(0), 0);
-        t.record_seen(eid(0, 0), pid(1));
-        t.record_seen(eid(0, 0), pid(1));
+        t.record_seen_at(eid(0, 0), pid(1), 1);
+        t.record_seen_at(eid(0, 0), pid(1), 2);
         assert_eq!(t.infected_count(eid(0, 0)), 2);
     }
 
@@ -324,7 +310,7 @@ mod tests {
         let mut t = InfectionTracker::new();
         t.record_publish(eid(0, 0), pid(0), 5);
         for p in 1..8 {
-            t.record_seen(eid(0, 0), pid(p));
+            t.record_seen_at(eid(0, 0), pid(p), 6);
         }
         assert!((t.reliability_of(eid(0, 0), 10) - 0.8).abs() < 1e-12);
         assert_eq!(t.reliability_of(eid(9, 9), 10), 0.0, "unknown event");
@@ -336,11 +322,11 @@ mod tests {
         // Event inside the window: 100% of 4.
         t.record_publish(eid(0, 0), pid(0), 10);
         for p in 1..4 {
-            t.record_seen(eid(0, 0), pid(p));
+            t.record_seen_at(eid(0, 0), pid(p), 11);
         }
         // Another inside: 50%.
         t.record_publish(eid(1, 0), pid(1), 12);
-        t.record_seen(eid(1, 0), pid(2));
+        t.record_seen_at(eid(1, 0), pid(2), 13);
         // Outside the window: ignored.
         t.record_publish(eid(2, 0), pid(2), 99);
 
@@ -370,17 +356,6 @@ mod tests {
         assert_eq!(t.delivery_latency(eid(4, 4), pid(1)), None);
         assert!(t.latency_histogram(eid(4, 4)).is_empty());
         assert_eq!(t.published_events().count(), 0);
-    }
-
-    #[test]
-    fn roundless_sighting_upgrades_to_rounded() {
-        let mut t = InfectionTracker::new();
-        t.record_publish(eid(0, 0), pid(0), 1);
-        t.record_seen(eid(0, 0), pid(1));
-        assert_eq!(t.delivery_latency(eid(0, 0), pid(1)), None);
-        t.record_seen_at(eid(0, 0), pid(1), 4);
-        assert_eq!(t.delivery_latency(eid(0, 0), pid(1)), Some(3));
-        assert_eq!(t.infected_count(eid(0, 0)), 2, "no double count");
     }
 }
 

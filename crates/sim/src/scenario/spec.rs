@@ -1024,65 +1024,6 @@ mod tests {
         );
     }
 
-    /// Strips the wire-accounting fields so two runs can be compared on
-    /// protocol outcomes alone.
-    fn semantics_only(mut report: ScenarioReport) -> ScenarioReport {
-        report.wire_bytes = 0;
-        report.wire_messages = 0;
-        report
-    }
-
-    /// The §3.4 A/B: digesting the `unSubs` section must not change any
-    /// protocol outcome — same joins, leaves, refusals, reliability and
-    /// membership — while strictly shrinking the wire volume. The
-    /// `unsubs_max` bound is kept above the total leave count so neither
-    /// arm ever truncates the buffer (truncation draws randomness whose
-    /// victims depend on buffer order, which differs legitimately
-    /// between the representations).
-    #[test]
-    fn unsub_digesting_is_an_exact_semantic_noop() {
-        let mk = |digest_unsubs: bool| {
-            let config = Config::builder()
-                .view_size(6)
-                .fanout(3)
-                .event_ids_max(256)
-                .events_max(256)
-                .deliver_on_digest(true)
-                .unsubs_max(256)
-                .unsub_refusal_threshold(200)
-                .unsub_obsolescence(9)
-                .digest_unsubs(digest_unsubs)
-                .build();
-            let spec = ScenarioSpec {
-                publishers: 4,
-                ..small(ScenarioGenerator::Churn, 60, 12, 6)
-            };
-            run_plan::<Lpbcast>(&churn_plan(&spec, 2, 3), &config, 9)
-        };
-        let digested = mk(true);
-        let flat = mk(false);
-        assert!(
-            digested["leaves_completed"].value() > 10.0,
-            "the A/B actually exercises the unsubscription path: {digested:?}"
-        );
-        assert_eq!(
-            semantics_only(digested.clone()),
-            semantics_only(flat.clone()),
-            "purge semantics must be identical across representations"
-        );
-        assert_eq!(
-            digested.wire_messages, flat.wire_messages,
-            "digesting changes bytes, never the message count"
-        );
-        assert!(
-            digested.wire_bytes < flat.wire_bytes,
-            "per-timestamp grouping must shrink the unSubs wire cost: \
-             {} vs {} bytes",
-            digested.wire_bytes,
-            flat.wire_bytes
-        );
-    }
-
     /// The pbcast §3.2 A/B: per-origin compact digests shrink the wire
     /// volume under stream-shaped load while leaving dissemination
     /// effectively unchanged (hop counts may round up to a range's

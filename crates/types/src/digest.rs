@@ -36,6 +36,8 @@
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
 
+use core::ops::ControlFlow;
+
 use crate::{EventId, ProcessId};
 
 /// Digest of the notifications seen from a single origin.
@@ -157,34 +159,24 @@ impl OriginDigest {
         1 + self.out_of_order.len()
     }
 
-    /// Sequence numbers `< bound` that have **not** been seen — the gaps a
-    /// retransmission pull would request.
-    pub fn missing_below(&self, bound: u64) -> Vec<u64> {
-        let mut seen = self.out_of_order.iter().copied().peekable();
-        (self.next_seq..bound)
-            .filter(|&s| seen.next_if_eq(&s).is_none())
-            .collect()
-    }
-
-    /// Highest sequence number seen, or `None` if nothing was seen.
-    pub fn max_seen(&self) -> Option<u64> {
-        self.out_of_order
-            .last()
-            .copied()
-            .or_else(|| self.next_seq.checked_sub(1))
-    }
-
     /// Calls `f` with every sequence number `theirs` has seen and `self`
-    /// has not: first the part of their in-sequence prefix beyond ours,
-    /// then their out-of-order extras, each ascending.
-    fn for_each_missing(&self, theirs: &OriginDigest, mut f: impl FnMut(u64)) {
+    /// has not — first the part of their in-sequence prefix beyond ours,
+    /// then their out-of-order extras, each ascending — until `f` breaks.
+    /// Each step either calls `f` or passes one of our own out-of-order
+    /// entries, so a watermark read off the wire costs only as many steps
+    /// as `f` accepts ids.
+    fn for_each_missing(
+        &self,
+        theirs: &OriginDigest,
+        mut f: impl FnMut(u64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if theirs.out_of_order.is_empty() && self.next_seq >= theirs.next_seq {
-            return;
+            return ControlFlow::Continue(());
         }
         let mut ours = self.out_of_order.iter().copied().peekable();
         for seq in self.next_seq..theirs.next_seq {
             if ours.next_if_eq(&seq).is_none() {
-                f(seq);
+                f(seq)?;
             }
         }
         for &seq in &theirs.out_of_order {
@@ -193,14 +185,15 @@ impl OriginDigest {
             }
             while ours.next_if(|&o| o < seq).is_some() {}
             if ours.peek() != Some(&seq) {
-                f(seq);
+                f(seq)?;
             }
         }
+        ControlFlow::Continue(())
     }
 
-    /// [`for_each_missing`](Self::for_each_missing), recording what it
-    /// reports — in one pass over the two sorted runs, with no per-id
-    /// lookup. New out-of-order entries are appended and sorted in once,
+    /// [`for_each_missing`](Self::for_each_missing) run to the end,
+    /// recording what it reports — in one pass over the two sorted runs,
+    /// with no per-id lookup. New out-of-order entries are appended and sorted in once,
     /// so a long hostile run costs `O(n log n)`, not a shift per entry.
     fn absorb(&mut self, theirs: &OriginDigest, mut f: impl FnMut(u64)) {
         if theirs.out_of_order.is_empty() && self.next_seq >= theirs.next_seq {
@@ -253,7 +246,7 @@ impl OriginDigest {
 /// assert!(d.insert(EventId::new(p, 2))); // out of order
 /// assert!(!d.insert(EventId::new(p, 0))); // duplicate
 /// assert!(d.contains(EventId::new(p, 2)));
-/// assert_eq!(d.missing(), vec![EventId::new(p, 1)]);
+/// assert!(!d.contains(EventId::new(p, 1)));
 /// // Seeing seq 1 closes the gap and compacts storage.
 /// d.insert(EventId::new(p, 1));
 /// assert_eq!(d.origin(p).unwrap().next_seq(), 3);
@@ -345,29 +338,21 @@ impl CompactDigest {
         self.iter().map(|(_, d)| d.storage_entries()).sum()
     }
 
-    /// Internal gaps: ids below each origin's highest seen sequence number
-    /// that have not been seen. These are the ids a process would solicit
-    /// via gossip pull after observing the digest of its own history.
-    pub fn missing(&self) -> Vec<EventId> {
-        let mut out = Vec::new();
-        for (origin, d) in self.iter() {
-            if let Some(max) = d.max_seen() {
-                out.extend(
-                    d.missing_below(max + 1)
-                        .into_iter()
-                        .map(|s| EventId::new(origin, s)),
-                );
-            }
-        }
-        out
-    }
-
-    /// Ids present in `other` but absent here — what this process should
-    /// request from the sender of `other` (gossip pull, §2.3 footnote 5).
-    /// Ordered by origin; within an origin, the in-sequence prefix they
-    /// have beyond ours, then their out-of-order extras.
-    pub fn missing_relative_to(&self, other: &CompactDigest) -> Vec<EventId> {
-        let mut out = Vec::new();
+    /// Calls `f` with every id present in `other` but absent here — what
+    /// this process should request from the sender of `other` (gossip
+    /// pull, §2.3 footnote 5) — until `f` breaks, and returns whether it
+    /// did. Ordered by origin; within an origin, the in-sequence prefix
+    /// they have beyond ours, then their out-of-order extras.
+    ///
+    /// `other` may come off the wire with a watermark near `u64::MAX`, so
+    /// a caller that wants at most `k` ids breaks after the `k`-th: the
+    /// walk never enumerates more than `f` accepts plus this digest's own
+    /// out-of-order entries.
+    pub fn for_each_missing(
+        &self,
+        other: &CompactDigest,
+        mut f: impl FnMut(EventId) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let mut at = 0;
         for (origin, theirs) in other.iter() {
             while self.origins.get(at).is_some_and(|&(o, _)| o < origin) {
@@ -377,16 +362,16 @@ impl CompactDigest {
                 Some((o, ours)) if *o == origin => ours,
                 _ => &NOTHING_SEEN,
             };
-            ours.for_each_missing(theirs, |seq| out.push(EventId::new(origin, seq)));
+            ours.for_each_missing(theirs, |seq| f(EventId::new(origin, seq)))?;
         }
-        out
+        ControlFlow::Continue(())
     }
 
     /// Records every id `theirs` advertises and this digest lacks, calling
     /// `learnt` with each in exactly the order
-    /// [`missing_relative_to`](Self::missing_relative_to) lists them —
-    /// `for id in self.missing_relative_to(theirs) { self.insert(id); learnt(id) }`
-    /// without the intermediate list or the per-id lookups.
+    /// [`for_each_missing`](Self::for_each_missing) visits them — that
+    /// walk followed by an `insert` per id, without the intermediate list
+    /// or the per-id lookups.
     pub fn absorb(&mut self, theirs: &CompactDigest, mut learnt: impl FnMut(EventId)) {
         let mut at = 0;
         for (origin, theirs) in theirs.iter() {
@@ -435,6 +420,16 @@ mod tests {
         EventId::new(pid(p), s)
     }
 
+    /// Every id `for_each_missing` visits, in order.
+    fn missing(ours: &CompactDigest, theirs: &CompactDigest) -> Vec<EventId> {
+        let mut out = Vec::new();
+        let _ = ours.for_each_missing(theirs, |id| {
+            out.push(id);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     #[test]
     fn in_sequence_insertions_compact_to_watermark() {
         let mut d = OriginDigest::new();
@@ -458,7 +453,7 @@ mod tests {
         d.insert(1);
         // 1 closes the gap; 2 absorbed, next gap at 3.
         assert_eq!(d.next_seq(), 3);
-        assert_eq!(d.missing_below(5), vec![3]);
+        assert!(!d.contains(3) && d.contains(4), "next gap at 3");
         d.insert(3);
         assert_eq!(d.next_seq(), 5);
         assert_eq!(d.storage_entries(), 1);
@@ -474,16 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn max_seen_handles_all_shapes() {
-        let mut d = OriginDigest::new();
-        assert_eq!(d.max_seen(), None);
-        d.insert(0);
-        assert_eq!(d.max_seen(), Some(0));
-        d.insert(9);
-        assert_eq!(d.max_seen(), Some(9));
-    }
-
-    #[test]
     fn compact_digest_tracks_multiple_origins() {
         let mut d = CompactDigest::new();
         d.insert(eid(1, 0));
@@ -496,41 +481,49 @@ mod tests {
     }
 
     #[test]
-    fn missing_reports_internal_gaps_only() {
-        let mut d = CompactDigest::new();
-        d.insert(eid(1, 0));
-        d.insert(eid(1, 3));
-        d.insert(eid(2, 0));
-        let mut gaps = d.missing();
-        gaps.sort();
-        assert_eq!(gaps, vec![eid(1, 1), eid(1, 2)]);
-    }
-
-    #[test]
-    fn missing_relative_to_finds_what_to_pull() {
+    fn for_each_missing_finds_what_to_pull() {
         let mut mine = CompactDigest::new();
         mine.extend([eid(1, 0), eid(1, 1), eid(2, 5)]);
         let mut theirs = CompactDigest::new();
         theirs.extend([eid(1, 0), eid(1, 1), eid(1, 2), eid(2, 5), eid(3, 0)]);
-        let mut pull = mine.missing_relative_to(&theirs);
+        let mut pull = missing(&mine, &theirs);
         pull.sort();
         assert_eq!(pull, vec![eid(1, 2), eid(3, 0)]);
         // Symmetric direction: they lack nothing we have... except (2,0..5)?
         // We only saw (2,5) out of order; they saw the same. Nothing due.
-        assert!(theirs.missing_relative_to(&mine).is_empty());
+        assert!(missing(&theirs, &mine).is_empty());
     }
 
     #[test]
-    fn missing_relative_to_handles_out_of_order_prefixes() {
+    fn for_each_missing_handles_out_of_order_prefixes() {
         // We saw seq 1 out of order; their prefix covers 0..3. We must pull
         // 0 and 2, not 1.
         let mut mine = CompactDigest::new();
         mine.insert(eid(7, 1));
         let mut theirs = CompactDigest::new();
         theirs.extend([eid(7, 0), eid(7, 1), eid(7, 2)]);
-        let mut pull = mine.missing_relative_to(&theirs);
+        let mut pull = missing(&mine, &theirs);
         pull.sort();
         assert_eq!(pull, vec![eid(7, 0), eid(7, 2)]);
+    }
+
+    #[test]
+    fn for_each_missing_stops_at_the_first_break() {
+        // A watermark read off the wire: the walk must end with the caller.
+        let mut theirs = CompactDigest::new();
+        theirs.set_origin(pid(3), OriginDigest::from_parts(u64::MAX, []));
+        let mine: CompactDigest = [eid(3, 1)].into_iter().collect();
+        let mut pull = Vec::new();
+        let flow = mine.for_each_missing(&theirs, |id| {
+            pull.push(id);
+            if pull.len() == 4 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert!(flow.is_break());
+        assert_eq!(pull, vec![eid(3, 0), eid(3, 2), eid(3, 3), eid(3, 4)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A fast, deterministic hasher for the protocol's hot-path maps.
 //!
 //! Every gossip reception probes id-keyed maps dozens of times
-//! (`missing_from` alone is `|digest|` probes), and std's default SipHash
+//! (a retransmission pull probes once per missing id), and std's default SipHash
 //! dominates that cost. Keys here are trusted 8/16-byte process and event
 //! ids, so a multiply-xor fold (the FxHash construction) is sufficient
 //! and ~5× cheaper. It is also seed-free: map iteration order becomes a

@@ -8,9 +8,33 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 fn eid(p: u64, s: u64) -> EventId {
     EventId::new(ProcessId::new(p), s)
+}
+
+/// The first `limit` ids `ours.for_each_missing(theirs, ..)` visits, in
+/// order, and whether the walk was cut short.
+fn missing_up_to(
+    ours: &CompactDigest,
+    theirs: &CompactDigest,
+    limit: usize,
+) -> (Vec<EventId>, bool) {
+    let mut out = Vec::new();
+    let flow = ours.for_each_missing(theirs, |id| {
+        if out.len() == limit {
+            return ControlFlow::Break(());
+        }
+        out.push(id);
+        ControlFlow::Continue(())
+    });
+    (out, flow.is_break())
+}
+
+/// Every id `ours.for_each_missing(theirs, ..)` visits, in order.
+fn missing(ours: &CompactDigest, theirs: &CompactDigest) -> Vec<EventId> {
+    missing_up_to(ours, theirs, usize::MAX).0
 }
 
 proptest! {
@@ -140,9 +164,9 @@ proptest! {
         prop_assert!(digest.storage_entries() <= model.len() + digest.origin_count());
     }
 
-    /// missing_relative_to returns exactly the set difference other ∖ self.
+    /// for_each_missing visits exactly the set difference other ∖ self.
     #[test]
-    fn missing_relative_to_is_set_difference(
+    fn for_each_missing_is_set_difference(
         mine_raw in vec((0u64..4, 0u64..20), 0..80),
         theirs_raw in vec((0u64..4, 0u64..20), 0..80),
     ) {
@@ -151,7 +175,7 @@ proptest! {
         let mine_set: BTreeSet<EventId> = mine_raw.iter().map(|&(p, s)| eid(p, s)).collect();
         let theirs_set: BTreeSet<EventId> = theirs_raw.iter().map(|&(p, s)| eid(p, s)).collect();
 
-        let mut pull = mine.missing_relative_to(&theirs);
+        let mut pull = missing(&mine, &theirs);
         pull.sort();
         let pull_set: BTreeSet<EventId> = pull.iter().copied().collect();
         prop_assert_eq!(pull_set.len(), pull.len(), "no duplicates");
@@ -184,14 +208,6 @@ fn tree_origin_insert(d: &mut (u64, BTreeSet<u64>), seq: u64) -> bool {
         d.1.insert(seq);
     }
     true
-}
-
-fn tree_origin_max_seen((next_seq, ooo): &(u64, BTreeSet<u64>)) -> Option<u64> {
-    ooo.last().copied().or_else(|| next_seq.checked_sub(1))
-}
-
-fn tree_origin_missing_below((next_seq, ooo): &(u64, BTreeSet<u64>), bound: u64) -> Vec<u64> {
-    (*next_seq..bound).filter(|s| !ooo.contains(s)).collect()
 }
 
 impl TreeDigest {
@@ -229,20 +245,6 @@ impl TreeDigest {
 
     fn storage_entries(&self) -> usize {
         self.0.values().map(|d| 1 + d.1.len()).sum()
-    }
-
-    fn missing(&self) -> Vec<EventId> {
-        let mut out = Vec::new();
-        for (&origin, d) in &self.0 {
-            if let Some(max) = tree_origin_max_seen(d) {
-                out.extend(
-                    tree_origin_missing_below(d, max + 1)
-                        .into_iter()
-                        .map(|s| EventId::new(origin, s)),
-                );
-            }
-        }
-        out
     }
 
     fn missing_relative_to(&self, other: &TreeDigest) -> Vec<EventId> {
@@ -327,7 +329,6 @@ fn assert_digest_matches(digest: &CompactDigest, model: &TreeDigest) -> Result<(
     prop_assert_eq!(digest.origin_count(), model.0.len());
     prop_assert_eq!(digest.seen_count(), model.seen_count());
     prop_assert_eq!(digest.storage_entries(), model.storage_entries());
-    prop_assert_eq!(digest.missing(), model.missing());
     for p in 0..6u64 {
         let origin = ProcessId::new(p);
         let tree = model.0.get(&origin);
@@ -337,26 +338,19 @@ fn assert_digest_matches(digest: &CompactDigest, model: &TreeDigest) -> Result<(
             prop_assert_eq!(digest.contains(id), model.contains(id));
         }
         if let (Some(flat), Some(tree)) = (digest.origin(origin), tree) {
-            prop_assert_eq!(flat.max_seen(), tree_origin_max_seen(tree));
             for seq in 0..26u64 {
                 prop_assert_eq!(flat.contains(seq), tree_origin_contains(tree, seq));
-            }
-            for bound in [0, 1, 7, 12, 25, 40] {
-                prop_assert_eq!(
-                    flat.missing_below(bound),
-                    tree_origin_missing_below(tree, bound)
-                );
             }
         }
     }
     Ok(())
 }
 
-/// `absorb` against its definition: insert what `missing_relative_to`
-/// lists, in that order.
+/// `absorb` against its definition: insert what `for_each_missing`
+/// visits, in that order.
 fn assert_absorb_matches(ours: &CompactDigest, theirs: &CompactDigest) {
     let mut expected = ours.clone();
-    let expected_calls = ours.missing_relative_to(theirs);
+    let expected_calls = missing(ours, theirs);
     for &id in &expected_calls {
         assert!(expected.insert(id), "{id:?} listed missing but present");
     }
@@ -365,7 +359,7 @@ fn assert_absorb_matches(ours: &CompactDigest, theirs: &CompactDigest) {
     absorbed.absorb(theirs, |id| calls.push(id));
     assert_eq!(calls, expected_calls, "same ids in the same order");
     assert_eq!(absorbed, expected, "same resulting digest");
-    assert!(absorbed.missing_relative_to(theirs).is_empty());
+    assert!(missing(&absorbed, theirs).is_empty());
 }
 
 #[test]
@@ -409,8 +403,8 @@ fn absorb_handles_the_named_shapes() {
 
 proptest! {
     /// The flat digest against the tree model over random histories of
-    /// `insert` / `set_origin`: every read agrees, `missing_relative_to`
-    /// lists the same ids in the same order, and `==` is model equality.
+    /// `insert` / `set_origin`: every read agrees, `for_each_missing`
+    /// visits the same ids in the same order, and `==` is model equality.
     #[test]
     fn flat_digest_matches_tree_model(
         ops_a in digest_ops(60),
@@ -421,8 +415,8 @@ proptest! {
         let (b, model_b) = build_digest(&ops_b)?;
         assert_digest_matches(&a, &model_a)?;
         assert_digest_matches(&b, &model_b)?;
-        prop_assert_eq!(a.missing_relative_to(&b), model_a.missing_relative_to(&model_b));
-        prop_assert_eq!(b.missing_relative_to(&a), model_b.missing_relative_to(&model_a));
+        prop_assert_eq!(missing(&a, &b), model_a.missing_relative_to(&model_b));
+        prop_assert_eq!(missing(&b, &a), model_b.missing_relative_to(&model_a));
         prop_assert_eq!(a == b, model_a == model_b);
 
         // Canonical form: the same history in another order, and a digest
@@ -442,8 +436,8 @@ proptest! {
         prop_assert_eq!(&reinstalled, &b);
     }
 
-    /// `absorb(theirs, f)` ≡ `for id in missing_relative_to(theirs)
-    /// { assert!(insert(id)); f(id) }`, on the digest and on the calls.
+    /// `absorb(theirs, f)` ≡ `for_each_missing(theirs, |id| { assert!(insert(id));
+    /// f(id) })`, on the digest and on the calls.
     #[test]
     fn absorb_is_missing_then_insert(
         ops_a in digest_ops(60),
@@ -454,6 +448,22 @@ proptest! {
         assert_absorb_matches(&a, &b);
         assert_absorb_matches(&b, &a);
         assert_absorb_matches(&a, &a);
+    }
+
+    /// Breaking the walk after `k` ids yields the first `k` of the full
+    /// walk, and it reports a break exactly when ids were left unvisited.
+    #[test]
+    fn for_each_missing_stops_on_a_prefix(
+        ops_a in digest_ops(60),
+        ops_b in digest_ops(60),
+        k in 0usize..24,
+    ) {
+        let (a, _) = build_digest(&ops_a)?;
+        let (b, _) = build_digest(&ops_b)?;
+        let all = missing(&a, &b);
+        let (prefix, cut) = missing_up_to(&a, &b, k);
+        prop_assert_eq!(&prefix[..], &all[..k.min(all.len())]);
+        prop_assert_eq!(cut, all.len() > k);
     }
 }
 

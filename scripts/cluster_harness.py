@@ -22,9 +22,8 @@ socket, and drives real-network versions of the scenario suite:
                   heal, and measure recovery time.
 
 Each scenario appends one row to ``results/net_scenarios.tsv`` in the
-schema ``check_results_schema.py`` validates; ``bench_gate.py --net``
-compares fresh rows against the committed snapshot. Stdlib only — CI
-must not need pip.
+schema ``check_results_schema.py`` validates; ``--strict`` makes any
+incomplete delivery a non-zero exit. Stdlib only — CI must not need pip.
 """
 
 import argparse
