@@ -321,7 +321,7 @@ impl Lpbcast {
         let window = self.config.unsub_obsolescence;
         self.unsubs.retain(|u| !u.is_obsolete(now, window));
         let gossip_unsubs = if include_membership {
-            UnsubDigest::from_records(self.unsubs.to_vec())
+            UnsubDigest::from_buffer(self.unsubs.to_vec())
         } else {
             UnsubDigest::new()
         };

@@ -83,30 +83,29 @@ impl fmt::Display for Unsubscription {
 /// the simulator and every deterministic harness — applies them in the
 /// order the paper's flat list would, down to the incidental order of
 /// view removals that index-based random target selection is sensitive
-/// to. Only the wire form ([`groups`](UnsubDigest::groups), built once at
-/// construction) is canonical: groups sorted by timestamp, ids sorted
-/// within each group. Wire *decoding* therefore yields records in group
-/// order; the record set, obsolescence checks and purge outcomes do not
-/// depend on it.
+/// to. Only the wire form is canonical: groups sorted by timestamp, ids
+/// sorted and distinct within each group. The digest stores the records
+/// and two counts, the groups and the leavers the wire carries, which are
+/// all an encoded length needs. The groups themselves are built by
+/// [`groups`](UnsubDigest::groups) when a codec writes bytes, so the
+/// simulator, which meters lengths and never encodes, never sorts. Wire
+/// *decoding* yields records in group order; the record set,
+/// obsolescence checks and purge outcomes do not depend on it.
 #[derive(Debug, Clone, Default)]
 pub struct UnsubDigest {
     /// The aggregated records, original order (the iteration source).
     records: Vec<Unsubscription>,
-    /// `(issued_at, leavers)` wire groups, sorted by timestamp with ids
-    /// sorted within each group; built once at construction.
-    groups: Vec<(LogicalTime, Vec<ProcessId>)>,
+    /// Distinct timestamps among `records`: the wire's group count.
+    groups: usize,
+    /// Distinct `(issued_at, process)` pairs among `records`: the ids the
+    /// wire's groups list.
+    leavers: usize,
 }
 
 /// Builds the canonical per-timestamp groups of `records`.
 fn canonical_groups(records: &[Unsubscription]) -> Vec<(LogicalTime, Vec<ProcessId>)> {
-    let mut sorted: Vec<(LogicalTime, ProcessId)> = records
-        .iter()
-        .map(|u| (u.issued_at(), u.process()))
-        .collect();
-    sorted.sort_unstable();
-    sorted.dedup();
     let mut groups: Vec<(LogicalTime, Vec<ProcessId>)> = Vec::new();
-    for (t, p) in sorted {
+    for (t, p) in sorted_pairs(records) {
         match groups.last_mut() {
             Some((gt, ids)) if *gt == t => ids.push(p),
             _ => groups.push((t, vec![p])),
@@ -115,39 +114,56 @@ fn canonical_groups(records: &[Unsubscription]) -> Vec<(LogicalTime, Vec<Process
     groups
 }
 
+/// The distinct `(issued_at, process)` pairs of `records`, ascending.
+fn sorted_pairs(records: &[Unsubscription]) -> Vec<(LogicalTime, ProcessId)> {
+    let mut pairs: Vec<(LogicalTime, ProcessId)> = records
+        .iter()
+        .map(|u| (u.issued_at(), u.process()))
+        .collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
 impl UnsubDigest {
     /// An empty digest.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Aggregates `records`, preserving their order for iteration and
-    /// precomputing the canonical wire groups.
+    /// Aggregates `records`, preserving their order for iteration. Any
+    /// list is accepted: repeated records and one process under several
+    /// timestamps are counted the way the wire groups them.
     pub fn from_records<I>(records: I) -> Self
     where
         I: IntoIterator<Item = Unsubscription>,
     {
         let records: Vec<Unsubscription> = records.into_iter().collect();
-        let groups = canonical_groups(&records);
-        UnsubDigest { records, groups }
+        let pairs = sorted_pairs(&records);
+        let groups = pairs.chunk_by(|a, b| a.0 == b.0).count();
+        UnsubDigest {
+            leavers: pairs.len(),
+            groups,
+            records,
+        }
     }
 
-    /// Rebuilds a group from its wire parts (wire decoding). The decoded
-    /// records materialise in group order — over the wire the original
-    /// sender-side order is not carried.
-    pub fn push_group(&mut self, issued_at: LogicalTime, mut processes: Vec<ProcessId>) {
-        processes.sort_unstable();
-        processes.dedup();
-        if processes.is_empty() {
-            return;
+    /// Aggregates the records of an `unSubs` buffer, which holds at most
+    /// one record per process (records are equal by process), so every
+    /// record is a distinct leaver and only the timestamps need counting.
+    /// Buffers hold a few distinct timestamps, and each record's first
+    /// match turns up early in a scan of the records before it.
+    pub(crate) fn from_buffer(records: Vec<Unsubscription>) -> Self {
+        let groups = records
+            .iter()
+            .enumerate()
+            .filter(|&(i, u)| !records[..i].iter().any(|v| v.issued_at == u.issued_at))
+            .count();
+        UnsubDigest {
+            leavers: records.len(),
+            groups,
+            records,
         }
-        self.records
-            .extend(processes.iter().map(|&p| Unsubscription::new(p, issued_at)));
-        // Sorted insertion: encoder-produced groups arrive ascending, so
-        // the common case appends in O(1); only hostile out-of-order
-        // input pays the memmove (never a whole-vector re-sort per call).
-        let pos = self.groups.partition_point(|(t, _)| *t <= issued_at);
-        self.groups.insert(pos, (issued_at, processes));
     }
 
     /// The aggregated records in original (sender buffer) order — the
@@ -156,14 +172,20 @@ impl UnsubDigest {
         &self.records
     }
 
-    /// The `(issued_at, leavers)` wire groups, ascending by timestamp.
-    pub fn groups(&self) -> &[(LogicalTime, Vec<ProcessId>)] {
-        &self.groups
+    /// The `(issued_at, leavers)` wire groups, ascending by timestamp,
+    /// leavers ascending and distinct within each; built on each call.
+    pub fn groups(&self) -> Vec<(LogicalTime, Vec<ProcessId>)> {
+        canonical_groups(&self.records)
     }
 
     /// Number of distinct timestamps on the wire.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.groups
+    }
+
+    /// Number of leaver ids on the wire, summed over the groups.
+    pub fn leaver_count(&self) -> usize {
+        self.leavers
     }
 
     /// Total unsubscription records carried.
@@ -186,7 +208,7 @@ impl UnsubDigest {
 /// they carry the same record set, regardless of iteration order.
 impl PartialEq for UnsubDigest {
     fn eq(&self, other: &Self) -> bool {
-        self.groups == other.groups
+        sorted_pairs(&self.records) == sorted_pairs(&other.records)
     }
 }
 
@@ -288,21 +310,45 @@ mod tests {
     }
 
     #[test]
-    fn unsub_digest_push_group_canonicalises() {
-        let mut digest = UnsubDigest::new();
-        digest.push_group(LogicalTime::new(9), vec![pid(3), pid(1), pid(3)]);
-        digest.push_group(LogicalTime::new(2), vec![pid(5)]);
-        digest.push_group(LogicalTime::new(4), vec![]);
-        assert_eq!(digest.group_count(), 2, "empty group dropped");
-        assert_eq!(digest.groups()[0].0, LogicalTime::new(2));
+    fn unsub_digest_counts_what_the_wire_groups() {
+        // A repeated record and one process under two timestamps: three
+        // records on the wire, in two groups.
+        let at = |p, t| Unsubscription::new(pid(p), LogicalTime::new(t));
+        let digest = UnsubDigest::from_records([at(3, 9), at(1, 9), at(3, 9), at(3, 2)]);
+        assert_eq!(digest.record_count(), 4);
+        assert_eq!((digest.group_count(), digest.leaver_count()), (2, 3));
         assert_eq!(
-            digest.groups()[1].1,
-            vec![pid(1), pid(3)],
-            "sorted, deduped"
+            digest.groups(),
+            vec![
+                (LogicalTime::new(2), vec![pid(3)]),
+                (LogicalTime::new(9), vec![pid(1), pid(3)]),
+            ],
+            "ascending, sorted and deduped within"
         );
-        assert_eq!(digest.record_count(), 3);
         assert!(!digest.is_empty());
         assert!(UnsubDigest::new().is_empty());
+        assert_eq!(
+            (
+                UnsubDigest::new().group_count(),
+                UnsubDigest::new().leaver_count()
+            ),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn buffer_digest_counts_like_the_general_one() {
+        // One record per process, as an `unSubs` buffer holds them.
+        let records: Vec<Unsubscription> = [(7, 4), (2, 1), (9, 4), (4, 6), (1, 1), (8, 4)]
+            .into_iter()
+            .map(|(p, t)| Unsubscription::new(pid(p), LogicalTime::new(t)))
+            .collect();
+        let buffer = UnsubDigest::from_buffer(records.clone());
+        let general = UnsubDigest::from_records(records.clone());
+        assert_eq!((buffer.group_count(), buffer.leaver_count()), (3, 6));
+        assert_eq!((general.group_count(), general.leaver_count()), (3, 6));
+        assert_eq!(buffer.records(), &records[..], "buffer order kept");
+        assert_eq!(buffer, general);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! A deterministic work counter for the gossip handler: the exact number
 //! of heap allocations `tick()` and `handle_message` make on fixed
-//! exchanges, one event-and-digest heavy and one membership-only. Wall
+//! exchanges, one event-and-digest heavy and one membership-only, and of
+//! a tick that gossips a full `unSubs` buffer. Wall
 //! clock swings ±40 % in a shared container; this count repeats exactly
 //! on any box, so it gates the digest representation and the membership
 //! buffers without reading a clock. The same counter bounds the bytes a
@@ -19,7 +20,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lpbcast_core::{Config, Digest, Gossip, HistoryMode, Lpbcast, Message, UnsubDigest};
+use lpbcast_core::{
+    Config, Digest, Gossip, HistoryMode, LogicalTime, Lpbcast, Message, UnsubDigest, Unsubscription,
+};
 use lpbcast_types::{CompactDigest, Event, EventId, OriginDigest, ProcessId};
 
 thread_local! {
@@ -191,6 +194,46 @@ fn membership_exchange_allocation_budget() {
     // the former (0 → 4 → 8 → 16) and the latter's own 32 → 64 would
     // make the first count 9.
     assert_eq!(counts, [5, 1, 0]);
+}
+
+/// A node holding 60 `unSubs` records issued at `stamps` distinct logical
+/// times; returns the heap allocations of the tick that gossips them.
+fn unsubs_tick_allocations(stamps: u64) -> u64 {
+    let config = Config::builder()
+        .unsubs_max(64)
+        .unsub_obsolescence(100)
+        .build();
+    let mut node = Lpbcast::with_initial_view(pid(0), config, 7, (1..=15).map(pid));
+    let records =
+        (0..60).map(|k| Unsubscription::new(pid(1_000 + k), LogicalTime::new(k % stamps)));
+    let message = Message::gossip(Gossip {
+        sender: pid(1),
+        subs: Vec::new(),
+        unsubs: UnsubDigest::from_records(records),
+        events: Vec::new(),
+        event_ids: Digest::empty(),
+    });
+    node.handle_message(pid(1), message);
+    let (n, out) = allocations(|| node.tick());
+    let Some((_, Message::Gossip(body))) = out.outgoing.first() else {
+        panic!("the tick gossips");
+    };
+    assert_eq!(body.unsubs.record_count(), 60);
+    assert_eq!(body.unsubs.group_count() as u64, stamps);
+    n
+}
+
+/// The tick's `unSubs` section costs the same allocations however many
+/// timestamps its records span: the wire groups are the codec's to build.
+/// Built per tick, as a sorted copy plus one growing id vector per group,
+/// they made the counts here 14, 33 and 71.
+#[test]
+fn unsubs_tick_allocation_budget() {
+    let counts: Vec<u64> = [1, 6, 30]
+        .into_iter()
+        .map(unsubs_tick_allocations)
+        .collect();
+    assert_eq!(counts, [6, 6, 6]);
 }
 
 /// A pull-enabled node handles a gossip (a 47-byte frame on the wire)

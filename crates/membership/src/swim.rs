@@ -32,9 +32,7 @@
 //! deterministic state machine: all randomness flows from one seeded
 //! RNG, and member iteration uses ordered containers.
 
-use std::collections::BTreeMap;
-
-use lpbcast_types::{EventId, OldestFirstBuffer, Output, Payload, ProcessId, Protocol};
+use lpbcast_types::{EventId, FastSet, OldestFirstBuffer, Output, Payload, ProcessId, Protocol};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -336,14 +334,23 @@ pub struct Swim<P: Protocol> {
     /// Own incarnation number (bumped to refute suspicions about self).
     incarnation: u64,
     ticks: u64,
-    /// Tracked members (the inner view plus in-flight suspects), ordered
-    /// for deterministic iteration.
-    members: BTreeMap<ProcessId, MemberState>,
+    /// Tracked members (the inner view plus in-flight suspects), sorted
+    /// by id with no id twice: lookups binary-search, iteration (probe
+    /// order, proxy choice, the suspicion sweep) runs in ascending id
+    /// order, and `refresh_members` merges the sorted inner view into it
+    /// in one pass. Never holds this process or an id in `dead`.
+    members: Vec<(ProcessId, MemberState)>,
+    /// The previous `members` allocation, reused by the next merge.
+    members_spare: Vec<(ProcessId, MemberState)>,
     /// Recently confirmed-dead processes, remembered so stale `Alive`
     /// updates cannot resurrect them (bounded, oldest forgotten first).
     dead: OldestFirstBuffer<ProcessId>,
-    /// Updates awaiting piggybacked dissemination.
+    /// Updates awaiting piggybacked dissemination, at most one per
+    /// subject.
     gossip: Vec<QueuedUpdate>,
+    /// The subjects `gossip` holds an update about, so an update about a
+    /// new subject is queued without a scan.
+    queued: FastSet<ProcessId>,
     /// Round-robin position in `gossip` (see `take_piggyback`).
     gossip_cursor: usize,
     /// Randomized round-robin probe order.
@@ -371,9 +378,11 @@ impl<P: Protocol> Swim<P> {
             cfg,
             incarnation: 0,
             ticks: 0,
-            members: BTreeMap::new(),
+            members: Vec::new(),
+            members_spare: Vec::new(),
             dead,
             gossip: Vec::new(),
+            queued: FastSet::default(),
             gossip_cursor: 0,
             probe_queue: Vec::new(),
             probe: None,
@@ -418,12 +427,41 @@ impl<P: Protocol> Swim<P> {
     /// Whether `p` is currently in suspect state here.
     pub fn is_suspect(&self, p: ProcessId) -> bool {
         matches!(
-            self.members.get(&p),
+            self.member(p),
             Some(MemberState {
                 status: Status::Suspect { .. },
                 ..
             })
         )
+    }
+
+    /// The tracked members in ascending id order, each with its
+    /// incarnation and, for a suspect, `(deadline tick, first_hand)`:
+    /// whether our own probe failed rather than a rumor arrived.
+    pub fn member_states(
+        &self,
+    ) -> impl Iterator<Item = (ProcessId, u64, Option<(u64, bool)>)> + '_ {
+        self.members.iter().map(|(p, st)| {
+            let suspicion = match st.status {
+                Status::Alive => None,
+                Status::Suspect {
+                    deadline,
+                    first_hand,
+                } => Some((deadline, first_hand)),
+            };
+            (*p, st.incarnation, suspicion)
+        })
+    }
+
+    fn member(&self, p: ProcessId) -> Option<&MemberState> {
+        let at = position(&self.members, p).ok()?;
+        Some(&self.members[at].1)
+    }
+
+    fn remove_member(&mut self, p: ProcessId) {
+        if let Ok(at) = position(&self.members, p) {
+            self.members.remove(at);
+        }
     }
 
     /// Whether `p` is remembered as confirmed dead here.
@@ -472,7 +510,14 @@ impl<P: Protocol> Swim<P> {
             self.gossip_cursor = (start + take - 1) % span;
         }
         if exhausted {
-            self.gossip.retain(|e| e.remaining > 0);
+            let queued = &mut self.queued;
+            self.gossip.retain(|e| {
+                let live = e.remaining > 0;
+                if !live {
+                    queued.remove(&e.update.subject);
+                }
+                live
+            });
         }
         out
     }
@@ -480,20 +525,24 @@ impl<P: Protocol> Swim<P> {
     /// Queues `update` for dissemination, replacing any queued update
     /// about the same subject iff the new one supersedes it.
     fn enqueue_update(&mut self, update: Update) {
-        if let Some(entry) = self
-            .gossip
-            .iter_mut()
-            .find(|e| e.update.subject == update.subject)
-        {
-            if supersedes(&update, &entry.update) {
-                entry.update = update;
-                entry.remaining = self.cfg.retransmit;
+        if self.queued.contains(&update.subject) {
+            if let Some(entry) = self
+                .gossip
+                .iter_mut()
+                .find(|e| e.update.subject == update.subject)
+            {
+                if supersedes(&update, &entry.update) {
+                    entry.update = update;
+                    entry.remaining = self.cfg.retransmit;
+                }
             }
             return;
         }
         if self.gossip.len() >= self.cfg.gossip_max {
-            self.gossip.remove(0);
+            let dropped = self.gossip.remove(0);
+            self.queued.remove(&dropped.update.subject);
         }
+        self.queued.insert(update.subject);
         self.gossip.push(QueuedUpdate {
             update,
             remaining: self.cfg.retransmit,
@@ -505,10 +554,15 @@ impl<P: Protocol> Swim<P> {
     /// the whole membership, so they ride the next outgoing messages
     /// ahead of everything else (SWIM gives them highest priority).
     fn enqueue_refutation(&mut self, update: Update) {
-        self.gossip.retain(|e| e.update.subject != update.subject);
-        if self.gossip.len() >= self.cfg.gossip_max {
-            self.gossip.pop();
+        if self.queued.contains(&update.subject) {
+            self.gossip.retain(|e| e.update.subject != update.subject);
         }
+        if self.gossip.len() >= self.cfg.gossip_max {
+            if let Some(dropped) = self.gossip.pop() {
+                self.queued.remove(&dropped.update.subject);
+            }
+        }
+        self.queued.insert(update.subject);
         self.gossip.insert(
             0,
             QueuedUpdate {
@@ -549,7 +603,7 @@ impl<P: Protocol> Swim<P> {
         match update.state {
             UpdateState::Confirm => self.confirm(update.subject, update.incarnation),
             UpdateState::Alive => {
-                if let Some(st) = self.members.get_mut(&update.subject) {
+                if let Some(st) = member_mut(&mut self.members, update.subject) {
                     if update.incarnation > st.incarnation {
                         st.incarnation = update.incarnation;
                         st.status = Status::Alive;
@@ -564,7 +618,7 @@ impl<P: Protocol> Swim<P> {
                 // so a bare suspect_timeout here would make the widest
                 // dissemination radius confirm first.
                 let deadline = self.ticks + self.cfg.suspect_timeout + self.cfg.hearsay_slack;
-                if let Some(st) = self.members.get_mut(&update.subject) {
+                if let Some(st) = member_mut(&mut self.members, update.subject) {
                     let overrides = update.incarnation > st.incarnation
                         || (update.incarnation == st.incarnation
                             && matches!(st.status, Status::Alive));
@@ -587,12 +641,14 @@ impl<P: Protocol> Swim<P> {
     /// Confirms `p` dead: purge it from the inner protocol immediately,
     /// remember it so stale updates cannot resurrect it, and disseminate
     /// the confirmation.
+    ///
+    /// `p` is not in `dead`: `apply_update` has already returned for a
+    /// dead subject, and the suspicion sweep walks `members`, which holds
+    /// no dead id.
     fn confirm(&mut self, p: ProcessId, incarnation: u64) {
-        if self.dead.contains(&p) {
-            return;
-        }
-        self.members.remove(&p);
-        self.dead.insert(p);
+        self.remove_member(p);
+        let fresh = self.dead.insert(p);
+        debug_assert!(fresh, "confirm of a process already dead");
         self.dead.truncate_oldest();
         self.inner.evict(p);
         self.eviction_log.push(p);
@@ -611,7 +667,7 @@ impl<P: Protocol> Swim<P> {
     /// from it, or an ack about it): clear any local suspicion without
     /// touching the incarnation, and settle an outstanding probe of it.
     fn note_alive(&mut self, p: ProcessId) {
-        if let Some(st) = self.members.get_mut(&p) {
+        if let Some(st) = member_mut(&mut self.members, p) {
             if matches!(st.status, Status::Suspect { .. }) {
                 st.status = Status::Alive;
             }
@@ -625,12 +681,31 @@ impl<P: Protocol> Swim<P> {
 
     /// Syncs the tracked member set with the inner protocol's view:
     /// adopt newcomers as alive, drop rotated-out entries unless a probe
-    /// or suspicion is still in flight for them.
+    /// or suspicion is still in flight for them. One merge of the sorted
+    /// view with the sorted members; only a view id that is not a member
+    /// yet is looked up in `dead`.
     fn refresh_members(&mut self) {
         let mut view = self.inner.view_members();
         view.sort_unstable();
         view.dedup();
+        let probe_target = self.probe.map(|pr| pr.target);
+        let in_flight = |p: ProcessId, st: &MemberState| {
+            matches!(st.status, Status::Suspect { .. }) || Some(p) == probe_target
+        };
+        let old = std::mem::take(&mut self.members);
+        let mut merged = std::mem::take(&mut self.members_spare);
+        merged.clear();
+        let mut rest = old.iter().copied().peekable();
         for &p in &view {
+            while let Some((q, st)) = rest.next_if(|(q, _)| *q < p) {
+                if in_flight(q, &st) {
+                    merged.push((q, st));
+                }
+            }
+            if let Some(member) = rest.next_if(|(q, _)| *q == p) {
+                merged.push(member);
+                continue;
+            }
             if p == self.self_id {
                 continue;
             }
@@ -644,17 +719,15 @@ impl<P: Protocol> Swim<P> {
                 self.inner.evict(p);
                 continue;
             }
-            self.members.entry(p).or_insert(MemberState {
+            let alive = MemberState {
                 incarnation: 0,
                 status: Status::Alive,
-            });
+            };
+            merged.push((p, alive));
         }
-        let probe_target = self.probe.map(|pr| pr.target);
-        self.members.retain(|p, st| {
-            view.binary_search(p).is_ok()
-                || matches!(st.status, Status::Suspect { .. })
-                || Some(*p) == probe_target
-        });
+        merged.extend(rest.filter(|(q, st)| in_flight(*q, st)));
+        self.members = merged;
+        self.members_spare = old;
     }
 
     /// The next probe target: randomized round-robin over the current
@@ -665,11 +738,11 @@ impl<P: Protocol> Swim<P> {
     fn next_probe_target(&mut self) -> Option<ProcessId> {
         for _ in 0..2 {
             while let Some(p) = self.probe_queue.pop() {
-                if self.members.contains_key(&p) {
+                if self.member(p).is_some() {
                     return Some(p);
                 }
             }
-            self.probe_queue = self.members.keys().copied().collect();
+            self.probe_queue = self.members.iter().map(|(p, _)| *p).collect();
             self.probe_queue.shuffle(&mut self.rng);
             if self.probe_queue.is_empty() {
                 return None;
@@ -686,7 +759,7 @@ impl<P: Protocol> Swim<P> {
     /// rumor to reach it through gossip (Lifeguard's buddy refinement).
     fn suspect(&mut self, target: ProcessId, out: &mut Output<SwimMsg<P::Msg>>) {
         let deadline = self.ticks + self.cfg.suspect_timeout;
-        if let Some(st) = self.members.get_mut(&target) {
+        if let Some(st) = member_mut(&mut self.members, target) {
             // A fresh suspicion, or a hearsay rumor our own failed probe
             // just corroborated — either way we now own the deadline.
             let was_alive = matches!(st.status, Status::Alive);
@@ -737,7 +810,7 @@ impl<P: Protocol> Swim<P> {
                             .members
                             .iter()
                             .filter(|(p, st)| {
-                                **p != probe.target && matches!(st.status, Status::Alive)
+                                *p != probe.target && matches!(st.status, Status::Alive)
                             })
                             .map(|(p, _)| *p)
                             .collect();
@@ -836,13 +909,35 @@ impl<P: Protocol> Swim<P> {
     /// Re-addresses an inner output into the wrapper's envelope type,
     /// piggybacking queued updates on every outgoing message.
     fn wrap_output(&mut self, from_inner: Output<P::Msg>, out: &mut Output<SwimMsg<P::Msg>>) {
-        out.delivered.extend(from_inner.delivered);
-        out.learned_ids.extend(from_inner.learned_ids);
-        out.membership.extend(from_inner.membership);
+        append(&mut out.delivered, from_inner.delivered);
+        append(&mut out.learned_ids, from_inner.learned_ids);
+        append(&mut out.membership, from_inner.membership);
         for (to, inner) in from_inner.outgoing {
             let updates = self.take_piggyback();
             out.send(to, SwimMsg::Wrapped { inner, updates });
         }
+    }
+}
+
+/// Where `p` is, or would be inserted, in an id-sorted member table.
+fn position(members: &[(ProcessId, MemberState)], p: ProcessId) -> Result<usize, usize> {
+    members.binary_search_by_key(&p, |(q, _)| *q)
+}
+
+/// `p`'s state in an id-sorted member table. A free function, so the
+/// borrow is of the table alone.
+fn member_mut(members: &mut [(ProcessId, MemberState)], p: ProcessId) -> Option<&mut MemberState> {
+    let at = position(members, p).ok()?;
+    Some(&mut members[at].1)
+}
+
+/// Appends `from` to `into`, moving the whole vector when `into` is empty
+/// (a wrapper's fresh output always is) instead of copying its elements.
+fn append<T>(into: &mut Vec<T>, mut from: Vec<T>) {
+    if into.is_empty() {
+        *into = from;
+    } else {
+        into.append(&mut from);
     }
 }
 
@@ -929,7 +1024,7 @@ impl<P: Protocol> Protocol for Swim<P> {
     fn evict(&mut self, process: ProcessId) {
         // Driver-driven eviction (e.g. an outer detector): propagate and
         // forget, but do not log it as a SWIM confirmation.
-        self.members.remove(&process);
+        self.remove_member(process);
         self.dead.insert(process);
         self.dead.truncate_oldest();
         if self.probe.map(|pr| pr.target) == Some(process) {

@@ -111,7 +111,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use core::fmt;
 
-use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest};
+use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscription};
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_pubsub::{PubSubMessage, TopicId};
@@ -495,13 +495,7 @@ fn events_len(events: &[Event]) -> usize {
 
 /// Exact encoded size of a gossip body (kind byte excluded).
 fn gossip_len(g: &Gossip) -> usize {
-    let unsubs = 1
-        + 2
-        + g.unsubs
-            .groups()
-            .iter()
-            .map(|(_, ids)| 10 + 8 * ids.len())
-            .sum::<usize>();
+    let unsubs = 1 + 2 + 10 * g.unsubs.group_count() + 8 * g.unsubs.leaver_count();
     let digest = 1 + match &g.event_ids {
         Digest::Ids(ids) => 2 + 16 * ids.len(),
         Digest::Compact(d) => {
@@ -884,7 +878,7 @@ fn encode_gossip(buf: &mut BytesMut, g: &Gossip) {
     }
     buf.put_u8(UNSUBS_GROUPED);
     buf.put_u16_le(g.unsubs.group_count() as u16);
-    for (issued_at, leavers) in g.unsubs.groups() {
+    for (issued_at, leavers) in &g.unsubs.groups() {
         buf.put_u64_le(issued_at.as_u64());
         buf.put_u16_le(leavers.len() as u16);
         for p in leavers {
@@ -1007,11 +1001,22 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
     }
     let n_groups = take_u16(buf)? as usize;
     check_capacity(buf, n_groups, 10)?;
-    let mut unsubs = UnsubDigest::new();
+    // Records materialise in group order, each group's leavers sorted
+    // and distinct: over the wire the sender's buffer order is not
+    // carried.
+    let mut records = Vec::new();
     for _ in 0..n_groups {
         let issued_at = LogicalTime::new(take_u64(buf)?);
-        unsubs.push_group(issued_at, decode_pids(buf)?);
+        let mut leavers = decode_pids(buf)?;
+        leavers.sort_unstable();
+        leavers.dedup();
+        records.extend(
+            leavers
+                .into_iter()
+                .map(|p| Unsubscription::new(p, issued_at)),
+        );
     }
+    let unsubs = UnsubDigest::from_records(records);
     let events = decode_events(buf)?;
     let digest_kind = take_u8(buf)?;
     let event_ids = match digest_kind {
@@ -1128,7 +1133,6 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpbcast_core::Unsubscription;
 
     fn pid(p: u64) -> ProcessId {
         ProcessId::new(p)

@@ -255,11 +255,33 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
         self.items.clone()
     }
 
-    /// Retains only elements for which the predicate holds.
+    /// Retains only elements for which the predicate holds, calling it
+    /// once per element.
+    ///
+    /// The survivors end up in the order that removing each rejected
+    /// element by swap-remove, in storage order, leaves. That order falls
+    /// out of one pass over positions. An element at or above the scan
+    /// position has not moved yet, so a rejected one is swap-removed where
+    /// it stands, and the tail it pulls in is judged as it moves. A
+    /// rejected tail waits in the slot it was pulled into, behind every
+    /// element below it in storage order, and those slots are emptied
+    /// last, highest first: a swap-remove there pulls in only a tail that
+    /// was already judged.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let removed: Vec<T> = self.items.iter().filter(|t| !keep(t)).cloned().collect();
-        for item in &removed {
-            self.remove(item);
+        let mut waiting = Vec::new();
+        let mut pos = 0;
+        while pos < self.items.len() {
+            if !keep(&self.items[pos]) {
+                let last = self.items.len() - 1;
+                if pos < last && !keep(&self.items[last]) {
+                    waiting.push(pos);
+                }
+                self.remove_at(pos);
+            }
+            pos += 1;
+        }
+        for &pos in waiting.iter().rev() {
+            self.remove_at(pos);
         }
     }
 }
@@ -536,6 +558,57 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert!(s.iter().all(|x| x % 2 == 0));
         assert!(s.contains(&8) && !s.contains(&9));
+    }
+
+    /// `retain` as a sequence of removals: collect the rejected elements in
+    /// storage order, then remove each by value.
+    fn retain_by_removal(s: &mut BoundedSet<u32>, keep: impl Fn(&u32) -> bool) {
+        let removed: Vec<u32> = s.items.iter().filter(|x| !keep(x)).copied().collect();
+        for x in &removed {
+            assert!(s.remove(x));
+        }
+    }
+
+    /// The hash index, where there is one, maps exactly the stored items
+    /// to their positions.
+    fn assert_index_consistent(s: &BoundedSet<u32>) {
+        if let Some(index) = &s.index {
+            assert_eq!(index.len(), s.items.len());
+            for (pos, x) in s.items.iter().enumerate() {
+                assert_eq!(index.get(x), Some(&pos), "index of {x}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The one-pass `retain` leaves the order the removals leave, on
+        /// the scanning and on the indexed layout, whatever share of the
+        /// elements it rejects.
+        #[test]
+        fn retain_matches_removing_each_rejected_element(
+            max_len in proptest::prop_oneof![1..=LINEAR_SCAN_MAX, LINEAR_SCAN_MAX + 1..400],
+            values in proptest::collection::vec(0u32..400, 0..300),
+            removals in proptest::collection::vec(0u32..400, 0..20),
+            marks in proptest::collection::vec(0u8..4, 400),
+            threshold in 0u8..=4,
+        ) {
+            let mut s = BoundedSet::new(max_len);
+            s.extend(values);
+            for x in &removals {
+                s.remove(x);
+            }
+            let keep = |x: &u32| marks[*x as usize] >= threshold;
+            let mut model = s.clone();
+            retain_by_removal(&mut model, keep);
+            let (before, mut calls) = (s.len(), 0);
+            s.retain(|x| {
+                calls += 1;
+                keep(x)
+            });
+            proptest::prop_assert_eq!(calls, before, "one call per element");
+            proptest::prop_assert_eq!(&s.items, &model.items);
+            assert_index_consistent(&s);
+        }
     }
 
     #[test]
