@@ -523,7 +523,10 @@ impl<P: Protocol> Swim<P> {
     }
 
     /// Queues `update` for dissemination, replacing any queued update
-    /// about the same subject iff the new one supersedes it.
+    /// about the same subject iff the new one supersedes it. A full queue
+    /// drops its oldest entry, except this process's own refutation in
+    /// the priority slot: that one is what stops its false eviction, so
+    /// the entry behind it goes instead (unless it is the only one).
     fn enqueue_update(&mut self, update: Update) {
         if self.queued.contains(&update.subject) {
             if let Some(entry) = self
@@ -539,7 +542,9 @@ impl<P: Protocol> Swim<P> {
             return;
         }
         if self.gossip.len() >= self.cfg.gossip_max {
-            let dropped = self.gossip.remove(0);
+            let refuting = self.gossip[0].update.subject == self.self_id;
+            let oldest = usize::from(refuting && self.gossip.len() > 1);
+            let dropped = self.gossip.remove(oldest);
             self.queued.remove(&dropped.update.subject);
         }
         self.queued.insert(update.subject);
@@ -1249,6 +1254,54 @@ mod tests {
             a.evictions().is_empty(),
             "driver-driven evictions are not SWIM confirmations"
         );
+    }
+
+    #[test]
+    fn queue_overflow_keeps_this_nodes_refutation() {
+        let cfg = SwimConfig {
+            gossip_max: 4,
+            piggyback_max: 1,
+            ..cfg()
+        };
+        let mut a = Swim::new(Fixed::new(0, [1, 2]), cfg, 7);
+        let confirm = |p| Update {
+            subject: pid(p),
+            incarnation: 0,
+            state: UpdateState::Confirm,
+        };
+        for p in 11..=14 {
+            a.enqueue_update(confirm(p));
+        }
+        assert_eq!(a.gossip.len(), 4, "queue full");
+        // An accusation arrives; the refutation takes the priority slot.
+        let accusation = Update {
+            subject: pid(0),
+            incarnation: 0,
+            state: UpdateState::Suspect,
+        };
+        a.handle_message(
+            pid(1),
+            SwimMsg::Ping {
+                updates: vec![accusation],
+            },
+        );
+        let refutation = Update {
+            subject: pid(0),
+            incarnation: 1,
+            state: UpdateState::Alive,
+        };
+        // One more update overflows the full queue.
+        a.enqueue_update(confirm(15));
+        let reply = a.handle_message(pid(2), SwimMsg::Ping { updates: vec![] });
+        let [(_, SwimMsg::Ack { updates })] = &reply.outgoing[..] else {
+            panic!("a ping is acked: {:?}", reply.outgoing);
+        };
+        assert_eq!(
+            updates,
+            &[refutation],
+            "the refutation rides the next message"
+        );
+        assert_eq!(a.gossip.len(), 4, "the queue stays bounded");
     }
 
     #[test]

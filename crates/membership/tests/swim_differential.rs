@@ -250,7 +250,9 @@ impl Model {
             return;
         }
         if self.gossip.len() >= self.cfg.gossip_max {
-            self.gossip.remove(0);
+            let refuting = self.gossip[0].update.subject == self.self_id;
+            self.gossip
+                .remove(usize::from(refuting && self.gossip.len() > 1));
         }
         self.gossip.push(QueuedUpdate {
             update,
