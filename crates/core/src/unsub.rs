@@ -102,18 +102,6 @@ pub struct UnsubDigest {
     leavers: usize,
 }
 
-/// Builds the canonical per-timestamp groups of `records`.
-fn canonical_groups(records: &[Unsubscription]) -> Vec<(LogicalTime, Vec<ProcessId>)> {
-    let mut groups: Vec<(LogicalTime, Vec<ProcessId>)> = Vec::new();
-    for (t, p) in sorted_pairs(records) {
-        match groups.last_mut() {
-            Some((gt, ids)) if *gt == t => ids.push(p),
-            _ => groups.push((t, vec![p])),
-        }
-    }
-    groups
-}
-
 /// The distinct `(issued_at, process)` pairs of `records`, ascending.
 fn sorted_pairs(records: &[Unsubscription]) -> Vec<(LogicalTime, ProcessId)> {
     let mut pairs: Vec<(LogicalTime, ProcessId)> = records
@@ -175,7 +163,14 @@ impl UnsubDigest {
     /// The `(issued_at, leavers)` wire groups, ascending by timestamp,
     /// leavers ascending and distinct within each; built on each call.
     pub fn groups(&self) -> Vec<(LogicalTime, Vec<ProcessId>)> {
-        canonical_groups(&self.records)
+        let mut groups: Vec<(LogicalTime, Vec<ProcessId>)> = Vec::new();
+        for (t, p) in sorted_pairs(&self.records) {
+            match groups.last_mut() {
+                Some((gt, ids)) if *gt == t => ids.push(p),
+                _ => groups.push((t, vec![p])),
+            }
+        }
+        groups
     }
 
     /// Number of distinct timestamps on the wire.
