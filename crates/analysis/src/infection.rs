@@ -305,15 +305,6 @@ impl ExpectationModel {
         }
     }
 
-    /// Expected infected after `t` rounds starting from 1.
-    pub fn expected_after(&self, t: u64) -> f64 {
-        let mut infected = 1.0;
-        for _ in 0..t {
-            infected = self.next_expected(infected);
-        }
-        infected
-    }
-
     /// Rounds until the expected infected count reaches `fraction · n` —
     /// the O(rounds) analogue of
     /// [`InfectionModel::rounds_to_expected_fraction`], usable at 10⁴

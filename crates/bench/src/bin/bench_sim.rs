@@ -1,9 +1,12 @@
 //! Deterministic science report: the scaling study (latency /
-//! reliability / wire cost vs n), the churn / catastrophe / partition
-//! scenario suite, the SWIM detector A/B and the sharded-vs-serial
-//! round self-check, written to `BENCH_sim.json` at the workspace root
-//! and to `results/{scaling,scenarios,detector}.tsv` (README "Reading
-//! `BENCH_sim.json`" documents the sections).
+//! reliability / wire cost vs n), the sharded-vs-serial round
+//! self-check, and one sweep of scenario cells — the churn / catastrophe
+//! / partition suite per stack, the optional XL catastrophe and the SWIM
+//! detector A/B — written to `BENCH_sim.json` at the workspace root and
+//! to `results/{scaling,scenarios}.tsv` (README "Reading
+//! `BENCH_sim.json`" documents the sections). Every cell goes through the
+//! one renderer: `cell_json` into the JSON's `cells`, `cells_tsv` into
+//! `results/scenarios.tsv`.
 //!
 //! Every byte of every output is a pure function of (code, sizes, seed):
 //! the binary reads no clock and records nothing about the host, so two
@@ -11,7 +14,8 @@
 //! clock is `lpbench`'s job (`lpbench/README.md`).
 //!
 //! Run with `cargo run --release -p lpbcast-bench --bin bench_sim`.
-//! Exits non-zero if an output could not be written or the shard
+//! Exits 2 on an unknown `BENCH_SIM_SCENARIO_PROTOCOLS` label, before
+//! anything runs; exits 1 if an output could not be written or the shard
 //! self-check diverged (after attempting every output).
 //!
 //! Environment knobs (system sizes, the protocol list and the shard
@@ -24,10 +28,10 @@
 //! * `BENCH_SIM_SCENARIO_PROTOCOLS` — comma-separated protocols the
 //!   scenario suite runs (`lpbcast,pbcast` by default; the suite is
 //!   generic over `ScenarioProtocol`, so both stacks produce
-//!   side-by-side rows; `swim+lpbcast` / `swim+pbcast` run the
+//!   side-by-side cells; `swim+lpbcast` / `swim+pbcast` run the
 //!   SWIM-wrapped stacks).
 //! * `BENCH_SIM_DETECTOR_N` — system size of the SWIM failure-detector
-//!   A/B study (default 10000; the committed snapshot records the
+//!   A/B cells (default 10000; the committed snapshot records the
 //!   full-scale run, CI uses a small n).
 //! * `BENCH_SIM_SHARDS` — engine shard count of every engine built here
 //!   (default 1 = the classic serial round; the sharded round is
@@ -35,18 +39,18 @@
 //! * `BENCH_SIM_SCALE_XL_NS` — comma-separated *extra-large* system
 //!   sizes for the env-gated `scaling_xl` section (default empty; run
 //!   locally with `BENCH_SIM_SCALE_XL_NS=100000`).
-//! * `BENCH_SIM_SCENARIO_XL_N` — system size of the env-gated xl
-//!   catastrophe scenario row (default 0 = off).
+//! * `BENCH_SIM_SCENARIO_XL_N` — system size of the env-gated XL
+//!   catastrophe cell (default 0 = off).
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use lpbcast_sim::detector::{detector_study, detector_tsv};
+use lpbcast_bench::output::write_output;
 use lpbcast_sim::experiment::{LpbcastSimParams, SimParams};
 use lpbcast_sim::scale::{scaling_study, scaling_tsv, ScalePoint};
 use lpbcast_sim::{
-    run_scenario_spec, scenarios_tsv, shards_from_env, Metric, ProtocolKind, ScenarioGenerator,
-    ScenarioReport, ScenarioSpec,
+    cell_json, cells_tsv, detector_cells, shards_from_env, sweep_specs, ProtocolKind,
+    ScenarioGenerator, ScenarioSpec,
 };
 use lpbcast_types::{Payload, ProcessId};
 
@@ -69,6 +73,43 @@ fn env_sizes(name: &str) -> Vec<usize> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// Every scenario cell of the report, each once, at seed 1: the churn /
+/// catastrophe / partition suite per `BENCH_SIM_SCENARIO_PROTOCOLS`
+/// stack, the env-gated XL catastrophe, then the detector A/B. Exits 2
+/// on an unknown protocol label.
+fn report_cells() -> Vec<(ScenarioSpec, u64)> {
+    use ScenarioGenerator::{Catastrophe, Churn, Partition};
+    let labels =
+        std::env::var("BENCH_SIM_SCENARIO_PROTOCOLS").unwrap_or_else(|_| "lpbcast,pbcast".into());
+    let protocols: Vec<ProtocolKind> = labels
+        .split(',')
+        .map(str::trim)
+        .filter(|label| !label.is_empty())
+        .map(|label| {
+            label.parse().unwrap_or_else(|e| {
+                eprintln!("! BENCH_SIM_SCENARIO_PROTOCOLS: {e}");
+                std::process::exit(2);
+            })
+        })
+        .collect();
+    let n = env_usize("BENCH_SIM_SCENARIO_N", 10_000);
+    let suite = protocols
+        .into_iter()
+        .flat_map(|p| [Churn, Catastrophe, Partition].map(|g| ScenarioSpec::new(p, g, n)));
+    let xl_n = env_usize("BENCH_SIM_SCENARIO_XL_N", 0);
+    let xl = (xl_n > 0).then(|| ScenarioSpec::new(ProtocolKind::Lpbcast, Catastrophe, xl_n));
+    let detector = detector_cells(env_usize("BENCH_SIM_DETECTOR_N", 10_000), 1);
+    let mut cells = Vec::new();
+    // A repeated protocol, or a detector arm equal to a suite cell, is
+    // the same experiment: run and render it once.
+    for cell in suite.chain(xl).map(|spec| (spec, 1)).chain(detector) {
+        if !cells.contains(&cell) {
+            cells.push(cell);
+        }
+    }
+    cells
 }
 
 /// Per-round digest of an lpbcast run at a given shard count: infected
@@ -100,49 +141,10 @@ fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Runs one scenario cell at seed 1.
-fn scenario(protocol: ProtocolKind, generator: ScenarioGenerator, n: usize) -> ScenarioReport {
-    run_scenario_spec(&ScenarioSpec::new(protocol, generator, n), 1)
-}
-
-/// The `"metric": value, …` body shared by every `scenarios` /
-/// `scenarios_xl` JSON object: the report's metrics in report order
-/// (an unreached target as `null`), then wire cost.
-fn scenario_json_fields(report: &ScenarioReport) -> String {
-    let mut out = String::new();
-    for (metric, value) in &report.metrics {
-        let _ = match value {
-            Metric::Rounds(None) => write!(out, "\"{metric}\": null, "),
-            _ => write!(out, "\"{metric}\": {value}, "),
-        };
-    }
-    let _ = write!(
-        out,
-        "\"wire_bytes_per_round\": {:.1}, \"wire_messages\": {}",
-        report.wire_bytes_per_round(),
-        report.wire_messages
-    );
-    out
-}
-
-/// The JSON array body of a `scaling` / `scaling_xl` section: one object
-/// per size, one per line.
-fn scaling_json_rows(points: &[ScalePoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"n\": {}, \"view_size\": {}, \"buffer_bound\": {}, \"mean_latency_rounds\": {:.3}, \"model_latency_rounds\": {:.3}, \"reliability\": {:.5}, \"wire_bytes_per_round\": {:.1}}}",
-                p.n,
-                p.view_size,
-                p.buffer_bound,
-                p.mean_latency_rounds,
-                p.model_latency_rounds,
-                p.reliability,
-                p.wire_bytes_per_round
-            )
-        })
-        .collect();
+/// The body of a JSON array: one element per line, indented into a
+/// top-level section.
+fn json_rows(rows: impl Iterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.map(|row| format!("    {row}")).collect();
     let mut out = rows.join(",\n");
     if !out.is_empty() {
         out.push('\n');
@@ -150,21 +152,26 @@ fn scaling_json_rows(points: &[ScalePoint]) -> String {
     out
 }
 
-/// Writes one output file, reporting the outcome; `false` on failure so
-/// `main` can attempt the remaining outputs and still exit non-zero.
-fn write_output(path: &Path, contents: &str) -> bool {
-    let written = path
-        .parent()
-        .map_or(Ok(()), std::fs::create_dir_all)
-        .and_then(|()| std::fs::write(path, contents));
-    match &written {
-        Ok(()) => println!("→ {}", path.display()),
-        Err(e) => eprintln!("! could not write {}: {e}", path.display()),
-    }
-    written.is_ok()
+/// The JSON array body of a `scaling` / `scaling_xl` section.
+fn scaling_json_rows(points: &[ScalePoint]) -> String {
+    json_rows(points.iter().map(|p| {
+        format!(
+            "{{\"n\": {}, \"view_size\": {}, \"buffer_bound\": {}, \"mean_latency_rounds\": {:.3}, \"model_latency_rounds\": {:.3}, \"reliability\": {:.5}, \"wire_bytes_per_round\": {:.1}}}",
+            p.n,
+            p.view_size,
+            p.buffer_bound,
+            p.mean_latency_rounds,
+            p.model_latency_rounds,
+            p.reliability,
+            p.wire_bytes_per_round
+        )
+    }))
 }
 
 fn main() {
+    // Every label is checked before anything runs.
+    let cells = report_cells();
+
     // Scaling study: §5-scaled buffers, latency + reliability per size.
     let mut scale_sizes = env_sizes("BENCH_SIM_SCALE_NS");
     if scale_sizes.is_empty() {
@@ -208,126 +215,20 @@ fn main() {
         }
     );
 
-    // Env-gated XL scenario row (catastrophe at n = 10^5): the
-    // post-catastrophe robustness headline at the new scale ceiling.
-    let xl_scenario_n = env_usize("BENCH_SIM_SCENARIO_XL_N", 0);
-    let xl_catastrophe = (xl_scenario_n > 0).then(|| {
-        let report = scenario(
-            ProtocolKind::Lpbcast,
-            ScenarioGenerator::Catastrophe,
-            xl_scenario_n,
-        );
-        println!(
-            "scenario-xl catastrophe/lpbcast n={xl_scenario_n}: {} crashed, reliability {:.4} -> {:.4}, recovery {:?}, wire {:.1} KB/round",
-            report["crashed"],
-            report["reliability_before"],
-            report["reliability_after"],
-            report.recovery_rounds,
-            report.wire_bytes_per_round() / 1e3
-        );
-        report
-    });
-
-    // Scenario suite: continuous churn, catastrophic correlated failure,
-    // partition-and-heal — once per protocol, side by side (deterministic;
-    // seed 1).
-    let scenario_n = env_usize("BENCH_SIM_SCENARIO_N", 10_000);
-    let protocols =
-        std::env::var("BENCH_SIM_SCENARIO_PROTOCOLS").unwrap_or_else(|_| "lpbcast,pbcast".into());
-    // Per stack: the churn, catastrophe and partition reports, in that
-    // order.
-    let mut suites: Vec<[ScenarioReport; 3]> = Vec::new();
-    let mut seen_protocols: Vec<ProtocolKind> = Vec::new();
-    for label in protocols.split(',').map(str::trim) {
-        if label.is_empty() {
-            continue;
-        }
-        let Ok(proto) = label.parse::<ProtocolKind>() else {
-            eprintln!(
-                "! unknown scenario protocol {label:?} (expected lpbcast/pbcast/swim+lpbcast/swim+pbcast)"
-            );
-            continue;
-        };
-        // Dedup: a repeated protocol would emit duplicate JSON keys.
-        if seen_protocols.contains(&proto) {
-            continue;
-        }
-        seen_protocols.push(proto);
-        let suite = [
-            ScenarioGenerator::Churn,
-            ScenarioGenerator::Catastrophe,
-            ScenarioGenerator::Partition,
-        ]
-        .map(|generator| scenario(proto, generator, scenario_n));
-        let [churn, catastrophe, partition] = &suite;
-        println!(
-            "scenario churn/{proto} n={scenario_n}: {}/{} joins, {} leaves ({} refused), members {} at end, reliability {:.4} (min {:.4}), partitioned {}, wire {:.1} KB/round",
-            churn["joins_completed"],
-            churn["joins_attempted"],
-            churn["leaves_completed"],
-            churn["leaves_refused"],
-            churn["final_members"],
-            churn["mean_reliability"],
-            churn["min_reliability"],
-            churn["partitioned_at_end"],
-            churn.wire_bytes_per_round() / 1e3
-        );
-        println!(
-            "scenario catastrophe/{proto} n={scenario_n}: {} crashed, reliability {:.4} -> {:.4}, latency {:.2} -> {:.2} rounds, recovery {:?}, wire {:.1} KB/round",
-            catastrophe["crashed"],
-            catastrophe["reliability_before"],
-            catastrophe["reliability_after"],
-            catastrophe["latency_before_rounds"],
-            catastrophe["latency_after_rounds"],
-            catastrophe.recovery_rounds,
-            catastrophe.wire_bytes_per_round() / 1e3
-        );
-        println!(
-            "scenario partition/{proto} n={}: connect {:?}, heal {:?}, post-heal reliability {:.4}, wire {:.1} KB/round",
-            partition.n,
-            partition["rounds_to_connect"].rounds(),
-            partition.recovery_rounds,
-            partition["post_heal_reliability"],
-            partition.wire_bytes_per_round() / 1e3
-        );
-        suites.push(suite);
+    // Every scenario cell in one sweep (deterministic per cell).
+    let reports = sweep_specs(&cells);
+    let cell_rows: Vec<String> = cells
+        .iter()
+        .zip(&reports)
+        .map(|((spec, seed), report)| cell_json(spec, *seed, report))
+        .collect();
+    for row in &cell_rows {
+        println!("cell {row}");
     }
 
-    // SWIM failure-detector A/B: the same catastrophe and no-crash noise
-    // loads with and without the Swim wrapper, under named fault specs
-    // (deterministic; seed 1).
-    let detector_n = env_usize("BENCH_SIM_DETECTOR_N", 10_000);
-    let study = detector_study(detector_n, 1);
-    let (churn, ab_pairs) = study
-        .split_last()
-        .expect("the study ends with the churn pair");
-    for r in ab_pairs {
-        println!(
-            "detector {}/{} n={}: recovery off {:?} -> on {:?} rounds, probe reliability {:.4}/{:.4}, {} evictions ({} false), {} suspicions, {} refuted",
-            r.scenario,
-            r.fault,
-            r.on.n,
-            r.off.recovery_rounds,
-            r.on.recovery_rounds,
-            r.off["probe_reliability"],
-            r.on["probe_reliability"],
-            r.on["evictions"],
-            r.on["false_evictions"],
-            r.on["suspicions"],
-            r.on["refutations"]
-        );
-    }
-    println!(
-        "detector churn A/B: reliability {:.4} with / {:.4} without, joins {}/{}",
-        churn.on.reliability_mean,
-        churn.off.reliability_mean,
-        churn.on["joins_completed"],
-        churn.off["joins_completed"]
-    );
-
-    // Hand-rolled JSON (the workspace has no serde): numbers only, stable
-    // key order, one object per measurement.
-    let mut json = String::from("{\n  \"schema\": \"bench_sim/v9\",\n");
+    // Hand-rolled JSON (the workspace has no serde): stable key order,
+    // one object per measurement.
+    let mut json = String::from("{\n  \"schema\": \"bench_sim/v10\",\n");
     let _ = writeln!(json, "  \"shards\": {shards},");
     json.push_str("  \"scaling\": [\n");
     json.push_str(&scaling_json_rows(&scale_points));
@@ -339,100 +240,9 @@ fn main() {
         json,
         "  \"shard_check\": {{\"n\": {check_n}, \"rounds\": {check_rounds}, \"shards\": {check_shards}, \"identical\": {shard_identical}}},"
     );
-    json.push_str("  \"scenarios_xl\": [\n");
-    if let Some(report) = &xl_catastrophe {
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"catastrophe_xl\", \"protocol\": \"lpbcast\", \"n\": {}, {}}}",
-            report.n,
-            scenario_json_fields(report)
-        );
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"scenarios\": {\n");
-    for (si, suite) in suites.iter().enumerate() {
-        let _ = writeln!(json, "    \"{}\": {{", suite[0].protocol);
-        for (i, report) in suite.iter().enumerate() {
-            // The churn object has always called its size `n0`.
-            let n_key = match report.generator {
-                ScenarioGenerator::Churn => "n0",
-                _ => "n",
-            };
-            let _ = writeln!(
-                json,
-                "      \"{}\": {{\"{n_key}\": {}, {}}}{}",
-                report.generator,
-                report.n,
-                scenario_json_fields(report),
-                if i + 1 < suite.len() { "," } else { "" }
-            );
-        }
-        json.push_str(if si + 1 < suites.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    json.push_str("  },\n");
-
-    // Detector A/B section: one object per (scenario, fault) pair with
-    // both arms, plus the churn-neutrality comparison.
-    let arm_json = |arm: &ScenarioReport| {
-        let recovery = arm
-            .recovery_rounds
-            .map_or_else(|| "null".into(), |r| r.to_string());
-        format!(
-            "{{\"recovery_rounds\": {recovery}, \"probe_reliability\": {}, \"evictions\": {}, \"false_evictions\": {}, \"suspicions\": {}, \"refutations\": {}}}",
-            arm["probe_reliability"],
-            arm["evictions"],
-            arm["false_evictions"],
-            arm["suspicions"],
-            arm["refutations"]
-        )
-    };
-    let _ = writeln!(json, "  \"detector\": {{");
-    let _ = writeln!(json, "    \"n\": {detector_n},");
-    json.push_str("    \"reports\": [\n");
-    for (i, r) in ab_pairs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"scenario\": \"{}\", \"fault\": \"{}\", \"n\": {}, \"on\": {}, \"off\": {}}}",
-            r.scenario,
-            r.fault,
-            r.on.n,
-            arm_json(&r.on),
-            arm_json(&r.off)
-        );
-        json.push_str(if i + 1 < ab_pairs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(
-        json,
-        "    \"churn\": {{\"mean_reliability_with\": {:.5}, \"mean_reliability_without\": {:.5}, \"joins_with\": {}, \"joins_without\": {}}}",
-        churn.on.reliability_mean,
-        churn.off.reliability_mean,
-        churn.on["joins_completed"],
-        churn.off["joins_completed"]
-    );
-    json.push_str("  }\n}\n");
-
-    let mut scenarios_text = scenarios_tsv(suites.iter().flatten());
-    if let Some(report) = &xl_catastrophe {
-        let mut row = |metric: &str, value: &dyn std::fmt::Display| {
-            let _ = writeln!(
-                scenarios_text,
-                "catastrophe_xl\tlpbcast\t{}\t{metric}\t{value}",
-                report.n
-            );
-        };
-        for (metric, value) in &report.metrics {
-            row(metric, value);
-        }
-        row(
-            "wire_bytes_per_round",
-            &format_args!("{:.1}", report.wire_bytes_per_round()),
-        );
-    }
+    json.push_str("  \"cells\": [\n");
+    json.push_str(&json_rows(cell_rows.into_iter()));
+    json.push_str("  ]\n}\n");
 
     // Attempt every output before judging any: a failed write must not
     // hide the others, and must not pass for a fresh artifact.
@@ -442,8 +252,10 @@ fn main() {
         &results_dir.join("scaling.tsv"),
         &scaling_tsv(&[scale_points, xl_points].concat()),
     );
-    ok &= write_output(&results_dir.join("scenarios.tsv"), &scenarios_text);
-    ok &= write_output(&results_dir.join("detector.tsv"), &detector_tsv(&study));
+    ok &= write_output(
+        &results_dir.join("scenarios.tsv"),
+        &cells_tsv(&cells, &reports),
+    );
 
     if !shard_identical {
         eprintln!(

@@ -127,6 +127,22 @@ pub fn results_dir() -> PathBuf {
         .join("results")
 }
 
+/// Writes one report file (creating its directory), printing where it
+/// went or why it could not; `false` on failure, so a binary can attempt
+/// its remaining outputs and still exit non-zero instead of leaving a
+/// stale file to pass for a fresh one.
+pub fn write_output(path: &Path, contents: &str) -> bool {
+    let written = path
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(path, contents));
+    match &written {
+        Ok(()) => println!("→ {}", path.display()),
+        Err(e) => eprintln!("! could not write {}: {e}", path.display()),
+    }
+    written.is_ok()
+}
+
 fn format_cell(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()

@@ -166,11 +166,6 @@ impl ViewGraph {
         self.ids.len()
     }
 
-    /// The process at dense index `i`.
-    pub fn id_at(&self, i: usize) -> ProcessId {
-        self.ids[i]
-    }
-
     /// Dense index of `p`, if it appears in the graph.
     pub fn index_of(&self, p: ProcessId) -> Option<usize> {
         self.index.get(&p).copied()

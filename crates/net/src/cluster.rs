@@ -306,19 +306,9 @@ where
         self.instances.iter().map(|i| i.machine.id()).collect()
     }
 
-    /// Number of hosted instances.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> &ClusterStats {
         &self.stats
-    }
-
-    /// The gossip period `T`.
-    pub fn gossip_interval(&self) -> Duration {
-        self.interval
     }
 
     /// Attaches a pre-bound control socket: its datagrams are surfaced

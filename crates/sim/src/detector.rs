@@ -27,127 +27,53 @@
 //!   the wrapper in place must keep joining, leaving and disseminating
 //!   like the unwrapped protocol.
 //!
-//! `bench_sim` renders a [`detector_study`] into `BENCH_sim.json`'s
-//! `detector` section and `results/detector.tsv`; CI `cmp`s the CI-size
-//! rendering across rayon pool sizes, and `detector_golden` pins three
-//! studies.
-
-use std::fmt;
+//! [`detector_cells`] lists the twelve cells of one study. `bench_sim`
+//! sweeps them beside the scenario suite and renders them like every
+//! other cell ([`cells_tsv`](crate::cells_tsv) into
+//! `results/scenarios.tsv`, [`cell_json`](crate::cell_json) into
+//! `BENCH_sim.json`'s `cells`); CI `cmp`s the CI-size rendering across
+//! rayon pool sizes, and `scenario_golden` pins three studies.
 
 use crate::fault::FaultSpec;
-use crate::scenario::spec::{sweep_specs, ProtocolKind, ScenarioGenerator, ScenarioSpec};
-use crate::scenario::ScenarioReport;
+use crate::scenario::spec::{ProtocolKind, ScenarioGenerator, ScenarioSpec};
 
-/// One A/B measurement: the same cell, detector on and off.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectorPair {
-    /// Row label in `results/detector.tsv` and `BENCH_sim.json`:
-    /// `catastrophe`, `noise`, `catastrophe_pbcast` or `churn`.
-    pub scenario: &'static str,
-    /// Fault-model label: `none`, `noisy_links`, `slow_cohort`.
-    pub fault: &'static str,
-    /// The cell the SWIM-wrapped arm ran; the baseline's differs in its
-    /// `protocol` only.
-    pub spec: ScenarioSpec,
-    /// The SWIM-wrapped arm.
-    pub on: ScenarioReport,
-    /// The unwrapped baseline arm.
-    pub off: ScenarioReport,
-}
-
-/// Runs the full study at size `n`: crash recovery under a clean and a
+/// The study at size `n`, as `(spec, seed)` cells in on/off pairs (the
+/// `swim+` stack, then the bare one): crash recovery under a clean and a
 /// noisy network, false-positive windows under two no-crash noise
 /// models, the crash A/B against the flat-membership pbcast baseline,
 /// and (last) the churn-neutrality comparison at `n` clamped to
-/// 40..=2000. Twelve cells through [`sweep_specs`]; deterministic per
-/// `(n, seed)`.
-pub fn detector_study(n: usize, seed: u64) -> Vec<DetectorPair> {
+/// 40..=2000.
+pub fn detector_cells(n: usize, seed: u64) -> Vec<(ScenarioSpec, u64)> {
     use ScenarioGenerator::{Churn, Detection, NoiseWindow};
-    let clean = ("none", None);
-    let noisy = ("noisy_links", Some(FaultSpec::noisy_links(seed)));
-    let slow = ("slow_cohort", Some(FaultSpec::slow_cohort(seed)));
+    let noisy = Some(FaultSpec::noisy_links(seed));
+    let slow = Some(FaultSpec::slow_cohort(seed));
     let lpbcast = [ProtocolKind::SwimLpbcast, ProtocolKind::Lpbcast];
     let pbcast = [ProtocolKind::SwimPbcast, ProtocolKind::Pbcast];
-    // Row label, generator, size, fault overlay, [on, off] stacks.
-    let rows = [
-        ("catastrophe", Detection, n, clean, lpbcast),
-        ("catastrophe", Detection, n, noisy, lpbcast),
-        ("noise", NoiseWindow, n, noisy, lpbcast),
-        ("noise", NoiseWindow, n, slow, lpbcast),
-        ("catastrophe_pbcast", Detection, n, clean, pbcast),
-        ("churn", Churn, n.clamp(40, 2000), clean, lpbcast),
+    // Generator, size, fault overlay, [on, off] stacks.
+    let pairs = [
+        (Detection, n, None, lpbcast),
+        (Detection, n, noisy, lpbcast),
+        (NoiseWindow, n, noisy, lpbcast),
+        (NoiseWindow, n, slow, lpbcast),
+        (Detection, n, None, pbcast),
+        (Churn, n.clamp(40, 2000), None, lpbcast),
     ];
-    let cells: Vec<(ScenarioSpec, u64)> = rows
-        .iter()
-        .flat_map(|&(_, generator, n, (_, fault), stacks)| {
+    pairs
+        .into_iter()
+        .flat_map(|(generator, n, fault, stacks)| {
             stacks.map(|protocol| {
                 let spec = ScenarioSpec::new(protocol, generator, n);
                 (ScenarioSpec { fault, ..spec }, seed)
             })
         })
-        .collect();
-    let mut reports = sweep_specs(&cells).into_iter();
-    let pairs = rows.iter().zip(cells.chunks(2));
-    pairs
-        .map(|(&(scenario, .., (fault, _), _), arms)| DetectorPair {
-            scenario,
-            fault,
-            spec: arms[0].0,
-            on: reports.next().expect("one report per cell"),
-            off: reports.next().expect("one report per cell"),
-        })
         .collect()
-}
-
-/// Renders a study as a long-format TSV figure
-/// (`scenario  fault  detector  n  metric  value`), written to
-/// `results/detector.tsv` by `bench_sim`.
-pub fn detector_tsv(study: &[DetectorPair]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "# SWIM failure-detector A/B: identical load and fault model, with/without the wrapper\n\
-         # (see lpbcast_sim::detector; deterministic per seed)\n\
-         scenario\tfault\tdetector\tn\tmetric\tvalue\n",
-    );
-    for pair in study {
-        let (scenario, fault) = (pair.scenario, pair.fault);
-        if pair.spec.generator == ScenarioGenerator::Churn {
-            let mut row = |metric: &str, value: &dyn fmt::Display| {
-                let _ = writeln!(out, "{scenario}\t{fault}\tab\t-\t{metric}\t{value}");
-            };
-            let (with, without) = (&pair.on, &pair.off);
-            let (mean_with, mean_without) = (with.reliability_mean, without.reliability_mean);
-            row("mean_reliability_with", &format_args!("{mean_with:.5}"));
-            row(
-                "mean_reliability_without",
-                &format_args!("{mean_without:.5}"),
-            );
-            row("joins_with", &with["joins_completed"]);
-            row("joins_without", &without["joins_completed"]);
-            continue;
-        }
-        for (label, arm) in [("on", &pair.on), ("off", &pair.off)] {
-            for metric in [
-                "recovery_rounds",
-                "probe_reliability",
-                "evictions",
-                "false_evictions",
-                "suspicions",
-                "refutations",
-            ] {
-                let (n, value) = (arm.n, arm[metric]);
-                let _ = writeln!(out, "{scenario}\t{fault}\t{label}\t{n}\t{metric}\t{value}");
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::spec::run_scenario_spec;
-    use crate::scenario::Metric;
+    use crate::scenario::{Metric, ScenarioReport};
 
     const CENSUS: [&str; 4] = ["evictions", "false_evictions", "suspicions", "refutations"];
 
@@ -231,24 +157,24 @@ mod tests {
     }
 
     #[test]
-    fn study_is_deterministic_per_seed() {
-        assert_eq!(detector_study(60, 3), detector_study(60, 3));
-    }
-
-    #[test]
-    fn tsv_has_both_arms_and_all_metrics() {
-        let tsv = detector_tsv(&detector_study(60, 2));
-        for needle in [
-            "catastrophe\tnone\ton\t",
-            "catastrophe\tnone\toff\t",
-            "noise\tnoisy_links\ton\t",
-            "noise\tslow_cohort\ton\t",
-            "recovery_rounds",
-            "false_evictions",
-            "refutations",
-            "mean_reliability_with",
-        ] {
-            assert!(tsv.contains(needle), "missing {needle:?} in:\n{tsv}");
+    fn cells_pair_each_swim_stack_with_its_bare_one() {
+        let cells = detector_cells(5000, 3);
+        assert_eq!(cells.len(), 12);
+        for pair in cells.chunks(2) {
+            let [(on, 3), (off, 3)] = pair else {
+                panic!("an on/off pair at seed 3: {pair:?}");
+            };
+            assert_eq!(
+                *off,
+                ScenarioSpec {
+                    protocol: off.protocol,
+                    ..*on
+                }
+            );
+            assert_eq!(on.protocol.name(), format!("swim+{}", off.protocol));
         }
+        let (churn, _) = cells[10];
+        assert_eq!((churn.generator, churn.n), (ScenarioGenerator::Churn, 2000));
+        assert_eq!(detector_cells(12, 1)[10].0.n, 40);
     }
 }

@@ -63,14 +63,21 @@
 //! repeated partitions, flash crowds, Byzantine advertise-but-withhold
 //! droppers, and the two cells of the SWIM [`detector`] A/B);
 //! [`run_scenario_spec`] compiles it to its generator's
-//! timeline and returns a [`ScenarioReport`] whose named metrics every
-//! renderer loops over, and [`sweep_specs`] runs grids of cells
-//! rayon-parallel, bit-identical to the serial reference. Adding a
-//! generator is one compile function and one [`ScenarioGenerator`]
-//! variant (worked example in the [`scenario`] module docs).
+//! timeline and returns a [`ScenarioReport`] of named metrics, and
+//! [`sweep_specs`] runs grids of cells rayon-parallel, bit-identical to
+//! the serial reference. Adding a generator is one compile function and
+//! one [`ScenarioGenerator`] variant (worked example in the [`scenario`]
+//! module docs).
 //!
-//! `crates/bench/src/bin/bench_sim.rs` times a steady-state round and the
-//! sweep wall-clock and writes `BENCH_sim.json` at the workspace root.
+//! A `(spec, seed)` cell and its report become text in one place:
+//! [`cells_tsv`] writes long-format `spec seed metric value` rows and
+//! [`cell_json`] one JSON object over the same fields (floats in their
+//! shortest round-trip form, an unreached target as `never` / `null`).
+//! `crates/bench/src/bin/bench_sim.rs` renders the scenario suite and the
+//! [`detector_cells`] that way into `BENCH_sim.json` and
+//! `results/scenarios.tsv`, `mass_scenarios` its grid into
+//! `results/mass_scenarios.tsv`, and `tests/scenario_golden.rs` pins the
+//! format with its fixture.
 //!
 //! # Example: one dissemination
 //!
@@ -95,7 +102,7 @@ pub mod scale;
 pub mod scenario;
 pub mod topology;
 
-pub use detector::{detector_study, detector_tsv, DetectorPair};
+pub use detector::detector_cells;
 pub use engine::{shards_from_env, Engine, EngineBuilder, WireAccounting};
 pub use fault::{Fate, FaultPlane, FaultSpec};
 pub use lpbcast_types::{MembershipEvent, Output, Protocol};
@@ -107,8 +114,8 @@ pub use scenario::spec::{
     ScenarioSpec, ScenarioSpecParseError,
 };
 pub use scenario::{
-    scenarios_tsv, LeaveRefused, Metric, PbcastScenarioCfg, ScenarioProtocol, ScenarioReport,
-    SwimScenarioCfg,
+    cell_json, cells_tsv, LeaveRefused, Metric, PbcastScenarioCfg, ScenarioProtocol,
+    ScenarioReport, SwimScenarioCfg,
 };
 pub use topology::{
     node_seed, ring_view, sample_distinct, sample_view, Bootstrap, InitialTopology,

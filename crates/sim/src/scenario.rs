@@ -44,11 +44,13 @@
 //! cells out with rayon, bit-identical to the serial reference. It
 //! returns one [`ScenarioReport`] — protocol, generator, size, rounds,
 //! wire cost, headline reliability and recovery, plus the generator's
-//! named metrics in report order — which every renderer
-//! ([`scenarios_tsv`], `bench_sim`, `mass_scenarios`) loops over.
-//! `tests/scenario_golden.rs` pins every metric of every generator ×
-//! protocol stack, with and without a fault overlay, to a committed
-//! fixture.
+//! named metrics in report order. One renderer turns a `(spec, seed)`
+//! cell and its report into text: [`cells_tsv`] writes `spec seed metric
+//! value` rows, [`cell_json`] a JSON object over the same fields, and
+//! `bench_sim`, `mass_scenarios`, the examples and the golden test all
+//! call it. `tests/scenario_golden.rs` pins every metric of every
+//! generator × protocol stack, with and without a fault overlay, to a
+//! committed fixture, so the fixture pins the format too.
 //!
 //! # Adding a ninth generator
 //!
@@ -103,7 +105,7 @@ use crate::scale::{scaled_buffer_bound, scaled_params, scaled_view_size};
 mod plan;
 pub mod spec;
 
-pub use plan::{scenarios_tsv, Metric, ScenarioReport};
+pub use plan::{cell_json, cells_tsv, Metric, ScenarioReport};
 
 // ─────────────────────── the scenario protocol ────────────────────────
 

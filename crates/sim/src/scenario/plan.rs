@@ -1,10 +1,11 @@
-//! The scenario timeline and its one driver.
+//! The scenario timeline, its one driver and its one renderer.
 //!
 //! A [`ScenarioPlan`] is a run written down as data; [`run_plan`] is its
 //! only interpreter. It owns the scenario layer's single [`Engine`]
 //! construction site ([`build_engine`]) and every call that advances or
 //! mutates the engine in scenario code, and returns the one
-//! [`ScenarioReport`] every renderer loops over. Every round goes through the same draw order —
+//! [`ScenarioReport`], which [`cells_tsv`] and [`cell_json`] turn into
+//! text. Every round goes through the same draw order —
 //! **joins → leaves → load → step → retire due leavers**, the parts an
 //! action does not use contributing zero draws — so a run is a pure
 //! function of `(plan, cfg, seed)` down to the last bit.
@@ -175,10 +176,10 @@ pub(crate) struct ScenarioPlan {
 
 // ────────────────────────────── the report ────────────────────────────
 
-/// One named measurement of a [`ScenarioReport`]. `Display` renders the
-/// committed TSV form (reliabilities to 5 decimals, latencies to 3, an
-/// unreached target as `never`); a format precision overrides the
-/// decimals.
+/// One named measurement of a [`ScenarioReport`]. `Display` is the one
+/// text form of a report field ([`cells_tsv`], [`cell_json`]): floats in
+/// their shortest round-trip form, so equal text is bit equality, and an
+/// unreached target as `never`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Metric {
     /// A count of processes, events or components.
@@ -218,8 +219,7 @@ impl fmt::Display for Metric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Metric::Count(v) => write!(f, "{v}"),
-            Metric::Ratio(v) => write!(f, "{v:.*}", f.precision().unwrap_or(5)),
-            Metric::Latency(v) => write!(f, "{v:.*}", f.precision().unwrap_or(3)),
+            Metric::Ratio(v) | Metric::Latency(v) => write!(f, "{v}"),
             Metric::Rounds(Some(v)) => write!(f, "{v}"),
             Metric::Rounds(None) => f.write_str("never"),
             Metric::Flag(v) => write!(f, "{v}"),
@@ -265,13 +265,6 @@ pub struct ScenarioReport {
     pub metrics: Vec<(Cow<'static, str>, Metric)>,
 }
 
-impl ScenarioReport {
-    /// Mean wire bytes per simulated round.
-    pub fn wire_bytes_per_round(&self) -> f64 {
-        self.wire_bytes as f64 / self.rounds.max(1) as f64
-    }
-}
-
 impl Index<&str> for ScenarioReport {
     type Output = Metric;
 
@@ -283,30 +276,83 @@ impl Index<&str> for ScenarioReport {
     }
 }
 
-/// Renders scenario reports as a long-format TSV figure
-/// (`scenario  protocol  n  metric  value`), written to
-/// `results/scenarios.tsv` by `bench_sim`. Side-by-side comparison is a
-/// `sort -k1,1 -k3,3` away.
-pub fn scenarios_tsv<'a>(reports: impl IntoIterator<Item = &'a ScenarioReport>) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "# scenario suite: continuous churn, catastrophic failure, partition-and-heal\n\
-         # one row set per protocol (see lpbcast_sim::scenario; deterministic per seed)\n\
-         scenario\tprotocol\tn\tmetric\tvalue\n",
-    );
-    for r in reports {
-        let mut row = |metric: &str, value: &dyn fmt::Display| {
-            let (scenario, protocol, n) = (r.generator, r.protocol, r.n);
-            let _ = writeln!(out, "{scenario}\t{protocol}\t{n}\t{metric}\t{value}");
-        };
-        for (metric, value) in &r.metrics {
-            row(metric, value);
-        }
-        row("wire_bytes", &r.wire_bytes);
-        let per_round = r.wire_bytes_per_round();
-        row("wire_bytes_per_round", &format_args!("{per_round:.1}"));
-        row("wire_messages", &r.wire_messages);
+// ───────────────────────────── the renderer ───────────────────────────
+
+/// One report field as the renderer writes it.
+enum Field {
+    /// A name: bare in TSV, a string in JSON.
+    Label(&'static str),
+    /// A measurement: `never` in TSV is `null` in JSON.
+    Value(Metric),
+}
+
+impl ScenarioReport {
+    /// Every field a rendering carries, in order: the shared report
+    /// fields, then the generator's metrics in report order.
+    fn fields(&self) -> impl Iterator<Item = (&str, Field)> {
+        use Field::{Label, Value};
+        use Metric::{Count, Ratio, Rounds};
+        // `as usize` is lossless on the 64-bit targets that byte totals
+        // this large need.
+        let shared = [
+            ("protocol", Label(self.protocol)),
+            ("generator", Label(self.generator.name())),
+            ("n", Value(Count(self.n))),
+            ("rounds", Value(Count(self.rounds as usize))),
+            ("wire_bytes", Value(Count(self.wire_bytes as usize))),
+            ("wire_messages", Value(Count(self.wire_messages as usize))),
+            ("reliability_mean", Value(Ratio(self.reliability_mean))),
+            ("reliability_min", Value(Ratio(self.reliability_min))),
+            ("recovery_rounds", Value(Rounds(self.recovery_rounds))),
+        ];
+        let metrics = self.metrics.iter();
+        shared
+            .into_iter()
+            .chain(metrics.map(|(name, value)| (name.as_ref(), Value(*value))))
     }
+}
+
+/// Renders scenario cells as long-format TSV, one `spec  seed  metric
+/// value` row per report field: the header, then each cell's block. The
+/// spec string makes every row its own reproducer (paste it back into
+/// [`run_scenario_spec`](super::spec::run_scenario_spec)).
+///
+/// # Panics
+///
+/// Panics unless there is one report per cell.
+pub fn cells_tsv(cells: &[(ScenarioSpec, u64)], reports: &[ScenarioReport]) -> String {
+    use std::fmt::Write as _;
+    assert_eq!(cells.len(), reports.len(), "one report per cell");
+    let mut out = String::from("spec\tseed\tmetric\tvalue\n");
+    for ((spec, seed), report) in cells.iter().zip(reports) {
+        for (metric, field) in report.fields() {
+            let _ = match field {
+                Field::Label(label) => writeln!(out, "{spec}\t{seed}\t{metric}\t{label}"),
+                Field::Value(value) => writeln!(out, "{spec}\t{seed}\t{metric}\t{value}"),
+            };
+        }
+    }
+    out
+}
+
+/// Renders one scenario cell as a one-line JSON object: `spec` and
+/// `seed`, then the fields of [`cells_tsv`] under the same names and in
+/// the same text, except that an unreached target (and a float that is
+/// not finite) is `null`.
+pub fn cell_json(spec: &ScenarioSpec, seed: u64, report: &ScenarioReport) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!("{{\"spec\": \"{spec}\", \"seed\": {seed}");
+    for (metric, field) in report.fields() {
+        let _ = match field {
+            Field::Label(label) => write!(out, ", \"{metric}\": \"{label}\""),
+            Field::Value(Metric::Rounds(None)) => write!(out, ", \"{metric}\": null"),
+            Field::Value(Metric::Ratio(v) | Metric::Latency(v)) if !v.is_finite() => {
+                write!(out, ", \"{metric}\": null")
+            }
+            Field::Value(value) => write!(out, ", \"{metric}\": {value}"),
+        };
+    }
+    out.push('}');
     out
 }
 
@@ -788,46 +834,86 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_render_the_committed_tsv_forms() {
-        assert_eq!(Metric::Count(3000).to_string(), "3000");
-        assert_eq!(Metric::Ratio(0.995_912).to_string(), "0.99591");
-        assert_eq!(format!("{:.4}", Metric::Ratio(0.995_912)), "0.9959");
-        assert_eq!(Metric::Latency(4.25).to_string(), "4.250");
-        assert_eq!(Metric::Rounds(Some(15)).to_string(), "15");
-        assert_eq!(Metric::Rounds(None).to_string(), "never");
-        assert_eq!(Metric::Flag(false).to_string(), "false");
+    fn metrics_render_shortest_round_trip_floats() {
+        assert_eq!(Metric::Ratio(0.995_912).to_string(), "0.995912");
+        assert_eq!(Metric::Latency(4.25).to_string(), "4.25");
         assert_eq!(Metric::Rounds(Some(15)).rounds(), Some(15));
         assert_eq!(Metric::Count(15).rounds(), None);
         assert!(Metric::Rounds(None).value().is_nan());
     }
 
     #[test]
-    fn tsv_contains_both_protocols() {
-        let reports: Vec<ScenarioReport> = [ProtocolKind::Lpbcast, ProtocolKind::Pbcast]
-            .into_iter()
-            .flat_map(|proto| {
-                [
-                    ScenarioGenerator::Churn,
-                    ScenarioGenerator::Catastrophe,
-                    ScenarioGenerator::Partition,
-                ]
-                .map(|generator| run_scenario_spec(&ScenarioSpec::new(proto, generator, 30), 1))
-            })
+    fn one_report_renders_the_same_fields_as_tsv_rows_and_a_json_cell() {
+        let spec = ScenarioSpec::new(ProtocolKind::SwimLpbcast, ScenarioGenerator::Detection, 120);
+        let report = ScenarioReport {
+            protocol: "swim+lpbcast",
+            generator: ScenarioGenerator::Detection,
+            n: 120,
+            rounds: 57,
+            wire_bytes: 12_345_678_901,
+            wire_messages: 4321,
+            reliability_mean: 0.1 + 0.2,
+            reliability_min: 1.0,
+            events_measured: 3,
+            recovery_rounds: None,
+            metrics: vec![
+                ("crashed".into(), Metric::Count(54)),
+                ("probe_reliability".into(), Metric::Ratio(119.0 / 120.0)),
+                ("latency_rounds".into(), Metric::Latency(4.25)),
+                ("rounds_to_heal".into(), Metric::Rounds(Some(6))),
+                ("rounds_to_connect".into(), Metric::Rounds(None)),
+                ("partitioned_after".into(), Metric::Flag(false)),
+            ],
+        };
+        let key = "proto=swim+lpbcast;gen=detection;n=120;rounds=0;rate=20;publishers=16;loss=0.05;fraction=0;cycles=0";
+        let expected_tsv: String = [
+            "spec\tseed\tmetric\tvalue".to_string(),
+            format!("{key}\t7\tprotocol\tswim+lpbcast"),
+            format!("{key}\t7\tgenerator\tdetection"),
+            format!("{key}\t7\tn\t120"),
+            format!("{key}\t7\trounds\t57"),
+            format!("{key}\t7\twire_bytes\t12345678901"),
+            format!("{key}\t7\twire_messages\t4321"),
+            format!("{key}\t7\treliability_mean\t0.30000000000000004"),
+            format!("{key}\t7\treliability_min\t1"),
+            format!("{key}\t7\trecovery_rounds\tnever"),
+            format!("{key}\t7\tcrashed\t54"),
+            format!("{key}\t7\tprobe_reliability\t0.9916666666666667"),
+            format!("{key}\t7\tlatency_rounds\t4.25"),
+            format!("{key}\t7\trounds_to_heal\t6"),
+            format!("{key}\t7\trounds_to_connect\tnever"),
+            format!("{key}\t7\tpartitioned_after\tfalse"),
+        ]
+        .map(|row| row + "\n")
+        .concat();
+        let tsv = cells_tsv(&[(spec, 7)], std::slice::from_ref(&report));
+        assert_eq!(tsv, expected_tsv);
+
+        let json = cell_json(&spec, 7, &report);
+        let expected_json = format!(
+            "{{\"spec\": \"{key}\", \"seed\": 7, \"protocol\": \"swim+lpbcast\", \
+             \"generator\": \"detection\", \"n\": 120, \"rounds\": 57, \
+             \"wire_bytes\": 12345678901, \"wire_messages\": 4321, \
+             \"reliability_mean\": 0.30000000000000004, \"reliability_min\": 1, \
+             \"recovery_rounds\": null, \"crashed\": 54, \
+             \"probe_reliability\": 0.9916666666666667, \"latency_rounds\": 4.25, \
+             \"rounds_to_heal\": 6, \"rounds_to_connect\": null, \"partitioned_after\": false}}"
+        );
+        assert_eq!(json, expected_json);
+
+        // The same names in the same order: the TSV's metric column, and
+        // the JSON keys after `spec` and `seed`.
+        let tsv_names: Vec<&str> = tsv
+            .lines()
+            .skip(1)
+            .map(|row| row.split('\t').nth(2).unwrap())
             .collect();
-        let tsv = scenarios_tsv(&reports);
-        for needle in [
-            "churn\tlpbcast\t",
-            "churn\tpbcast\t",
-            "catastrophe\tlpbcast\t",
-            "partition\tpbcast\t",
-            "mean_reliability",
-            "recovery_rounds",
-            "rounds_to_heal",
-            "wire_bytes_per_round",
-        ] {
-            assert!(tsv.contains(needle), "missing {needle:?} in:\n{tsv}");
-        }
-        assert!(tsv.lines().count() > 40);
+        let json_names: Vec<&str> = json
+            .split(", \"")
+            .skip(2)
+            .map(|kv| kv.split('"').next().unwrap())
+            .collect();
+        assert_eq!(tsv_names, json_names);
     }
 
     #[test]

@@ -6,11 +6,15 @@
 //! the timeline driver replaced (the commit before `run_plan` existed),
 //! so it is the proof that re-expressing scenarios as data changed no
 //! bit of any run — and from now on, that nobody else does by accident.
-//! The last cells move every spec knob off its default (random-origin
+//! The later cells move every spec knob off its default (random-origin
 //! load, custom rounds / fraction / cycles). The `detection` and
 //! `noise_window` row blocks joined when the SWIM detector A/B became
-//! spec cells — additions only; `tests/detector_golden.rs` ties them to
-//! the driver they replaced.
+//! spec cells, and the three `detector_cells` studies at the end when
+//! their own fixture, rendered by the A/B's former driver, was retired —
+//! additions only, each time.
+//!
+//! The rows are [`cells_tsv`]'s, so the fixture pins the one format every
+//! scenario report is written in, too.
 //!
 //! When a change *means* to move these numbers, the failing run writes
 //! the new rendering next to the test binary's temp dir; review the
@@ -23,56 +27,21 @@
 //! cargo test --release -p lpbcast-sim --test scenario_golden -- --ignored
 //! ```
 
-use std::fmt::Write as _;
-
 use lpbcast_sim::fault::FaultSpec;
 use lpbcast_sim::{
-    run_scenario_spec, Metric, ProtocolKind, ScenarioGenerator, ScenarioReport, ScenarioSpec,
+    cells_tsv, detector_cells, run_scenario_spec, sweep_specs, Metric, ProtocolKind,
+    ScenarioGenerator, ScenarioSpec,
 };
-
-/// Long-format rows (`spec  seed  metric  value`) of one cell: the
-/// shared report fields, then the generator's metrics in report order.
-fn render(out: &mut String, spec: &ScenarioSpec, seed: u64) {
-    // Through the string form, so "paste the TSV spec column back in"
-    // is covered too.
-    let parsed: ScenarioSpec = spec.to_string().parse().expect("spec round-trips");
-    let r: ScenarioReport = run_scenario_spec(&parsed, seed);
-    let mut row = |metric: &str, value: String| {
-        writeln!(out, "{spec}\t{seed}\t{metric}\t{value}").expect("write to string");
-    };
-    row("protocol", r.protocol.to_string());
-    row("generator", r.generator.to_string());
-    row("n", r.n.to_string());
-    row("rounds", r.rounds.to_string());
-    row("wire_bytes", r.wire_bytes.to_string());
-    row("wire_messages", r.wire_messages.to_string());
-    row("reliability_mean", r.reliability_mean.to_string());
-    row("reliability_min", r.reliability_min.to_string());
-    row(
-        "recovery_rounds",
-        Metric::Rounds(r.recovery_rounds).to_string(),
-    );
-    for (metric, value) in &r.metrics {
-        // Floats in their shortest round-trip form: equality is bit
-        // equality, not agreement to five decimals.
-        let value = match *value {
-            Metric::Ratio(v) | Metric::Latency(v) => v.to_string(),
-            other => other.to_string(),
-        };
-        row(metric, value);
-    }
-}
 
 #[test]
 fn every_generator_on_every_stack_matches_the_golden_fixture() {
     let seed = 11;
-    let mut actual = String::from("spec\tseed\tmetric\tvalue\n");
+    let mut cells = Vec::new();
     for proto in ProtocolKind::ALL {
         for generator in ScenarioGenerator::ALL {
             for fault in [None, Some(FaultSpec::noisy_links(7))] {
-                let mut spec = ScenarioSpec::new(proto, generator, 72);
-                spec.fault = fault;
-                render(&mut actual, &spec, seed);
+                let spec = ScenarioSpec::new(proto, generator, 72);
+                cells.push((ScenarioSpec { fault, ..spec }, seed));
             }
         }
     }
@@ -87,9 +56,19 @@ fn every_generator_on_every_stack_matches_the_golden_fixture() {
                 cycles: 2,
                 ..ScenarioSpec::new(proto, generator, 72)
             };
-            render(&mut actual, &spec, seed);
+            cells.push((spec, seed));
         }
     }
+    for (n, seed) in [(120, 1), (120, 3), (300, 2)] {
+        cells.extend(detector_cells(n, seed));
+    }
+    // Through the string form, so "paste the TSV spec column back in" is
+    // covered too.
+    let cells: Vec<(ScenarioSpec, u64)> = cells
+        .iter()
+        .map(|(spec, seed)| (spec.to_string().parse().expect("spec round-trips"), *seed))
+        .collect();
+    let actual = cells_tsv(&cells, &sweep_specs(&cells));
 
     let golden = include_str!("fixtures/scenario_golden.tsv");
     if actual != golden {

@@ -3,6 +3,7 @@
 
     python3 scripts/check_results_schema.py [results_dir]
     python3 scripts/check_results_schema.py --tsv results/net_scenarios.tsv
+    python3 scripts/check_results_schema.py --json BENCH_sim.json
 
 CI uploads ``results/*.tsv`` as artifacts; downstream tooling (plot
 scripts, dashboards) indexes them by column name, so a silently renamed
@@ -16,12 +17,21 @@ known figure:
 Unknown ``*.tsv`` files only get the column-count consistency check (new
 figures are how the directory grows).
 
+``scenarios.tsv`` and ``mass_scenarios.tsv`` are the one scenario
+renderer's long format (``spec seed metric value``): the spec string names
+the cell, ``value`` is free-form (``never``, ``true``).
+
+``--json`` loads ``BENCH_sim.json`` strictly: ``NaN`` / ``Infinity`` and a
+repeated key with two different values are errors, and every ``cells``
+entry must carry the shared report fields.
+
 ``--tsv`` checks one known figure alone — the mode the CI ``net_cluster``
 job uses, where the other figures (regenerated by ``bench_sim`` in the
 test job) are absent from the checkout. Stdlib only by design — CI must
 not need pip.
 """
 
+import json
 import os
 import sys
 
@@ -30,13 +40,8 @@ EXPECTED_HEADERS = {
         "n", "view_size", "buffer_bound", "mean_latency_rounds",
         "model_latency_rounds", "reliability", "wire_bytes_per_round",
     ],
-    "scenarios.tsv": ["scenario", "protocol", "n", "metric", "value"],
-    "detector.tsv": ["scenario", "fault", "detector", "n", "metric", "value"],
-    "mass_scenarios.tsv": [
-        "spec", "protocol", "generator", "n", "fault", "seed",
-        "reliability_mean", "reliability_min", "recovery_rounds",
-        "wire_bytes_per_round", "rounds",
-    ],
+    "scenarios.tsv": ["spec", "seed", "metric", "value"],
+    "mass_scenarios.tsv": ["spec", "seed", "metric", "value"],
     "net_scenarios.tsv": [
         "scenario", "protocol", "processes", "nodes", "sockets", "loss",
         "kills", "kill_schedule", "fault", "reliability_mean",
@@ -46,28 +51,29 @@ EXPECTED_HEADERS = {
 }
 
 # Columns whose every value must parse as a number ("never"/"true" style
-# values live only in the free-form `value` column of scenarios.tsv and
-# detector.tsv).
+# values live only in the free-form `value` column of the scenario
+# renderer's long format).
 NUMERIC = {
     "n", "view_size", "buffer_bound", "mean_latency_rounds",
     "model_latency_rounds", "reliability",
     "wire_bytes_per_round", "seed", "reliability_mean", "reliability_min",
-    "recovery_rounds", "rounds", "processes", "nodes", "sockets", "loss",
+    "processes", "nodes", "sockets", "loss",
     "kills", "latency_ms", "recovery_ms", "wire_tx_bytes", "wire_rx_bytes",
 }
 
 # Per-figure non-numeric tokens allowed in otherwise-numeric columns:
-# detector.tsv's churn A/B rows aggregate a whole membership trajectory,
-# so no single n fits; mass_scenarios.tsv renders recovery_rounds as "-"
-# for generators without a recovery metric (churn) and "never" when a
-# measurement blew its cap; net_scenarios.tsv dashes latency_ms when a
-# scenario's completion time is dominated by an injected outage and
-# recovery_ms when nothing was cut or killed.
+# net_scenarios.tsv dashes latency_ms when a scenario's completion time is
+# dominated by an injected outage and recovery_ms when nothing was cut or
+# killed.
 TOKENS_OK = {
-    "detector.tsv": {"n": {"-"}},
-    "mass_scenarios.tsv": {"recovery_rounds": {"-", "never"}},
     "net_scenarios.tsv": {"latency_ms": {"-"}, "recovery_ms": {"-"}},
 }
+
+# The shared report fields every scenario cell carries, in renderer order.
+CELL_FIELDS = [
+    "spec", "seed", "protocol", "generator", "n", "rounds", "wire_bytes",
+    "wire_messages", "reliability_mean", "reliability_min", "recovery_rounds",
+]
 
 
 def check_file(path, expected):
@@ -102,7 +108,49 @@ def check_file(path, expected):
     return problems
 
 
+def strict_pairs(pairs):
+    """A JSON object whose repeated keys must repeat the same value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj and obj[key] != value:
+            raise ValueError(f"key {key!r} repeated with {obj[key]!r} and {value!r}")
+        obj[key] = value
+    return obj
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def check_bench_json(path):
+    """Returns a list of problem strings for a BENCH_sim.json file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f, parse_constant=reject_constant,
+                            object_pairs_hook=strict_pairs)
+    except (OSError, ValueError) as e:
+        return [f"{path}: {e}"]
+    if doc.get("schema") != "bench_sim/v10":
+        return [f"{path}: schema {doc.get('schema')!r}, expected 'bench_sim/v10'"]
+    if "cells" not in doc:
+        return [f"{path}: no cells"]
+    problems = []
+    for i, cell in enumerate(doc["cells"]):
+        keys = list(cell)[:len(CELL_FIELDS)]
+        if keys != CELL_FIELDS:
+            problems.append(f"{path}: cells[{i}] starts with {keys}, expected {CELL_FIELDS}")
+    return problems
+
+
 def main(argv):
+    if len(argv) > 2 and argv[1] == "--json":
+        problems = check_bench_json(argv[2])
+        for problem in problems:
+            print(f"SCHEMA VIOLATION: {problem}")
+        if problems:
+            return 1
+        print(f"checked {argv[2]} (strict JSON, bench_sim/v10)")
+        return 0
     if len(argv) > 2 and argv[1] == "--tsv":
         path = argv[2]
         expected = EXPECTED_HEADERS.get(os.path.basename(path))

@@ -14,29 +14,98 @@ import check_results_schema as mod  # noqa: E402
 
 
 class TsvTests(unittest.TestCase):
+    HEADER = "spec\tseed\tmetric\tvalue\n"
+    SPEC = "proto=lpbcast;gen=catastrophe;n=500;rounds=0;rate=20;publishers=16;loss=0.05;fraction=0;cycles=0"
+
+    def check_scenarios(self, *rows):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "scenarios.tsv")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(self.HEADER)
+                for row in rows:
+                    f.write(row + "\n")
+            return mod.check_file(path, mod.EXPECTED_HEADERS["scenarios.tsv"])
+
     def test_header_mismatch_is_reported(self):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "scenarios.tsv")
             with open(path, "w", encoding="utf-8") as f:
-                f.write("scenario\tprotocol\tn\tmetric\n")  # missing `value`
-                f.write("s\tp\t10\tm\n")
+                f.write("spec\tseed\tmetric\n")  # missing `value`
+                f.write(f"{self.SPEC}\t1\tn\n")
             problems = mod.check_file(path, mod.EXPECTED_HEADERS["scenarios.tsv"])
         self.assertTrue(any("header mismatch" in p for p in problems), problems)
 
+    def test_scenario_values_are_free_form_and_seeds_numeric(self):
+        ok = [f"{self.SPEC}\t1\t{metric}\t{value}" for metric, value in
+              [("protocol", "lpbcast"), ("reliability_mean", "0.9989183006535948"),
+               ("recovery_rounds", "never"), ("partitioned_after", "false")]]
+        self.assertEqual(self.check_scenarios(*ok), [])
+        problems = self.check_scenarios(f"{self.SPEC}\tone\tn\t500")
+        self.assertTrue(any("seed" in p for p in problems), problems)
+
     def test_good_tsvs_pass_dir_mode(self):
         with tempfile.TemporaryDirectory() as d:
-            with open(os.path.join(d, "scenarios.tsv"), "w", encoding="utf-8") as f:
-                f.write("scenario\tprotocol\tn\tmetric\tvalue\n")
-                f.write("s\tp\t10\tm\t0.5\n")
             for name in mod.EXPECTED_HEADERS:
-                if name == "scenarios.tsv":
-                    continue
                 with open(os.path.join(d, name), "w", encoding="utf-8") as f:
                     f.write("\t".join(mod.EXPECTED_HEADERS[name]) + "\n")
                     row = ["1" if c in mod.NUMERIC else "x"
                            for c in mod.EXPECTED_HEADERS[name]]
                     f.write("\t".join(row) + "\n")
             self.assertEqual(mod.main(["prog", d]), 0)
+
+
+class BenchJsonTests(unittest.TestCase):
+    CELL = (
+        '{"spec": "proto=lpbcast;gen=catastrophe;n=500", "seed": 1, '
+        '"protocol": "lpbcast", "generator": "catastrophe", "n": 500, '
+        '"rounds": 53, "wire_bytes": 26609976, "wire_messages": 66000, '
+        '"reliability_mean": 0.9972, "reliability_min": 0.96, '
+        '"recovery_rounds": 12, "crashed": 150, "recovery_rounds": 12}'
+    )
+
+    def check(self, text):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "BENCH_sim.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+            return mod.check_bench_json(path)
+
+    def doc(self, cell=CELL, schema="bench_sim/v10"):
+        return f'{{"schema": "{schema}", "shards": 1, "cells": [{cell}]}}'
+
+    def test_a_v10_document_passes(self):
+        self.assertEqual(self.check(self.doc()), [])
+        self.assertEqual(self.check(self.doc(cell="")), [])
+
+    def test_non_finite_numbers_are_rejected(self):
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            cell = self.CELL.replace("0.9972", constant)
+            problems = self.check(self.doc(cell=cell))
+            self.assertTrue(any(constant in p for p in problems), (constant, problems))
+
+    def test_a_key_repeated_with_another_value_is_rejected(self):
+        cell = self.CELL.replace('"crashed": 150, "recovery_rounds": 12',
+                                 '"crashed": 150, "recovery_rounds": 13')
+        problems = self.check(self.doc(cell=cell))
+        self.assertTrue(any("recovery_rounds" in p for p in problems), problems)
+
+    def test_wrong_schema_and_missing_fields_are_reported(self):
+        self.assertTrue(self.check(self.doc(schema="bench_sim/v9")))
+        cell = self.CELL.replace('"seed": 1, ', "")
+        problems = self.check(self.doc(cell=cell))
+        self.assertTrue(any("cells[0]" in p for p in problems), problems)
+        self.assertTrue(self.check('{"schema": "bench_sim/v10"}'))
+        self.assertTrue(self.check("{"))
+
+    def test_main_json_mode_exit_codes(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "BENCH_sim.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(self.doc())
+            self.assertEqual(mod.main(["prog", "--json", path]), 0)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(self.doc(cell=self.CELL.replace("0.9972", "NaN")))
+            self.assertEqual(mod.main(["prog", "--json", path]), 1)
 
 
 class NetScenariosTests(unittest.TestCase):
