@@ -1,12 +1,11 @@
 //! Deterministic science report: the scaling study (latency /
-//! reliability / wire cost vs n), the sharded-vs-serial round
-//! self-check, and one sweep of scenario cells — the churn / catastrophe
-//! / partition suite per stack, the optional XL catastrophe and the SWIM
-//! detector A/B — written to `BENCH_sim.json` at the workspace root and
-//! to `results/{scaling,scenarios}.tsv` (README "Reading
-//! `BENCH_sim.json`" documents the sections). Every cell goes through the
-//! one renderer: `cell_json` into the JSON's `cells`, `cells_tsv` into
-//! `results/scenarios.tsv`.
+//! reliability / wire cost vs n) and one sweep of scenario cells — the
+//! churn / catastrophe / partition suite per stack, the optional XL
+//! catastrophe and the SWIM detector A/B — written to `BENCH_sim.json`
+//! at the workspace root and to `results/{scaling,scenarios}.tsv`
+//! (README "Reading `BENCH_sim.json`" documents the sections). Every
+//! cell goes through the one renderer: `cell_json` into the JSON's
+//! `cells`, `cells_tsv` into `results/scenarios.tsv`.
 //!
 //! Every byte of every output is a pure function of (code, sizes, seed):
 //! the binary reads no clock and records nothing about the host, so two
@@ -14,15 +13,16 @@
 //! clock is `lpbench`'s job (`lpbench/README.md`).
 //!
 //! Run with `cargo run --release -p lpbcast-bench --bin bench_sim`.
-//! Exits 2 on an unknown `BENCH_SIM_SCENARIO_PROTOCOLS` label, before
-//! anything runs; exits 1 if an output could not be written or the shard
-//! self-check diverged (after attempting every output).
+//! Exits 2, before anything runs, on an unknown
+//! `BENCH_SIM_SCENARIO_PROTOCOLS` label or a size knob that is not an
+//! integer (a scaling size below 8, a system size of 0); exits 1 if an
+//! output could not be written (after attempting every output).
 //!
-//! Environment knobs (system sizes, the protocol list and the shard
-//! count — none changes what a row means):
+//! Environment knobs (system sizes and the protocol list — none changes
+//! what a row means; unset or empty reads as the default):
 //!
 //! * `BENCH_SIM_SCALE_NS` — comma-separated system sizes of the scaling
-//!   study (default `125,1000,10000`).
+//!   study, each at least 8 (default `125,1000,10000`).
 //! * `BENCH_SIM_SCENARIO_N` — system size of the churn / catastrophe /
 //!   partition scenario suite (default 10000).
 //! * `BENCH_SIM_SCENARIO_PROTOCOLS` — comma-separated protocols the
@@ -33,52 +33,28 @@
 //! * `BENCH_SIM_DETECTOR_N` — system size of the SWIM failure-detector
 //!   A/B cells (default 10000; the committed snapshot records the
 //!   full-scale run, CI uses a small n).
-//! * `BENCH_SIM_SHARDS` — engine shard count of every engine built here
-//!   (default 1 = the classic serial round; the sharded round is
-//!   bit-identical by construction and self-checked below).
 //! * `BENCH_SIM_SCALE_XL_NS` — comma-separated *extra-large* system
-//!   sizes for the env-gated `scaling_xl` section (default empty; run
-//!   locally with `BENCH_SIM_SCALE_XL_NS=100000`).
+//!   sizes, each at least 8, for the env-gated `scaling_xl` section
+//!   (default none; run locally with `BENCH_SIM_SCALE_XL_NS=100000`).
 //! * `BENCH_SIM_SCENARIO_XL_N` — system size of the env-gated XL
-//!   catastrophe cell (default 0 = off).
+//!   catastrophe cell (default none).
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use lpbcast_bench::output::write_output;
-use lpbcast_sim::experiment::{LpbcastSimParams, SimParams};
+use lpbcast_bench::output::{env_usize, env_usizes, write_output};
 use lpbcast_sim::scale::{scaling_study, scaling_tsv, ScalePoint};
 use lpbcast_sim::{
-    cell_json, cells_tsv, detector_cells, shards_from_env, sweep_specs, ProtocolKind,
-    ScenarioGenerator, ScenarioSpec,
+    cell_json, cells_tsv, detector_cells, sweep_specs, ProtocolKind, ScenarioGenerator,
+    ScenarioSpec,
 };
-use lpbcast_types::{Payload, ProcessId};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
-/// The comma-separated system sizes in `name` (entries below 8 or
-/// unparsable are dropped; unset reads as empty).
-fn env_sizes(name: &str) -> Vec<usize> {
-    std::env::var(name)
-        .map(|v| {
-            v.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&n: &usize| n >= 8)
-                .collect()
-        })
-        .unwrap_or_default()
-}
+/// The smallest system size the scaling study accepts.
+const MIN_SCALE_N: usize = 8;
 
 /// Every scenario cell of the report, each once, at seed 1: the churn /
 /// catastrophe / partition suite per `BENCH_SIM_SCENARIO_PROTOCOLS`
 /// stack, the env-gated XL catastrophe, then the detector A/B. Exits 2
-/// on an unknown protocol label.
+/// on an unknown protocol label or a malformed size.
 fn report_cells() -> Vec<(ScenarioSpec, u64)> {
     use ScenarioGenerator::{Catastrophe, Churn, Partition};
     let labels =
@@ -94,13 +70,13 @@ fn report_cells() -> Vec<(ScenarioSpec, u64)> {
             })
         })
         .collect();
-    let n = env_usize("BENCH_SIM_SCENARIO_N", 10_000);
+    let n = env_usize("BENCH_SIM_SCENARIO_N", 1).unwrap_or(10_000);
     let suite = protocols
         .into_iter()
         .flat_map(|p| [Churn, Catastrophe, Partition].map(|g| ScenarioSpec::new(p, g, n)));
-    let xl_n = env_usize("BENCH_SIM_SCENARIO_XL_N", 0);
-    let xl = (xl_n > 0).then(|| ScenarioSpec::new(ProtocolKind::Lpbcast, Catastrophe, xl_n));
-    let detector = detector_cells(env_usize("BENCH_SIM_DETECTOR_N", 10_000), 1);
+    let xl = env_usize("BENCH_SIM_SCENARIO_XL_N", 1)
+        .map(|xl_n| ScenarioSpec::new(ProtocolKind::Lpbcast, Catastrophe, xl_n));
+    let detector = detector_cells(env_usize("BENCH_SIM_DETECTOR_N", 1).unwrap_or(10_000), 1);
     let mut cells = Vec::new();
     // A repeated protocol, or a detector arm equal to a suite cell, is
     // the same experiment: run and render it once.
@@ -110,31 +86,6 @@ fn report_cells() -> Vec<(ScenarioSpec, u64)> {
         }
     }
     cells
-}
-
-/// Per-round digest of an lpbcast run at a given shard count: infected
-/// count, network delivered/dropped counters (the shared loss-RNG
-/// stream) and exact wire bytes. Bit-equality of two digests across
-/// shard counts is the engine's determinism contract.
-fn shard_digest(n: usize, shards: usize, rounds: u64) -> Vec<(usize, u64, u64, u64)> {
-    let params = LpbcastSimParams::paper_defaults(n).rounds(u64::MAX / 2);
-    let mut engine = params
-        .engine_builder(1)
-        .wire_meter(lpbcast_net::wire_meter())
-        .shards(shards)
-        .build();
-    let id = engine.publish_from(ProcessId::new(0), Payload::from_static(b"probe"));
-    let mut digest = Vec::with_capacity(rounds as usize);
-    for _ in 0..rounds {
-        engine.step();
-        digest.push((
-            engine.tracker().infected_count(id),
-            engine.network().delivered_count(),
-            engine.network().dropped_count(),
-            engine.wire_accounting().unwrap_or_default().bytes,
-        ));
-    }
-    digest
 }
 
 fn workspace_root() -> PathBuf {
@@ -169,18 +120,19 @@ fn scaling_json_rows(points: &[ScalePoint]) -> String {
 }
 
 fn main() {
-    // Every label is checked before anything runs.
+    // Every knob is checked before anything runs.
     let cells = report_cells();
-
-    // Scaling study: §5-scaled buffers, latency + reliability per size.
-    let mut scale_sizes = env_sizes("BENCH_SIM_SCALE_NS");
+    let mut scale_sizes = env_usizes("BENCH_SIM_SCALE_NS", MIN_SCALE_N);
     if scale_sizes.is_empty() {
         scale_sizes = vec![125, 1000, 10_000];
     }
-    let scale_points = scaling_study(&scale_sizes, 1);
     // Env-gated XL scaling ladder (n = 10^5-class points): absent by
     // default, so a CI-size run omits it.
-    let xl_points = scaling_study(&env_sizes("BENCH_SIM_SCALE_XL_NS"), 1);
+    let xl_sizes = env_usizes("BENCH_SIM_SCALE_XL_NS", MIN_SCALE_N);
+
+    // Scaling study: §5-scaled buffers, latency + reliability per size.
+    let scale_points = scaling_study(&scale_sizes, 1);
+    let xl_points = scaling_study(&xl_sizes, 1);
     for (tag, p) in scale_points
         .iter()
         .map(|p| ("scale", p))
@@ -198,23 +150,6 @@ fn main() {
         );
     }
 
-    // Shard-determinism self-check: the sharded round must be
-    // bit-identical to the serial reference. The harness exits non-zero
-    // after writing its outputs if it is not.
-    let shards = shards_from_env();
-    let check_shards = shards.max(4);
-    let (check_n, check_rounds) = (1000usize, 15u64);
-    let shard_identical =
-        shard_digest(check_n, 1, check_rounds) == shard_digest(check_n, check_shards, check_rounds);
-    println!(
-        "shard_check n={check_n} rounds={check_rounds}: serial vs {check_shards} shards -> {}",
-        if shard_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-
     // Every scenario cell in one sweep (deterministic per cell).
     let reports = sweep_specs(&cells);
     let cell_rows: Vec<String> = cells
@@ -228,18 +163,13 @@ fn main() {
 
     // Hand-rolled JSON (the workspace has no serde): stable key order,
     // one object per measurement.
-    let mut json = String::from("{\n  \"schema\": \"bench_sim/v10\",\n");
-    let _ = writeln!(json, "  \"shards\": {shards},");
+    let mut json = String::from("{\n  \"schema\": \"bench_sim/v11\",\n");
     json.push_str("  \"scaling\": [\n");
     json.push_str(&scaling_json_rows(&scale_points));
     json.push_str("  ],\n");
     json.push_str("  \"scaling_xl\": [\n");
     json.push_str(&scaling_json_rows(&xl_points));
     json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"shard_check\": {{\"n\": {check_n}, \"rounds\": {check_rounds}, \"shards\": {check_shards}, \"identical\": {shard_identical}}},"
-    );
     json.push_str("  \"cells\": [\n");
     json.push_str(&json_rows(cell_rows.into_iter()));
     json.push_str("  ]\n}\n");
@@ -256,15 +186,7 @@ fn main() {
         &results_dir.join("scenarios.tsv"),
         &cells_tsv(&cells, &reports),
     );
-
-    if !shard_identical {
-        eprintln!(
-            "! shard determinism check FAILED: shards={check_shards} diverged from the serial \
-             reference at n={check_n} ({check_rounds} rounds) — outputs were written for \
-             inspection, exiting non-zero"
-        );
-    }
-    if !(ok && shard_identical) {
+    if !ok {
         std::process::exit(1);
     }
 }

@@ -12,12 +12,13 @@
 //! two files.
 //!
 //! Run with `cargo run --release -p lpbcast-bench --bin mass_scenarios`.
-//! Exits 2 on an unknown label in any knob, before a cell runs, and 1 if
-//! the TSV cannot be written.
+//! Exits 2 on an unknown label in any knob, or a size or seed count that
+//! is not a positive integer, before a cell runs, and 1 if the TSV cannot
+//! be written.
 //!
 //! Environment knobs (CI runs a miniature grid; the TSV uploaded from a
 //! default run is the full grid — `results/` is a build artifact, like
-//! the other figures):
+//! the other figures; unset or empty reads as the default):
 //!
 //! * `MASS_SCENARIOS_N` — system size of every cell (default 1000).
 //! * `MASS_SCENARIOS_SEEDS` — seeds per spec, numbered 1.. (default 2).
@@ -32,17 +33,9 @@
 //!   to every cell: `none`, `noisy_links`, `slow_cohort`,
 //!   `silent_droppers` (default `none,noisy_links`).
 
-use lpbcast_bench::output::{results_dir, write_output};
+use lpbcast_bench::output::{env_usize, results_dir, write_output};
 use lpbcast_sim::fault::FaultSpec;
 use lpbcast_sim::{cell_json, cells_tsv, sweep_specs, ScenarioSpec};
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
 
 /// The comma-separated labels in `name` (`default` when unset), each
 /// resolved by `parse`. An unknown label exits 2: a silently shrunken
@@ -75,8 +68,8 @@ fn fault_preset(label: &str) -> Option<Option<FaultSpec>> {
 }
 
 fn main() {
-    let n = env_usize("MASS_SCENARIOS_N", 1000);
-    let seed_count = env_usize("MASS_SCENARIOS_SEEDS", 2) as u64;
+    let n = env_usize("MASS_SCENARIOS_N", 1).unwrap_or(1000);
+    let seed_count = env_usize("MASS_SCENARIOS_SEEDS", 1).unwrap_or(2) as u64;
     let protocols = env_labels("MASS_SCENARIOS_PROTOCOLS", "lpbcast,pbcast", |label| {
         label.parse().ok()
     });

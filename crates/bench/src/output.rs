@@ -1,4 +1,5 @@
-//! Table printing and TSV output for figure data.
+//! Table printing and TSV output for figure data, the report binaries'
+//! file writes, and the size knobs they read from the environment.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -141,6 +142,52 @@ pub fn write_output(path: &Path, contents: &str) -> bool {
         Err(e) => eprintln!("! could not write {}: {e}", path.display()),
     }
     written.is_ok()
+}
+
+/// The integer in environment variable `name`, at least `min`; `None`
+/// when the variable is unset or empty.
+///
+/// Any other value exits 2 with the knob's name on stderr. A report
+/// binary reads its knobs before it runs anything, so a malformed size
+/// stops the run instead of being replaced by a default that would pass
+/// for the run that was asked for.
+pub fn env_usize(name: &str, min: usize) -> Option<usize> {
+    let raw = env_value(name)?;
+    Some(parse_knob(name, &raw, min))
+}
+
+/// The comma-separated integers in environment variable `name`, each at
+/// least `min` (empty entries skipped); empty when the variable is
+/// unset. Any other entry exits 2, as in [`env_usize`].
+pub fn env_usizes(name: &str, min: usize) -> Vec<usize> {
+    env_value(name).map_or_else(Vec::new, |raw| {
+        raw.split(',')
+            .filter(|entry| !entry.trim().is_empty())
+            .map(|entry| parse_knob(name, entry, min))
+            .collect()
+    })
+}
+
+/// The value of `name`; `None` when unset or blank. A value that is not
+/// Unicode exits 2.
+fn env_value(name: &str) -> Option<String> {
+    match std::env::var(name) {
+        Ok(raw) => (!raw.trim().is_empty()).then_some(raw),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(e) => refuse(name, &e.to_string()),
+    }
+}
+
+fn parse_knob(name: &str, raw: &str, min: usize) -> usize {
+    match raw.trim().parse() {
+        Ok(v) if v >= min => v,
+        _ => refuse(name, &format!("expected an integer >= {min}, got {raw:?}")),
+    }
+}
+
+fn refuse(name: &str, why: &str) -> ! {
+    eprintln!("! {name}: {why}");
+    std::process::exit(2);
 }
 
 fn format_cell(v: f64) -> String {

@@ -1,5 +1,5 @@
-//! The report binaries' command line: a bad label fails loudly, with the
-//! same exit code in both, before any cell runs.
+//! The report binaries' command line: a bad label or a malformed size
+//! fails loudly, with the same exit code in both, before any cell runs.
 
 use std::process::{Command, Output};
 
@@ -33,6 +33,28 @@ fn bench_sim_refuses_an_unknown_protocol_before_running_anything() {
         &[("BENCH_SIM_SCENARIO_PROTOCOLS", "lpbcast,nope")],
     );
     assert_refused(&out, "nope");
+}
+
+#[test]
+fn bench_sim_refuses_a_malformed_size_in_any_knob() {
+    for (knob, value) in [
+        ("BENCH_SIM_SCALE_XL_NS", "100_000"),
+        ("BENCH_SIM_SCENARIO_XL_N", "1e5"),
+        ("BENCH_SIM_SCALE_NS", "16,4"),
+        ("BENCH_SIM_SCENARIO_N", "ten"),
+        ("BENCH_SIM_DETECTOR_N", "0"),
+    ] {
+        let out = run(env!("CARGO_BIN_EXE_bench_sim"), &[(knob, value)]);
+        assert_refused(&out, knob);
+    }
+}
+
+#[test]
+fn mass_scenarios_refuses_a_malformed_size_in_any_knob() {
+    for (knob, value) in [("MASS_SCENARIOS_SEEDS", "two"), ("MASS_SCENARIOS_N", "1e3")] {
+        let out = run(env!("CARGO_BIN_EXE_mass_scenarios"), &[(knob, value)]);
+        assert_refused(&out, knob);
+    }
 }
 
 #[test]

@@ -286,7 +286,7 @@ const WIRE_METER_CACHE_CAP: usize = 512;
 /// fanout F mixes every origin's gossip of the round) all hit — the
 /// single-entry predecessor of this cache thrashed to one `encoded_len`
 /// per copy the moment two bodies alternated.
-pub fn wire_meter<M: WireMessage + Send>() -> impl FnMut(&M) -> usize + Send {
+pub fn wire_meter<M: WireMessage>() -> impl FnMut(&M) -> usize {
     // body key → (frame len, keep-alive clone). The clone pins the
     // cached body's allocation: `body_key` is an `Arc` address, and
     // without the pin a *freed* body's address could be recycled by a

@@ -174,11 +174,7 @@ where
 }
 
 /// Two same-seed engine runs agree on infection counts and final views.
-fn assert_engine_deterministic<P>(name: &str, mk: impl Fn(u64) -> Engine<P>)
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-{
+fn assert_engine_deterministic<P: Protocol>(name: &str, mk: impl Fn(u64) -> Engine<P>) {
     let run = |seed: u64| {
         let mut engine = mk(seed);
         let id = engine.publish_from(pid(0), Payload::from_static(b"probe"));
@@ -199,23 +195,21 @@ where
     );
 }
 
-fn lpbcast_engine_builder(seed: u64) -> EngineBuilder<Lpbcast> {
+fn lpbcast_engine(seed: u64) -> Engine<Lpbcast> {
     let config = Config::builder()
         .view_size(6)
         .fanout(3)
         .deliver_on_digest(true)
         .build();
-    Engine::builder(NetworkModel::new(0.05, seed)).nodes((0..16u64).map(|i| {
-        let members = (0..16u64).filter(|&j| j != i).map(pid);
-        Lpbcast::with_initial_view(pid(i), config.clone(), seed.wrapping_add(i), members)
-    }))
+    Engine::builder(NetworkModel::new(0.05, seed))
+        .nodes((0..16u64).map(|i| {
+            let members = (0..16u64).filter(|&j| j != i).map(pid);
+            Lpbcast::with_initial_view(pid(i), config.clone(), seed.wrapping_add(i), members)
+        }))
+        .build()
 }
 
-fn lpbcast_engine(seed: u64) -> Engine<Lpbcast> {
-    lpbcast_engine_builder(seed).build()
-}
-
-fn pbcast_engine_builder(seed: u64) -> EngineBuilder<Pbcast> {
+fn pbcast_engine(seed: u64) -> Engine<Pbcast> {
     let config = PbcastConfig::builder()
         .fanout(3)
         .first_phase(false)
@@ -223,19 +217,17 @@ fn pbcast_engine_builder(seed: u64) -> EngineBuilder<Pbcast> {
         .deliver_on_digest(true)
         .max_repetitions(6)
         .build();
-    Engine::builder(NetworkModel::new(0.05, seed)).nodes((0..16u64).map(|i| {
-        let members = (0..16u64).filter(|&j| j != i).map(pid);
-        Pbcast::new(
-            pid(i),
-            config.clone(),
-            seed.wrapping_add(i),
-            Membership::partial(pid(i), 6, config.subs_max, members),
-        )
-    }))
-}
-
-fn pbcast_engine(seed: u64) -> Engine<Pbcast> {
-    pbcast_engine_builder(seed).build()
+    Engine::builder(NetworkModel::new(0.05, seed))
+        .nodes((0..16u64).map(|i| {
+            let members = (0..16u64).filter(|&j| j != i).map(pid);
+            Pbcast::new(
+                pid(i),
+                config.clone(),
+                seed.wrapping_add(i),
+                Membership::partial(pid(i), 6, config.subs_max, members),
+            )
+        }))
+        .build()
 }
 
 fn swim_engine_builder(seed: u64) -> EngineBuilder<Swim<Lpbcast>> {
@@ -258,23 +250,21 @@ fn swim_engine(seed: u64) -> Engine<Swim<Lpbcast>> {
     swim_engine_builder(seed).build()
 }
 
-fn pubsub_engine_builder(seed: u64) -> EngineBuilder<PubSubNode> {
+fn pubsub_engine(seed: u64) -> Engine<PubSubNode> {
     let config = Config::builder()
         .view_size(6)
         .fanout(3)
         .deliver_on_digest(true)
         .build();
     let shared = TopicId::new("shared");
-    Engine::builder(NetworkModel::new(0.05, seed)).nodes((0..16u64).map(|i| {
-        let mut node = PubSubNode::new(pid(i), config.clone(), seed.wrapping_add(i));
-        let members: Vec<ProcessId> = (0..16u64).filter(|&j| j != i).map(pid).collect();
-        node.subscribe_bootstrap(&shared, members);
-        node
-    }))
-}
-
-fn pubsub_engine(seed: u64) -> Engine<PubSubNode> {
-    pubsub_engine_builder(seed).build()
+    Engine::builder(NetworkModel::new(0.05, seed))
+        .nodes((0..16u64).map(|i| {
+            let mut node = PubSubNode::new(pid(i), config.clone(), seed.wrapping_add(i));
+            let members: Vec<ProcessId> = (0..16u64).filter(|&j| j != i).map(pid).collect();
+            node.subscribe_bootstrap(&shared, members);
+            node
+        }))
+        .build()
 }
 
 #[test]
@@ -343,57 +333,5 @@ fn swim_engine_with_fault_plane_is_reproducible() {
         swim_engine_builder(seed)
             .fault_plane(FaultPlane::new(FaultSpec::noisy_links(seed), seed))
             .build()
-    });
-}
-
-/// The shard-partitioned round must be bit-identical to the serial
-/// reference for *every* protocol the engine can drive — the conformance
-/// analogue of the lpbcast-focused property test in
-/// `crates/sim/tests/shard_invariance.rs`.
-fn assert_shard_invariant<P>(name: &str, mk: impl Fn(u64) -> EngineBuilder<P>)
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-{
-    let run = |shards: usize| {
-        let mut engine = mk(7).shards(shards).build();
-        let id = engine.publish_from(pid(0), Payload::from_static(b"probe"));
-        let mut curve = Vec::new();
-        for _ in 0..10 {
-            engine.step();
-            curve.push(engine.tracker().infected_count(id));
-        }
-        let views: Vec<Vec<ProcessId>> = engine.nodes().map(|(_, n)| n.view_members()).collect();
-        (curve, views)
-    };
-    let serial = run(1);
-    for shards in [2, 3, 7] {
-        assert_eq!(
-            serial,
-            run(shards),
-            "{name}: {shards}-shard round must be bit-identical to serial"
-        );
-    }
-}
-
-#[test]
-fn lpbcast_sharded_rounds_match_serial() {
-    assert_shard_invariant("lpbcast", lpbcast_engine_builder);
-}
-
-#[test]
-fn pbcast_sharded_rounds_match_serial() {
-    assert_shard_invariant("pbcast", pbcast_engine_builder);
-}
-
-#[test]
-fn pubsub_sharded_rounds_match_serial() {
-    assert_shard_invariant("pubsub", pubsub_engine_builder);
-}
-
-#[test]
-fn swim_sharded_rounds_match_serial_under_faults() {
-    assert_shard_invariant("swim+lpbcast+faults", |seed| {
-        swim_engine_builder(seed).fault_plane(FaultPlane::new(FaultSpec::noisy_links(seed), seed))
     });
 }

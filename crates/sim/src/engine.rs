@@ -11,29 +11,11 @@
 //! buffer) are double-buffered across generations *and* rounds — after
 //! warm-up a steady-state round performs no queue reallocation at all.
 //!
-//! # Shards: the deterministic parallel round
-//!
-//! With [`EngineBuilder::shards`] > 1 the slab is partitioned into
-//! contiguous index ranges and each round executes as a parallel
-//! reduction — the same recipe that makes the rayon seed sweeps
-//! bit-identical. The construction keeps every ordered side effect on a
-//! serial path:
-//!
-//! 1. **Fate pass (serial).** Loss RNG draws, fault-plane fates and the
-//!    `fault_seq` counter are consumed over the queue in canonical
-//!    (serial) order — identical for every shard count. Surviving
-//!    envelopes are partitioned by destination shard, tagged with their
-//!    global queue position.
-//! 2. **State pass (parallel).** Each shard runs `handle_message` /
-//!    `tick` over its own nodes only; a node's envelopes arrive in
-//!    queue-position order, so each node sees the serial input sequence.
-//! 3. **Merge pass (serial).** Per-shard outputs are merged back in
-//!    queue-position order, reconstructing the serial reply queue,
-//!    metering order and sighting order byte for byte.
-//!
-//! Result: for a fixed seed, every shard count — and every thread count,
-//! including the automatic inline dispatch on 1-thread pools — produces
-//! bit-identical runs (pinned by the shard-invariance proptests).
+//! A round runs on the calling thread, and every ordered side effect
+//! (loss draws, fault fates, metering, sightings) happens in queue
+//! order, so a run is a pure function of its seed. Parallelism lives one
+//! level up: sweeps fan independent engines out over the rayon pool
+//! ([`crate::experiment::Sweep`]).
 
 use lpbcast_membership::ViewGraph;
 use lpbcast_types::{EventId, Output, Payload, ProcessId, Protocol};
@@ -47,25 +29,6 @@ use lpbcast_types::FastMap;
 /// within one round. The paper assumes network latency below the gossip
 /// period (§4.1), so a full pull exchange completes inside a round.
 const CHASE_DEPTH: usize = 4;
-
-/// Upper bound on the configured shard count: results are shard-count
-/// invariant, so beyond-core counts only add partition/merge overhead.
-const MAX_SHARDS: usize = 64;
-
-/// Shard count for benchmark and scenario drivers: the `BENCH_SIM_SHARDS`
-/// environment knob, default 1. Every shard count is bit-identical, so
-/// the knob never changes a result — but it is not free speed. See
-/// [`EngineBuilder::shards`] for what 2 shards measured on 2 CPUs: a
-/// loss at n = 10³, gains from n = 2·10³ up, and more CPU spent at every
-/// size. The default keeps every run on the serial path.
-pub fn shards_from_env() -> usize {
-    std::env::var("BENCH_SIM_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(1)
-        .min(MAX_SHARDS)
-}
 
 /// A queued message copy. The destination is pre-resolved to a slab
 /// index; the sender stays a `ProcessId` because that is what the
@@ -95,7 +58,7 @@ pub struct WireAccounting {
 /// `lpbcast_net::wire_meter`, which returns exact codec frame lengths
 /// with once-per-`Arc`-body caching) plus the running totals.
 struct WireMeter<M> {
-    measure: Box<dyn FnMut(&M) -> usize + Send>,
+    measure: Box<dyn FnMut(&M) -> usize>,
     totals: WireAccounting,
 }
 
@@ -192,15 +155,11 @@ pub struct Engine<P: Protocol> {
     /// Copies the fault plane deferred: `(due_round, envelope)`,
     /// insertion-ordered, drained into delivery when due.
     delayed: Vec<(u64, Envelope<P::Msg>)>,
-    /// Configured shard count (1 = the classic serial round).
-    shards: usize,
-    /// Sharded delivery: reusable per-shard survivor buckets.
-    fate_buckets: Vec<Vec<(u32, Envelope<P::Msg>)>>,
 }
 
 /// Staged construction of an [`Engine`]: the network model plus every
 /// optional engine-level knob (crash schedule, wire meter, fault plane,
-/// shard count, pre-seeded nodes) in one fluent value.
+/// pre-seeded nodes) in one fluent value.
 ///
 /// Replaced the former `Engine::new` + `set_*` sprawl. Protocol-level
 /// configuration (history mode, view sizes, initial topology) stays
@@ -209,7 +168,6 @@ pub struct Engine<P: Protocol> {
 pub struct EngineBuilder<P: Protocol> {
     network: NetworkModel,
     crash_plan: CrashPlan,
-    shards: usize,
     meter: Option<WireMeter<P::Msg>>,
     fault_plane: Option<FaultPlane>,
     nodes: Vec<P>,
@@ -221,7 +179,6 @@ impl<P: Protocol> EngineBuilder<P> {
         EngineBuilder {
             network,
             crash_plan: CrashPlan::none(),
-            shards: 1,
             meter: None,
             fault_plane: None,
             nodes: Vec::new(),
@@ -242,7 +199,7 @@ impl<P: Protocol> EngineBuilder<P> {
     /// count: a real transport transmits before discovering nobody
     /// listens. Measuring must not touch any randomness — accounting
     /// cannot perturb a run.
-    pub fn wire_meter(mut self, measure: impl FnMut(&P::Msg) -> usize + Send + 'static) -> Self {
+    pub fn wire_meter(mut self, measure: impl FnMut(&P::Msg) -> usize + 'static) -> Self {
         self.meter = Some(WireMeter {
             measure: Box::new(measure),
             totals: WireAccounting::default(),
@@ -257,32 +214,6 @@ impl<P: Protocol> EngineBuilder<P> {
     /// engine feeds it a monotone delivery sequence number.
     pub fn fault_plane(mut self, plane: FaultPlane) -> Self {
         self.fault_plane = Some(plane);
-        self
-    }
-
-    /// Partitions the node slab into `shards` contiguous ranges executed
-    /// in parallel per round (clamped to 1..=64; default 1 = serial).
-    /// Never a correctness knob: every shard count yields bit-identical
-    /// runs, and 1-thread pools dispatch the shard tasks inline.
-    ///
-    /// As a performance knob it trades CPU for wall clock, and only above
-    /// n ≈ 10³. Measured on 2 CPUs with `lpbench --seconds 20`, 2–3
-    /// interleaved pairs per workload, 2 shards against serial:
-    ///
-    /// | workload | `deliveries_per_s` | whole-process CPU (`getrusage`) |
-    /// |---|---|---|
-    /// | n = 10³, 40 events/round | 5.61 M → 4.87 M (−13 %) | 9.5 → 14.8 s (+56 %) |
-    /// | n = 2·10³, churn + SWIM | 611 k → 791 k (+29 %) | 10.9 → 12.7 s (+17 %) |
-    /// | n = 10⁴, membership-heavy | 56.3 k → 66.0 k (+17 %) | 8.7 → 10.8 s (+24 %) |
-    ///
-    /// The partition/merge work is serial, and the workers are spawned
-    /// per pass. The sharded path also costs 3–9 % at one shard, which is
-    /// why `shards == 1` keeps its own serial branch. lpbench's
-    /// `cpu_us_per_delivery` falls 2–6× on a sharded run, but that is
-    /// not a saving: it sums the CPU of the threads alive when it reads
-    /// `/proc/self/task`, and the shard workers have exited by then.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.clamp(1, MAX_SHARDS);
         self
     }
 
@@ -313,8 +244,6 @@ impl<P: Protocol> EngineBuilder<P> {
             fault_plane: self.fault_plane,
             fault_seq: 0,
             delayed: Vec::new(),
-            shards: self.shards,
-            fate_buckets: Vec::new(),
         };
         for node in self.nodes {
             engine.add_node(node);
@@ -326,7 +255,6 @@ impl<P: Protocol> EngineBuilder<P> {
 impl<P: Protocol> std::fmt::Debug for EngineBuilder<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineBuilder")
-            .field("shards", &self.shards)
             .field("nodes", &self.nodes.len())
             .finish_non_exhaustive()
     }
@@ -334,7 +262,7 @@ impl<P: Protocol> std::fmt::Debug for EngineBuilder<P> {
 
 impl<P: Protocol> Engine<P> {
     /// Starts an [`EngineBuilder`] — the construction path for every
-    /// engine-level knob (crash plan, wire meter, fault plane, shards).
+    /// engine-level knob (crash plan, wire meter, fault plane).
     pub fn builder(network: NetworkModel) -> EngineBuilder<P> {
         EngineBuilder::new(network)
     }
@@ -342,11 +270,6 @@ impl<P: Protocol> Engine<P> {
     /// The installed fault plane, if any.
     pub fn fault_plane(&self) -> Option<&FaultPlane> {
         self.fault_plane.as_ref()
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Totals of the installed wire meter (`None` when no meter is set).
@@ -568,9 +491,7 @@ impl<P: Protocol> Engine<P> {
     /// Absorbs one node's step output into the round: sightings for the
     /// tracker, outgoing copies metered (unknown destinations included —
     /// a real transport transmits before discovering nobody listens) and
-    /// enqueued onto `into`. Shared by the serial loops and the sharded
-    /// merge passes — the single definition is what keeps their
-    /// side-effect order identical.
+    /// enqueued onto `into`. Shared by the tick and delivery loops.
     #[inline]
     fn absorb_output(
         &mut self,
@@ -602,113 +523,43 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Decides one queued envelope's fate — liveness, uniform loss, then
-    /// the optional fault plane — consuming RNG draws and the fault
-    /// sequence exactly as the serial reference does. Returns `true` when
-    /// the copy is to be handled now; delayed/duplicated copies are
-    /// pushed onto `self.delayed` as a side effect.
+    /// the optional fault plane — in queue order, so the loss draws and
+    /// the fault sequence are a function of the seed. Returns the copy
+    /// when it is to be handled now; delayed/duplicated copies are pushed
+    /// onto `self.delayed` as a side effect.
     #[inline]
-    fn envelope_survives(&mut self, envelope: &mut Option<Envelope<P::Msg>>) -> bool {
-        let e = envelope.as_ref().expect("envelope present");
+    fn surviving(&mut self, mut e: Envelope<P::Msg>) -> Option<Envelope<P::Msg>> {
         let ti = e.to as usize;
         if !self.alive.get(ti) {
-            return false;
+            return None;
         }
         // A re-injected (delayed/duplicated) copy already passed both
         // loss models at its original delivery attempt.
-        if !e.fated {
-            if !self.network.delivers() {
-                return false;
+        if e.fated {
+            return Some(e);
+        }
+        if !self.network.delivers() {
+            return None;
+        }
+        if let Some(plane) = &self.fault_plane {
+            let seq = self.fault_seq;
+            self.fault_seq += 1;
+            let fate = plane.fate(e.from, self.ids[ti], self.round, seq);
+            if let Some(off) = fate.duplicate {
+                let mut copy = e.clone();
+                copy.fated = true;
+                self.delayed.push((self.round + off, copy));
             }
-            if let Some(plane) = &self.fault_plane {
-                let seq = self.fault_seq;
-                self.fault_seq += 1;
-                let fate = plane.fate(e.from, self.ids[ti], self.round, seq);
-                if let Some(off) = fate.duplicate {
-                    let mut copy = e.clone();
-                    copy.fated = true;
-                    self.delayed.push((self.round + off, copy));
-                }
-                match fate.primary {
-                    None => return false,
-                    Some(0) => {}
-                    Some(off) => {
-                        let mut copy = envelope.take().expect("envelope present");
-                        copy.fated = true;
-                        self.delayed.push((self.round + off, copy));
-                        return false;
-                    }
-                }
+            let off = fate.primary?;
+            if off > 0 {
+                e.fated = true;
+                self.delayed.push((self.round + off, e));
+                return None;
             }
         }
-        true
+        Some(e)
     }
-}
 
-/// Shard layout over a slab of `len` nodes: the uniform chunk size and
-/// the contiguous `(start, end)` spans it induces. A destination index
-/// `i` belongs to shard `i / chunk`.
-fn shard_layout(len: usize, shards: usize) -> (usize, Vec<(usize, usize)>) {
-    let shards = shards.clamp(1, len.max(1));
-    let chunk = len.div_ceil(shards);
-    let spans = (0..shards)
-        .map(|s| (s * chunk, ((s + 1) * chunk).min(len)))
-        .filter(|&(a, b)| a < b)
-        .collect();
-    (chunk, spans)
-}
-
-/// Runs `work` over disjoint contiguous sub-slices of `nodes` (one per
-/// task, tiling the slab in ascending spans), returning per-task results
-/// in task order. On a 1-thread pool — or with a single task — the work
-/// runs inline on the calling thread: same code path, no spawns, so the
-/// 1-CPU CI container dispatches serially and reproducibly by
-/// construction. Thread-count changes cannot affect results either way:
-/// each task owns its slice and the results are merged in task order.
-fn run_shards<P, B, R>(
-    nodes: &mut [P],
-    tasks: Vec<(usize, usize, B)>,
-    work: impl Fn(usize, &mut [P], B) -> R + Sync,
-) -> Vec<R>
-where
-    P: Send,
-    B: Send,
-    R: Send,
-{
-    if rayon::current_num_threads() <= 1 || tasks.len() <= 1 {
-        let mut out = Vec::with_capacity(tasks.len());
-        for (start, end, payload) in tasks {
-            out.push(work(start, &mut nodes[start..end], payload));
-        }
-        return out;
-    }
-    let mut slices = Vec::with_capacity(tasks.len());
-    let mut rest = nodes;
-    let mut consumed = 0;
-    for (start, end, payload) in tasks {
-        let (_, tail) = rest.split_at_mut(start - consumed);
-        let (slice, tail) = tail.split_at_mut(end - start);
-        slices.push((start, slice, payload));
-        rest = tail;
-        consumed = end;
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = slices
-            .into_iter()
-            .map(|(start, slice, payload)| scope.spawn(move || work(start, slice, payload)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    })
-}
-
-impl<P> Engine<P>
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-{
     /// Runs one synchronous round:
     ///
     /// 1. apply scheduled crashes;
@@ -717,10 +568,6 @@ where
     ///    reply chains are chased for a bounded number of generations
     ///    within the round (the paper's latency-below-`T` assumption,
     ///    §4.1).
-    ///
-    /// With more than one configured shard, phases 2 and 3 execute as
-    /// the deterministic parallel reduction described in the module docs
-    /// — bit-identical to the serial path for every shard count.
     pub fn step(&mut self) {
         self.round += 1;
 
@@ -761,17 +608,13 @@ where
             self.delayed = kept;
         }
 
-        if self.shards > 1 && !self.nodes.is_empty() {
-            self.tick_sharded(&mut queue);
-        } else {
-            for i in 0..self.nodes.len() {
-                if !self.alive.get(i) {
-                    continue;
-                }
-                let from = self.ids[i];
-                let out = self.nodes[i].tick();
-                self.absorb_output(from, out, &mut queue);
+        for i in 0..self.nodes.len() {
+            if !self.alive.get(i) {
+                continue;
             }
+            let from = self.ids[i];
+            let out = self.nodes[i].tick();
+            self.absorb_output(from, out, &mut queue);
         }
 
         // Phase B: delivery with bounded reply chasing.
@@ -781,20 +624,14 @@ where
             }
             self.scratch.clear();
             let mut scratch = std::mem::take(&mut self.scratch);
-            if self.shards > 1 && !self.nodes.is_empty() {
-                self.deliver_generation_sharded(&mut queue, &mut scratch);
-            } else {
-                for envelope in queue.drain(..) {
-                    let mut slot = Some(envelope);
-                    if !self.envelope_survives(&mut slot) {
-                        continue;
-                    }
-                    let envelope = slot.expect("surviving envelope");
-                    let ti = envelope.to as usize;
-                    let out = self.nodes[ti].handle_message(envelope.from, envelope.msg);
-                    let to_id = self.ids[ti];
-                    self.absorb_output(to_id, out, &mut scratch);
-                }
+            for envelope in queue.drain(..) {
+                let Some(envelope) = self.surviving(envelope) else {
+                    continue;
+                };
+                let ti = envelope.to as usize;
+                let out = self.nodes[ti].handle_message(envelope.from, envelope.msg);
+                let to_id = self.ids[ti];
+                self.absorb_output(to_id, out, &mut scratch);
             }
             self.scratch = scratch;
             std::mem::swap(&mut queue, &mut self.scratch);
@@ -812,111 +649,6 @@ where
     pub fn run(&mut self, rounds: u64) {
         for _ in 0..rounds {
             self.step();
-        }
-    }
-
-    /// Phase A over shards: ticks run in parallel per contiguous slab
-    /// range, then merge in shard order — which *is* slab order, so the
-    /// emission sequence matches the serial loop exactly.
-    fn tick_sharded(&mut self, queue: &mut Vec<Envelope<P::Msg>>) {
-        let (_, spans) = shard_layout(self.nodes.len(), self.shards);
-        let alive = &self.alive;
-        let tasks: Vec<(usize, usize, ())> = spans.iter().map(|&(a, b)| (a, b, ())).collect();
-        let per_shard: Vec<Vec<(u32, Output<P::Msg>)>> =
-            run_shards(&mut self.nodes, tasks, |start, slice, ()| {
-                let mut ticked = Vec::new();
-                for (off, node) in slice.iter_mut().enumerate() {
-                    let i = start + off;
-                    if !alive.get(i) {
-                        continue;
-                    }
-                    ticked.push((i as u32, node.tick()));
-                }
-                ticked
-            });
-        for batch in per_shard {
-            for (i, out) in batch {
-                let from = self.ids[i as usize];
-                self.absorb_output(from, out, queue);
-            }
-        }
-    }
-
-    /// One Phase-B generation over shards, in three passes (see the
-    /// module docs): serial fates in canonical queue order, parallel
-    /// per-shard handling, serial merge by queue position.
-    fn deliver_generation_sharded(
-        &mut self,
-        queue: &mut Vec<Envelope<P::Msg>>,
-        scratch: &mut Vec<Envelope<P::Msg>>,
-    ) {
-        let (chunk, spans) = shard_layout(self.nodes.len(), self.shards);
-
-        // Pass 1 — fates, serial, canonical order: the loss RNG and
-        // `fault_seq` advance exactly as in the serial reference, so
-        // their streams are independent of the shard count.
-        let mut buckets = std::mem::take(&mut self.fate_buckets);
-        buckets.resize_with(spans.len(), Vec::new);
-        for bucket in &mut buckets {
-            bucket.clear();
-        }
-        for (pos, envelope) in queue.drain(..).enumerate() {
-            let mut slot = Some(envelope);
-            if !self.envelope_survives(&mut slot) {
-                continue;
-            }
-            let envelope = slot.expect("surviving envelope");
-            let shard = envelope.to as usize / chunk;
-            buckets[shard].push((pos as u32, envelope));
-        }
-
-        // Pass 2 — handling, parallel: a node's envelopes arrive in
-        // queue-position order, so every node sees its serial input
-        // sequence; node-local RNGs advance identically.
-        #[expect(
-            clippy::type_complexity,
-            reason = "a one-use (span start, span end, bucket) work list"
-        )]
-        let tasks: Vec<(usize, usize, Vec<(u32, Envelope<P::Msg>)>)> = spans
-            .iter()
-            .zip(buckets)
-            .map(|(&(a, b), bucket)| (a, b, bucket))
-            .collect();
-        let per_shard = run_shards(&mut self.nodes, tasks, |start, slice, mut bucket| {
-            let mut handled = Vec::with_capacity(bucket.len());
-            for (pos, envelope) in bucket.drain(..) {
-                let Envelope { from, to, msg, .. } = envelope;
-                let out = slice[to as usize - start].handle_message(from, msg);
-                handled.push((pos, to, out));
-            }
-            (handled, bucket)
-        });
-
-        // Pass 3 — merge, serial: ascending queue position across the
-        // (per-shard ascending) result streams reconstructs the serial
-        // reply queue, metering order and sighting order byte for byte.
-        self.fate_buckets = Vec::with_capacity(per_shard.len());
-        let mut streams = Vec::with_capacity(per_shard.len());
-        for (handled, bucket) in per_shard {
-            streams.push(handled.into_iter().peekable());
-            self.fate_buckets.push(bucket);
-        }
-        loop {
-            let mut best: Option<usize> = None;
-            let mut best_pos = 0u32;
-            for (s, stream) in streams.iter_mut().enumerate() {
-                if let Some(&(pos, _, _)) = stream.peek() {
-                    if best.is_none() || pos < best_pos {
-                        best = Some(s);
-                        best_pos = pos;
-                    }
-                }
-            }
-            let Some(s) = best else { break };
-            let (_, to, out) = streams[s].next().expect("peeked element");
-            let ti = to as usize;
-            let to_id = self.ids[ti];
-            self.absorb_output(to_id, out, scratch);
         }
     }
 }
@@ -1170,24 +902,50 @@ mod tests {
     }
 
     #[test]
-    fn shard_layout_tiles_the_slab() {
-        for len in [1usize, 2, 7, 64, 100, 1001] {
-            for shards in [1usize, 2, 3, 8, 64] {
-                let (chunk, spans) = shard_layout(len, shards);
-                assert_eq!(spans.first().unwrap().0, 0);
-                assert_eq!(spans.last().unwrap().1, len);
-                for w in spans.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "contiguous tiling");
-                }
-                for &(a, b) in &spans {
-                    assert!(a < b, "no empty span");
-                    for i in a..b {
-                        let s = i / chunk;
-                        assert_eq!((spans[s].0, spans[s].1), (a, b), "i/chunk finds its span");
-                    }
-                }
-            }
-        }
+    fn removal_retargets_fault_delayed_copies() {
+        // Every copy lags two rounds, so the two Subscribes below wait in
+        // `delayed` while the slab swap happens. A view of 8 leaves room
+        // for the newcomers, so a handled Subscribe stays visible.
+        let lag = crate::fault::FaultSpec {
+            slow_nodes: 1.0,
+            slow_delay: 2,
+            ..crate::fault::FaultSpec::default()
+        };
+        let config = Config::builder().view_size(8).fanout(2).build();
+        let mut engine = Engine::builder(NetworkModel::perfect(4))
+            .fault_plane(FaultPlane::new(lag, 4))
+            .nodes((0..6).map(|i| {
+                let members = (0..6).filter(|&j| j != i).map(pid);
+                Lpbcast::with_initial_view(pid(i), config.clone(), i, members)
+            }))
+            .build();
+        let subscribe = |id| lpbcast_core::Message::Subscribe {
+            subscriber: pid(id),
+        };
+        let waiting = |engine: &Engine<Lpbcast>| {
+            engine
+                .delayed
+                .iter()
+                .filter(|(_, e)| matches!(e.msg, lpbcast_core::Message::Subscribe { .. }))
+                .count()
+        };
+        engine.enqueue(pid(0), pid(5), subscribe(42));
+        engine.enqueue(pid(0), pid(2), subscribe(43));
+        engine.step();
+        assert_eq!(waiting(&engine), 2, "both copies were delayed");
+
+        // pid(5) leaves the last slot for pid(2)'s.
+        assert!(engine.remove_node(pid(2)).is_some());
+        assert_eq!(waiting(&engine), 1, "the removed node's copy is dropped");
+        engine.run(2);
+        assert!(
+            engine.node(pid(5)).unwrap().view().contains(pid(42)),
+            "the moved node handles the copy delayed to it"
+        );
+        assert!(
+            engine.nodes().all(|(_, n)| !n.view().contains(pid(43))),
+            "nobody handles the removed node's copy"
+        );
     }
 
     /// The construction pin (successor of the PR 7 wrapper-equivalence
@@ -1220,32 +978,5 @@ mod tests {
             )
         };
         assert_eq!(make(), make());
-    }
-
-    /// Smoke pin of the tentpole invariant (the exhaustive version lives
-    /// in the shard-invariance proptests): a sharded engine is
-    /// bit-identical to the serial reference.
-    #[test]
-    fn sharded_step_matches_serial_reference() {
-        let curve = |shards: usize| {
-            let mut engine = cluster_with(24, 42, |b| {
-                b.shards(shards).wire_meter(lpbcast_net::wire_meter())
-            });
-            let id = engine.publish_from(pid(0), Payload::from_static(b"x"));
-            let mut curve = Vec::new();
-            for _ in 0..8 {
-                engine.step();
-                curve.push((
-                    engine.tracker().infected_count(id),
-                    engine.wire_accounting().unwrap(),
-                    engine.network().delivered_count(),
-                ));
-            }
-            curve
-        };
-        let serial = curve(1);
-        for shards in [2, 3, 5, 16] {
-            assert_eq!(serial, curve(shards), "shards={shards}");
-        }
     }
 }

@@ -177,9 +177,8 @@ const PARALLEL_MIN_SEEDS: usize = 4;
 /// container), and for very small seed counts the fixed cost dominates.
 /// Dispatching to the serial reference is always safe: the parallel and
 /// serial paths are bit-identical by construction (see
-/// `crates/sim/tests/sweep_determinism.rs`). Public so harnesses (e.g.
-/// `bench_sim`) can record which path a "parallel" measurement took.
-pub fn sweep_dispatches_serial(seed_count: usize) -> bool {
+/// `crates/sim/tests/sweep_determinism.rs`).
+fn sweep_dispatches_serial(seed_count: usize) -> bool {
     rayon::current_num_threads() == 1 || seed_count < PARALLEL_MIN_SEEDS
 }
 
@@ -190,8 +189,8 @@ pub fn sweep_dispatches_serial(seed_count: usize) -> bool {
 /// `Serial` (proven in `tests/sweep_determinism.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sweep {
-    /// Fan out across the rayon pool, unless
-    /// [`sweep_dispatches_serial`] says the pool cannot pay for itself.
+    /// Fan out across the rayon pool, unless the pool cannot pay for
+    /// itself: a 1-thread pool, or too few cells.
     Pool,
     /// One cell after the other on the calling thread — the determinism
     /// reference.
@@ -213,7 +212,7 @@ impl Sweep {
 /// long their run is and how to boot an engine for a seed.
 pub trait SimParams: Clone + Sync {
     /// The protocol the engine drives.
-    type Protocol: Protocol<Msg: Send> + Send;
+    type Protocol: Protocol;
 
     /// Rounds to simulate — also the horizon the crash plan is spread
     /// over.
@@ -303,11 +302,7 @@ impl SimParams for PbcastSimParams {
 /// Runs one dissemination and returns the infected count after each round
 /// (`curve[r]` = processes having seen the event at the end of round `r`;
 /// `curve[0] = 1`, the origin).
-fn infection_run<P>(engine: &mut Engine<P>, rounds: u64) -> Vec<usize>
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-{
+fn infection_run<P: Protocol>(engine: &mut Engine<P>, rounds: u64) -> Vec<usize> {
     let id = engine.publish_from(ProcessId::new(0), Payload::from_static(b"probe"));
     let mut curve = vec![engine.tracker().infected_count(id)];
     for _ in 0..rounds {
@@ -393,11 +388,7 @@ impl Default for ReliabilityRun {
     }
 }
 
-fn reliability_run<P>(engine: &mut Engine<P>, run: &ReliabilityRun, seed: u64) -> f64
-where
-    P: Protocol + Send,
-    P::Msg: Send,
-{
+fn reliability_run<P: Protocol>(engine: &mut Engine<P>, run: &ReliabilityRun, seed: u64) -> f64 {
     let mut pub_rng = SmallRng::seed_from_u64(seed ^ 0x7075_626C_6973_6865);
     engine.run(run.warmup);
     let window_start = engine.round() + 1;

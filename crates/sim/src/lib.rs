@@ -33,6 +33,9 @@
 //! * **Double-buffered queues** — the round queue, reply buffer and
 //!   next-round spill ping-pong between reused allocations; steady-state
 //!   rounds do not allocate queue storage.
+//! * **One round path** — a round runs on the calling thread, exactly
+//!   as §5.1 describes it, and the library reads no environment
+//!   variable: a run is a function of its arguments and seed.
 //! * **Dense metrics** — the [`InfectionTracker`] interns process ids and
 //!   keeps per-event flat first-seen-round vectors plus maintained
 //!   infected counters ([`metrics`]).
@@ -43,7 +46,8 @@
 //!   distinct-index sampler ([`topology`]); no per-node candidate list is
 //!   materialized, so engine construction is linear in the total view
 //!   volume (the candidate-list build cost ~190 ms at n = 10⁴).
-//! * **Parallel seed sweeps** — the two protocol-generic measurements
+//! * **Parallel seed sweeps** — the only parallelism, and it needs no
+//!   merge: the two protocol-generic measurements
 //!   in [`experiment`] ([`experiment::infection_curve`],
 //!   [`experiment::reliability`]) and every scenario grid map their
 //!   cells through one in-order helper, [`experiment::Sweep::map`]. Each
@@ -103,7 +107,7 @@ pub mod scenario;
 pub mod topology;
 
 pub use detector::detector_cells;
-pub use engine::{shards_from_env, Engine, EngineBuilder, WireAccounting};
+pub use engine::{Engine, EngineBuilder, WireAccounting};
 pub use fault::{Fate, FaultPlane, FaultSpec};
 pub use lpbcast_types::{MembershipEvent, Output, Protocol};
 pub use metrics::{InfectionTracker, ReliabilityReport};

@@ -124,9 +124,9 @@ pub struct LeaveRefused;
 /// row and smoke test instantly covers any further implementation.
 /// Messages must be [`WireMessage`]s so every run meters its transport
 /// bytes (`wire_bytes` in the reports).
-pub trait ScenarioProtocol: Protocol<Msg: WireMessage + Send + 'static> + Sized + Send {
+pub trait ScenarioProtocol: Protocol<Msg: WireMessage + 'static> + Sized {
     /// Scenario-level protocol configuration bundle.
-    type Cfg: Clone + fmt::Debug + Send + Sync;
+    type Cfg: Clone + fmt::Debug;
 
     /// The §5-scaled configuration at system size `n` (view/buffer
     /// bounds growing with n as in [`crate::scale`]).

@@ -25,7 +25,7 @@ use lpbcast_types::{FastSet, ProcessId, Protocol};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{shards_from_env, Engine, EngineBuilder};
+use crate::engine::{Engine, EngineBuilder};
 use crate::network::{CrashPlan, NetworkModel};
 
 /// How the initial views are laid out.
@@ -76,9 +76,10 @@ pub struct Bootstrap {
 impl Bootstrap {
     /// Starts an [`EngineBuilder`] over `n` nodes made by
     /// `node(id, node_seed, initial_view)`, called in id order, with the
-    /// loss model, the crash plan and the `BENCH_SIM_SHARDS` shard count
-    /// installed. Callers stack further knobs (wire metering, fault
-    /// planes) before sealing the engine.
+    /// loss model and the crash plan installed. Callers stack further
+    /// knobs (wire metering, fault planes) before sealing the engine.
+    /// Nothing here reads the environment: the engine is a function of
+    /// `(self, seed, node)` alone.
     ///
     /// The whole bootstrap is O(n·l): views come from the O(l)-per-node
     /// Floyd sampler, no per-node candidate list is materialized.
@@ -123,7 +124,6 @@ impl Bootstrap {
         let plan = CrashPlan::draw(&candidates, self.tau, self.rounds.max(1), seed);
         Engine::builder(NetworkModel::new(self.loss_rate, seed))
             .crash_plan(plan)
-            .shards(shards_from_env())
             .nodes(nodes)
     }
 }

@@ -22,8 +22,10 @@ renderer's long format (``spec seed metric value``): the spec string names
 the cell, ``value`` is free-form (``never``, ``true``).
 
 ``--json`` loads ``BENCH_sim.json`` strictly: ``NaN`` / ``Infinity`` and a
-repeated key with two different values are errors, and every ``cells``
-entry must carry the shared report fields.
+repeated key with two different values are errors, the schema must be
+``bench_sim/v11`` with no top-level key beyond v11's (so a section an
+earlier schema had cannot linger), and every ``cells`` entry must carry
+the shared report fields.
 
 ``--tsv`` checks one known figure alone — the mode the CI ``net_cluster``
 job uses, where the other figures (regenerated by ``bench_sim`` in the
@@ -68,6 +70,11 @@ NUMERIC = {
 TOKENS_OK = {
     "net_scenarios.tsv": {"latency_ms": {"-"}, "recovery_ms": {"-"}},
 }
+
+# The BENCH_sim.json schema this checks and its top-level keys: a section
+# an earlier schema carried and this one dropped is an error.
+SCHEMA = "bench_sim/v11"
+KEYS = ["schema", "scaling", "scaling_xl", "cells"]
 
 # The shared report fields every scenario cell carries, in renderer order.
 CELL_FIELDS = [
@@ -130,8 +137,11 @@ def check_bench_json(path):
                             object_pairs_hook=strict_pairs)
     except (OSError, ValueError) as e:
         return [f"{path}: {e}"]
-    if doc.get("schema") != "bench_sim/v10":
-        return [f"{path}: schema {doc.get('schema')!r}, expected 'bench_sim/v10'"]
+    if doc.get("schema") != SCHEMA:
+        return [f"{path}: schema {doc.get('schema')!r}, expected {SCHEMA!r}"]
+    unknown = [key for key in doc if key not in KEYS]
+    if unknown:
+        return [f"{path}: keys {unknown} are not in {SCHEMA} ({KEYS})"]
     if "cells" not in doc:
         return [f"{path}: no cells"]
     problems = []
@@ -149,7 +159,7 @@ def main(argv):
             print(f"SCHEMA VIOLATION: {problem}")
         if problems:
             return 1
-        print(f"checked {argv[2]} (strict JSON, bench_sim/v10)")
+        print(f"checked {argv[2]} (strict JSON, {SCHEMA})")
         return 0
     if len(argv) > 2 and argv[1] == "--tsv":
         path = argv[2]

@@ -70,12 +70,21 @@ class BenchJsonTests(unittest.TestCase):
                 f.write(text)
             return mod.check_bench_json(path)
 
-    def doc(self, cell=CELL, schema="bench_sim/v10"):
-        return f'{{"schema": "{schema}", "shards": 1, "cells": [{cell}]}}'
+    def doc(self, cell=CELL, schema="bench_sim/v11", extra=""):
+        return f'{{"schema": "{schema}",{extra} "cells": [{cell}]}}'
 
-    def test_a_v10_document_passes(self):
+    def test_a_v11_document_passes(self):
         self.assertEqual(self.check(self.doc()), [])
         self.assertEqual(self.check(self.doc(cell="")), [])
+
+    def test_a_key_outside_v11_is_rejected(self):
+        # Sections earlier schemas had; v10's two engine self-check keys
+        # fail the same way.
+        for key in ("sparse_mode", "scenarios", "detector"):
+            problems = self.check(self.doc(extra=f' "{key}": 1,'))
+            self.assertTrue(any(key in p for p in problems), (key, problems))
+        extra = ' "scaling": [], "scaling_xl": [],'
+        self.assertEqual(self.check(self.doc(extra=extra)), [])
 
     def test_non_finite_numbers_are_rejected(self):
         for constant in ("NaN", "Infinity", "-Infinity"):
@@ -90,11 +99,11 @@ class BenchJsonTests(unittest.TestCase):
         self.assertTrue(any("recovery_rounds" in p for p in problems), problems)
 
     def test_wrong_schema_and_missing_fields_are_reported(self):
-        self.assertTrue(self.check(self.doc(schema="bench_sim/v9")))
+        self.assertTrue(self.check(self.doc(schema="bench_sim/v10")))
         cell = self.CELL.replace('"seed": 1, ', "")
         problems = self.check(self.doc(cell=cell))
         self.assertTrue(any("cells[0]" in p for p in problems), problems)
-        self.assertTrue(self.check('{"schema": "bench_sim/v10"}'))
+        self.assertTrue(self.check('{"schema": "bench_sim/v11"}'))
         self.assertTrue(self.check("{"))
 
     def test_main_json_mode_exit_codes(self):
