@@ -7,7 +7,7 @@
 
 use core::fmt;
 
-use lpbcast_types::ProcessId;
+use lpbcast_types::{varint, ProcessId};
 
 use crate::time::LogicalTime;
 
@@ -75,8 +75,9 @@ impl fmt::Display for Unsubscription {
 /// sustained churn the records cluster on a handful of recent logical
 /// timestamps (every process that left in round *t* stamped its record
 /// *t*), so grouping by timestamp stores each `issued_at` once and the
-/// member list as bare process ids — 8 wire bytes per record plus 10 per
-/// distinct timestamp, against 16 per record for a flat list.
+/// member list as bare process ids: one varint per record plus a varint
+/// timestamp and a varint count per distinct timestamp, against two
+/// varints per record for a flat list.
 ///
 /// [`iter`](UnsubDigest::iter) yields the records in their **original
 /// order** (the sender's `unSubs` buffer order), so in-memory delivery —
@@ -84,8 +85,8 @@ impl fmt::Display for Unsubscription {
 /// order the paper's flat list would, down to the incidental order of
 /// view removals that index-based random target selection is sensitive
 /// to. Only the wire form is canonical: groups sorted by timestamp, ids
-/// sorted and distinct within each group. The digest stores the records
-/// and two counts, the groups and the leavers the wire carries, which are
+/// sorted and distinct within each group. The digest stores the records,
+/// the wire's group count and the byte length of the groups, which are
 /// all an encoded length needs. The groups themselves are built by
 /// [`groups`](UnsubDigest::groups) when a codec writes bytes, so the
 /// simulator, which meters lengths and never encodes, never sorts. Wire
@@ -97,9 +98,9 @@ pub struct UnsubDigest {
     records: Vec<Unsubscription>,
     /// Distinct timestamps among `records`: the wire's group count.
     groups: usize,
-    /// Distinct `(issued_at, process)` pairs among `records`: the ids the
-    /// wire's groups list.
-    leavers: usize,
+    /// Encoded bytes of the wire's groups: per group a varint timestamp
+    /// and a varint leaver count, then one varint per distinct leaver.
+    group_bytes: usize,
 }
 
 /// The distinct `(issued_at, process)` pairs of `records`, ascending.
@@ -127,30 +128,54 @@ impl UnsubDigest {
         I: IntoIterator<Item = Unsubscription>,
     {
         let records: Vec<Unsubscription> = records.into_iter().collect();
-        let pairs = sorted_pairs(&records);
-        let groups = pairs.chunk_by(|a, b| a.0 == b.0).count();
+        let (mut groups, mut group_bytes) = (0, 0);
+        for group in sorted_pairs(&records).chunk_by(|a, b| a.0 == b.0) {
+            groups += 1;
+            group_bytes += varint::len(group[0].0.as_u64())
+                + varint::len(group.len() as u64)
+                + group
+                    .iter()
+                    .map(|(_, p)| varint::len(p.as_u64()))
+                    .sum::<usize>();
+        }
         UnsubDigest {
-            leavers: pairs.len(),
-            groups,
             records,
+            groups,
+            group_bytes,
         }
     }
 
     /// Aggregates the records of an `unSubs` buffer, which holds at most
     /// one record per process (records are equal by process), so every
-    /// record is a distinct leaver and only the timestamps need counting.
+    /// record is a distinct leaver and only the timestamps need grouping.
     /// Buffers hold a few distinct timestamps, and each record's first
-    /// match turns up early in a scan of the records before it.
+    /// match turns up early in a scan of the records before it. A group's
+    /// leaver count is a one-byte varint unless the buffer holds 128
+    /// records or more; only then is each group's size counted, once, at
+    /// its first record.
     pub(crate) fn from_buffer(records: Vec<Unsubscription>) -> Self {
-        let groups = records
-            .iter()
-            .enumerate()
-            .filter(|&(i, u)| !records[..i].iter().any(|v| v.issued_at == u.issued_at))
-            .count();
+        let (mut groups, mut group_bytes) = (0, 0);
+        for (i, u) in records.iter().enumerate() {
+            group_bytes += varint::len(u.process.as_u64());
+            if records[..i].iter().any(|v| v.issued_at == u.issued_at) {
+                continue;
+            }
+            let count_len = if records.len() < 128 {
+                1
+            } else {
+                let leavers = records[i..]
+                    .iter()
+                    .filter(|v| v.issued_at == u.issued_at)
+                    .count();
+                varint::len(leavers as u64)
+            };
+            groups += 1;
+            group_bytes += varint::len(u.issued_at.as_u64()) + count_len;
+        }
         UnsubDigest {
-            leavers: records.len(),
-            groups,
             records,
+            groups,
+            group_bytes,
         }
     }
 
@@ -178,9 +203,10 @@ impl UnsubDigest {
         self.groups
     }
 
-    /// Number of leaver ids on the wire, summed over the groups.
-    pub fn leaver_count(&self) -> usize {
-        self.leavers
+    /// Encoded bytes of the wire groups (the group count before them
+    /// excluded), so an encoded length needs no sort.
+    pub fn groups_encoded_len(&self) -> usize {
+        self.group_bytes
     }
 
     /// Total unsubscription records carried.
@@ -311,7 +337,9 @@ mod tests {
         let at = |p, t| Unsubscription::new(pid(p), LogicalTime::new(t));
         let digest = UnsubDigest::from_records([at(3, 9), at(1, 9), at(3, 9), at(3, 2)]);
         assert_eq!(digest.record_count(), 4);
-        assert_eq!((digest.group_count(), digest.leaver_count()), (2, 3));
+        // Groups {2: [3]} and {9: [1, 3]}: a timestamp, a count and the
+        // ids, one byte each.
+        assert_eq!((digest.group_count(), digest.groups_encoded_len()), (2, 7));
         assert_eq!(
             digest.groups(),
             vec![
@@ -325,7 +353,7 @@ mod tests {
         assert_eq!(
             (
                 UnsubDigest::new().group_count(),
-                UnsubDigest::new().leaver_count()
+                UnsubDigest::new().groups_encoded_len()
             ),
             (0, 0)
         );
@@ -340,10 +368,34 @@ mod tests {
             .collect();
         let buffer = UnsubDigest::from_buffer(records.clone());
         let general = UnsubDigest::from_records(records.clone());
-        assert_eq!((buffer.group_count(), buffer.leaver_count()), (3, 6));
-        assert_eq!((general.group_count(), general.leaver_count()), (3, 6));
+        assert_eq!((buffer.group_count(), buffer.groups_encoded_len()), (3, 12));
+        assert_eq!(
+            (general.group_count(), general.groups_encoded_len()),
+            (3, 12)
+        );
         assert_eq!(buffer.records(), &records[..], "buffer order kept");
         assert_eq!(buffer, general);
+    }
+
+    #[test]
+    fn group_bytes_count_multi_byte_varints() {
+        // 130 leavers at t = 300 (two-byte ids, timestamp and count),
+        // interleaved with one at t = u64::MAX (a ten-byte timestamp).
+        let mut records: Vec<Unsubscription> = (1000..1130)
+            .map(|p| Unsubscription::new(pid(p), LogicalTime::new(300)))
+            .collect();
+        records.insert(64, Unsubscription::new(pid(5), LogicalTime::new(u64::MAX)));
+        let expected = (2 + 2 + 130 * 2) + (10 + 1 + 1);
+        let buffer = UnsubDigest::from_buffer(records.clone());
+        let general = UnsubDigest::from_records(records);
+        assert_eq!(
+            (buffer.group_count(), buffer.groups_encoded_len()),
+            (2, expected)
+        );
+        assert_eq!(
+            (general.group_count(), general.groups_encoded_len()),
+            (2, expected)
+        );
     }
 
     #[test]

@@ -538,7 +538,8 @@ where
             header
         });
         if datagram.len() > wire::CLUSTER_HEADER_LEN
-            && datagram.len() + wire::SECTION_HEADER_LEN + frame.len() > MAX_DATAGRAM
+            && datagram.len() + wire::section_header_len(from, to, frame.len()) + frame.len()
+                > MAX_DATAGRAM
         {
             send_datagram(socket, datagram, addr, &mut self.stats);
             datagram.truncate(wire::CLUSTER_HEADER_LEN);

@@ -2,76 +2,91 @@
 //! carry, behind the [`WireMessage`] trait.
 //!
 //! A datagram is a sequence of one or more *frames*; each frame is
-//! `[u8 MAGIC = 0x6C] [u8 version = 1] [u8 kind] body…` (all integers
-//! little-endian). [`encode`]/[`decode`] handle exactly one frame (the
-//! historical single-message datagram — byte-identical to the pre-trait
-//! format); [`decode_frames`] walks a run of concatenated frames, which
-//! is what one section of a cluster datagram carries (below).
+//! `[u8 MAGIC = 0x6C] [u8 version = 2] [u8 kind] body…`. [`encode`] /
+//! [`decode`] handle exactly one frame; [`decode_frames`] walks a run of
+//! concatenated frames, which is what one section of a cluster datagram
+//! carries (below).
 //!
-//! Compatibility note: the frame bytes are still exactly the v1 format,
-//! but the runtime's datagrams wrap them in the version-2 cluster
-//! envelope, which a decoder of an older envelope rejects whole — to such
-//! a node every datagram looks like message loss. Mixed-version clusters
-//! are therefore unsupported; upgrade all peers together.
+//! Frame version 2 writes every count, length, process id, sequence
+//! number, incarnation, timestamp and hop count as an unsigned LEB128
+//! varint (`v` below): seven bits a byte, least significant group first,
+//! the high bit set on every byte but the last, so 0–127 take one byte
+//! and `u64::MAX` ten. Only the shortest encoding is valid: an overlong
+//! one, or one past `u64::MAX`, is [`WireError::BadVarint`]. Fixed bytes
+//! (`u8`) are left only for tags and SWIM states. A run that is
+//! ascending in memory is delta-coded (`Δ` below): each value is written
+//! as its difference from the one before. Everything else goes out in the
+//! sender's order, and decoding restores that order exactly.
+//!
+//! Compatibility note: version 1 wrote every integer at a fixed width,
+//! little-endian. A decoder accepts only the current frame and envelope
+//! versions (a v1 frame or a v2 envelope is [`WireError::BadVersion`]),
+//! so to a node of another version every datagram looks like message
+//! loss. Mixed-version clusters are therefore unsupported; upgrade all
+//! peers together.
 //!
 //! lpbcast [`Message`] kinds. The gossip's `unSubs` section groups its
 //! records per issue timestamp; its representation byte is always 1, and
-//! any other value is rejected with [`WireError::BadTag`]:
+//! any other value is rejected with [`WireError::BadTag`]. The compact
+//! digest lists its origins ascending, and each origin's out-of-order
+//! sequence numbers ascending, so both runs are delta-coded: the first
+//! origin from 0 and the first out-of-order seq from the origin's
+//! `next_seq`.
 //!
 //! ```text
 //! kind 0 — Gossip:
-//!   u64 sender
-//!   u16 |subs|    then |subs| × u64
-//!   u8  unsubs kind = 1
-//!   u16 |groups|  then per group:
-//!     u64 issued_at, u16 |leavers| then |leavers| × u64
-//!   u16 |events|  then |events| × (u64 origin, u64 seq, u32 len, bytes)
-//!   u8  digest kind (0 = id list, 1 = compact)
-//!     0: u16 |ids| then |ids| × (u64 origin, u64 seq)
-//!     1: u16 |origins| then per origin:
-//!        u64 origin, u64 next_seq, u16 |ooo| then |ooo| × u64
+//!   v sender
+//!   v |subs|    then |subs| × v
+//!   u8 unsubs kind = 1
+//!   v |groups|  then per group, ascending by timestamp:
+//!     v issued_at, v |leavers| then |leavers| × v (ascending)
+//!   v |events|  then |events| × (v origin, v seq, v len, bytes)
+//!   u8 digest kind (0 = id list, 1 = compact)
+//!     0: v |ids| then |ids| × (v origin, v seq)
+//!     1: v |origins| then per origin:
+//!        Δ origin, v next_seq, v |ooo| then |ooo| × Δ seq
 //!
-//! kind 1 — Subscribe:           u64 subscriber
-//! kind 2 — RetransmitRequest:   u16 |ids| then |ids| × (u64, u64)
-//! kind 3 — RetransmitResponse:  u16 |events| then events as above
+//! kind 1 — Subscribe:           v subscriber
+//! kind 2 — RetransmitRequest:   v |ids| then |ids| × (v origin, v seq)
+//! kind 3 — RetransmitResponse:  v |events| then events as above
 //! ```
 //!
 //! pbcast [`PbcastMessage`] kinds live in a disjoint tag space (16+), so
 //! a datagram from a cluster running the other protocol fails fast with
 //! [`WireError::BadTag`] instead of half-decoding. The per-origin compact
-//! digest uses its own tag (19), keeping the historical flat form (17)
-//! decode-compatible:
+//! digest has its own tag (19) beside the flat form (17):
 //!
 //! ```text
-//! kind 16 — Multicast:    event (u64 origin, u64 seq, u32 len, bytes), u32 hops
+//! kind 16 — Multicast:    event (v origin, v seq, v len, bytes), v hops
 //! kind 17 — GossipDigest (flat):
-//!                         u64 sender,
-//!                         u16 |entries| then |entries| × (u64 origin, u64 seq, u32 hops),
-//!                         u16 |subs| then |subs| × u64
-//! kind 18 — Solicit:      u16 |ids| then |ids| × (u64, u64)
+//!                         v sender,
+//!                         v |entries| then |entries| × (v origin, v seq, v hops),
+//!                         v |subs| then |subs| × v
+//! kind 18 — Solicit:      v |ids| then |ids| × (v origin, v seq)
 //! kind 19 — GossipDigest (compact, §3.2 per-origin ranges):
-//!                         u64 sender,
-//!                         u16 |ranges| then |ranges| ×
-//!                           (u64 origin, u64 min_seq, u16 span,
-//!                            u16 |gaps| then |gaps| × u16 offset,
-//!                            u32 hops),
-//!                         u16 |subs| then |subs| × u64
-//!                         (span = max_seq - min_seq; gap offsets are
-//!                         relative to min_seq, strictly ascending)
+//!                         v sender,
+//!                         v |ranges| then |ranges| ×
+//!                           (v origin, v min_seq, v span,
+//!                            v |gaps| then |gaps| × v offset,
+//!                            v hops),
+//!                         v |subs| then |subs| × v
+//!                         (span = max_seq - min_seq ≤ 65 535; gap offsets
+//!                         are relative to min_seq, strictly ascending;
+//!                         the spans of one digest sum to at most 2¹⁶ ids)
 //! ```
 //!
-//! pub/sub [`PubSubMessage`] frames live at tag 32: a UTF-8 topic label
-//! followed by the inner lpbcast message body, so one transport carries
-//! many topics:
+//! pub/sub [`PubSubMessage`] frames live at tag 32: a UTF-8 topic label of
+//! 1 to [`TopicId::MAX_LEN`] bytes followed by the inner lpbcast message
+//! body, so one transport carries many topics:
 //!
 //! ```text
-//! kind 32 — PubSub:       u16 |topic| then |topic| UTF-8 bytes,
+//! kind 32 — PubSub:       v |topic| then |topic| UTF-8 bytes,
 //!                         inner lpbcast kind + body
 //! ```
 //!
 //! SWIM failure-detector [`SwimMsg`] frames live at tags 40–46. Every
-//! variant carries a piggybacked *updates* section — `u16 |updates| then
-//! |updates| × (u64 subject, u64 incarnation, u8 state)` where state is
+//! variant carries a piggybacked *updates* section — `v |updates| then
+//! |updates| × (v subject, v incarnation, u8 state)` where state is
 //! 0 = Alive, 1 = Suspect, 2 = Confirm — and the `Wrapped` variant then
 //! embeds the inner protocol's kind + body, like pub/sub:
 //!
@@ -79,21 +94,21 @@
 //! kind 40 — Wrapped:      updates, inner kind + body
 //! kind 41 — Ping:         updates
 //! kind 42 — Ack:          updates
-//! kind 43 — PingReq:      u64 target, updates
-//! kind 44 — ProxyPing:    u64 origin, updates
-//! kind 45 — ProxyAck:     u64 origin, updates
-//! kind 46 — IndirectAck:  u64 target, updates
+//! kind 43 — PingReq:      v target, updates
+//! kind 44 — ProxyPing:    v origin, updates
+//! kind 45 — ProxyAck:     v origin, updates
+//! kind 46 — IndirectAck:  v target, updates
 //! ```
 //!
 //! The [`Cluster`](crate::Cluster) runtime multiplexes many protocol
 //! instances over one socket and coalesces everything its instances send
 //! to one remote socket in one loop phase into one datagram, so its
-//! datagrams carry an *envelope* (version 2):
+//! datagrams carry an *envelope* (version 3):
 //!
 //! ```text
-//! datagram: [u8 CLUSTER_MAGIC = 0x6D] [u8 envelope version = 2]
+//! datagram: [u8 CLUSTER_MAGIC = 0x6D] [u8 envelope version = 3]
 //!           then one or more sections
-//! section:  [u64 from] [u64 dest] [u16 len] then len bytes of frames
+//! section:  [v from] [v dest] [v len ≤ 65 535] then len bytes of frames
 //! ```
 //!
 //! Each section names the sending and the receiving instance of its
@@ -102,11 +117,13 @@
 //! instance it does not host, or whose frames fail to decode, is skipped
 //! alone; a section header or length that runs past the end of the
 //! datagram drops the rest of the datagram. A datagram without the
-//! envelope, or with any other envelope version (the version-1 envelope
-//! carried one `from`/`dest` pair per datagram), is dropped whole.
+//! envelope, or with any other envelope version (version 1 carried one
+//! `from`/`dest` pair per datagram, version 2 fixed-width section
+//! headers), is dropped whole.
 //!
-//! Every length is validated against the remaining buffer before any
-//! allocation, so a hostile datagram cannot trigger huge allocations.
+//! Every count is validated against the remaining buffer before any
+//! allocation (each element takes at least one byte), so a hostile
+//! datagram cannot trigger huge allocations.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use core::fmt;
@@ -116,18 +133,16 @@ use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_pubsub::{PubSubMessage, TopicId};
 use lpbcast_types::{
-    hashing::FastHasher, CompactDigest, Event, EventId, FastMap, OriginDigest, ProcessId,
+    hashing::FastHasher, varint, CompactDigest, Event, EventId, OriginDigest, ProcessId,
 };
 
 /// First byte of every datagram.
 pub const MAGIC: u8 = 0x6C; // 'l' for lpbcast
 /// Wire format version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Hard cap on a single event payload accepted from the wire (64 KiB — a
 /// UDP datagram cannot exceed this anyway).
 pub const MAX_PAYLOAD: usize = 64 * 1024;
-/// Hard cap on a pub/sub topic label accepted from the wire.
-pub const MAX_TOPIC: usize = 1024;
 /// The gossip `unSubs` section's representation byte: records grouped per
 /// issue timestamp, the only form there is.
 const UNSUBS_GROUPED: u8 = 1;
@@ -173,7 +188,7 @@ kinds! {
     RetransmitResponse = 3,
     /// pbcast unreliable multicast payload.
     PbcastMulticast = 16,
-    /// pbcast anti-entropy digest, historical flat form.
+    /// pbcast anti-entropy digest, flat form.
     PbcastDigestFlat = 17,
     /// pbcast solicitation (pull of missing events).
     PbcastSolicit = 18,
@@ -212,8 +227,12 @@ pub enum WireError {
     LengthOverflow(usize),
     /// Trailing bytes after a complete message.
     TrailingBytes(usize),
-    /// A pub/sub topic label is not valid UTF-8 or exceeds [`MAX_TOPIC`].
+    /// A pub/sub topic label is not valid UTF-8, empty or longer than
+    /// [`TopicId::MAX_LEN`].
     BadTopic,
+    /// A varint is overlong, passes `u64::MAX` (alone or as the sum of a
+    /// delta-coded run), or passes the range of its field.
+    BadVarint,
 }
 
 impl fmt::Display for WireError {
@@ -226,6 +245,7 @@ impl fmt::Display for WireError {
             WireError::LengthOverflow(l) => write!(f, "declared length {l} exceeds buffer"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
             WireError::BadTopic => write!(f, "malformed pub/sub topic label"),
+            WireError::BadVarint => write!(f, "overlong or out-of-range varint"),
         }
     }
 }
@@ -257,57 +277,43 @@ pub trait WireMessage: Sized + Clone + core::fmt::Debug {
     }
 
     /// Exact number of bytes [`encode`] produces for this message (frame
-    /// header included), computed arithmetically — no buffer is written,
-    /// so byte accounting on simulator hot paths costs a few integer
-    /// adds per message instead of a full serialization. Pinned to the
-    /// real encoder by property tests.
+    /// header included), computed arithmetically — no buffer is written
+    /// and nothing is allocated or sorted, so byte accounting on
+    /// simulator hot paths costs a sum of varint lengths per message
+    /// instead of a full serialization. Pinned to the real encoder by
+    /// property tests.
     fn encoded_len(&self) -> usize;
 }
 
-/// Cached-body capacity of a [`wire_meter`]. The cache resets wholesale
-/// when it fills: an eviction *policy* (LRU, random) would make hit
-/// rates — and therefore the keep-alive lifetimes of `Arc`'d bodies —
-/// depend on arrival order in ways that are hard to reason about, while
-/// a full clear at a fixed cap is trivially deterministic. 512 live
-/// bodies comfortably covers a simulated round's in-flight gossip
-/// generations even at n = 10⁵ (bodies are per-*origin*-per-round, not
-/// per-copy).
-const WIRE_METER_CACHE_CAP: usize = 512;
-
 /// A per-message byte meter for simulation drivers: returns the exact
-/// encoded frame length of each message offered. Shared (`Arc`'d) bodies
-/// are measured once and the length reused for every fanout copy via
-/// [`WireMessage::body_key`] — the same once-per-body discipline the UDP
-/// runtime's frame cache uses, matching its one-encode-per-body cost
-/// model.
+/// encoded frame length of each message offered. A shared (`Arc`'d) body
+/// is measured once per run of back-to-back copies, via
+/// [`WireMessage::body_key`] — the same discipline as the UDP runtime's
+/// one-entry frame cache, matching its one-encode-per-body cost model.
 ///
-/// The cache holds up to [`WIRE_METER_CACHE_CAP`] distinct bodies at
-/// once, so fanout copies of *interleaved* bodies (a delivery queue at
-/// fanout F mixes every origin's gossip of the round) all hit — the
-/// single-entry predecessor of this cache thrashed to one `encoded_len`
-/// per copy the moment two bodies alternated.
+/// The engine meters a message when a node offers it, so one body's
+/// fanout copies arrive together, and one remembered body catches them
+/// all. A body that comes back after another is measured again; the
+/// lengths stay exact either way.
 pub fn wire_meter<M: WireMessage>() -> impl FnMut(&M) -> usize {
-    // body key → (frame len, keep-alive clone). The clone pins the
-    // cached body's allocation: `body_key` is an `Arc` address, and
+    // (body key, frame len, keep-alive clone). The clone pins the
+    // remembered body's allocation: `body_key` is an `Arc` address, and
     // without the pin a *freed* body's address could be recycled by a
-    // later allocation, turning the cache into an allocator-dependent
-    // (hence nondeterministic) false hit. Only the returned lengths are
-    // observable, and those are a pure function of the message stream —
-    // map iteration order never leaks.
-    let mut cache: FastMap<usize, (usize, M)> = FastMap::default();
+    // later allocation, turning the memo into an allocator-dependent
+    // (hence nondeterministic) false hit.
+    let mut last: Option<(usize, usize, M)> = None;
     move |message: &M| {
         let Some(key) = message.body_key() else {
             return message.encoded_len();
         };
-        if let Some((len, _)) = cache.get(&key) {
-            return *len;
+        match &last {
+            Some((k, len, _)) if *k == key => *len,
+            _ => {
+                let len = message.encoded_len();
+                last = Some((key, len, message.clone()));
+                len
+            }
         }
-        let len = message.encoded_len();
-        if cache.len() >= WIRE_METER_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, (len, message.clone()));
-        len
     }
 }
 
@@ -329,12 +335,20 @@ pub fn encode<M: WireMessage>(message: &M) -> Bytes {
 /// the per-frame [`MAGIC`], so the two datagram shapes are told apart by
 /// their first byte).
 pub const CLUSTER_MAGIC: u8 = 0x6D; // 'm' for multiplexed
-/// Version of the cluster envelope: a sequence of addressed sections.
-pub const ENVELOPE_VERSION: u8 = 2;
+/// Version of the cluster envelope: a sequence of addressed sections with
+/// varint headers.
+pub const ENVELOPE_VERSION: u8 = 3;
 /// Byte length of a cluster datagram's header: magic, envelope version.
 pub const CLUSTER_HEADER_LEN: usize = 1 + 1;
-/// Byte length of a section header: from, dest, frames length.
-pub const SECTION_HEADER_LEN: usize = 8 + 8 + 2;
+/// Longest run of frames one section carries: more than any UDP datagram
+/// holds.
+pub const MAX_SECTION: usize = u16::MAX as usize;
+
+/// Byte length of the header [`encode_section`] writes for a section of
+/// `frames_len` bytes from `from` to `dest`.
+pub fn section_header_len(from: ProcessId, dest: ProcessId, frames_len: usize) -> usize {
+    pid_len(from) + pid_len(dest) + count_len(frames_len)
+}
 
 /// Appends a cluster datagram's header; sections follow
 /// ([`encode_section`]).
@@ -348,18 +362,20 @@ pub fn encode_datagram_header(buf: &mut BytesMut) {
 ///
 /// # Errors
 ///
-/// [`WireError::LengthOverflow`] when `frames` is longer than a
-/// section's `u16` length can state; nothing is appended then.
+/// [`WireError::LengthOverflow`] when `frames` is longer than
+/// [`MAX_SECTION`]; nothing is appended then.
 pub fn encode_section(
     buf: &mut BytesMut,
     from: ProcessId,
     dest: ProcessId,
     frames: &[u8],
 ) -> Result<(), WireError> {
-    let len = u16::try_from(frames.len()).map_err(|_| WireError::LengthOverflow(frames.len()))?;
-    buf.put_u64_le(from.as_u64());
-    buf.put_u64_le(dest.as_u64());
-    buf.put_u16_le(len);
+    if frames.len() > MAX_SECTION {
+        return Err(WireError::LengthOverflow(frames.len()));
+    }
+    put_pid(buf, from);
+    put_pid(buf, dest);
+    put_count(buf, frames.len());
     buf.put_slice(frames);
     Ok(())
 }
@@ -400,9 +416,9 @@ impl<'a> Iterator for Sections<'a> {
 }
 
 fn take_section<'a>(buf: &mut &'a [u8]) -> Result<Section<'a>, WireError> {
-    let from = ProcessId::new(take_u64(buf)?);
-    let dest = ProcessId::new(take_u64(buf)?);
-    let len = take_u16(buf)? as usize;
+    let from = take_pid(buf)?;
+    let dest = take_pid(buf)?;
+    let len = take_len(buf)?;
     let (frames, rest) = buf
         .split_at_checked(len)
         .ok_or(WireError::LengthOverflow(len))?;
@@ -435,14 +451,11 @@ impl WireMessage for Message {
         match self {
             Message::Gossip(g) => {
                 buf.put_u8(Kind::Gossip as u8);
-                // `g` is the shared `Arc<Gossip>`; serializing through
-                // the dereferenced body keeps the encoding byte-identical
-                // to the pre-`Arc` (inline payload) wire format.
                 encode_gossip(buf, g);
             }
             Message::Subscribe { subscriber } => {
                 buf.put_u8(Kind::Subscribe as u8);
-                buf.put_u64_le(subscriber.as_u64());
+                put_pid(buf, *subscriber);
             }
             Message::RetransmitRequest { ids } => {
                 buf.put_u8(Kind::RetransmitRequest as u8);
@@ -459,7 +472,7 @@ impl WireMessage for Message {
         Ok(match take_kind(buf)? {
             Kind::Gossip => Message::gossip(decode_gossip(buf)?),
             Kind::Subscribe => Message::Subscribe {
-                subscriber: ProcessId::new(take_u64(buf)?),
+                subscriber: take_pid(buf)?,
             },
             Kind::RetransmitRequest => Message::RetransmitRequest {
                 ids: decode_ids(buf)?,
@@ -481,31 +494,104 @@ impl WireMessage for Message {
     fn encoded_len(&self) -> usize {
         3 + match self {
             Message::Gossip(g) => gossip_len(g),
-            Message::Subscribe { .. } => 8,
-            Message::RetransmitRequest { ids } => 2 + 16 * ids.len(),
+            Message::Subscribe { subscriber } => pid_len(*subscriber),
+            Message::RetransmitRequest { ids } => ids_len(ids),
             Message::RetransmitResponse { events } => events_len(events),
         }
     }
 }
 
-/// Exact encoded size of an event list section.
+/// Encoded size of a varint count or length.
+fn count_len(n: usize) -> usize {
+    varint::len(n as u64)
+}
+
+fn pid_len(p: ProcessId) -> usize {
+    varint::len(p.as_u64())
+}
+
+/// Encoded size of a process-id list section.
+fn pids_len(pids: &[ProcessId]) -> usize {
+    count_len(pids.len()) + pids.iter().map(|&p| pid_len(p)).sum::<usize>()
+}
+
+fn id_len(id: EventId) -> usize {
+    pid_len(id.origin()) + varint::len(id.seq())
+}
+
+/// Encoded size of an event-id list section.
+fn ids_len(ids: &[EventId]) -> usize {
+    count_len(ids.len()) + ids.iter().map(|&id| id_len(id)).sum::<usize>()
+}
+
+fn event_len(e: &Event) -> usize {
+    id_len(e.id()) + count_len(e.payload().len()) + e.payload().len()
+}
+
+/// Encoded size of an event list section.
 fn events_len(events: &[Event]) -> usize {
-    2 + events.iter().map(|e| 20 + e.payload().len()).sum::<usize>()
+    count_len(events.len()) + events.iter().map(event_len).sum::<usize>()
+}
+
+/// Encoded size of an ascending run delta-coded from `base`.
+fn deltas_len(base: u64, run: impl Iterator<Item = u64>) -> usize {
+    let mut prev = base;
+    run.map(|value| varint::len(value - core::mem::replace(&mut prev, value)))
+        .sum()
+}
+
+/// Encoded size of a compact digest section (kind byte excluded).
+fn compact_digest_len(d: &CompactDigest) -> usize {
+    let origins = d.iter().map(|(origin, _)| origin.as_u64());
+    count_len(d.origin_count())
+        + deltas_len(0, origins)
+        + d.iter()
+            .map(|(_, od)| {
+                varint::len(od.next_seq())
+                    + count_len(od.out_of_order().len())
+                    + deltas_len(od.next_seq(), od.out_of_order())
+            })
+            .sum::<usize>()
 }
 
 /// Exact encoded size of a gossip body (kind byte excluded).
 fn gossip_len(g: &Gossip) -> usize {
-    let unsubs = 1 + 2 + 10 * g.unsubs.group_count() + 8 * g.unsubs.leaver_count();
+    let unsubs = 1 + count_len(g.unsubs.group_count()) + g.unsubs.groups_encoded_len();
     let digest = 1 + match &g.event_ids {
-        Digest::Ids(ids) => 2 + 16 * ids.len(),
-        Digest::Compact(d) => {
-            2 + d
-                .iter()
-                .map(|(_, od)| 18 + 8 * od.out_of_order().len())
-                .sum::<usize>()
-        }
+        Digest::Ids(ids) => ids_len(ids),
+        Digest::Compact(d) => compact_digest_len(d),
     };
-    8 + 2 + 8 * g.subs.len() + unsubs + events_len(&g.events) + digest
+    pid_len(g.sender) + pids_len(&g.subs) + unsubs + events_len(&g.events) + digest
+}
+
+/// Encoded size of a pbcast digest's entry section.
+fn digest_entries_len(entries: &DigestEntries) -> usize {
+    match entries {
+        DigestEntries::Flat(entries) => {
+            count_len(entries.len())
+                + entries
+                    .iter()
+                    .map(|e| id_len(e.id) + varint::len(e.hops.into()))
+                    .sum::<usize>()
+        }
+        DigestEntries::Compact(ranges) => {
+            count_len(ranges.len())
+                + ranges
+                    .iter()
+                    .map(|r| {
+                        pid_len(r.origin)
+                            + varint::len(r.min_seq)
+                            + varint::len(r.max_seq - r.min_seq)
+                            + count_len(r.gaps.len())
+                            + r.gaps
+                                .iter()
+                                .map(|&gap| varint::len(gap - r.min_seq))
+                                .sum::<usize>()
+                            + varint::len(r.hops.into())
+                    })
+                    .sum::<usize>()
+        }
+    }
 }
 
 impl WireMessage for PbcastMessage {
@@ -514,41 +600,38 @@ impl WireMessage for PbcastMessage {
             PbcastMessage::Multicast { event, hops } => {
                 buf.put_u8(Kind::PbcastMulticast as u8);
                 encode_event(buf, event);
-                buf.put_u32_le(*hops);
+                put_varint(buf, (*hops).into());
             }
             PbcastMessage::GossipDigest(d) => {
                 match &d.entries {
                     DigestEntries::Flat(entries) => {
                         buf.put_u8(Kind::PbcastDigestFlat as u8);
-                        buf.put_u64_le(d.sender.as_u64());
-                        buf.put_u16_le(entries.len() as u16);
+                        put_pid(buf, d.sender);
+                        put_count(buf, entries.len());
                         for e in entries {
-                            buf.put_u64_le(e.id.origin().as_u64());
-                            buf.put_u64_le(e.id.seq());
-                            buf.put_u32_le(e.hops);
+                            put_pid(buf, e.id.origin());
+                            put_varint(buf, e.id.seq());
+                            put_varint(buf, e.hops.into());
                         }
                     }
                     DigestEntries::Compact(ranges) => {
                         buf.put_u8(Kind::PbcastDigestCompact as u8);
-                        buf.put_u64_le(d.sender.as_u64());
-                        buf.put_u16_le(ranges.len() as u16);
+                        put_pid(buf, d.sender);
+                        put_count(buf, ranges.len());
                         for r in ranges {
                             debug_assert!(r.max_seq - r.min_seq <= OriginRange::MAX_SPAN);
-                            buf.put_u64_le(r.origin.as_u64());
-                            buf.put_u64_le(r.min_seq);
-                            buf.put_u16_le((r.max_seq - r.min_seq) as u16);
-                            buf.put_u16_le(r.gaps.len() as u16);
+                            put_pid(buf, r.origin);
+                            put_varint(buf, r.min_seq);
+                            put_varint(buf, r.max_seq - r.min_seq);
+                            put_count(buf, r.gaps.len());
                             for &gap in &r.gaps {
-                                buf.put_u16_le((gap - r.min_seq) as u16);
+                                put_varint(buf, gap - r.min_seq);
                             }
-                            buf.put_u32_le(r.hops);
+                            put_varint(buf, r.hops.into());
                         }
                     }
                 }
-                buf.put_u16_le(d.subs.len() as u16);
-                for p in &d.subs {
-                    buf.put_u64_le(p.as_u64());
-                }
+                encode_pids(buf, &d.subs);
             }
             PbcastMessage::Solicit { ids } => {
                 buf.put_u8(Kind::PbcastSolicit as u8);
@@ -561,22 +644,18 @@ impl WireMessage for PbcastMessage {
         Ok(match take_kind(buf)? {
             Kind::PbcastMulticast => {
                 let event = decode_event(buf)?;
-                let hops = take_u32(buf)?;
+                let hops = take_hops(buf)?;
                 PbcastMessage::Multicast { event, hops }
             }
             Kind::PbcastDigestFlat => {
-                let sender = ProcessId::new(take_u64(buf)?);
-                let n_entries = take_u16(buf)? as usize;
-                check_capacity(buf, n_entries, 20)?;
+                let sender = take_pid(buf)?;
+                // origin, seq, hops: a byte each at least.
+                let n_entries = take_count(buf, 3)?;
                 let mut entries = Vec::with_capacity(n_entries);
                 for _ in 0..n_entries {
-                    let origin = ProcessId::new(take_u64(buf)?);
-                    let seq = take_u64(buf)?;
-                    let hops = take_u32(buf)?;
-                    entries.push(DigestEntry {
-                        id: EventId::new(origin, seq),
-                        hops,
-                    });
+                    let id = take_id(buf)?;
+                    let hops = take_hops(buf)?;
+                    entries.push(DigestEntry { id, hops });
                 }
                 PbcastMessage::digest(GossipDigest {
                     sender,
@@ -588,25 +667,25 @@ impl WireMessage for PbcastMessage {
                 ids: decode_ids(buf)?,
             },
             Kind::PbcastDigestCompact => {
-                let sender = ProcessId::new(take_u64(buf)?);
-                let n_ranges = take_u16(buf)? as usize;
-                check_capacity(buf, n_ranges, DigestEntries::RANGE_BYTES)?;
+                let sender = take_pid(buf)?;
+                // origin, min_seq, span, gap count, hops.
+                let n_ranges = take_count(buf, 5)?;
                 let mut ranges = Vec::with_capacity(n_ranges);
-                // A flat digest can never advertise more than u16::MAX
-                // ids (its entry count is a u16); the compact form must
-                // honour the same ceiling *summed across ranges*, or a
-                // 64 KiB datagram of full-span ranges would make the
-                // receiver's missing-scan materialise ~2⁷ × 2¹⁶ ids —
-                // exactly the huge-allocation class this module promises
-                // hostile datagrams cannot trigger.
+                // One range advertises at most 2¹⁶ ids (its span is capped
+                // at `MAX_SPAN`); the digest must honour the same ceiling
+                // *summed across ranges*, or a 64 KiB datagram of
+                // full-span ranges would make the receiver's missing-scan
+                // materialise ~2¹³ × 2¹⁶ ids — exactly the
+                // huge-allocation class this module promises hostile
+                // datagrams cannot trigger.
                 let mut total_advertised: u64 = 0;
                 for _ in 0..n_ranges {
-                    let origin = ProcessId::new(take_u64(buf)?);
-                    let min_seq = take_u64(buf)?;
-                    // Span and gap offsets travel as u16, so a single
-                    // range cannot cover more than 65536 ids, and
-                    // `min_seq + span` must not wrap.
-                    let span = take_u16(buf)? as u64;
+                    let origin = take_pid(buf)?;
+                    let min_seq = take_varint(buf)?;
+                    let span = take_varint(buf)?;
+                    if span > OriginRange::MAX_SPAN {
+                        return Err(WireError::LengthOverflow(span as usize));
+                    }
                     let max_seq = min_seq
                         .checked_add(span)
                         .ok_or(WireError::LengthOverflow(span as usize))?;
@@ -614,22 +693,24 @@ impl WireMessage for PbcastMessage {
                     if total_advertised > 1 << 16 {
                         return Err(WireError::LengthOverflow(total_advertised as usize));
                     }
-                    let n_gaps = take_u16(buf)? as usize;
-                    check_capacity(buf, n_gaps, 2)?;
+                    let n_gaps = take_count(buf, 1)?;
                     let mut gaps = Vec::with_capacity(n_gaps);
                     let mut prev: Option<u64> = None;
                     for _ in 0..n_gaps {
-                        let offset = take_u16(buf)? as u64;
-                        let gap = min_seq + offset;
+                        let offset = take_varint(buf)?;
                         // Offsets must ascend strictly within the span —
                         // the receiver's gap cursor relies on it.
-                        if offset > span || prev.is_some_and(|p| gap <= p) {
+                        if offset > span {
+                            return Err(WireError::LengthOverflow(offset as usize));
+                        }
+                        let gap = min_seq + offset;
+                        if prev.is_some_and(|p| gap <= p) {
                             return Err(WireError::LengthOverflow(offset as usize));
                         }
                         prev = Some(gap);
                         gaps.push(gap);
                     }
-                    let hops = take_u32(buf)?;
+                    let hops = take_hops(buf)?;
                     ranges.push(OriginRange {
                         origin,
                         min_seq,
@@ -657,9 +738,13 @@ impl WireMessage for PbcastMessage {
 
     fn encoded_len(&self) -> usize {
         3 + match self {
-            PbcastMessage::Multicast { event, .. } => 20 + event.payload().len() + 4,
-            PbcastMessage::GossipDigest(d) => 8 + 2 + d.entries.wire_cost() + 2 + 8 * d.subs.len(),
-            PbcastMessage::Solicit { ids } => 2 + 16 * ids.len(),
+            PbcastMessage::Multicast { event, hops } => {
+                event_len(event) + varint::len((*hops).into())
+            }
+            PbcastMessage::GossipDigest(d) => {
+                pid_len(d.sender) + digest_entries_len(&d.entries) + pids_len(&d.subs)
+            }
+            PbcastMessage::Solicit { ids } => ids_len(ids),
         }
     }
 }
@@ -668,7 +753,7 @@ impl WireMessage for PubSubMessage {
     fn encode_body(&self, buf: &mut BytesMut) {
         buf.put_u8(Kind::PubSub as u8);
         let name = self.topic.name().as_bytes();
-        buf.put_u16_le(name.len() as u16);
+        put_count(buf, name.len());
         buf.put_slice(name);
         self.inner.encode_body(buf);
     }
@@ -678,16 +763,13 @@ impl WireMessage for PubSubMessage {
         if kind != Kind::PubSub {
             return Err(WireError::BadTag(kind as u8));
         }
-        let len = take_u16(buf)? as usize;
-        if len > MAX_TOPIC || len > buf.remaining() {
+        let len = take_len(buf)?;
+        if len > TopicId::MAX_LEN || len > buf.remaining() {
             return Err(WireError::LengthOverflow(len));
         }
         let raw = buf.get(..len).ok_or(WireError::LengthOverflow(len))?;
         let topic = core::str::from_utf8(raw).map_err(|_| WireError::BadTopic)?;
-        if topic.is_empty() {
-            return Err(WireError::BadTopic);
-        }
-        let topic = TopicId::new(topic);
+        let topic = TopicId::try_new(topic).ok_or(WireError::BadTopic)?;
         buf.advance(len);
         let inner = Message::decode_body(buf)?;
         Ok(PubSubMessage { topic, inner })
@@ -709,20 +791,25 @@ impl WireMessage for PubSubMessage {
     fn encoded_len(&self) -> usize {
         // Own header + kind + topic, plus the inner kind + body (the
         // inner message's encoded_len minus its 2-byte frame header).
-        3 + 2 + self.topic.name().len() + (self.inner.encoded_len() - 2)
+        let topic = self.topic.name().len();
+        3 + count_len(topic) + topic + (self.inner.encoded_len() - 2)
     }
 }
 
 /// Encoded size of a SWIM updates section.
 fn updates_len(updates: &[Update]) -> usize {
-    2 + 17 * updates.len()
+    count_len(updates.len())
+        + updates
+            .iter()
+            .map(|u| pid_len(u.subject) + varint::len(u.incarnation) + 1)
+            .sum::<usize>()
 }
 
 fn encode_updates(buf: &mut BytesMut, updates: &[Update]) {
-    buf.put_u16_le(updates.len() as u16);
+    put_count(buf, updates.len());
     for u in updates {
-        buf.put_u64_le(u.subject.as_u64());
-        buf.put_u64_le(u.incarnation);
+        put_pid(buf, u.subject);
+        put_varint(buf, u.incarnation);
         buf.put_u8(match u.state {
             UpdateState::Alive => 0,
             UpdateState::Suspect => 1,
@@ -732,12 +819,12 @@ fn encode_updates(buf: &mut BytesMut, updates: &[Update]) {
 }
 
 fn decode_updates(buf: &mut &[u8]) -> Result<Vec<Update>, WireError> {
-    let n = take_u16(buf)? as usize;
-    check_capacity(buf, n, 17)?;
+    // subject, incarnation, state.
+    let n = take_count(buf, 3)?;
     let mut updates = Vec::with_capacity(n);
     for _ in 0..n {
-        let subject = ProcessId::new(take_u64(buf)?);
-        let incarnation = take_u64(buf)?;
+        let subject = take_pid(buf)?;
+        let incarnation = take_varint(buf)?;
         let state = match take_u8(buf)? {
             0 => UpdateState::Alive,
             1 => UpdateState::Suspect,
@@ -771,22 +858,22 @@ impl<M: WireMessage> WireMessage for SwimMsg<M> {
             }
             SwimMsg::PingReq { target, updates } => {
                 buf.put_u8(Kind::SwimPingReq as u8);
-                buf.put_u64_le(target.as_u64());
+                put_pid(buf, *target);
                 encode_updates(buf, updates);
             }
             SwimMsg::ProxyPing { origin, updates } => {
                 buf.put_u8(Kind::SwimProxyPing as u8);
-                buf.put_u64_le(origin.as_u64());
+                put_pid(buf, *origin);
                 encode_updates(buf, updates);
             }
             SwimMsg::ProxyAck { origin, updates } => {
                 buf.put_u8(Kind::SwimProxyAck as u8);
-                buf.put_u64_le(origin.as_u64());
+                put_pid(buf, *origin);
                 encode_updates(buf, updates);
             }
             SwimMsg::IndirectAck { target, updates } => {
                 buf.put_u8(Kind::SwimIndirectAck as u8);
-                buf.put_u64_le(target.as_u64());
+                put_pid(buf, *target);
                 encode_updates(buf, updates);
             }
         }
@@ -806,28 +893,28 @@ impl<M: WireMessage> WireMessage for SwimMsg<M> {
                 updates: decode_updates(buf)?,
             },
             Kind::SwimPingReq => {
-                let target = ProcessId::new(take_u64(buf)?);
+                let target = take_pid(buf)?;
                 SwimMsg::PingReq {
                     target,
                     updates: decode_updates(buf)?,
                 }
             }
             Kind::SwimProxyPing => {
-                let origin = ProcessId::new(take_u64(buf)?);
+                let origin = take_pid(buf)?;
                 SwimMsg::ProxyPing {
                     origin,
                     updates: decode_updates(buf)?,
                 }
             }
             Kind::SwimProxyAck => {
-                let origin = ProcessId::new(take_u64(buf)?);
+                let origin = take_pid(buf)?;
                 SwimMsg::ProxyAck {
                     origin,
                     updates: decode_updates(buf)?,
                 }
             }
             Kind::SwimIndirectAck => {
-                let target = ProcessId::new(take_u64(buf)?);
+                let target = take_pid(buf)?;
                 SwimMsg::IndirectAck {
                     target,
                     updates: decode_updates(buf)?,
@@ -862,28 +949,34 @@ impl<M: WireMessage> WireMessage for SwimMsg<M> {
             // message's encoded_len minus its 2-byte frame header).
             SwimMsg::Wrapped { inner, updates } => updates_len(updates) + (inner.encoded_len() - 2),
             SwimMsg::Ping { updates } | SwimMsg::Ack { updates } => updates_len(updates),
-            SwimMsg::PingReq { updates, .. }
-            | SwimMsg::ProxyPing { updates, .. }
-            | SwimMsg::ProxyAck { updates, .. }
-            | SwimMsg::IndirectAck { updates, .. } => 8 + updates_len(updates),
+            SwimMsg::PingReq {
+                target: peer,
+                updates,
+            }
+            | SwimMsg::ProxyPing {
+                origin: peer,
+                updates,
+            }
+            | SwimMsg::ProxyAck {
+                origin: peer,
+                updates,
+            }
+            | SwimMsg::IndirectAck {
+                target: peer,
+                updates,
+            } => pid_len(*peer) + updates_len(updates),
         }
     }
 }
 
 fn encode_gossip(buf: &mut BytesMut, g: &Gossip) {
-    buf.put_u64_le(g.sender.as_u64());
-    buf.put_u16_le(g.subs.len() as u16);
-    for p in &g.subs {
-        buf.put_u64_le(p.as_u64());
-    }
+    put_pid(buf, g.sender);
+    encode_pids(buf, &g.subs);
     buf.put_u8(UNSUBS_GROUPED);
-    buf.put_u16_le(g.unsubs.group_count() as u16);
+    put_count(buf, g.unsubs.group_count());
     for (issued_at, leavers) in &g.unsubs.groups() {
-        buf.put_u64_le(issued_at.as_u64());
-        buf.put_u16_le(leavers.len() as u16);
-        for p in leavers {
-            buf.put_u64_le(p.as_u64());
-        }
+        put_varint(buf, issued_at.as_u64());
+        encode_pids(buf, leavers);
     }
     encode_events(buf, &g.events);
     match &g.event_ids {
@@ -893,39 +986,71 @@ fn encode_gossip(buf: &mut BytesMut, g: &Gossip) {
         }
         Digest::Compact(d) => {
             buf.put_u8(1);
-            buf.put_u16_le(d.origin_count() as u16);
+            put_count(buf, d.origin_count());
+            let mut prev_origin = 0;
             for (origin, od) in d.iter() {
-                buf.put_u64_le(origin.as_u64());
-                buf.put_u64_le(od.next_seq());
-                buf.put_u16_le(od.out_of_order().len() as u16);
-                for s in od.out_of_order() {
-                    buf.put_u64_le(s);
+                put_delta(buf, &mut prev_origin, origin.as_u64());
+                put_varint(buf, od.next_seq());
+                put_count(buf, od.out_of_order().len());
+                let mut prev_seq = od.next_seq();
+                for seq in od.out_of_order() {
+                    put_delta(buf, &mut prev_seq, seq);
                 }
             }
         }
     }
 }
 
+fn encode_pids(buf: &mut BytesMut, pids: &[ProcessId]) {
+    put_count(buf, pids.len());
+    for &p in pids {
+        put_pid(buf, p);
+    }
+}
+
 fn encode_ids(buf: &mut BytesMut, ids: &[EventId]) {
-    buf.put_u16_le(ids.len() as u16);
+    put_count(buf, ids.len());
     for id in ids {
-        buf.put_u64_le(id.origin().as_u64());
-        buf.put_u64_le(id.seq());
+        put_pid(buf, id.origin());
+        put_varint(buf, id.seq());
     }
 }
 
 fn encode_events(buf: &mut BytesMut, events: &[Event]) {
-    buf.put_u16_le(events.len() as u16);
+    put_count(buf, events.len());
     for e in events {
         encode_event(buf, e);
     }
 }
 
 fn encode_event(buf: &mut BytesMut, e: &Event) {
-    buf.put_u64_le(e.id().origin().as_u64());
-    buf.put_u64_le(e.id().seq());
-    buf.put_u32_le(e.payload().len() as u32);
+    put_pid(buf, e.id().origin());
+    put_varint(buf, e.id().seq());
+    put_count(buf, e.payload().len());
     buf.put_slice(e.payload());
+}
+
+/// Appends `value` as an unsigned LEB128 varint.
+fn put_varint(buf: &mut BytesMut, mut value: u64) {
+    while value >= 0x80 {
+        buf.put_u8(value as u8 | 0x80);
+        value >>= 7;
+    }
+    buf.put_u8(value as u8);
+}
+
+fn put_count(buf: &mut BytesMut, n: usize) {
+    put_varint(buf, n as u64);
+}
+
+fn put_pid(buf: &mut BytesMut, p: ProcessId) {
+    put_varint(buf, p.as_u64());
+}
+
+/// Appends `value` as its difference from `*prev` (an ascending run), and
+/// makes it the new `*prev`.
+fn put_delta(buf: &mut BytesMut, prev: &mut u64, value: u64) {
+    put_varint(buf, value - core::mem::replace(prev, value));
 }
 
 /// Decodes one frame (header + kind + body) from `buf`, advancing it.
@@ -947,7 +1072,7 @@ pub fn decode_frame<M: WireMessage>(buf: &mut &[u8]) -> Result<M, WireError> {
 }
 
 /// Decodes a single-message datagram: exactly one frame, trailing bytes
-/// rejected. Byte-identical to the historical (pre-batching) format.
+/// rejected.
 ///
 /// # Errors
 ///
@@ -983,30 +1108,29 @@ pub fn decode_frames<M: WireMessage>(mut data: &[u8]) -> Result<Vec<M>, WireErro
 }
 
 fn decode_pids(buf: &mut &[u8]) -> Result<Vec<ProcessId>, WireError> {
-    let n = take_u16(buf)? as usize;
-    check_capacity(buf, n, 8)?;
+    let n = take_count(buf, 1)?;
     let mut pids = Vec::with_capacity(n);
     for _ in 0..n {
-        pids.push(ProcessId::new(take_u64(buf)?));
+        pids.push(take_pid(buf)?);
     }
     Ok(pids)
 }
 
 fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
-    let sender = ProcessId::new(take_u64(buf)?);
+    let sender = take_pid(buf)?;
     let subs = decode_pids(buf)?;
     let unsubs_kind = take_u8(buf)?;
     if unsubs_kind != UNSUBS_GROUPED {
         return Err(WireError::BadTag(unsubs_kind));
     }
-    let n_groups = take_u16(buf)? as usize;
-    check_capacity(buf, n_groups, 10)?;
+    // issued_at, leaver count.
+    let n_groups = take_count(buf, 2)?;
     // Records materialise in group order, each group's leavers sorted
     // and distinct: over the wire the sender's buffer order is not
     // carried.
     let mut records = Vec::new();
     for _ in 0..n_groups {
-        let issued_at = LogicalTime::new(take_u64(buf)?);
+        let issued_at = LogicalTime::new(take_varint(buf)?);
         let mut leavers = decode_pids(buf)?;
         leavers.sort_unstable();
         leavers.dedup();
@@ -1022,23 +1146,28 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
     let event_ids = match digest_kind {
         0 => Digest::Ids(decode_ids(buf)?),
         1 => {
-            let n_origins = take_u16(buf)? as usize;
-            check_capacity(buf, n_origins, 18)?;
-            // Bulk build: a hostile frame may list origins and sequence
-            // numbers in any order and repeat both; one sort per array
-            // keeps the decode O(n log n) where per-entry insertion into
-            // the sorted storage would be quadratic.
+            // origin delta, next_seq, out-of-order count.
+            let n_origins = take_count(buf, 3)?;
+            // Deltas make both runs ascending, but a hostile frame may
+            // still repeat an origin or a sequence number (a zero delta)
+            // or list an out-of-order seq on the watermark; the bulk
+            // builders merge and normalise those in one sort per array.
             let mut origins = Vec::with_capacity(n_origins);
+            let mut origin = 0;
             for _ in 0..n_origins {
-                let origin = ProcessId::new(take_u64(buf)?);
-                let next_seq = take_u64(buf)?;
-                let n_ooo = take_u16(buf)? as usize;
-                check_capacity(buf, n_ooo, 8)?;
+                origin = take_delta(buf, origin)?;
+                let next_seq = take_varint(buf)?;
+                let n_ooo = take_count(buf, 1)?;
                 let mut ooo = Vec::with_capacity(n_ooo);
+                let mut seq = next_seq;
                 for _ in 0..n_ooo {
-                    ooo.push(take_u64(buf)?);
+                    seq = take_delta(buf, seq)?;
+                    ooo.push(seq);
                 }
-                origins.push((origin, OriginDigest::from_parts(next_seq, ooo)));
+                origins.push((
+                    ProcessId::new(origin),
+                    OriginDigest::from_parts(next_seq, ooo),
+                ));
             }
             Digest::Compact(CompactDigest::from_origins(origins))
         }
@@ -1054,20 +1183,18 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
 }
 
 fn decode_ids(buf: &mut &[u8]) -> Result<Vec<EventId>, WireError> {
-    let n = take_u16(buf)? as usize;
-    check_capacity(buf, n, 16)?;
+    // origin, seq.
+    let n = take_count(buf, 2)?;
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
-        let origin = ProcessId::new(take_u64(buf)?);
-        let seq = take_u64(buf)?;
-        ids.push(EventId::new(origin, seq));
+        ids.push(take_id(buf)?);
     }
     Ok(ids)
 }
 
 fn decode_events(buf: &mut &[u8]) -> Result<Vec<Event>, WireError> {
-    let n = take_u16(buf)? as usize;
-    check_capacity(buf, n, 20)?;
+    // origin, seq, payload length.
+    let n = take_count(buf, 3)?;
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         events.push(decode_event(buf)?);
@@ -1076,16 +1203,15 @@ fn decode_events(buf: &mut &[u8]) -> Result<Vec<Event>, WireError> {
 }
 
 fn decode_event(buf: &mut &[u8]) -> Result<Event, WireError> {
-    let origin = ProcessId::new(take_u64(buf)?);
-    let seq = take_u64(buf)?;
-    let len = take_u32(buf)? as usize;
+    let id = take_id(buf)?;
+    let len = take_len(buf)?;
     if len > MAX_PAYLOAD || len > buf.remaining() {
         return Err(WireError::LengthOverflow(len));
     }
     let head = buf.get(..len).ok_or(WireError::LengthOverflow(len))?;
     let payload = Bytes::copy_from_slice(head);
     buf.advance(len);
-    Ok(Event::new(EventId::new(origin, seq), payload))
+    Ok(Event::new(id, payload))
 }
 
 /// Rejects declared element counts that cannot possibly fit the remaining
@@ -1109,25 +1235,59 @@ fn take_kind(buf: &mut &[u8]) -> Result<Kind, WireError> {
     Kind::try_from(take_u8(buf)?)
 }
 
-fn take_u16(buf: &mut &[u8]) -> Result<u16, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::UnexpectedEof);
+/// Reads one unsigned LEB128 varint, refusing every form but the
+/// shortest: a last byte of zero after the first is overlong, and a tenth
+/// byte can hold only bit 63.
+fn take_varint(buf: &mut &[u8]) -> Result<u64, WireError> {
+    let mut value = 0;
+    for shift in (0..64).step_by(7) {
+        let byte = take_u8(buf)?;
+        if shift == 63 && byte > 1 {
+            return Err(WireError::BadVarint);
+        }
+        value |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(WireError::BadVarint);
+            }
+            return Ok(value);
+        }
     }
-    Ok(buf.get_u16_le())
+    Err(WireError::BadVarint)
 }
 
-fn take_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::UnexpectedEof);
-    }
-    Ok(buf.get_u32_le())
+/// A hop count: a varint that must fit a `u32`.
+fn take_hops(buf: &mut &[u8]) -> Result<u32, WireError> {
+    u32::try_from(take_varint(buf)?).map_err(|_| WireError::BadVarint)
 }
 
-fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::UnexpectedEof);
-    }
-    Ok(buf.get_u64_le())
+/// A varint length or count as a `usize`.
+fn take_len(buf: &mut &[u8]) -> Result<usize, WireError> {
+    usize::try_from(take_varint(buf)?).map_err(|_| WireError::BadVarint)
+}
+
+/// An element count, checked against the remaining bytes when every
+/// element takes at least `min_size` of them: a hostile count cannot
+/// allocate past `remaining / min_size` elements.
+fn take_count(buf: &mut &[u8], min_size: usize) -> Result<usize, WireError> {
+    let count = take_len(buf)?;
+    check_capacity(buf, count, min_size)?;
+    Ok(count)
+}
+
+fn take_pid(buf: &mut &[u8]) -> Result<ProcessId, WireError> {
+    take_varint(buf).map(ProcessId::new)
+}
+
+fn take_id(buf: &mut &[u8]) -> Result<EventId, WireError> {
+    let origin = take_pid(buf)?;
+    Ok(EventId::new(origin, take_varint(buf)?))
+}
+
+/// The next value of a delta-coded run after `prev`.
+fn take_delta(buf: &mut &[u8], prev: u64) -> Result<u64, WireError> {
+    prev.checked_add(take_varint(buf)?)
+        .ok_or(WireError::BadVarint)
 }
 
 #[cfg(test)]
@@ -1323,30 +1483,38 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn rejects_hostile_length_claims() {
-        // A datagram claiming 65535 subs with a 10-byte body.
+    /// A frame header and kind byte, then `varints` in LEB128.
+    fn raw_frame(kind: Kind, varints: &[u64]) -> BytesMut {
         let mut buf = BytesMut::new();
         buf.put_u8(MAGIC);
         buf.put_u8(VERSION);
-        buf.put_u8(0); // gossip
-        buf.put_u64_le(1); // sender
-        buf.put_u16_le(u16::MAX); // |subs| lie
-        buf.put_u64_le(0); // not nearly enough bytes
+        buf.put_u8(kind as u8);
+        for &v in varints {
+            put_varint(&mut buf, v);
+        }
+        buf
+    }
+
+    #[test]
+    fn rejects_hostile_length_claims() {
+        // A gossip claiming 65535 subs with 8 bytes left: past the
+        // one-byte-per-id floor, so nothing is allocated.
+        let mut buf = raw_frame(Kind::Gossip, &[1, u16::MAX.into()]);
+        buf.put_slice(&[0; 8]);
         let err = decode::<Message>(&buf).expect_err("must reject");
         assert!(matches!(err, WireError::LengthOverflow(_)), "{err:?}");
+        // A count past `usize` is out of range before any check.
+        let buf = raw_frame(Kind::Gossip, &[1, u64::MAX]);
+        assert_eq!(
+            decode::<Message>(&buf).err(),
+            Some(WireError::LengthOverflow(usize::MAX))
+        );
     }
 
     #[test]
     fn rejects_oversized_payload_claim() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(3); // retransmit response
-        buf.put_u16_le(1); // one event
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        buf.put_u32_le(u32::MAX); // absurd payload length
+        // One event (origin 0, seq 0) with an absurd payload length.
+        let buf = raw_frame(Kind::RetransmitResponse, &[1, 0, 0, u32::MAX.into()]);
         let err = decode::<Message>(&buf).expect_err("must reject");
         assert!(matches!(err, WireError::LengthOverflow(_)), "{err:?}");
     }
@@ -1445,8 +1613,8 @@ mod tests {
     fn compact_digest_total_span_is_capped() {
         // One full-span range decodes; several of them would let a tiny
         // datagram amplify into a gigascan, so the decoder must reject
-        // the digest once the summed span passes the flat form's
-        // inherent u16-count ceiling.
+        // the digest once the summed span passes 2¹⁶ ids, what one
+        // full-span range advertises.
         let range = |origin: u64| OriginRange {
             origin: pid(origin),
             min_seq: 0,
@@ -1486,28 +1654,35 @@ mod tests {
     }
 
     /// Offset of the unSubs representation byte in an `unsubs_gossip`
-    /// frame: header + kind (3), sender (8), empty subs (2).
-    const UNSUBS_AT: usize = 3 + 8 + 2;
+    /// frame: header + kind (3), sender (1), empty subs (1).
+    const UNSUBS_AT: usize = 3 + 1 + 1;
 
     #[test]
-    fn empty_unsubs_section_is_three_bytes() {
+    fn empty_unsubs_section_is_two_bytes() {
         let bytes = encode(&unsubs_gossip(UnsubDigest::new()));
         assert_eq!(
-            bytes.get(UNSUBS_AT..UNSUBS_AT + 3),
-            Some(&[UNSUBS_GROUPED, 0, 0][..])
+            bytes.get(UNSUBS_AT..UNSUBS_AT + 2),
+            Some(&[UNSUBS_GROUPED, 0][..])
         );
-        // The rest: events (2), digest kind + empty id list (3).
-        assert_eq!(bytes.len(), UNSUBS_AT + 3 + 2 + 3);
+        // The rest: events (1), digest kind + empty id list (2).
+        assert_eq!(bytes.len(), UNSUBS_AT + 2 + 1 + 2);
     }
 
     #[test]
-    fn unsubs_section_costs_eight_bytes_a_leaver_and_ten_a_timestamp() {
+    fn unsubs_section_costs_a_varint_a_leaver_and_two_a_timestamp() {
         // 40 leavers on 2 timestamps — one churn round's departures and
-        // the one before.
-        let records = (0..40u64).map(|i| Unsubscription::new(pid(i), LogicalTime::new(i % 2)));
-        let empty = encode(&unsubs_gossip(UnsubDigest::new())).len();
-        let full = encode(&unsubs_gossip(UnsubDigest::from_records(records))).len();
-        assert_eq!(full - empty + 3, 1 + 2 + 2 * 10 + 40 * 8);
+        // the one before — then the same with ids and timestamps past 2¹⁴
+        // (three-byte varints).
+        for base in [0, 1 << 14] {
+            let records = (0..40u64)
+                .map(|i| Unsubscription::new(pid(base + i), LogicalTime::new(base + i % 2)));
+            let digest = UnsubDigest::from_records(records);
+            let empty = encode(&unsubs_gossip(UnsubDigest::new())).len();
+            let full = encode(&unsubs_gossip(digest.clone()));
+            let width = varint::len(base);
+            assert_eq!(full.len() - empty + 2, 1 + 1 + 2 * (width + 1) + 40 * width);
+            assert_eq!(full.len(), unsubs_gossip(digest).encoded_len());
+        }
     }
 
     #[test]
@@ -1654,26 +1829,16 @@ mod tests {
 
     #[test]
     fn swim_rejects_hostile_input() {
-        // Unknown update state byte.
-        let mut buf = BytesMut::new();
-        buf.put_u8(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(41); // Ping
-        buf.put_u16_le(1);
-        buf.put_u64_le(7);
-        buf.put_u64_le(0);
+        // Unknown update state byte after one (subject 7, incarnation 0).
+        let mut buf = raw_frame(Kind::SwimPing, &[1, 7, 0]);
         buf.put_u8(9); // no such UpdateState
         assert!(matches!(
             decode::<SwimMsg<Message>>(&buf),
             Err(WireError::BadTag(9))
         ));
         // An update count that cannot fit the remaining bytes.
-        let mut buf = BytesMut::new();
-        buf.put_u8(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(42); // Ack
-        buf.put_u16_le(u16::MAX);
-        buf.put_u64_le(0);
+        let mut buf = raw_frame(Kind::SwimAck, &[u16::MAX.into()]);
+        buf.put_slice(&[0; 8]);
         assert!(matches!(
             decode::<SwimMsg<Message>>(&buf),
             Err(WireError::LengthOverflow(_))
@@ -1770,7 +1935,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_meter_measures_each_body_once_even_interleaved() {
+    fn wire_meter_measures_back_to_back_copies_once() {
         let measured = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let bodies: Vec<CountedMsg> = (0..8)
             .map(|k| CountedMsg {
@@ -1780,36 +1945,21 @@ mod tests {
             })
             .collect();
         let mut meter = wire_meter::<CountedMsg>();
-        // Three interleaved fanout sweeps over all 8 bodies — the exact
-        // pattern a round's delivery queue produces (copies of different
-        // origins' gossip alternate). A single-entry cache thrashes to
-        // 24 measurements here; the map cache measures each body once.
-        for _ in 0..3 {
+        // Each body's fanout of 3 copies, offered together — the pattern
+        // the engine produces by metering at offer time.
+        for (i, body) in bodies.iter().enumerate() {
+            for _ in 0..3 {
+                assert_eq!(meter(body), 100 + i);
+            }
+        }
+        let count = || measured.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(count(), 8);
+        // Interleaved copies are measured again, and stay exact.
+        for _ in 0..2 {
             for (i, body) in bodies.iter().enumerate() {
                 assert_eq!(meter(body), 100 + i);
             }
         }
-        assert_eq!(measured.load(std::sync::atomic::Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn wire_meter_cache_resets_at_capacity_and_stays_correct() {
-        let measured = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut meter = wire_meter::<CountedMsg>();
-        // Overflow the cache twice; lengths must stay exact throughout
-        // (a reset only costs re-measurement, never correctness).
-        for round in 0..2 {
-            for k in 0..(super::WIRE_METER_CACHE_CAP + 10) {
-                let msg = CountedMsg {
-                    key: round * 10_000 + k + 1,
-                    len: k,
-                    measured: measured.clone(),
-                };
-                assert_eq!(meter(&msg), k);
-            }
-        }
-        assert!(
-            measured.load(std::sync::atomic::Ordering::Relaxed) >= 2 * super::WIRE_METER_CACHE_CAP
-        );
+        assert_eq!(count(), 8 + 16);
     }
 }

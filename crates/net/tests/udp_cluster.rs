@@ -238,8 +238,8 @@ fn nodes_keep_gossiping_when_idle() {
 #[test]
 fn oversized_gossip_counts_a_send_error_and_traffic_goes_on() {
     // Node 0's first gossip, replayed on an identical machine, sizes the
-    // payload: the frame fits a section's u16 length, the datagram
-    // around it does not fit UDP.
+    // payload: the frame fits a section (`wire::MAX_SECTION`), the
+    // datagram around it does not fit UDP.
     let mut probe = Lpbcast::with_initial_view(pid(0), config(), 1000, vec![pid(1)]);
     probe.broadcast(vec![0u8; 1]);
     let (_, gossip) = probe
@@ -247,9 +247,14 @@ fn oversized_gossip_counts_a_send_error_and_traffic_goes_on() {
         .outgoing
         .pop()
         .expect("a gossip to the only view member");
-    let frame_len = 65_510;
+    // The payload's varint length grows from one byte to three.
+    let frame_len = 65_510 + 2;
     let payload = vec![0u8; frame_len + 1 - gossip.encoded_len()];
-    assert!(wire::CLUSTER_HEADER_LEN + wire::SECTION_HEADER_LEN + frame_len > 65_507);
+    assert!(frame_len <= wire::MAX_SECTION);
+    assert!(
+        wire::CLUSTER_HEADER_LEN + wire::section_header_len(pid(0), pid(1), frame_len) + frame_len
+            > 65_507
+    );
 
     let mut nodes = mesh(2);
     nodes[0].broadcast(pid(0), payload).expect("hosted");
@@ -304,11 +309,12 @@ fn hostile_ingress_is_counted_and_dropped() {
     };
     let whole = coalesced(&[(0, &frame)]);
     let torn = [&frame[..], &frame[..frame.len() / 2]].concat();
-    // The section's u16 length (its header's last two bytes) claims five
-    // bytes more than follow it.
+    // The section's length, one byte after the one-byte `from` and
+    // `dest` varints, claims five bytes more than follow it.
+    let header_len = wire::section_header_len(pid(7), pid(0), frame.len());
+    assert_eq!(header_len, 3, "one-byte ids and length");
     let mut overlong = whole.clone();
-    let len_at = wire::CLUSTER_HEADER_LEN + wire::SECTION_HEADER_LEN - 2;
-    overlong[len_at..len_at + 2].copy_from_slice(&(frame.len() as u16 + 5).to_le_bytes());
+    overlong[wire::CLUSTER_HEADER_LEN + 2] += 5;
 
     let mut hostile: Vec<(&str, Vec<u8>)> = vec![
         (
@@ -328,6 +334,19 @@ fn hostile_ingress_is_counted_and_dropped() {
             ]
             .concat(),
         ),
+        // The coalescing envelope before varint section headers: magic,
+        // version 2, then from, dest and a u16 length at fixed width.
+        (
+            "version-2 envelope",
+            [
+                &[wire::CLUSTER_MAGIC, 2][..],
+                &7u64.to_le_bytes(),
+                &0u64.to_le_bytes(),
+                &(frame.len() as u16).to_le_bytes(),
+                &frame,
+            ]
+            .concat(),
+        ),
         ("section length past the datagram end", overlong),
         ("un-hosted-destination section", coalesced(&[(42, &frame)])),
         ("torn frame inside a section", coalesced(&[(0, &torn)])),
@@ -338,7 +357,7 @@ fn hostile_ingress_is_counted_and_dropped() {
             [&frame[..], &frame[..]].concat(),
         ),
     ];
-    for len in 1..wire::CLUSTER_HEADER_LEN + wire::SECTION_HEADER_LEN {
+    for len in 1..wire::CLUSTER_HEADER_LEN + header_len {
         hostile.push(("header cut short", whole[..len].to_vec()));
     }
 

@@ -1,10 +1,13 @@
 //! Property tests for the wire codec: arbitrary messages survive a
-//! round-trip, and arbitrary byte soup never panics the decoder.
+//! round-trip, and arbitrary byte soup never panics the decoder; plus the
+//! frame-v2 varint rules (shortest form only, nothing past `u64::MAX`)
+//! and the per-element floors that bound what a hostile count allocates.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscription};
-use lpbcast_net::wire;
+use lpbcast_membership::{SwimMsg, Update, UpdateState};
+use lpbcast_net::wire::{self, WireError};
 use lpbcast_net::WireMessage;
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_pubsub::{PubSubMessage, TopicId};
@@ -20,9 +23,23 @@ fn eid((p, s): (u64, u64)) -> EventId {
     EventId::new(pid(p), s)
 }
 
+/// The varint length boundaries, one byte per 7 bits: 0, 127 | 128, 2⁵⁶ -
+/// 1 | 2⁵⁶, `u64::MAX`.
+const EDGES: [u64; 6] = [0, 127, 128, (1 << 56) - 1, 1 << 56, u64::MAX];
+
+/// Small ids and seqs, as the engine assigns them, the varint length
+/// boundaries, and anything at all.
+fn arb_int() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..300,
+        (0..EDGES.len()).prop_map(|i| EDGES[i]),
+        any::<u64>()
+    ]
+}
+
 prop_compose! {
     fn arb_event()(
-        id in (any::<u64>(), any::<u64>()),
+        id in (arb_int(), arb_int()),
         payload in vec(any::<u8>(), 0..200),
     ) -> Event {
         Event::new(eid(id), payload)
@@ -30,7 +47,7 @@ prop_compose! {
 }
 
 prop_compose! {
-    fn arb_ids_digest()(ids in vec((any::<u64>(), any::<u64>()), 0..40)) -> Digest {
+    fn arb_ids_digest()(ids in vec((arb_int(), arb_int()), 0..40)) -> Digest {
         Digest::Ids(ids.into_iter().map(eid).collect())
     }
 }
@@ -38,9 +55,10 @@ prop_compose! {
 prop_compose! {
     fn arb_compact_digest()(
         raw in vec((0u64..6, 0u64..64), 0..80),
+        far in vec((arb_int(), arb_int()), 0..4),
     ) -> Digest {
         let mut d = CompactDigest::new();
-        d.extend(raw.into_iter().map(eid));
+        d.extend(raw.into_iter().chain(far).map(eid));
         Digest::Compact(d)
     }
 }
@@ -51,8 +69,8 @@ fn arb_digest() -> impl Strategy<Value = Digest> {
 
 prop_compose! {
     fn arb_gossip()(
-        sender in any::<u64>(),
-        subs in vec(any::<u64>(), 0..20),
+        sender in arb_int(),
+        subs in vec(arb_int(), 0..20),
         // Few distinct ids and timestamps, so records repeat and share
         // timestamps, drawn in no order; plus the u64 extremes.
         unsubs in vec(
@@ -82,8 +100,8 @@ prop_compose! {
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
         arb_gossip().prop_map(Message::gossip),
-        any::<u64>().prop_map(|p| Message::Subscribe { subscriber: pid(p) }),
-        vec((any::<u64>(), any::<u64>()), 0..30).prop_map(|ids| Message::RetransmitRequest {
+        arb_int().prop_map(|p| Message::Subscribe { subscriber: pid(p) }),
+        vec((arb_int(), arb_int()), 0..30).prop_map(|ids| Message::RetransmitRequest {
             ids: ids.into_iter().map(eid).collect()
         }),
         vec(arb_event(), 0..10).prop_map(|events| Message::RetransmitResponse { events }),
@@ -179,20 +197,35 @@ proptest! {
     }
 }
 
-/// A from-the-spec reference encoder for gossip datagrams, implemented
-/// independently of `wire::encode` against the layout documented at the
-/// top of `crates/net/src/wire.rs`. The event payloads are written
+/// Appends `value` as an unsigned LEB128 varint — written from the
+/// spec, independently of the codec.
+fn leb(out: &mut Vec<u8>, mut value: u64) {
+    loop {
+        let low = (value & 0x7F) as u8;
+        value >>= 7;
+        if value == 0 {
+            out.push(low);
+            return;
+        }
+        out.push(low | 0x80);
+    }
+}
+
+/// A from-the-spec reference encoder for gossip frames, implemented
+/// independently of `wire::encode` against the frame-v2 layout documented
+/// at the top of `crates/net/src/wire.rs`. The event payloads are written
 /// inline, so byte equality below proves the shared-`Arc` payload
 /// representation leaves the wire bytes untouched. The `unSubs` section
 /// is grouped here from the records alone: representation byte 1, then
 /// one group per distinct timestamp, ascending, each with its distinct
-/// leavers ascending.
+/// leavers ascending. The compact digest's origins, and each origin's
+/// out-of-order seqs, are delta-coded.
 fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
     let mut out = vec![wire::MAGIC, wire::VERSION, 0u8];
-    out.extend_from_slice(&g.sender.as_u64().to_le_bytes());
-    out.extend_from_slice(&(g.subs.len() as u16).to_le_bytes());
+    leb(&mut out, g.sender.as_u64());
+    leb(&mut out, g.subs.len() as u64);
     for p in &g.subs {
-        out.extend_from_slice(&p.as_u64().to_le_bytes());
+        leb(&mut out, p.as_u64());
     }
     let mut groups: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for u in g.unsubs.iter() {
@@ -202,102 +235,105 @@ fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
             .insert(u.process().as_u64());
     }
     out.push(1);
-    out.extend_from_slice(&(groups.len() as u16).to_le_bytes());
+    leb(&mut out, groups.len() as u64);
     for (issued_at, leavers) in &groups {
-        out.extend_from_slice(&issued_at.to_le_bytes());
-        out.extend_from_slice(&(leavers.len() as u16).to_le_bytes());
+        leb(&mut out, *issued_at);
+        leb(&mut out, leavers.len() as u64);
         for p in leavers {
-            out.extend_from_slice(&p.to_le_bytes());
+            leb(&mut out, *p);
         }
     }
-    out.extend_from_slice(&(g.events.len() as u16).to_le_bytes());
+    leb(&mut out, g.events.len() as u64);
     for e in &g.events {
-        out.extend_from_slice(&e.id().origin().as_u64().to_le_bytes());
-        out.extend_from_slice(&e.id().seq().to_le_bytes());
-        out.extend_from_slice(&(e.payload().len() as u32).to_le_bytes());
+        leb(&mut out, e.id().origin().as_u64());
+        leb(&mut out, e.id().seq());
+        leb(&mut out, e.payload().len() as u64);
         out.extend_from_slice(e.payload());
     }
     match &g.event_ids {
         Digest::Ids(ids) => {
             out.push(0);
-            out.extend_from_slice(&(ids.len() as u16).to_le_bytes());
+            leb(&mut out, ids.len() as u64);
             for id in ids {
-                out.extend_from_slice(&id.origin().as_u64().to_le_bytes());
-                out.extend_from_slice(&id.seq().to_le_bytes());
+                leb(&mut out, id.origin().as_u64());
+                leb(&mut out, id.seq());
             }
         }
         Digest::Compact(d) => {
             out.push(1);
-            out.extend_from_slice(&(d.origin_count() as u16).to_le_bytes());
-            for (origin, od) in d.iter() {
-                out.extend_from_slice(&origin.as_u64().to_le_bytes());
-                out.extend_from_slice(&od.next_seq().to_le_bytes());
-                let ooo: Vec<u64> = od.out_of_order().collect();
-                out.extend_from_slice(&(ooo.len() as u16).to_le_bytes());
-                for s in ooo {
-                    out.extend_from_slice(&s.to_le_bytes());
-                }
-            }
+            let origins: Vec<(u64, u64, Vec<u64>)> = d
+                .iter()
+                .map(|(origin, od)| (origin.as_u64(), od.next_seq(), od.out_of_order().collect()))
+                .collect();
+            out.extend_from_slice(&compact_digest_section(&origins));
+        }
+    }
+    out
+}
+
+/// A compact digest section (count, then per origin its delta, watermark
+/// and delta-coded out-of-order run) listing `origins` verbatim: the
+/// origins must not descend, and each run must not descend below its
+/// watermark, but repetitions are written as given (zero deltas).
+fn compact_digest_section(origins: &[(u64, u64, Vec<u64>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    leb(&mut out, origins.len() as u64);
+    let mut prev_origin = 0;
+    for (origin, next_seq, ooo) in origins {
+        leb(&mut out, origin - prev_origin);
+        prev_origin = *origin;
+        leb(&mut out, *next_seq);
+        leb(&mut out, ooo.len() as u64);
+        let mut prev_seq = *next_seq;
+        for s in ooo {
+            leb(&mut out, s - prev_seq);
+            prev_seq = *s;
         }
     }
     out
 }
 
 /// An otherwise empty gossip frame whose compact digest lists `origins`
-/// verbatim — in the order, and with the repetitions, given.
+/// verbatim ([`compact_digest_section`]).
 fn compact_digest_frame(origins: &[(u64, u64, Vec<u64>)]) -> Vec<u8> {
-    let mut out = vec![wire::MAGIC, wire::VERSION, 0u8];
-    out.extend_from_slice(&7u64.to_le_bytes()); // sender
-    out.extend_from_slice(&0u16.to_le_bytes()); // subs
-    out.push(1); // grouped unSubs …
-    out.extend_from_slice(&0u16.to_le_bytes()); // … none
-    out.extend_from_slice(&0u16.to_le_bytes()); // events
-    out.push(1); // compact digest
-    out.extend_from_slice(&u16::try_from(origins.len()).unwrap().to_le_bytes());
-    for (origin, next_seq, ooo) in origins {
-        out.extend_from_slice(&origin.to_le_bytes());
-        out.extend_from_slice(&next_seq.to_le_bytes());
-        out.extend_from_slice(&u16::try_from(ooo.len()).unwrap().to_le_bytes());
-        for s in ooo {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-    }
+    // Sender 7, no subs, grouped unSubs with no groups, no events, then
+    // the compact digest kind.
+    let mut out = vec![wire::MAGIC, wire::VERSION, 0u8, 7, 0, 1, 0, 0, 1];
+    out.extend_from_slice(&compact_digest_section(origins));
     out
 }
 
-/// The compact digest is stored sorted, and a sorted `Vec` filled by
-/// repeated insertion is quadratic on descending input where the B-tree
-/// it replaced was not. The largest frame the codec admits — `u16::MAX`
-/// origins, one of them with `u16::MAX` out-of-order entries, everything
-/// descending and repeated — must decode (in bulk: the test takes a
-/// fraction of a second unoptimised) to what its ascending, de-duplicated
-/// twin decodes to, and re-encode to the twin's bytes.
+/// The compact digest is stored sorted, and repeated origins and
+/// sequence numbers (zero deltas) must be merged in bulk: per-entry
+/// insertion into the sorted storage would shift once per repeat. A frame
+/// of `u16::MAX` origin entries, each origin listed twice with
+/// overlapping runs, one of them with `u16::MAX` out-of-order entries each
+/// listed twice, must decode (in bulk: the test takes a fraction of a
+/// second unoptimised) to what its de-duplicated twin decodes to, and
+/// re-encode to the twin's bytes.
 #[test]
 fn hostile_compact_digest_decodes_like_its_sorted_twin() {
     const MAX: u64 = u16::MAX as u64;
     let n_origins = MAX.div_ceil(2);
-    // Every origin twice, descending; the two copies overlap, and their
-    // union closes the gap above the watermark: {<5, 5, 6, 7, 9} → 8 + {9}.
+    // Every origin twice; the two copies overlap, and their union closes
+    // the gap above the watermark: {<3, 5, 7, 7, 9} ∪ {<5, 5, 6, 7} →
+    // 8 + {9}.
     let mut hostile: Vec<(u64, u64, Vec<u64>)> = (0..MAX)
-        .rev()
         .map(|k| match k % 2 {
-            0 => (100 + k / 2, 3, vec![9, 7]),
-            _ => (100 + k / 2, 5, vec![7, 6, 5]),
+            0 => (100 + k / 2, 3, vec![5, 7, 7, 9]),
+            _ => (100 + k / 2, 5, vec![5, 6, 7]),
         })
         .collect();
     let mut twin: Vec<(u64, u64, Vec<u64>)> =
         (0..n_origins).map(|k| (100 + k, 8, vec![9])).collect();
-    // The first-listed (highest) origin has no second copy; it carries
+    // The last-listed (highest) origin has no second copy; it carries
     // the longest out-of-order run there can be instead: the even
-    // sequence numbers descending, each twice; 0 and 2 fall below the
-    // watermark and 4 on it.
-    assert_eq!(hostile[0].0, twin.last().unwrap().0);
-    hostile[0] = (
-        hostile[0].0,
-        4,
-        (0..MAX).rev().map(|k| 2 * (k / 2)).collect(),
-    );
-    *twin.last_mut().unwrap() = (hostile[0].0, 5, (3..n_origins).map(|k| 2 * k).collect());
+    // sequence numbers from the watermark up, each twice. The first, on
+    // the watermark, is absorbed into it.
+    let last = hostile.last_mut().unwrap();
+    assert_eq!(last.0, twin.last().unwrap().0);
+    *last = (last.0, 4, (0..MAX).map(|k| 4 + 2 * (k / 2)).collect());
+    *twin.last_mut().unwrap() = (last.0, 5, (3..=n_origins + 1).map(|k| 2 * k).collect());
 
     let hostile = compact_digest_frame(&hostile);
     let twin = compact_digest_frame(&twin);
@@ -612,4 +648,302 @@ proptest! {
             }
         }
     }
+}
+
+// ───────────────────── frame v2: varints and floors ────────────────────
+
+prop_compose! {
+    fn arb_update()(subject in arb_int(), incarnation in arb_int(), state in 0u8..3) -> Update {
+        let state = match state {
+            0 => UpdateState::Alive,
+            1 => UpdateState::Suspect,
+            _ => UpdateState::Confirm,
+        };
+        Update { subject: pid(subject), incarnation, state }
+    }
+}
+
+fn arb_swim_message() -> impl Strategy<Value = SwimMsg<Message>> {
+    let updates = || vec(arb_update(), 0..12);
+    prop_oneof![
+        (arb_message(), updates()).prop_map(|(inner, updates)| SwimMsg::Wrapped { inner, updates }),
+        updates().prop_map(|updates| SwimMsg::Ping { updates }),
+        updates().prop_map(|updates| SwimMsg::Ack { updates }),
+        (arb_int(), updates()).prop_map(|(p, updates)| SwimMsg::PingReq {
+            target: pid(p),
+            updates
+        }),
+        (arb_int(), updates()).prop_map(|(p, updates)| SwimMsg::ProxyPing {
+            origin: pid(p),
+            updates
+        }),
+        (arb_int(), updates()).prop_map(|(p, updates)| SwimMsg::ProxyAck {
+            origin: pid(p),
+            updates
+        }),
+        (arb_int(), updates()).prop_map(|(p, updates)| SwimMsg::IndirectAck {
+            target: pid(p),
+            updates
+        }),
+    ]
+}
+
+/// Every frame kind of every family, as one encoded frame.
+fn arb_any_frame() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        arb_message().prop_map(|m| wire::encode(&m).to_vec()),
+        arb_pbcast_message().prop_map(|m| wire::encode(&m).to_vec()),
+        arb_pubsub_message().prop_map(|m| wire::encode(&m).to_vec()),
+        arb_swim_message().prop_map(|m| wire::encode(&m).to_vec()),
+    ]
+}
+
+/// Decodes `frame` as the family its kind byte names.
+fn decode_any(frame: &[u8]) -> Result<(), WireError> {
+    match frame.get(2) {
+        Some(0..=3) => wire::decode::<Message>(frame).map(drop),
+        Some(16..=19) => wire::decode::<PbcastMessage>(frame).map(drop),
+        Some(32) => wire::decode::<PubSubMessage>(frame).map(drop),
+        _ => wire::decode::<SwimMsg<Message>>(frame).map(drop),
+    }
+}
+
+proptest! {
+    #[test]
+    fn swim_messages_roundtrip(message in arb_swim_message()) {
+        let bytes = wire::encode(&message);
+        let decoded: SwimMsg<Message> = wire::decode(&bytes).expect("own frames decode");
+        prop_assert_eq!(decoded.updates(), message.updates());
+        prop_assert_eq!(wire::encode(&decoded), bytes);
+    }
+
+    #[test]
+    fn encoded_len_matches_encoder_swim(message in arb_swim_message()) {
+        prop_assert_eq!(message.encoded_len(), wire::encode(&message).len());
+    }
+
+    /// The envelope's arithmetic twin: a datagram header plus sections is
+    /// `CLUSTER_HEADER_LEN` plus, per section, `section_header_len` and
+    /// the frames — what `Cluster` packs datagrams by.
+    #[test]
+    fn encoded_len_matches_encoder_envelope(
+        sections in vec((arb_int(), arb_int(), vec(any::<u8>(), 0..300)), 0..6),
+    ) {
+        let mut datagram = bytes::BytesMut::new();
+        wire::encode_datagram_header(&mut datagram);
+        let mut expected = wire::CLUSTER_HEADER_LEN;
+        for (from, dest, frames) in &sections {
+            wire::encode_section(&mut datagram, pid(*from), pid(*dest), frames).expect("fits");
+            expected += wire::section_header_len(pid(*from), pid(*dest), frames.len()) + frames.len();
+        }
+        prop_assert_eq!(datagram.len(), expected);
+    }
+
+    /// A frame of any kind, cut at every byte offset, is refused as
+    /// truncated (or as a count the rest cannot hold), never decoded and
+    /// never a panic.
+    #[test]
+    fn frames_truncated_anywhere_are_refused(frame in arb_any_frame()) {
+        prop_assert_eq!(decode_any(&frame), Ok(()));
+        for cut in 0..frame.len() {
+            let err = decode_any(&frame[..cut]).expect_err("a truncated frame must fail");
+            prop_assert!(
+                matches!(err, WireError::UnexpectedEof | WireError::LengthOverflow(_)),
+                "cut at {} of {}: {:?}", cut, frame.len(), err
+            );
+        }
+    }
+}
+
+/// Ids, seqs and incarnations at every varint length boundary survive a
+/// round trip exactly, and cost exactly their varint lengths.
+#[test]
+fn integers_at_the_varint_boundaries_roundtrip() {
+    for &v in &EDGES {
+        let message = Message::RetransmitRequest {
+            ids: vec![eid((v, v)), eid((v, 0)), eid((0, v))],
+        };
+        let bytes = wire::encode(&message);
+        assert_eq!(bytes.len(), message.encoded_len());
+        let Ok(Message::RetransmitRequest { ids }) = wire::decode(&bytes) else {
+            panic!("{v}: kind changed");
+        };
+        assert_eq!(ids, vec![eid((v, v)), eid((v, 0)), eid((0, v))]);
+
+        let updates = vec![Update {
+            subject: pid(v),
+            incarnation: v,
+            state: UpdateState::Suspect,
+        }];
+        let ping = SwimMsg::<Message>::Ping {
+            updates: updates.clone(),
+        };
+        let bytes = wire::encode(&ping);
+        assert_eq!(bytes.len(), ping.encoded_len());
+        let decoded: SwimMsg<Message> = wire::decode(&bytes).expect("decodes");
+        assert_eq!(decoded.updates(), updates.as_slice());
+
+        let mut digest = CompactDigest::new();
+        digest.extend([eid((v, v)), eid((0, v))]);
+        let gossip = Message::gossip(Gossip {
+            sender: pid(v),
+            subs: vec![pid(v)],
+            unsubs: UnsubDigest::from_records([Unsubscription::new(pid(v), LogicalTime::new(v))]),
+            events: vec![Event::new(eid((v, v)), b"edge".as_ref())],
+            event_ids: Digest::Compact(digest),
+        });
+        let bytes = wire::encode(&gossip);
+        assert_eq!(bytes.len(), gossip.encoded_len());
+        assert!(roundtrip_equal(&gossip), "{v}");
+    }
+    // One byte up to 127, two from 128, nine below 2⁶³, ten at the top.
+    let subscribe = |v: u64| Message::Subscribe { subscriber: pid(v) }.encoded_len() - 3;
+    assert_eq!(
+        EDGES.map(subscribe),
+        [1, 1, 2, 8, 9, 10],
+        "varint lengths at {EDGES:?}"
+    );
+}
+
+/// A Subscribe frame whose subscriber is written as `varint`.
+fn subscribe_frame(varint: &[u8]) -> Vec<u8> {
+    [&[wire::MAGIC, wire::VERSION, 1][..], varint].concat()
+}
+
+#[test]
+fn overlong_and_oversized_varints_are_refused() {
+    let nine = [0xFF; 9];
+    for bad in [
+        vec![0x80, 0x00],                    // 0 in two bytes
+        vec![0x81, 0x80, 0x00],              // 1 in three bytes
+        [&nine[..], &[0x02]].concat(),       // a tenth byte above 1
+        [&nine[..], &[0x81, 0x00]].concat(), // an eleventh byte
+        [&nine[..], &[0x80, 0x80, 0x01]].concat(),
+    ] {
+        assert_eq!(
+            wire::decode::<Message>(&subscribe_frame(&bad)).err(),
+            Some(WireError::BadVarint),
+            "{bad:x?}"
+        );
+    }
+    // The largest value, in its ten bytes, is fine.
+    let max = wire::decode::<Message>(&subscribe_frame(&[&nine[..], &[0x01]].concat()));
+    assert!(matches!(max, Ok(Message::Subscribe { subscriber }) if subscriber == pid(u64::MAX)));
+    // An overlong incarnation inside a SWIM update (subject 7).
+    let ping = [wire::MAGIC, wire::VERSION, 41, 1, 7, 0x85, 0x00, 0];
+    assert_eq!(
+        wire::decode::<SwimMsg<Message>>(&ping).err(),
+        Some(WireError::BadVarint)
+    );
+    // A hop count past u32.
+    let multicast = [
+        &[wire::MAGIC, wire::VERSION, 16, 0, 0, 0][..],
+        &[0x80, 0x80, 0x80, 0x80, 0x10],
+    ]
+    .concat();
+    assert_eq!(
+        wire::decode::<PbcastMessage>(&multicast).err(),
+        Some(WireError::BadVarint)
+    );
+}
+
+#[test]
+fn delta_runs_past_u64_max_are_refused() {
+    // Two origins whose deltas sum past u64::MAX.
+    let mut origins = vec![wire::MAGIC, wire::VERSION, 0, 7, 0, 1, 0, 0, 1, 2];
+    for _ in 0..2 {
+        leb(&mut origins, u64::MAX / 2 + 1);
+        origins.extend_from_slice(&[0, 0]);
+    }
+    assert_eq!(
+        wire::decode::<Message>(&origins).err(),
+        Some(WireError::BadVarint)
+    );
+    // An out-of-order seq past u64::MAX from a high watermark.
+    let mut seqs = vec![wire::MAGIC, wire::VERSION, 0, 7, 0, 1, 0, 0, 1, 1, 3];
+    leb(&mut seqs, u64::MAX - 1);
+    seqs.push(1);
+    leb(&mut seqs, 2);
+    assert_eq!(
+        wire::decode::<Message>(&seqs).err(),
+        Some(WireError::BadVarint)
+    );
+}
+
+/// Each section's element count is checked against the bytes left at
+/// one-byte-per-varint floors: a count one past `remaining / floor` is
+/// refused before anything is allocated, and `remaining / floor` elements
+/// of all-zero varints — the smallest elements there are — decode, so
+/// every floor is tight.
+#[test]
+fn hostile_counts_stop_at_the_one_byte_floors() {
+    /// `last`: the section ends the frame, so the elements that fit
+    /// decode whole; otherwise the frame ends where the next section
+    /// should start.
+    fn check<M: WireMessage>(what: &str, prefix: &[u8], floor: usize, last: bool) {
+        let head = [&[wire::MAGIC, wire::VERSION][..], prefix].concat();
+        for fits in [0, 1, 7, 30, 300] {
+            let remaining = fits * floor;
+            let frame = |count: usize| {
+                let mut frame = head.clone();
+                leb(&mut frame, count as u64);
+                frame.extend(std::iter::repeat_n(0, remaining));
+                frame
+            };
+            assert_eq!(
+                wire::decode::<M>(&frame(fits + 1)).err(),
+                Some(WireError::LengthOverflow(fits + 1)),
+                "{what}: {} in {remaining} bytes",
+                fits + 1
+            );
+            assert_eq!(
+                wire::decode::<M>(&frame(fits)).err(),
+                (!last).then_some(WireError::UnexpectedEof),
+                "{what}: {fits} in {remaining} bytes"
+            );
+        }
+    }
+    // Gossip sections, each after the (minimal) sections before it.
+    check::<Message>("subs", &[0, 7], 1, false);
+    check::<Message>("unSubs groups", &[0, 7, 0, 1], 2, false);
+    check::<Message>("events", &[0, 7, 0, 1, 0], 3, false);
+    check::<Message>("digest ids", &[0, 7, 0, 1, 0, 0, 0], 2, true);
+    check::<Message>("digest origins", &[0, 7, 0, 1, 0, 0, 1], 3, true);
+    check::<Message>("pull ids", &[2], 2, true);
+    check::<Message>("pulled events", &[3], 3, true);
+    check::<PbcastMessage>("flat entries", &[17, 7], 3, false);
+    check::<PbcastMessage>("compact ranges", &[19, 7], 5, false);
+    check::<SwimMsg<Message>>("updates", &[41], 3, true);
+}
+
+/// The label bound lives on `TopicId`, and the codec refuses exactly what
+/// `TopicId` cannot hold.
+#[test]
+fn topic_labels_of_one_to_max_len_bytes_roundtrip() {
+    let inner = Message::Subscribe { subscriber: pid(1) };
+    let longest = TopicId::new("t".repeat(TopicId::MAX_LEN));
+    let message = PubSubMessage {
+        topic: longest.clone(),
+        inner: inner.clone(),
+    };
+    let bytes = wire::encode(&message);
+    assert_eq!(bytes.len(), message.encoded_len());
+    let decoded: PubSubMessage = wire::decode(&bytes).expect("the longest label decodes");
+    assert_eq!(decoded.topic, longest);
+
+    let frame = |label: &[u8]| {
+        let mut frame = vec![wire::MAGIC, wire::VERSION, 32];
+        leb(&mut frame, label.len() as u64);
+        frame.extend_from_slice(label);
+        frame.extend_from_slice(&[1, 1]); // Subscribe { subscriber: 1 }
+        frame
+    };
+    assert_eq!(
+        wire::decode::<PubSubMessage>(&frame(b"")).err(),
+        Some(WireError::BadTopic)
+    );
+    assert_eq!(
+        wire::decode::<PubSubMessage>(&frame(&[b't'; TopicId::MAX_LEN + 1])).err(),
+        Some(WireError::LengthOverflow(TopicId::MAX_LEN + 1))
+    );
 }

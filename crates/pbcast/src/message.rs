@@ -44,9 +44,9 @@ pub struct OriginRange {
 
 impl OriginRange {
     /// Maximal `max_seq - min_seq` of a well-formed range: the digest
-    /// builder splits longer runs, and the wire codec encodes the span
-    /// and the gap offsets as u16 (also what caps how many ids a
-    /// hostile range can make a receiver iterate).
+    /// builder splits longer runs, and the wire codec refuses longer
+    /// spans (which caps how many ids a hostile range can make a receiver
+    /// iterate).
     pub const MAX_SPAN: u64 = u16::MAX as u64;
 
     /// Number of sequence numbers the range advertises.
@@ -81,14 +81,14 @@ pub enum DigestEntries {
 }
 
 impl DigestEntries {
-    /// Exact wire cost of one flat entry (kind-17 body): origin + seq +
-    /// hops. Pinned against the real encoder by a `lpbcast-net` test.
+    /// Fixed-width cost of one flat entry: origin + seq + hops at 8, 8
+    /// and 4 bytes.
     pub const FLAT_ENTRY_BYTES: usize = 8 + 8 + 4;
-    /// Exact wire cost of one gap-free range (kind-19 body): origin +
-    /// min + u16 span + u16 gap count + hops. Spans are bounded by the
-    /// digest builder ([`OriginRange::MAX_SPAN`]), so a u16 suffices.
+    /// Fixed-width cost of one gap-free range: origin + min_seq + span +
+    /// gap count + hops at 8, 8, 2, 2 and 4 bytes. Spans are bounded by
+    /// the digest builder ([`OriginRange::MAX_SPAN`]).
     pub const RANGE_BYTES: usize = 8 + 8 + 2 + 2 + 4;
-    /// Exact wire cost of one listed gap (a u16 offset from `min_seq`).
+    /// Fixed-width cost of one listed gap (an offset from `min_seq`).
     pub const GAP_BYTES: usize = 2;
 
     /// An empty section in the `Flat` representation.
@@ -109,9 +109,14 @@ impl DigestEntries {
         self.advertised_count() == 0
     }
 
-    /// Exact wire cost of the section's element list (excluding the
-    /// shared count prefix) under the `lpbcast-net` codec.
-    pub fn wire_cost(&self) -> usize {
+    /// Cost of the section's element list (the count prefix excluded)
+    /// with every integer at a fixed width, the frame-v1 layout. The
+    /// digest builder keeps whichever form costs less by this measure. It
+    /// is a pure function of the entries, so the choice, and with it what
+    /// pbcast gossips, stays put when the codec changes how integers are
+    /// written (frame v2 writes varints; `lpbcast-net` computes that
+    /// length itself).
+    pub fn fixed_width_cost(&self) -> usize {
         match self {
             DigestEntries::Flat(entries) => entries.len() * Self::FLAT_ENTRY_BYTES,
             DigestEntries::Compact(ranges) => ranges
@@ -220,7 +225,7 @@ mod tests {
             },
         ]);
         assert_eq!(flat.advertised_count(), 2);
-        assert_eq!(flat.wire_cost(), 2 * DigestEntries::FLAT_ENTRY_BYTES);
+        assert_eq!(flat.fixed_width_cost(), 2 * DigestEntries::FLAT_ENTRY_BYTES);
         let compact = DigestEntries::Compact(vec![OriginRange {
             origin: ProcessId::new(1),
             min_seq: 0,
@@ -230,7 +235,7 @@ mod tests {
         }]);
         assert_eq!(compact.advertised_count(), 9);
         assert_eq!(
-            compact.wire_cost(),
+            compact.fixed_width_cost(),
             DigestEntries::RANGE_BYTES + DigestEntries::GAP_BYTES
         );
         assert!(DigestEntries::empty().is_empty());

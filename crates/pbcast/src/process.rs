@@ -230,11 +230,12 @@ impl Pbcast {
         // ranges, but only when that actually encodes smaller — with
         // non-repeating origins (every advertised id from a different
         // publisher) a range per singleton id would *cost* bytes, so the
-        // flat list is kept. The choice is exact wire arithmetic
-        // (`DigestEntries::wire_cost`), hence deterministic.
+        // flat list is kept. The choice is fixed-width byte arithmetic
+        // (`DigestEntries::fixed_width_cost`), hence deterministic and
+        // independent of the codec's integer encoding.
         let entries = if self.config.compact_digest {
             let compact = DigestEntries::Compact(compact_entries(&entries));
-            if compact.wire_cost() < entries.len() * DigestEntries::FLAT_ENTRY_BYTES {
+            if compact.fixed_width_cost() < entries.len() * DigestEntries::FLAT_ENTRY_BYTES {
                 compact
             } else {
                 DigestEntries::Flat(entries)

@@ -7,14 +7,40 @@ use std::sync::Arc;
 /// group Π).
 ///
 /// Cheaply cloneable (reference-counted string); compares and hashes by
-/// content.
+/// content. A name is 1 to [`TopicId::MAX_LEN`] bytes: every receiver
+/// refuses a frame with any other label, so no such id can be built.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicId(Arc<str>);
 
 impl TopicId {
+    /// Longest topic name in UTF-8 bytes; the wire codec refuses longer
+    /// labels.
+    pub const MAX_LEN: usize = 1024;
+
     /// Creates a topic id from its name.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is empty or longer than [`MAX_LEN`](Self::MAX_LEN)
+    /// bytes; [`try_new`](Self::try_new) is the fallible twin.
     pub fn new(name: impl AsRef<str>) -> Self {
-        TopicId(Arc::from(name.as_ref()))
+        let name = name.as_ref();
+        match Self::try_new(name) {
+            Some(topic) => topic,
+            None => panic!(
+                "a topic name is 1 to {} bytes, not {}",
+                Self::MAX_LEN,
+                name.len()
+            ),
+        }
+    }
+
+    /// Creates a topic id from its name, or `None` if the name is empty or
+    /// longer than [`MAX_LEN`](Self::MAX_LEN) bytes.
+    pub fn try_new(name: &str) -> Option<Self> {
+        (1..=Self::MAX_LEN)
+            .contains(&name.len())
+            .then(|| TopicId(Arc::from(name)))
     }
 
     /// The topic name.
@@ -70,6 +96,26 @@ mod tests {
         let a = TopicId::new("x");
         let b = a.clone();
         assert_eq!(a.name().as_ptr(), b.name().as_ptr());
+    }
+
+    #[test]
+    fn names_are_one_to_max_len_bytes() {
+        let longest = "t".repeat(TopicId::MAX_LEN);
+        assert_eq!(TopicId::new(&longest).name(), longest);
+        assert_eq!(TopicId::try_new(""), None);
+        assert_eq!(TopicId::try_new(&"t".repeat(TopicId::MAX_LEN + 1)), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 1024 bytes, not 0")]
+    fn an_empty_name_panics() {
+        let _ = TopicId::new("");
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 1024 bytes, not 1025")]
+    fn an_overlong_name_panics() {
+        let _ = TopicId::from("é".repeat(512) + "x");
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod hashing;
 mod id;
 pub mod protocol;
 pub mod scan;
+pub mod varint;
 
 pub use buffer::{BoundedSet, OldestFirstBuffer};
 pub use digest::{CompactDigest, OriginDigest};
