@@ -127,22 +127,4 @@ mod tests {
         assert!(compact.contains(eid(1, 1)));
         assert!(!compact.contains(eid(2, 4)));
     }
-
-    #[test]
-    fn output_absorb_concatenates() {
-        let mut a = Output::default();
-        a.delivered.push(Event::new(eid(1, 0), b"".as_ref()));
-        let mut b = Output::default();
-        b.learned_ids.push(eid(2, 0));
-        b.send(pid(5), Message::Subscribe { subscriber: pid(9) });
-        assert!(!b.is_empty());
-        a.absorb(b);
-        assert_eq!(a.delivered.len(), 1);
-        assert_eq!(a.learned_ids.len(), 1);
-        assert_eq!(a.outgoing.len(), 1);
-        assert!(matches!(
-            a.outgoing[0].1,
-            Message::Subscribe { subscriber } if subscriber == pid(9)
-        ));
-    }
 }

@@ -121,11 +121,24 @@
 //! `from`/`dest` pair per datagram, version 2 fixed-width section
 //! headers), is dropped whole.
 //!
+//! Every frame body and section header is written by one walk, generic
+//! over a private sink with two impls: the [`BytesMut`] that writes the
+//! bytes, and a counter that adds 1 for a fixed byte, `varint::len(v)`
+//! for a varint and the length of a raw slice. `encode_body` runs the
+//! walk on the buffer; [`WireMessage::encoded_len`] and
+//! [`section_header_len`] run it on the counter, so a length cannot
+//! drift from its encoder. The counter parts from the writer in two
+//! places: it takes the gossip's `unSubs` group sizes from the digest
+//! instead of building the groups (no sort, no allocation), and it counts
+//! an opaque inner message (SWIM's `Wrapped`) by that message's own
+//! `encoded_len`. Decoding is written separately: it validates as it
+//! reads.
+//!
 //! Every count is validated against the remaining buffer before any
 //! allocation (each element takes at least one byte), so a hostile
 //! datagram cannot trigger huge allocations.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use core::fmt;
 
 use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscription};
@@ -254,8 +267,10 @@ impl std::error::Error for WireError {}
 
 /// A protocol message the UDP runtime can frame onto the wire: the codec
 /// half of the sans-IO [`Protocol`](lpbcast_types::Protocol) redesign.
-/// Implemented for the lpbcast [`Message`] and the pbcast
-/// [`PbcastMessage`]; `Cluster<P>` requires `P::Msg: WireMessage`.
+/// Implemented for the lpbcast [`Message`], the pbcast [`PbcastMessage`],
+/// the topic-labelled [`PubSubMessage`] and the SWIM [`SwimMsg<M>`]
+/// around any inner `M: WireMessage`; `Cluster<P>` requires
+/// `P::Msg: WireMessage`.
 pub trait WireMessage: Sized + Clone + core::fmt::Debug {
     /// Appends the kind byte and body of this message (header excluded).
     fn encode_body(&self, buf: &mut BytesMut);
@@ -277,11 +292,11 @@ pub trait WireMessage: Sized + Clone + core::fmt::Debug {
     }
 
     /// Exact number of bytes [`encode`] produces for this message (frame
-    /// header included), computed arithmetically — no buffer is written
-    /// and nothing is allocated or sorted, so byte accounting on
-    /// simulator hot paths costs a sum of varint lengths per message
-    /// instead of a full serialization. Pinned to the real encoder by
-    /// property tests.
+    /// header included). The first-party impls run the same walk as
+    /// [`encode_body`](Self::encode_body) on a counter instead of a
+    /// buffer: no byte is written and nothing is allocated or sorted, so
+    /// byte accounting on simulator hot paths costs a sum of varint
+    /// lengths per message instead of a full serialization.
     fn encoded_len(&self) -> usize;
 }
 
@@ -331,6 +346,95 @@ pub fn encode<M: WireMessage>(message: &M) -> Bytes {
     buf.freeze()
 }
 
+/// Byte length of a frame's header: magic, version.
+const FRAME_HEADER_LEN: usize = 1 + 1;
+
+/// Where a walk over a frame body or a section header goes: a
+/// [`BytesMut`] writes the bytes, a [`Len`] only counts them.
+trait Sink {
+    /// One fixed byte: a tag or a SWIM state.
+    fn put_u8(&mut self, byte: u8);
+
+    /// `value` as an unsigned LEB128 varint.
+    fn put_varint(&mut self, value: u64);
+
+    /// Raw bytes: a payload, a topic label or a run of frames.
+    fn put_slice(&mut self, bytes: &[u8]);
+
+    /// A gossip's `unSubs` groups, their count first. Writing them builds
+    /// the groups, which sorts and allocates; counting them reads the
+    /// sizes the digest keeps.
+    fn put_unsub_groups(&mut self, unsubs: &UnsubDigest);
+
+    /// An opaque inner message's kind + body. Writing it encodes the
+    /// body; counting it asks the message's own `encoded_len`, less the
+    /// frame header.
+    fn put_inner<M: WireMessage>(&mut self, inner: &M);
+}
+
+impl Sink for BytesMut {
+    fn put_u8(&mut self, byte: u8) {
+        bytes::BufMut::put_u8(self, byte);
+    }
+
+    fn put_varint(&mut self, mut value: u64) {
+        while value >= 0x80 {
+            self.put_u8(value as u8 | 0x80);
+            value >>= 7;
+        }
+        self.put_u8(value as u8);
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        bytes::BufMut::put_slice(self, bytes);
+    }
+
+    fn put_unsub_groups(&mut self, unsubs: &UnsubDigest) {
+        put_count(self, unsubs.group_count());
+        for (issued_at, leavers) in &unsubs.groups() {
+            self.put_varint(issued_at.as_u64());
+            put_pids(self, leavers);
+        }
+    }
+
+    fn put_inner<M: WireMessage>(&mut self, inner: &M) {
+        inner.encode_body(self);
+    }
+}
+
+/// A sink that writes nothing and adds up the bytes a walk would write.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put_u8(&mut self, _byte: u8) {
+        self.0 += 1;
+    }
+
+    fn put_varint(&mut self, value: u64) {
+        self.0 += varint::len(value);
+    }
+
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn put_unsub_groups(&mut self, unsubs: &UnsubDigest) {
+        self.0 += varint::len(unsubs.group_count() as u64) + unsubs.groups_encoded_len();
+    }
+
+    fn put_inner<M: WireMessage>(&mut self, inner: &M) {
+        self.0 += inner.encoded_len() - FRAME_HEADER_LEN;
+    }
+}
+
+/// Exact length of the frame whose kind + body `walk` writes: the
+/// header plus a counter pass over the walk.
+fn frame_len(walk: impl FnOnce(&mut Len)) -> usize {
+    let mut len = Len(FRAME_HEADER_LEN);
+    walk(&mut len);
+    len.0
+}
+
 /// First byte of a cluster datagram (see the module docs; distinct from
 /// the per-frame [`MAGIC`], so the two datagram shapes are told apart by
 /// their first byte).
@@ -347,7 +451,15 @@ pub const MAX_SECTION: usize = u16::MAX as usize;
 /// Byte length of the header [`encode_section`] writes for a section of
 /// `frames_len` bytes from `from` to `dest`.
 pub fn section_header_len(from: ProcessId, dest: ProcessId, frames_len: usize) -> usize {
-    pid_len(from) + pid_len(dest) + count_len(frames_len)
+    let mut len = Len(0);
+    put_section_header(&mut len, from, dest, frames_len);
+    len.0
+}
+
+fn put_section_header<S: Sink>(out: &mut S, from: ProcessId, dest: ProcessId, frames_len: usize) {
+    put_pid(out, from);
+    put_pid(out, dest);
+    put_count(out, frames_len);
 }
 
 /// Appends a cluster datagram's header; sections follow
@@ -373,9 +485,7 @@ pub fn encode_section(
     if frames.len() > MAX_SECTION {
         return Err(WireError::LengthOverflow(frames.len()));
     }
-    put_pid(buf, from);
-    put_pid(buf, dest);
-    put_count(buf, frames.len());
+    put_section_header(buf, from, dest, frames.len());
     buf.put_slice(frames);
     Ok(())
 }
@@ -448,24 +558,7 @@ pub fn decode_sections(mut data: &[u8]) -> Result<Sections<'_>, WireError> {
 
 impl WireMessage for Message {
     fn encode_body(&self, buf: &mut BytesMut) {
-        match self {
-            Message::Gossip(g) => {
-                buf.put_u8(Kind::Gossip as u8);
-                encode_gossip(buf, g);
-            }
-            Message::Subscribe { subscriber } => {
-                buf.put_u8(Kind::Subscribe as u8);
-                put_pid(buf, *subscriber);
-            }
-            Message::RetransmitRequest { ids } => {
-                buf.put_u8(Kind::RetransmitRequest as u8);
-                encode_ids(buf, ids);
-            }
-            Message::RetransmitResponse { events } => {
-                buf.put_u8(Kind::RetransmitResponse as u8);
-                encode_events(buf, events);
-            }
-        }
+        put_message(buf, self);
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -492,152 +585,34 @@ impl WireMessage for Message {
     }
 
     fn encoded_len(&self) -> usize {
-        3 + match self {
-            Message::Gossip(g) => gossip_len(g),
-            Message::Subscribe { subscriber } => pid_len(*subscriber),
-            Message::RetransmitRequest { ids } => ids_len(ids),
-            Message::RetransmitResponse { events } => events_len(events),
-        }
+        frame_len(|len| put_message(len, self))
     }
 }
 
-/// Encoded size of a varint count or length.
-fn count_len(n: usize) -> usize {
-    varint::len(n as u64)
-}
-
-fn pid_len(p: ProcessId) -> usize {
-    varint::len(p.as_u64())
-}
-
-/// Encoded size of a process-id list section.
-fn pids_len(pids: &[ProcessId]) -> usize {
-    count_len(pids.len()) + pids.iter().map(|&p| pid_len(p)).sum::<usize>()
-}
-
-fn id_len(id: EventId) -> usize {
-    pid_len(id.origin()) + varint::len(id.seq())
-}
-
-/// Encoded size of an event-id list section.
-fn ids_len(ids: &[EventId]) -> usize {
-    count_len(ids.len()) + ids.iter().map(|&id| id_len(id)).sum::<usize>()
-}
-
-fn event_len(e: &Event) -> usize {
-    id_len(e.id()) + count_len(e.payload().len()) + e.payload().len()
-}
-
-/// Encoded size of an event list section.
-fn events_len(events: &[Event]) -> usize {
-    count_len(events.len()) + events.iter().map(event_len).sum::<usize>()
-}
-
-/// Encoded size of an ascending run delta-coded from `base`.
-fn deltas_len(base: u64, run: impl Iterator<Item = u64>) -> usize {
-    let mut prev = base;
-    run.map(|value| varint::len(value - core::mem::replace(&mut prev, value)))
-        .sum()
-}
-
-/// Encoded size of a compact digest section (kind byte excluded).
-fn compact_digest_len(d: &CompactDigest) -> usize {
-    let origins = d.iter().map(|(origin, _)| origin.as_u64());
-    count_len(d.origin_count())
-        + deltas_len(0, origins)
-        + d.iter()
-            .map(|(_, od)| {
-                varint::len(od.next_seq())
-                    + count_len(od.out_of_order().len())
-                    + deltas_len(od.next_seq(), od.out_of_order())
-            })
-            .sum::<usize>()
-}
-
-/// Exact encoded size of a gossip body (kind byte excluded).
-fn gossip_len(g: &Gossip) -> usize {
-    let unsubs = 1 + count_len(g.unsubs.group_count()) + g.unsubs.groups_encoded_len();
-    let digest = 1 + match &g.event_ids {
-        Digest::Ids(ids) => ids_len(ids),
-        Digest::Compact(d) => compact_digest_len(d),
-    };
-    pid_len(g.sender) + pids_len(&g.subs) + unsubs + events_len(&g.events) + digest
-}
-
-/// Encoded size of a pbcast digest's entry section.
-fn digest_entries_len(entries: &DigestEntries) -> usize {
-    match entries {
-        DigestEntries::Flat(entries) => {
-            count_len(entries.len())
-                + entries
-                    .iter()
-                    .map(|e| id_len(e.id) + varint::len(e.hops.into()))
-                    .sum::<usize>()
+fn put_message<S: Sink>(out: &mut S, message: &Message) {
+    match message {
+        Message::Gossip(g) => {
+            out.put_u8(Kind::Gossip as u8);
+            put_gossip(out, g);
         }
-        DigestEntries::Compact(ranges) => {
-            count_len(ranges.len())
-                + ranges
-                    .iter()
-                    .map(|r| {
-                        pid_len(r.origin)
-                            + varint::len(r.min_seq)
-                            + varint::len(r.max_seq - r.min_seq)
-                            + count_len(r.gaps.len())
-                            + r.gaps
-                                .iter()
-                                .map(|&gap| varint::len(gap - r.min_seq))
-                                .sum::<usize>()
-                            + varint::len(r.hops.into())
-                    })
-                    .sum::<usize>()
+        Message::Subscribe { subscriber } => {
+            out.put_u8(Kind::Subscribe as u8);
+            put_pid(out, *subscriber);
+        }
+        Message::RetransmitRequest { ids } => {
+            out.put_u8(Kind::RetransmitRequest as u8);
+            put_ids(out, ids);
+        }
+        Message::RetransmitResponse { events } => {
+            out.put_u8(Kind::RetransmitResponse as u8);
+            put_events(out, events);
         }
     }
 }
 
 impl WireMessage for PbcastMessage {
     fn encode_body(&self, buf: &mut BytesMut) {
-        match self {
-            PbcastMessage::Multicast { event, hops } => {
-                buf.put_u8(Kind::PbcastMulticast as u8);
-                encode_event(buf, event);
-                put_varint(buf, (*hops).into());
-            }
-            PbcastMessage::GossipDigest(d) => {
-                match &d.entries {
-                    DigestEntries::Flat(entries) => {
-                        buf.put_u8(Kind::PbcastDigestFlat as u8);
-                        put_pid(buf, d.sender);
-                        put_count(buf, entries.len());
-                        for e in entries {
-                            put_pid(buf, e.id.origin());
-                            put_varint(buf, e.id.seq());
-                            put_varint(buf, e.hops.into());
-                        }
-                    }
-                    DigestEntries::Compact(ranges) => {
-                        buf.put_u8(Kind::PbcastDigestCompact as u8);
-                        put_pid(buf, d.sender);
-                        put_count(buf, ranges.len());
-                        for r in ranges {
-                            debug_assert!(r.max_seq - r.min_seq <= OriginRange::MAX_SPAN);
-                            put_pid(buf, r.origin);
-                            put_varint(buf, r.min_seq);
-                            put_varint(buf, r.max_seq - r.min_seq);
-                            put_count(buf, r.gaps.len());
-                            for &gap in &r.gaps {
-                                put_varint(buf, gap - r.min_seq);
-                            }
-                            put_varint(buf, r.hops.into());
-                        }
-                    }
-                }
-                encode_pids(buf, &d.subs);
-            }
-            PbcastMessage::Solicit { ids } => {
-                buf.put_u8(Kind::PbcastSolicit as u8);
-                encode_ids(buf, ids);
-            }
-        }
+        put_pbcast(buf, self);
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -737,25 +712,57 @@ impl WireMessage for PbcastMessage {
     }
 
     fn encoded_len(&self) -> usize {
-        3 + match self {
-            PbcastMessage::Multicast { event, hops } => {
-                event_len(event) + varint::len((*hops).into())
+        frame_len(|len| put_pbcast(len, self))
+    }
+}
+
+fn put_pbcast<S: Sink>(out: &mut S, message: &PbcastMessage) {
+    match message {
+        PbcastMessage::Multicast { event, hops } => {
+            out.put_u8(Kind::PbcastMulticast as u8);
+            put_event(out, event);
+            out.put_varint((*hops).into());
+        }
+        PbcastMessage::GossipDigest(d) => {
+            match &d.entries {
+                DigestEntries::Flat(entries) => {
+                    out.put_u8(Kind::PbcastDigestFlat as u8);
+                    put_pid(out, d.sender);
+                    put_count(out, entries.len());
+                    for e in entries {
+                        put_id(out, e.id);
+                        out.put_varint(e.hops.into());
+                    }
+                }
+                DigestEntries::Compact(ranges) => {
+                    out.put_u8(Kind::PbcastDigestCompact as u8);
+                    put_pid(out, d.sender);
+                    put_count(out, ranges.len());
+                    for r in ranges {
+                        debug_assert!(r.max_seq - r.min_seq <= OriginRange::MAX_SPAN);
+                        put_pid(out, r.origin);
+                        out.put_varint(r.min_seq);
+                        out.put_varint(r.max_seq - r.min_seq);
+                        put_count(out, r.gaps.len());
+                        for &gap in &r.gaps {
+                            out.put_varint(gap - r.min_seq);
+                        }
+                        out.put_varint(r.hops.into());
+                    }
+                }
             }
-            PbcastMessage::GossipDigest(d) => {
-                pid_len(d.sender) + digest_entries_len(&d.entries) + pids_len(&d.subs)
-            }
-            PbcastMessage::Solicit { ids } => ids_len(ids),
+            put_pids(out, &d.subs);
+        }
+        PbcastMessage::Solicit { ids } => {
+            out.put_u8(Kind::PbcastSolicit as u8);
+            put_ids(out, ids);
         }
     }
 }
 
 impl WireMessage for PubSubMessage {
     fn encode_body(&self, buf: &mut BytesMut) {
-        buf.put_u8(Kind::PubSub as u8);
-        let name = self.topic.name().as_bytes();
-        put_count(buf, name.len());
-        buf.put_slice(name);
-        self.inner.encode_body(buf);
+        put_pubsub(buf, self);
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -789,28 +796,24 @@ impl WireMessage for PubSubMessage {
     }
 
     fn encoded_len(&self) -> usize {
-        // Own header + kind + topic, plus the inner kind + body (the
-        // inner message's encoded_len minus its 2-byte frame header).
-        let topic = self.topic.name().len();
-        3 + count_len(topic) + topic + (self.inner.encoded_len() - 2)
+        frame_len(|len| put_pubsub(len, self))
     }
 }
 
-/// Encoded size of a SWIM updates section.
-fn updates_len(updates: &[Update]) -> usize {
-    count_len(updates.len())
-        + updates
-            .iter()
-            .map(|u| pid_len(u.subject) + varint::len(u.incarnation) + 1)
-            .sum::<usize>()
+fn put_pubsub<S: Sink>(out: &mut S, message: &PubSubMessage) {
+    out.put_u8(Kind::PubSub as u8);
+    let name = message.topic.name().as_bytes();
+    put_count(out, name.len());
+    out.put_slice(name);
+    put_message(out, &message.inner);
 }
 
-fn encode_updates(buf: &mut BytesMut, updates: &[Update]) {
-    put_count(buf, updates.len());
+fn put_updates<S: Sink>(out: &mut S, updates: &[Update]) {
+    put_count(out, updates.len());
     for u in updates {
-        put_pid(buf, u.subject);
-        put_varint(buf, u.incarnation);
-        buf.put_u8(match u.state {
+        put_pid(out, u.subject);
+        out.put_varint(u.incarnation);
+        out.put_u8(match u.state {
             UpdateState::Alive => 0,
             UpdateState::Suspect => 1,
             UpdateState::Confirm => 2,
@@ -842,41 +845,7 @@ fn decode_updates(buf: &mut &[u8]) -> Result<Vec<Update>, WireError> {
 
 impl<M: WireMessage> WireMessage for SwimMsg<M> {
     fn encode_body(&self, buf: &mut BytesMut) {
-        match self {
-            SwimMsg::Wrapped { inner, updates } => {
-                buf.put_u8(Kind::SwimWrapped as u8);
-                encode_updates(buf, updates);
-                inner.encode_body(buf);
-            }
-            SwimMsg::Ping { updates } => {
-                buf.put_u8(Kind::SwimPing as u8);
-                encode_updates(buf, updates);
-            }
-            SwimMsg::Ack { updates } => {
-                buf.put_u8(Kind::SwimAck as u8);
-                encode_updates(buf, updates);
-            }
-            SwimMsg::PingReq { target, updates } => {
-                buf.put_u8(Kind::SwimPingReq as u8);
-                put_pid(buf, *target);
-                encode_updates(buf, updates);
-            }
-            SwimMsg::ProxyPing { origin, updates } => {
-                buf.put_u8(Kind::SwimProxyPing as u8);
-                put_pid(buf, *origin);
-                encode_updates(buf, updates);
-            }
-            SwimMsg::ProxyAck { origin, updates } => {
-                buf.put_u8(Kind::SwimProxyAck as u8);
-                put_pid(buf, *origin);
-                encode_updates(buf, updates);
-            }
-            SwimMsg::IndirectAck { target, updates } => {
-                buf.put_u8(Kind::SwimIndirectAck as u8);
-                put_pid(buf, *target);
-                encode_updates(buf, updates);
-            }
-        }
+        put_swim(buf, self);
     }
 
     fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -944,113 +913,102 @@ impl<M: WireMessage> WireMessage for SwimMsg<M> {
     }
 
     fn encoded_len(&self) -> usize {
-        3 + match self {
-            // Own kind + updates, plus the inner kind + body (the inner
-            // message's encoded_len minus its 2-byte frame header).
-            SwimMsg::Wrapped { inner, updates } => updates_len(updates) + (inner.encoded_len() - 2),
-            SwimMsg::Ping { updates } | SwimMsg::Ack { updates } => updates_len(updates),
-            SwimMsg::PingReq {
-                target: peer,
-                updates,
-            }
-            | SwimMsg::ProxyPing {
-                origin: peer,
-                updates,
-            }
-            | SwimMsg::ProxyAck {
-                origin: peer,
-                updates,
-            }
-            | SwimMsg::IndirectAck {
-                target: peer,
-                updates,
-            } => pid_len(*peer) + updates_len(updates),
-        }
+        frame_len(|len| put_swim(len, self))
     }
 }
 
-fn encode_gossip(buf: &mut BytesMut, g: &Gossip) {
-    put_pid(buf, g.sender);
-    encode_pids(buf, &g.subs);
-    buf.put_u8(UNSUBS_GROUPED);
-    put_count(buf, g.unsubs.group_count());
-    for (issued_at, leavers) in &g.unsubs.groups() {
-        put_varint(buf, issued_at.as_u64());
-        encode_pids(buf, leavers);
+fn put_swim<S: Sink, M: WireMessage>(out: &mut S, message: &SwimMsg<M>) {
+    let (kind, peer, updates) = match message {
+        SwimMsg::Wrapped { updates, .. } => (Kind::SwimWrapped, None, updates),
+        SwimMsg::Ping { updates } => (Kind::SwimPing, None, updates),
+        SwimMsg::Ack { updates } => (Kind::SwimAck, None, updates),
+        SwimMsg::PingReq { target, updates } => (Kind::SwimPingReq, Some(target), updates),
+        SwimMsg::ProxyPing { origin, updates } => (Kind::SwimProxyPing, Some(origin), updates),
+        SwimMsg::ProxyAck { origin, updates } => (Kind::SwimProxyAck, Some(origin), updates),
+        SwimMsg::IndirectAck { target, updates } => (Kind::SwimIndirectAck, Some(target), updates),
+    };
+    out.put_u8(kind as u8);
+    if let Some(&peer) = peer {
+        put_pid(out, peer);
     }
-    encode_events(buf, &g.events);
+    put_updates(out, updates);
+    if let SwimMsg::Wrapped { inner, .. } = message {
+        out.put_inner(inner);
+    }
+}
+
+fn put_gossip<S: Sink>(out: &mut S, g: &Gossip) {
+    put_pid(out, g.sender);
+    put_pids(out, &g.subs);
+    out.put_u8(UNSUBS_GROUPED);
+    out.put_unsub_groups(&g.unsubs);
+    put_events(out, &g.events);
     match &g.event_ids {
         Digest::Ids(ids) => {
-            buf.put_u8(0);
-            encode_ids(buf, ids);
+            out.put_u8(0);
+            put_ids(out, ids);
         }
         Digest::Compact(d) => {
-            buf.put_u8(1);
-            put_count(buf, d.origin_count());
+            out.put_u8(1);
+            put_count(out, d.origin_count());
             let mut prev_origin = 0;
             for (origin, od) in d.iter() {
-                put_delta(buf, &mut prev_origin, origin.as_u64());
-                put_varint(buf, od.next_seq());
-                put_count(buf, od.out_of_order().len());
+                put_delta(out, &mut prev_origin, origin.as_u64());
+                out.put_varint(od.next_seq());
+                put_count(out, od.out_of_order().len());
                 let mut prev_seq = od.next_seq();
                 for seq in od.out_of_order() {
-                    put_delta(buf, &mut prev_seq, seq);
+                    put_delta(out, &mut prev_seq, seq);
                 }
             }
         }
     }
 }
 
-fn encode_pids(buf: &mut BytesMut, pids: &[ProcessId]) {
-    put_count(buf, pids.len());
+fn put_pids<S: Sink>(out: &mut S, pids: &[ProcessId]) {
+    put_count(out, pids.len());
     for &p in pids {
-        put_pid(buf, p);
+        put_pid(out, p);
     }
 }
 
-fn encode_ids(buf: &mut BytesMut, ids: &[EventId]) {
-    put_count(buf, ids.len());
-    for id in ids {
-        put_pid(buf, id.origin());
-        put_varint(buf, id.seq());
+fn put_ids<S: Sink>(out: &mut S, ids: &[EventId]) {
+    put_count(out, ids.len());
+    for &id in ids {
+        put_id(out, id);
     }
 }
 
-fn encode_events(buf: &mut BytesMut, events: &[Event]) {
-    put_count(buf, events.len());
+fn put_events<S: Sink>(out: &mut S, events: &[Event]) {
+    put_count(out, events.len());
     for e in events {
-        encode_event(buf, e);
+        put_event(out, e);
     }
 }
 
-fn encode_event(buf: &mut BytesMut, e: &Event) {
-    put_pid(buf, e.id().origin());
-    put_varint(buf, e.id().seq());
-    put_count(buf, e.payload().len());
-    buf.put_slice(e.payload());
+fn put_event<S: Sink>(out: &mut S, e: &Event) {
+    put_id(out, e.id());
+    put_count(out, e.payload().len());
+    out.put_slice(e.payload());
 }
 
-/// Appends `value` as an unsigned LEB128 varint.
-fn put_varint(buf: &mut BytesMut, mut value: u64) {
-    while value >= 0x80 {
-        buf.put_u8(value as u8 | 0x80);
-        value >>= 7;
-    }
-    buf.put_u8(value as u8);
+fn put_count<S: Sink>(out: &mut S, n: usize) {
+    out.put_varint(n as u64);
 }
 
-fn put_count(buf: &mut BytesMut, n: usize) {
-    put_varint(buf, n as u64);
+fn put_pid<S: Sink>(out: &mut S, p: ProcessId) {
+    out.put_varint(p.as_u64());
 }
 
-fn put_pid(buf: &mut BytesMut, p: ProcessId) {
-    put_varint(buf, p.as_u64());
+fn put_id<S: Sink>(out: &mut S, id: EventId) {
+    put_pid(out, id.origin());
+    out.put_varint(id.seq());
 }
 
-/// Appends `value` as its difference from `*prev` (an ascending run), and
+/// Puts `value` as its difference from `*prev` (an ascending run), and
 /// makes it the new `*prev`.
-fn put_delta(buf: &mut BytesMut, prev: &mut u64, value: u64) {
-    put_varint(buf, value - core::mem::replace(prev, value));
+fn put_delta<S: Sink>(out: &mut S, prev: &mut u64, value: u64) {
+    out.put_varint(value - core::mem::replace(prev, value));
 }
 
 /// Decodes one frame (header + kind + body) from `buf`, advancing it.
@@ -1490,7 +1448,7 @@ mod tests {
         buf.put_u8(VERSION);
         buf.put_u8(kind as u8);
         for &v in varints {
-            put_varint(&mut buf, v);
+            buf.put_varint(v);
         }
         buf
     }

@@ -456,8 +456,9 @@ proptest! {
         prop_assert_eq!(re_encoded.as_ref(), bytes.as_ref());
     }
 
-    /// The arithmetic `encoded_len` is exactly what the encoder writes —
-    /// this is what lets the simulator meter bytes without serializing.
+    /// `encoded_len`, the encoder's walk on a byte counter, is exactly
+    /// what the encoder writes — this is what lets the simulator meter
+    /// bytes without serializing.
     #[test]
     fn encoded_len_matches_encoder_lpbcast(message in arb_message()) {
         prop_assert_eq!(message.encoded_len(), wire::encode(&message).len());
@@ -722,7 +723,7 @@ proptest! {
         prop_assert_eq!(message.encoded_len(), wire::encode(&message).len());
     }
 
-    /// The envelope's arithmetic twin: a datagram header plus sections is
+    /// The envelope's length: a datagram header plus sections is
     /// `CLUSTER_HEADER_LEN` plus, per section, `section_header_len` and
     /// the frames — what `Cluster` packs datagrams by.
     #[test]

@@ -84,23 +84,6 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
         self.max_len
     }
 
-    /// Changes the maximum size. Does **not** truncate; call
-    /// [`BoundedSet::truncate_random`] afterwards if shrinking.
-    pub fn set_max_len(&mut self, max_len: usize) {
-        self.max_len = max_len;
-        if max_len > LINEAR_SCAN_MAX && self.index.is_none() {
-            self.index = Some(
-                self.items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| (item.clone(), i))
-                    .collect(),
-            );
-        } else if max_len <= LINEAR_SCAN_MAX {
-            self.index = None;
-        }
-    }
-
     /// Number of elements currently stored.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -345,12 +328,6 @@ impl<T: Clone + Eq + Hash> OldestFirstBuffer<T> {
     /// The configured maximum size |L|m.
     pub const fn max_len(&self) -> usize {
         self.max_len
-    }
-
-    /// Changes the maximum size. Does **not** truncate; call
-    /// [`OldestFirstBuffer::truncate_oldest`] afterwards if shrinking.
-    pub fn set_max_len(&mut self, max_len: usize) {
-        self.max_len = max_len;
     }
 
     /// Number of elements currently stored.

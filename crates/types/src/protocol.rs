@@ -138,14 +138,6 @@ impl<M> Output<M> {
         self.outgoing.push((to, msg));
     }
 
-    /// Merges another output into this one, preserving order.
-    pub fn absorb(&mut self, other: Output<M>) {
-        self.delivered.extend(other.delivered);
-        self.learned_ids.extend(other.learned_ids);
-        self.outgoing.extend(other.outgoing);
-        self.membership.extend(other.membership);
-    }
-
     /// Whether the step produced nothing at all.
     pub fn is_empty(&self) -> bool {
         self.delivered.is_empty()
@@ -226,26 +218,22 @@ mod tests {
 
     #[test]
     fn default_output_is_empty_and_allocation_free() {
-        let out: Output<u32> = Output::default();
+        let mut out: Output<u32> = Output::default();
         assert!(out.is_empty());
         assert_eq!(out.outgoing.capacity(), 0);
         assert_eq!(out.delivered.capacity(), 0);
-    }
-
-    #[test]
-    fn absorb_concatenates_all_sections() {
-        let mut a: Output<u32> = Output::new();
-        a.delivered.push(Event::new(eid(1, 0), b"".as_ref()));
-        let mut b: Output<u32> = Output::new();
-        b.learned_ids.push(eid(2, 0));
-        b.send(pid(5), 9);
-        b.membership.push(MembershipEvent::Joined(pid(7)));
-        assert!(!b.is_empty());
-        a.absorb(b);
-        assert_eq!(a.delivered.len(), 1);
-        assert_eq!(a.learned_ids, vec![eid(2, 0)]);
-        assert_eq!(a.outgoing, vec![(pid(5), 9)]);
-        assert_eq!(a.membership, vec![MembershipEvent::Joined(pid(7))]);
+        // Any one non-empty section makes the output non-empty.
+        out.delivered.push(Event::new(eid(1, 0), b"".as_ref()));
+        assert!(!out.is_empty());
+        let mut learned: Output<u32> = Output::new();
+        learned.learned_ids.push(eid(2, 0));
+        let mut sent: Output<u32> = Output::new();
+        sent.send(pid(5), 9);
+        let mut joined: Output<u32> = Output::new();
+        joined.membership.push(MembershipEvent::Joined(pid(7)));
+        for output in [learned, sent, joined] {
+            assert!(!output.is_empty());
+        }
     }
 
     #[test]

@@ -100,4 +100,29 @@ fn main() {
         cluster.delivered_to(&tech, late_tick),
         cluster.has_delivered(p(9), &tech, late_tick)
     );
+
+    // Every tick reached every trader on its topic's roster, and the
+    // latecomer got the tick published after it joined.
+    let roster_of = |topic: &TopicId| {
+        rosters
+            .iter()
+            .find(|(t, _)| *t == topic)
+            .map(|(_, roster)| roster.as_slice())
+            .expect("every tick is on a listed topic")
+    };
+    for (topic, id, quote) in published
+        .iter()
+        .chain([&(tech.clone(), late_tick, "MSFT 428.90")])
+    {
+        for &trader in roster_of(topic) {
+            assert!(
+                cluster.has_delivered(p(trader), topic, *id),
+                "p{trader} missed {quote:?} on {topic}"
+            );
+        }
+    }
+    assert!(
+        cluster.has_delivered(p(9), &tech, late_tick),
+        "late subscriber p9 missed the MSFT tick"
+    );
 }
