@@ -87,10 +87,10 @@ impl fmt::Display for Unsubscription {
 /// to. Only the wire form is canonical: groups sorted by timestamp, ids
 /// sorted and distinct within each group. The digest stores the records,
 /// the wire's group count and the byte length of the groups, which are
-/// all an encoded length needs. The groups themselves are built by
-/// [`groups`](UnsubDigest::groups) when a codec writes bytes, so the
-/// simulator, which meters lengths and never encodes, never sorts. Wire
-/// *decoding* yields records in group order; the record set,
+/// all an encoded length needs. The records are sorted into wire order by
+/// [`sorted_pairs`](UnsubDigest::sorted_pairs) only when a codec writes
+/// bytes, so the simulator, which meters lengths and never encodes, never
+/// sorts. Wire *decoding* yields records in group order; the record set,
 /// obsolescence checks and purge outcomes do not depend on it.
 #[derive(Debug, Clone, Default)]
 pub struct UnsubDigest {
@@ -185,17 +185,11 @@ impl UnsubDigest {
         &self.records
     }
 
-    /// The `(issued_at, leavers)` wire groups, ascending by timestamp,
-    /// leavers ascending and distinct within each; built on each call.
-    pub fn groups(&self) -> Vec<(LogicalTime, Vec<ProcessId>)> {
-        let mut groups: Vec<(LogicalTime, Vec<ProcessId>)> = Vec::new();
-        for (t, p) in sorted_pairs(&self.records) {
-            match groups.last_mut() {
-                Some((gt, ids)) if *gt == t => ids.push(p),
-                _ => groups.push((t, vec![p])),
-            }
-        }
-        groups
+    /// The distinct `(issued_at, leaver)` pairs in wire order, ascending:
+    /// each wire group is one run of equal timestamps. Built on each call,
+    /// in one `Vec`.
+    pub fn sorted_pairs(&self) -> Vec<(LogicalTime, ProcessId)> {
+        sorted_pairs(&self.records)
     }
 
     /// Number of distinct timestamps on the wire.
@@ -306,8 +300,8 @@ mod tests {
         assert_eq!(digest.group_count(), 2, "two distinct timestamps");
         assert_eq!(digest.record_count(), 4);
         assert_eq!(
-            digest.groups()[0],
-            (LogicalTime::new(3), vec![pid(4), pid(9)]),
+            digest.sorted_pairs()[..2],
+            [(LogicalTime::new(3), pid(4)), (LogicalTime::new(3), pid(9))],
             "wire groups ascend by time, ids sorted within"
         );
         // Lossless AND order-preserving: iteration yields the records
@@ -341,10 +335,11 @@ mod tests {
         // ids, one byte each.
         assert_eq!((digest.group_count(), digest.groups_encoded_len()), (2, 7));
         assert_eq!(
-            digest.groups(),
+            digest.sorted_pairs(),
             vec![
-                (LogicalTime::new(2), vec![pid(3)]),
-                (LogicalTime::new(9), vec![pid(1), pid(3)]),
+                (LogicalTime::new(2), pid(3)),
+                (LogicalTime::new(9), pid(1)),
+                (LogicalTime::new(9), pid(3)),
             ],
             "ascending, sorted and deduped within"
         );

@@ -26,9 +26,8 @@
 //! through [`Protocol::evict`] instead of fading out.
 //!
 //! `Swim<P>` itself implements [`Protocol`], so it composes with
-//! lpbcast, pbcast and the pub/sub layer unchanged and runs in the
-//! simulation engine, the scenario suite and the UDP runtime without
-//! touching their code. Like every protocol in the workspace it is a
+//! lpbcast and pbcast unchanged and runs in the simulation engine, the
+//! scenario suite and the UDP runtime without touching their code. Like every protocol in the workspace it is a
 //! deterministic state machine: all randomness flows from one seeded
 //! RNG, and member iteration uses ordered containers.
 

@@ -6,9 +6,8 @@
 //! [`Protocol`](lpbcast_types::Protocol) state machines:
 //!
 //! * a compact hand-rolled binary **wire codec** ([`wire`]) behind the
-//!   [`WireMessage`] trait (lpbcast, pbcast, pub/sub and SWIM messages
-//!   in-tree) — length-checked, fuzz/property tested, no serialization
-//!   framework;
+//!   [`WireMessage`] trait (lpbcast, pbcast and SWIM messages in-tree)
+//!   — length-checked, fuzz/property tested, no serialization framework;
 //! * one **UDP runtime** ([`Cluster<P>`](Cluster)), generic over any
 //!   `Protocol` whose messages implement [`WireMessage`]: one to
 //!   thousands of protocol instances multiplexed over a handful of

@@ -75,20 +75,11 @@
 //!                         the spans of one digest sum to at most 2¹⁶ ids)
 //! ```
 //!
-//! pub/sub [`PubSubMessage`] frames live at tag 32: a UTF-8 topic label of
-//! 1 to [`TopicId::MAX_LEN`] bytes followed by the inner lpbcast message
-//! body, so one transport carries many topics:
-//!
-//! ```text
-//! kind 32 — PubSub:       v |topic| then |topic| UTF-8 bytes,
-//!                         inner lpbcast kind + body
-//! ```
-//!
 //! SWIM failure-detector [`SwimMsg`] frames live at tags 40–46. Every
 //! variant carries a piggybacked *updates* section — `v |updates| then
 //! |updates| × (v subject, v incarnation, u8 state)` where state is
 //! 0 = Alive, 1 = Suspect, 2 = Confirm — and the `Wrapped` variant then
-//! embeds the inner protocol's kind + body, like pub/sub:
+//! embeds the inner protocol's kind + body:
 //!
 //! ```text
 //! kind 40 — Wrapped:      updates, inner kind + body
@@ -129,7 +120,7 @@
 //! [`section_header_len`] run it on the counter, so a length cannot
 //! drift from its encoder. The counter parts from the writer in two
 //! places: it takes the gossip's `unSubs` group sizes from the digest
-//! instead of building the groups (no sort, no allocation), and it counts
+//! instead of sorting the records (no allocation), and it counts
 //! an opaque inner message (SWIM's `Wrapped`) by that message's own
 //! `encoded_len`. Decoding is written separately: it validates as it
 //! reads.
@@ -144,7 +135,6 @@ use core::fmt;
 use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscription};
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
-use lpbcast_pubsub::{PubSubMessage, TopicId};
 use lpbcast_types::{
     hashing::FastHasher, varint, CompactDigest, Event, EventId, OriginDigest, ProcessId,
 };
@@ -207,8 +197,6 @@ kinds! {
     PbcastSolicit = 18,
     /// pbcast anti-entropy digest, §3.2 compact per-origin ranges.
     PbcastDigestCompact = 19,
-    /// pub/sub topic-labelled wrapper around an inner lpbcast frame.
-    PubSub = 32,
     /// SWIM piggyback wrapper around an inner protocol frame.
     SwimWrapped = 40,
     /// SWIM direct ping.
@@ -240,9 +228,6 @@ pub enum WireError {
     LengthOverflow(usize),
     /// Trailing bytes after a complete message.
     TrailingBytes(usize),
-    /// A pub/sub topic label is not valid UTF-8, empty or longer than
-    /// [`TopicId::MAX_LEN`].
-    BadTopic,
     /// A varint is overlong, passes `u64::MAX` (alone or as the sum of a
     /// delta-coded run), or passes the range of its field.
     BadVarint,
@@ -257,7 +242,6 @@ impl fmt::Display for WireError {
             WireError::BadTag(t) => write!(f, "unknown tag {t}"),
             WireError::LengthOverflow(l) => write!(f, "declared length {l} exceeds buffer"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
-            WireError::BadTopic => write!(f, "malformed pub/sub topic label"),
             WireError::BadVarint => write!(f, "overlong or out-of-range varint"),
         }
     }
@@ -267,10 +251,9 @@ impl std::error::Error for WireError {}
 
 /// A protocol message the UDP runtime can frame onto the wire: the codec
 /// half of the sans-IO [`Protocol`](lpbcast_types::Protocol) redesign.
-/// Implemented for the lpbcast [`Message`], the pbcast [`PbcastMessage`],
-/// the topic-labelled [`PubSubMessage`] and the SWIM [`SwimMsg<M>`]
-/// around any inner `M: WireMessage`; `Cluster<P>` requires
-/// `P::Msg: WireMessage`.
+/// Implemented for the lpbcast [`Message`], the pbcast [`PbcastMessage`]
+/// and the SWIM [`SwimMsg<M>`] around any inner `M: WireMessage`;
+/// `Cluster<P>` requires `P::Msg: WireMessage`.
 pub trait WireMessage: Sized + Clone + core::fmt::Debug {
     /// Appends the kind byte and body of this message (header excluded).
     fn encode_body(&self, buf: &mut BytesMut);
@@ -358,12 +341,12 @@ trait Sink {
     /// `value` as an unsigned LEB128 varint.
     fn put_varint(&mut self, value: u64);
 
-    /// Raw bytes: a payload, a topic label or a run of frames.
+    /// Raw bytes: a payload or a run of frames.
     fn put_slice(&mut self, bytes: &[u8]);
 
-    /// A gossip's `unSubs` groups, their count first. Writing them builds
-    /// the groups, which sorts and allocates; counting them reads the
-    /// sizes the digest keeps.
+    /// A gossip's `unSubs` groups, their count first. Writing them sorts
+    /// the records into one scratch `Vec` of pairs; counting them reads
+    /// the sizes the digest keeps.
     fn put_unsub_groups(&mut self, unsubs: &UnsubDigest);
 
     /// An opaque inner message's kind + body. Writing it encodes the
@@ -391,9 +374,16 @@ impl Sink for BytesMut {
 
     fn put_unsub_groups(&mut self, unsubs: &UnsubDigest) {
         put_count(self, unsubs.group_count());
-        for (issued_at, leavers) in &unsubs.groups() {
+        for group in unsubs.sorted_pairs().chunk_by(|a, b| a.0 == b.0) {
+            // `chunk_by` yields no empty run.
+            let Some(&(issued_at, _)) = group.first() else {
+                continue;
+            };
             self.put_varint(issued_at.as_u64());
-            put_pids(self, leavers);
+            put_count(self, group.len());
+            for &(_, leaver) in group {
+                put_pid(self, leaver);
+            }
         }
     }
 
@@ -758,54 +748,6 @@ fn put_pbcast<S: Sink>(out: &mut S, message: &PbcastMessage) {
             put_ids(out, ids);
         }
     }
-}
-
-impl WireMessage for PubSubMessage {
-    fn encode_body(&self, buf: &mut BytesMut) {
-        put_pubsub(buf, self);
-    }
-
-    fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let kind = take_kind(buf)?;
-        if kind != Kind::PubSub {
-            return Err(WireError::BadTag(kind as u8));
-        }
-        let len = take_len(buf)?;
-        if len > TopicId::MAX_LEN || len > buf.remaining() {
-            return Err(WireError::LengthOverflow(len));
-        }
-        let raw = buf.get(..len).ok_or(WireError::LengthOverflow(len))?;
-        let topic = core::str::from_utf8(raw).map_err(|_| WireError::BadTopic)?;
-        let topic = TopicId::try_new(topic).ok_or(WireError::BadTopic)?;
-        buf.advance(len);
-        let inner = Message::decode_body(buf)?;
-        Ok(PubSubMessage { topic, inner })
-    }
-
-    fn body_key(&self) -> Option<usize> {
-        // The frame embeds the topic label, so the shared-body identity
-        // must distinguish the same Arc'd gossip sent on two topics
-        // (cannot happen today — each topic group builds its own body —
-        // but the cache key must not rely on that).
-        use core::hash::{Hash, Hasher};
-        self.inner.body_key().map(|k| {
-            let mut hasher = FastHasher::default();
-            self.topic.name().hash(&mut hasher);
-            k ^ hasher.finish() as usize
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        frame_len(|len| put_pubsub(len, self))
-    }
-}
-
-fn put_pubsub<S: Sink>(out: &mut S, message: &PubSubMessage) {
-    out.put_u8(Kind::PubSub as u8);
-    let name = message.topic.name().as_bytes();
-    put_count(out, name.len());
-    out.put_slice(name);
-    put_message(out, &message.inner);
 }
 
 fn put_updates<S: Sink>(out: &mut S, updates: &[Update]) {
@@ -1380,7 +1322,6 @@ mod tests {
             Kind::PbcastSolicit,
             Kind::PbcastDigestCompact,
         ];
-        let pubsub = [Kind::PubSub];
         let swim = [
             Kind::SwimWrapped,
             Kind::SwimPing,
@@ -1392,10 +1333,9 @@ mod tests {
         ];
         sweep_kind_bytes::<Message>(&lpbcast);
         sweep_kind_bytes::<PbcastMessage>(&pbcast);
-        sweep_kind_bytes::<PubSubMessage>(&pubsub);
         sweep_kind_bytes::<SwimMsg<Message>>(&swim);
         // No orphans: every registered kind is one some codec decodes.
-        let dispatched = [&lpbcast[..], &pbcast, &pubsub, &swim].concat();
+        let dispatched = [&lpbcast[..], &pbcast, &swim].concat();
         for kind in (0..=u8::MAX).filter_map(|byte| Kind::try_from(byte).ok()) {
             assert!(
                 dispatched.contains(&kind),

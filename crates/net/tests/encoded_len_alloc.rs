@@ -3,8 +3,10 @@
 //! counter pass over the frame walk: no buffer, no sort, no allocation.
 //! A counting allocator holds each first-party family to that, on the
 //! shapes where the writer does allocate: a gossip's multi-group
-//! `unSubs` (the writer builds the groups), an opaque inner message
-//! (SWIM's `Wrapped`) and a topic-labelled pub/sub frame.
+//! `unSubs` (the writer sorts the records) and an opaque inner message
+//! (SWIM's `Wrapped`). The writer itself is held to one allocation for
+//! the `unSubs` sort when its buffer is large enough: the cluster runtime
+//! pays it on every lpbcast gossip body it encodes.
 //!
 //! An integration test is its own crate, so the `#![expect]` below
 //! waives D4 for the counting allocator only, not for the libraries.
@@ -23,7 +25,6 @@ use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_net::wire;
 use lpbcast_net::WireMessage;
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
-use lpbcast_pubsub::{PubSubMessage, TopicId};
 use lpbcast_types::{CompactDigest, Event, EventId, ProcessId};
 
 thread_local! {
@@ -195,11 +196,23 @@ fn swim_wrapped_encoded_len_allocates_nothing() {
     assert_counts_without_allocating("SWIM-wrapped gossip", &wrapped);
 }
 
+/// Encoding a multi-group `unSubs` gossip into a buffer that already
+/// holds it allocates at most once: the scratch `Vec` the records are
+/// sorted in.
 #[test]
-fn pubsub_encoded_len_allocates_nothing() {
-    let message = PubSubMessage {
-        topic: TopicId::new("stocks/tech"),
-        inner: compact_gossip(),
-    };
-    assert_counts_without_allocating("pub/sub gossip", &message);
+fn multi_group_unsubs_encode_allocates_once() {
+    for (name, message) in [("id-list", ids_gossip()), ("compact", compact_gossip())] {
+        let len = message.encoded_len();
+        let mut buf = bytes::BytesMut::with_capacity(len);
+        let (allocs, ()) = allocations(|| wire::encode_frame(&message, &mut buf));
+        assert!(
+            allocs <= 1,
+            "{name} gossip: encoding into a large enough buffer allocated {allocs} times"
+        );
+        assert_eq!(
+            buf.len(),
+            len,
+            "{name} gossip: encoded_len is not the frame"
+        );
+    }
 }

@@ -23,7 +23,6 @@ use lpbcast_membership::{Swim, SwimConfig};
 use lpbcast_net::wire;
 use lpbcast_net::WireMessage;
 use lpbcast_pbcast::{Membership, Pbcast, PbcastConfig};
-use lpbcast_pubsub::{PubSubNode, TopicId};
 use lpbcast_sim::scenario::ScenarioProtocol;
 use lpbcast_sim::{Engine, EngineBuilder, FaultPlane, FaultSpec, NetworkModel};
 use lpbcast_types::{Payload, ProcessId, Protocol};
@@ -41,26 +40,6 @@ fn triangle<P: ScenarioProtocol>(seed: u64) -> Vec<P> {
         .map(|i| {
             let members: Vec<ProcessId> = (0..5u64).filter(|&j| j != i).map(pid).collect();
             P::bootstrap(pid(i), &cfg, seed.wrapping_add(i), members)
-        })
-        .collect()
-}
-
-/// The pub/sub variant of the triangle: every node participates in two
-/// topics, so the scripted exchange interleaves two gossip groups over
-/// one transport (the topic-tagged wire frames at kind 32).
-fn pubsub_triangle(seed: u64) -> Vec<PubSubNode> {
-    let cfg = Config::builder()
-        .view_size(6)
-        .fanout(2)
-        .deliver_on_digest(true)
-        .build();
-    (0..3u64)
-        .map(|i| {
-            let mut node = PubSubNode::new(pid(i), cfg.clone(), seed.wrapping_add(i));
-            let members: Vec<ProcessId> = (0..5u64).filter(|&j| j != i).map(pid).collect();
-            node.subscribe_bootstrap(&TopicId::new("alpha"), members.clone());
-            node.subscribe_bootstrap(&TopicId::new("beta"), members);
-            node
         })
         .collect()
 }
@@ -250,23 +229,6 @@ fn swim_engine(seed: u64) -> Engine<Swim<Lpbcast>> {
     swim_engine_builder(seed).build()
 }
 
-fn pubsub_engine(seed: u64) -> Engine<PubSubNode> {
-    let config = Config::builder()
-        .view_size(6)
-        .fanout(3)
-        .deliver_on_digest(true)
-        .build();
-    let shared = TopicId::new("shared");
-    Engine::builder(NetworkModel::new(0.05, seed))
-        .nodes((0..16u64).map(|i| {
-            let mut node = PubSubNode::new(pid(i), config.clone(), seed.wrapping_add(i));
-            let members: Vec<ProcessId> = (0..16u64).filter(|&j| j != i).map(pid).collect();
-            node.subscribe_bootstrap(&shared, members);
-            node
-        }))
-        .build()
-}
-
 #[test]
 fn lpbcast_exchange_is_deterministic_and_roundtrips() {
     assert_deterministic("lpbcast", triangle::<Lpbcast>);
@@ -275,11 +237,6 @@ fn lpbcast_exchange_is_deterministic_and_roundtrips() {
 #[test]
 fn pbcast_exchange_is_deterministic_and_roundtrips() {
     assert_deterministic("pbcast", triangle::<Pbcast>);
-}
-
-#[test]
-fn pubsub_exchange_is_deterministic_and_roundtrips() {
-    assert_deterministic("pubsub", pubsub_triangle);
 }
 
 #[test]
@@ -293,11 +250,6 @@ fn pbcast_seeds_diverge() {
 }
 
 #[test]
-fn pubsub_seeds_diverge() {
-    assert_seed_sensitivity("pubsub", pubsub_triangle);
-}
-
-#[test]
 fn lpbcast_engine_runs_are_reproducible() {
     assert_engine_deterministic("lpbcast", lpbcast_engine);
 }
@@ -305,11 +257,6 @@ fn lpbcast_engine_runs_are_reproducible() {
 #[test]
 fn pbcast_engine_runs_are_reproducible() {
     assert_engine_deterministic("pbcast", pbcast_engine);
-}
-
-#[test]
-fn pubsub_engine_runs_are_reproducible() {
-    assert_engine_deterministic("pubsub", pubsub_engine);
 }
 
 #[test]

@@ -10,7 +10,6 @@ use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_net::wire::{self, WireError};
 use lpbcast_net::WireMessage;
 use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
-use lpbcast_pubsub::{PubSubMessage, TopicId};
 use lpbcast_types::{CompactDigest, Event, EventId, ProcessId};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -366,7 +365,7 @@ proptest! {
     }
 }
 
-// ───────────────── pbcast + pub/sub message properties ────────────────
+// ───────────────────── pbcast message properties ───────────────────────
 
 prop_compose! {
     fn arb_origin_range()(
@@ -422,15 +421,6 @@ fn arb_pbcast_message() -> impl Strategy<Value = PbcastMessage> {
     ]
 }
 
-prop_compose! {
-    fn arb_pubsub_message()(
-        topic in 0u64..1000,
-        inner in arb_message(),
-    ) -> PubSubMessage {
-        PubSubMessage { topic: TopicId::new(format!("topic-{topic}")), inner }
-    }
-}
-
 fn roundtrip_equal_generic<M: WireMessage>(message: &M) -> bool {
     let bytes = wire::encode(message);
     match wire::decode::<M>(&bytes) {
@@ -446,16 +436,6 @@ proptest! {
         prop_assert!(roundtrip_equal_generic(&message));
     }
 
-    /// Topic-tagged pub/sub frames round-trip, topic included.
-    #[test]
-    fn pubsub_messages_roundtrip(message in arb_pubsub_message()) {
-        let bytes = wire::encode(&message);
-        let decoded: PubSubMessage = wire::decode(&bytes).expect("own frames decode");
-        prop_assert_eq!(&decoded.topic, &message.topic);
-        let re_encoded = wire::encode(&decoded);
-        prop_assert_eq!(re_encoded.as_ref(), bytes.as_ref());
-    }
-
     /// `encoded_len`, the encoder's walk on a byte counter, is exactly
     /// what the encoder writes — this is what lets the simulator meter
     /// bytes without serializing.
@@ -469,16 +449,10 @@ proptest! {
         prop_assert_eq!(message.encoded_len(), wire::encode(&message).len());
     }
 
-    #[test]
-    fn encoded_len_matches_encoder_pubsub(message in arb_pubsub_message()) {
-        prop_assert_eq!(message.encoded_len(), wire::encode(&message).len());
-    }
-
-    /// Fuzz: the pbcast and pub/sub decoders never panic on byte soup.
+    /// Fuzz: the pbcast decoder never panics on byte soup.
     #[test]
     fn random_bytes_never_panic_other_kinds(data in vec(any::<u8>(), 0..600)) {
         let _ = wire::decode::<PbcastMessage>(&data);
-        let _ = wire::decode::<PubSubMessage>(&data);
     }
 
     /// Fuzz: corrupting one byte of a valid pbcast datagram never panics
@@ -694,7 +668,6 @@ fn arb_any_frame() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
         arb_message().prop_map(|m| wire::encode(&m).to_vec()),
         arb_pbcast_message().prop_map(|m| wire::encode(&m).to_vec()),
-        arb_pubsub_message().prop_map(|m| wire::encode(&m).to_vec()),
         arb_swim_message().prop_map(|m| wire::encode(&m).to_vec()),
     ]
 }
@@ -704,7 +677,6 @@ fn decode_any(frame: &[u8]) -> Result<(), WireError> {
     match frame.get(2) {
         Some(0..=3) => wire::decode::<Message>(frame).map(drop),
         Some(16..=19) => wire::decode::<PbcastMessage>(frame).map(drop),
-        Some(32) => wire::decode::<PubSubMessage>(frame).map(drop),
         _ => wire::decode::<SwimMsg<Message>>(frame).map(drop),
     }
 }
@@ -915,36 +887,4 @@ fn hostile_counts_stop_at_the_one_byte_floors() {
     check::<PbcastMessage>("flat entries", &[17, 7], 3, false);
     check::<PbcastMessage>("compact ranges", &[19, 7], 5, false);
     check::<SwimMsg<Message>>("updates", &[41], 3, true);
-}
-
-/// The label bound lives on `TopicId`, and the codec refuses exactly what
-/// `TopicId` cannot hold.
-#[test]
-fn topic_labels_of_one_to_max_len_bytes_roundtrip() {
-    let inner = Message::Subscribe { subscriber: pid(1) };
-    let longest = TopicId::new("t".repeat(TopicId::MAX_LEN));
-    let message = PubSubMessage {
-        topic: longest.clone(),
-        inner: inner.clone(),
-    };
-    let bytes = wire::encode(&message);
-    assert_eq!(bytes.len(), message.encoded_len());
-    let decoded: PubSubMessage = wire::decode(&bytes).expect("the longest label decodes");
-    assert_eq!(decoded.topic, longest);
-
-    let frame = |label: &[u8]| {
-        let mut frame = vec![wire::MAGIC, wire::VERSION, 32];
-        leb(&mut frame, label.len() as u64);
-        frame.extend_from_slice(label);
-        frame.extend_from_slice(&[1, 1]); // Subscribe { subscriber: 1 }
-        frame
-    };
-    assert_eq!(
-        wire::decode::<PubSubMessage>(&frame(b"")).err(),
-        Some(WireError::BadTopic)
-    );
-    assert_eq!(
-        wire::decode::<PubSubMessage>(&frame(&[b't'; TopicId::MAX_LEN + 1])).err(),
-        Some(WireError::LengthOverflow(TopicId::MAX_LEN + 1))
-    );
 }

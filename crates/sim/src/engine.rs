@@ -112,8 +112,8 @@ impl BitSet {
 /// (§5.1), messages suffer Bernoulli loss, and deliveries are tracked.
 ///
 /// The engine drives any [`Protocol`] implementation directly —
-/// `Engine<Lpbcast>`, `Engine<Pbcast>` and `Engine<PubSubNode>` are the
-/// same machinery; protocol steps speak the unified
+/// `Engine<Lpbcast>`, `Engine<Pbcast>` and `Engine<Swim<Lpbcast>>` are
+/// the same machinery; protocol steps speak the unified
 /// [`Output`](lpbcast_types::Output) envelope.
 #[derive(Debug)]
 pub struct Engine<P: Protocol> {

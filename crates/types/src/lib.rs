@@ -19,8 +19,8 @@
 //!   notifications delivered since the last one delivered in sequence"*.
 //! * [`Protocol`] / [`Output`] — the workspace-wide sans-IO protocol
 //!   lifecycle and its unified output envelope: one trait drives lpbcast,
-//!   pbcast and pub/sub across the simulator, the scenario suite and the
-//!   UDP runtime (see [`protocol`]).
+//!   pbcast and the SWIM wrapper across the simulator, the scenario suite
+//!   and the UDP runtime (see [`protocol`]).
 //!
 //! # Example
 //!

@@ -1,7 +1,7 @@
 //! The workspace-wide sans-IO protocol abstraction.
 //!
 //! Every broadcast stack in this repository — lpbcast, the pbcast
-//! baseline, and the topic-multiplexing pub/sub layer — is a
+//! baseline, and the SWIM failure detector wrapped around either — is a
 //! deterministic state machine with the same lifecycle: drivers feed it
 //! incoming messages and clock ticks, and it answers with one uniform
 //! [`Output`] envelope (messages to send, notifications delivered,

@@ -8,8 +8,8 @@
 //!
 //! The workspace is organized around one abstraction: the sans-IO
 //! [`Protocol`](types::Protocol) trait. Every broadcast stack — lpbcast,
-//! the Bimodal Multicast baseline, topic-multiplexed pub/sub — is a
-//! deterministic state machine consuming messages and clock ticks and
+//! the Bimodal Multicast baseline, either one under the SWIM failure
+//! detector — is a deterministic state machine consuming messages and clock ticks and
 //! producing one unified [`Output`](types::Output) envelope (outbound
 //! `(destination, message)` batches sharing `Arc`'d gossip bodies,
 //! delivered events, membership notifications). All drivers are generic
@@ -30,7 +30,6 @@
 //! | [`membership`] | `lpbcast-membership` | partial views, weighted views, view-graph analytics |
 //! | [`analysis`] | `lpbcast-analysis` | the paper's Markov-chain & partition models |
 //! | [`pbcast`] | `lpbcast-pbcast` | the Bimodal Multicast baseline |
-//! | [`pubsub`] | `lpbcast-pubsub` | topic-based publish/subscribe (the paper's application) |
 //! | [`sim`] | `lpbcast-sim` | the synchronous-round simulator |
 //! | [`net`] | `lpbcast-net` | the UDP runtime + wire codec |
 //!
@@ -114,6 +113,5 @@ pub use lpbcast_core as core;
 pub use lpbcast_membership as membership;
 pub use lpbcast_net as net;
 pub use lpbcast_pbcast as pbcast;
-pub use lpbcast_pubsub as pubsub;
 pub use lpbcast_sim as sim;
 pub use lpbcast_types as types;
