@@ -11,9 +11,9 @@
 //! * one **UDP runtime** ([`Cluster<P>`](Cluster)), generic over any
 //!   `Protocol` whose messages implement [`WireMessage`]: one to
 //!   thousands of protocol instances multiplexed over a handful of
-//!   nonblocking sockets in one caller-driven loop — a
-//!   [`TimerWheel`](timer::TimerWheel) fires each instance's gossip
-//!   every `T` (non-synchronized, exactly as §3.2 prescribes),
+//!   nonblocking sockets in one caller-driven loop — a [`TimerWheel`]
+//!   fires each instance's gossip every `T` (non-synchronized, exactly
+//!   as §3.2 prescribes),
 //!   readiness polling ([`poll::UdpPoller`], epoll with a portable
 //!   `poll(2)` fallback via the vendored `polling` crate) drains the
 //!   sockets into the state machines, and egress leaves as one datagram

@@ -1,4 +1,5 @@
-//! Binary wire format for every [`Protocol::Msg`] the UDP runtime can
+//! Binary wire format for every
+//! [`Protocol::Msg`](lpbcast_types::Protocol::Msg) the UDP runtime can
 //! carry, behind the [`WireMessage`] trait.
 //!
 //! A datagram is a sequence of one or more *frames*; each frame is

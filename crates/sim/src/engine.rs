@@ -11,11 +11,22 @@
 //! buffer) are double-buffered across generations *and* rounds — after
 //! warm-up a steady-state round performs no queue reallocation at all.
 //!
-//! A round runs on the calling thread, and every ordered side effect
-//! (loss draws, fault fates, metering, sightings) happens in queue
-//! order, so a run is a pure function of its seed. Parallelism lives one
-//! level up: sweeps fan independent engines out over the rayon pool
-//! ([`crate::experiment::Sweep`]).
+//! A round runs on the calling thread. What depends on order stays in
+//! queue order: the loss draws, the fault plane's sequence numbers and
+//! delayed copies (a copy's fate is decided before any copy is handled),
+//! each receiver's own messages, and the order in which replies join the
+//! next generation's queue. What does not depend on order is grouped for
+//! the cache: each generation handles its copies by ascending destination
+//! slab index, so a receiver's state is fetched once per generation
+//! instead of once per message. Steps of distinct receivers commute, the
+//! wire meter sums exact lengths, and every sighting of a step is marked
+//! at the same round, so a run is still a pure function of its seed — the
+//! same function as a loop that handles the queue front to back.
+//! Parallelism lives one level up: sweeps fan independent engines out
+//! over the rayon pool ([`crate::experiment::Sweep`]).
+
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use lpbcast_membership::ViewGraph;
 use lpbcast_types::{EventId, Output, Payload, ProcessId, Protocol};
@@ -37,11 +48,12 @@ const CHASE_DEPTH: usize = 4;
 struct Envelope<M> {
     from: ProcessId,
     to: u32,
+    /// The copy's place in queue order while its generation is handled
+    /// out of that order: a survivor's position among the generation's
+    /// survivors, or a reply's position in the next generation's queue
+    /// (see [`Engine::step`]). Meaningless while the copy waits in a queue.
+    pos: u32,
     msg: M,
-    /// Whether the fault plane already decided this copy's fate. Set on
-    /// delayed/duplicated copies re-entering delivery, so one message
-    /// never faces loss or delay jeopardy twice.
-    fated: bool,
 }
 
 /// Cumulative transport-cost totals of an engine run (see
@@ -114,7 +126,7 @@ impl BitSet {
 /// The engine drives any [`Protocol`] implementation directly —
 /// `Engine<Lpbcast>`, `Engine<Pbcast>` and `Engine<Swim<Lpbcast>>` are
 /// the same machinery; protocol steps speak the unified
-/// [`Output`](lpbcast_types::Output) envelope.
+/// [`Output`] envelope.
 #[derive(Debug)]
 pub struct Engine<P: Protocol> {
     /// Dense node slab, insertion order.
@@ -137,9 +149,13 @@ pub struct Engine<P: Protocol> {
     round: u64,
     /// Messages published outside a step (first-phase multicasts) plus
     /// replies spilling past [`CHASE_DEPTH`], queued into the next round.
-    pending: Vec<Envelope<P::Msg>>,
+    pending: VecDeque<Envelope<P::Msg>>,
     /// Reply buffer reused across generations and rounds.
-    scratch: Vec<Envelope<P::Msg>>,
+    scratch: VecDeque<Envelope<P::Msg>>,
+    /// The replies of each survivor that replied, as `(survivor's queue
+    /// position, start, end)` in the reply buffer. Reused across
+    /// generations and rounds.
+    reply_runs: Vec<(u32, u32, u32)>,
     /// Per-step delivery sightings, recorded into the tracker as one
     /// batch at the end of the step (one grouped map probe per event
     /// instead of one per delivery). Reused across rounds.
@@ -153,7 +169,9 @@ pub struct Engine<P: Protocol> {
     /// stateless hash (separates copies sharing `(from, to, round)`).
     fault_seq: u64,
     /// Copies the fault plane deferred: `(due_round, envelope)`,
-    /// insertion-ordered, drained into delivery when due.
+    /// insertion-ordered, drained into delivery when due. Their fate is
+    /// decided already, so one message never faces loss or delay
+    /// jeopardy twice.
     delayed: Vec<(u64, Envelope<P::Msg>)>,
 }
 
@@ -237,8 +255,9 @@ impl<P: Protocol> EngineBuilder<P> {
             crash_plan: self.crash_plan,
             tracker: InfectionTracker::new(),
             round: 0,
-            pending: Vec::new(),
-            scratch: Vec::new(),
+            pending: VecDeque::new(),
+            scratch: VecDeque::new(),
+            reply_runs: Vec::new(),
             sightings: Vec::new(),
             meter: self.meter,
             fault_plane: self.fault_plane,
@@ -446,11 +465,11 @@ impl<P: Protocol> Engine<P> {
                 m.record(&msg);
             }
             if let Some(&t) = self.index.get(&to) {
-                self.pending.push(Envelope {
+                self.pending.push_back(Envelope {
                     from: origin,
                     to: t,
+                    pos: 0,
                     msg,
-                    fated: false,
                 });
             }
         }
@@ -468,11 +487,11 @@ impl<P: Protocol> Engine<P> {
             m.record(&msg);
         }
         if let Some(&t) = self.index.get(&to) {
-            self.pending.push(Envelope {
+            self.pending.push_back(Envelope {
                 from,
                 to: t,
+                pos: 0,
                 msg,
-                fated: false,
             });
         }
     }
@@ -497,7 +516,7 @@ impl<P: Protocol> Engine<P> {
         &mut self,
         from: ProcessId,
         out: Output<P::Msg>,
-        into: &mut Vec<Envelope<P::Msg>>,
+        into: &mut VecDeque<Envelope<P::Msg>>,
     ) {
         for id in out
             .delivered
@@ -512,30 +531,30 @@ impl<P: Protocol> Engine<P> {
                 m.record(&msg);
             }
             if let Some(&t) = self.index.get(&to) {
-                into.push(Envelope {
+                into.push_back(Envelope {
                     from,
                     to: t,
+                    pos: 0,
                     msg,
-                    fated: false,
                 });
             }
         }
     }
 
     /// Decides one queued envelope's fate — liveness, uniform loss, then
-    /// the optional fault plane — in queue order, so the loss draws and
-    /// the fault sequence are a function of the seed. Returns the copy
+    /// the optional fault plane. Called in queue order, so the loss draws
+    /// and the fault sequence are a function of the seed. Returns the copy
     /// when it is to be handled now; delayed/duplicated copies are pushed
-    /// onto `self.delayed` as a side effect.
+    /// onto `self.delayed` as a side effect. A `fated` copy (one the fault
+    /// plane delayed or duplicated) already passed both loss models at
+    /// its original delivery attempt and faces liveness only.
     #[inline]
-    fn surviving(&mut self, mut e: Envelope<P::Msg>) -> Option<Envelope<P::Msg>> {
+    fn surviving(&mut self, e: Envelope<P::Msg>, fated: bool) -> Option<Envelope<P::Msg>> {
         let ti = e.to as usize;
         if !self.alive.get(ti) {
             return None;
         }
-        // A re-injected (delayed/duplicated) copy already passed both
-        // loss models at its original delivery attempt.
-        if e.fated {
+        if fated {
             return Some(e);
         }
         if !self.network.delivers() {
@@ -546,18 +565,32 @@ impl<P: Protocol> Engine<P> {
             self.fault_seq += 1;
             let fate = plane.fate(e.from, self.ids[ti], self.round, seq);
             if let Some(off) = fate.duplicate {
-                let mut copy = e.clone();
-                copy.fated = true;
-                self.delayed.push((self.round + off, copy));
+                self.delayed.push((self.round + off, e.clone()));
             }
             let off = fate.primary?;
             if off > 0 {
-                e.fated = true;
                 self.delayed.push((self.round + off, e));
                 return None;
             }
         }
         Some(e)
+    }
+
+    /// Pass 1 of a delivery generation: decides the fate of every copy in
+    /// `queue` with [`surviving`](Self::surviving), front to back, and
+    /// keeps the survivors in place and in queue order, each tagged with
+    /// its position among them. `fated` is the range of queue positions
+    /// whose fate the fault plane already decided.
+    fn fate_in_place(&mut self, queue: &mut VecDeque<Envelope<P::Msg>>, fated: Range<usize>) {
+        let mut survivors = 0;
+        for at in 0..queue.len() {
+            let Some(e) = queue.pop_front() else { break };
+            if let Some(mut e) = self.surviving(e, fated.contains(&at)) {
+                e.pos = survivors;
+                survivors += 1;
+                queue.push_back(e);
+            }
+        }
     }
 
     /// Runs one synchronous round:
@@ -568,6 +601,14 @@ impl<P: Protocol> Engine<P> {
     ///    reply chains are chased for a bounded number of generations
     ///    within the round (the paper's latency-below-`T` assumption,
     ///    §4.1).
+    ///
+    /// Each delivery generation makes three passes over its queue:
+    /// every copy's fate is decided in queue order; the survivors are
+    /// handled by ascending destination slab index, each destination's
+    /// copies in queue order; and the replies are put back in the order
+    /// a front-to-back loop would have produced them — by their cause's
+    /// queue position, then by output order — so the next generation's
+    /// fates fall on the same copies.
     pub fn step(&mut self) {
         self.round += 1;
 
@@ -594,19 +635,15 @@ impl<P: Protocol> Engine<P> {
         let mut queue = std::mem::take(&mut self.pending);
 
         // Fault-plane-deferred copies due this round join the working
-        // queue (insertion order preserved — determinism).
-        if self.delayed.iter().any(|(due, _)| *due <= self.round) {
-            let round = self.round;
-            let mut kept = Vec::with_capacity(self.delayed.len());
-            for (due, e) in self.delayed.drain(..) {
-                if due <= round {
-                    queue.push(e);
-                } else {
-                    kept.push((due, e));
-                }
-            }
-            self.delayed = kept;
-        }
+        // queue, moved out of `delayed` in insertion order (determinism).
+        let round = self.round;
+        let first_fated = queue.len();
+        queue.extend(
+            self.delayed
+                .extract_if(.., |(due, _)| *due <= round)
+                .map(|(_, e)| e),
+        );
+        let mut fated = first_fated..queue.len();
 
         for i in 0..self.nodes.len() {
             if !self.alive.get(i) {
@@ -622,19 +659,26 @@ impl<P: Protocol> Engine<P> {
             if queue.is_empty() {
                 break;
             }
+            self.fate_in_place(&mut queue, std::mem::take(&mut fated));
+            // Each receiver's copies together, in queue order.
+            queue
+                .make_contiguous()
+                .sort_unstable_by_key(|e| (e.to, e.pos));
             self.scratch.clear();
-            let mut scratch = std::mem::take(&mut self.scratch);
+            let mut replies = std::mem::take(&mut self.scratch);
             for envelope in queue.drain(..) {
-                let Some(envelope) = self.surviving(envelope) else {
-                    continue;
-                };
                 let ti = envelope.to as usize;
                 let out = self.nodes[ti].handle_message(envelope.from, envelope.msg);
                 let to_id = self.ids[ti];
-                self.absorb_output(to_id, out, &mut scratch);
+                let start = replies.len();
+                self.absorb_output(to_id, out, &mut replies);
+                if replies.len() > start {
+                    let run = (envelope.pos, start as u32, replies.len() as u32);
+                    self.reply_runs.push(run);
+                }
             }
-            self.scratch = scratch;
-            std::mem::swap(&mut queue, &mut self.scratch);
+            into_queue_order(&mut replies, &mut self.reply_runs);
+            self.scratch = std::mem::replace(&mut queue, replies);
         }
         // Replies beyond the chase depth spill into the next round.
         self.pending = queue;
@@ -649,6 +693,31 @@ impl<P: Protocol> Engine<P> {
     pub fn run(&mut self, rounds: u64) {
         for _ in 0..rounds {
             self.step();
+        }
+    }
+}
+
+/// Pass 3 of a delivery generation: puts `replies` in the order a loop
+/// handling the generation front to back would have produced them — by
+/// their cause's queue position, then by output order. `runs` holds each
+/// cause's replies as `(cause's position, start, end)`, each run in
+/// output order; it is left empty.
+fn into_queue_order<M>(replies: &mut VecDeque<Envelope<M>>, runs: &mut Vec<(u32, u32, u32)>) {
+    let replies = replies.make_contiguous();
+    // Causes are distinct, so this orders the runs by cause alone.
+    runs.sort_unstable();
+    let mut next = 0;
+    for (_, start, end) in runs.drain(..) {
+        for e in &mut replies[start as usize..end as usize] {
+            e.pos = next;
+            next += 1;
+        }
+    }
+    // Follow each permutation cycle: every swap parks one reply.
+    for i in 0..replies.len() {
+        while replies[i].pos as usize != i {
+            let j = replies[i].pos as usize;
+            replies.swap(i, j);
         }
     }
 }

@@ -34,7 +34,7 @@ use rand::Rng;
 /// common case — every buffer in the paper's measured configuration holds
 /// at most ~120 entries) use branch-friendly linear scans over a dense
 /// `Vec`, which beat a hash probe at that size; buffers configured larger
-/// than [`LINEAR_SCAN_MAX`] maintain a hash index.
+/// than `LINEAR_SCAN_MAX` (128) maintain a hash index.
 ///
 /// Iteration order is unspecified.
 ///
