@@ -4,7 +4,10 @@
 //! at `LPBCAST_BENCH_SEEDS=2`. `fig2` is analysis only; `fig5b`
 //! sweeps the lpbcast stack; `fig7a` sweeps lpbcast, pbcast on partial
 //! views and pbcast on total views over the same seeds — so both arms of
-//! the generic sweep body and both engine builders are held.
+//! the generic sweep body and both engine builders are held. `fig7b`
+//! (deliver-on-digest pbcast on partial views) joined when pbcast got
+//! its one digest form; its fixture is that commit's rendering, also at
+//! two seeds.
 
 use std::path::Path;
 
@@ -21,8 +24,9 @@ fn two_seed_figures_match_the_pre_merge_rendering() {
         include_str!("fixtures/fig2.tsv"),
         include_str!("fixtures/fig5b.tsv"),
         include_str!("fixtures/fig7a.tsv"),
+        include_str!("fixtures/fig7b.tsv"),
     ];
-    let names = ["fig2", "fig5b", "fig7a"].map(String::from);
+    let names = ["fig2", "fig5b", "fig7a", "fig7b"].map(String::from);
     let figures = select(&names).expect("known figures");
     for ((name, make), golden) in figures.into_iter().zip(golden) {
         let path = make().write_tsv(&dir).expect("writable target tmpdir");

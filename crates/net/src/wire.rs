@@ -3,12 +3,12 @@
 //! carry, behind the [`WireMessage`] trait.
 //!
 //! A datagram is a sequence of one or more *frames*; each frame is
-//! `[u8 MAGIC = 0x6C] [u8 version = 2] [u8 kind] body…`. [`encode`] /
+//! `[u8 MAGIC = 0x6C] [u8 version = 3] [u8 kind] body…`. [`encode`] /
 //! [`decode`] handle exactly one frame; [`decode_frames`] walks a run of
 //! concatenated frames, which is what one section of a cluster datagram
 //! carries (below).
 //!
-//! Frame version 2 writes every count, length, process id, sequence
+//! Frame version 3 writes every count, length, process id, sequence
 //! number, incarnation, timestamp and hop count as an unsigned LEB128
 //! varint (`v` below): seven bits a byte, least significant group first,
 //! the high bit set on every byte but the last, so 0–127 take one byte
@@ -20,25 +20,25 @@
 //! sender's order, and decoding restores that order exactly.
 //!
 //! Compatibility note: version 1 wrote every integer at a fixed width,
-//! little-endian. A decoder accepts only the current frame and envelope
-//! versions (a v1 frame or a v2 envelope is [`WireError::BadVersion`]),
-//! so to a node of another version every datagram looks like message
-//! loss. Mixed-version clusters are therefore unsupported; upgrade all
-//! peers together.
+//! little-endian. Version 2 had the same varints as version 3, but its
+//! lpbcast gossip carried an `unSubs` representation byte before the
+//! groups, and pbcast had a flat digest (kind 17) beside a compact one
+//! whose ranges listed gaps. A decoder accepts only the current frame and
+//! envelope versions (a v1 or v2 frame, or a v2 envelope, is
+//! [`WireError::BadVersion`]), so to a node of another version every
+//! datagram looks like message loss. Mixed-version clusters are
+//! therefore unsupported; upgrade all peers together.
 //!
 //! lpbcast [`Message`] kinds. The gossip's `unSubs` section groups its
-//! records per issue timestamp; its representation byte is always 1, and
-//! any other value is rejected with [`WireError::BadTag`]. The compact
-//! digest lists its origins ascending, and each origin's out-of-order
-//! sequence numbers ascending, so both runs are delta-coded: the first
-//! origin from 0 and the first out-of-order seq from the origin's
-//! `next_seq`.
+//! records per issue timestamp. The compact digest lists its origins
+//! ascending, and each origin's out-of-order sequence numbers ascending,
+//! so both runs are delta-coded: the first origin from 0 and the first
+//! out-of-order seq from the origin's `next_seq`.
 //!
 //! ```text
 //! kind 0 — Gossip:
 //!   v sender
 //!   v |subs|    then |subs| × v
-//!   u8 unsubs kind = 1
 //!   v |groups|  then per group, ascending by timestamp:
 //!     v issued_at, v |leavers| then |leavers| × v (ascending)
 //!   v |events|  then |events| × (v origin, v seq, v len, bytes)
@@ -54,26 +54,27 @@
 //!
 //! pbcast [`PbcastMessage`] kinds live in a disjoint tag space (16+), so
 //! a datagram from a cluster running the other protocol fails fast with
-//! [`WireError::BadTag`] instead of half-decoding. The per-origin compact
-//! digest has its own tag (19) beside the flat form (17):
+//! [`WireError::BadTag`] instead of half-decoding. The digest has one
+//! form (§3.2 ranges): each range is a run of consecutive sequence
+//! numbers of one origin at one hop count. Its third varint packs the
+//! hop count with a *run* bit, and the span follows only when that bit
+//! is set, so a one-id range costs exactly what an `(origin, seq, hops)`
+//! triple would, and a longer run costs less than its triples while
+//! hops < 64. Tag 17, a flat digest in frame v2, is free (a
+//! [`WireError::BadTag`]):
 //!
 //! ```text
 //! kind 16 — Multicast:    event (v origin, v seq, v len, bytes), v hops
-//! kind 17 — GossipDigest (flat):
-//!                         v sender,
-//!                         v |entries| then |entries| × (v origin, v seq, v hops),
-//!                         v |subs| then |subs| × v
 //! kind 18 — Solicit:      v |ids| then |ids| × (v origin, v seq)
-//! kind 19 — GossipDigest (compact, §3.2 per-origin ranges):
-//!                         v sender,
+//! kind 19 — GossipDigest: v sender,
 //!                         v |ranges| then |ranges| ×
-//!                           (v origin, v min_seq, v span,
-//!                            v |gaps| then |gaps| × v offset,
-//!                            v hops),
+//!                           (v origin, v min_seq, v (hops << 1 | run),
+//!                            then v span if run = 1),
 //!                         v |subs| then |subs| × v
-//!                         (span = max_seq - min_seq ≤ 65 535; gap offsets
-//!                         are relative to min_seq, strictly ascending;
-//!                         the spans of one digest sum to at most 2¹⁶ ids)
+//!                         (span = max_seq - min_seq, 1 ≤ span ≤ 65 535
+//!                         when written — a run bit with span 0 is
+//!                         WireError::BadVarint; the spans of one digest
+//!                         sum to at most 2¹⁶ ids)
 //! ```
 //!
 //! SWIM failure-detector [`SwimMsg`] frames live at tags 40–46. Every
@@ -135,7 +136,7 @@ use core::fmt;
 
 use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscription};
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
-use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
+use lpbcast_pbcast::{GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_types::{
     hashing::FastHasher, varint, CompactDigest, Event, EventId, OriginDigest, ProcessId,
 };
@@ -143,13 +144,10 @@ use lpbcast_types::{
 /// First byte of every datagram.
 pub const MAGIC: u8 = 0x6C; // 'l' for lpbcast
 /// Wire format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Hard cap on a single event payload accepted from the wire (64 KiB — a
 /// UDP datagram cannot exceed this anyway).
 pub const MAX_PAYLOAD: usize = 64 * 1024;
-/// The gossip `unSubs` section's representation byte: records grouped per
-/// issue timestamp, the only form there is.
-const UNSUBS_GROUPED: u8 = 1;
 
 /// Declares [`Kind`] and its `TryFrom<u8>` from one list, so a kind's
 /// byte is written exactly once and a duplicate is a compile error.
@@ -192,12 +190,10 @@ kinds! {
     RetransmitResponse = 3,
     /// pbcast unreliable multicast payload.
     PbcastMulticast = 16,
-    /// pbcast anti-entropy digest, flat form.
-    PbcastDigestFlat = 17,
     /// pbcast solicitation (pull of missing events).
     PbcastSolicit = 18,
-    /// pbcast anti-entropy digest, §3.2 compact per-origin ranges.
-    PbcastDigestCompact = 19,
+    /// pbcast anti-entropy digest, §3.2 per-origin ranges.
+    PbcastDigest = 19,
     /// SWIM piggyback wrapper around an inner protocol frame.
     SwimWrapped = 40,
     /// SWIM direct ping.
@@ -230,7 +226,8 @@ pub enum WireError {
     /// Trailing bytes after a complete message.
     TrailingBytes(usize),
     /// A varint is overlong, passes `u64::MAX` (alone or as the sum of a
-    /// delta-coded run), or passes the range of its field.
+    /// delta-coded run), passes the range of its field, or is a
+    /// non-canonical field (a digest range's run bit set with span 0).
     BadVarint,
 }
 
@@ -613,84 +610,10 @@ impl WireMessage for PbcastMessage {
                 let hops = take_hops(buf)?;
                 PbcastMessage::Multicast { event, hops }
             }
-            Kind::PbcastDigestFlat => {
-                let sender = take_pid(buf)?;
-                // origin, seq, hops: a byte each at least.
-                let n_entries = take_count(buf, 3)?;
-                let mut entries = Vec::with_capacity(n_entries);
-                for _ in 0..n_entries {
-                    let id = take_id(buf)?;
-                    let hops = take_hops(buf)?;
-                    entries.push(DigestEntry { id, hops });
-                }
-                PbcastMessage::digest(GossipDigest {
-                    sender,
-                    entries: DigestEntries::Flat(entries),
-                    subs: decode_pids(buf)?,
-                })
-            }
             Kind::PbcastSolicit => PbcastMessage::Solicit {
                 ids: decode_ids(buf)?,
             },
-            Kind::PbcastDigestCompact => {
-                let sender = take_pid(buf)?;
-                // origin, min_seq, span, gap count, hops.
-                let n_ranges = take_count(buf, 5)?;
-                let mut ranges = Vec::with_capacity(n_ranges);
-                // One range advertises at most 2¹⁶ ids (its span is capped
-                // at `MAX_SPAN`); the digest must honour the same ceiling
-                // *summed across ranges*, or a 64 KiB datagram of
-                // full-span ranges would make the receiver's missing-scan
-                // materialise ~2¹³ × 2¹⁶ ids — exactly the
-                // huge-allocation class this module promises hostile
-                // datagrams cannot trigger.
-                let mut total_advertised: u64 = 0;
-                for _ in 0..n_ranges {
-                    let origin = take_pid(buf)?;
-                    let min_seq = take_varint(buf)?;
-                    let span = take_varint(buf)?;
-                    if span > OriginRange::MAX_SPAN {
-                        return Err(WireError::LengthOverflow(span as usize));
-                    }
-                    let max_seq = min_seq
-                        .checked_add(span)
-                        .ok_or(WireError::LengthOverflow(span as usize))?;
-                    total_advertised += span + 1;
-                    if total_advertised > 1 << 16 {
-                        return Err(WireError::LengthOverflow(total_advertised as usize));
-                    }
-                    let n_gaps = take_count(buf, 1)?;
-                    let mut gaps = Vec::with_capacity(n_gaps);
-                    let mut prev: Option<u64> = None;
-                    for _ in 0..n_gaps {
-                        let offset = take_varint(buf)?;
-                        // Offsets must ascend strictly within the span —
-                        // the receiver's gap cursor relies on it.
-                        if offset > span {
-                            return Err(WireError::LengthOverflow(offset as usize));
-                        }
-                        let gap = min_seq + offset;
-                        if prev.is_some_and(|p| gap <= p) {
-                            return Err(WireError::LengthOverflow(offset as usize));
-                        }
-                        prev = Some(gap);
-                        gaps.push(gap);
-                    }
-                    let hops = take_hops(buf)?;
-                    ranges.push(OriginRange {
-                        origin,
-                        min_seq,
-                        max_seq,
-                        gaps,
-                        hops,
-                    });
-                }
-                PbcastMessage::digest(GossipDigest {
-                    sender,
-                    entries: DigestEntries::Compact(ranges),
-                    subs: decode_pids(buf)?,
-                })
-            }
+            Kind::PbcastDigest => PbcastMessage::digest(decode_pbcast_digest(buf)?),
             foreign => return Err(WireError::BadTag(foreign as u8)),
         })
     }
@@ -715,31 +638,17 @@ fn put_pbcast<S: Sink>(out: &mut S, message: &PbcastMessage) {
             out.put_varint((*hops).into());
         }
         PbcastMessage::GossipDigest(d) => {
-            match &d.entries {
-                DigestEntries::Flat(entries) => {
-                    out.put_u8(Kind::PbcastDigestFlat as u8);
-                    put_pid(out, d.sender);
-                    put_count(out, entries.len());
-                    for e in entries {
-                        put_id(out, e.id);
-                        out.put_varint(e.hops.into());
-                    }
-                }
-                DigestEntries::Compact(ranges) => {
-                    out.put_u8(Kind::PbcastDigestCompact as u8);
-                    put_pid(out, d.sender);
-                    put_count(out, ranges.len());
-                    for r in ranges {
-                        debug_assert!(r.max_seq - r.min_seq <= OriginRange::MAX_SPAN);
-                        put_pid(out, r.origin);
-                        out.put_varint(r.min_seq);
-                        out.put_varint(r.max_seq - r.min_seq);
-                        put_count(out, r.gaps.len());
-                        for &gap in &r.gaps {
-                            out.put_varint(gap - r.min_seq);
-                        }
-                        out.put_varint(r.hops.into());
-                    }
+            out.put_u8(Kind::PbcastDigest as u8);
+            put_pid(out, d.sender);
+            put_count(out, d.ranges.len());
+            for r in &d.ranges {
+                let span = r.max_seq - r.min_seq;
+                debug_assert!(span <= OriginRange::MAX_SPAN);
+                put_pid(out, r.origin);
+                out.put_varint(r.min_seq);
+                out.put_varint(u64::from(r.hops) << 1 | u64::from(span > 0));
+                if span > 0 {
+                    out.put_varint(span);
                 }
             }
             put_pids(out, &d.subs);
@@ -883,7 +792,6 @@ fn put_swim<S: Sink, M: WireMessage>(out: &mut S, message: &SwimMsg<M>) {
 fn put_gossip<S: Sink>(out: &mut S, g: &Gossip) {
     put_pid(out, g.sender);
     put_pids(out, &g.subs);
-    out.put_u8(UNSUBS_GROUPED);
     out.put_unsub_groups(&g.unsubs);
     put_events(out, &g.events);
     match &g.event_ids {
@@ -1020,10 +928,6 @@ fn decode_pids(buf: &mut &[u8]) -> Result<Vec<ProcessId>, WireError> {
 fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
     let sender = take_pid(buf)?;
     let subs = decode_pids(buf)?;
-    let unsubs_kind = take_u8(buf)?;
-    if unsubs_kind != UNSUBS_GROUPED {
-        return Err(WireError::BadTag(unsubs_kind));
-    }
     // issued_at, leaver count.
     let n_groups = take_count(buf, 2)?;
     // Records materialise in group order, each group's leavers sorted
@@ -1080,6 +984,55 @@ fn decode_gossip(buf: &mut &[u8]) -> Result<Gossip, WireError> {
         unsubs,
         events,
         event_ids,
+    })
+}
+
+fn decode_pbcast_digest(buf: &mut &[u8]) -> Result<GossipDigest, WireError> {
+    let sender = take_pid(buf)?;
+    // origin, min_seq, hops and run bit.
+    let n_ranges = take_count(buf, 3)?;
+    let mut ranges = Vec::with_capacity(n_ranges);
+    // One range advertises at most 2¹⁶ ids (its span is capped at
+    // `MAX_SPAN`); the digest must honour the same ceiling *summed across
+    // ranges*, or a 64 KiB datagram of full-span ranges would make the
+    // receiver's missing-scan materialise ~2¹³ × 2¹⁶ ids — exactly the
+    // huge-allocation class this module promises hostile datagrams cannot
+    // trigger.
+    let mut total_advertised: u64 = 0;
+    for _ in 0..n_ranges {
+        let origin = take_pid(buf)?;
+        let min_seq = take_varint(buf)?;
+        let hops_run = take_varint(buf)?;
+        let hops = u32::try_from(hops_run >> 1).map_err(|_| WireError::BadVarint)?;
+        let span = if hops_run & 1 == 1 {
+            match take_varint(buf)? {
+                0 => return Err(WireError::BadVarint),
+                span if span > OriginRange::MAX_SPAN => {
+                    return Err(WireError::LengthOverflow(span as usize))
+                }
+                span => span,
+            }
+        } else {
+            0
+        };
+        let max_seq = min_seq
+            .checked_add(span)
+            .ok_or(WireError::LengthOverflow(span as usize))?;
+        total_advertised += span + 1;
+        if total_advertised > 1 << 16 {
+            return Err(WireError::LengthOverflow(total_advertised as usize));
+        }
+        ranges.push(OriginRange {
+            origin,
+            min_seq,
+            max_seq,
+            hops,
+        });
+    }
+    Ok(GossipDigest {
+        sender,
+        ranges,
+        subs: decode_pids(buf)?,
     })
 }
 
@@ -1319,9 +1272,8 @@ mod tests {
         // pbcast kinds live at 16+; an lpbcast gossip tag is foreign to it.
         let pbcast = [
             Kind::PbcastMulticast,
-            Kind::PbcastDigestFlat,
             Kind::PbcastSolicit,
-            Kind::PbcastDigestCompact,
+            Kind::PbcastDigest,
         ];
         let swim = [
             Kind::SwimWrapped,
@@ -1432,20 +1384,17 @@ mod tests {
     }
 
     fn sample_pbcast_digest() -> PbcastMessage {
-        PbcastMessage::digest(GossipDigest::flat(
-            pid(4),
-            vec![
-                DigestEntry {
-                    id: eid(1, 0),
-                    hops: 2,
-                },
-                DigestEntry {
-                    id: eid(2, 9),
-                    hops: 0,
-                },
-            ],
-            vec![pid(4), pid(7)],
-        ))
+        let range = |origin, min_seq, max_seq, hops| OriginRange {
+            origin: pid(origin),
+            min_seq,
+            max_seq,
+            hops,
+        };
+        PbcastMessage::digest(GossipDigest {
+            sender: pid(4),
+            ranges: vec![range(1, 0, 0, 2), range(2, 9, 300, 0)],
+            subs: vec![pid(4), pid(7)],
+        })
     }
 
     #[test]
@@ -1509,7 +1458,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_digest_total_span_is_capped() {
+    fn digest_total_span_is_capped() {
         // One full-span range decodes; several of them would let a tiny
         // datagram amplify into a gigascan, so the decoder must reject
         // the digest once the summed span passes 2¹⁶ ids, what one
@@ -1518,13 +1467,12 @@ mod tests {
             origin: pid(origin),
             min_seq: 0,
             max_seq: u16::MAX as u64,
-            gaps: vec![],
             hops: 1,
         };
         let mk = |ranges: Vec<OriginRange>| {
             PbcastMessage::digest(GossipDigest {
                 sender: pid(0),
-                entries: DigestEntries::Compact(ranges),
+                ranges,
                 subs: vec![],
             })
         };
@@ -1552,19 +1500,16 @@ mod tests {
         })
     }
 
-    /// Offset of the unSubs representation byte in an `unsubs_gossip`
-    /// frame: header + kind (3), sender (1), empty subs (1).
+    /// Offset of the unSubs group count in an `unsubs_gossip` frame:
+    /// header + kind (3), sender (1), empty subs (1).
     const UNSUBS_AT: usize = 3 + 1 + 1;
 
     #[test]
-    fn empty_unsubs_section_is_two_bytes() {
+    fn empty_unsubs_section_is_one_byte() {
         let bytes = encode(&unsubs_gossip(UnsubDigest::new()));
-        assert_eq!(
-            bytes.get(UNSUBS_AT..UNSUBS_AT + 2),
-            Some(&[UNSUBS_GROUPED, 0][..])
-        );
+        assert_eq!(bytes.get(UNSUBS_AT), Some(&0));
         // The rest: events (1), digest kind + empty id list (2).
-        assert_eq!(bytes.len(), UNSUBS_AT + 2 + 1 + 2);
+        assert_eq!(bytes.len(), UNSUBS_AT + 1 + 1 + 2);
     }
 
     #[test]
@@ -1579,58 +1524,9 @@ mod tests {
             let empty = encode(&unsubs_gossip(UnsubDigest::new())).len();
             let full = encode(&unsubs_gossip(digest.clone()));
             let width = varint::len(base);
-            assert_eq!(full.len() - empty + 2, 1 + 1 + 2 * (width + 1) + 40 * width);
+            assert_eq!(full.len() - empty + 1, 1 + 2 * (width + 1) + 40 * width);
             assert_eq!(full.len(), unsubs_gossip(digest).encoded_len());
         }
-    }
-
-    #[test]
-    fn unsubs_representation_byte_other_than_grouped_is_rejected() {
-        let mut bytes = encode(&unsubs_gossip(UnsubDigest::new())).to_vec();
-        for kind in [0, 2, u8::MAX] {
-            bytes[UNSUBS_AT] = kind;
-            assert_eq!(
-                decode::<Message>(&bytes).err(),
-                Some(WireError::BadTag(kind))
-            );
-        }
-    }
-
-    #[test]
-    fn compact_ranges_shrink_stream_shaped_digests() {
-        // 192 advertised ids from 16 publishers with consecutive seqs —
-        // the §5 measurement-model load shape at steady state.
-        let flat_entries: Vec<DigestEntry> = (0..16u64)
-            .flat_map(|origin| {
-                (0..12u64).map(move |seq| DigestEntry {
-                    id: eid(origin, seq),
-                    hops: 3,
-                })
-            })
-            .collect();
-        let ranges: Vec<OriginRange> = (0..16u64)
-            .map(|origin| OriginRange {
-                origin: pid(origin),
-                min_seq: 0,
-                max_seq: 11,
-                gaps: vec![],
-                hops: 3,
-            })
-            .collect();
-        let mk = |entries: DigestEntries| {
-            PbcastMessage::digest(GossipDigest {
-                sender: pid(0),
-                entries,
-                subs: vec![],
-            })
-        };
-        let flat = encode(&mk(DigestEntries::Flat(flat_entries))).len();
-        let compact = encode(&mk(DigestEntries::Compact(ranges))).len();
-        assert!(
-            compact * 5 < flat,
-            "per-origin ranges should shrink stream digests ≥5×: \
-             {compact} vs {flat} bytes"
-        );
     }
 
     fn sample_updates() -> Vec<Update> {

@@ -24,7 +24,7 @@ use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscrip
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_net::wire;
 use lpbcast_net::WireMessage;
-use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
+use lpbcast_pbcast::{GossipDigest, OriginRange, PbcastMessage};
 use lpbcast_types::{CompactDigest, Event, EventId, ProcessId};
 
 thread_local! {
@@ -149,42 +149,25 @@ fn lpbcast_encoded_len_allocates_nothing() {
 
 #[test]
 fn pbcast_digest_encoded_len_allocates_nothing() {
-    let flat = PbcastMessage::digest(GossipDigest {
+    let digest = PbcastMessage::digest(GossipDigest {
         sender: pid(4),
-        entries: DigestEntries::Flat(vec![
-            DigestEntry {
-                id: eid(1, 0),
-                hops: 2,
-            },
-            DigestEntry {
-                id: eid(700, 1 << 30),
-                hops: 0,
-            },
-        ]),
-        subs: vec![pid(5), pid(6)],
-    });
-    assert_counts_without_allocating("pbcast flat digest", &flat);
-    let compact = PbcastMessage::digest(GossipDigest {
-        sender: pid(4),
-        entries: DigestEntries::Compact(vec![
+        ranges: vec![
             OriginRange {
                 origin: pid(1),
                 min_seq: 10,
                 max_seq: 400,
-                gaps: vec![12, 200],
                 hops: 3,
             },
             OriginRange {
                 origin: pid(900),
                 min_seq: 0,
                 max_seq: 0,
-                gaps: Vec::new(),
                 hops: 1,
             },
-        ]),
+        ],
         subs: vec![pid(5)],
     });
-    assert_counts_without_allocating("pbcast compact digest", &compact);
+    assert_counts_without_allocating("pbcast digest", &digest);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the wire codec: arbitrary messages survive a
 //! round-trip, and arbitrary byte soup never panics the decoder; plus the
-//! frame-v2 varint rules (shortest form only, nothing past `u64::MAX`)
+//! frame-v3 varint rules (shortest form only, nothing past `u64::MAX`)
 //! and the per-element floors that bound what a hostile count allocates.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -9,8 +9,8 @@ use lpbcast_core::{Digest, Gossip, LogicalTime, Message, UnsubDigest, Unsubscrip
 use lpbcast_membership::{SwimMsg, Update, UpdateState};
 use lpbcast_net::wire::{self, WireError};
 use lpbcast_net::WireMessage;
-use lpbcast_pbcast::{DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage};
-use lpbcast_types::{CompactDigest, Event, EventId, ProcessId};
+use lpbcast_pbcast::{DigestEntry, GossipDigest, OriginRange, PbcastMessage};
+use lpbcast_types::{varint, CompactDigest, Event, EventId, ProcessId};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -211,12 +211,12 @@ fn leb(out: &mut Vec<u8>, mut value: u64) {
 }
 
 /// A from-the-spec reference encoder for gossip frames, implemented
-/// independently of `wire::encode` against the frame-v2 layout documented
+/// independently of `wire::encode` against the frame-v3 layout documented
 /// at the top of `crates/net/src/wire.rs`. The event payloads are written
 /// inline, so byte equality below proves the shared-`Arc` payload
 /// representation leaves the wire bytes untouched. The `unSubs` section
-/// is grouped here from the records alone: representation byte 1, then
-/// one group per distinct timestamp, ascending, each with its distinct
+/// is grouped here from the records alone: one group per distinct
+/// timestamp, ascending, each with its distinct
 /// leavers ascending. The compact digest's origins, and each origin's
 /// out-of-order seqs, are delta-coded.
 fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
@@ -233,7 +233,6 @@ fn reference_encode_gossip(g: &Gossip) -> Vec<u8> {
             .or_default()
             .insert(u.process().as_u64());
     }
-    out.push(1);
     leb(&mut out, groups.len() as u64);
     for (issued_at, leavers) in &groups {
         leb(&mut out, *issued_at);
@@ -295,9 +294,9 @@ fn compact_digest_section(origins: &[(u64, u64, Vec<u64>)]) -> Vec<u8> {
 /// An otherwise empty gossip frame whose compact digest lists `origins`
 /// verbatim ([`compact_digest_section`]).
 fn compact_digest_frame(origins: &[(u64, u64, Vec<u64>)]) -> Vec<u8> {
-    // Sender 7, no subs, grouped unSubs with no groups, no events, then
-    // the compact digest kind.
-    let mut out = vec![wire::MAGIC, wire::VERSION, 0u8, 7, 0, 1, 0, 0, 1];
+    // Sender 7, no subs, no unSubs groups, no events, then the compact
+    // digest kind.
+    let mut out = vec![wire::MAGIC, wire::VERSION, 0u8, 7, 0, 0, 0, 1];
     out.extend_from_slice(&compact_digest_section(origins));
     out
 }
@@ -368,53 +367,52 @@ proptest! {
 // ───────────────────── pbcast message properties ───────────────────────
 
 prop_compose! {
+    /// A range as a well-formed digest carries it: any origin, a span
+    /// up to 40, and hop counts on both sides of the run bit's one-byte
+    /// limit (64) and at the `u32` top.
     fn arb_origin_range()(
-        origin in any::<u64>(),
-        min_seq in 0u64..1000,
-        advertised in vec(any::<bool>(), 1..40),
-        hops in 0u32..20,
+        origin in arb_int(),
+        min_seq in arb_int(),
+        span in prop_oneof![Just(0u64), 0u64..40],
+        hops in prop_oneof![0u32..70, Just(u32::MAX)],
     ) -> OriginRange {
-        // Build from a presence bitmap so gaps are consistent by
-        // construction (ascending, inside the span, endpoints advertised).
-        let mut seqs: Vec<u64> = advertised
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &yes)| yes.then_some(min_seq + i as u64))
-            .collect();
-        if seqs.is_empty() {
-            seqs.push(min_seq);
-        }
-        let (lo, hi) = (seqs[0], *seqs.last().unwrap());
-        let gaps: Vec<u64> = (lo..=hi).filter(|s| !seqs.contains(s)).collect();
-        OriginRange { origin: pid(origin), min_seq: lo, max_seq: hi, gaps, hops }
+        let min_seq = min_seq.min(u64::MAX - span);
+        OriginRange { origin: pid(origin), min_seq, max_seq: min_seq + span, hops }
     }
 }
 
-fn arb_digest_entries() -> impl Strategy<Value = DigestEntries> {
+/// Digest entries as a store walk yields them: few origins, dense seqs
+/// and few hop counts, so runs and repeats are common, plus ids and hop
+/// counts anywhere below 64.
+fn arb_digest_entries() -> impl Strategy<Value = Vec<DigestEntry>> {
+    let id = prop_oneof![(0u64..4, 0u64..48), (arb_int(), arb_int())];
+    let hops = prop_oneof![0u32..3, 0u32..64];
+    vec((id, hops), 0..60).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(id, hops)| DigestEntry { id: eid(id), hops })
+            .collect()
+    })
+}
+
+fn arb_gossip_digest() -> impl Strategy<Value = GossipDigest> {
+    let subs = || vec(arb_int(), 0..15).prop_map(|s| s.into_iter().map(pid).collect());
     prop_oneof![
-        vec(((any::<u64>(), any::<u64>()), 0u32..20), 0..30).prop_map(|raw| {
-            DigestEntries::Flat(
-                raw.into_iter()
-                    .map(|(id, hops)| DigestEntry { id: eid(id), hops })
-                    .collect(),
-            )
+        (arb_int(), vec(arb_origin_range(), 0..10), subs()).prop_map(|(sender, ranges, subs)| {
+            GossipDigest {
+                sender: pid(sender),
+                ranges,
+                subs,
+            }
         }),
-        vec(arb_origin_range(), 0..10).prop_map(DigestEntries::Compact),
+        (arb_int(), arb_digest_entries(), subs())
+            .prop_map(|(sender, entries, subs)| GossipDigest::new(pid(sender), &entries, subs)),
     ]
 }
 
 fn arb_pbcast_message() -> impl Strategy<Value = PbcastMessage> {
     prop_oneof![
         (arb_event(), 0u32..30).prop_map(|(event, hops)| PbcastMessage::Multicast { event, hops }),
-        (any::<u64>(), arb_digest_entries(), vec(any::<u64>(), 0..15)).prop_map(
-            |(sender, entries, subs)| {
-                PbcastMessage::digest(GossipDigest {
-                    sender: pid(sender),
-                    entries,
-                    subs: subs.into_iter().map(pid).collect(),
-                })
-            }
-        ),
+        arb_gossip_digest().prop_map(PbcastMessage::digest),
         vec((any::<u64>(), any::<u64>()), 0..30).prop_map(|ids| PbcastMessage::Solicit {
             ids: ids.into_iter().map(eid).collect()
         }),
@@ -430,7 +428,7 @@ fn roundtrip_equal_generic<M: WireMessage>(message: &M) -> bool {
 }
 
 proptest! {
-    /// Both digest forms (and every other pbcast kind) round-trip.
+    /// Every pbcast kind round-trips.
     #[test]
     fn pbcast_messages_roundtrip(message in arb_pbcast_message()) {
         prop_assert!(roundtrip_equal_generic(&message));
@@ -456,7 +454,7 @@ proptest! {
     }
 
     /// Fuzz: corrupting one byte of a valid pbcast datagram never panics
-    /// (compact-range validation must reject, not overflow).
+    /// (range validation must reject, not overflow).
     #[test]
     fn pbcast_single_byte_corruption_never_panics(
         message in arb_pbcast_message(),
@@ -469,14 +467,117 @@ proptest! {
             bytes[pos] = new_byte;
             if let Ok(decoded) = wire::decode::<PbcastMessage>(&bytes) {
                 // Whatever decoded must be safely re-encodable and
-                // walkable (ranges bounded by MAX_RANGE_SPAN).
+                // walkable (ranges bounded by MAX_SPAN).
                 if let PbcastMessage::GossipDigest(d) = &decoded {
-                    let _ = d.entries.advertised_count();
+                    let _ = d.entries().count();
                 }
                 let _ = wire::encode(&decoded);
             }
         }
     }
+}
+
+/// A from-the-spec reference encoder for the pbcast digest (kind 19),
+/// written against the frame-v3 layout in `crates/net/src/wire.rs`:
+/// per range its origin, first seq and `hops << 1 | run`, then the span
+/// only when the run bit is set.
+fn reference_encode_pbcast_digest(d: &GossipDigest) -> Vec<u8> {
+    let mut out = vec![wire::MAGIC, wire::VERSION, 19];
+    leb(&mut out, d.sender.as_u64());
+    leb(&mut out, d.ranges.len() as u64);
+    for r in &d.ranges {
+        let span = r.max_seq - r.min_seq;
+        leb(&mut out, r.origin.as_u64());
+        leb(&mut out, r.min_seq);
+        leb(&mut out, (u64::from(r.hops) << 1) | u64::from(span > 0));
+        if span > 0 {
+            leb(&mut out, span);
+        }
+    }
+    leb(&mut out, d.subs.len() as u64);
+    for p in &d.subs {
+        leb(&mut out, p.as_u64());
+    }
+    out
+}
+
+proptest! {
+    /// Any digest, built or hand-made, encodes to the reference bytes.
+    #[test]
+    fn pbcast_digest_encoding_matches_reference(digest in arb_gossip_digest()) {
+        let reference = reference_encode_pbcast_digest(&digest);
+        let message = PbcastMessage::digest(digest);
+        let bytes = wire::encode(&message);
+        prop_assert_eq!(bytes.as_ref(), reference.as_slice());
+    }
+
+    /// A digest built from any `(id, hops < 64)` list advertises exactly
+    /// the distinct entries, and is never longer than the same frame
+    /// listing one `(origin, seq, hops)` triple per distinct entry — so no
+    /// chooser between forms is needed.
+    #[test]
+    fn built_digest_is_never_longer_than_its_triples(
+        sender in arb_int(),
+        entries in arb_digest_entries(),
+    ) {
+        let bytes = wire::encode(&PbcastMessage::digest(GossipDigest::new(pid(sender), &entries, vec![])));
+        let distinct: BTreeSet<(u64, u64, u32)> = entries
+            .iter()
+            .map(|e| (e.id.origin().as_u64(), e.id.seq(), e.hops))
+            .collect();
+        let Ok(PbcastMessage::GossipDigest(decoded)) = wire::decode::<PbcastMessage>(&bytes) else {
+            return Err(TestCaseError::fail("kind changed"));
+        };
+        let mut advertised: Vec<(u64, u64, u32)> = decoded
+            .entries()
+            .map(|e| (e.id.origin().as_u64(), e.id.seq(), e.hops))
+            .collect();
+        advertised.sort_unstable();
+        prop_assert_eq!(&advertised, &distinct.iter().copied().collect::<Vec<_>>());
+
+        let triples: usize = distinct
+            .iter()
+            .map(|&(origin, seq, hops)| varint::len(origin) + varint::len(seq) + varint::len(hops.into()))
+            .sum();
+        // Header and kind, sender, entry count, triples, empty subs.
+        let flat = 3 + varint::len(sender) + varint::len(distinct.len() as u64) + triples + 1;
+        prop_assert!(bytes.len() <= flat, "{} > {} bytes", bytes.len(), flat);
+    }
+}
+
+/// Tag 17 was frame v2's flat pbcast digest; no kind has it now.
+#[test]
+fn the_retired_flat_digest_kind_is_a_bad_tag() {
+    let flat = [wire::MAGIC, wire::VERSION, 17, 7, 0, 0];
+    assert_eq!(
+        wire::decode::<PbcastMessage>(&flat).err(),
+        Some(WireError::BadTag(17))
+    );
+}
+
+/// A frame-v2 frame, valid in its own layout (an lpbcast gossip with the
+/// `unSubs` representation byte), is refused by its version byte before
+/// any of its body is read.
+#[test]
+fn a_v2_frame_is_a_bad_version() {
+    let v2_gossip = [wire::MAGIC, 2, 0, 7, 0, 1, 0, 0, 0, 0];
+    assert_eq!(
+        wire::decode::<Message>(&v2_gossip).err(),
+        Some(WireError::BadVersion(2))
+    );
+}
+
+/// A digest range whose run bit is set must carry a span of at least 1:
+/// a written span of 0 would be a second spelling of the singleton.
+#[test]
+fn a_run_bit_with_span_zero_is_refused() {
+    // Sender 7, one range: origin 1, seq 5, hops 2 with the run bit, span
+    // 0; no subs.
+    let frame = [wire::MAGIC, wire::VERSION, 19, 7, 1, 1, 5, 2 << 1 | 1, 0, 0];
+    assert_eq!(
+        wire::decode::<PbcastMessage>(&frame).err(),
+        Some(WireError::BadVarint)
+    );
 }
 
 /// Re-encodes a decoded sequence so sequences can be compared by bytes
@@ -625,7 +726,7 @@ proptest! {
     }
 }
 
-// ───────────────────── frame v2: varints and floors ────────────────────
+// ───────────────────── frame v3: varints and floors ────────────────────
 
 prop_compose! {
     fn arb_update()(subject in arb_int(), incarnation in arb_int(), state in 0u8..3) -> Update {
@@ -823,7 +924,7 @@ fn overlong_and_oversized_varints_are_refused() {
 #[test]
 fn delta_runs_past_u64_max_are_refused() {
     // Two origins whose deltas sum past u64::MAX.
-    let mut origins = vec![wire::MAGIC, wire::VERSION, 0, 7, 0, 1, 0, 0, 1, 2];
+    let mut origins = vec![wire::MAGIC, wire::VERSION, 0, 7, 0, 0, 0, 1, 2];
     for _ in 0..2 {
         leb(&mut origins, u64::MAX / 2 + 1);
         origins.extend_from_slice(&[0, 0]);
@@ -833,7 +934,7 @@ fn delta_runs_past_u64_max_are_refused() {
         Some(WireError::BadVarint)
     );
     // An out-of-order seq past u64::MAX from a high watermark.
-    let mut seqs = vec![wire::MAGIC, wire::VERSION, 0, 7, 0, 1, 0, 0, 1, 1, 3];
+    let mut seqs = vec![wire::MAGIC, wire::VERSION, 0, 7, 0, 0, 0, 1, 1, 3];
     leb(&mut seqs, u64::MAX - 1);
     seqs.push(1);
     leb(&mut seqs, 2);
@@ -878,13 +979,12 @@ fn hostile_counts_stop_at_the_one_byte_floors() {
     }
     // Gossip sections, each after the (minimal) sections before it.
     check::<Message>("subs", &[0, 7], 1, false);
-    check::<Message>("unSubs groups", &[0, 7, 0, 1], 2, false);
-    check::<Message>("events", &[0, 7, 0, 1, 0], 3, false);
-    check::<Message>("digest ids", &[0, 7, 0, 1, 0, 0, 0], 2, true);
-    check::<Message>("digest origins", &[0, 7, 0, 1, 0, 0, 1], 3, true);
+    check::<Message>("unSubs groups", &[0, 7, 0], 2, false);
+    check::<Message>("events", &[0, 7, 0, 0], 3, false);
+    check::<Message>("digest ids", &[0, 7, 0, 0, 0, 0], 2, true);
+    check::<Message>("digest origins", &[0, 7, 0, 0, 0, 1], 3, true);
     check::<Message>("pull ids", &[2], 2, true);
     check::<Message>("pulled events", &[3], 3, true);
-    check::<PbcastMessage>("flat entries", &[17, 7], 3, false);
-    check::<PbcastMessage>("compact ranges", &[19, 7], 5, false);
+    check::<PbcastMessage>("digest ranges", &[19, 7], 3, false);
     check::<SwimMsg<Message>>("updates", &[41], 3, true);
 }

@@ -37,14 +37,6 @@ pub struct PbcastConfig {
     /// `|subs|m` for the piggybacked membership layer (partial views
     /// only).
     pub subs_max: usize,
-    /// Build digests in the per-origin compact form
-    /// ([`DigestEntries::Compact`](crate::DigestEntries)) whenever that
-    /// encodes smaller than the flat entry list (exact wire arithmetic;
-    /// the flat form is kept when origins don't repeat). Mirrors
-    /// lpbcast's §3.2 `Compact` history mode: a publisher's stream of
-    /// consecutive sequence numbers collapses to one range, shrinking
-    /// both the digest's wire size and the receiver's missing-scan.
-    pub compact_digest: bool,
 }
 
 impl PbcastConfig {
@@ -103,7 +95,6 @@ impl Default for PbcastConfigBuilder {
                 pull: true,
                 deliver_on_digest: false,
                 subs_max: 15,
-                compact_digest: false,
             },
         }
     }
@@ -155,10 +146,6 @@ impl PbcastConfigBuilder {
     setter!(
         /// Sets the piggybacked `|subs|m`.
         subs_max: usize
-    );
-    setter!(
-        /// Enables the §3.2-style per-origin compact digest form.
-        compact_digest: bool
     );
 
     /// Finalizes the configuration.

@@ -55,7 +55,5 @@ mod process;
 pub use config::{PbcastConfig, PbcastConfigBuilder};
 pub use lpbcast_types::{MembershipEvent, Protocol};
 pub use membership::Membership;
-pub use message::{
-    DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage, PbcastOutput,
-};
+pub use message::{DigestEntry, GossipDigest, OriginRange, PbcastMessage, PbcastOutput};
 pub use process::{Pbcast, PbcastStats};

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use lpbcast_types::{Event, EventId, ProcessId};
+use lpbcast_types::{Event, EventId, FastMap, ProcessId};
 
 /// One entry of a digest gossip: an advertised message id and the hop
 /// count of the advertiser's copy (so a puller knows the remaining hop
@@ -15,19 +15,18 @@ pub struct DigestEntry {
     pub hops: u32,
 }
 
-/// A per-origin run of advertised sequence numbers: every seq in
-/// `min_seq..=max_seq` except the listed `gaps` is advertised, and every
-/// covered copy consumed exactly `hops` hops. The §3.2 compaction
-/// applied to the pbcast digest — a publisher's stream of consecutive
-/// sequence numbers costs one range instead of one [`DigestEntry`] per
-/// message.
+/// A run of consecutive advertised sequence numbers from one origin:
+/// every seq in `min_seq..=max_seq` is advertised, and every covered copy
+/// consumed exactly `hops` hops. The §3.2 compaction applied to the
+/// pbcast digest — a publisher's stream of consecutive sequence numbers
+/// costs one range instead of one [`DigestEntry`] per message.
 ///
 /// `hops` is exact (the digest builder groups per `(origin, hops)`
 /// class): approximating it — e.g. carrying a class maximum — compounds
 /// through absorption chains, since every absorbed id re-advertises at
 /// `hops + 1`, and was measured to exhaust the limited-hops budget early
 /// enough to cost tail reliability at n = 10⁴.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OriginRange {
     /// The publisher whose sequence numbers the range covers.
     pub origin: ProcessId,
@@ -35,9 +34,6 @@ pub struct OriginRange {
     pub min_seq: u64,
     /// Largest advertised sequence number (inclusive).
     pub max_seq: u64,
-    /// Sequence numbers inside `min_seq..=max_seq` that are *not*
-    /// advertised, ascending.
-    pub gaps: Vec<u64>,
     /// Hops consumed by every advertised copy in the range.
     pub hops: u32,
 }
@@ -48,83 +44,6 @@ impl OriginRange {
     /// spans (which caps how many ids a hostile range can make a receiver
     /// iterate).
     pub const MAX_SPAN: u64 = u16::MAX as u64;
-
-    /// Number of sequence numbers the range advertises.
-    pub fn advertised(&self) -> u64 {
-        (self.max_seq - self.min_seq + 1) - self.gaps.len() as u64
-    }
-
-    /// Iterates the advertised ids (gaps skipped).
-    pub fn ids(&self) -> impl Iterator<Item = EventId> + '_ {
-        let mut gap_at = 0usize;
-        (self.min_seq..=self.max_seq).filter_map(move |seq| {
-            while gap_at < self.gaps.len() && self.gaps[gap_at] < seq {
-                gap_at += 1;
-            }
-            if gap_at < self.gaps.len() && self.gaps[gap_at] == seq {
-                return None;
-            }
-            Some(EventId::new(self.origin, seq))
-        })
-    }
-}
-
-/// The advertised-id section of a [`GossipDigest`], in either of two
-/// lossless representations (mirroring lpbcast's flat/`Compact` history
-/// split).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DigestEntries {
-    /// One entry per advertised message (the historical form).
-    Flat(Vec<DigestEntry>),
-    /// Per-origin sequence ranges (§3.2-style compaction).
-    Compact(Vec<OriginRange>),
-}
-
-impl DigestEntries {
-    /// Fixed-width cost of one flat entry: origin + seq + hops at 8, 8
-    /// and 4 bytes.
-    pub const FLAT_ENTRY_BYTES: usize = 8 + 8 + 4;
-    /// Fixed-width cost of one gap-free range: origin + min_seq + span +
-    /// gap count + hops at 8, 8, 2, 2 and 4 bytes. Spans are bounded by
-    /// the digest builder ([`OriginRange::MAX_SPAN`]).
-    pub const RANGE_BYTES: usize = 8 + 8 + 2 + 2 + 4;
-    /// Fixed-width cost of one listed gap (an offset from `min_seq`).
-    pub const GAP_BYTES: usize = 2;
-
-    /// An empty section in the `Flat` representation.
-    pub fn empty() -> Self {
-        DigestEntries::Flat(Vec::new())
-    }
-
-    /// Number of message ids advertised.
-    pub fn advertised_count(&self) -> u64 {
-        match self {
-            DigestEntries::Flat(entries) => entries.len() as u64,
-            DigestEntries::Compact(ranges) => ranges.iter().map(OriginRange::advertised).sum(),
-        }
-    }
-
-    /// Whether nothing is advertised.
-    pub fn is_empty(&self) -> bool {
-        self.advertised_count() == 0
-    }
-
-    /// Cost of the section's element list (the count prefix excluded)
-    /// with every integer at a fixed width, the frame-v1 layout. The
-    /// digest builder keeps whichever form costs less by this measure. It
-    /// is a pure function of the entries, so the choice, and with it what
-    /// pbcast gossips, stays put when the codec changes how integers are
-    /// written (frame v2 writes varints; `lpbcast-net` computes that
-    /// length itself).
-    pub fn fixed_width_cost(&self) -> usize {
-        match self {
-            DigestEntries::Flat(entries) => entries.len() * Self::FLAT_ENTRY_BYTES,
-            DigestEntries::Compact(ranges) => ranges
-                .iter()
-                .map(|r| Self::RANGE_BYTES + r.gaps.len() * Self::GAP_BYTES)
-                .sum(),
-        }
-    }
 }
 
 /// The body of a periodic anti-entropy digest gossip (phase 2),
@@ -136,19 +55,67 @@ pub struct GossipDigest {
     /// The advertiser.
     pub sender: ProcessId,
     /// Advertised (recently received, still-repeating) messages.
-    pub entries: DigestEntries,
+    pub ranges: Vec<OriginRange>,
     /// Piggybacked subscriptions (empty with total views).
     pub subs: Vec<ProcessId>,
 }
 
 impl GossipDigest {
-    /// A digest advertising `entries` in the flat form.
-    pub fn flat(sender: ProcessId, entries: Vec<DigestEntry>, subs: Vec<ProcessId>) -> Self {
+    /// A digest advertising `entries`, folded into ranges: each range is
+    /// a maximal run of consecutive seqs within one `(origin, hops)`
+    /// class, split where its span would pass [`OriginRange::MAX_SPAN`].
+    /// Classes appear in first-advertisement order and ranges ascend
+    /// within a class, so the result is a pure function of `entries`.
+    ///
+    /// Grouping is per `(origin, hops)` — NOT per origin alone — so every
+    /// advertised id keeps its *exact* hop count (see [`OriginRange`]).
+    /// The price is one range per distinct hop depth per origin, and
+    /// since the wire writes a singleton range as compactly as a lone
+    /// `(origin, seq, hops)` entry, folding never costs bytes.
+    pub fn new(sender: ProcessId, entries: &[DigestEntry], subs: Vec<ProcessId>) -> Self {
+        let mut index: FastMap<(ProcessId, u32), usize> = FastMap::default();
+        let mut classes: Vec<((ProcessId, u32), Vec<u64>)> = Vec::new();
+        for e in entries {
+            let key = (e.id.origin(), e.hops);
+            let slot = *index.entry(key).or_insert_with(|| {
+                classes.push((key, Vec::new()));
+                classes.len() - 1
+            });
+            classes[slot].1.push(e.id.seq());
+        }
+        let mut ranges = Vec::new();
+        for ((origin, hops), mut seqs) in classes {
+            seqs.sort_unstable();
+            seqs.dedup();
+            for run in seqs.chunk_by(|a, b| a + 1 == *b) {
+                for chunk in run.chunks(OriginRange::MAX_SPAN as usize + 1) {
+                    if let (Some(&min_seq), Some(&max_seq)) = (chunk.first(), chunk.last()) {
+                        ranges.push(OriginRange {
+                            origin,
+                            min_seq,
+                            max_seq,
+                            hops,
+                        });
+                    }
+                }
+            }
+        }
         GossipDigest {
             sender,
-            entries: DigestEntries::Flat(entries),
+            ranges,
             subs,
         }
+    }
+
+    /// Iterates the advertised ids with their hop counts, range by range,
+    /// each range's seqs ascending.
+    pub fn entries(&self) -> impl Iterator<Item = DigestEntry> + '_ {
+        self.ranges.iter().flat_map(|r| {
+            (r.min_seq..=r.max_seq).map(|seq| DigestEntry {
+                id: EventId::new(r.origin, seq),
+                hops: r.hops,
+            })
+        })
     }
 }
 
@@ -197,49 +164,59 @@ pub type PbcastOutput = lpbcast_types::Output<PbcastMessage>;
 mod tests {
     use super::*;
 
-    #[test]
-    fn origin_range_ids_skip_gaps() {
-        let range = OriginRange {
-            origin: ProcessId::new(7),
-            min_seq: 3,
-            max_seq: 8,
-            gaps: vec![4, 6],
-            hops: 2,
-        };
-        assert_eq!(range.advertised(), 4);
-        let ids: Vec<u64> = range.ids().map(|id| id.seq()).collect();
-        assert_eq!(ids, vec![3, 5, 7, 8]);
-        assert!(range.ids().all(|id| id.origin() == ProcessId::new(7)));
+    fn entry(origin: u64, seq: u64, hops: u32) -> DigestEntry {
+        DigestEntry {
+            id: EventId::new(ProcessId::new(origin), seq),
+            hops,
+        }
     }
 
     #[test]
-    fn digest_entries_count_both_forms() {
-        let flat = DigestEntries::Flat(vec![
-            DigestEntry {
-                id: EventId::new(ProcessId::new(1), 0),
-                hops: 0,
-            },
-            DigestEntry {
-                id: EventId::new(ProcessId::new(1), 1),
-                hops: 1,
-            },
-        ]);
-        assert_eq!(flat.advertised_count(), 2);
-        assert_eq!(flat.fixed_width_cost(), 2 * DigestEntries::FLAT_ENTRY_BYTES);
-        let compact = DigestEntries::Compact(vec![OriginRange {
-            origin: ProcessId::new(1),
-            min_seq: 0,
-            max_seq: 9,
-            gaps: vec![5],
-            hops: 1,
-        }]);
-        assert_eq!(compact.advertised_count(), 9);
+    fn new_folds_consecutive_runs_per_origin_and_hops() {
+        // Store order: origin 1's run interleaved with origin 2 and with
+        // a second hop depth of origin 1; a hole at seq 5.
+        let entries = [
+            entry(1, 3, 0),
+            entry(2, 0, 1),
+            entry(1, 4, 0),
+            entry(1, 9, 2),
+            entry(1, 6, 0),
+            entry(1, 7, 0),
+        ];
+        let digest = GossipDigest::new(ProcessId::new(0), &entries, vec![]);
+        let ranges: Vec<(u64, u64, u64, u32)> = digest
+            .ranges
+            .iter()
+            .map(|r| (r.origin.as_u64(), r.min_seq, r.max_seq, r.hops))
+            .collect();
         assert_eq!(
-            compact.fixed_width_cost(),
-            DigestEntries::RANGE_BYTES + DigestEntries::GAP_BYTES
+            ranges,
+            vec![(1, 3, 4, 0), (1, 6, 7, 0), (2, 0, 0, 1), (1, 9, 9, 2)],
+            "classes in first-advertisement order, runs ascending within"
         );
-        assert!(DigestEntries::empty().is_empty());
-        assert!(!compact.is_empty());
+        let advertised: Vec<DigestEntry> = digest.entries().collect();
+        assert_eq!(advertised.len(), 6);
+        assert!(advertised.iter().all(|e| entries.contains(e)));
+    }
+
+    #[test]
+    fn new_splits_runs_longer_than_max_span() {
+        let entries: Vec<DigestEntry> = (0..=OriginRange::MAX_SPAN + 1)
+            .map(|seq| entry(1, seq, 0))
+            .collect();
+        let digest = GossipDigest::new(ProcessId::new(0), &entries, vec![]);
+        let spans: Vec<(u64, u64)> = digest
+            .ranges
+            .iter()
+            .map(|r| (r.min_seq, r.max_seq))
+            .collect();
+        assert_eq!(
+            spans,
+            vec![
+                (0, OriginRange::MAX_SPAN),
+                (OriginRange::MAX_SPAN + 1, OriginRange::MAX_SPAN + 1)
+            ]
+        );
     }
 
     #[test]

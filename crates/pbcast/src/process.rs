@@ -10,80 +10,7 @@ use rand::SeedableRng;
 
 use crate::config::PbcastConfig;
 use crate::membership::Membership;
-use crate::message::{
-    DigestEntries, DigestEntry, GossipDigest, OriginRange, PbcastMessage, PbcastOutput,
-};
-
-/// Maximal hole between consecutive advertised sequence numbers folded
-/// into one [`OriginRange`]; larger holes start a new range so a sparse
-/// origin cannot inflate a range's gap list past the flat form's cost.
-const MAX_RANGE_GAP: u64 = 16;
-
-/// Groups flat digest entries into per-origin sequence ranges (§3.2-style
-/// compaction). Deterministic: `(origin, hops)` classes appear in
-/// first-advertisement order, ranges ascend within a class.
-///
-/// Grouping is per `(origin, hops)` — NOT per origin alone — so every
-/// advertised id keeps its *exact* hop count. An earlier per-origin
-/// variant carried the class maximum, and the overestimate compounded:
-/// each absorption re-advertises at `hops + 1`, so a whole cohort
-/// ratcheted to its slowest member's count, exhausted the limited-hops
-/// budget early, and measurably cost tail reliability at n = 10⁴. The
-/// price of exactness is one range per distinct hop depth per origin —
-/// still far below one entry per id under stream-shaped load.
-fn compact_entries(entries: &[DigestEntry]) -> Vec<OriginRange> {
-    let mut index: FastMap<(ProcessId, u32), usize> = FastMap::default();
-    let mut classes: Vec<((ProcessId, u32), Vec<u64>)> = Vec::new();
-    for e in entries {
-        let key = (e.id.origin(), e.hops);
-        let slot = match index.get(&key) {
-            Some(&s) => s,
-            None => {
-                index.insert(key, classes.len());
-                classes.push((key, Vec::new()));
-                classes.len() - 1
-            }
-        };
-        classes[slot].1.push(e.id.seq());
-    }
-    let mut ranges = Vec::new();
-    for ((origin, hops), mut seqs) in classes {
-        seqs.sort_unstable();
-        seqs.dedup();
-        let mut start = 0;
-        for i in 0..seqs.len() {
-            // A run ends at a hole wider than MAX_RANGE_GAP, or when the
-            // next seq would push the span past the u16 the wire codec
-            // encodes it in.
-            let run_ends = i + 1 == seqs.len()
-                || seqs[i + 1] - seqs[i] > MAX_RANGE_GAP
-                || seqs[i + 1] - seqs[start] > OriginRange::MAX_SPAN;
-            if !run_ends {
-                continue;
-            }
-            let run = &seqs[start..=i];
-            let (min_seq, max_seq) = (run[0], run[run.len() - 1]);
-            let mut gaps = Vec::new();
-            let mut next = min_seq;
-            for &s in run {
-                while next < s {
-                    gaps.push(next);
-                    next += 1;
-                }
-                next = s + 1;
-            }
-            ranges.push(OriginRange {
-                origin,
-                min_seq,
-                max_seq,
-                gaps,
-                hops,
-            });
-            start = i + 1;
-        }
-    }
-    ranges
-}
+use crate::message::{DigestEntry, GossipDigest, PbcastMessage, PbcastOutput};
 
 /// A stored message copy: payload (if held), consumed hops, and how many
 /// more rounds it will be advertised.
@@ -226,24 +153,6 @@ impl Pbcast {
             }
         }
 
-        // §3.2-style compaction: fold per-origin sequence runs into
-        // ranges, but only when that actually encodes smaller — with
-        // non-repeating origins (every advertised id from a different
-        // publisher) a range per singleton id would *cost* bytes, so the
-        // flat list is kept. The choice is fixed-width byte arithmetic
-        // (`DigestEntries::fixed_width_cost`), hence deterministic and
-        // independent of the codec's integer encoding.
-        let entries = if self.config.compact_digest {
-            let compact = DigestEntries::Compact(compact_entries(&entries));
-            if compact.fixed_width_cost() < entries.len() * DigestEntries::FLAT_ENTRY_BYTES {
-                compact
-            } else {
-                DigestEntries::Flat(entries)
-            }
-        } else {
-            DigestEntries::Flat(entries)
-        };
-
         let subs = self.membership.outgoing_subs(self.id);
         let targets = self
             .membership
@@ -253,12 +162,10 @@ impl Pbcast {
             return out;
         }
         self.stats.digests_sent += 1;
-        // One allocation for the digest body; fanout copies share it.
-        let digest = PbcastMessage::digest(GossipDigest {
-            sender: self.id,
-            entries,
-            subs,
-        });
+        // §3.2-style compaction: per-origin sequence runs fold into
+        // ranges. One allocation for the digest body; fanout copies share
+        // it.
+        let digest = PbcastMessage::digest(GossipDigest::new(self.id, &entries, subs));
         for to in targets {
             out.send(to, digest.clone());
         }
@@ -269,9 +176,7 @@ impl Pbcast {
     pub fn handle_message(&mut self, from: ProcessId, message: PbcastMessage) -> PbcastOutput {
         match message {
             PbcastMessage::Multicast { event, hops } => self.receive_event(event, hops),
-            PbcastMessage::GossipDigest(digest) => {
-                self.receive_digest(digest.sender, &digest.entries, &digest.subs)
-            }
+            PbcastMessage::GossipDigest(digest) => self.receive_digest(&digest),
             PbcastMessage::Solicit { ids } => self.serve_solicit(from, &ids),
         }
     }
@@ -316,12 +221,7 @@ impl Pbcast {
         out
     }
 
-    fn receive_digest(
-        &mut self,
-        sender: ProcessId,
-        entries: &DigestEntries,
-        subs: &[ProcessId],
-    ) -> PbcastOutput {
+    fn receive_digest(&mut self, digest: &GossipDigest) -> PbcastOutput {
         self.stats.digests_received += 1;
         let mut out = PbcastOutput::default();
 
@@ -330,51 +230,24 @@ impl Pbcast {
         // pbcast has no explicit join/leave signals, so it reports no
         // MembershipEvents (exactly the gap the lpbcast comparison
         // measures).
-        self.membership.apply_subs(&mut self.rng, subs);
+        self.membership.apply_subs(&mut self.rng, &digest.subs);
 
-        // Missing-scan: flat digests check id by id; compact digests walk
-        // per-origin ranges (one cheap gap cursor per range) and expand
-        // only the seqs a range actually advertises.
-        let mut missing: Vec<DigestEntry> = Vec::new();
-        match entries {
-            DigestEntries::Flat(list) => missing.extend(
-                list.iter()
-                    .copied()
-                    .filter(|e| !self.history.contains(&e.id)),
-            ),
-            DigestEntries::Compact(ranges) => {
-                for range in ranges {
-                    missing.extend(
-                        range
-                            .ids()
-                            .filter(|id| !self.history.contains(id))
-                            .map(|id| DigestEntry {
-                                id,
-                                hops: range.hops,
-                            }),
-                    );
-                }
-            }
-        }
-        if missing.is_empty() {
-            return out;
-        }
-
+        // Missing-scan: expand each range to the seqs it advertises.
         if self.config.pull {
-            let ids: Vec<EventId> = missing
-                .iter()
+            let ids: Vec<EventId> = digest
+                .entries()
                 .map(|e| e.id)
-                .filter(|id| !self.pending_pulls.contains(id))
+                .filter(|id| !self.history.contains(id) && !self.pending_pulls.contains(id))
                 .collect();
             if !ids.is_empty() {
                 self.pending_pulls.extend(ids.iter().copied());
                 self.stats.solicits_sent += 1;
-                out.send(sender, PbcastMessage::Solicit { ids });
+                out.send(digest.sender, PbcastMessage::Solicit { ids });
             }
         } else if self.config.deliver_on_digest {
             // §5.2 convention: the id counts as received, and keeps
             // spreading (hop-incremented) through our own digests.
-            for entry in missing {
+            for entry in digest.entries() {
                 if self.history.insert(entry.id) {
                     self.store_copy(entry.id, None, entry.hops + 1);
                     self.stats.ids_learned += 1;
@@ -446,6 +319,7 @@ impl Protocol for Pbcast {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::OriginRange;
 
     fn pid(p: u64) -> ProcessId {
         ProcessId::new(p)
@@ -519,7 +393,7 @@ mod tests {
         let mut a = Pbcast::new(pid(0), config, 1, Membership::total(pid(0), [pid(1)]));
         a.publish(b"m".as_ref());
         let count_entries = |cmds: &[(ProcessId, PbcastMessage)]| match &cmds[0].1 {
-            PbcastMessage::GossipDigest(d) => d.entries.advertised_count() as usize,
+            PbcastMessage::GossipDigest(d) => d.entries().count(),
             _ => panic!("expected digest"),
         };
         assert_eq!(count_entries(&a.tick().outgoing), 1, "repetition 1");
@@ -546,7 +420,7 @@ mod tests {
         let digests = b.tick().outgoing;
         match &digests[0].1 {
             PbcastMessage::GossipDigest(d) => {
-                assert!(d.entries.is_empty(), "hop-exhausted copy is not advertised")
+                assert!(d.ranges.is_empty(), "hop-exhausted copy is not advertised")
             }
             _ => panic!("expected digest"),
         }
@@ -596,9 +470,9 @@ mod tests {
         let id = EventId::new(pid(0), 7);
         let out = b.handle_message(
             pid(0),
-            PbcastMessage::digest(GossipDigest::flat(
+            PbcastMessage::digest(GossipDigest::new(
                 pid(0),
-                vec![DigestEntry { id, hops: 0 }],
+                &[DigestEntry { id, hops: 0 }],
                 vec![],
             )),
         );
@@ -607,13 +481,10 @@ mod tests {
         // The absorbed id is advertised onward with hops + 1.
         let digests = b.tick().outgoing;
         match &digests[0].1 {
-            PbcastMessage::GossipDigest(d) => match &d.entries {
-                DigestEntries::Flat(entries) => {
-                    assert_eq!(entries.len(), 1);
-                    assert_eq!(entries[0].hops, 1);
-                }
-                other => panic!("expected flat entries, got {other:?}"),
-            },
+            PbcastMessage::GossipDigest(d) => {
+                let entries: Vec<DigestEntry> = d.entries().collect();
+                assert_eq!(entries, vec![DigestEntry { id, hops: 1 }]);
+            }
             _ => panic!("expected digest"),
         }
         // But it cannot be served (no payload).
@@ -623,11 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn compact_digest_folds_sequence_runs() {
+    fn digest_folds_sequence_runs() {
         let config = PbcastConfig::builder()
             .fanout(1)
             .first_phase(false)
-            .compact_digest(true)
             .max_repetitions(4)
             .build();
         let mut a = Pbcast::new(pid(0), config, 1, Membership::total(pid(0), [pid(1)]));
@@ -636,67 +506,17 @@ mod tests {
         }
         let digests = a.tick().outgoing;
         match &digests[0].1 {
-            PbcastMessage::GossipDigest(d) => match &d.entries {
-                DigestEntries::Compact(ranges) => {
-                    assert_eq!(ranges.len(), 1, "one publisher, one range");
-                    assert_eq!((ranges[0].min_seq, ranges[0].max_seq), (0, 5));
-                    assert!(ranges[0].gaps.is_empty());
-                    assert_eq!(d.entries.advertised_count(), 6);
-                }
-                other => panic!("expected compact entries: {other:?}"),
-            },
-            _ => panic!("expected digest"),
-        }
-    }
-
-    #[test]
-    fn compact_digest_falls_back_to_flat_for_singleton_origins() {
-        // One advertised id per distinct origin: a range per singleton
-        // would cost more bytes than the flat list, so the exact-size
-        // chooser must keep the flat form.
-        let config = PbcastConfig::builder()
-            .fanout(1)
-            .first_phase(false)
-            .compact_digest(true)
-            .build();
-        let mut b = Pbcast::new(pid(9), config, 2, Membership::total(pid(9), [pid(0)]));
-        for origin in 1..=5u64 {
-            let event = Event::new(EventId::new(pid(origin), 0), b"x".as_ref());
-            b.handle_message(pid(0), PbcastMessage::Multicast { event, hops: 1 });
-        }
-        let digests = b.tick().outgoing;
-        match &digests[0].1 {
             PbcastMessage::GossipDigest(d) => {
-                assert!(
-                    matches!(d.entries, DigestEntries::Flat(_)),
-                    "singleton origins stay flat: {:?}",
-                    d.entries
-                );
-                assert_eq!(d.entries.advertised_count(), 5);
+                assert_eq!(d.ranges.len(), 1, "one publisher, one range");
+                assert_eq!((d.ranges[0].min_seq, d.ranges[0].max_seq), (0, 5));
+                assert_eq!(d.entries().count(), 6);
             }
             _ => panic!("expected digest"),
         }
     }
 
     #[test]
-    fn sparse_origin_splits_ranges_instead_of_listing_gaps() {
-        let sparse = [0u64, 1, 2, 500, 501];
-        let entries: Vec<DigestEntry> = sparse
-            .iter()
-            .map(|&s| DigestEntry {
-                id: EventId::new(pid(3), s),
-                hops: 1,
-            })
-            .collect();
-        let ranges = compact_entries(&entries);
-        assert_eq!(ranges.len(), 2, "hole of 498 starts a new range");
-        assert_eq!((ranges[0].min_seq, ranges[0].max_seq), (0, 2));
-        assert_eq!((ranges[1].min_seq, ranges[1].max_seq), (500, 501));
-        assert!(ranges.iter().all(|r| r.gaps.is_empty()));
-    }
-
-    #[test]
-    fn compact_digest_absorbs_range_ids_with_incremented_hops() {
+    fn digest_absorbs_range_ids_with_incremented_hops() {
         let config = PbcastConfig::builder()
             .fanout(1)
             .first_phase(false)
@@ -704,42 +524,36 @@ mod tests {
             .deliver_on_digest(true)
             .build();
         let mut b = Pbcast::new(pid(1), config, 2, Membership::total(pid(1), [pid(0)]));
-        let range = OriginRange {
+        let range = |min_seq, max_seq| OriginRange {
             origin: pid(0),
-            min_seq: 0,
-            max_seq: 3,
-            gaps: vec![2],
+            min_seq,
+            max_seq,
             hops: 1,
         };
         let out = b.handle_message(
             pid(0),
             PbcastMessage::digest(GossipDigest {
                 sender: pid(0),
-                entries: DigestEntries::Compact(vec![range]),
+                ranges: vec![range(0, 1), range(3, 3)],
                 subs: vec![],
             }),
         );
         let learned: Vec<u64> = out.learned_ids.iter().map(|id| id.seq()).collect();
-        assert_eq!(learned, vec![0, 1, 3], "gap seq 2 not absorbed");
+        assert_eq!(learned, vec![0, 1, 3], "unadvertised seq 2 not absorbed");
         assert!(!b.has_seen(EventId::new(pid(0), 2)));
-        // Absorbed copies carry the range's (maximum) hops + 1.
+        // Absorbed copies carry the range's hops + 1.
         let digests = b.tick().outgoing;
         match &digests[0].1 {
-            PbcastMessage::GossipDigest(d) => match &d.entries {
-                DigestEntries::Compact(ranges) => {
-                    assert!(ranges.iter().all(|r| r.hops == 2));
-                    assert_eq!(d.entries.advertised_count(), 3);
-                }
-                DigestEntries::Flat(entries) => {
-                    assert!(entries.iter().all(|e| e.hops == 2));
-                }
-            },
+            PbcastMessage::GossipDigest(d) => {
+                let hops: Vec<u32> = d.entries().map(|e| e.hops).collect();
+                assert_eq!(hops, vec![2; 3]);
+            }
             _ => panic!("expected digest"),
         }
     }
 
     #[test]
-    fn compact_digest_solicits_only_missing_range_ids() {
+    fn digest_solicits_only_missing_range_ids() {
         let config = PbcastConfig::builder().fanout(1).first_phase(false).build();
         let (mut _a, mut b) = total_pair(&config);
         // b already has (0, 1).
@@ -749,13 +563,12 @@ mod tests {
             pid(0),
             PbcastMessage::digest(GossipDigest {
                 sender: pid(0),
-                entries: DigestEntries::Compact(vec![OriginRange {
+                ranges: vec![OriginRange {
                     origin: pid(0),
                     min_seq: 0,
                     max_seq: 2,
-                    gaps: vec![],
                     hops: 0,
-                }]),
+                }],
                 subs: vec![],
             }),
         );

@@ -312,7 +312,6 @@ impl ScenarioProtocol for Pbcast {
                 .max_repetitions(max_repetitions)
                 .history_max(bound)
                 .store_max(bound * 2)
-                .compact_digest(true)
                 .build(),
             view_size: scaled_view_size(n).min(n.saturating_sub(1).max(1)),
         }
@@ -363,7 +362,7 @@ impl ScenarioProtocol for Pbcast {
     }
 
     fn bridge(from: ProcessId) -> PbcastMessage {
-        PbcastMessage::digest(GossipDigest::flat(from, Vec::new(), vec![from]))
+        PbcastMessage::digest(GossipDigest::new(from, &[], vec![from]))
     }
 
     /// The pbcast lie: digests (the advertisements) flow normally, but

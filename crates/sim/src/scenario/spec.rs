@@ -1024,38 +1024,6 @@ mod tests {
         );
     }
 
-    /// The pbcast §3.2 A/B: per-origin compact digests shrink the wire
-    /// volume under stream-shaped load while leaving dissemination
-    /// effectively unchanged (hop counts may round up to a range's
-    /// maximum, so bit-identity is not guaranteed — reliability is).
-    #[test]
-    fn pbcast_compact_digest_shrinks_churn_wire() {
-        let mk = |compact: bool| {
-            let mut cfg = small_pbcast_config();
-            cfg.config.compact_digest = compact;
-            let spec = ScenarioSpec {
-                publishers: 4,
-                ..small(ScenarioGenerator::Churn, 60, 12, 6)
-            };
-            run_plan::<Pbcast>(&churn_plan(&spec, 2, 2), &cfg, 9)
-        };
-        let compact = mk(true);
-        let flat = mk(false);
-        assert!(
-            compact.wire_bytes < flat.wire_bytes,
-            "per-origin ranges must shrink stream-shaped digests: \
-             {} vs {} bytes",
-            compact.wire_bytes,
-            flat.wire_bytes
-        );
-        assert!(
-            (compact.reliability_mean - flat.reliability_mean).abs() < 0.05,
-            "compaction must not cost reliability: {} vs {}",
-            compact.reliability_mean,
-            flat.reliability_mean
-        );
-    }
-
     fn small_catastrophe(n: usize, fraction: f64, rounds: u64, rate: usize) -> ScenarioPlan {
         ScenarioSpec {
             fraction,

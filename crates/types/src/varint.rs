@@ -1,6 +1,6 @@
 //! Unsigned LEB128 lengths.
 //!
-//! Frame v2 of the `lpbcast-net` codec writes every count, length,
+//! Frame v3 of the `lpbcast-net` codec writes every count, length,
 //! process id, sequence number, incarnation, timestamp and hop count as
 //! an unsigned LEB128 varint: seven bits a byte, least significant group
 //! first, the high bit set on every byte but the last. The codec lives
