@@ -147,19 +147,26 @@ fn exchange(node: &mut Lpbcast, base: u64) -> (u64, u64) {
 
 #[test]
 fn gossip_exchange_allocation_budget() {
-    let config = Config::builder()
-        .history_mode(HistoryMode::Compact)
-        .deliver_on_digest(true)
-        .build();
-    let mut node = Lpbcast::with_initial_view(pid(0), config, 7, (1..=15).map(pid));
-
     // `(tick, handle_message)`: the digest clone is one allocation per
     // non-empty vector, and the digest phase of the handler allocates
     // nothing but `learned_ids` — on the first exchange and, the vectors
     // being reused, on every later one. The tree-backed digest this one
-    // replaced (missing-list + per-id insert) made (24, 20) on both.
-    for base in [0, 10] {
-        assert_eq!(exchange(&mut node, base), (22, 15), "base {base}");
+    // replaced (missing-list + per-id insert) made (24, 20) on both. The
+    // `events` bound does not move the count: 170 (`sim_loaded_1k`'s) is
+    // above the 128 elements past which `BoundedSet` keeps a hash index,
+    // but the 40 events held are not, so no index is built (one sized by
+    // the bound made (22, 20) on the first exchange).
+    for events_max in [60, 170] {
+        let config = Config::builder()
+            .history_mode(HistoryMode::Compact)
+            .deliver_on_digest(true)
+            .events_max(events_max)
+            .build();
+        let mut node = Lpbcast::with_initial_view(pid(0), config, 7, (1..=15).map(pid));
+        for base in [0, 10] {
+            let counts = exchange(&mut node, base);
+            assert_eq!(counts, (22, 15), "events_max {events_max}, base {base}");
+        }
     }
 }
 

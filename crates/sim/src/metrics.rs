@@ -2,12 +2,15 @@
 //!
 //! # Layout
 //!
-//! The tracker interns every `ProcessId` it sees into a dense index and
-//! stores, per event, a flat `Vec<u32>` of first-seen rounds indexed by
-//! that intern index (sentinel-encoded for "unseen"). Recording a
-//! sighting is therefore one cheap-hash map probe plus one array write,
-//! and an infected count is a maintained counter —
-//! no nested `HashMap<EventId, HashSet<ProcessId>>` walks on the
+//! The tracker interns every `ProcessId` it sees into a dense slot and
+//! keeps one record per event in a `Vec`, found through an
+//! `EventId → position` map with a 4 096-entry direct-mapped memo of
+//! recent ids in front of it. A record holds a flat `Vec<u32>` of
+//! first-seen rounds indexed by slot (sentinel-encoded for "unseen") and a
+//! maintained infected count. The engine resolves the slot of a node once
+//! per step output, so recording a sighting is a memo load (a map probe on
+//! a miss) plus one cell write — no sort, no per-sighting intern probe,
+//! and no nested `HashMap<EventId, HashSet<ProcessId>>` walks on the
 //! simulator's hot path. The query API is unchanged from the original
 //! hash-based tracker.
 
@@ -26,17 +29,20 @@ fn round_cell(round: u64) -> u32 {
 /// Per-event dense state.
 #[derive(Debug, Clone)]
 struct EventRecord {
+    /// The event; a memo hit is checked against it.
+    id: EventId,
     /// Round of publication, if [`InfectionTracker::record_publish`] ran.
     publish_round: Option<u64>,
-    /// First-seen round per intern index, sentinel-encoded.
+    /// First-seen round per intern slot, sentinel-encoded.
     first_seen: Vec<u32>,
     /// Number of non-[`UNSEEN`] entries (maintained incrementally).
     seen_count: usize,
 }
 
 impl EventRecord {
-    fn new() -> Self {
+    fn new(id: EventId) -> Self {
         EventRecord {
+            id,
             publish_round: None,
             first_seen: Vec::new(),
             seen_count: 0,
@@ -45,7 +51,8 @@ impl EventRecord {
 
     /// Marks `slot` seen at `round`; keeps the first round on
     /// re-sightings.
-    fn mark(&mut self, slot: usize, round: u32) {
+    fn mark(&mut self, slot: u32, round: u32) {
+        let slot = slot as usize;
         if self.first_seen.len() <= slot {
             self.first_seen.resize(slot + 1, UNSEEN);
         }
@@ -65,17 +72,26 @@ impl EventRecord {
 /// count.
 #[derive(Debug, Clone, Default)]
 pub struct InfectionTracker {
-    /// `ProcessId` → dense intern index.
+    /// `ProcessId` → dense intern slot.
     intern: FastMap<ProcessId, u32>,
-    events: FastMap<EventId, EventRecord>,
+    /// `EventId` → position in `records`.
+    index: FastMap<EventId, u32>,
+    /// One record per event, in the order the tracker first met them.
+    records: Vec<EventRecord>,
+    /// Direct-mapped memo in front of `index`: the `records` position of
+    /// the last event that hashed to each of its [`MEMO_SLOTS`] entries.
+    /// Empty until the first record is made.
+    memo: Vec<u32>,
 }
 
-/// Interns `process` into `intern`, returning its dense slot. A free
-/// function (not a method) so callers can hold a mutable borrow of the
-/// event table at the same time.
-fn intern_slot(intern: &mut FastMap<ProcessId, u32>, process: ProcessId) -> usize {
-    let next = intern.len() as u32;
-    *intern.entry(process).or_insert(next) as usize
+/// Entries of [`InfectionTracker`]'s memo (16 KiB of `u32`). Far more than
+/// the events in flight at once, which are the ones sighted every step.
+const MEMO_SLOTS: usize = 4096;
+
+/// `id`'s memo entry: the top 12 bits of a multiplicative hash.
+fn memo_slot(id: EventId) -> usize {
+    let key = id.origin().as_u64() ^ id.seq().rotate_left(32);
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 impl InfectionTracker {
@@ -84,15 +100,45 @@ impl InfectionTracker {
         Self::default()
     }
 
-    fn slot(&mut self, process: ProcessId) -> usize {
-        intern_slot(&mut self.intern, process)
+    /// The dense slot of `process`, interned on first use. The engine
+    /// resolves it once per step output and hands the sightings of that
+    /// output to [`record_slot_batch`](Self::record_slot_batch).
+    pub(crate) fn slot(&mut self, process: ProcessId) -> u32 {
+        let next = self.intern.len() as u32;
+        *self.intern.entry(process).or_insert(next)
+    }
+
+    /// The record of `id`, created on first use. A memo hit costs one
+    /// load and one id compare; a miss probes `index` and refreshes the
+    /// memo entry.
+    fn record(&mut self, id: EventId) -> &mut EventRecord {
+        let m = memo_slot(id);
+        if let Some(&at) = self.memo.get(m) {
+            if self.records.get(at as usize).is_some_and(|r| r.id == id) {
+                return &mut self.records[at as usize];
+            }
+        }
+        let next = self.records.len() as u32;
+        let at = *self.index.entry(id).or_insert(next);
+        if at == next {
+            self.records.push(EventRecord::new(id));
+        }
+        if self.memo.is_empty() {
+            self.memo = vec![u32::MAX; MEMO_SLOTS];
+        }
+        self.memo[m] = at;
+        &mut self.records[at as usize]
+    }
+
+    fn get(&self, id: EventId) -> Option<&EventRecord> {
+        self.index.get(&id).map(|&at| &self.records[at as usize])
     }
 
     /// Records that `origin` published `id` at `round` (the origin counts
     /// as infected — s₀ = 1, latency 0).
     pub fn record_publish(&mut self, id: EventId, origin: ProcessId, round: u64) {
         let slot = self.slot(origin);
-        let record = self.events.entry(id).or_insert_with(EventRecord::new);
+        let record = self.record(id);
         record.publish_round = Some(round);
         record.mark(slot, round_cell(round));
     }
@@ -101,50 +147,42 @@ impl InfectionTracker {
     /// digest id) at `round`. Re-sightings keep the first round.
     pub fn record_seen_at(&mut self, id: EventId, process: ProcessId, round: u64) {
         let slot = self.slot(process);
-        self.events
-            .entry(id)
-            .or_insert_with(EventRecord::new)
-            .mark(slot, round_cell(round));
+        self.record(id).mark(slot, round_cell(round));
     }
 
     /// Records a whole step's sightings in one call, all at `round`.
-    ///
-    /// The batch is sorted by event id so the per-event record is looked
-    /// up **once per run of equal ids** instead of once per sighting —
-    /// the simulation engine accumulates every delivery of a round into
-    /// one slice and hands it over here. Reordering is sound because
-    /// marking is first-sighting-wins and every entry in the batch
-    /// carries the same round.
+    /// Re-sightings keep the first round.
     ///
     /// The batch vector is drained (left empty, capacity retained) so
     /// the caller can reuse its allocation across steps.
     pub fn record_seen_batch(&mut self, round: u64, sightings: &mut Vec<(EventId, ProcessId)>) {
-        sightings.sort_unstable_by_key(|&(id, _)| id.sort_key());
         let round = round_cell(round);
-        let mut batch = sightings.drain(..).peekable();
-        while let Some((id, process)) = batch.next() {
-            let record = self.events.entry(id).or_insert_with(EventRecord::new);
-            record.mark(intern_slot(&mut self.intern, process), round);
-            while let Some(&(next_id, next_process)) = batch.peek() {
-                if next_id != id {
-                    break;
-                }
-                record.mark(intern_slot(&mut self.intern, next_process), round);
-                batch.next();
-            }
+        for (id, process) in sightings.drain(..) {
+            let slot = self.slot(process);
+            self.record(id).mark(slot, round);
+        }
+    }
+
+    /// [`record_seen_batch`](Self::record_seen_batch) over sightings whose
+    /// process is already resolved to its [`slot`](Self::slot): one record
+    /// probe and one cell write per sighting.
+    pub(crate) fn record_slot_batch(&mut self, round: u64, sightings: &mut Vec<(EventId, u32)>) {
+        let round = round_cell(round);
+        for (id, slot) in sightings.drain(..) {
+            self.record(id).mark(slot, round);
         }
     }
 
     fn first_seen_cell(&self, id: EventId, process: ProcessId) -> Option<u32> {
         let slot = *self.intern.get(&process)? as usize;
-        let cell = *self.events.get(&id)?.first_seen.get(slot)?;
+        let cell = *self.get(id)?.first_seen.get(slot)?;
         (cell != UNSEEN).then_some(cell)
     }
 
     /// Rounds between the publication of `id` and `process` first seeing
     /// it; `None` if untracked or unseen.
     pub fn delivery_latency(&self, id: EventId, process: ProcessId) -> Option<u64> {
-        let published = self.events.get(&id)?.publish_round?;
+        let published = self.get(id)?.publish_round?;
         let first = self.first_seen_cell(id, process)?;
         Some((first as u64).saturating_sub(published))
     }
@@ -152,7 +190,7 @@ impl InfectionTracker {
     /// Histogram of delivery latencies for `id`: `hist[d]` = processes
     /// that first saw it `d` rounds after publication.
     pub fn latency_histogram(&self, id: EventId) -> Vec<usize> {
-        let Some(record) = self.events.get(&id) else {
+        let Some(record) = self.get(id) else {
             return Vec::new();
         };
         let Some(published) = record.publish_round else {
@@ -189,7 +227,7 @@ impl InfectionTracker {
 
     /// How many processes have seen `id`.
     pub fn infected_count(&self, id: EventId) -> usize {
-        self.events.get(&id).map_or(0, |r| r.seen_count)
+        self.get(id).map_or(0, |r| r.seen_count)
     }
 
     /// Whether `process` has seen `id`.
@@ -199,14 +237,14 @@ impl InfectionTracker {
 
     /// The round `id` was published, if tracked.
     pub fn published_at(&self, id: EventId) -> Option<u64> {
-        self.events.get(&id)?.publish_round
+        self.get(id)?.publish_round
     }
 
     /// All tracked events with their publish rounds.
     pub fn published_events(&self) -> impl Iterator<Item = (EventId, u64)> + '_ {
-        self.events
+        self.records
             .iter()
-            .filter_map(|(&id, r)| r.publish_round.map(|round| (id, round)))
+            .filter_map(|r| r.publish_round.map(|round| (r.id, round)))
     }
 
     /// Fraction of `population` that has seen `id` — the per-event
@@ -404,5 +442,144 @@ mod latency_tests {
         assert!((t.mean_latency(eid(0, 0)).unwrap() - 5.0 / 4.0).abs() < 1e-12);
         assert!(t.mean_latency(eid(9, 9)).is_none());
         assert!(t.latency_histogram(eid(9, 9)).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod model_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The recording path of one sighting.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Path {
+        Publish,
+        SeenAt,
+        /// Into the round's `(EventId, ProcessId)` batch.
+        Batch,
+        /// Into the round's `(EventId, slot)` batch, the engine's path.
+        SlotBatch,
+    }
+
+    /// A path, one of the twelve [`events`] (some never published) and a
+    /// process below 48, which the test caps per round so that processes
+    /// first appear late.
+    fn call() -> impl Strategy<Value = (Path, usize, u64)> {
+        let paths = [Path::Publish, Path::SeenAt, Path::Batch, Path::SlotBatch];
+        (0usize..4, 0usize..12, 0u64..48).prop_map(move |(path, e, p)| (paths[path], e, p))
+    }
+
+    /// Twelve event ids of origin 1, six on each of two memo entries, so
+    /// that the memo's entries are overwritten and must be checked.
+    fn events() -> Vec<EventId> {
+        let ids = || (0..).map(|seq| EventId::new(ProcessId::new(1), seq));
+        let a = memo_slot(EventId::new(ProcessId::new(1), 0));
+        let b = ids().map(memo_slot).find(|&m| m != a).expect("two entries");
+        let on = |m| ids().filter(move |&id| memo_slot(id) == m).take(6);
+        on(a).chain(on(b)).collect()
+    }
+
+    /// The naive tracker: first-seen rounds by `(event, process)` and
+    /// publish rounds by event.
+    #[derive(Default)]
+    struct Naive {
+        first: FastMap<(EventId, ProcessId), u64>,
+        published: FastMap<EventId, u64>,
+    }
+
+    impl Naive {
+        fn seen(&mut self, id: EventId, process: ProcessId, round: u64) {
+            self.first.entry((id, process)).or_insert(round);
+        }
+
+        fn latency_histogram(&self, id: EventId) -> Vec<usize> {
+            let Some(&published) = self.published.get(&id) else {
+                return Vec::new();
+            };
+            let mut hist = Vec::new();
+            for (_, &round) in self.first.iter().filter(|((e, _), _)| *e == id) {
+                let d = round.saturating_sub(published) as usize;
+                if hist.len() <= d {
+                    hist.resize(d + 1, 0);
+                }
+                hist[d] += 1;
+            }
+            hist
+        }
+
+        fn reliability(
+            &self,
+            window: std::ops::RangeInclusive<u64>,
+            population: usize,
+        ) -> Vec<f64> {
+            let mut per_event: Vec<f64> = self
+                .published
+                .iter()
+                .filter(|(_, round)| window.contains(round))
+                .map(|(id, _)| {
+                    let count = self.first.keys().filter(|(e, _)| e == id).count();
+                    count as f64 / population as f64
+                })
+                .collect();
+            per_event.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            per_event
+        }
+    }
+
+    proptest! {
+        /// Random sighting streams — re-sightings, unpublished ids,
+        /// sightings in later rounds, processes that first appear late,
+        /// through every recording path — answer every query as the naive
+        /// `(event, process) → round` map does.
+        #[test]
+        fn tracker_matches_the_naive_map(
+            rounds in proptest::collection::vec(
+                (1u64..4, proptest::collection::vec(call(), 0..40)),
+                0..12,
+            ),
+            caps in proptest::collection::vec(4u64..=48, 12),
+        ) {
+            let events = events();
+            let (mut tracker, mut naive) = (InfectionTracker::new(), Naive::default());
+            let mut round = 0;
+            for (k, (gap, calls)) in rounds.iter().enumerate() {
+                round += gap;
+                let (mut batch, mut slot_batch) = (Vec::new(), Vec::new());
+                for &(path, e, p) in calls {
+                    let (id, process) = (events[e], ProcessId::new(p % caps[k]));
+                    match path {
+                        Path::Publish => tracker.record_publish(id, process, round),
+                        Path::SeenAt => tracker.record_seen_at(id, process, round),
+                        Path::Batch => batch.push((id, process)),
+                        Path::SlotBatch => slot_batch.push((id, tracker.slot(process))),
+                    }
+                    if path == Path::Publish {
+                        naive.published.insert(id, round);
+                    }
+                    naive.seen(id, process, round);
+                }
+                tracker.record_seen_batch(round, &mut batch);
+                tracker.record_slot_batch(round, &mut slot_batch);
+                prop_assert!(batch.is_empty() && slot_batch.is_empty(), "batches drained");
+            }
+            for &id in events.iter().chain([&EventId::new(ProcessId::new(2), 0)]) {
+                let infected = naive.first.keys().filter(|(e, _)| *e == id).count();
+                prop_assert_eq!(tracker.infected_count(id), infected, "{}", id);
+                prop_assert_eq!(tracker.published_at(id), naive.published.get(&id).copied());
+                prop_assert_eq!(tracker.latency_histogram(id), naive.latency_histogram(id));
+                for process in (0..50).map(ProcessId::new) {
+                    let first = naive.first.get(&(id, process)).copied();
+                    let latency = naive.published.get(&id).and_then(|&published| {
+                        first.map(|round| round.saturating_sub(published))
+                    });
+                    prop_assert_eq!(tracker.has_seen(id, process), first.is_some());
+                    prop_assert_eq!(tracker.delivery_latency(id, process), latency);
+                }
+            }
+            for (window, population) in [(0..=round, 50), (round / 2..=round, 7), (3..=5, 1)] {
+                let report = tracker.reliability_report(window.clone(), population);
+                prop_assert_eq!(report.per_event, naive.reliability(window, population));
+            }
+        }
     }
 }

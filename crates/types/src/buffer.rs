@@ -30,15 +30,23 @@ use rand::Rng;
 /// evicted elements because phase 2 of gossip reception recycles entries
 /// evicted from `view` into `subs`.
 ///
-/// Membership tests and removals are O(1) amortized: small buffers (the
-/// common case — every buffer in the paper's measured configuration holds
-/// at most ~120 entries) use branch-friendly linear scans over a dense
-/// `Vec`, which beat a hash probe at that size; buffers configured larger
-/// than `LINEAR_SCAN_MAX` (128) maintain a hash index.
+/// Membership tests and removals are O(1) amortized: a buffer holding at
+/// most `LINEAR_SCAN_MAX` (128) elements (the common case — every buffer in
+/// the paper's measured configuration holds at most ~120) uses
+/// branch-friendly linear scans over a dense `Vec`, which beat a hash probe
+/// at that size. The first insertion past 128 builds a hash index from the
+/// stored elements; removals keep it, so a buffer that hovers near 128 does
+/// not rebuild it again and again, and [`drain`] and [`clear`] drop it. What
+/// decides is the number of elements held, not the configured bound: an
+/// `events` buffer bounded at 170 but drained every period with ~40 in it
+/// never builds one. The index only accelerates lookups; element order,
+/// return values and random draws are the same with or without it.
 ///
 /// Iteration order is unspecified.
 ///
 /// [`truncate_random`]: BoundedSet::truncate_random
+/// [`drain`]: BoundedSet::drain
+/// [`clear`]: BoundedSet::clear
 ///
 /// # Example
 ///
@@ -59,22 +67,24 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct BoundedSet<T> {
     items: Vec<T>,
-    /// Hash index, maintained only above the linear-scan threshold.
+    /// Position of each element in `items`: built by the insertion that
+    /// takes `items` past [`LINEAR_SCAN_MAX`], kept through removals,
+    /// dropped by [`drain`](Self::drain) and [`clear`](Self::clear).
     index: Option<FastMap<T, usize>>,
     max_len: usize,
 }
 
-/// Largest `max_len` for which [`BoundedSet`] relies on linear scans
-/// instead of a hash index.
+/// Most elements a [`BoundedSet`] without a hash index holds: the
+/// insertion that takes it past this many builds the index.
 pub const LINEAR_SCAN_MAX: usize = 128;
 
 impl<T: Clone + Eq + Hash> BoundedSet<T> {
     /// Creates an empty buffer with maximum size `max_len` (the paper's
-    /// |L|m).
+    /// |L|m). Allocates nothing.
     pub fn new(max_len: usize) -> Self {
         BoundedSet {
             items: Vec::new(),
-            index: (max_len > LINEAR_SCAN_MAX).then(FastMap::default),
+            index: None,
             max_len,
         }
     }
@@ -127,8 +137,18 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
     /// [`insert`]: BoundedSet::insert
     pub fn push_absent(&mut self, item: T) {
         debug_assert!(!self.contains(&item), "push_absent of a present element");
-        if let Some(index) = &mut self.index {
-            index.insert(item.clone(), self.items.len());
+        let pos = self.items.len();
+        match &mut self.index {
+            Some(index) => {
+                index.insert(item.clone(), pos);
+            }
+            None if pos >= LINEAR_SCAN_MAX => {
+                let index = self
+                    .index
+                    .insert(self.items.iter().cloned().zip(0..).collect());
+                index.insert(item.clone(), pos);
+            }
+            None => {}
         }
         self.items.push(item);
     }
@@ -217,19 +237,15 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
         self.items.iter()
     }
 
-    /// Removes and returns all elements.
+    /// Removes and returns all elements, and drops the hash index.
     pub fn drain(&mut self) -> Vec<T> {
-        if let Some(index) = &mut self.index {
-            index.clear();
-        }
+        self.index = None;
         std::mem::take(&mut self.items)
     }
 
-    /// Removes all elements.
+    /// Removes all elements, and drops the hash index.
     pub fn clear(&mut self) {
-        if let Some(index) = &mut self.index {
-            index.clear();
-        }
+        self.index = None;
         self.items.clear();
     }
 
@@ -423,14 +439,16 @@ mod tests {
 
     #[test]
     fn bounded_set_push_absent_appends_and_indexes() {
-        // Below and above LINEAR_SCAN_MAX: the hash index must learn the
-        // appended element too.
-        for max_len in [4, LINEAR_SCAN_MAX + 1] {
-            let mut s = BoundedSet::new(max_len);
+        // Scanning and indexed: the hash index must learn the appended
+        // element too.
+        for held in [0, LINEAR_SCAN_MAX] {
+            let mut s = BoundedSet::new(4);
+            s.extend(100..100 + held as u32);
             s.insert(1);
             s.push_absent(2);
             s.push_absent(3);
-            assert_eq!(s.to_vec(), vec![1, 2, 3], "max_len {max_len}");
+            assert_eq!(s.index.is_some(), held > 0, "held {held}");
+            assert_eq!(s.to_vec()[held..], [1, 2, 3], "held {held}");
             assert!(!s.insert(2));
             assert!(s.remove(&3) && s.contains(&2) && !s.contains(&3));
         }
@@ -559,11 +577,12 @@ mod tests {
 
     proptest::proptest! {
         /// The one-pass `retain` leaves the order the removals leave, on
-        /// the scanning and on the indexed layout, whatever share of the
-        /// elements it rejects.
+        /// the scanning and on the indexed layout (up to 300 elements: the
+        /// index exists once more than 128 were held), whatever share of
+        /// the elements it rejects.
         #[test]
         fn retain_matches_removing_each_rejected_element(
-            max_len in proptest::prop_oneof![1..=LINEAR_SCAN_MAX, LINEAR_SCAN_MAX + 1..400],
+            max_len in 1usize..400,
             values in proptest::collection::vec(0u32..400, 0..300),
             removals in proptest::collection::vec(0u32..400, 0..20),
             marks in proptest::collection::vec(0u8..4, 400),
@@ -585,6 +604,195 @@ mod tests {
             proptest::prop_assert_eq!(calls, before, "one call per element");
             proptest::prop_assert_eq!(&s.items, &model.items);
             assert_index_consistent(&s);
+        }
+    }
+
+    /// One call on a [`BoundedSet`] in [`index_matches_the_scan_only_model`].
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u32),
+        /// `push_absent` when the model says absent, nothing otherwise.
+        PushAbsent(u32),
+        Contains(u32),
+        Remove(u32),
+        RemoveRandom,
+        TruncateRandom,
+        TruncateRandomCount,
+        /// `retain` of the elements `x` with `(x ^ salt) % 3 != 0`.
+        Retain(u32),
+        Drain,
+        Clear,
+    }
+
+    /// What one [`Op`] returned, in one type for both sides.
+    #[derive(Debug, PartialEq)]
+    enum Returned {
+        Nothing,
+        Flag(bool),
+        Maybe(Option<u32>),
+        Evicted(Vec<u32>),
+        Count(usize),
+    }
+
+    /// Mostly insertions, so that a sequence climbs past 128 between the
+    /// removals, truncations, drains and clears that bring it back.
+    fn op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::strategy::Strategy;
+        (0u16..1_000, 0u32..400).prop_map(|(kind, x)| match kind {
+            0..=499 => Op::Insert(x),
+            500..=749 => Op::PushAbsent(x),
+            750..=819 => Op::Contains(x),
+            820..=889 => Op::Remove(x),
+            890..=979 => Op::RemoveRandom,
+            980..=984 => Op::TruncateRandom,
+            985..=989 => Op::TruncateRandomCount,
+            990..=995 => Op::Retain(x),
+            996..=997 => Op::Drain,
+            _ => Op::Clear,
+        })
+    }
+
+    /// The scan-only model: a `Vec` under the paper's rules, swap-remove
+    /// as the one way out, and no index.
+    struct ScanModel {
+        items: Vec<u32>,
+        max_len: usize,
+        /// Whether more than [`LINEAR_SCAN_MAX`] elements were held since
+        /// the last `drain` or `clear`: when the real set has an index.
+        indexed: bool,
+    }
+
+    impl ScanModel {
+        fn push(&mut self, x: u32) {
+            self.items.push(x);
+            self.indexed |= self.items.len() > LINEAR_SCAN_MAX;
+        }
+
+        fn remove_at(&mut self, pos: usize) -> u32 {
+            self.items.swap_remove(pos)
+        }
+
+        fn remove_random(&mut self, rng: &mut SmallRng) -> Option<u32> {
+            if self.items.is_empty() {
+                return None;
+            }
+            let pos = rng.gen_range(0..self.items.len());
+            Some(self.remove_at(pos))
+        }
+
+        fn apply(&mut self, op: &Op, rng: &mut SmallRng) -> Returned {
+            let pos = |items: &[u32], x: u32| items.iter().position(|&y| y == x);
+            match *op {
+                Op::Insert(x) => {
+                    let absent = pos(&self.items, x).is_none();
+                    if absent {
+                        self.push(x);
+                    }
+                    Returned::Flag(absent)
+                }
+                Op::PushAbsent(x) => {
+                    if pos(&self.items, x).is_none() {
+                        self.push(x);
+                    }
+                    Returned::Nothing
+                }
+                Op::Contains(x) => Returned::Flag(pos(&self.items, x).is_some()),
+                Op::Remove(x) => {
+                    let at = pos(&self.items, x);
+                    at.map(|at| self.remove_at(at));
+                    Returned::Flag(at.is_some())
+                }
+                Op::RemoveRandom => Returned::Maybe(self.remove_random(rng)),
+                Op::TruncateRandom | Op::TruncateRandomCount => {
+                    let mut evicted = Vec::new();
+                    while self.items.len() > self.max_len {
+                        evicted.extend(self.remove_random(rng));
+                    }
+                    match op {
+                        Op::TruncateRandom => Returned::Evicted(evicted),
+                        _ => Returned::Count(evicted.len()),
+                    }
+                }
+                Op::Retain(salt) => {
+                    let rejected: Vec<u32> = self
+                        .items
+                        .iter()
+                        .copied()
+                        .filter(|x| (x ^ salt) % 3 == 0)
+                        .collect();
+                    for x in rejected {
+                        let at = pos(&self.items, x).expect("present");
+                        self.remove_at(at);
+                    }
+                    Returned::Nothing
+                }
+                Op::Drain => {
+                    self.indexed = false;
+                    Returned::Evicted(std::mem::take(&mut self.items))
+                }
+                Op::Clear => {
+                    self.indexed = false;
+                    self.items.clear();
+                    Returned::Nothing
+                }
+            }
+        }
+    }
+
+    fn apply(s: &mut BoundedSet<u32>, model: &ScanModel, op: &Op, rng: &mut SmallRng) -> Returned {
+        match *op {
+            Op::Insert(x) => Returned::Flag(s.insert(x)),
+            Op::PushAbsent(x) => {
+                if !model.items.contains(&x) {
+                    s.push_absent(x);
+                }
+                Returned::Nothing
+            }
+            Op::Contains(x) => Returned::Flag(s.contains(&x)),
+            Op::Remove(x) => Returned::Flag(s.remove(&x)),
+            Op::RemoveRandom => Returned::Maybe(s.remove_random(rng)),
+            Op::TruncateRandom => Returned::Evicted(s.truncate_random(rng)),
+            Op::TruncateRandomCount => Returned::Count(s.truncate_random_count(rng)),
+            Op::Retain(salt) => {
+                s.retain(|x| (x ^ salt) % 3 != 0);
+                Returned::Nothing
+            }
+            Op::Drain => Returned::Evicted(s.drain()),
+            Op::Clear => {
+                s.clear();
+                Returned::Nothing
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The index is a pure accelerator: driven through any sequence of
+        /// calls whose length crosses 128 both ways, the set returns what a
+        /// scan-only `Vec` model returns, draws the same random numbers,
+        /// keeps the same order, and holds an index exactly when more than
+        /// 128 elements were held since the last `drain` or `clear`.
+        #[test]
+        fn index_matches_the_scan_only_model(
+            max_len in proptest::prop_oneof![
+                0..=LINEAR_SCAN_MAX,
+                LINEAR_SCAN_MAX - 16..=LINEAR_SCAN_MAX + 16,
+                LINEAR_SCAN_MAX + 1..300,
+            ],
+            ops in proptest::collection::vec(op(), 0..1_500),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut s = BoundedSet::new(max_len);
+            let mut model = ScanModel { items: Vec::new(), max_len, indexed: false };
+            let (mut rng, mut model_rng) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            for (step, op) in ops.iter().enumerate() {
+                let returned = apply(&mut s, &model, op, &mut rng);
+                let expected = model.apply(op, &mut model_rng);
+                proptest::prop_assert_eq!(returned, expected, "step {} {:?}", step, op);
+                proptest::prop_assert_eq!(&s.items, &model.items, "step {} {:?}", step, op);
+                proptest::prop_assert_eq!(s.index.is_some(), model.indexed, "step {}", step);
+                assert_index_consistent(&s);
+            }
+            proptest::prop_assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>(), "same draws");
         }
     }
 

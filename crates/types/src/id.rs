@@ -108,14 +108,6 @@ impl EventId {
     pub const fn seq(self) -> u64 {
         self.seq
     }
-
-    /// A single-integer sort key (origin in the high bits) whose ordering
-    /// matches the derived lexicographic `Ord`. Sorting large batches by
-    /// this key compares one `u128` per pair instead of two fields — used
-    /// by the simulator's batched sighting recorder.
-    pub const fn sort_key(self) -> u128 {
-        ((self.origin.as_u64() as u128) << 64) | self.seq as u128
-    }
 }
 
 impl fmt::Display for EventId {

@@ -466,18 +466,3 @@ proptest! {
         prop_assert_eq!(cut, all.len() > k);
     }
 }
-
-proptest! {
-    /// `EventId::sort_key` orders exactly like the derived lexicographic
-    /// `Ord` — the simulator's batch recorder sorts by the key and relies
-    /// on runs of equal ids being contiguous.
-    #[test]
-    fn event_id_sort_key_orders_like_ord(
-        a in (any::<u64>(), any::<u64>()),
-        b in (any::<u64>(), any::<u64>()),
-    ) {
-        let (x, y) = (eid(a.0, a.1), eid(b.0, b.1));
-        prop_assert_eq!(x.cmp(&y), x.sort_key().cmp(&y.sort_key()));
-        prop_assert_eq!(x == y, x.sort_key() == y.sort_key());
-    }
-}
