@@ -156,10 +156,6 @@ pub struct Engine<P: Protocol> {
     /// position, start, end)` in the reply buffer. Reused across
     /// generations and rounds.
     reply_runs: Vec<(u32, u32, u32)>,
-    /// Counting-sort scratch of [`by_destination`]: per-destination
-    /// offsets and each survivor's target position. Reused across
-    /// generations and rounds.
-    sort_scratch: (Vec<u32>, Vec<u32>),
     /// Per-step delivery sightings as `(event, tracker slot of the
     /// node)`, the slot resolved once per step output, recorded into the
     /// tracker as one batch at the end of the step (a record probe and a
@@ -263,7 +259,6 @@ impl<P: Protocol> EngineBuilder<P> {
             pending: VecDeque::new(),
             scratch: VecDeque::new(),
             reply_runs: Vec::new(),
-            sort_scratch: (Vec::new(), Vec::new()),
             sightings: Vec::new(),
             meter: self.meter,
             fault_plane: self.fault_plane,
@@ -665,7 +660,9 @@ impl<P: Protocol> Engine<P> {
             }
             self.fate_in_place(&mut queue, std::mem::take(&mut fated));
             // Each receiver's copies together, in queue order.
-            by_destination(&mut queue, self.nodes.len(), &mut self.sort_scratch);
+            queue
+                .make_contiguous()
+                .sort_unstable_by_key(|e| (e.to, e.pos));
             self.scratch.clear();
             let mut replies = std::mem::take(&mut self.scratch);
             for envelope in queue.drain(..) {
@@ -695,42 +692,6 @@ impl<P: Protocol> Engine<P> {
     pub fn run(&mut self, rounds: u64) {
         for _ in 0..rounds {
             self.step();
-        }
-    }
-}
-
-/// Pass 2 of a delivery generation: a stable counting sort of the
-/// survivors by destination slab index (below `nodes`), so each
-/// receiver's copies stand together in queue order. O(copies + nodes):
-/// `offsets` counts the copies per destination and turns into each
-/// destination's next free position, `targets` holds each copy's place
-/// while the copies follow their permutation cycles.
-fn by_destination<M>(
-    queue: &mut VecDeque<Envelope<M>>,
-    nodes: usize,
-    (offsets, targets): &mut (Vec<u32>, Vec<u32>),
-) {
-    let queue = queue.make_contiguous();
-    offsets.clear();
-    offsets.resize(nodes + 1, 0);
-    for e in queue.iter() {
-        offsets[e.to as usize + 1] += 1;
-    }
-    for d in 1..offsets.len() {
-        offsets[d] += offsets[d - 1];
-    }
-    targets.clear();
-    targets.extend(queue.iter().map(|e| {
-        let next = &mut offsets[e.to as usize];
-        *next += 1;
-        *next - 1
-    }));
-    // Follow each permutation cycle: every swap parks one copy.
-    for i in 0..queue.len() {
-        while targets[i] as usize != i {
-            let j = targets[i] as usize;
-            queue.swap(i, j);
-            targets.swap(i, j);
         }
     }
 }

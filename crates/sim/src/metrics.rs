@@ -4,14 +4,13 @@
 //!
 //! The tracker interns every `ProcessId` it sees into a dense slot and
 //! keeps one record per event in a `Vec`, found through an
-//! `EventId → position` map with a 4 096-entry direct-mapped memo of
-//! recent ids in front of it. A record holds a flat `Vec<u32>` of
+//! `EventId → position` map. A record holds a flat `Vec<u32>` of
 //! first-seen rounds indexed by slot (sentinel-encoded for "unseen") and a
 //! maintained infected count. The engine resolves the slot of a node once
-//! per step output, so recording a sighting is a memo load (a map probe on
-//! a miss) plus one cell write — no sort, no per-sighting intern probe,
-//! and no nested `HashMap<EventId, HashSet<ProcessId>>` walks on the
-//! simulator's hot path. The query API is unchanged from the original
+//! per step output, so recording a sighting is one map probe plus one
+//! cell write — no sort, no per-sighting intern probe, and no nested
+//! `HashMap<EventId, HashSet<ProcessId>>` walks on the simulator's hot
+//! path. The query API is unchanged from the original
 //! hash-based tracker.
 
 use lpbcast_types::{EventId, ProcessId};
@@ -29,7 +28,7 @@ fn round_cell(round: u64) -> u32 {
 /// Per-event dense state.
 #[derive(Debug, Clone)]
 struct EventRecord {
-    /// The event; a memo hit is checked against it.
+    /// The event, for [`InfectionTracker::published_events`].
     id: EventId,
     /// Round of publication, if [`InfectionTracker::record_publish`] ran.
     publish_round: Option<u64>,
@@ -78,20 +77,6 @@ pub struct InfectionTracker {
     index: FastMap<EventId, u32>,
     /// One record per event, in the order the tracker first met them.
     records: Vec<EventRecord>,
-    /// Direct-mapped memo in front of `index`: the `records` position of
-    /// the last event that hashed to each of its [`MEMO_SLOTS`] entries.
-    /// Empty until the first record is made.
-    memo: Vec<u32>,
-}
-
-/// Entries of [`InfectionTracker`]'s memo (16 KiB of `u32`). Far more than
-/// the events in flight at once, which are the ones sighted every step.
-const MEMO_SLOTS: usize = 4096;
-
-/// `id`'s memo entry: the top 12 bits of a multiplicative hash.
-fn memo_slot(id: EventId) -> usize {
-    let key = id.origin().as_u64() ^ id.seq().rotate_left(32);
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
 }
 
 impl InfectionTracker {
@@ -108,25 +93,13 @@ impl InfectionTracker {
         *self.intern.entry(process).or_insert(next)
     }
 
-    /// The record of `id`, created on first use. A memo hit costs one
-    /// load and one id compare; a miss probes `index` and refreshes the
-    /// memo entry.
+    /// The record of `id`, created on first use.
     fn record(&mut self, id: EventId) -> &mut EventRecord {
-        let m = memo_slot(id);
-        if let Some(&at) = self.memo.get(m) {
-            if self.records.get(at as usize).is_some_and(|r| r.id == id) {
-                return &mut self.records[at as usize];
-            }
-        }
         let next = self.records.len() as u32;
         let at = *self.index.entry(id).or_insert(next);
         if at == next {
             self.records.push(EventRecord::new(id));
         }
-        if self.memo.is_empty() {
-            self.memo = vec![u32::MAX; MEMO_SLOTS];
-        }
-        self.memo[m] = at;
         &mut self.records[at as usize]
     }
 
@@ -150,22 +123,13 @@ impl InfectionTracker {
         self.record(id).mark(slot, round_cell(round));
     }
 
-    /// Records a whole step's sightings in one call, all at `round`.
-    /// Re-sightings keep the first round.
+    /// Records a whole step's sightings in one call, all at `round`, each
+    /// with its process already resolved to its [`slot`](Self::slot): one
+    /// record probe and one cell write per sighting. Re-sightings keep the
+    /// first round.
     ///
     /// The batch vector is drained (left empty, capacity retained) so
     /// the caller can reuse its allocation across steps.
-    pub fn record_seen_batch(&mut self, round: u64, sightings: &mut Vec<(EventId, ProcessId)>) {
-        let round = round_cell(round);
-        for (id, process) in sightings.drain(..) {
-            let slot = self.slot(process);
-            self.record(id).mark(slot, round);
-        }
-    }
-
-    /// [`record_seen_batch`](Self::record_seen_batch) over sightings whose
-    /// process is already resolved to its [`slot`](Self::slot): one record
-    /// probe and one cell write per sighting.
     pub(crate) fn record_slot_batch(&mut self, round: u64, sightings: &mut Vec<(EventId, u32)>) {
         let round = round_cell(round);
         for (id, slot) in sightings.drain(..) {
@@ -455,28 +419,16 @@ mod model_tests {
     enum Path {
         Publish,
         SeenAt,
-        /// Into the round's `(EventId, ProcessId)` batch.
-        Batch,
         /// Into the round's `(EventId, slot)` batch, the engine's path.
         SlotBatch,
     }
 
-    /// A path, one of the twelve [`events`] (some never published) and a
-    /// process below 48, which the test caps per round so that processes
-    /// first appear late.
+    /// A path, one of twelve events of origin 1 (some never published)
+    /// and a process below 48, which the test caps per round so that
+    /// processes first appear late.
     fn call() -> impl Strategy<Value = (Path, usize, u64)> {
-        let paths = [Path::Publish, Path::SeenAt, Path::Batch, Path::SlotBatch];
-        (0usize..4, 0usize..12, 0u64..48).prop_map(move |(path, e, p)| (paths[path], e, p))
-    }
-
-    /// Twelve event ids of origin 1, six on each of two memo entries, so
-    /// that the memo's entries are overwritten and must be checked.
-    fn events() -> Vec<EventId> {
-        let ids = || (0..).map(|seq| EventId::new(ProcessId::new(1), seq));
-        let a = memo_slot(EventId::new(ProcessId::new(1), 0));
-        let b = ids().map(memo_slot).find(|&m| m != a).expect("two entries");
-        let on = |m| ids().filter(move |&id| memo_slot(id) == m).take(6);
-        on(a).chain(on(b)).collect()
+        let paths = [Path::Publish, Path::SeenAt, Path::SlotBatch];
+        (0usize..3, 0usize..12, 0u64..48).prop_map(move |(path, e, p)| (paths[path], e, p))
     }
 
     /// The naive tracker: first-seen rounds by `(event, process)` and
@@ -539,18 +491,17 @@ mod model_tests {
             ),
             caps in proptest::collection::vec(4u64..=48, 12),
         ) {
-            let events = events();
+            let events: Vec<EventId> = (0..12).map(|seq| EventId::new(ProcessId::new(1), seq)).collect();
             let (mut tracker, mut naive) = (InfectionTracker::new(), Naive::default());
             let mut round = 0;
             for (k, (gap, calls)) in rounds.iter().enumerate() {
                 round += gap;
-                let (mut batch, mut slot_batch) = (Vec::new(), Vec::new());
+                let mut slot_batch = Vec::new();
                 for &(path, e, p) in calls {
                     let (id, process) = (events[e], ProcessId::new(p % caps[k]));
                     match path {
                         Path::Publish => tracker.record_publish(id, process, round),
                         Path::SeenAt => tracker.record_seen_at(id, process, round),
-                        Path::Batch => batch.push((id, process)),
                         Path::SlotBatch => slot_batch.push((id, tracker.slot(process))),
                     }
                     if path == Path::Publish {
@@ -558,9 +509,8 @@ mod model_tests {
                     }
                     naive.seen(id, process, round);
                 }
-                tracker.record_seen_batch(round, &mut batch);
                 tracker.record_slot_batch(round, &mut slot_batch);
-                prop_assert!(batch.is_empty() && slot_batch.is_empty(), "batches drained");
+                prop_assert!(slot_batch.is_empty(), "batch drained");
             }
             for &id in events.iter().chain([&EventId::new(ProcessId::new(2), 0)]) {
                 let infected = naive.first.keys().filter(|(e, _)| *e == id).count();

@@ -153,7 +153,9 @@ fn reference(rounds: u64) -> Run {
             queue = replies;
         }
         pending = queue;
-        tracker.record_seen_batch(round, &mut sightings);
+        for (id, p) in sightings.drain(..) {
+            tracker.record_seen_at(id, p, round);
+        }
     }
     (nodes, tracker, meter, at)
 }
