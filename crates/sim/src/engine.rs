@@ -133,6 +133,9 @@ pub struct Engine<P: Protocol> {
     nodes: Vec<P>,
     /// Process id of each slab entry (parallel to `nodes`).
     ids: Vec<ProcessId>,
+    /// Tracker slot of each slab entry (parallel to `nodes`), interned
+    /// when the node enters the slab.
+    slots: Vec<u32>,
     /// Reverse map, consulted once per enqueued message.
     index: FastMap<ProcessId, u32>,
     /// Liveness bit per slab entry.
@@ -157,9 +160,8 @@ pub struct Engine<P: Protocol> {
     /// generations and rounds.
     reply_runs: Vec<(u32, u32, u32)>,
     /// Per-step delivery sightings as `(event, tracker slot of the
-    /// node)`, the slot resolved once per step output, recorded into the
-    /// tracker as one batch at the end of the step (a record probe and a
-    /// cell write each). Reused across rounds.
+    /// node)`, recorded into the tracker as one batch at the end of the
+    /// step (a record probe and a cell write each). Reused across rounds.
     sightings: Vec<(EventId, u32)>,
     /// Optional wire-byte meter over every offered message copy.
     meter: Option<WireMeter<P::Msg>>,
@@ -248,6 +250,7 @@ impl<P: Protocol> EngineBuilder<P> {
         let mut engine = Engine {
             nodes: Vec::new(),
             ids: Vec::new(),
+            slots: Vec::new(),
             index: FastMap::default(),
             alive: BitSet::default(),
             alive_count: 0,
@@ -328,6 +331,7 @@ impl<P: Protocol> Engine<P> {
         let i = self.nodes.len();
         self.nodes.push(node);
         self.ids.push(id);
+        self.slots.push(self.tracker.slot(id));
         self.index.insert(id, i as u32);
         self.alive.grow_to(i + 1);
         self.alive.set(i);
@@ -361,6 +365,7 @@ impl<P: Protocol> Engine<P> {
         // reverse map, and any queued envelope that addressed either slot.
         let node = self.nodes.swap_remove(i);
         self.ids.swap_remove(i);
+        self.slots.swap_remove(i);
         self.index.remove(&id);
         if i != last {
             if self.alive.get(last) {
@@ -508,19 +513,21 @@ impl<P: Protocol> Engine<P> {
         }))
     }
 
-    /// Absorbs one node's step output into the round: sightings for the
-    /// tracker, outgoing copies metered (unknown destinations included —
-    /// a real transport transmits before discovering nobody listens) and
-    /// enqueued onto `into`. Shared by the tick and delivery loops.
+    /// Absorbs the step output of slab entry `i` into the round:
+    /// sightings for the tracker, outgoing copies metered (unknown
+    /// destinations included — a real transport transmits before
+    /// discovering nobody listens) and enqueued onto `into`. Shared by the
+    /// tick and delivery loops.
     #[inline]
     fn absorb_output(
         &mut self,
-        from: ProcessId,
+        i: usize,
         out: Output<P::Msg>,
         into: &mut VecDeque<Envelope<P::Msg>>,
     ) {
+        let from = self.ids[i];
         if !(out.delivered.is_empty() && out.learned_ids.is_empty()) {
-            let slot = self.tracker.slot(from);
+            let slot = self.slots[i];
             let seen = out.delivered.iter().map(|e| e.id());
             let seen = seen.chain(out.learned_ids.iter().copied());
             self.sightings.extend(seen.map(|id| (id, slot)));
@@ -648,9 +655,8 @@ impl<P: Protocol> Engine<P> {
             if !self.alive.get(i) {
                 continue;
             }
-            let from = self.ids[i];
             let out = self.nodes[i].tick();
-            self.absorb_output(from, out, &mut queue);
+            self.absorb_output(i, out, &mut queue);
         }
 
         // Phase B: delivery with bounded reply chasing.
@@ -668,9 +674,8 @@ impl<P: Protocol> Engine<P> {
             for envelope in queue.drain(..) {
                 let ti = envelope.to as usize;
                 let out = self.nodes[ti].handle_message(envelope.from, envelope.msg);
-                let to_id = self.ids[ti];
                 let start = replies.len();
-                self.absorb_output(to_id, out, &mut replies);
+                self.absorb_output(ti, out, &mut replies);
                 if replies.len() > start {
                     let run = (envelope.pos, start as u32, replies.len() as u32);
                     self.reply_runs.push(run);

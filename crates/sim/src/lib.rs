@@ -37,8 +37,10 @@
 //!   as §5.1 describes it, and the library reads no environment
 //!   variable: a run is a function of its arguments and seed.
 //! * **Dense metrics** — the [`InfectionTracker`] interns process ids and
-//!   keeps per-event flat first-seen-round vectors plus maintained
-//!   infected counters ([`metrics`]).
+//!   keeps per-event flat first-seen-round vectors, two bytes per node
+//!   (a `u16` offset from the event's first round, widened once to `u32`
+//!   rounds when an offset does not fit), allocated once at the size of
+//!   the membership, plus maintained infected counters ([`metrics`]).
 //! * **Geometric loss sampling** — the [`NetworkModel`] draws the
 //!   geometric gap between drops instead of one uniform per copy, making
 //!   RNG cost proportional to ε·messages ([`network`]).
