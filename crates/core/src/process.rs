@@ -3,7 +3,7 @@
 use std::ops::ControlFlow;
 
 use lpbcast_membership::{PartialView, View};
-use lpbcast_types::scan::IdFilter;
+use lpbcast_types::scan::{IdFilter, IdSet};
 use lpbcast_types::{BoundedSet, Event, EventId, MembershipEvent, Payload, ProcessId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -36,8 +36,11 @@ pub struct Lpbcast {
     view: PartialView,
     /// `subs`: subscriptions eligible for forwarding.
     subs: BoundedSet<ProcessId>,
-    /// `unSubs`: unsubscriptions eligible for forwarding.
-    unsubs: BoundedSet<Unsubscription>,
+    /// `unSubs`: unsubscriptions eligible for forwarding. Phase 1 tests
+    /// every record a gossip carries against it (dozens per gossip under
+    /// churn), so it finds records through the leavers' [`IdSet`], one
+    /// bit per dense process id, rather than a scan or a hash index.
+    unsubs: BoundedSet<Unsubscription, IdSet>,
     /// `events`: notifications received since the last outgoing gossip.
     events: BoundedSet<Event>,
     /// `eventIds`: history of delivered notification ids.
@@ -65,7 +68,7 @@ impl Lpbcast {
         debug_assert!(config.validate().is_ok(), "invalid config");
         let view = PartialView::new(id, config.view_size, config.strategy);
         let subs = BoundedSet::new(config.subs_max);
-        let unsubs = BoundedSet::new(config.unsubs_max);
+        let unsubs = BoundedSet::with_index(config.unsubs_max);
         let events = BoundedSet::new(config.events_max);
         let history = EventHistory::new(config.history_mode, config.event_ids_max);
         let archive = EventArchive::new(config.archive_capacity);

@@ -7,7 +7,7 @@
 
 use core::fmt;
 
-use lpbcast_types::{varint, ProcessId};
+use lpbcast_types::{varint, ProcessId, ProcessKeyed};
 
 use crate::time::LogicalTime;
 
@@ -58,6 +58,14 @@ impl Eq for Unsubscription {}
 impl core::hash::Hash for Unsubscription {
     fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
         self.process.hash(state);
+    }
+}
+
+/// Records are equal exactly when their processes are, so an `unSubs`
+/// buffer can index them by process.
+impl ProcessKeyed for Unsubscription {
+    fn process_key(&self) -> ProcessId {
+        self.process
     }
 }
 

@@ -1,19 +1,25 @@
-//! Differential test of Figure 1(a) phases 1–2: `Lpbcast`, whose gossip
-//! handler skips scans on a may-contain filter's "absent" answer, against
-//! a model that admits `subs` and applies `unSubs` with plain scans only.
+//! Differential test of Figure 1(a) phases 1–2 and of `unsubscribe`:
+//! `Lpbcast`, whose gossip handler skips scans on a may-contain filter's
+//! "absent" answer and whose `unSubs` buffer finds records through a
+//! process-id set, against a model that admits `subs` and applies
+//! `unSubs` with plain scans and a plain `BoundedSet` (hash-indexed past
+//! 128 records).
 //!
-//! The filter is a speed-up and nothing else, so the two must agree on
+//! Both are speed-ups and nothing else, so the two must agree on
 //! everything observable: the view's id order and weights, the ids
 //! evicted from it, `subs` and `unSubs` order (read off the next gossip),
-//! every `ProcessStats` counter, and the RNG (read off the next gossip's
-//! targets). CI runs this in release, where the `debug_assert!`s behind
-//! `push_absent` are compiled out, with `PROPTEST_CASES=4096`.
+//! every `ProcessStats` counter, `unsubscribe`'s answers, and the RNG
+//! (read off the next gossip's targets). `unSubs` bounds reach 300 and
+//! gossips carry up to 250 records, dense ids and ids near `u64::MAX`,
+//! so the buffer crosses 128 records both ways. CI runs this in release,
+//! where the `debug_assert!`s behind `push_absent` are compiled out, with
+//! `PROPTEST_CASES=4096`.
 
 use std::collections::BTreeSet;
 
 use lpbcast_core::{
     Config, Digest, Gossip, LogicalTime, Lpbcast, Message, ProcessStats, UnsubDigest,
-    Unsubscription,
+    UnsubscribeRefused, Unsubscription,
 };
 use lpbcast_membership::{PartialView, TruncationStrategy, View as _};
 use lpbcast_types::{BoundedSet, ProcessId};
@@ -29,8 +35,18 @@ fn id() -> impl Strategy<Value = ProcessId> {
     (0u64..128).prop_map(|x| ProcessId::new(if x < 120 { x } else { u64::MAX - (x - 120) }))
 }
 
-/// One step of the run: a membership-only gossip, or a tick (which emits
-/// the gossip the comparison reads `subs`, `unSubs` and targets from).
+/// A leaver's id for an `unSubs` record: from a pool of 320, more than
+/// the 128 records past which the model's buffer builds its hash index.
+/// 280 are dense (the receiver's view and `subs` among them, and the ids
+/// on both sides of the first four 64-bit word boundaries), 40 near the
+/// top of the range.
+fn leaver() -> impl Strategy<Value = ProcessId> {
+    (0u64..320).prop_map(|x| ProcessId::new(if x < 280 { x } else { u64::MAX - (x - 280) }))
+}
+
+/// One step of the run: a membership-only gossip, a tick (which emits
+/// the gossip the comparison reads `subs`, `unSubs` and targets from), or
+/// the process's own `unsubscribe`.
 #[derive(Debug, Clone)]
 enum Step {
     Gossip {
@@ -40,14 +56,18 @@ enum Step {
         unsubs: Vec<(ProcessId, u64)>,
     },
     Tick,
+    Unsubscribe,
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    (0u32..4, vec(id(), 0..64), vec((id(), 0u64..12), 0..6)).prop_map(|(kind, subs, unsubs)| {
-        match kind {
-            0 => Step::Tick,
-            _ => Step::Gossip { subs, unsubs },
-        }
+    let unsubs = prop_oneof![
+        vec((leaver(), 0u64..12), 0..6),
+        vec((leaver(), 0u64..12), 0..250),
+    ];
+    (0u32..20, vec(id(), 0..64), unsubs).prop_map(|(kind, subs, unsubs)| match kind {
+        0..=4 => Step::Tick,
+        5 => Step::Unsubscribe,
+        _ => Step::Gossip { subs, unsubs },
     })
 }
 
@@ -60,6 +80,7 @@ struct Model {
     view: PartialView,
     subs: BoundedSet<ProcessId>,
     unsubs: BoundedSet<Unsubscription>,
+    leaving: bool,
     rng: SmallRng,
     stats: ProcessStats,
 }
@@ -75,6 +96,7 @@ impl Model {
             view: PartialView::new(me, config.view_size, config.strategy),
             subs: BoundedSet::new(config.subs_max),
             unsubs: BoundedSet::new(config.unsubs_max),
+            leaving: false,
             rng,
             stats: ProcessStats::default(),
             config,
@@ -117,12 +139,27 @@ impl Model {
         evicted
     }
 
+    /// `Lpbcast::unsubscribe`: refused while `unSubs` holds more records
+    /// than the threshold, otherwise the own record joins it.
+    fn unsubscribe(&mut self) -> Result<(), UnsubscribeRefused> {
+        let threshold = self.config.unsub_refusal_threshold;
+        if self.unsubs.len() > threshold {
+            return Err(UnsubscribeRefused {
+                buffered: self.unsubs.len(),
+                threshold,
+            });
+        }
+        self.unsubs.insert(Unsubscription::new(self.me, self.now));
+        self.leaving = true;
+        Ok(())
+    }
+
     /// The gossip a tick emits: `(subs, unSubs, targets)`, targets empty
     /// when the view is.
     fn tick(&mut self) -> (Vec<ProcessId>, Vec<Unsubscription>, Vec<ProcessId>) {
         self.now = self.now.next();
         let mut subs = self.subs.to_vec();
-        if !subs.contains(&self.me) {
+        if !self.leaving && !subs.contains(&self.me) {
             subs.push(self.me);
         }
         if self.config.strategy == TruncationStrategy::Weighted {
@@ -165,8 +202,9 @@ fn entries(view: &PartialView) -> Vec<(ProcessId, u32)> {
 proptest! {
     #[test]
     fn filtered_admission_matches_the_scan_model(
-        sizes in (1usize..=48, 1usize..=64, 1usize..=16),
+        sizes in (1usize..=48, 1usize..=64, prop_oneof![1usize..=16, 1usize..=300]),
         knobs in (any::<bool>(), 1usize..=4, 0u64..6),
+        refusal_threshold in prop_oneof![0usize..=8, 0usize..=300],
         me in id(),
         seed in any::<u64>(),
         members in vec(id(), 0..96),
@@ -180,6 +218,7 @@ proptest! {
             .subs_max(subs_max)
             .unsubs_max(unsubs_max)
             .unsub_obsolescence(window)
+            .unsub_refusal_threshold(refusal_threshold)
             .strategy(if weighted { TruncationStrategy::Weighted } else { TruncationStrategy::Uniform })
             .build();
         let mut model = Model::new(me, config.clone(), seed, &members);
@@ -219,6 +258,10 @@ proptest! {
                     let model_evicted: BTreeSet<ProcessId> = evicted.iter().copied().collect();
                     prop_assert_eq!(model_evicted.len(), evicted.len(), "evicted twice");
                     prop_assert_eq!(real_evicted, model_evicted);
+                }
+                Step::Unsubscribe => {
+                    prop_assert_eq!(real.unsubscribe(), model.unsubscribe());
+                    prop_assert_eq!(real.is_leaving(), model.leaving);
                 }
                 Step::Tick => {
                     let (subs, unsubs, targets) = model.tick();

@@ -31,7 +31,10 @@
 //! deterministic state machine: all randomness flows from one seeded
 //! RNG, and member iteration uses ordered containers.
 
-use lpbcast_types::{EventId, FastSet, OldestFirstBuffer, Output, Payload, ProcessId, Protocol};
+use std::collections::VecDeque;
+
+use lpbcast_types::scan::IdSet;
+use lpbcast_types::{EventId, Output, Payload, ProcessId, Protocol};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -289,6 +292,34 @@ struct Probe {
     deadline: u64,
 }
 
+/// The remembered-dead processes: their ids in confirmation order, so
+/// the oldest is forgotten first (state kept per dead id, such as the
+/// incarnation it died at, would ride this queue), and the same ids as an
+/// [`IdSet`] for the probe every received update makes: one bit each for
+/// the dense ids of the simulator and the UDP cluster.
+#[derive(Debug, Clone, Default)]
+struct Dead {
+    order: VecDeque<ProcessId>,
+    ids: IdSet,
+}
+
+impl Dead {
+    /// Remembers `p` (nothing changes if it is remembered already), then
+    /// forgets the oldest ids past `max`; returns whether `p` was new.
+    fn insert(&mut self, p: ProcessId, max: usize) -> bool {
+        let fresh = self.ids.insert(p);
+        if fresh {
+            self.order.push_back(p);
+        }
+        while self.order.len() > max {
+            if let Some(old) = self.order.pop_front() {
+                self.ids.remove(old);
+            }
+        }
+        fresh
+    }
+}
+
 #[derive(Debug, Clone)]
 struct QueuedUpdate {
     update: Update,
@@ -343,13 +374,15 @@ pub struct Swim<P: Protocol> {
     members_spare: Vec<(ProcessId, MemberState)>,
     /// Recently confirmed-dead processes, remembered so stale `Alive`
     /// updates cannot resurrect them (bounded, oldest forgotten first).
-    dead: OldestFirstBuffer<ProcessId>,
+    /// Every piggybacked update is checked against it, and under churn
+    /// most are about a process already here.
+    dead: Dead,
     /// Updates awaiting piggybacked dissemination, at most one per
     /// subject.
     gossip: Vec<QueuedUpdate>,
     /// The subjects `gossip` holds an update about, so an update about a
-    /// new subject is queued without a scan.
-    queued: FastSet<ProcessId>,
+    /// new subject is queued without a scan: one bit per dense id.
+    queued: IdSet,
     /// Round-robin position in `gossip` (see `take_piggyback`).
     gossip_cursor: usize,
     /// Randomized round-robin probe order.
@@ -367,7 +400,6 @@ impl<P: Protocol> Swim<P> {
     /// protocol keeps its own RNG.
     pub fn new(inner: P, cfg: SwimConfig, seed: u64) -> Self {
         let self_id = inner.id();
-        let dead = OldestFirstBuffer::new(cfg.dead_max);
         Swim {
             rng: SmallRng::seed_from_u64(
                 seed ^ self_id.as_u64().wrapping_mul(0x5357_494D_9E37_79B9),
@@ -379,9 +411,9 @@ impl<P: Protocol> Swim<P> {
             ticks: 0,
             members: Vec::new(),
             members_spare: Vec::new(),
-            dead,
+            dead: Dead::default(),
             gossip: Vec::new(),
-            queued: FastSet::default(),
+            queued: IdSet::new(),
             gossip_cursor: 0,
             probe_queue: Vec::new(),
             probe: None,
@@ -465,7 +497,7 @@ impl<P: Protocol> Swim<P> {
 
     /// Whether `p` is remembered as confirmed dead here.
     pub fn is_dead(&self, p: ProcessId) -> bool {
-        self.dead.contains(&p)
+        self.dead.ids.contains(p)
     }
 
     // ── update dissemination ─────────────────────────────────────────
@@ -496,24 +528,26 @@ impl<P: Protocol> Swim<P> {
             entry.remaining = entry.remaining.saturating_sub(1);
             exhausted |= entry.remaining == 0;
         };
-        send(&mut self.gossip[0]);
+        let (head, rest) = self.gossip.split_at_mut(1);
+        send(&mut head[0]);
         if take > 1 {
-            let span = len - 1;
-            if self.gossip_cursor >= span {
+            // The window of `take - 1` entries from the cursor, wrapping
+            // past the end of `rest` to its start: two slices.
+            if self.gossip_cursor >= rest.len() {
                 self.gossip_cursor = 0;
             }
-            let start = self.gossip_cursor;
-            for i in 0..take - 1 {
-                send(&mut self.gossip[1 + (start + i) % span]);
-            }
-            self.gossip_cursor = (start + take - 1) % span;
+            let (start, rotating) = (self.gossip_cursor, take - 1);
+            let upto_end = rotating.min(rest.len() - start);
+            rest[start..start + upto_end].iter_mut().for_each(&mut send);
+            rest[..rotating - upto_end].iter_mut().for_each(&mut send);
+            self.gossip_cursor = (start + rotating) % rest.len();
         }
         if exhausted {
             let queued = &mut self.queued;
             self.gossip.retain(|e| {
                 let live = e.remaining > 0;
                 if !live {
-                    queued.remove(&e.update.subject);
+                    queued.remove(e.update.subject);
                 }
                 live
             });
@@ -527,7 +561,7 @@ impl<P: Protocol> Swim<P> {
     /// the priority slot: that one is what stops its false eviction, so
     /// the entry behind it goes instead (unless it is the only one).
     fn enqueue_update(&mut self, update: Update) {
-        if self.queued.contains(&update.subject) {
+        if self.queued.contains(update.subject) {
             if let Some(entry) = self
                 .gossip
                 .iter_mut()
@@ -544,7 +578,7 @@ impl<P: Protocol> Swim<P> {
             let refuting = self.gossip[0].update.subject == self.self_id;
             let oldest = usize::from(refuting && self.gossip.len() > 1);
             let dropped = self.gossip.remove(oldest);
-            self.queued.remove(&dropped.update.subject);
+            self.queued.remove(dropped.update.subject);
         }
         self.queued.insert(update.subject);
         self.gossip.push(QueuedUpdate {
@@ -558,12 +592,12 @@ impl<P: Protocol> Swim<P> {
     /// the whole membership, so they ride the next outgoing messages
     /// ahead of everything else (SWIM gives them highest priority).
     fn enqueue_refutation(&mut self, update: Update) {
-        if self.queued.contains(&update.subject) {
+        if self.queued.contains(update.subject) {
             self.gossip.retain(|e| e.update.subject != update.subject);
         }
         if self.gossip.len() >= self.cfg.gossip_max {
             if let Some(dropped) = self.gossip.pop() {
-                self.queued.remove(&dropped.update.subject);
+                self.queued.remove(dropped.update.subject);
             }
         }
         self.queued.insert(update.subject);
@@ -601,7 +635,7 @@ impl<P: Protocol> Swim<P> {
         if update.subject == from && !matches!(update.state, UpdateState::Alive) {
             return;
         }
-        if self.dead.contains(&update.subject) {
+        if self.dead.ids.contains(update.subject) {
             return; // confirmed dead stays dead
         }
         match update.state {
@@ -651,9 +685,8 @@ impl<P: Protocol> Swim<P> {
     /// no dead id.
     fn confirm(&mut self, p: ProcessId, incarnation: u64) {
         self.remove_member(p);
-        let fresh = self.dead.insert(p);
+        let fresh = self.dead.insert(p, self.cfg.dead_max);
         debug_assert!(fresh, "confirm of a process already dead");
-        self.dead.truncate_oldest();
         self.inner.evict(p);
         self.eviction_log.push(p);
         self.stats.confirms += 1;
@@ -713,7 +746,7 @@ impl<P: Protocol> Swim<P> {
             if p == self.self_id {
                 continue;
             }
-            if self.dead.contains(&p) {
+            if self.dead.ids.contains(p) {
                 // Stale subs gossip re-admitted a confirmed-dead id into
                 // the inner view. Scrub it again (silently: the eviction
                 // log counts distinct confirmations, not re-scrubs) —
@@ -1029,8 +1062,7 @@ impl<P: Protocol> Protocol for Swim<P> {
         // Driver-driven eviction (e.g. an outer detector): propagate and
         // forget, but do not log it as a SWIM confirmation.
         self.remove_member(process);
-        self.dead.insert(process);
-        self.dead.truncate_oldest();
+        self.dead.insert(process, self.cfg.dead_max);
         if self.probe.map(|pr| pr.target) == Some(process) {
             self.probe = None;
         }

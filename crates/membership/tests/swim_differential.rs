@@ -9,9 +9,13 @@
 //! and suspicions, every outgoing message (piggybacked updates included,
 //! which is where the queue shows), the inner protocol's `evict` calls in
 //! order, `evictions()`, the dead set and every `SwimStats` counter. The
-//! RNG is read off the probe targets and proxy choices. CI runs this in
-//! release, where `confirm`'s `debug_assert!` is compiled out, with
-//! `PROPTEST_CASES=4096`.
+//! RNG is read off the probe targets and proxy choices. The dead set and
+//! the queued-subject set are process-id sets, a bitmap for dense ids and
+//! a `FastSet` otherwise: half the cases draw ids on word boundaries
+//! only, the other half also past the bitmap's floor and near
+//! `u64::MAX`, so both forms and the switch between them are compared.
+//! CI runs this in release, where `confirm`'s `debug_assert!` is compiled
+//! out, with `PROPTEST_CASES=4096`.
 
 use std::collections::BTreeMap;
 
@@ -28,12 +32,32 @@ use rand::SeedableRng;
 /// The node under test.
 const ME: ProcessId = ProcessId::new(0);
 
-/// Ids the steps draw from: small enough that views name this node,
-/// confirmed-dead ids come back in views, and updates hit members.
-const POOL: u64 = 10;
+/// Ids the steps draw from, few enough that views name this node,
+/// confirmed-dead ids come back in views, and updates hit members. The
+/// steps draw slots `0..14` as ids; a case then maps each slot to its id
+/// in one of these tables: dense ids either side of 64-bit words, or
+/// some of those and ids that force the hashed form (past the bitmap's
+/// 4 096-id floor, at 2⁴⁰, near `u64::MAX`).
+const DENSE: [u64; 14] = [0, 1, 2, 3, 4, 5, 6, 7, 63, 64, 127, 128, 191, 192];
+const SPARSE: [u64; 14] = [
+    0,
+    1,
+    2,
+    3,
+    4,
+    5,
+    6,
+    7,
+    63,
+    64,
+    4_096,
+    1 << 40,
+    u64::MAX - 1,
+    u64::MAX,
+];
 
 fn id() -> impl Strategy<Value = ProcessId> {
-    (0..POOL).prop_map(ProcessId::new)
+    (0..DENSE.len() as u64).prop_map(ProcessId::new)
 }
 
 /// An inner protocol whose view the test sets before each tick. It logs
@@ -660,11 +684,37 @@ fn step() -> impl Strategy<Value = Step> {
         })
 }
 
+/// `step` with each drawn slot replaced by its id in `table`.
+fn resolve(step: &Step, table: &[u64; 14]) -> Step {
+    let at = |slot: &ProcessId| ProcessId::new(table[slot.as_index()]);
+    match step {
+        Step::Tick(view) => Step::Tick(view.iter().map(at).collect()),
+        Step::Receive {
+            from,
+            kind,
+            other,
+            updates,
+        } => Step::Receive {
+            from: at(from),
+            kind: *kind,
+            other: at(other),
+            updates: updates
+                .iter()
+                .map(|u| Update {
+                    subject: at(&u.subject),
+                    ..*u
+                })
+                .collect(),
+        },
+        Step::Evict(p) => Step::Evict(at(p)),
+    }
+}
+
 /// Every message kind, `other` naming the probe target or the origin.
 fn message(kind: u8, other: ProcessId, updates: Vec<Update>) -> Msg {
     match kind {
         0 => SwimMsg::Wrapped {
-            inner: other.as_u64() as u8 * 2,
+            inner: (other.as_u64() as u8).wrapping_mul(2),
             updates,
         },
         1 => SwimMsg::Ping { updates },
@@ -721,12 +771,14 @@ proptest! {
     fn sorted_table_and_subject_set_match_the_tree_and_scan_model(
         cfg in config(),
         seed in any::<u64>(),
+        sparse in any::<bool>(),
         steps in vec(step(), 1..80),
     ) {
+        let table = if sparse { &SPARSE } else { &DENSE };
         let mut real = Swim::new(Scripted::new(ME), cfg.clone(), seed);
         let mut model = Model::new(Scripted::new(ME), cfg, seed);
         for (at, step) in steps.iter().enumerate() {
-            let (got, want) = match step {
+            let (got, want) = match &resolve(step, table) {
                 Step::Tick(view) => {
                     real.inner_mut().view = view.clone();
                     model.inner.view = view.clone();
@@ -748,7 +800,7 @@ proptest! {
             prop_assert_eq!(real.evictions(), &model.eviction_log[..]);
             prop_assert_eq!(real.swim_stats(), &model.stats);
             prop_assert_eq!(real.incarnation(), model.incarnation);
-            for p in (0..POOL).map(ProcessId::new) {
+            for p in table.map(ProcessId::new) {
                 prop_assert_eq!(real.is_dead(p), model.dead.contains(&p), "dead {}", p);
             }
         }

@@ -18,6 +18,8 @@ use std::hash::Hash;
 use rand::seq::SliceRandom;
 
 use crate::hashing::{FastMap, FastSet};
+use crate::scan::IdSet;
+use crate::ProcessId;
 use rand::Rng;
 
 /// A no-duplicate collection with a maximum size and *random* truncation.
@@ -30,23 +32,32 @@ use rand::Rng;
 /// evicted elements because phase 2 of gossip reception recycles entries
 /// evicted from `view` into `subs`.
 ///
-/// Membership tests and removals are O(1) amortized: a buffer holding at
-/// most `LINEAR_SCAN_MAX` (128) elements (the common case — every buffer in
-/// the paper's measured configuration holds at most ~120) uses
-/// branch-friendly linear scans over a dense `Vec`, which beat a hash probe
-/// at that size. The first insertion past 128 builds a hash index from the
-/// stored elements; removals keep it, so a buffer that hovers near 128 does
-/// not rebuild it again and again, and [`drain`] and [`clear`] drop it. What
-/// decides is the number of elements held, not the configured bound: an
-/// `events` buffer bounded at 170 but drained every period with ~40 in it
-/// never builds one. The index only accelerates lookups; element order,
-/// return values and random draws are the same with or without it.
+/// Elements are found through an index `I`, a [`HashIndex`] (element →
+/// position) unless the buffer is made with [`with_index`] over another
+/// [`SetIndex`]. A buffer holding at most `LINEAR_SCAN_MAX` (128)
+/// elements (the common case — every buffer in the paper's measured
+/// configuration holds at most ~120) keeps no hash index: branch-friendly
+/// linear scans over the dense `Vec` beat a hash probe at that size. The
+/// first insertion past 128 builds it from the stored elements; removals
+/// keep it, so a buffer that hovers near 128 does not rebuild it again
+/// and again, and [`drain`] and [`clear`] drop it. What decides is the
+/// number of elements held, not the configured bound: an `events` buffer
+/// bounded at 170 but drained every period with ~40 in it never builds
+/// one.
+///
+/// A buffer of [`ProcessKeyed`] elements, such as lpbcast's `unSubs`, can
+/// take an [`IdSet`] instead, which its first insertion builds: every
+/// membership test is then one bit per dense process id, whatever the
+/// buffer holds, and only a removal by value scans for the position. The
+/// index only accelerates lookups; element order, return values and
+/// random draws are the same with either index or none.
 ///
 /// Iteration order is unspecified.
 ///
 /// [`truncate_random`]: BoundedSet::truncate_random
 /// [`drain`]: BoundedSet::drain
 /// [`clear`]: BoundedSet::clear
+/// [`with_index`]: BoundedSet::with_index
 ///
 /// # Example
 ///
@@ -65,23 +76,132 @@ use rand::Rng;
 /// assert_eq!(evicted.len(), 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct BoundedSet<T> {
+pub struct BoundedSet<T, I = HashIndex<T>> {
     items: Vec<T>,
-    /// Position of each element in `items`: built by the insertion that
-    /// takes `items` past [`LINEAR_SCAN_MAX`], kept through removals,
-    /// dropped by [`drain`](Self::drain) and [`clear`](Self::clear).
-    index: Option<FastMap<T, usize>>,
+    /// The elements of `items`: built by the insertion that takes `items`
+    /// past [`SetIndex::SCAN_MAX`], kept through removals, dropped by
+    /// [`drain`](Self::drain) and [`clear`](Self::clear).
+    index: Option<I>,
     max_len: usize,
 }
 
-/// Most elements a [`BoundedSet`] without a hash index holds: the
-/// insertion that takes it past this many builds the index.
+/// Most elements a [`BoundedSet`] holds before it builds a [`HashIndex`]:
+/// up to this many, a scan is faster.
 pub const LINEAR_SCAN_MAX: usize = 128;
+
+/// How a [`BoundedSet`] finds its elements once it holds more than
+/// [`SCAN_MAX`](SetIndex::SCAN_MAX). The set calls it on every change to
+/// its `Vec` of elements, so the index always describes that `Vec`
+/// exactly.
+pub trait SetIndex<T> {
+    /// Most elements the set holds and scans before it builds the index.
+    const SCAN_MAX: usize;
+
+    /// An index over `items`, each element at its position.
+    fn build(items: &[T]) -> Self;
+
+    /// Whether `item` is among the indexed elements.
+    fn holds(&self, item: &T) -> bool;
+
+    /// The position of `item` in `items`, the elements the index covers.
+    fn find(&self, items: &[T], item: &T) -> Option<usize>;
+
+    /// Records `item`, just appended at `pos`.
+    fn pushed(&mut self, item: &T, pos: usize);
+
+    /// Forgets `removed`, swap-removed from `pos`; `moved` is the former
+    /// last element that took its place, if `pos` was not the last.
+    fn swap_removed(&mut self, removed: &T, pos: usize, moved: Option<&T>);
+}
+
+/// The default [`SetIndex`]: each element's position in a [`FastMap`].
+#[derive(Debug, Clone)]
+pub struct HashIndex<T>(FastMap<T, usize>);
+
+impl<T: Clone + Eq + Hash> SetIndex<T> for HashIndex<T> {
+    const SCAN_MAX: usize = LINEAR_SCAN_MAX;
+
+    fn build(items: &[T]) -> Self {
+        HashIndex(items.iter().cloned().zip(0..).collect())
+    }
+
+    fn holds(&self, item: &T) -> bool {
+        self.0.contains_key(item)
+    }
+
+    fn find(&self, _items: &[T], item: &T) -> Option<usize> {
+        self.0.get(item).copied()
+    }
+
+    fn pushed(&mut self, item: &T, pos: usize) {
+        self.0.insert(item.clone(), pos);
+    }
+
+    fn swap_removed(&mut self, removed: &T, pos: usize, moved: Option<&T>) {
+        self.0.remove(removed);
+        if let Some(moved) = moved {
+            self.0.insert(moved.clone(), pos);
+        }
+    }
+}
+
+/// An element that stands for one process: two elements are equal
+/// exactly when their [`process_key`](ProcessKeyed::process_key)s are.
+/// Buffers of such elements can be indexed by an [`IdSet`].
+pub trait ProcessKeyed {
+    /// The process the element stands for.
+    fn process_key(&self) -> ProcessId;
+}
+
+/// The process-keyed [`SetIndex`]: the held processes, one bit each for
+/// dense ids, from the first element on, since a bit probe beats a scan
+/// at any size. It holds no positions, so a removal by value scans
+/// `items`, and only after the set has said the element is there.
+impl<T: ProcessKeyed + PartialEq> SetIndex<T> for IdSet {
+    const SCAN_MAX: usize = 0;
+
+    fn build(items: &[T]) -> Self {
+        let mut set = IdSet::new();
+        for item in items {
+            set.insert(item.process_key());
+        }
+        set
+    }
+
+    fn holds(&self, item: &T) -> bool {
+        self.contains(item.process_key())
+    }
+
+    fn find(&self, items: &[T], item: &T) -> Option<usize> {
+        if self.contains(item.process_key()) {
+            crate::scan::position_of(items, item)
+        } else {
+            None
+        }
+    }
+
+    fn pushed(&mut self, item: &T, _pos: usize) {
+        self.insert(item.process_key());
+    }
+
+    fn swap_removed(&mut self, removed: &T, _pos: usize, _moved: Option<&T>) {
+        self.remove(removed.process_key());
+    }
+}
 
 impl<T: Clone + Eq + Hash> BoundedSet<T> {
     /// Creates an empty buffer with maximum size `max_len` (the paper's
-    /// |L|m). Allocates nothing.
+    /// |L|m) and the default [`HashIndex`]. Allocates nothing.
     pub fn new(max_len: usize) -> Self {
+        Self::with_index(max_len)
+    }
+}
+
+impl<T: Clone + PartialEq, I: SetIndex<T>> BoundedSet<T, I> {
+    /// Creates an empty buffer with maximum size `max_len` that indexes
+    /// its elements with `I` once it holds more than
+    /// [`SCAN_MAX`](SetIndex::SCAN_MAX). Allocates nothing.
+    pub fn with_index(max_len: usize) -> Self {
         BoundedSet {
             items: Vec::new(),
             index: None,
@@ -113,7 +233,7 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
     /// Whether `item` is present.
     pub fn contains(&self, item: &T) -> bool {
         match &self.index {
-            Some(index) => index.contains_key(item),
+            Some(index) => index.holds(item),
             None => crate::scan::contains(&self.items, item),
         }
     }
@@ -139,14 +259,9 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
         debug_assert!(!self.contains(&item), "push_absent of a present element");
         let pos = self.items.len();
         match &mut self.index {
-            Some(index) => {
-                index.insert(item.clone(), pos);
-            }
-            None if pos >= LINEAR_SCAN_MAX => {
-                let index = self
-                    .index
-                    .insert(self.items.iter().cloned().zip(0..).collect());
-                index.insert(item.clone(), pos);
+            Some(index) => index.pushed(&item, pos),
+            None if pos >= I::SCAN_MAX => {
+                self.index.insert(I::build(&self.items)).pushed(&item, pos);
             }
             None => {}
         }
@@ -158,11 +273,7 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
     fn remove_at(&mut self, pos: usize) -> T {
         let item = self.items.swap_remove(pos);
         if let Some(index) = &mut self.index {
-            index.remove(&item);
-            if pos < self.items.len() {
-                // Fix up the index of the element swapped into `pos`.
-                index.insert(self.items[pos].clone(), pos);
-            }
+            index.swap_removed(&item, pos, self.items.get(pos));
         }
         item
     }
@@ -170,7 +281,7 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
     /// Removes `item`; returns `true` if it was present.
     pub fn remove(&mut self, item: &T) -> bool {
         let pos = match &self.index {
-            Some(index) => index.get(item).copied(),
+            Some(index) => index.find(&self.items, item),
             None => crate::scan::position_of(&self.items, item),
         };
         let Some(pos) = pos else {
@@ -237,13 +348,13 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
         self.items.iter()
     }
 
-    /// Removes and returns all elements, and drops the hash index.
+    /// Removes and returns all elements, and drops the index.
     pub fn drain(&mut self) -> Vec<T> {
         self.index = None;
         std::mem::take(&mut self.items)
     }
 
-    /// Removes all elements, and drops the hash index.
+    /// Removes all elements, and drops the index.
     pub fn clear(&mut self) {
         self.index = None;
         self.items.clear();
@@ -285,7 +396,7 @@ impl<T: Clone + Eq + Hash> BoundedSet<T> {
     }
 }
 
-impl<'a, T> IntoIterator for &'a BoundedSet<T> {
+impl<'a, T, I> IntoIterator for &'a BoundedSet<T, I> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;
 
@@ -294,8 +405,8 @@ impl<'a, T> IntoIterator for &'a BoundedSet<T> {
     }
 }
 
-impl<T: Clone + Eq + Hash> Extend<T> for BoundedSet<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+impl<T: Clone + PartialEq, I: SetIndex<T>> Extend<T> for BoundedSet<T, I> {
+    fn extend<E: IntoIterator<Item = T>>(&mut self, iter: E) {
         for item in iter {
             self.insert(item);
         }
@@ -448,10 +559,19 @@ mod tests {
             s.push_absent(2);
             s.push_absent(3);
             assert_eq!(s.index.is_some(), held > 0, "held {held}");
+            assert_index_consistent(&s);
             assert_eq!(s.to_vec()[held..], [1, 2, 3], "held {held}");
             assert!(!s.insert(2));
             assert!(s.remove(&3) && s.contains(&2) && !s.contains(&3));
         }
+        // The id set indexes from the first element on.
+        let mut s = BoundedSet::<u32, IdSet>::with_index(4);
+        assert!(s.index.is_none());
+        s.push_absent(7);
+        s.insert(400);
+        assert!(s.index.is_some());
+        assert_index_consistent(&s);
+        assert!(!s.insert(7) && s.contains(&400) && !s.contains(&8));
     }
 
     #[test]
@@ -555,31 +675,87 @@ mod tests {
         assert!(s.contains(&8) && !s.contains(&9));
     }
 
+    /// Test elements stand for processes too, so that the same draws
+    /// reach the process-keyed index: 0..300 as dense ids, the rest near
+    /// `u64::MAX`, where the id set switches to its hashed form.
+    impl ProcessKeyed for u32 {
+        fn process_key(&self) -> ProcessId {
+            let x = u64::from(*self);
+            ProcessId::new(if x < 300 { x } else { u64::MAX - x })
+        }
+    }
+
+    /// An index that checks itself against the elements it covers.
+    trait Consistent: SetIndex<u32> + Clone {
+        fn assert_covers(&self, items: &[u32]);
+    }
+
+    /// The hash index maps exactly the stored items to their positions.
+    impl Consistent for HashIndex<u32> {
+        fn assert_covers(&self, items: &[u32]) {
+            assert_eq!(self.0.len(), items.len());
+            for (pos, x) in items.iter().enumerate() {
+                assert_eq!(self.0.get(x), Some(&pos), "index of {x}");
+            }
+        }
+    }
+
+    /// The id set holds exactly the stored items' processes.
+    impl Consistent for IdSet {
+        fn assert_covers(&self, items: &[u32]) {
+            assert_eq!(self.len(), items.len());
+            for x in items {
+                assert!(self.contains(x.process_key()), "index of {x}");
+            }
+        }
+    }
+
+    fn assert_index_consistent<I: Consistent>(s: &BoundedSet<u32, I>) {
+        if let Some(index) = &s.index {
+            index.assert_covers(&s.items);
+        }
+    }
+
     /// `retain` as a sequence of removals: collect the rejected elements in
     /// storage order, then remove each by value.
-    fn retain_by_removal(s: &mut BoundedSet<u32>, keep: impl Fn(&u32) -> bool) {
+    fn retain_by_removal<I: Consistent>(s: &mut BoundedSet<u32, I>, keep: impl Fn(&u32) -> bool) {
         let removed: Vec<u32> = s.items.iter().filter(|x| !keep(x)).copied().collect();
         for x in &removed {
             assert!(s.remove(x));
         }
     }
 
-    /// The hash index, where there is one, maps exactly the stored items
-    /// to their positions.
-    fn assert_index_consistent(s: &BoundedSet<u32>) {
-        if let Some(index) = &s.index {
-            assert_eq!(index.len(), s.items.len());
-            for (pos, x) in s.items.iter().enumerate() {
-                assert_eq!(index.get(x), Some(&pos), "index of {x}");
-            }
+    /// One `retain_matches_removing_each_rejected_element` case on a set
+    /// with index `I`.
+    fn check_retain<I: Consistent>(
+        max_len: usize,
+        values: &[u32],
+        removals: &[u32],
+        keep: impl Fn(&u32) -> bool,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut s = BoundedSet::<u32, I>::with_index(max_len);
+        s.extend(values.iter().copied());
+        for x in removals {
+            s.remove(x);
         }
+        let mut model = s.clone();
+        retain_by_removal(&mut model, &keep);
+        let (before, mut calls) = (s.len(), 0);
+        s.retain(|x| {
+            calls += 1;
+            keep(x)
+        });
+        proptest::prop_assert_eq!(calls, before, "one call per element");
+        proptest::prop_assert_eq!(&s.items, &model.items);
+        assert_index_consistent(&s);
+        Ok(())
     }
 
     proptest::proptest! {
         /// The one-pass `retain` leaves the order the removals leave, on
         /// the scanning and on the indexed layout (up to 300 elements: the
-        /// index exists once more than 128 were held), whatever share of
-        /// the elements it rejects.
+        /// index exists once more than 128 were held), with the hash index
+        /// and with the id set, whatever share of the elements it rejects.
         #[test]
         fn retain_matches_removing_each_rejected_element(
             max_len in 1usize..400,
@@ -588,22 +764,9 @@ mod tests {
             marks in proptest::collection::vec(0u8..4, 400),
             threshold in 0u8..=4,
         ) {
-            let mut s = BoundedSet::new(max_len);
-            s.extend(values);
-            for x in &removals {
-                s.remove(x);
-            }
             let keep = |x: &u32| marks[*x as usize] >= threshold;
-            let mut model = s.clone();
-            retain_by_removal(&mut model, keep);
-            let (before, mut calls) = (s.len(), 0);
-            s.retain(|x| {
-                calls += 1;
-                keep(x)
-            });
-            proptest::prop_assert_eq!(calls, before, "one call per element");
-            proptest::prop_assert_eq!(&s.items, &model.items);
-            assert_index_consistent(&s);
+            check_retain::<HashIndex<u32>>(max_len, &values, &removals, keep)?;
+            check_retain::<IdSet>(max_len, &values, &removals, keep)?;
         }
     }
 
@@ -657,15 +820,17 @@ mod tests {
     struct ScanModel {
         items: Vec<u32>,
         max_len: usize,
-        /// Whether more than [`LINEAR_SCAN_MAX`] elements were held since
-        /// the last `drain` or `clear`: when the real set has an index.
+        /// The real set's [`SetIndex::SCAN_MAX`].
+        scan_max: usize,
+        /// Whether more than `scan_max` elements were held since the last
+        /// `drain` or `clear`: when the real set has an index.
         indexed: bool,
     }
 
     impl ScanModel {
         fn push(&mut self, x: u32) {
             self.items.push(x);
-            self.indexed |= self.items.len() > LINEAR_SCAN_MAX;
+            self.indexed |= self.items.len() > self.scan_max;
         }
 
         fn remove_at(&mut self, pos: usize) -> u32 {
@@ -739,7 +904,12 @@ mod tests {
         }
     }
 
-    fn apply(s: &mut BoundedSet<u32>, model: &ScanModel, op: &Op, rng: &mut SmallRng) -> Returned {
+    fn apply<I: Consistent>(
+        s: &mut BoundedSet<u32, I>,
+        model: &ScanModel,
+        op: &Op,
+        rng: &mut SmallRng,
+    ) -> Returned {
         match *op {
             Op::Insert(x) => Returned::Flag(s.insert(x)),
             Op::PushAbsent(x) => {
@@ -765,12 +935,42 @@ mod tests {
         }
     }
 
+    /// One `index_matches_the_scan_only_model` case on a set with index
+    /// `I`.
+    fn check_against_scan_model<I: Consistent>(
+        max_len: usize,
+        ops: &[Op],
+        seed: u64,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut s = BoundedSet::<u32, I>::with_index(max_len);
+        let mut model = ScanModel {
+            items: Vec::new(),
+            max_len,
+            scan_max: I::SCAN_MAX,
+            indexed: false,
+        };
+        let (mut rng, mut model_rng) =
+            (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        for (step, op) in ops.iter().enumerate() {
+            let returned = apply(&mut s, &model, op, &mut rng);
+            let expected = model.apply(op, &mut model_rng);
+            proptest::prop_assert_eq!(returned, expected, "step {} {:?}", step, op);
+            proptest::prop_assert_eq!(&s.items, &model.items, "step {} {:?}", step, op);
+            proptest::prop_assert_eq!(s.index.is_some(), model.indexed, "step {}", step);
+            assert_index_consistent(&s);
+        }
+        proptest::prop_assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>(), "same draws");
+        Ok(())
+    }
+
     proptest::proptest! {
         /// The index is a pure accelerator: driven through any sequence of
         /// calls whose length crosses 128 both ways, the set returns what a
         /// scan-only `Vec` model returns, draws the same random numbers,
         /// keeps the same order, and holds an index exactly when more than
-        /// 128 elements were held since the last `drain` or `clear`.
+        /// 128 elements were held since the last `drain` or `clear`. So
+        /// does the process-keyed set, whose id set is built by the first
+        /// insertion and meets dense and sparse ids.
         #[test]
         fn index_matches_the_scan_only_model(
             max_len in proptest::prop_oneof![
@@ -781,18 +981,8 @@ mod tests {
             ops in proptest::collection::vec(op(), 0..1_500),
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let mut s = BoundedSet::new(max_len);
-            let mut model = ScanModel { items: Vec::new(), max_len, indexed: false };
-            let (mut rng, mut model_rng) = (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
-            for (step, op) in ops.iter().enumerate() {
-                let returned = apply(&mut s, &model, op, &mut rng);
-                let expected = model.apply(op, &mut model_rng);
-                proptest::prop_assert_eq!(returned, expected, "step {} {:?}", step, op);
-                proptest::prop_assert_eq!(&s.items, &model.items, "step {} {:?}", step, op);
-                proptest::prop_assert_eq!(s.index.is_some(), model.indexed, "step {}", step);
-                assert_index_consistent(&s);
-            }
-            proptest::prop_assert_eq!(rng.gen::<u64>(), model_rng.gen::<u64>(), "same draws");
+            check_against_scan_model::<HashIndex<u32>>(max_len, &ops, seed)?;
+            check_against_scan_model::<IdSet>(max_len, &ops, seed)?;
         }
     }
 

@@ -11,7 +11,9 @@
 //!   ordered distinct identifiers; event ids embed their originator).
 //! * [`Event`] — an application notification with opaque payload.
 //! * [`BoundedSet`] — a no-duplicate list truncated by *random* removal, the
-//!   eviction rule used by `view`, `subs`, `unSubs` and `events`.
+//!   eviction rule used by `view`, `subs`, `unSubs` and `events`; past 128
+//!   elements it finds them through a [`SetIndex`], a [`HashIndex`] or, for
+//!   [`ProcessKeyed`] elements, a [`scan::IdSet`].
 //! * [`OldestFirstBuffer`] — a no-duplicate list truncated by removing the
 //!   *oldest* element, the eviction rule used by `eventIds`.
 //! * [`CompactDigest`] — the per-origin optimisation of §3.2: *"the buffer
@@ -51,7 +53,7 @@ pub mod protocol;
 pub mod scan;
 pub mod varint;
 
-pub use buffer::{BoundedSet, OldestFirstBuffer};
+pub use buffer::{BoundedSet, HashIndex, OldestFirstBuffer, ProcessKeyed, SetIndex};
 pub use digest::{CompactDigest, OriginDigest};
 pub use event::{Event, Payload};
 pub use hashing::{FastMap, FastSet};
